@@ -3,6 +3,11 @@
 Subcommands: propagate | energy | equipartition | huygens | transforms |
 verify.  The default output directory is taken from --out, then the
 TREEWAVE_OUT environment variable, then ./treewave-out.
+
+Exit codes: 0 success, 1 a verification check failed, 2 invalid input
+(command line, configuration field, --initial file or its data), 3 the
+truncation ball cannot hold the requested times, 4 two exact routes
+disagreed.  Every error other than 1 is one line on stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +17,14 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, TruncationError
+from .errors import (
+    ConfigError,
+    ConsistencyError,
+    DomainError,
+    ModeError,
+    ParameterError,
+    TruncationError,
+)
 from .experiment import (
     ExperimentConfig,
     default_output_dir,
@@ -50,10 +62,29 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _read_initial(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ConfigError(f"field 'initial': cannot read JSON from {path}: {error}") from None
+
+
+def _q_values(text: str) -> tuple[int, ...]:
+    try:
+        qs = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        qs = ()
+    if not qs or any(q < 2 for q in qs):
+        raise ConfigError(
+            f"field 'q' must be a comma-separated list of integers >= 2, got {text!r}"
+        )
+    return qs
+
+
 def _config_from_args(args) -> ExperimentConfig:
     initial = None
     if args.initial is not None:
-        initial = json.loads(Path(args.initial).read_text(encoding="utf-8"))
+        initial = _read_initial(args.initial)
     schedule = args.schedule
     if isinstance(schedule, str) and schedule != "sqrt":
         try:
@@ -125,9 +156,16 @@ def _cmd_huygens(args) -> int:
 def _cmd_transforms(args) -> int:
     mode = ScalarMode("float64" if args.mode == "float" else args.mode)
     if args.initial is not None:
-        blob = json.loads(Path(args.initial).read_text(encoding="utf-8"))
-        profile = RadialProfile.from_json(blob)
+        blob = _read_initial(args.initial)
+        try:
+            profile = RadialProfile.from_json(blob)
+        except (KeyError, TypeError, ValueError) as error:
+            raise ConfigError(
+                f"field 'initial' is not a serialized radial profile: {error!r}"
+            ) from None
     else:
+        if args.q < 2:
+            raise ConfigError(f"field 'q' must be an integer >= 2, got {args.q}")
         profile = RadialProfile.delta(args.q, mode)
     out_dir = default_output_dir(str(args.out) if args.out else None)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -167,7 +205,7 @@ def _cmd_transforms(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    qs = tuple(int(part) for part in str(args.q).split(","))
+    qs = _q_values(str(args.q))
     report, passed = run_verification(
         qs=qs, seed=args.seed, size=args.size, negative_control=args.negative_control
     )
@@ -223,6 +261,12 @@ def main(argv=None) -> int:
     except TruncationError as error:
         print(f"truncation error: {error}", file=sys.stderr)
         return 3
+    except (ParameterError, DomainError, ModeError) as error:
+        print(f"input error: {error}", file=sys.stderr)
+        return 2
+    except ConsistencyError as error:
+        print(f"consistency error: {error}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -29,14 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import ConsistencyError, ParameterError
 from .functions import RadialProfile, TreeFunction
 from .laplacians import gamma_tilde, two_step_laplacian
 from .radial import RadialTrajectory, distance_counts, propagator_kernels, radial_convolve
 from .scalars import (
-    QSurd,
     Scalar,
     ScalarMode,
     scalar_from_fraction,
@@ -86,43 +85,12 @@ def _two_sphere(vertex: VertexAddress):
                 yield nb2
 
 
-def _integer_components(states, q):
-    """Snapshots as integer pairs (A, B) with value = (A + B*sqrt q)/D over a
-    single common denominator D.
-
-    Exact quadratic sums then run on machine integers, with the one division
-    by D^2 deferred to the very end; this is what keeps long conservation
-    sweeps affordable.
-    """
-    denominator = 1
-    for state in states:
-        for value in state.value_map().values():
-            denominator = lcm(denominator, value.a.denominator, value.b.denominator)
-    packed = [
-        {
-            vertex: ((value.a * denominator).numerator, (value.b * denominator).numerator)
-            for vertex, value in state.value_map().items()
-        }
-        for state in states
-    ]
-    return packed, denominator
-
-
 def kinetic_energy(u: WaveTrajectory, n: int) -> Scalar:
     plus, minus = u.snapshot(n + 1), u.snapshot(n - 1)
     if u.mode is ScalarMode.FLOAT64:
         diff = plus - minus
         return diff.dot(diff) * 0.125
-    (comp_plus, comp_minus), denominator = _integer_components([plus, minus], u.q)
-    rational_part = surd_part = 0
-    for vertex in comp_plus.keys() | comp_minus.keys():
-        a_plus, b_plus = comp_plus.get(vertex, (0, 0))
-        a_minus, b_minus = comp_minus.get(vertex, (0, 0))
-        da, db = a_plus - a_minus, b_plus - b_minus
-        rational_part += da * da + u.q * db * db
-        surd_part += 2 * da * db
-    scale = 8 * denominator * denominator
-    return QSurd(Fraction(rational_part, scale), Fraction(surd_part, scale), u.q)
+    return plus._as_levels().kinetic(minus._as_levels())
 
 
 def potential_energy(u: WaveTrajectory, n: int, route: str = "pair") -> Scalar:
@@ -136,34 +104,7 @@ def potential_energy(u: WaveTrajectory, n: int, route: str = "pair") -> Scalar:
 def _potential_pair(state: TreeFunction, q: int, mode: ScalarMode) -> Scalar:
     if mode is ScalarMode.FLOAT64:
         return _potential_pair_float(state, q)
-    (components,), denominator = _integer_components([state], q)
-    pair_rational = pair_surd = mass_rational = mass_surd = 0
-    for x, (a, b) in components.items():
-        square_rational = a * a + q * b * b
-        square_surd = 2 * a * b
-        mass_rational += square_rational
-        mass_surd += square_surd
-        outside = 0
-        for y in _two_sphere(x):
-            partner = components.get(y)
-            if partner is None:
-                outside += 1
-                continue
-            da, db = a - partner[0], b - partner[1]
-            pair_rational += da * da + q * db * db
-            pair_surd += 2 * da * db
-        if outside:
-            # the off-support partners, plus the mirrored ordered pairs whose
-            # first coordinate is the off-support vertex
-            pair_rational += 2 * outside * square_rational
-            pair_surd += 2 * outside * square_surd
-    pair_scale = 16 * q * denominator * denominator
-    mass_scale = Fraction((q - 1) ** 2, 8 * q * denominator * denominator)
-    return QSurd(
-        Fraction(pair_rational, pair_scale) - mass_scale * mass_rational,
-        Fraction(pair_surd, pair_scale) - mass_scale * mass_surd,
-        q,
-    )
+    return state._as_levels().potential_pair()
 
 
 def _potential_pair_float(state: TreeFunction, q: int) -> float:
@@ -179,9 +120,13 @@ def _potential_pair_float(state: TreeFunction, q: int) -> float:
 
 
 def _potential_two_step(state: TreeFunction, q: int, mode: ScalarMode) -> Scalar:
-    shifted = two_step_laplacian(state) - state.scale(gamma_tilde(q, mode))
     weight = scalar_from_fraction(Fraction(q + 1, 8), q, mode)
-    return shifted.dot(state) * weight
+    if mode is ScalarMode.FLOAT64:
+        shifted = two_step_laplacian(state) - state.scale(gamma_tilde(q, mode))
+        return shifted.dot(state) * weight
+    levels = state._as_levels()
+    image = two_step_laplacian(state)._as_levels()
+    return (image.dot(levels) - gamma_tilde(q, mode) * levels.dot(levels)) * weight
 
 
 def energies(u: WaveTrajectory, n: int) -> EnergyReport:

@@ -63,6 +63,10 @@ class ExperimentConfig:
             raise ConfigError(f"field 'solver' must be one of {_SOLVERS}, got {self.solver!r}")
         if self.radius is not None and (not isinstance(self.radius, int) or self.radius < 0):
             raise ConfigError(f"field 'radius' must be an integer >= 0, got {self.radius!r}")
+        if self.initial is not None and not isinstance(self.initial, dict):
+            raise ConfigError(
+                f"field 'initial' must be an object with keys 'f' and 'g', got {self.initial!r}"
+            )
         if not isinstance(self.schedule, int) and self.schedule != "sqrt":
             raise ConfigError(
                 f"field 'schedule' must be 'sqrt' or an integer margin, got {self.schedule!r}"
@@ -94,7 +98,12 @@ def resolve_initial_data(config: ExperimentConfig) -> tuple[TreeFunction, TreeFu
         if entry == "random":
             return random_tree_function(q, 1, rng, mode=mode)
         if isinstance(entry, dict):
-            parsed = TreeFunction.from_json(entry)
+            try:
+                parsed = TreeFunction.from_json(entry)
+            except (KeyError, TypeError, ValueError) as error:
+                raise ConfigError(
+                    f"field 'initial' entry is not a serialized function: {error!r}"
+                ) from None
             if parsed.q != q:
                 raise ConfigError(
                     f"field 'initial' carries data for q={parsed.q}, config says q={q}"

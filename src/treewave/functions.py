@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import ModeError, ParameterError
+from .levels import Levels
 from .scalars import (
     Scalar,
     ScalarMode,
@@ -29,19 +30,16 @@ from .scalars import (
 from .topology import Ball, VertexAddress, distance, sphere_volume
 
 
-def _clean_entries(entries, q: int, mode: ScalarMode) -> dict:
-    values = {}
-    for key, value in entries:
-        value = ensure_mode(value, mode, q)
-        if not scalar_is_zero(value):
-            values[key] = value
-    return values
-
-
 class TreeFunction:
-    """Finitely supported map from vertices of T_q to scalars (absent = 0)."""
+    """Finitely supported map from vertices of T_q to scalars (absent = 0).
 
-    __slots__ = ("q", "mode", "_values")
+    An exact function also has a packed form (``levels.Levels``), built on
+    first use by the vertex kernel and kept in a private slot.  A kernel
+    output starts from its packed form and builds its value map on first
+    read.  Equality, hashing and serialization read only the value map.
+    """
+
+    __slots__ = ("q", "mode", "_store", "_levels")
 
     def __init__(
         self,
@@ -63,10 +61,34 @@ class TreeFunction:
                 cleaned[vertex] = value
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_values", cleaned)
+        object.__setattr__(self, "_store", cleaned)
+        object.__setattr__(self, "_levels", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TreeFunction is immutable")
+
+    @classmethod
+    def _from_levels(cls, levels: Levels) -> TreeFunction:
+        """Exact function of a kernel output; its value map is built on
+        first read."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "q", levels.q)
+        object.__setattr__(self, "mode", ScalarMode.EXACT)
+        object.__setattr__(self, "_store", None)
+        object.__setattr__(self, "_levels", levels)
+        return self
+
+    @property
+    def _values(self) -> dict:
+        if self._store is None:
+            object.__setattr__(self, "_store", self._levels.values())
+        return self._store
+
+    def _as_levels(self) -> Levels:
+        """Packed form of an exact function, packed once and then kept."""
+        if self._levels is None:
+            object.__setattr__(self, "_levels", Levels.pack(self.q, self._store))
+        return self._levels
 
     @classmethod
     def zero(cls, q: int, mode: ScalarMode) -> TreeFunction:
@@ -385,7 +407,3 @@ def is_radial(f: TreeFunction) -> bool:
     """True when f(x) depends only on |x| (checked on the support span)."""
     profile = radial_profile_of(f)
     return f == TreeFunction.from_radial(profile) if profile else not f
-
-
-def tree_function_floats(f: TreeFunction) -> dict[VertexAddress, float]:
-    return {vertex: scalar_to_float(value) for vertex, value in f.items()}

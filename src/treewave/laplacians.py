@@ -104,7 +104,12 @@ def radial_laplacian(p: RadialProfile) -> RadialProfile:
 
 
 def two_step_laplacian(f: TreeFunction) -> TreeFunction:
-    """f(x) - (1/(q(q+1))) * sum over the q(q+1) vertices at distance 2."""
+    """f(x) - (1/(q(q+1))) * sum over the q(q+1) vertices at distance 2.
+
+    Exact mode runs on level arrays, where the distance-2 sum is
+    Adj^2 - (q+1) I; float64 mode scatters over the explicit 2-sphere."""
+    if f.mode is ScalarMode.EXACT:
+        return TreeFunction._from_levels(f._as_levels().two_step_laplacian())
     weight = scalar_from_fraction(Fraction(1, f.q * (f.q + 1)), f.q, f.mode)
     zero = scalar_zero(f.q, f.mode)
     out: dict = {}

@@ -54,12 +54,14 @@ def _distance_levels(center: VertexAddress, depth: int) -> list[list[VertexAddre
 
 
 def adjacency_sum(f: TreeFunction) -> TreeFunction:
-    """x -> sum_{y in S(x,1)} f(y), by scattering support values."""
-    zero = scalar_zero(f.q, f.mode)
+    """x -> sum_{y in S(x,1)} f(y): level-array slices in exact mode, a
+    scatter of the support values in float64 mode."""
+    if f.mode is ScalarMode.EXACT:
+        return TreeFunction._from_levels(f._as_levels().adjacency())
     out: dict = {}
     for vertex, value in f.items():
         for nb in vertex.neighbors():
-            out[nb] = out.get(nb, zero) + value
+            out[nb] = out.get(nb, 0.0) + value
     return TreeFunction(f.q, f.mode, out)
 
 
@@ -106,6 +108,8 @@ def step_recurrence(u_prev: TreeFunction, u_curr: TreeFunction) -> TreeFunction:
     """
     if u_prev.q != u_curr.q or u_prev.mode != u_curr.mode:
         raise ParameterError("snapshots must share q and scalar mode")
+    if u_curr.mode is ScalarMode.EXACT:
+        return TreeFunction._from_levels(u_curr._as_levels().step(u_prev._as_levels()))
     weight = sqrt_q_power(u_curr.q, -1, u_curr.mode)
     return adjacency_sum(u_curr).scale(weight) - u_prev
 
@@ -163,12 +167,6 @@ def _normalize_range(n_range) -> tuple[int, int]:
     if lo > 0 or hi < 0:
         raise ParameterError("the time range must contain 0 (initial data lives there)")
     return (int(lo), int(hi))
-
-
-def required_ball(q: int, n_range, f: TreeFunction, g: TreeFunction) -> Ball:
-    lo, hi = _normalize_range(n_range)
-    data_radius = max(f.support_radius(), g.support_radius(), 0)
-    return Ball(q, max(abs(lo), abs(hi)) + data_radius + 2)
 
 
 def solve(

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from treewave.energy import (
     default_shell_margin,
+    energies,
     gap_bound_constant,
     huygens_report,
     kinetic_energy,
@@ -179,6 +180,33 @@ def test_criterion_4_closed_form_total_energy():
     delta_reference, _ = total_energy(delta_trajectory)
     assert delta_reference == QSurd(Fraction(5, 16), 0, 2)
     _report(4, "closed-form total exact on random data; delta instance E = 5/16")
+
+
+def test_vertex_level_reach():
+    """Vertex-level delta trajectories at the reach target, exact, < 60 s:
+    q=2 on (0, 16) with E = 5/16 and gap = -1/2^(n+5), q=3 on (0, 10) with
+    E equal to the closed form; the last snapshots equal the radial route
+    vertex by vertex."""
+    started = time.perf_counter()
+    for q, reach in ((2, 16), (3, 10)):
+        delta, zero = TreeFunction.delta(q, EXACT), TreeFunction.zero(q, EXACT)
+        trajectory = solve(delta, zero, (0, reach), solver="recurrence")
+        _, reports = total_energy(trajectory)
+        expected = total_energy_closed_form(delta, zero)
+        if q == 2:
+            assert expected == QSurd(Fraction(5, 16), 0, 2)
+        assert [r.n for r in reports] == list(range(1, reach))
+        for report in reports:
+            assert report.total == expected
+            if q == 2 and report.n >= 2:
+                assert report.gap == QSurd(Fraction(-1, 2 ** (report.n + 5)), 0, 2)
+        # raises unless the pair-sum and 2-step potentials agree
+        energies(trajectory, reach - 1)
+        radial = radial_solve(RadialProfile.delta(q, EXACT), RadialProfile(q, EXACT), reach)
+        assert trajectory.snapshot(reach) == TreeFunction.from_radial(radial.snapshot(reach))
+    elapsed = time.perf_counter() - started
+    assert elapsed < 60.0
+    _report(3, f"vertex-level reach |n| = 16 (q=2) and 10 (q=3), {elapsed:.1f}s")
 
 
 def test_criterion_5_equipartition():

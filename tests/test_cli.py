@@ -177,3 +177,30 @@ def test_cli_bad_schedule_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "'schedule'" in err
+
+
+def _fails_closed(argv, field, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert f"'{field}'" in err and "Traceback" not in err
+
+
+def test_cli_verify_rejects_q_below_two(capsys):
+    _fails_closed(["verify", "--q", "1", "--size", "small"], "q", capsys)
+
+
+def test_cli_transforms_rejects_q_below_two(tmp_path, capsys):
+    _fails_closed(["transforms", "--q", "1", "--out", str(tmp_path)], "q", capsys)
+
+
+def test_cli_verify_rejects_non_integer_q_list(capsys):
+    _fails_closed(["verify", "--q", "2,x", "--size", "small"], "q", capsys)
+
+
+def test_cli_missing_initial_file(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.json"
+    _fails_closed(
+        ["propagate", "--initial", str(missing), "--out", str(tmp_path / "run")], "initial", capsys
+    )
