@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import ModeError, ParameterError
-from .levels import Levels
+from .levels import Levels, RadialLevels
 from .scalars import (
     Scalar,
     ScalarMode,
@@ -33,10 +33,10 @@ from .topology import Ball, VertexAddress, distance, sphere_volume
 class TreeFunction:
     """Finitely supported map from vertices of T_q to scalars (absent = 0).
 
-    An exact function also has a packed form (``levels.Levels``), built on
-    first use by the vertex kernel and kept in a private slot.  A kernel
-    output starts from its packed form and builds its value map on first
-    read.  Equality, hashing and serialization read only the value map.
+    A function also has a packed form (``levels.Levels``), built on first use
+    by the vertex kernel and kept in a private slot.  A kernel output starts
+    from its packed form and builds its value map on first read.  Equality,
+    hashing and serialization read only the value map.
     """
 
     __slots__ = ("q", "mode", "_store", "_levels")
@@ -69,11 +69,11 @@ class TreeFunction:
 
     @classmethod
     def _from_levels(cls, levels: Levels) -> TreeFunction:
-        """Exact function of a kernel output; its value map is built on
-        first read."""
+        """Function of a kernel output; its value map is built on first
+        read."""
         self = object.__new__(cls)
         object.__setattr__(self, "q", levels.q)
-        object.__setattr__(self, "mode", ScalarMode.EXACT)
+        object.__setattr__(self, "mode", levels.mode)
         object.__setattr__(self, "_store", None)
         object.__setattr__(self, "_levels", levels)
         return self
@@ -85,9 +85,9 @@ class TreeFunction:
         return self._store
 
     def _as_levels(self) -> Levels:
-        """Packed form of an exact function, packed once and then kept."""
+        """Packed form, packed once and then kept."""
         if self._levels is None:
-            object.__setattr__(self, "_levels", Levels.pack(self.q, self._store))
+            object.__setattr__(self, "_levels", Levels.pack(self.q, self.mode, self._store))
         return self._levels
 
     @classmethod
@@ -342,6 +342,13 @@ class RadialProfile(_IntIndexed):
         if not self._values:
             return -1
         return max(self._values)
+
+    def max_abs(self) -> Scalar:
+        return max(map(abs, self._values.values()), default=scalar_zero(self.q, self.mode))
+
+    def _as_levels(self) -> RadialLevels:
+        """Packed form, built per call (profiles are short)."""
+        return RadialLevels.pack(self.q, self.mode, self._values)
 
 
 class HeightSequence(_IntIndexed):

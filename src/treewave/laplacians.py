@@ -71,21 +71,9 @@ def laplacian_line(f: HeightSequence) -> HeightSequence:
 
 
 def laplacian_tree(f: TreeFunction) -> TreeFunction:
-    """f(x) - (1/(q+1)) * sum over the q+1 neighbours of x.
-
-    Computed by scattering each support value to its neighbours (the
-    adjacency operator is self-adjoint), so the cost is proportional to the
-    support size and the output support grows by at most one step.
-    """
-    weight = scalar_from_fraction(Fraction(1, f.q + 1), f.q, f.mode)
-    zero = scalar_zero(f.q, f.mode)
-    out: dict = {}
-    for vertex, value in f.items():
-        out[vertex] = out.get(vertex, zero) + value
-        spread = value * weight
-        for nb in vertex.neighbors():
-            out[nb] = out.get(nb, zero) - spread
-    return TreeFunction(f.q, f.mode, out)
+    """f(x) - (1/(q+1)) * sum over the q+1 neighbours of x, on level arrays
+    (the neighbour sum of ``adjacency_sum``)."""
+    return TreeFunction._from_levels(f._as_levels().laplacian())
 
 
 def radial_laplacian(p: RadialProfile) -> RadialProfile:
@@ -104,23 +92,9 @@ def radial_laplacian(p: RadialProfile) -> RadialProfile:
 
 
 def two_step_laplacian(f: TreeFunction) -> TreeFunction:
-    """f(x) - (1/(q(q+1))) * sum over the q(q+1) vertices at distance 2.
-
-    Exact mode runs on level arrays, where the distance-2 sum is
-    Adj^2 - (q+1) I; float64 mode scatters over the explicit 2-sphere."""
-    if f.mode is ScalarMode.EXACT:
-        return TreeFunction._from_levels(f._as_levels().two_step_laplacian())
-    weight = scalar_from_fraction(Fraction(1, f.q * (f.q + 1)), f.q, f.mode)
-    zero = scalar_zero(f.q, f.mode)
-    out: dict = {}
-    for vertex, value in f.items():
-        out[vertex] = out.get(vertex, zero) + value
-        spread = value * weight
-        for nb in vertex.neighbors():
-            for nb2 in nb.neighbors():
-                if nb2 != vertex:
-                    out[nb2] = out.get(nb2, zero) - spread
-    return TreeFunction(f.q, f.mode, out)
+    """f(x) - (1/(q(q+1))) * sum over the q(q+1) vertices at distance 2,
+    on level arrays, where the distance-2 sum is Adj^2 - (q+1) I."""
+    return TreeFunction._from_levels(f._as_levels().two_step_laplacian())
 
 
 def rayleigh_quotient(operator, f) -> Scalar:

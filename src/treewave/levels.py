@@ -1,34 +1,49 @@
-"""Exact vertex functions on the origin ball as integer level arrays.
+"""Packed functions: the one place where a function's values are summed.
 
-A function supported in ``Ball(q, R)`` is stored as one list per depth
-d = 0..R, in the canonical order of ``Ball.vertices()``: the origin, its q+1
-children, and then, for every vertex j at depth d >= 1, its children
-jq .. jq+q-1 at depth d+1.  Each value is an integer pair (A, B) standing for
-(A + B*sqrt(q)) / D, with one common denominator D for the whole function.
-When q is a perfect square, sqrt(q) is folded into A and every B is 0, as in
-``QSurd``.
+A packed function keeps one list per depth d = 0..R.  Two choices stay
+separate.
 
-With this layout the neighbour sum is slice arithmetic on Python integers:
-the parent of the vertices at depth d >= 2 is each entry of depth d-1
-repeated q times, and the children of the vertices at depth d >= 1 are the
-strided slices [r::q] of depth d+1.  The distance-2 partners of a vertex are
-its siblings, its grandparent and its grandchildren, which are slices too.
-No ``Fraction`` is built inside a loop; values become ``QSurd`` only when a
-function is materialised or an energy is returned.
+The *number type* decides only packing, unpacking, the scalars of the step
+and two-step operators and how a final scalar is built.  Exact data are
+integer pairs (A, B) standing for (A + B*sqrt(q)) / D, one part list for A
+and one for B, over one common denominator D per function; when q is a
+perfect square, sqrt(q) is folded into A and every B is 0, as in ``QSurd``.
+float64 data are one part list of floats with D = 1.
 
-The cost of every operation grows with the ball of the support radius, not
-with the support itself.
+The *layout* decides only the distance-2 pair enumeration and the weight of
+an entry:
+
+- vertex data (``Levels``): depth d lists the vertices of the sphere S(d) in
+  the canonical order of ``Ball.vertices()``: the origin, its q+1 children,
+  and then, for every vertex j at depth d >= 1, its children jq .. jq+q-1.
+  Every entry has weight 1.  The parent of the vertices at depth d >= 2 is
+  each entry of depth d-1 repeated q times, the children of depth d >= 1 are
+  the strided slices [r::q] of depth d+1, and the distance-2 partners of a
+  vertex (siblings, grandparent, grandchildren) are slices too.
+- radial profiles (``RadialLevels``): one entry per depth, standing for the
+  |S(d)| = ``sphere_volume(q, d)`` vertices of that sphere, which is its
+  weight.  The distance-2 pairs are the grandparent pairs (d, d+2), |S(d+2)|
+  of them; siblings share a value and add 0.
+
+Kinetic energy, mass, the pair-sum potential, the counting inner product and
+the three Huygens interior sums are written once over these two choices.  No
+``Fraction`` is built inside a loop; values become ``QSurd`` only when a
+function is materialised or a sum is returned.  The cost of a vertex
+operation grows with the ball of the support radius, not with the support.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
-from math import gcd, lcm
+from functools import reduce
+from itertools import chain, islice, repeat
+from math import fsum, gcd, lcm
 from operator import add, mul, sub
 
-from .scalars import QSurd, _square_root_if_perfect
+from .scalars import QSurd, Scalar, ScalarMode, _square_root_if_perfect, sqrt_q_power
 from .topology import VertexAddress, sphere_volume
+
+EXACT = ScalarMode.EXACT
 
 
 def _vertex_index(vertex: VertexAddress, q: int) -> int:
@@ -38,11 +53,11 @@ def _vertex_index(vertex: VertexAddress, q: int) -> int:
     return index
 
 
-def _scaled(c: int, level: list) -> list:
+def _scaled(c, level: list) -> list:
     return level if c == 1 else list(map(mul, level, repeat(c, len(level))))
 
 
-def _combine(cx: int, x: list, cy: int, y: list) -> list:
+def _combine(cx, x: list, cy, y: list) -> list:
     """cx*x + cy*y depth by depth; a missing depth counts as zero."""
     out = []
     for d in range(max(len(x), len(y))):
@@ -58,12 +73,13 @@ def _combine(cx: int, x: list, cy: int, y: list) -> list:
 
 
 def _adjacent(levels: list, q: int) -> list:
-    """Neighbour sum of one integer component: depth d of the result holds
-    the parent value plus the child sum of every vertex at depth d."""
+    """Neighbour sum of one part: depth d of the result holds the parent
+    value plus the child sums of every vertex at depth d, added in that
+    order (which keeps float64 sums bit-identical to a neighbour scatter)."""
     radius = len(levels) - 1
     if radius < 0:
         return []
-    out = [[sum(levels[1]) if radius >= 1 else 0]]
+    out = [[reduce(add, levels[1]) if radius >= 1 else 0]]
     for d in range(1, radius + 2):
         parent = levels[d - 1]
         if d == 1:
@@ -80,171 +96,281 @@ def _adjacent(levels: list, q: int) -> list:
     return out
 
 
-def _square_sums(xa, xb, ya=None, yb=None) -> tuple[int, int, int]:
-    """(sum da^2, sum db^2, sum da*db) for d = x - y elementwise (y = 0 if
-    omitted)."""
-    if ya is not None:
-        xa = list(map(sub, xa, ya))
-        xb = list(map(sub, xb, yb))
-    return sum(map(mul, xa, xa)), sum(map(mul, xb, xb)), sum(map(mul, xa, xb))
+class _Packed:
+    """A function packed by number type and layout (see module docstring).
+    Immutable by convention; trailing all-zero depths are trimmed and D is
+    reduced, so the zero function has no depths at all."""
 
+    __slots__ = ("q", "mode", "den", "parts")
 
-class Levels:
-    """An exact vertex function packed as integer level arrays (see module
-    docstring).  Immutable by convention; trailing all-zero depths are
-    trimmed and D is reduced, so the zero function has no depths at all."""
-
-    __slots__ = ("q", "den", "a", "b")
-
-    def __init__(self, q: int, den: int, a: list, b: list):
-        while a and not any(a[-1]) and not any(b[-1]):
-            a, b = a[:-1], b[:-1]
-        if not a:
+    def __init__(self, q: int, mode: ScalarMode, den: int, parts: list):
+        while parts[0] and not any(any(part[-1]) for part in parts):
+            parts = [part[:-1] for part in parts]
+        if not parts[0]:
             den = 1
         elif den != 1:
-            common = gcd(den, *chain.from_iterable(a), *chain.from_iterable(b))
+            common = gcd(den, *chain.from_iterable(chain.from_iterable(parts)))
             if common != 1:
                 den //= common
-                a = [[v // common for v in level] for level in a]
-                b = [[v // common for v in level] for level in b]
-        self.q, self.den, self.a, self.b = q, den, a, b
+                parts = [[[v // common for v in level] for level in part] for part in parts]
+        self.q, self.mode, self.den, self.parts = q, mode, den, parts
+
+    # -- number type ----------------------------------------------------------
 
     @classmethod
-    def pack(cls, q: int, values) -> Levels:
-        """Pack a mapping vertex -> QSurd (nonzero values only)."""
-        if not values:
-            return cls(q, 1, [], [])
-        den = lcm(*(part.denominator for value in values.values() for part in (value.a, value.b)))
-        radius = max(vertex.depth for vertex in values)
-        a = [[0] * sphere_volume(q, d) for d in range(radius + 1)]
-        b = [[0] * sphere_volume(q, d) for d in range(radius + 1)]
-        for vertex, value in values.items():
-            d, j = vertex.depth, _vertex_index(vertex, q)
+    def _pack(cls, q: int, mode: ScalarMode, radius: int, entries) -> _Packed:
+        """Pack (depth, index, scalar) entries of nonzero values."""
+        sizes = [cls._size(q, d) for d in range(radius + 1)]
+        if mode is not EXACT:
+            values = [[0.0] * size for size in sizes]
+            for d, j, value in entries:
+                values[d][j] = value
+            return cls(q, mode, 1, [values])
+        entries = list(entries)
+        den = lcm(*(part.denominator for _, _, value in entries for part in (value.a, value.b)))
+        a = [[0] * size for size in sizes]
+        b = [[0] * size for size in sizes]
+        for d, j, value in entries:
             a[d][j] = value.a.numerator * (den // value.a.denominator)
             b[d][j] = value.b.numerator * (den // value.b.denominator)
-        return cls(q, den, a, b)
+        return cls(q, mode, den, [a, b])
+
+    def _products(self, xs: list, ys: list) -> list:
+        """The parts of sum x*y over aligned slices of x's and y's parts:
+        [sum xa*ya, sum xb*yb, sum xa*yb + xb*ya] for exact data, [sum x*y]
+        for float64 (with ``fsum``, which rounds alike on every Python)."""
+        if self.mode is not EXACT:
+            return [fsum(map(mul, xs[0], ys[0]))]
+        (xa, xb), (ya, yb) = xs, ys
+        if xs is ys:
+            cross = 2 * sum(map(mul, xa, xb))
+        else:
+            cross = sum(map(mul, xa, yb)) + sum(map(mul, xb, ya))
+        return [sum(map(mul, xa, ya)), sum(map(mul, xb, yb)), cross]
+
+    def _scalar(self, total: list, scale: int) -> Scalar:
+        """The scalar (sum x*y) / scale from the parts ``_products`` built."""
+        if self.mode is not EXACT:
+            return total[0] / scale
+        q = self.q
+        return QSurd(Fraction(total[0] + q * total[1], scale), Fraction(total[2], scale), q)
+
+    # -- layout -------------------------------------------------------------------
+
+    @staticmethod
+    def _size(q: int, d: int) -> int:
+        """Number of entries stored at depth d."""
+        raise NotImplementedError
+
+    def _weight(self, d: int) -> int:
+        """Number of vertices of the sphere S(d) one entry stands for."""
+        return sphere_volume(self.q, d) // self._size(self.q, d)
+
+    def _distance_two_pairs(self):
+        """Every unordered pair of vertices at distance 2 with a stored end
+        that can differ in value, as (depth of the deeper end, x slices,
+        y slices, multiplicity); y is None where its values are all 0."""
+        raise NotImplementedError
+
+    # -- sums, written once -------------------------------------------------------
+
+    def _sum(self, terms) -> list:
+        """Parts of sum weight * (x*y) over the (weight, xs, ys) terms."""
+        total = [0, 0, 0] if self.mode is EXACT else [0.0]
+        for weight, xs, ys in terms:
+            for i, value in enumerate(self._products(xs, ys)):
+                total[i] += weight * value
+        return total
+
+    def _squares(self, parts: list, limit: int | None = None):
+        """Weighted square terms of the depths d < limit (all if None)."""
+        depths = zip(*parts) if limit is None else islice(zip(*parts), max(limit, 0))
+        return ((self._weight(d), level, level) for d, level in enumerate(depths))
+
+    def _pair_squares(self, limit: int | None = None):
+        """Square terms of the distance-2 differences over unordered pairs
+        with both ends at depth < limit (all if None)."""
+        for deeper, xs, ys, count in self._distance_two_pairs():
+            if limit is None or deeper < limit:
+                diff = xs if ys is None else [list(map(sub, x, y)) for x, y in zip(xs, ys)]
+                yield count, diff, diff
+
+    def _minus(self, other: _Packed) -> tuple[int, list]:
+        """(D, parts) of self - other over their common denominator."""
+        den = lcm(self.den, other.den)
+        cx, cy = den // self.den, -(den // other.den)
+        return den, [_combine(cx, x, cy, y) for x, y in zip(self.parts, other.parts)]
+
+    def dot(self, other: _Packed) -> Scalar:
+        """Counting inner product sum_x u(x) v(x)."""
+        terms = (
+            (self._weight(d), x, y)
+            for d, (x, y) in enumerate(zip(zip(*self.parts), zip(*other.parts)))
+        )
+        return self._scalar(self._sum(terms), self.den * other.den)
+
+    def kinetic(self, minus: _Packed) -> Scalar:
+        """(1/2) * sum_x ((u(x) - v(x)) / 2)^2 with u = self, v = minus."""
+        den, parts = self._minus(minus)
+        return self._scalar(self._sum(self._squares(parts)), 8 * den * den)
+
+    def potential_pair(self) -> Scalar:
+        """(1/(4q)) sum over ordered pairs at distance 2 of ((u(x)-u(y))/2)^2
+        - ((q-1)^2/(8q)) sum_x u(x)^2, with the pairs enumerated one by one.
+        Ordered pairs count every unordered pair twice, so both terms share
+        the scale 8q D^2."""
+        q, c = self.q, (self.q - 1) ** 2
+        pair = self._sum(self._pair_squares())
+        mass = self._sum(self._squares(self.parts))
+        return self._scalar([p - c * m for p, m in zip(pair, mass)], 8 * q * self.den**2)
+
+    def huygens_sums(self, plus: _Packed, minus: _Packed, limit: int) -> tuple:
+        """The interior sums over depths < limit: sum u^2, the squared
+        distance-2 differences over ordered pairs with both ends interior,
+        and sum (plus - minus)^2."""
+        den2 = self.den**2
+        mass = self._scalar(self._sum(self._squares(self.parts, limit)), den2)
+        pairs = self._sum(self._pair_squares(limit))
+        gradient = self._scalar([2 * value for value in pairs], den2)
+        den, parts = plus._minus(minus)
+        kinetic = self._scalar(self._sum(self._squares(parts, limit)), den * den)
+        return mass, gradient, kinetic
+
+
+class Levels(_Packed):
+    """A vertex function on the origin ball in canonical order, with the
+    vertex operators of the leapfrog and the tree and two-step Laplacians."""
+
+    __slots__ = ()
+
+    @classmethod
+    def pack(cls, q: int, mode: ScalarMode, values) -> Levels:
+        """Pack a mapping vertex -> scalar (nonzero values only)."""
+        radius = max((vertex.depth for vertex in values), default=-1)
+        entries = (
+            (vertex.depth, _vertex_index(vertex, q), value) for vertex, value in values.items()
+        )
+        return cls._pack(q, mode, radius, entries)
+
+    @staticmethod
+    def _size(q: int, d: int) -> int:
+        return sphere_volume(q, d)
+
+    def _distance_two_pairs(self):
+        q, parts = self.q, self.parts
+        radius = len(parts[0]) - 1
+
+        def cut(d: int, *bounds) -> list:
+            window = slice(*bounds)
+            return [part[d][window] for part in parts]
+
+        for d in range(radius + 1):
+            level = [part[d] for part in parts]
+            if d == 1:  # the q+1 children of the origin
+                for shift in range(1, q + 1):
+                    yield 1, cut(1, shift, None), cut(1, None, -shift), 1
+            elif d >= 2:  # groups of q consecutive children
+                for r in range(q):
+                    for s in range(r + 1, q):
+                        yield d, cut(d, r, None, q), cut(d, s, None, q), 1
+            if d + 2 > radius:
+                yield d + 2, level, None, (q + 1) * q if d == 0 else q * q
+            elif d == 0:
+                yield 2, [part[0] * len(part[2]) for part in parts], [part[2] for part in parts], 1
+            else:  # the grandchildren of j are j*q^2 .. j*q^2 + q^2 - 1
+                stride = q * q
+                for t in range(stride):
+                    yield d + 2, level, cut(d + 2, t, None, stride), 1
 
     def values(self) -> dict:
-        """The nonzero values as vertex -> QSurd, in canonical order."""
-        q, den = self.q, self.den
+        """The nonzero values as vertex -> scalar, in canonical order."""
+        q, den, exact = self.q, self.den, self.mode is EXACT
         zero = Fraction(0)
         out = {}
         labels = [()]
-        for d, (level_a, level_b) in enumerate(zip(self.a, self.b)):
+        for d, level in enumerate(zip(*self.parts)):
             if d:
                 branches = range(q + 1 if d == 1 else q)
                 labels = [word + (label,) for word in labels for label in branches]
-            for j, (x, y) in enumerate(zip(level_a, level_b)):
-                if x or y:
-                    out[VertexAddress(q, labels[j])] = QSurd(
-                        Fraction(x, den) if x else zero, Fraction(y, den) if y else zero, q
-                    )
+            if exact:
+                for j, (x, y) in enumerate(zip(*level)):
+                    if x or y:
+                        out[VertexAddress(q, labels[j])] = QSurd(
+                            Fraction(x, den) if x else zero, Fraction(y, den) if y else zero, q
+                        )
+            else:
+                for j, x in enumerate(level[0]):
+                    if x:
+                        out[VertexAddress(q, labels[j])] = x
         return out
-
-    def _times_sqrt(self, a: list, b: list) -> tuple[list, list]:
-        """sqrt(q) * (a + b*sqrt(q)) = q*b + a*sqrt(q), folded for square q."""
-        root = _square_root_if_perfect(self.q)
-        if root is None:
-            return [[self.q * v for v in level] for level in b], a
-        return [[root * v for v in level] for level in a], b
 
     def adjacency(self) -> Levels:
         """x -> sum of the values at the q+1 neighbours of x."""
-        return Levels(self.q, self.den, _adjacent(self.a, self.q), _adjacent(self.b, self.q))
+        return Levels(self.q, self.mode, self.den, [_adjacent(p, self.q) for p in self.parts])
 
     def step(self, previous: Levels) -> Levels:
         """The leapfrog (1/sqrt(q)) * adjacency(self) - previous."""
-        q = self.q
-        pushed_a, pushed_b = self._times_sqrt(_adjacent(self.a, q), _adjacent(self.b, q))
+        q, mode = self.q, self.mode
+        pushed = [_adjacent(p, q) for p in self.parts]
+        if mode is not EXACT:
+            weight = sqrt_q_power(q, -1, mode)
+            return Levels(q, mode, 1, [_combine(weight, pushed[0], -1, previous.parts[0])])
+        # sqrt(q) * (a + b*sqrt(q)) / (q D) = (q*b + a*sqrt(q)) / (q D)
+        root = _square_root_if_perfect(q)
+        if root is None:
+            pushed = [[[q * v for v in level] for level in pushed[1]], pushed[0]]
+        else:
+            pushed = [[[root * v for v in level] for level in pushed[0]], pushed[1]]
         pushed_den = q * self.den
         den = lcm(pushed_den, previous.den)
         cx, cy = den // pushed_den, -(den // previous.den)
         return Levels(
-            q, den, _combine(cx, pushed_a, cy, previous.a), _combine(cx, pushed_b, cy, previous.b)
+            q, mode, den, [_combine(cx, x, cy, y) for x, y in zip(pushed, previous.parts)]
         )
+
+    def _minus_over(self, parts: list, weight: int) -> Levels:
+        """self - parts / weight, for parts over the denominator of self."""
+        q, mode = self.q, self.mode
+        if mode is not EXACT:
+            return Levels(q, mode, 1, [_combine(1, self.parts[0], -1 / weight, parts[0])])
+        return Levels(
+            q,
+            mode,
+            weight * self.den,
+            [_combine(weight, p, -1, s) for p, s in zip(self.parts, parts)],
+        )
+
+    def laplacian(self) -> Levels:
+        """u - Adj u / (q+1)."""
+        return self._minus_over([_adjacent(p, self.q) for p in self.parts], self.q + 1)
 
     def two_step_laplacian(self) -> Levels:
         """u - S2 u / (q(q+1)), with the distance-2 sphere sum taken as
         S2 = Adj^2 - (q+1) I (paths of length 2 that do not return)."""
         q = self.q
-        sphere_a = _combine(1, _adjacent(_adjacent(self.a, q), q), -(q + 1), self.a)
-        sphere_b = _combine(1, _adjacent(_adjacent(self.b, q), q), -(q + 1), self.b)
-        weight = q * (q + 1)
-        return Levels(
-            q,
-            weight * self.den,
-            _combine(weight, self.a, -1, sphere_a),
-            _combine(weight, self.b, -1, sphere_b),
-        )
+        spheres = [_combine(1, _adjacent(_adjacent(p, q), q), -(q + 1), p) for p in self.parts]
+        return self._minus_over(spheres, q * (q + 1))
 
-    def _surd(self, rational: int, surd: int, scale: int) -> QSurd:
-        return QSurd(Fraction(rational, scale), Fraction(surd, scale), self.q)
 
-    def dot(self, other: Levels) -> QSurd:
-        """Counting inner product sum_x u(x) v(x)."""
-        q = self.q
-        rational = surd = 0
-        for ua, ub, va, vb in zip(self.a, self.b, other.a, other.b):
-            rational += sum(map(mul, ua, va)) + q * sum(map(mul, ub, vb))
-            surd += sum(map(mul, ua, vb)) + sum(map(mul, ub, va))
-        return self._surd(rational, surd, self.den * other.den)
+class RadialLevels(_Packed):
+    """A radial profile p, standing for x -> p(|x|): one entry per depth,
+    weighted by the sphere volume.  Packed per call, never cached."""
 
-    def kinetic(self, minus: Levels) -> QSurd:
-        """(1/2) * sum_x ((u(x) - v(x)) / 2)^2 with u = self, v = minus."""
-        q = self.q
-        den = lcm(self.den, minus.den)
-        cx, cy = den // self.den, -(den // minus.den)
-        rational = surd = 0
-        for da, db in zip(_combine(cx, self.a, cy, minus.a), _combine(cx, self.b, cy, minus.b)):
-            aa, bb, ab = _square_sums(da, db)
-            rational += aa + q * bb
-            surd += 2 * ab
-        return self._surd(rational, surd, 8 * den * den)
+    __slots__ = ()
+
+    @classmethod
+    def pack(cls, q: int, mode: ScalarMode, values) -> RadialLevels:
+        """Pack a mapping radius -> scalar (nonzero values only)."""
+        radius = max(values, default=-1)
+        return cls._pack(q, mode, radius, ((m, 0, value) for m, value in values.items()))
+
+    @staticmethod
+    def _size(q: int, d: int) -> int:
+        return 1
 
     def _distance_two_pairs(self):
-        """Every unordered pair of vertices at distance 2 with a stored end,
-        once, as aligned slices (x_a, x_b, y_a, y_b, multiplicity): siblings,
-        then grandparent and grandchildren.  y is None for the grandchildren
-        beyond the stored ball, whose values are 0."""
-        q, a, b = self.q, self.a, self.b
-        radius = len(a) - 1
+        parts = self.parts
+        radius = len(parts[0]) - 1
         for d in range(radius + 1):
-            xa, xb = a[d], b[d]
-            if d == 1:  # the q+1 children of the origin
-                for shift in range(1, q + 1):
-                    yield xa[shift:], xb[shift:], xa[:-shift], xb[:-shift], 1
-            elif d >= 2:  # groups of q consecutive children
-                for r in range(q):
-                    for s in range(r + 1, q):
-                        yield xa[r::q], xb[r::q], xa[s::q], xb[s::q], 1
-            if d + 2 > radius:
-                yield xa, xb, None, None, (q + 1) * q if d == 0 else q * q
-            elif d == 0:
-                ya, yb = a[2], b[2]
-                yield xa * len(ya), xb * len(yb), ya, yb, 1
-            else:  # the grandchildren of j are j*q^2 .. j*q^2 + q^2 - 1
-                ya, yb, stride = a[d + 2], b[d + 2], q * q
-                for t in range(stride):
-                    yield xa, xb, ya[t::stride], yb[t::stride], 1
-
-    def potential_pair(self) -> QSurd:
-        """(1/(4q)) sum over ordered pairs at distance 2 of ((u(x)-u(y))/2)^2
-        - ((q-1)^2/(8q)) sum_x u(x)^2, with the pairs enumerated one by one."""
-        q = self.q
-        pair = [0, 0, 0]  # da^2, db^2, da*db over unordered pairs
-        for xa, xb, ya, yb, count in self._distance_two_pairs():
-            for i, total in enumerate(_square_sums(xa, xb, ya, yb)):
-                pair[i] += count * total
-        mass = [0, 0, 0]
-        for xa, xb in zip(self.a, self.b):
-            for i, total in enumerate(_square_sums(xa, xb)):
-                mass[i] += total
-        # ordered pairs count every unordered pair twice
-        den2 = self.den * self.den
-        pair_scale = 8 * q * den2
-        mass_weight = Fraction((q - 1) ** 2, 8 * q * den2)
-        return QSurd(
-            Fraction(pair[0] + q * pair[1], pair_scale) - mass_weight * (mass[0] + q * mass[1]),
-            Fraction(2 * pair[2], pair_scale) - mass_weight * (2 * mass[2]),
-            q,
-        )
+            partner = [part[d + 2] for part in parts] if d + 2 <= radius else None
+            yield d + 2, [part[d] for part in parts], partner, sphere_volume(self.q, d + 2)

@@ -35,6 +35,7 @@ from .scalars import (
     sqrt_q_power,
 )
 from .topology import VertexAddress, distance, sphere_volume
+from .wave import _leapfrog, _normalize_range
 
 
 def radial_adjacency(p: RadialProfile) -> RadialProfile:
@@ -49,6 +50,12 @@ def radial_adjacency(p: RadialProfile) -> RadialProfile:
         else:
             entries[m] = p[m - 1] + q_scalar * p[m + 1]
     return RadialProfile(q, p.mode, entries)
+
+
+def _radial_step(previous: RadialProfile, current: RadialProfile) -> RadialProfile:
+    """The leapfrog (1/sqrt(q)) * radial_adjacency(current) - previous."""
+    weight = sqrt_q_power(current.q, -1, current.mode)
+    return radial_adjacency(current).scale(weight) - previous
 
 
 def m_kernel(q: int, n: int, mode: ScalarMode) -> RadialProfile:
@@ -84,23 +91,11 @@ def kernel_family_recurrence(
     (0, delta), then k_{n+1} = Adj k_n / sqrt(q) - k_{n-1} in both time
     directions.  No closed-form operator enters this route.
     """
-    root_inv = sqrt_q_power(q, -1, mode)
-    half = scalar_from_fraction(Fraction(1, 2), q, mode)
-    delta = RadialProfile.delta(q, mode)
-    zero = RadialProfile(q, mode)
-
-    c_family: dict[int, RadialProfile] = {0: delta}
-    s_family: dict[int, RadialProfile] = {0: zero}
-    c_family[1] = radial_adjacency(delta).scale(root_inv * half)
-    c_family[-1] = c_family[1]
-    s_family[1] = delta
-    s_family[-1] = -delta
-    for n in range(1, n_max):
-        for family in (c_family, s_family):
-            family[n + 1] = radial_adjacency(family[n]).scale(root_inv) - family[n - 1]
-    for n in range(-1, -n_max, -1):
-        for family in (c_family, s_family):
-            family[n - 1] = radial_adjacency(family[n]).scale(root_inv) - family[n + 1]
+    delta, zero = RadialProfile.delta(q, mode), RadialProfile(q, mode)
+    half_step = sqrt_q_power(q, -1, mode) * scalar_from_fraction(Fraction(1, 2), q, mode)
+    pushed = radial_adjacency(delta).scale(half_step)
+    c_family = _leapfrog(delta, zero, pushed, -n_max, n_max, _radial_step)
+    s_family = _leapfrog(zero, delta, zero, -n_max, n_max, _radial_step)
     return {n: (c_family[n], s_family[n]) for n in range(-n_max, n_max + 1)}
 
 
@@ -224,30 +219,15 @@ def radial_solve(
         raise ParameterError("initial data must share q and scalar mode")
     if solver not in ("closed", "recurrence"):
         raise ParameterError(f"solver must be 'closed' or 'recurrence', got {solver!r}")
-    if isinstance(n_range, int):
-        lo, hi = -n_range, n_range
-    else:
-        lo, hi = n_range
-    if lo > 0 or hi < 0:
-        raise ParameterError("the time range must contain 0")
+    lo, hi = _normalize_range(n_range)
     q, mode = f.q, f.mode
-    snapshots: dict[int, RadialProfile] = {}
     if solver == "closed":
+        snapshots = {}
         for n in range(lo, hi + 1):
             c_kernel, s_kernel = propagator_kernels(q, n, mode)
             snapshots[n] = radial_convolve(c_kernel, f) + radial_convolve(s_kernel, g)
     else:
-        root_inv = sqrt_q_power(q, -1, mode)
-        half = scalar_from_fraction(Fraction(1, 2), q, mode)
-        pushed = radial_adjacency(f).scale(root_inv * half)
-        snapshots[0] = f
-        if hi >= 1:
-            snapshots[1] = pushed + g
-        if lo <= -1:
-            snapshots[-1] = pushed - g
-        for n in range(1, hi):
-            snapshots[n + 1] = radial_adjacency(snapshots[n]).scale(root_inv) - snapshots[n - 1]
-        for n in range(-1, lo, -1):
-            snapshots[n - 1] = radial_adjacency(snapshots[n]).scale(root_inv) - snapshots[n + 1]
-        snapshots = {n: u for n, u in snapshots.items() if lo <= n <= hi}
+        half_step = sqrt_q_power(q, -1, mode) * scalar_from_fraction(Fraction(1, 2), q, mode)
+        pushed = radial_adjacency(f).scale(half_step)
+        snapshots = _leapfrog(f, g, pushed, lo, hi, _radial_step)
     return RadialTrajectory(q=q, mode=mode, f=f, g=g, snapshots=snapshots, solver=solver)

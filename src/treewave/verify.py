@@ -58,7 +58,7 @@ from .transforms import (
     fourier_height,
     sine_ratio_q,
 )
-from .wave import adjacency_sum, asgeirsson_field, asgeirsson_verify, solve
+from .wave import _leapfrog, adjacency_sum, asgeirsson_field, asgeirsson_verify, solve
 
 EXACT = ScalarMode.EXACT
 
@@ -83,12 +83,12 @@ def _corrupted_solve(f: TreeFunction, g: TreeFunction, n_max: int) -> "object":
     q, mode = f.q, f.mode
     bad_weight = sqrt_q_power(q, -1, mode) * scalar_from_fraction(Fraction(11, 10), q, mode)
     half = scalar_from_fraction(Fraction(1, 2), q, mode)
+
+    def bad_step(previous: TreeFunction, current: TreeFunction) -> TreeFunction:
+        return adjacency_sum(current).scale(bad_weight) - previous
+
     pushed = adjacency_sum(f).scale(bad_weight * half)
-    snapshots = {0: f, 1: pushed + g, -1: pushed - g}
-    for n in range(1, n_max):
-        snapshots[n + 1] = adjacency_sum(snapshots[n]).scale(bad_weight) - snapshots[n - 1]
-    for n in range(-1, -n_max, -1):
-        snapshots[n - 1] = adjacency_sum(snapshots[n]).scale(bad_weight) - snapshots[n + 1]
+    snapshots = _leapfrog(f, g, pushed, -n_max, n_max, bad_step)
     return WaveTrajectory(
         q=q, mode=mode, f=f, g=g, snapshots=snapshots, solver="recurrence", ball=None
     )

@@ -22,6 +22,7 @@ their exact agreement can serve as an oracle.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -54,15 +55,8 @@ def _distance_levels(center: VertexAddress, depth: int) -> list[list[VertexAddre
 
 
 def adjacency_sum(f: TreeFunction) -> TreeFunction:
-    """x -> sum_{y in S(x,1)} f(y): level-array slices in exact mode, a
-    scatter of the support values in float64 mode."""
-    if f.mode is ScalarMode.EXACT:
-        return TreeFunction._from_levels(f._as_levels().adjacency())
-    out: dict = {}
-    for vertex, value in f.items():
-        for nb in vertex.neighbors():
-            out[nb] = out.get(nb, 0.0) + value
-    return TreeFunction(f.q, f.mode, out)
+    """x -> sum_{y in S(x,1)} f(y), as level-array slices."""
+    return TreeFunction._from_levels(f._as_levels().adjacency())
 
 
 def m_operator(n: int, f: TreeFunction) -> TreeFunction:
@@ -108,10 +102,7 @@ def step_recurrence(u_prev: TreeFunction, u_curr: TreeFunction) -> TreeFunction:
     """
     if u_prev.q != u_curr.q or u_prev.mode != u_curr.mode:
         raise ParameterError("snapshots must share q and scalar mode")
-    if u_curr.mode is ScalarMode.EXACT:
-        return TreeFunction._from_levels(u_curr._as_levels().step(u_prev._as_levels()))
-    weight = sqrt_q_power(u_curr.q, -1, u_curr.mode)
-    return adjacency_sum(u_curr).scale(weight) - u_prev
+    return TreeFunction._from_levels(u_curr._as_levels().step(u_prev._as_levels()))
 
 
 @dataclass(frozen=True)
@@ -157,16 +148,41 @@ class WaveTrajectory:
 
 
 def _normalize_range(n_range) -> tuple[int, int]:
+    """(lo, hi) from a pair of integer times or a bare radius r >= 0 for
+    [-r, r]."""
     if isinstance(n_range, int):
         if n_range < 0:
-            raise ParameterError("a bare integer range must be >= 0")
+            raise ParameterError(f"a bare integer time range must be >= 0, got {n_range}")
         return (-n_range, n_range)
-    lo, hi = n_range
+    try:
+        lo, hi = (operator.index(bound) for bound in n_range)
+    except (TypeError, ValueError):
+        raise ParameterError(
+            f"time range must be an integer radius or a pair of integers, got {n_range!r}"
+        ) from None
     if lo > hi:
         raise ParameterError(f"empty time range {n_range}")
     if lo > 0 or hi < 0:
-        raise ParameterError("the time range must contain 0 (initial data lives there)")
-    return (int(lo), int(hi))
+        raise ParameterError(
+            f"time range {n_range} must contain 0 (initial data lives there)"
+        )
+    return (lo, hi)
+
+
+def _leapfrog(f, g, pushed, lo: int, hi: int, step) -> dict:
+    """Snapshots lo..hi of the leapfrog from u(0) = f and u(+-1) = pushed +- g
+    (pushed is half the weighted neighbour sum of f).  ``step(previous,
+    current)`` gives the next snapshot in either time direction."""
+    snapshots = {0: f}
+    if hi >= 1:
+        snapshots[1] = pushed + g
+    if lo <= -1:
+        snapshots[-1] = pushed - g
+    for n in range(1, hi):
+        snapshots[n + 1] = step(snapshots[n - 1], snapshots[n])
+    for n in range(-1, lo, -1):
+        snapshots[n - 1] = step(snapshots[n + 1], snapshots[n])
+    return snapshots
 
 
 def solve(
@@ -201,27 +217,14 @@ def solve(
             f"at n={offending} (radius {needed} required for |n| <= {worst})"
         )
 
-    snapshots: dict[int, TreeFunction] = {}
     if solver == "closed":
-        for n in range(lo, hi + 1):
-            snapshots[n] = propagators(n, f, g)
+        snapshots = {n: propagators(n, f, g) for n in range(lo, hi + 1)}
     else:
         half_step = sqrt_q_power(f.q, -1, f.mode) * scalar_from_fraction(
             Fraction(1, 2), f.q, f.mode
         )
         pushed = adjacency_sum(f).scale(half_step)
-        u_plus = pushed + g
-        u_minus = pushed - g
-        snapshots[0] = f
-        if hi >= 1:
-            snapshots[1] = u_plus
-        if lo <= -1:
-            snapshots[-1] = u_minus
-        for n in range(1, hi):
-            snapshots[n + 1] = step_recurrence(snapshots[n - 1], snapshots[n])
-        for n in range(-1, lo, -1):
-            snapshots[n - 1] = step_recurrence(snapshots[n + 1], snapshots[n])
-        snapshots = {n: u for n, u in snapshots.items() if lo <= n <= hi}
+        snapshots = _leapfrog(f, g, pushed, lo, hi, step_recurrence)
     return WaveTrajectory(
         q=f.q, mode=f.mode, f=f, g=g, snapshots=snapshots, solver=solver, ball=ball
     )

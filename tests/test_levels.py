@@ -1,9 +1,11 @@
-"""The level-array kernel against the dict-scatter routes it replaced.
+"""The packed level core against the routes it replaced.
 
 The reference implementations below are the vertex-dictionary versions of
-``adjacency_sum``, ``two_step_laplacian``, the leapfrog step and the
-integer-component energy sums.  They walk ``VertexAddress`` neighbours one
-by one, so they share no code with ``treewave.levels``.
+``adjacency_sum``, ``two_step_laplacian``, ``laplacian_tree``, the leapfrog
+step, the integer-component energy sums, the float64 pair potential, the
+Huygens interior sums, and the ``QSurd`` radial kinetic, pair and Huygens
+sums.  They walk ``VertexAddress`` neighbours or distance counts one by one,
+so they share no code with ``treewave.levels``.
 """
 
 import random
@@ -12,15 +14,28 @@ from math import lcm
 
 import pytest
 
-from treewave.energy import _potential_pair, _potential_two_step, kinetic_energy
-from treewave.functions import TreeFunction
-from treewave.laplacians import two_step_laplacian
+from treewave.energy import (
+    _potential_pair,
+    _potential_two_step,
+    energies,
+    huygens_report,
+    kinetic_energy,
+    potential_energy,
+    radial_energies,
+    radial_huygens_report,
+    radial_kinetic_energy,
+    radial_potential_energy,
+)
+from treewave.functions import RadialProfile, TreeFunction
+from treewave.laplacians import gamma_tilde, laplacian_tree, two_step_laplacian
 from treewave.levels import Levels
+from treewave.radial import distance_counts, radial_solve
 from treewave.scalars import QSurd, ScalarMode, scalar_from_fraction, scalar_zero, sqrt_q_power
-from treewave.topology import Ball, VertexAddress
+from treewave.topology import Ball, VertexAddress, sphere_volume
 from treewave.wave import adjacency_sum, solve, step_recurrence
 
 EXACT = ScalarMode.EXACT
+FLOAT = ScalarMode.FLOAT64
 QS = (2, 3, 4, 5, 9)
 
 
@@ -117,9 +132,110 @@ def reference_potential_pair(state, q):
 
 
 def reference_potential_two_step(state, q):
-    gamma_tilde = QSurd(Fraction((q - 1) ** 2, q * (q + 1)), 0, q)
-    shifted = reference_two_step_laplacian(state) - state.scale(gamma_tilde)
-    return shifted.dot(state) * QSurd(Fraction(q + 1, 8), 0, q)
+    shifted = reference_two_step_laplacian(state) - state.scale(gamma_tilde(q, state.mode))
+    return shifted.dot(state) * scalar_from_fraction(Fraction(q + 1, 8), q, state.mode)
+
+
+def reference_laplacian_tree(f):
+    weight = scalar_from_fraction(Fraction(1, f.q + 1), f.q, f.mode)
+    zero = scalar_zero(f.q, f.mode)
+    out = {}
+    for vertex, value in f.items():
+        out[vertex] = out.get(vertex, zero) + value
+        for nb in vertex.neighbors():
+            out[nb] = out.get(nb, zero) - value * weight
+    return TreeFunction(f.q, f.mode, out)
+
+
+def reference_kinetic_float(plus, minus):
+    diff = plus - minus
+    return diff.dot(diff) * 0.125
+
+
+def reference_potential_pair_float(state, q):
+    support = state.support()
+    pair_total = 0.0
+    for x, value in state.items():
+        for y in _two_sphere(x):
+            diff = value - state[y]
+            pair_total += diff * diff
+        outside = sum(1 for y in _two_sphere(x) if y not in support)
+        pair_total += outside * value * value
+    return pair_total / (16 * q) - state.dot(state) * ((q - 1) ** 2 / (8 * q))
+
+
+def reference_huygens_sums(state, diff_state, limit):
+    """(mass, gradient, kinetic) over depths < limit, walking the 2-spheres
+    of the support; gradient runs over ordered pairs."""
+    q, mode = state.q, state.mode
+    zero = scalar_zero(q, mode)
+    mass = zero
+    for x, value in state.items():
+        if x.depth < limit:
+            mass = mass + value * value
+    gradient = zero
+    support = state.support()
+    for x, value in state.items():
+        if x.depth >= limit:
+            continue
+        outside = 0
+        for y in _two_sphere(x):
+            if y.depth >= limit:
+                continue
+            if y in support:
+                diff = value - state[y]
+                gradient = gradient + diff * diff
+            else:
+                gradient = gradient + value * value
+                outside += 1
+        # the mirrored ordered pairs whose first end is off the support
+        gradient = gradient + value * value * scalar_from_fraction(outside, q, mode)
+    kinetic = zero
+    for x, value in diff_state.items():
+        if x.depth < limit:
+            kinetic = kinetic + value * value
+    return mass, gradient, kinetic
+
+
+def reference_radial_dot(p1, p2):
+    total = scalar_zero(p1.q, p1.mode)
+    for m, value in p1.items():
+        total = total + value * p2[m] * scalar_from_fraction(sphere_volume(p1.q, m), p1.q, p1.mode)
+    return total
+
+
+def reference_radial_kinetic(plus, minus):
+    diff = plus - minus
+    eighth = scalar_from_fraction(Fraction(1, 8), diff.q, diff.mode)
+    return reference_radial_dot(diff, diff) * eighth
+
+
+def reference_radial_potential_pair(state):
+    q, mode = state.q, state.mode
+    pair_total = scalar_zero(q, mode)
+    for m in range(state.support_radius() + 3):
+        shell = scalar_from_fraction(sphere_volume(q, m), q, mode)
+        for r, count in distance_counts(q, m, 2).items():
+            diff = state[m] - state[r]
+            pair_total = pair_total + shell * scalar_from_fraction(count, q, mode) * diff * diff
+    pair_weight = scalar_from_fraction(Fraction(1, 16 * q), q, mode)
+    mass_weight = scalar_from_fraction(Fraction((q - 1) ** 2, 8 * q), q, mode)
+    return pair_total * pair_weight - reference_radial_dot(state, state) * mass_weight
+
+
+def reference_radial_huygens_sums(state, diff_state, limit):
+    q, mode = state.q, state.mode
+    zero = scalar_zero(q, mode)
+    mass = gradient = kinetic = zero
+    for m in range(max(limit, 0)):
+        shell = scalar_from_fraction(sphere_volume(q, m), q, mode)
+        mass = mass + state[m] * state[m] * shell
+        kinetic = kinetic + diff_state[m] * diff_state[m] * shell
+        for r, count in distance_counts(q, m, 2).items():
+            if r < limit:
+                diff = state[m] - state[r]
+                gradient = gradient + shell * scalar_from_fraction(count, q, mode) * diff * diff
+    return mass, gradient, kinetic
 
 
 # -- data -----------------------------------------------------------------------
@@ -138,6 +254,30 @@ def surd_data(q, rng, radius=None, density=0.5):
             b = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 5, 7)))
             entries.append((vertex, QSurd(a, b, q)))
     return TreeFunction(q, EXACT, entries)
+
+
+def float_data(q, rng, radius=1):
+    """Nonzero float values on the ball of the given radius."""
+    entries = [(vertex, rng.uniform(0.1, 1.0) * rng.choice((-1, 1))) for vertex in Ball(q, radius)]
+    return TreeFunction(q, FLOAT, entries)
+
+
+def surd_profile(q, rng, radius=2):
+    """A radial profile with values a + b*sqrt(q), b != 0, mixed denominators."""
+    entries = []
+    for m in range(radius + 1):
+        a = Fraction(rng.randint(-7, 7), rng.choice((1, 2, 3)))
+        b = Fraction(rng.choice((-1, 1, 2)), rng.choice((1, 5)))
+        entries.append((m, QSurd(a, b, q)))
+    return RadialProfile(q, EXACT, entries)
+
+
+def close(value, reference, rel=1e-12):
+    return abs(value - reference) <= rel * abs(reference)
+
+
+def bits(f):
+    return {vertex: value.hex() for vertex, value in f.value_map().items()}
 
 
 def fresh(f):
@@ -249,7 +389,7 @@ def test_perfect_square_values_fold_and_zeros_are_dropped(q):
         q, EXACT, [(v, QSurd(0, Fraction(1, q), q)) for v in VertexAddress.origin(q).children()]
     )
     assert not step_recurrence(prev, curr)
-    assert not step_recurrence(prev, curr)._as_levels().a
+    assert not step_recurrence(prev, curr)._as_levels().parts[0]
 
 
 def test_layout_is_the_canonical_ball_order():
@@ -257,7 +397,146 @@ def test_layout_is_the_canonical_ball_order():
     ball = list(Ball(q, 3))
     f = TreeFunction(q, EXACT, [(v, QSurd(i + 1, 0, q)) for i, v in enumerate(ball)])
     levels = f._as_levels()
-    flat = [value for level in levels.a for value in level]
+    flat = [value for level in levels.parts[0] for value in level]
     assert flat == list(range(1, len(ball) + 1))
     assert list(levels.values()) == ball
-    assert not Levels.pack(q, {}).a
+    assert not Levels.pack(q, EXACT, {}).parts[0]
+
+
+# -- routes folded into the packed core -----------------------------------------
+
+
+@pytest.mark.parametrize("q", QS)
+def test_laplacian_tree_matches_scatter(q):
+    rng = random.Random(f"levels:laplacian:{q}")
+    f = surd_data(q, rng)
+    assert laplacian_tree(f) == reference_laplacian_tree(f)
+    f = float_data(q, rng, radius=2)
+    image, reference = laplacian_tree(f), reference_laplacian_tree(f)
+    assert image.support() == reference.support()
+    for vertex in image.support():
+        assert abs(image[vertex] - reference[vertex]) <= 1e-12 * f.max_abs()
+
+
+@pytest.mark.parametrize("q", QS)
+def test_float_leapfrog_is_bitwise_the_dict_leapfrog(q):
+    rng = random.Random(f"levels:float-solve:{q}")
+    f, g = float_data(q, rng), float_data(q, rng)
+    reach = 3 if q < 9 else 2
+    trajectory = solve(f, g, reach, solver="recurrence")
+    half_step = sqrt_q_power(q, -1, FLOAT) * 0.5
+    pushed = reference_adjacency_sum(f).scale(half_step)
+    expected = {0: f, 1: pushed + g, -1: pushed - g}
+    for n in range(1, reach):
+        expected[n + 1] = reference_step(expected[n - 1], expected[n])
+        expected[-n - 1] = reference_step(expected[-n + 1], expected[-n])
+    assert trajectory.snapshots.keys() == expected.keys()
+    for n, state in expected.items():
+        assert bits(trajectory.snapshot(n)) == bits(state)
+    assert bits(adjacency_sum(g)) == bits(reference_adjacency_sum(g))
+    assert bits(step_recurrence(f, g)) == bits(reference_step(f, g))
+
+
+@pytest.mark.parametrize("q", QS)
+def test_float_energies_and_two_step_match_dict_routes(q):
+    rng = random.Random(f"levels:float-energy:{q}")
+    f, g = float_data(q, rng), float_data(q, rng)
+    trajectory = solve(f, g, 2, solver="recurrence")
+    for n in (-1, 0, 1):
+        state = trajectory.snapshot(n)
+        plus, minus = trajectory.snapshot(n + 1), trajectory.snapshot(n - 1)
+        assert close(kinetic_energy(trajectory, n), reference_kinetic_float(plus, minus))
+        assert close(_potential_pair(state, q, FLOAT), reference_potential_pair_float(state, q))
+        assert close(_potential_two_step(state, q, FLOAT), reference_potential_two_step(state, q))
+        image, reference = two_step_laplacian(state), reference_two_step_laplacian(state)
+        scale = state.max_abs()
+        for vertex in image.support() | reference.support():
+            assert abs(image[vertex] - reference[vertex]) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_huygens_sums_match_dict_loop(q, mode):
+    rng = random.Random(f"levels:huygens:{q}:{mode.value}")
+    if mode is EXACT:
+        f, g = surd_data(q, rng, radius=1), surd_data(q, rng, radius=1)
+    else:
+        f, g = float_data(q, rng), float_data(q, rng)
+    reach = 4 if q < 9 else 3
+    trajectory = solve(f, g, reach, solver="recurrence")
+    for n in range(-reach + 1, reach):
+        state = trajectory.snapshot(n)
+        diff_state = trajectory.snapshot(n + 1) - trajectory.snapshot(n - 1)
+        # margins up to |n| + 1 cover empty interiors (margin >= |n|)
+        for margin in range(abs(n) + 2):
+            report = huygens_report(trajectory, n, margin)
+            expected = reference_huygens_sums(state, diff_state, abs(n) - margin)
+            found = (report.interior_mass, report.interior_gradient, report.interior_kinetic)
+            if mode is EXACT:
+                assert found == expected
+            else:
+                assert all(close(x, y) for x, y in zip(found, expected))
+    # limits beyond the support radius, on the packed core directly
+    state, plus, minus = f, g, trajectory.snapshot(1)
+    radius = max(x.support_radius() for x in (state, plus, minus))
+    for limit in range(-1, radius + 4):
+        found = state._as_levels().huygens_sums(plus._as_levels(), minus._as_levels(), limit)
+        expected = reference_huygens_sums(state, plus - minus, limit)
+        if mode is EXACT:
+            assert found == expected
+        else:
+            assert all(close(x, y) for x, y in zip(found, expected))
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_radial_sums_match_qsurd_routes(q, mode):
+    rng = random.Random(f"levels:radial:{q}:{mode.value}")
+    f, g = surd_profile(q, rng), surd_profile(q, rng)
+    if mode is FLOAT:
+        f, g = f.as_float64(), g.as_float64()
+    trajectory = radial_solve(f, g, 6, solver="recurrence")
+    for n in range(-5, 6):
+        state = trajectory.snapshot(n)
+        plus, minus = trajectory.snapshot(n + 1), trajectory.snapshot(n - 1)
+        found = [radial_kinetic_energy(trajectory, n), radial_potential_energy(trajectory, n)]
+        expected = [reference_radial_kinetic(plus, minus), reference_radial_potential_pair(state)]
+        for margin in (0, 1, abs(n), abs(n) + 1):
+            report = radial_huygens_report(trajectory, n, margin)
+            found += [report.interior_mass, report.interior_gradient, report.interior_kinetic]
+            expected += reference_radial_huygens_sums(state, plus - minus, abs(n) - margin)
+        if mode is EXACT:
+            assert found == expected
+            assert radial_energies(trajectory, n).potential == expected[1]
+        else:
+            assert all(close(x, y) for x, y in zip(found, expected))
+    state, plus, minus = f, g, trajectory.snapshot(1)
+    for limit in range(-1, 8):
+        found = state._as_levels().huygens_sums(plus._as_levels(), minus._as_levels(), limit)
+        expected = reference_radial_huygens_sums(state, plus - minus, limit)
+        if mode is EXACT:
+            assert found == expected
+        else:
+            assert all(close(x, y) for x, y in zip(found, expected))
+
+
+@pytest.mark.parametrize("q", QS)
+def test_vertex_and_radial_layouts_agree_on_radial_data(q):
+    rng = random.Random(f"levels:layouts:{q}")
+    radius, reach = (2, 4) if q < 5 else (1, 3)
+    f, g = surd_profile(q, rng, radius), surd_profile(q, rng, radius)
+    vertex = solve(TreeFunction.from_radial(f), TreeFunction.from_radial(g), reach, "recurrence")
+    radial = radial_solve(f, g, reach, solver="recurrence")
+    for n in range(-reach + 1, reach):
+        assert energies(vertex, n) == radial_energies(radial, n)
+        two_step = potential_energy(vertex, n, "two_step")
+        assert two_step == radial_potential_energy(radial, n, "two_step")
+        for margin in range(abs(n) + 2):
+            assert huygens_report(vertex, n, margin) == radial_huygens_report(radial, n, margin)
+    # interior limits beyond the support radius
+    packed = [TreeFunction.from_radial(p)._as_levels() for p in (f, g, radial.snapshot(1))]
+    profiles = [p._as_levels() for p in (f, g, radial.snapshot(1))]
+    for limit in range(-1, radius + reach + 4):
+        assert packed[0].huygens_sums(packed[1], packed[2], limit) == profiles[0].huygens_sums(
+            profiles[1], profiles[2], limit
+        )

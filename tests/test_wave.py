@@ -171,6 +171,33 @@ def test_solve_rejects_small_ball_naming_the_time():
         solve(f, g, 6, ball=Ball(2, 4))
 
 
+_BAD_RANGES = [(-2.7, 3), (0, 2.5), 2.5, (Fraction(1, 2), 3), (0, 1, 2), "ab", -1, (1, 3), (2, 1)]
+
+
+@pytest.mark.parametrize("n_range", _BAD_RANGES, ids=repr)
+@pytest.mark.parametrize("solver", ("closed", "recurrence"))
+def test_solve_rejects_bad_time_range(n_range, solver):
+    f, g = TreeFunction.delta(2, EXACT), TreeFunction.zero(2, EXACT)
+    with pytest.raises(ParameterError, match="range"):
+        solve(f, g, n_range, solver=solver)
+
+
+@pytest.mark.parametrize("n_range", _BAD_RANGES, ids=repr)
+@pytest.mark.parametrize("solver", ("closed", "recurrence"))
+def test_radial_solve_rejects_bad_time_range(n_range, solver):
+    p, z = RadialProfile.delta(2, EXACT), RadialProfile(2, EXACT)
+    with pytest.raises(ParameterError, match="range"):
+        radial_solve(p, z, n_range, solver=solver)
+
+
+def test_time_range_accepts_integer_pairs_and_a_radius():
+    f, g = TreeFunction.delta(2, EXACT), TreeFunction.zero(2, EXACT)
+    assert solve(f, g, (-1, 2), solver="recurrence").n_values() == [-1, 0, 1, 2]
+    p, z = RadialProfile.delta(2, EXACT), RadialProfile(2, EXACT)
+    assert radial_solve(p, z, (0, 2), solver="recurrence").n_values() == [0, 1, 2]
+    assert radial_solve(p, z, 0).n_values() == [0]
+
+
 def test_trajectory_invariants():
     rng = random.Random(13)
     f, g = random_data(2, 1, rng)
