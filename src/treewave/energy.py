@@ -29,9 +29,13 @@ vertex functions and their ``radial_*`` twins share one private body each
 and differ only in what the layout must supply: the two-step image (Adj^2 -
 (q+1) I on vertex levels, the distance-2 counts on profiles) and, for the
 gap, the operators C_k and S_k (``m_operator`` on vertex data, propagator
-kernels through ``radial_convolve`` on profiles).  Profiles carry one entry
-per radius weighted by the sphere volume, which keeps large |n| reachable
-for radial data.
+kernels through ``radial_convolve`` on profiles).  Both operator routes run
+packed as well: ``m_operator`` adds each data value to the geodesic index
+ranges of its spheres, ``TreeFunction`` sums and scaling combine packed
+forms, and ``radial_convolve`` accumulates integer pairs; none of them takes
+a neighbour sum, so the operator side of the gap stays independent of the
+leapfrog.  Profiles carry one entry per radius weighted by the sphere
+volume, which keeps large |n| reachable for radial data.
 """
 
 from __future__ import annotations

@@ -190,9 +190,10 @@ def write_huygens_table(trajectory: WaveTrajectory, config: ExperimentConfig, pa
 def write_equipartition_table(
     trajectory: WaveTrajectory, path: Path, operator_limit: int = 3
 ) -> None:
-    # the operator route costs a ball of radius 2|n| per support vertex, so
-    # it is emitted only for |n| <= operator_limit; the direct gap and the
-    # decay bound cover the whole range
+    # the operator route applies M_2 to C_{2|n|} f, which fills the ball of
+    # radius 2|n| + 2 + (data radius): its cost grows like q^(2|n|), so it is
+    # emitted only for |n| <= operator_limit; the direct gap and the decay
+    # bound cover the whole range
     bound = gap_bound_constant(trajectory.f, trajectory.g)
     rows = []
     for n in trajectory.n_values():

@@ -34,9 +34,10 @@ class TreeFunction:
     """Finitely supported map from vertices of T_q to scalars (absent = 0).
 
     A function also has a packed form (``levels.Levels``), built on first use
-    by the vertex kernel and kept in a private slot.  A kernel output starts
-    from its packed form and builds its value map on first read.  Equality,
-    hashing and serialization read only the value map.
+    by the vertex kernel and kept in a private slot.  Kernel outputs, and the
+    results of ``+``, ``-`` and ``scale``, start from their packed form and
+    build their value map on first read.  Equality, hashing and
+    serialization read only the value map.
     """
 
     __slots__ = ("q", "mode", "_store", "_levels")
@@ -154,22 +155,18 @@ class TreeFunction:
 
     def __add__(self, other: TreeFunction) -> TreeFunction:
         self._check_compatible(other)
-        values = dict(self._values)
-        for vertex, value in other._values.items():
-            values[vertex] = values.get(vertex, scalar_zero(self.q, self.mode)) + value
-        return TreeFunction(self.q, self.mode, values)
+        return TreeFunction._from_levels(self._as_levels() + other._as_levels())
 
     def __sub__(self, other: TreeFunction) -> TreeFunction:
-        return self + (-other)
+        self._check_compatible(other)
+        return TreeFunction._from_levels(self._as_levels() - other._as_levels())
 
     def __neg__(self) -> TreeFunction:
-        return TreeFunction(self.q, self.mode, [(v, -value) for v, value in self._values.items()])
+        return TreeFunction._from_levels(-self._as_levels())
 
     def scale(self, factor: Scalar) -> TreeFunction:
         factor = ensure_mode(factor, self.mode, self.q)
-        return TreeFunction(
-            self.q, self.mode, [(v, value * factor) for v, value in self._values.items()]
-        )
+        return TreeFunction._from_levels(self._as_levels().scale(factor))
 
     def dot(self, other: TreeFunction) -> Scalar:
         """Counting inner product sum_x f(x) g(x) over the joint support."""
@@ -349,6 +346,10 @@ class RadialProfile(_IntIndexed):
     def _as_levels(self) -> RadialLevels:
         """Packed form, built per call (profiles are short)."""
         return RadialLevels.pack(self.q, self.mode, self._values)
+
+    @classmethod
+    def _from_levels(cls, levels: RadialLevels) -> RadialProfile:
+        return cls(levels.q, levels.mode, levels.values())
 
 
 class HeightSequence(_IntIndexed):

@@ -3,15 +3,16 @@
 A packed function keeps one list per depth d = 0..R.  Two choices stay
 separate.
 
-The *number type* decides only packing, unpacking, the scalars of the step
-and two-step operators and how a final scalar is built.  Exact data are
+The *number type* decides only packing, unpacking, linear combinations
+(sums, negation, scaling by a scalar), the scalars of the step, mean and
+two-step operators and how a final scalar is built.  Exact data are
 integer pairs (A, B) standing for (A + B*sqrt(q)) / D, one part list for A
 and one for B, over one common denominator D per function; when q is a
 perfect square, sqrt(q) is folded into A and every B is 0, as in ``QSurd``.
 float64 data are one part list of floats with D = 1.
 
-The *layout* decides only the distance-2 pair enumeration and the weight of
-an entry:
+The *layout* decides only the neighbour sum, the distance-2 pair
+enumeration and the weight of an entry:
 
 - vertex data (``Levels``): depth d lists the vertices of the sphere S(d) in
   the canonical order of ``Ball.vertices()``: the origin, its q+1 children,
@@ -19,14 +20,18 @@ an entry:
   Every entry has weight 1.  The parent of the vertices at depth d >= 2 is
   each entry of depth d-1 repeated q times, the children of depth d >= 1 are
   the strided slices [r::q] of depth d+1, and the distance-2 partners of a
-  vertex (siblings, grandparent, grandchildren) are slices too.
+  vertex (siblings, grandparent, grandchildren) are slices too.  The
+  descendants at depth d + t of vertex i at depth d >= 1 are the index range
+  [i*q^t, (i+1)*q^t), which is how the parity ball mean M_n is built.
 - radial profiles (``RadialLevels``): one entry per depth, standing for the
   |S(d)| = ``sphere_volume(q, d)`` vertices of that sphere, which is its
-  weight.  The distance-2 pairs are the grandparent pairs (d, d+2), |S(d+2)|
-  of them; siblings share a value and add 0.
+  weight.  The neighbour sum is (q+1)*p(1) at the origin and
+  p(m-1) + q*p(m+1) elsewhere.  The distance-2 pairs are the grandparent
+  pairs (d, d+2), |S(d+2)| of them; siblings share a value and add 0.
 
-Kinetic energy, mass, the pair-sum potential, the counting inner product and
-the three Huygens interior sums are written once over these two choices.  No
+Kinetic energy, mass, the pair-sum potential, the counting inner product,
+the three Huygens interior sums, the linear combinations and the leapfrog
+step are written once over these two choices.  No
 ``Fraction`` is built inside a loop; values become ``QSurd`` only when a
 function is materialised or a sum is returned.  The cost of a vertex
 operation grows with the ball of the support radius, not with the support.
@@ -38,7 +43,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, islice, repeat
 from math import fsum, gcd, lcm
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from .scalars import QSurd, Scalar, ScalarMode, _square_root_if_perfect, sqrt_q_power
 from .topology import VertexAddress, sphere_volume
@@ -72,6 +77,42 @@ def _combine(cx, x: list, cy, y: list) -> list:
     return out
 
 
+def _times_sqrt(q: int, parts: list) -> list:
+    """Exact parts times sqrt(q) over the same denominator:
+    sqrt(q) * (a + b*sqrt(q)) = q*b + a*sqrt(q), or root*a for a square q."""
+    a, b = parts
+    root = _square_root_if_perfect(q)
+    if root is None:
+        return [[[q * v for v in level] for level in b], a]
+    return [[[root * v for v in level] for level in a], b]
+
+
+def _descendants(q: int, e: int, i: int, t: int) -> tuple[int, int]:
+    """Index range at depth e + t of the descendants of vertex i at depth e."""
+    if e == 0:
+        return (0, 1) if t == 0 else (0, (q + 1) * q ** (t - 1))
+    return i * q**t, (i + 1) * q**t
+
+
+def _sphere_ranges(q: int, k: int, j: int, n: int):
+    """(depth, lo, hi) index ranges that together list, once each, the
+    vertices x with d(x, y) <= n and n - d(x, y) even, for the vertex y at
+    depth k and index j.  The geodesic from y climbs a steps to its ancestor
+    z and descends d - a steps without going back through the child of z
+    towards y; both the descendants of z and those of that child are one
+    range, so each (d, a) gives at most two."""
+    for d in range(n % 2, n + 1, 2):
+        for a in range(min(d, k) + 1):
+            e, t = k - a, d - a
+            lo, hi = _descendants(q, e, j // q**a, t)
+            if a and t:
+                cut_lo, cut_hi = _descendants(q, e + 1, j // q ** (a - 1), t - 1)
+                yield e + t, lo, cut_lo
+                yield e + t, cut_hi, hi
+            else:
+                yield e + t, lo, hi
+
+
 def _adjacent(levels: list, q: int) -> list:
     """Neighbour sum of one part: depth d of the result holds the parent
     value plus the child sums of every vertex at depth d, added in that
@@ -94,6 +135,19 @@ def _adjacent(levels: list, q: int) -> list:
                 level = list(map(add, level, children[r::q]))
         out.append(level)
     return out
+
+
+def _radial_adjacent(levels: list, q: int) -> list:
+    """Neighbour sum of one radial part: (q+1)*p(1) at the origin and
+    p(m-1) + q*p(m+1) at m >= 1."""
+    p = [level[0] for level in levels]
+    radius = len(p) - 1
+    if radius < 0:
+        return []
+    out = [(q + 1) * p[1] if radius >= 1 else 0]
+    for m in range(1, radius + 2):
+        out.append(p[m - 1] + q * p[m + 1] if m < radius else p[m - 1])
+    return [[value] for value in out]
 
 
 class _Packed:
@@ -155,6 +209,50 @@ class _Packed:
         q = self.q
         return QSurd(Fraction(total[0] + q * total[1], scale), Fraction(total[2], scale), q)
 
+    def _unpacked(self, level: tuple):
+        """(index, scalar) of the nonzero entries of one depth (its parts)."""
+        if self.mode is not EXACT:
+            return ((j, x) for j, x in enumerate(level[0]) if x)
+        q, den, zero = self.q, self.den, Fraction(0)
+        return (
+            (j, QSurd(Fraction(x, den) if x else zero, Fraction(y, den) if y else zero, q))
+            for j, (x, y) in enumerate(zip(*level))
+            if x or y
+        )
+
+    def _sum_with(self, other: _Packed, sign: int) -> tuple[int, list]:
+        """(D, parts) of self + sign * other over their common denominator."""
+        den = lcm(self.den, other.den)
+        cx, cy = den // self.den, sign * (den // other.den)
+        return den, [_combine(cx, x, cy, y) for x, y in zip(self.parts, other.parts)]
+
+    def __add__(self, other: _Packed) -> _Packed:
+        return type(self)(self.q, self.mode, *self._sum_with(other, 1))
+
+    def __sub__(self, other: _Packed) -> _Packed:
+        # float64: x - y rounds exactly as x + (-y)
+        return type(self)(self.q, self.mode, *self._sum_with(other, -1))
+
+    def __neg__(self) -> _Packed:
+        parts = [[list(map(neg, level)) for level in part] for part in self.parts]
+        return type(self)(self.q, self.mode, self.den, parts)
+
+    def scale(self, factor: Scalar) -> _Packed:
+        """factor * self: a float64 factor multiplies every entry, an exact
+        one enters as an integer pair over its own denominator."""
+        q, mode = self.q, self.mode
+        if mode is not EXACT:
+            return type(self)(q, mode, 1, [[_scaled(factor, level) for level in self.parts[0]]])
+        a, b = factor.a, factor.b
+        den = lcm(a.denominator, b.denominator)
+        fa, fb = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        x, y = self.parts
+        if fb:  # (fa + fb*sqrt(q)) (x + y*sqrt(q))
+            parts = [_combine(fa, x, q * fb, y), _combine(fb, x, fa, y)]
+        else:
+            parts = [[_scaled(fa, level) for level in part] for part in self.parts]
+        return type(self)(q, mode, self.den * den, parts)
+
     # -- layout -------------------------------------------------------------------
 
     @staticmethod
@@ -171,6 +269,30 @@ class _Packed:
         that can differ in value, as (depth of the deeper end, x slices,
         y slices, multiplicity); y is None where its values are all 0."""
         raise NotImplementedError
+
+    def _neighbour_sums(self) -> list:
+        """The parts of x -> sum of the values at the q+1 neighbours of x."""
+        raise NotImplementedError
+
+    # -- operators, written once ----------------------------------------------------
+
+    def adjacency(self) -> _Packed:
+        """x -> sum of the values at the q+1 neighbours of x."""
+        return type(self)(self.q, self.mode, self.den, self._neighbour_sums())
+
+    def step(self, previous: _Packed) -> _Packed:
+        """The leapfrog (1/sqrt(q)) * adjacency(self) - previous."""
+        q, mode = self.q, self.mode
+        pushed = self._neighbour_sums()
+        if mode is not EXACT:
+            weight = sqrt_q_power(q, -1, mode)
+            return type(self)(q, mode, 1, [_combine(weight, pushed[0], -1, previous.parts[0])])
+        # sqrt(q) * (a + b*sqrt(q)) / (q D)
+        pushed_den = q * self.den
+        den = lcm(pushed_den, previous.den)
+        cx, cy = den // pushed_den, -(den // previous.den)
+        parts = [_combine(cx, x, cy, y) for x, y in zip(_times_sqrt(q, pushed), previous.parts)]
+        return type(self)(q, mode, den, parts)
 
     # -- sums, written once -------------------------------------------------------
 
@@ -195,12 +317,6 @@ class _Packed:
                 diff = xs if ys is None else [list(map(sub, x, y)) for x, y in zip(xs, ys)]
                 yield count, diff, diff
 
-    def _minus(self, other: _Packed) -> tuple[int, list]:
-        """(D, parts) of self - other over their common denominator."""
-        den = lcm(self.den, other.den)
-        cx, cy = den // self.den, -(den // other.den)
-        return den, [_combine(cx, x, cy, y) for x, y in zip(self.parts, other.parts)]
-
     def dot(self, other: _Packed) -> Scalar:
         """Counting inner product sum_x u(x) v(x)."""
         terms = (
@@ -211,7 +327,7 @@ class _Packed:
 
     def kinetic(self, minus: _Packed) -> Scalar:
         """(1/2) * sum_x ((u(x) - v(x)) / 2)^2 with u = self, v = minus."""
-        den, parts = self._minus(minus)
+        den, parts = self._sum_with(minus, -1)
         return self._scalar(self._sum(self._squares(parts)), 8 * den * den)
 
     def potential_pair(self) -> Scalar:
@@ -232,7 +348,7 @@ class _Packed:
         mass = self._scalar(self._sum(self._squares(self.parts, limit)), den2)
         pairs = self._sum(self._pair_squares(limit))
         gradient = self._scalar([2 * value for value in pairs], den2)
-        den, parts = plus._minus(minus)
+        den, parts = plus._sum_with(minus, -1)
         kinetic = self._scalar(self._sum(self._squares(parts, limit)), den * den)
         return mass, gradient, kinetic
 
@@ -282,51 +398,52 @@ class Levels(_Packed):
                 for t in range(stride):
                     yield d + 2, level, cut(d + 2, t, None, stride), 1
 
+    def _neighbour_sums(self) -> list:
+        return [_adjacent(p, self.q) for p in self.parts]
+
     def values(self) -> dict:
         """The nonzero values as vertex -> scalar, in canonical order."""
-        q, den, exact = self.q, self.den, self.mode is EXACT
-        zero = Fraction(0)
+        q = self.q
         out = {}
         labels = [()]
         for d, level in enumerate(zip(*self.parts)):
             if d:
                 branches = range(q + 1 if d == 1 else q)
                 labels = [word + (label,) for word in labels for label in branches]
-            if exact:
-                for j, (x, y) in enumerate(zip(*level)):
-                    if x or y:
-                        out[VertexAddress(q, labels[j])] = QSurd(
-                            Fraction(x, den) if x else zero, Fraction(y, den) if y else zero, q
-                        )
-            else:
-                for j, x in enumerate(level[0]):
-                    if x:
-                        out[VertexAddress(q, labels[j])] = x
+            for j, value in self._unpacked(level):
+                out[VertexAddress(q, labels[j])] = value
         return out
 
-    def adjacency(self) -> Levels:
-        """x -> sum of the values at the q+1 neighbours of x."""
-        return Levels(self.q, self.mode, self.den, [_adjacent(p, self.q) for p in self.parts])
-
-    def step(self, previous: Levels) -> Levels:
-        """The leapfrog (1/sqrt(q)) * adjacency(self) - previous."""
-        q, mode = self.q, self.mode
-        pushed = [_adjacent(p, q) for p in self.parts]
-        if mode is not EXACT:
-            weight = sqrt_q_power(q, -1, mode)
-            return Levels(q, mode, 1, [_combine(weight, pushed[0], -1, previous.parts[0])])
-        # sqrt(q) * (a + b*sqrt(q)) / (q D) = (q*b + a*sqrt(q)) / (q D)
-        root = _square_root_if_perfect(q)
-        if root is None:
-            pushed = [[[q * v for v in level] for level in pushed[1]], pushed[0]]
-        else:
-            pushed = [[[root * v for v in level] for level in pushed[0]], pushed[1]]
-        pushed_den = q * self.den
-        den = lcm(pushed_den, previous.den)
-        cx, cy = den // pushed_den, -(den // previous.den)
-        return Levels(
-            q, mode, den, [_combine(cx, x, cy, y) for x, y in zip(pushed, previous.parts)]
-        )
+    def ball_mean(self, n: int) -> Levels:
+        """M_n for n >= 1: q^(-n/2) times the sum of the values at the
+        vertices y with d(x, y) <= n and n - d(x, y) even.  Each stored value
+        is added, source by source in canonical order, to the index ranges
+        of its spheres (``_sphere_ranges``); no neighbour sum is taken, which
+        keeps this route independent of the leapfrog.  A float64 value is
+        weighted before it is added; exact parts are weighted once at the
+        end, through the denominator and the sqrt(q) swap of ``step``."""
+        q, mode, exact = self.q, self.mode, self.mode is EXACT
+        radius = len(self.parts[0]) - 1
+        zero = 0 if exact else 0.0
+        out = [
+            [[zero] * sphere_volume(q, e) for e in range(radius + n + 1)] for _ in self.parts
+        ]
+        weight = 1 if exact else sqrt_q_power(q, -n, mode)
+        for k, level in enumerate(zip(*self.parts)):
+            for j, values in enumerate(zip(*level)):
+                spread = [(part, value * weight) for part, value in zip(out, values) if value]
+                if not spread:
+                    continue
+                for depth, lo, hi in _sphere_ranges(q, k, j, n):
+                    if lo < hi:
+                        for part, value in spread:
+                            target = part[depth]
+                            target[lo:hi] = map(add, target[lo:hi], repeat(value, hi - lo))
+        if not exact:
+            return Levels(q, mode, 1, out)
+        if n % 2:  # q^(-n/2) = sqrt(q) / q^((n+1)/2)
+            return Levels(q, mode, self.den * q ** ((n + 1) // 2), _times_sqrt(q, out))
+        return Levels(q, mode, self.den * q ** (n // 2), out)
 
     def _minus_over(self, parts: list, weight: int) -> Levels:
         """self - parts / weight, for parts over the denominator of self."""
@@ -342,7 +459,7 @@ class Levels(_Packed):
 
     def laplacian(self) -> Levels:
         """u - Adj u / (q+1)."""
-        return self._minus_over([_adjacent(p, self.q) for p in self.parts], self.q + 1)
+        return self._minus_over(self._neighbour_sums(), self.q + 1)
 
     def two_step_laplacian(self) -> Levels:
         """u - S2 u / (q(q+1)), with the distance-2 sphere sum taken as
@@ -374,3 +491,38 @@ class RadialLevels(_Packed):
         for d in range(radius + 1):
             partner = [part[d + 2] for part in parts] if d + 2 <= radius else None
             yield d + 2, [part[d] for part in parts], partner, sphere_volume(self.q, d + 2)
+
+    def _neighbour_sums(self) -> list:
+        return [_radial_adjacent(p, self.q) for p in self.parts]
+
+    def values(self) -> dict:
+        """The nonzero values as radius -> scalar, in increasing radius."""
+        levels = enumerate(zip(*self.parts))
+        return {m: value for m, level in levels for _, value in self._unpacked(level)}
+
+    def convolve(self, kernel: RadialLevels, count) -> RadialLevels:
+        """The radial operator with distance kernel ``kernel`` applied to this
+        profile p: out(m) = sum_d kernel(d) sum_r count(m, d, r) p(r), where
+        ``count(m, d, r)`` is the number of vertices at radius r and distance
+        d from a vertex at radius m.  Terms are added in the order of d, then
+        r, then m, each as (kernel(d) p(r)) * count."""
+        q, mode = self.q, self.mode
+        ks = [[level[0] for level in part] for part in kernel.parts]
+        ps = [[level[0] for level in part] for part in self.parts]
+        exact = mode is EXACT
+        out = [[0 if exact else 0.0] * (len(ks[0]) + len(ps[0]) - 1) for _ in self.parts]
+        for d, kd in enumerate(zip(*ks)):
+            for r, pr in enumerate(zip(*ps)):
+                if exact:
+                    (ka, kb), (pa, pb) = kd, pr
+                    pair = (ka * pa + q * kb * pb, ka * pb + kb * pa)
+                else:
+                    pair = (kd[0] * pr[0],)
+                if not any(pair):
+                    continue
+                for m in range(abs(d - r), d + r + 1, 2):
+                    c = count(m, d, r)
+                    if c:
+                        for part, value in zip(out, pair):
+                            part[m] += value * c
+        return RadialLevels(q, mode, kernel.den * self.den, [[[v] for v in part] for part in out])

@@ -23,14 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from math import lcm
 
 from .errors import ParameterError
 from .functions import RadialProfile, TreeFunction
 from .scalars import (
+    QSurd,
     Scalar,
     ScalarMode,
     scalar_from_fraction,
-    scalar_sum,
     scalar_zero,
     sqrt_q_power,
 )
@@ -40,22 +42,12 @@ from .wave import _leapfrog, _normalize_range
 
 def radial_adjacency(p: RadialProfile) -> RadialProfile:
     """Neighbour sum of the radial function x -> p(|x|), as a profile."""
-    q = p.q
-    limit = p.support_radius() + 1
-    entries: dict[int, Scalar] = {}
-    q_scalar = scalar_from_fraction(q, q, p.mode)
-    for m in range(limit + 1):
-        if m == 0:
-            entries[0] = scalar_from_fraction(q + 1, q, p.mode) * p[1]
-        else:
-            entries[m] = p[m - 1] + q_scalar * p[m + 1]
-    return RadialProfile(q, p.mode, entries)
+    return RadialProfile._from_levels(p._as_levels().adjacency())
 
 
 def _radial_step(previous: RadialProfile, current: RadialProfile) -> RadialProfile:
     """The leapfrog (1/sqrt(q)) * radial_adjacency(current) - previous."""
-    weight = sqrt_q_power(current.q, -1, current.mode)
-    return radial_adjacency(current).scale(weight) - previous
+    return RadialProfile._from_levels(current._as_levels().step(previous._as_levels()))
 
 
 def m_kernel(q: int, n: int, mode: ScalarMode) -> RadialProfile:
@@ -141,23 +133,15 @@ def radial_convolve(kernel: RadialProfile, p: RadialProfile) -> RadialProfile:
     """Apply the radial operator with distance kernel ``kernel`` to the
     radial function x -> p(|x|):
 
-        out(m) = sum_d kernel(d) * sum_r #{|y|=r, d(x,y)=d} * p(r).
+        out(m) = sum_d kernel(d) * sum_r #{|y|=r, d(x,y)=d} * p(r),
+
+    on integer pairs over the product of the two denominators, with one
+    scalar built per output entry.
     """
     if kernel.q != p.q or kernel.mode != p.mode:
         raise ParameterError("kernel and profile must share q and scalar mode")
-    q, mode = p.q, p.mode
-    if not kernel or not p:
-        return RadialProfile(q, mode)
-    out: dict[int, Scalar] = {}
-    zero = scalar_zero(q, mode)
-    for d, kv in kernel.items():
-        for r, pv in p.items():
-            pair = kv * pv
-            for m in range(abs(d - r), d + r + 1, 2):
-                count = distance_count(q, m, d, r)
-                if count:
-                    out[m] = out.get(m, zero) + pair * scalar_from_fraction(count, q, mode)
-    return RadialProfile(q, mode, out)
+    levels = p._as_levels().convolve(kernel._as_levels(), partial(distance_count, p.q))
+    return RadialProfile._from_levels(levels)
 
 
 def evaluate_kernel_solution(
@@ -168,16 +152,39 @@ def evaluate_kernel_solution(
     x: VertexAddress,
 ) -> Scalar:
     """u(x, n) = sum_y c_n(d(x,y)) f(y) + sum_y s_n(d(x,y)) g(y): the
-    solution evaluated at one vertex directly from the displayed sums."""
+    solution evaluated at one vertex directly from the displayed sums, with
+    the data grouped by their distance to x first."""
     q, mode = f.q, f.mode
     total = scalar_zero(q, mode)
     for kernel, data in ((c_kernel, f), (s_kernel, g)):
-        total = total + scalar_sum(
-            (kernel[distance(x, y)] * value for y, value in data.items()),
-            q,
-            mode,
-        )
+        support = kernel.support()
+        for d, value in _distance_sums(data, x).items():
+            if d in support:
+                total = total + kernel[d] * value
     return total
+
+
+def _distance_sums(data: TreeFunction, x: VertexAddress) -> dict[int, Scalar]:
+    """d -> the sum of data(y) over the data vertices y with d(x, y) = d, in
+    one pass over the data; exact values are summed as integer pairs over
+    one common denominator."""
+    values = data.value_map()
+    if data.mode is not ScalarMode.EXACT:
+        sums: dict[int, Scalar] = {}
+        for y, value in values.items():
+            d = distance(x, y)
+            sums[d] = sums.get(d, 0.0) + value
+        return sums
+    den = lcm(*(part.denominator for value in values.values() for part in (value.a, value.b)))
+    pairs: dict[int, tuple[int, int]] = {}
+    for y, value in values.items():
+        d = distance(x, y)
+        a, b = pairs.get(d, (0, 0))
+        pairs[d] = (
+            a + value.a.numerator * (den // value.a.denominator),
+            b + value.b.numerator * (den // value.b.denominator),
+        )
+    return {d: QSurd(Fraction(a, den), Fraction(b, den), data.q) for d, (a, b) in pairs.items()}
 
 
 @dataclass(frozen=True)

@@ -239,8 +239,8 @@ def check_oracle_equivalence(qs, rng, knobs) -> CheckResult:
                 return CheckResult("propagator oracle", False, f"kernel mismatch q={q} n={n}")
         f = random_tree_function(q, 1, rng)
         g = random_tree_function(q, 1, rng)
-        closed = solve(f, g, min(n_max, 4), solver="closed")
-        leapfrog = solve(f, g, min(n_max, 4), solver="recurrence")
+        closed = solve(f, g, n_max, solver="closed")
+        leapfrog = solve(f, g, n_max, solver="recurrence")
         for n in closed.n_values():
             if closed.snapshot(n) != leapfrog.snapshot(n):
                 return CheckResult("propagator oracle", False, f"vertex mismatch q={q} n={n}")

@@ -39,21 +39,6 @@ from .scalars import (
 from .topology import Ball, VertexAddress, sphere
 
 
-def _distance_levels(center: VertexAddress, depth: int) -> list[list[VertexAddress]]:
-    """Vertices grouped by distance 0..depth from ``center`` (tree walk)."""
-    levels = [[center]]
-    frontier: list[tuple[VertexAddress, VertexAddress | None]] = [(center, None)]
-    for _ in range(depth):
-        next_frontier = []
-        for vertex, previous in frontier:
-            for nb in vertex.neighbors():
-                if previous is None or nb != previous:
-                    next_frontier.append((nb, vertex))
-        levels.append([vertex for vertex, _ in next_frontier])
-        frontier = next_frontier
-    return levels
-
-
 def adjacency_sum(f: TreeFunction) -> TreeFunction:
     """x -> sum_{y in S(x,1)} f(y), as level-array slices."""
     return TreeFunction._from_levels(f._as_levels().adjacency())
@@ -61,23 +46,15 @@ def adjacency_sum(f: TreeFunction) -> TreeFunction:
 
 def m_operator(n: int, f: TreeFunction) -> TreeFunction:
     """M_n f(x) = q^(-n/2) * sum over d(y,x) <= n with n - d(y,x) even;
-    M_{-1} = 0 and M_0 is the identity."""
+    M_{-1} = 0 and M_0 is the identity.  Built from the geodesic index ranges
+    of each data vertex's spheres on level arrays, with no neighbour sum."""
     if n < -1:
         raise ParameterError(f"M_n is defined for n >= -1, got {n}")
     if n == -1:
         return TreeFunction.zero(f.q, f.mode)
     if n == 0:
         return f
-    weight = sqrt_q_power(f.q, -n, f.mode)
-    zero = scalar_zero(f.q, f.mode)
-    out: dict = {}
-    for vertex, value in f.items():
-        spread = value * weight
-        levels = _distance_levels(vertex, n)
-        for d in range(n % 2, n + 1, 2):
-            for target in levels[d]:
-                out[target] = out.get(target, zero) + spread
-    return TreeFunction(f.q, f.mode, out)
+    return TreeFunction._from_levels(f._as_levels().ball_mean(n))
 
 
 def propagators(n: int, f: TreeFunction, g: TreeFunction) -> TreeFunction:

@@ -99,7 +99,7 @@ def test_criterion_1_oracle_equivalence():
 
     # vertex-level trajectories (full supports) at ranges where the ball is
     # enumerable; ties the kernel representation to the honest leapfrog
-    vertex_ranges = {2: 6, 3: 4, 4: 3}
+    vertex_ranges = {2: 10, 3: 6, 4: 4}
     for q, reach in vertex_ranges.items():
         f, g = _integer_data(q, 3, f"criterion1:vertex:{q}")
         closed = solve(f, g, reach, solver="closed")

@@ -3,9 +3,11 @@
 The reference implementations below are the vertex-dictionary versions of
 ``adjacency_sum``, ``two_step_laplacian``, ``laplacian_tree``, the leapfrog
 step, the integer-component energy sums, the float64 pair potential, the
-Huygens interior sums, and the ``QSurd`` radial kinetic, pair and Huygens
-sums.  They walk ``VertexAddress`` neighbours or distance counts one by one,
-so they share no code with ``treewave.levels``.
+Huygens interior sums, the ball-walk ``m_operator`` and the ``TreeFunction``
+arithmetic, and the ``QSurd`` radial kinetic, pair and Huygens sums,
+``radial_convolve``, ``radial_adjacency`` and radial step.  They walk
+``VertexAddress`` neighbours or distance counts one by one, so they share no
+code with ``treewave.levels``.
 """
 
 import random
@@ -14,10 +16,13 @@ from math import lcm
 
 import pytest
 
+import treewave.levels
+import treewave.radial
 from treewave.energy import (
     _potential_pair,
     _potential_two_step,
     energies,
+    equipartition_gap,
     huygens_report,
     kinetic_energy,
     potential_energy,
@@ -29,10 +34,18 @@ from treewave.energy import (
 from treewave.functions import RadialProfile, TreeFunction
 from treewave.laplacians import gamma_tilde, laplacian_tree, two_step_laplacian
 from treewave.levels import Levels
-from treewave.radial import distance_counts, radial_solve
+from treewave.radial import (
+    _radial_step,
+    distance_count,
+    distance_counts,
+    m_kernel,
+    radial_adjacency,
+    radial_convolve,
+    radial_solve,
+)
 from treewave.scalars import QSurd, ScalarMode, scalar_from_fraction, scalar_zero, sqrt_q_power
 from treewave.topology import Ball, VertexAddress, sphere_volume
-from treewave.wave import adjacency_sum, solve, step_recurrence
+from treewave.wave import adjacency_sum, m_operator, propagators, solve, step_recurrence
 
 EXACT = ScalarMode.EXACT
 FLOAT = ScalarMode.FLOAT64
@@ -238,6 +251,84 @@ def reference_radial_huygens_sums(state, diff_state, limit):
     return mass, gradient, kinetic
 
 
+def _distance_levels(center, depth):
+    """Vertices grouped by distance 0..depth from ``center`` (tree walk)."""
+    levels = [[center]]
+    frontier = [(center, None)]
+    for _ in range(depth):
+        next_frontier = []
+        for vertex, previous in frontier:
+            for nb in vertex.neighbors():
+                if previous is None or nb != previous:
+                    next_frontier.append((nb, vertex))
+        levels.append([vertex for vertex, _ in next_frontier])
+        frontier = next_frontier
+    return levels
+
+
+def reference_m_operator(n, f):
+    """The ball walk: every data value, weighted, spread over its spheres."""
+    weight = sqrt_q_power(f.q, -n, f.mode)
+    zero = scalar_zero(f.q, f.mode)
+    out = {}
+    for vertex, value in f.items():
+        spread = value * weight
+        levels = _distance_levels(vertex, n)
+        for d in range(n % 2, n + 1, 2):
+            for target in levels[d]:
+                out[target] = out.get(target, zero) + spread
+    return TreeFunction(f.q, f.mode, out)
+
+
+def reference_add(f, g):
+    values = dict(f.value_map())
+    for vertex, value in g.value_map().items():
+        values[vertex] = values.get(vertex, scalar_zero(f.q, f.mode)) + value
+    return TreeFunction(f.q, f.mode, values)
+
+
+def reference_neg(f):
+    return TreeFunction(f.q, f.mode, [(v, -value) for v, value in f.value_map().items()])
+
+
+def reference_sub(f, g):
+    return reference_add(f, reference_neg(g))
+
+
+def reference_scale(f, factor):
+    return TreeFunction(f.q, f.mode, [(v, value * factor) for v, value in f.value_map().items()])
+
+
+def reference_radial_convolve(kernel, p):
+    q, mode = p.q, p.mode
+    out = {}
+    zero = scalar_zero(q, mode)
+    for d, kv in kernel.items():
+        for r, pv in p.items():
+            pair = kv * pv
+            for m in range(abs(d - r), d + r + 1, 2):
+                count = distance_count(q, m, d, r)
+                if count:
+                    out[m] = out.get(m, zero) + pair * scalar_from_fraction(count, q, mode)
+    return RadialProfile(q, mode, out)
+
+
+def reference_radial_adjacency(p):
+    q = p.q
+    entries = {}
+    for m in range(p.support_radius() + 2):
+        if m == 0:
+            entries[0] = scalar_from_fraction(q + 1, q, p.mode) * p[1]
+        else:
+            entries[m] = p[m - 1] + scalar_from_fraction(q, q, p.mode) * p[m + 1]
+    return RadialProfile(q, p.mode, entries)
+
+
+def reference_radial_step(previous, current):
+    weight = sqrt_q_power(current.q, -1, current.mode)
+    return reference_radial_adjacency(current).scale(weight) - previous
+
+
 # -- data -----------------------------------------------------------------------
 
 
@@ -272,12 +363,30 @@ def surd_profile(q, rng, radius=2):
     return RadialProfile(q, EXACT, entries)
 
 
+def sparse_data(q, rng, depth, count=3):
+    """A few values a + b*sqrt(q) at depth `depth` and one level above it,
+    none near the origin."""
+    ball = [v for v in Ball(q, depth) if v.depth >= depth - 1]
+    return TreeFunction(
+        q,
+        EXACT,
+        [
+            (v, QSurd(Fraction(rng.randint(1, 5), rng.choice((1, 3))), Fraction(-1, 2), q))
+            for v in rng.sample(ball, count)
+        ],
+    )
+
+
 def close(value, reference, rel=1e-12):
     return abs(value - reference) <= rel * abs(reference)
 
 
 def bits(f):
     return {vertex: value.hex() for vertex, value in f.value_map().items()}
+
+
+def radial_bits(p):
+    return {m: value.hex() for m, value in p.items()}
 
 
 def fresh(f):
@@ -540,3 +649,150 @@ def test_vertex_and_radial_layouts_agree_on_radial_data(q):
         assert packed[0].huygens_sums(packed[1], packed[2], limit) == profiles[0].huygens_sums(
             profiles[1], profiles[2], limit
         )
+
+
+# -- the closed-form route on the packed core ------------------------------------
+
+# (source depth, largest n) per q, so that Ball(q, depth + n) stays small
+M_REACH = {2: (4, 6), 3: (3, 5), 4: (2, 4), 5: (2, 4), 9: (2, 3)}
+
+
+@pytest.mark.parametrize("q", QS)
+def test_m_operator_matches_ball_walk(q):
+    rng = random.Random(f"levels:m-operator:{q}")
+    depth, reach = M_REACH[q]
+    dense = surd_data(q, rng, radius=min(depth, 2))
+    for n in range(1, reach + 1):
+        assert m_operator(n, dense) == reference_m_operator(n, dense)
+    # sparse data away from the origin, n up to beyond the source depth
+    sparse = sparse_data(q, rng, depth)
+    for n in range(1, reach + 1):
+        assert m_operator(n, sparse) == reference_m_operator(n, sparse)
+    single = TreeFunction.delta(q, EXACT, at=max(sparse.support(), key=VertexAddress.sort_key))
+    for n in range(1, reach + 1):
+        assert m_operator(n, single) == reference_m_operator(n, single)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_float_m_operator_and_propagators_are_bitwise_the_ball_walk(q):
+    rng = random.Random(f"levels:float-m-operator:{q}")
+    depth, reach = M_REACH[q]
+    f, g = float_data(q, rng), float_data(q, rng)
+    sparse = sparse_data(q, rng, depth).as_float64()
+    for n in range(1, reach + 1):
+        assert bits(m_operator(n, f)) == bits(reference_m_operator(n, f))
+        assert bits(m_operator(n, sparse)) == bits(reference_m_operator(n, sparse))
+
+    def walk(order, v):  # M_order with M_{-1} = 0 and M_0 = id
+        return reference_m_operator(order, v) if order >= 0 else TreeFunction.zero(q, FLOAT)
+
+    for n in range(-reach + 1, reach):
+        if n == 0:
+            continue
+        cosine = reference_scale(reference_sub(walk(abs(n), f), walk(abs(n) - 2, f)), 0.5)
+        sine = walk(abs(n) - 1, g)
+        if n < 0:
+            sine = reference_neg(sine)
+        assert bits(propagators(n, f, g)) == bits(reference_add(cosine, sine))
+
+
+@pytest.mark.parametrize("q", QS)
+def test_tree_function_arithmetic_matches_dictionaries(q):
+    rng = random.Random(f"levels:arithmetic:{q}")
+    f, g = surd_data(q, rng), surd_data(q, rng, radius=1)
+    sparse = sparse_data(q, rng, M_REACH[q][0])
+    factors = [
+        QSurd(Fraction(-3, 4), Fraction(5, 6), q),
+        QSurd(Fraction(2, 3), 0, q),
+        QSurd(0, Fraction(-1, 7), q),
+        QSurd(0, 0, q),
+        Fraction(5, 2),
+        -1,
+    ]
+    for x, y in ((f, g), (g, f), (f, sparse), (sparse, g), (f, f)):
+        assert x + y == reference_add(x, y)
+        assert x - y == reference_sub(x, y)
+        assert -x == reference_neg(x)
+        for factor in factors:
+            exact_factor = factor if isinstance(factor, QSurd) else QSurd(factor, 0, q)
+            assert x.scale(factor) == reference_scale(x, exact_factor)
+    assert not f - f and not (f - f)._as_levels().parts[0]
+    assert f + TreeFunction.zero(q, EXACT) == f
+    # packed operands produced by the arithmetic itself
+    assert (f + g) - g == f
+    assert (-(f - g)).scale(QSurd(2, 0, q)) == reference_scale(reference_sub(g, f), 2)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_float_tree_function_arithmetic_is_bitwise_the_dictionaries(q):
+    rng = random.Random(f"levels:float-arithmetic:{q}")
+    f, g = float_data(q, rng, radius=2), float_data(q, rng)
+    sparse = sparse_data(q, rng, M_REACH[q][0]).as_float64()
+    for x, y in ((f, g), (g, f), (f, sparse), (sparse, f)):
+        assert bits(x + y) == bits(reference_add(x, y))
+        assert bits(x - y) == bits(reference_sub(x, y))
+        assert bits(-x) == bits(reference_neg(x))
+        for factor in (0.5, -1 / 3, sqrt_q_power(q, -1, FLOAT), 0.0):
+            assert bits(x.scale(factor)) == bits(reference_scale(x, factor))
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_radial_operators_match_qsurd_routes(q, mode):
+    rng = random.Random(f"levels:radial-operators:{q}:{mode.value}")
+    profiles = [surd_profile(q, rng, radius) for radius in (0, 1, 3)]
+    sparse = RadialProfile(q, EXACT, [(4, QSurd(Fraction(1, 3), Fraction(-2, 5), q))])
+    profiles.append(sparse)
+    if mode is FLOAT:
+        profiles = [p.as_float64() for p in profiles]
+
+    def same(found, reference):
+        return found == reference if mode is EXACT else radial_bits(found) == radial_bits(reference)
+
+    for p in profiles:
+        assert same(radial_adjacency(p), reference_radial_adjacency(p))
+        for previous in profiles:
+            assert same(_radial_step(previous, p), reference_radial_step(previous, p))
+        for n in range(-1, 7):
+            kernel = m_kernel(q, n, mode)
+            assert same(radial_convolve(kernel, p), reference_radial_convolve(kernel, p))
+        for kernel in profiles:
+            assert same(radial_convolve(kernel, p), reference_radial_convolve(kernel, p))
+
+
+@pytest.mark.parametrize("q", QS)
+def test_m_operator_and_radial_convolution_agree_across_layouts(q):
+    rng = random.Random(f"levels:cross-layout:{q}")
+    radius, reach = (2, 4) if q < 5 else (1, 3)
+    p = surd_profile(q, rng, radius)
+    f = TreeFunction.from_radial(p)
+    for n in range(-1, reach + 1):
+        via_kernel = radial_convolve(m_kernel(q, n, EXACT), p)
+        assert m_operator(n, f) == TreeFunction.from_radial(via_kernel)
+
+
+@pytest.mark.parametrize("q", (2, 3, 9))
+def test_closed_route_takes_no_neighbour_sum(q, monkeypatch):
+    rng = random.Random(f"levels:independence:{q}")
+    f, g = surd_data(q, rng, radius=1), surd_data(q, rng, radius=1)
+    reach = 3 if q < 9 else 2
+    leapfrog = solve(f, g, reach, solver="recurrence")
+    p = surd_profile(q, rng)
+    expected_profile = reference_radial_convolve(m_kernel(q, 3, EXACT), p)
+
+    def refuse(*args):
+        raise AssertionError("a neighbour sum was taken")
+
+    monkeypatch.setattr(treewave.levels, "_adjacent", refuse)
+    monkeypatch.setattr(treewave.levels, "_radial_adjacent", refuse)
+    monkeypatch.setattr(treewave.radial, "radial_adjacency", refuse)
+    with pytest.raises(AssertionError, match="neighbour sum"):
+        step_recurrence(f, g)  # the guard does reach the leapfrog
+
+    closed = solve(f, g, reach, solver="closed")
+    assert closed.snapshots == leapfrog.snapshots
+    assert propagators(-reach, f, g) == leapfrog.snapshot(-reach)
+    for n in range(-reach + 1, reach):
+        direct, operator_route = equipartition_gap(closed, n)
+        assert direct == operator_route
+    assert radial_convolve(m_kernel(q, 3, EXACT), p) == expected_profile
