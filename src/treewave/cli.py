@@ -154,7 +154,6 @@ def _cmd_huygens(args) -> int:
 
 
 def _cmd_transforms(args) -> int:
-    mode = ScalarMode("float64" if args.mode == "float" else args.mode)
     if args.initial is not None:
         blob = _read_initial(args.initial)
         try:
@@ -166,6 +165,7 @@ def _cmd_transforms(args) -> int:
     else:
         if args.q < 2:
             raise ConfigError(f"field 'q' must be an integer >= 2, got {args.q}")
+        mode = ScalarMode("float64" if args.mode == "float" else args.mode)
         profile = RadialProfile.delta(args.q, mode)
     out_dir = default_output_dir(str(args.out) if args.out else None)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -184,7 +184,7 @@ def _cmd_transforms(args) -> int:
 
     limit = max(profile.support_radius(), 0) + 2
     means = RadialProfile(
-        profile.q, mode, [(n, dual_abel(forward, n)) for n in range(limit + 1)]
+        profile.q, profile.mode, [(n, dual_abel(forward, n)) for n in range(limit + 1)]
     )
     rows = [[str(n)] + _scalar_columns(means[n]) for n in range(limit + 1)]
     _write_csv(

@@ -1,9 +1,15 @@
 """Finitely supported functions on the tree, radial profiles, height sequences.
 
-All three containers are sparse maps that store only nonzero values and
-iterate in canonical order, so equality is structural and serialized output
-is byte-stable.  They are immutable by convention: operations return new
-values.  ``TreeFunction`` holds initial data and wave snapshots,
+The three types are one sparse container (``_Sparse``): a map that stores
+only nonzero values and iterates in canonical order, so equality is
+structural and serialized output is byte-stable.  The key check, cleaning,
+lookup, equality, hashing, JSON and the linear combinations (``+``, ``-``,
+negation, ``scale``) are written once; the linear combinations run on the
+packed form of ``treewave.levels``, in the vertex, radial or height layout.
+A ``TreeFunction`` packs once and keeps its packed form, since the vertex
+kernels reuse it; a ``RadialProfile`` or ``HeightSequence`` holds its value
+map and packs per call.  Values are immutable by convention: operations
+return new values.  ``TreeFunction`` holds initial data and wave snapshots,
 ``RadialProfile`` (indexed by radius in N) and ``HeightSequence`` (indexed by
 height in Z) are the two ends of the horocycle-summation transform pair.
 """
@@ -14,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import ModeError, ParameterError
-from .levels import Levels, RadialLevels
+from .levels import HeightLevels, Levels, RadialLevels
 from .scalars import (
     Scalar,
     ScalarMode,
@@ -30,53 +36,73 @@ from .scalars import (
 from .topology import Ball, VertexAddress, distance, sphere_volume
 
 
-class TreeFunction:
-    """Finitely supported map from vertices of T_q to scalars (absent = 0).
+def _check_q(q) -> None:
+    if isinstance(q, bool) or not isinstance(q, int) or q < 2:
+        raise ParameterError(f"field 'q' must be an integer >= 2, got {q!r}")
 
-    A function also has a packed form (``levels.Levels``), built on first use
-    by the vertex kernel and kept in a private slot.  Kernel outputs, and the
-    results of ``+``, ``-`` and ``scale``, start from their packed form and
-    build their value map on first read.  Equality, hashing and
-    serialization read only the value map.
+
+class _Sparse:
+    """A finitely supported map key -> scalar (absent = 0), with its packed
+    form in ``treewave.levels``.
+
+    The base holds everything the three containers share; a subclass
+    supplies its key type, the JSON field of a key, the sort order of keys,
+    the packed layout, ``delta``, ``support_radius`` and its own extras.  A
+    ``TreeFunction`` packs once and keeps the packed form; a profile or a
+    height sequence holds its value map and packs per call.  Equality,
+    hashing and serialization read only the value map.
     """
 
     __slots__ = ("q", "mode", "_store", "_levels")
+    _key_type: type = int
+    _index_name = ""  # the JSON field of a key
+    _order = None  # sort key of a key; None sorts keys by value
+    _layout: type
+    _keeps_packed = False
 
-    def __init__(
-        self,
-        q: int,
-        mode: ScalarMode,
-        values: Mapping[VertexAddress, Scalar] | Iterable[tuple[VertexAddress, Scalar]] = (),
-    ):
-        if q < 2:
-            raise ParameterError(f"q must be >= 2, got {q}")
+    def __init__(self, q: int, mode: ScalarMode, values: Mapping | Iterable[tuple] = ()):
+        _check_q(q)
         entries = values.items() if isinstance(values, Mapping) else values
         cleaned = {}
-        for vertex, value in entries:
-            if vertex.q != q:
-                raise ParameterError(
-                    f"vertex over q={vertex.q} in a q={q} function"
-                )
+        for key, value in entries:
+            self._check_key(key, q)
             value = ensure_mode(value, mode, q)
             if not scalar_is_zero(value):
-                cleaned[vertex] = value
+                cleaned[key] = value
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "_store", cleaned)
         object.__setattr__(self, "_levels", None)
 
     def __setattr__(self, name, value):
-        raise AttributeError("TreeFunction is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _check_key(self, key, q: int) -> None:
+        if isinstance(key, bool) or not isinstance(key, self._key_type):
+            raise ParameterError(
+                f"key {self._index_name!r} must be {self._key_type.__name__}, got {key!r}"
+            )
+
+    @staticmethod
+    def _key_to_json(key):
+        return key
+
+    @staticmethod
+    def _key_from_json(raw, q: int):
+        return raw
 
     @classmethod
-    def _from_levels(cls, levels: Levels) -> TreeFunction:
-        """Function of a kernel output; its value map is built on first
-        read."""
+    def _from_levels(cls, levels):
+        """The container of a packed result."""
         self = object.__new__(cls)
         object.__setattr__(self, "q", levels.q)
         object.__setattr__(self, "mode", levels.mode)
-        object.__setattr__(self, "_store", None)
-        object.__setattr__(self, "_levels", levels)
+        if cls._keeps_packed:  # the value map is built on first read
+            object.__setattr__(self, "_store", None)
+            object.__setattr__(self, "_levels", levels)
+        else:
+            object.__setattr__(self, "_store", levels.values())
+            object.__setattr__(self, "_levels", None)
         return self
 
     @property
@@ -85,11 +111,129 @@ class TreeFunction:
             object.__setattr__(self, "_store", self._levels.values())
         return self._store
 
-    def _as_levels(self) -> Levels:
-        """Packed form, packed once and then kept."""
-        if self._levels is None:
-            object.__setattr__(self, "_levels", Levels.pack(self.q, self.mode, self._store))
-        return self._levels
+    def _as_levels(self):
+        levels = self._levels
+        if levels is None:
+            levels = self._layout.pack(self.q, self.mode, self._store)
+            if self._keeps_packed:
+                object.__setattr__(self, "_levels", levels)
+        return levels
+
+    def __getitem__(self, key) -> Scalar:
+        return self._values.get(key, scalar_zero(self.q, self.mode))
+
+    def items(self) -> list:
+        values = self._values
+        return [(key, values[key]) for key in sorted(values, key=self._order)]
+
+    def support(self) -> set:
+        return set(self._values)
+
+    def __bool__(self) -> bool:
+        return bool(self._values)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.q == other.q and self.mode == other.mode and self._values == other._values
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.q, self.mode, frozenset(self._values.items())))
+
+    def _check_compatible(self, other) -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self.q != other.q:
+            raise ParameterError(f"mixing q={self.q} with q={other.q}")
+        if self.mode != other.mode:
+            raise ModeError("mixing exact and float64 values")
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        return self._from_levels(self._as_levels() + other._as_levels())
+
+    def __sub__(self, other):
+        self._check_compatible(other)
+        return self._from_levels(self._as_levels() - other._as_levels())
+
+    def __neg__(self):
+        return self._from_levels(-self._as_levels())
+
+    def scale(self, factor: Scalar):
+        factor = ensure_mode(factor, self.mode, self.q)
+        return self._from_levels(self._as_levels().scale(factor))
+
+    def max_abs(self) -> Scalar:
+        return max(map(abs, self._values.values()), default=scalar_zero(self.q, self.mode))
+
+    def as_float64(self):
+        if self.mode is ScalarMode.FLOAT64:
+            return self
+        return type(self)(
+            self.q,
+            ScalarMode.FLOAT64,
+            [(key, scalar_to_float(value)) for key, value in self._values.items()],
+        )
+
+    def to_json(self) -> dict:
+        return {
+            "q": self.q,
+            "mode": self.mode.value,
+            "entries": [
+                {self._index_name: self._key_to_json(key), "value": scalar_to_json(value)}
+                for key, value in self.items()
+            ],
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        q = obj["q"]
+        _check_q(q)
+        mode = ScalarMode(obj.get("mode", "exact"))
+        entries = [
+            (cls._key_from_json(item[cls._index_name], q), scalar_from_json(item["value"], q, mode))
+            for item in obj["entries"]
+        ]
+        return cls(q, mode, entries)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(q={self.q}, {self.mode.value}, support={len(self._values)})"
+
+
+class TreeFunction(_Sparse):
+    """Finitely supported map from vertices of T_q to scalars (absent = 0).
+
+    Its packed form (``levels.Levels``) is built on first use and kept.
+    Kernel outputs, and the results of ``+``, ``-`` and ``scale``, start
+    from their packed form and build their value map on first read.
+    """
+
+    __slots__ = ()
+    _key_type = VertexAddress
+    _index_name = "vertex"
+    _order = staticmethod(VertexAddress.sort_key)
+    _layout = Levels
+    _keeps_packed = True
+    _key_to_json = staticmethod(str)
+
+    # perfbench traces these by name in TreeFunction.__dict__, so they are
+    # bound here, not only inherited; binding __eq__ resets __hash__
+    __add__ = _Sparse.__add__
+    __sub__ = _Sparse.__sub__
+    __eq__ = _Sparse.__eq__
+    __hash__ = _Sparse.__hash__
+    scale = _Sparse.scale
+
+    def _check_key(self, vertex, q: int) -> None:
+        super()._check_key(vertex, q)
+        if vertex.q != q:
+            raise ParameterError(f"vertex over q={vertex.q} in a q={q} function")
+
+    @staticmethod
+    def _key_from_json(raw, q: int) -> VertexAddress:
+        if not isinstance(raw, str):
+            raise ParameterError(f"key 'vertex' must be a label string, got {raw!r}")
+        return VertexAddress.parse(raw, q)
 
     @classmethod
     def zero(cls, q: int, mode: ScalarMode) -> TreeFunction:
@@ -110,18 +254,9 @@ class TreeFunction:
                 entries.append((vertex, profile[vertex.depth]))
         return cls(profile.q, profile.mode, entries)
 
-    def __getitem__(self, vertex: VertexAddress) -> Scalar:
-        return self._values.get(vertex, scalar_zero(self.q, self.mode))
-
-    def items(self) -> list[tuple[VertexAddress, Scalar]]:
-        return sorted(self._values.items(), key=lambda kv: kv[0].sort_key())
-
     def value_map(self) -> Mapping[VertexAddress, Scalar]:
         """Unordered read-only view of the nonzero values."""
         return self._values
-
-    def support(self) -> set[VertexAddress]:
-        return set(self._values)
 
     def support_size(self) -> int:
         return len(self._values)
@@ -131,42 +266,6 @@ class TreeFunction:
         if not self._values:
             return -1
         return max(v.depth for v in self._values)
-
-    def __bool__(self) -> bool:
-        return bool(self._values)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TreeFunction):
-            return NotImplemented
-        return (
-            self.q == other.q
-            and self.mode == other.mode
-            and self._values == other._values
-        )
-
-    def __hash__(self):
-        return hash((self.q, self.mode, frozenset(self._values.items())))
-
-    def _check_compatible(self, other: TreeFunction) -> None:
-        if self.q != other.q:
-            raise ParameterError(f"mixing q={self.q} with q={other.q}")
-        if self.mode != other.mode:
-            raise ModeError("mixing exact and float64 functions")
-
-    def __add__(self, other: TreeFunction) -> TreeFunction:
-        self._check_compatible(other)
-        return TreeFunction._from_levels(self._as_levels() + other._as_levels())
-
-    def __sub__(self, other: TreeFunction) -> TreeFunction:
-        self._check_compatible(other)
-        return TreeFunction._from_levels(self._as_levels() - other._as_levels())
-
-    def __neg__(self) -> TreeFunction:
-        return TreeFunction._from_levels(-self._as_levels())
-
-    def scale(self, factor: Scalar) -> TreeFunction:
-        factor = ensure_mode(factor, self.mode, self.q)
-        return TreeFunction._from_levels(self._as_levels().scale(factor))
 
     def dot(self, other: TreeFunction) -> Scalar:
         """Counting inner product sum_x f(x) g(x) over the joint support."""
@@ -181,178 +280,28 @@ class TreeFunction:
     def l1_norm(self) -> Scalar:
         return scalar_sum((abs(v) for v in self._values.values()), self.q, self.mode)
 
-    def max_abs(self) -> Scalar:
-        if not self._values:
-            return scalar_zero(self.q, self.mode)
-        return max(abs(v) for v in self._values.values())
 
-    def as_float64(self) -> TreeFunction:
-        if self.mode is ScalarMode.FLOAT64:
-            return self
-        return TreeFunction(
-            self.q,
-            ScalarMode.FLOAT64,
-            [(v, scalar_to_float(value)) for v, value in self._values.items()],
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "mode": self.mode.value,
-            "entries": [
-                {"vertex": str(vertex), "value": scalar_to_json(value)}
-                for vertex, value in self.items()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> TreeFunction:
-        q = int(obj["q"])
-        mode = ScalarMode(obj.get("mode", "exact"))
-        entries = [
-            (VertexAddress.parse(item["vertex"], q), scalar_from_json(item["value"], q, mode))
-            for item in obj["entries"]
-        ]
-        return cls(q, mode, entries)
-
-    def __repr__(self) -> str:
-        return f"TreeFunction(q={self.q}, {self.mode.value}, support={len(self._values)})"
-
-
-class _IntIndexed:
-    """Shared mechanics of the integer-indexed sparse containers."""
-
-    __slots__ = ("q", "mode", "_values")
-    _index_name = "index"
-
-    def __init__(self, q, mode, values=()):
-        if q < 2:
-            raise ParameterError(f"q must be >= 2, got {q}")
-        entries = values.items() if isinstance(values, Mapping) else values
-        cleaned = {}
-        for index, value in entries:
-            self._check_index(int(index))
-            value = ensure_mode(value, mode, q)
-            if not scalar_is_zero(value):
-                cleaned[int(index)] = value
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_values", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _check_index(self, index: int) -> None:
-        pass
-
-    def __getitem__(self, index: int) -> Scalar:
-        return self._values.get(index, scalar_zero(self.q, self.mode))
-
-    def items(self) -> list[tuple[int, Scalar]]:
-        return sorted(self._values.items())
-
-    def support(self) -> set[int]:
-        return set(self._values)
-
-    def __bool__(self) -> bool:
-        return bool(self._values)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.q == other.q and self.mode == other.mode and self._values == other._values
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.q, self.mode, frozenset(self._values.items())))
-
-    def _check_compatible(self, other) -> None:
-        if self.q != other.q:
-            raise ParameterError(f"mixing q={self.q} with q={other.q}")
-        if self.mode != other.mode:
-            raise ModeError("mixing exact and float64 values")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        values = dict(self._values)
-        for index, value in other._values.items():
-            values[index] = values.get(index, scalar_zero(self.q, self.mode)) + value
-        return type(self)(self.q, self.mode, values)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return type(self)(self.q, self.mode, [(i, -v) for i, v in self._values.items()])
-
-    def scale(self, factor: Scalar):
-        factor = ensure_mode(factor, self.mode, self.q)
-        return type(self)(self.q, self.mode, [(i, v * factor) for i, v in self._values.items()])
-
-    def as_float64(self):
-        if self.mode is ScalarMode.FLOAT64:
-            return self
-        return type(self)(
-            self.q,
-            ScalarMode.FLOAT64,
-            [(i, scalar_to_float(v)) for i, v in self._values.items()],
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "mode": self.mode.value,
-            "entries": [
-                {self._index_name: index, "value": scalar_to_json(value)}
-                for index, value in self.items()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict):
-        q = int(obj["q"])
-        mode = ScalarMode(obj.get("mode", "exact"))
-        entries = [
-            (int(item[cls._index_name]), scalar_from_json(item["value"], q, mode))
-            for item in obj["entries"]
-        ]
-        return cls(q, mode, entries)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(q={self.q}, {self.mode.value}, support={len(self._values)})"
-
-
-class RadialProfile(_IntIndexed):
+class RadialProfile(_Sparse):
     """Finitely supported map N -> scalar, standing for x -> value(|x|)."""
 
     __slots__ = ()
     _index_name = "n"
+    _layout = RadialLevels
 
-    def _check_index(self, index: int) -> None:
+    def _check_key(self, index: int, q: int) -> None:
+        super()._check_key(index, q)
         if index < 0:
-            raise ParameterError(f"radial index must be >= 0, got {index}")
+            raise ParameterError(f"radial index 'n' must be >= 0, got {index}")
 
     @classmethod
     def delta(cls, q: int, mode: ScalarMode, at: int = 0) -> RadialProfile:
         return cls(q, mode, [(at, scalar_from_fraction(1, q, mode))])
 
     def support_radius(self) -> int:
-        if not self._values:
-            return -1
-        return max(self._values)
-
-    def max_abs(self) -> Scalar:
-        return max(map(abs, self._values.values()), default=scalar_zero(self.q, self.mode))
-
-    def _as_levels(self) -> RadialLevels:
-        """Packed form, built per call (profiles are short)."""
-        return RadialLevels.pack(self.q, self.mode, self._values)
-
-    @classmethod
-    def _from_levels(cls, levels: RadialLevels) -> RadialProfile:
-        return cls(levels.q, levels.mode, levels.values())
+        return max(self._values, default=-1)
 
 
-class HeightSequence(_IntIndexed):
+class HeightSequence(_Sparse):
     """Finitely supported map Z -> scalar (function of the horocyclic height).
 
     Evenness (value(h) == value(-h)) is a checkable predicate, not an
@@ -361,15 +310,14 @@ class HeightSequence(_IntIndexed):
 
     __slots__ = ()
     _index_name = "h"
+    _layout = HeightLevels
 
     @classmethod
     def delta(cls, q: int, mode: ScalarMode, at: int = 0) -> HeightSequence:
         return cls(q, mode, [(at, scalar_from_fraction(1, q, mode))])
 
     def support_radius(self) -> int:
-        if not self._values:
-            return -1
-        return max(abs(h) for h in self._values)
+        return max(map(abs, self._values), default=-1)
 
     def is_even(self) -> bool:
         return all(self[h] == self[-h] for h in self._values)

@@ -28,6 +28,9 @@ enumeration and the weight of an entry:
   weight.  The neighbour sum is (q+1)*p(1) at the origin and
   p(m-1) + q*p(m+1) elsewhere.  The distance-2 pairs are the grandparent
   pairs (d, d+2), |S(d+2)| of them; siblings share a value and add 0.
+- height sequences (``HeightLevels``): depth |h| holds s(h), and at depth
+  d >= 1 also s(-d) after s(d).  Only packing and the linear combinations
+  apply.
 
 Kinetic energy, mass, the pair-sum potential, the counting inner product,
 the three Huygens interior sums, the linear combinations and the leapfrog
@@ -526,3 +529,26 @@ class RadialLevels(_Packed):
                         for part, value in zip(out, pair):
                             part[m] += value * c
         return RadialLevels(q, mode, kernel.den * self.den, [[[v] for v in part] for part in out])
+
+
+class HeightLevels(_Packed):
+    """A function s of the horocyclic height: depth 0 holds s(0), depth
+    d >= 1 holds s(d) and s(-d).  Packed per call, never cached."""
+
+    __slots__ = ()
+
+    @classmethod
+    def pack(cls, q: int, mode: ScalarMode, values) -> HeightLevels:
+        """Pack a mapping height -> scalar (nonzero values only)."""
+        radius = max(map(abs, values), default=-1)
+        entries = ((abs(h), int(h < 0), value) for h, value in values.items())
+        return cls._pack(q, mode, radius, entries)
+
+    @staticmethod
+    def _size(q: int, d: int) -> int:
+        return 2 if d else 1
+
+    def values(self) -> dict:
+        """The nonzero values as height -> scalar, by |h|, h >= 0 first."""
+        levels = enumerate(zip(*self.parts))
+        return {-d if j else d: value for d, level in levels for j, value in self._unpacked(level)}

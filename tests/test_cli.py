@@ -6,7 +6,7 @@ import pytest
 from treewave.cli import main
 from treewave.errors import ConfigError, TruncationError
 from treewave.experiment import ExperimentConfig, resolve_initial_data, run_experiment
-from treewave.functions import TreeFunction
+from treewave.functions import RadialProfile, TreeFunction
 from treewave.scalars import QSurd, ScalarMode
 from treewave.topology import VertexAddress
 
@@ -204,3 +204,44 @@ def test_cli_missing_initial_file(tmp_path, capsys):
     _fails_closed(
         ["propagate", "--initial", str(missing), "--out", str(tmp_path / "run")], "initial", capsys
     )
+
+
+def _write_json(path, blob):
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    return str(path)
+
+
+def test_cli_transforms_initial_rejects_non_integer_radius_and_q(tmp_path, capsys):
+    profile = {"q": 2, "entries": [{"n": 1.5, "value": "1"}]}
+    initial = _write_json(tmp_path / "radius.json", profile)
+    _fails_closed(["transforms", "--initial", initial, "--out", str(tmp_path / "a")], "n", capsys)
+    assert not (tmp_path / "a").exists()
+    profile = {"q": 2.9, "entries": [{"n": 1, "value": "1"}]}
+    initial = _write_json(tmp_path / "q.json", profile)
+    _fails_closed(["transforms", "--initial", initial, "--out", str(tmp_path / "b")], "q", capsys)
+
+
+def test_cli_propagate_initial_rejects_non_integer_q(tmp_path, capsys):
+    f = TreeFunction.delta(2, ScalarMode.EXACT).to_json()
+    initial = _write_json(tmp_path / "f.json", {"f": {**f, "q": 2.5}})
+    _fails_closed(["propagate", "--initial", initial, "--out", str(tmp_path / "run")], "q", capsys)
+
+
+def test_cli_transforms_initial_keeps_the_profile_mode(tmp_path, capsys):
+    names = ("abel", "abel_inverse", "dual_abel", "dual_abel_inverse")
+    exact = RadialProfile(3, ScalarMode.EXACT, [(0, QSurd(1, 0, 3)), (2, QSurd(Fraction(1, 2), 1, 3))])
+    tables = {}
+    for label, profile, mode in (
+        ("float", exact.as_float64(), "exact"),  # --mode sets only the default delta
+        ("exact", exact, "float"),
+        ("exact-default", exact, "exact"),
+    ):
+        initial = _write_json(tmp_path / f"{label}.json", profile.to_json())
+        out = tmp_path / label
+        assert main(["transforms", "--initial", initial, "--mode", mode, "--out", str(out)]) == 0
+        capsys.readouterr()
+        tables[label] = {name: (out / f"{name}.csv").read_text() for name in names}
+    assert tables["exact"] == tables["exact-default"]
+    for name in names:
+        rows = tables["float"][name].splitlines()[1:]
+        assert rows and all(row.split(",")[1:3] == ["", ""] for row in rows)

@@ -144,3 +144,51 @@ def test_addition_matches_pointwise(values):
     for vertex, value in entries:
         expected[vertex] = expected.get(vertex, QSurd.zero(2)) + value
     assert f == TreeFunction(2, EXACT, expected)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda key: RadialProfile(2, EXACT, [(key, QSurd(1, 0, 2))]), "'n'"),
+        (lambda key: HeightSequence(2, EXACT, [(key, QSurd(1, 0, 2))]), "'h'"),
+        (lambda key: TreeFunction(2, EXACT, [(key, QSurd(1, 0, 2))]), "'vertex'"),
+    ],
+)
+@pytest.mark.parametrize("key", [2.7, 1.0, True, "1"])
+def test_keys_of_the_wrong_type_are_rejected(build, field, key):
+    with pytest.raises(ParameterError, match=field):
+        build(key)
+
+
+def test_radial_index_must_be_natural():
+    with pytest.raises(ParameterError, match="'n'"):
+        RadialProfile(2, EXACT, [(-1, QSurd(1, 0, 2))])
+
+
+@pytest.mark.parametrize(
+    "cls, entry",
+    [
+        (RadialProfile, {"n": 1, "value": "1"}),
+        (HeightSequence, {"h": -1, "value": "1"}),
+        (TreeFunction, {"vertex": "0", "value": "1"}),
+    ],
+)
+def test_from_json_fails_closed_on_keys_and_q(cls, entry):
+    assert cls.from_json({"q": 2, "entries": [entry]}).support_radius() == 1
+    for q in (2.9, 2.0, "2", True, 1):
+        with pytest.raises(ParameterError, match="'q'"):
+            cls.from_json({"q": q, "entries": [entry]})
+    (field,) = set(entry) - {"value"}
+    for raw in (1.5, True, None):
+        with pytest.raises(ParameterError, match=f"'{field}'"):
+            cls.from_json({"q": 2, "entries": [{**entry, field: raw}]})
+
+
+def test_containers_of_different_types_do_not_mix():
+    p = RadialProfile.delta(2, EXACT, 1)
+    s = HeightSequence.delta(2, EXACT, 1)
+    assert p != s
+    with pytest.raises(TypeError):
+        p + s
+    with pytest.raises(TypeError):
+        s - p

@@ -3,9 +3,9 @@
 The reference implementations below are the vertex-dictionary versions of
 ``adjacency_sum``, ``two_step_laplacian``, ``laplacian_tree``, the leapfrog
 step, the integer-component energy sums, the float64 pair potential, the
-Huygens interior sums, the ball-walk ``m_operator`` and the ``TreeFunction``
-arithmetic, and the ``QSurd`` radial kinetic, pair and Huygens sums,
-``radial_convolve``, ``radial_adjacency`` and radial step.  They walk
+Huygens interior sums, the ball-walk ``m_operator``, the arithmetic of all
+three sparse containers, and the ``QSurd`` radial kinetic, pair and Huygens
+sums, ``radial_convolve``, ``radial_adjacency`` and radial step.  They walk
 ``VertexAddress`` neighbours or distance counts one by one, so they share no
 code with ``treewave.levels``.
 """
@@ -31,7 +31,7 @@ from treewave.energy import (
     radial_kinetic_energy,
     radial_potential_energy,
 )
-from treewave.functions import RadialProfile, TreeFunction
+from treewave.functions import HeightSequence, RadialProfile, TreeFunction
 from treewave.laplacians import gamma_tilde, laplacian_tree, two_step_laplacian
 from treewave.levels import Levels
 from treewave.radial import (
@@ -281,14 +281,15 @@ def reference_m_operator(n, f):
 
 
 def reference_add(f, g):
-    values = dict(f.value_map())
-    for vertex, value in g.value_map().items():
-        values[vertex] = values.get(vertex, scalar_zero(f.q, f.mode)) + value
-    return TreeFunction(f.q, f.mode, values)
+    """f + g for any of the three containers, by a dictionary loop."""
+    values = dict(f.items())
+    for key, value in g.items():
+        values[key] = values.get(key, scalar_zero(f.q, f.mode)) + value
+    return type(f)(f.q, f.mode, values)
 
 
 def reference_neg(f):
-    return TreeFunction(f.q, f.mode, [(v, -value) for v, value in f.value_map().items()])
+    return type(f)(f.q, f.mode, [(key, -value) for key, value in f.items()])
 
 
 def reference_sub(f, g):
@@ -296,7 +297,7 @@ def reference_sub(f, g):
 
 
 def reference_scale(f, factor):
-    return TreeFunction(f.q, f.mode, [(v, value * factor) for v, value in f.value_map().items()])
+    return type(f)(f.q, f.mode, [(key, value * factor) for key, value in f.items()])
 
 
 def reference_radial_convolve(kernel, p):
@@ -326,7 +327,7 @@ def reference_radial_adjacency(p):
 
 def reference_radial_step(previous, current):
     weight = sqrt_q_power(current.q, -1, current.mode)
-    return reference_radial_adjacency(current).scale(weight) - previous
+    return reference_sub(reference_scale(reference_radial_adjacency(current), weight), previous)
 
 
 # -- data -----------------------------------------------------------------------
@@ -361,6 +362,18 @@ def surd_profile(q, rng, radius=2):
         b = Fraction(rng.choice((-1, 1, 2)), rng.choice((1, 5)))
         entries.append((m, QSurd(a, b, q)))
     return RadialProfile(q, EXACT, entries)
+
+
+def surd_heights(q, rng, radius):
+    """A height sequence with values a + b*sqrt(q), b != 0, mixed
+    denominators, on about two thirds of the heights -radius..radius."""
+    entries = []
+    for h in range(-radius, radius + 1):
+        if rng.random() < 0.7:
+            a = Fraction(rng.randint(-7, 7), rng.choice((1, 2, 3, 4)))
+            b = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 5, 7)))
+            entries.append((h, QSurd(a, b, q)))
+    return HeightSequence(q, EXACT, entries)
 
 
 def sparse_data(q, rng, depth, count=3):
@@ -734,6 +747,45 @@ def test_float_tree_function_arithmetic_is_bitwise_the_dictionaries(q):
         assert bits(-x) == bits(reference_neg(x))
         for factor in (0.5, -1 / 3, sqrt_q_power(q, -1, FLOAT), 0.0):
             assert bits(x.scale(factor)) == bits(reference_scale(x, factor))
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_profile_and_height_arithmetic_matches_dictionaries(q, mode):
+    rng = random.Random(f"levels:indexed-arithmetic:{q}:{mode.value}")
+    lone = QSurd(Fraction(1, 3), Fraction(-2, 5), q)
+    profiles = [surd_profile(q, rng, radius) for radius in (0, 2, 4)]
+    profiles.append(RadialProfile(q, EXACT, [(1, lone), (5, lone)]))
+    heights = [surd_heights(q, rng, radius) for radius in (0, 2, 3)]
+    heights.append(HeightSequence(q, EXACT, [(-4, lone), (2, lone)]))
+    factors = [
+        QSurd(Fraction(-3, 4), Fraction(5, 6), q),
+        QSurd(Fraction(2, 3), 0, q),
+        QSurd(0, Fraction(-1, 7), q),
+        QSurd(0, 0, q),
+    ]
+    if mode is FLOAT:
+        profiles = [p.as_float64() for p in profiles]
+        heights = [s.as_float64() for s in heights]
+        factors = [0.5, -1 / 3, sqrt_q_power(q, -1, FLOAT), 0.0]
+
+    def same(found, reference):
+        assert type(found) is type(reference) and found.mode is mode
+        return found == reference if mode is EXACT else radial_bits(found) == radial_bits(reference)
+
+    for family in (profiles, heights):
+        # cancels family[1] at every key but the one of the added delta
+        family.append(reference_add(reference_neg(family[1]), type(family[1]).delta(q, mode, 1)))
+        for x in family:
+            assert same(-x, reference_neg(x))
+            for factor in factors:
+                assert same(x.scale(factor), reference_scale(x, factor))
+            for y in family:
+                assert same(x + y, reference_add(x, y))
+                assert same(x - y, reference_sub(x, y))
+            assert not x - x and not x + (-x) and not x.scale(factors[-1])
+            assert x + type(x)(q, mode) == x
+        assert (family[1] + family[-1]).support() == {1}
 
 
 @pytest.mark.parametrize("q", QS)
