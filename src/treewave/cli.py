@@ -120,36 +120,27 @@ def _cmd_propagate(args) -> int:
     return 0
 
 
-def _cmd_energy(args) -> int:
+# subcommand -> (file name, what the table holds, writer(trajectory, config, path))
+_TABLES = {
+    "energy": ("energy.csv", "energy", lambda u, config, path: write_energy_table(u, path)),
+    "equipartition": (
+        "equipartition.csv",
+        "equipartition",
+        lambda u, config, path: write_equipartition_table(u, path),
+    ),
+    "huygens": ("huygens.csv", "shell concentration", write_huygens_table),
+}
+
+
+def _cmd_table(args) -> int:
+    file_name, label, write = _TABLES[args.command]
     config = _config_from_args(args)
     trajectory = _solve_single(config)
     out_dir = default_output_dir(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "energy.csv"
-    write_energy_table(trajectory, path)
-    print(f"energy table written to {path}")
-    return 0
-
-
-def _cmd_equipartition(args) -> int:
-    config = _config_from_args(args)
-    trajectory = _solve_single(config)
-    out_dir = default_output_dir(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "equipartition.csv"
-    write_equipartition_table(trajectory, path)
-    print(f"equipartition table written to {path}")
-    return 0
-
-
-def _cmd_huygens(args) -> int:
-    config = _config_from_args(args)
-    trajectory = _solve_single(config)
-    out_dir = default_output_dir(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "huygens.csv"
-    write_huygens_table(trajectory, config, path)
-    print(f"shell concentration table written to {path}")
+    path = out_dir / file_name
+    write(trajectory, config, path)
+    print(f"{label} table written to {path}")
     return 0
 
 
@@ -167,39 +158,23 @@ def _cmd_transforms(args) -> int:
             raise ConfigError(f"field 'q' must be an integer >= 2, got {args.q}")
         mode = ScalarMode("float64" if args.mode == "float" else args.mode)
         profile = RadialProfile.delta(args.q, mode)
-    out_dir = default_output_dir(str(args.out) if args.out else None)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     forward = abel(profile)
-    rows = [[str(h)] + _scalar_columns(value) for h, value in forward.items()]
-    _write_csv(out_dir / "abel.csv", ["h", "exact_value_a", "exact_value_b", "float_value"], rows)
-
-    recovered = abel_inverse(forward)
-    rows = [[str(n)] + _scalar_columns(value) for n, value in recovered.items()]
-    _write_csv(
-        out_dir / "abel_inverse.csv",
-        ["n", "exact_value_a", "exact_value_b", "float_value"],
-        rows,
-    )
-
     limit = max(profile.support_radius(), 0) + 2
     means = RadialProfile(
         profile.q, profile.mode, [(n, dual_abel(forward, n)) for n in range(limit + 1)]
     )
-    rows = [[str(n)] + _scalar_columns(means[n]) for n in range(limit + 1)]
-    _write_csv(
-        out_dir / "dual_abel.csv",
-        ["n", "exact_value_a", "exact_value_b", "float_value"],
-        rows,
-    )
-
-    reconstructed = dual_abel_inverse(means)
-    rows = [[str(h)] + _scalar_columns(value) for h, value in reconstructed.items()]
-    _write_csv(
-        out_dir / "dual_abel_inverse.csv",
-        ["h", "exact_value_a", "exact_value_b", "float_value"],
-        rows,
-    )
+    tables = [
+        ("abel", "h", forward.items()),
+        ("abel_inverse", "n", abel_inverse(forward).items()),
+        ("dual_abel", "n", [(n, means[n]) for n in range(limit + 1)]),
+        ("dual_abel_inverse", "h", dual_abel_inverse(means).items()),
+    ]
+    out_dir = default_output_dir(str(args.out) if args.out else None)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, index, entries in tables:
+        rows = [[str(key)] + _scalar_columns(value) for key, value in entries]
+        header = [index, "exact_value_a", "exact_value_b", "float_value"]
+        _write_csv(out_dir / f"{name}.csv", header, rows)
     print(f"transform tables written to {out_dir}")
     return 0
 
@@ -222,9 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, handler, blurb in [
         ("propagate", _cmd_propagate, "solve and write snapshots, energies, shells, manifest"),
-        ("energy", _cmd_energy, "solve and write the energy table"),
-        ("equipartition", _cmd_equipartition, "solve and write the gap table with its decay bound"),
-        ("huygens", _cmd_huygens, "solve and write interior shell sums"),
+        ("energy", _cmd_table, "solve and write the energy table"),
+        ("equipartition", _cmd_table, "solve and write the gap table with its decay bound"),
+        ("huygens", _cmd_table, "solve and write interior shell sums"),
     ]:
         p = sub.add_parser(name, help=blurb)
         _add_common(p)

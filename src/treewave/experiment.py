@@ -67,9 +67,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"field 'initial' must be an object with keys 'f' and 'g', got {self.initial!r}"
             )
-        if not isinstance(self.schedule, int) and self.schedule != "sqrt":
+        if self.schedule != "sqrt" and not (isinstance(self.schedule, int) and self.schedule >= 0):
             raise ConfigError(
-                f"field 'schedule' must be 'sqrt' or an integer margin, got {self.schedule!r}"
+                f"field 'schedule' must be 'sqrt' or an integer margin >= 0, got {self.schedule!r}"
             )
         return self
 

@@ -36,6 +36,18 @@ def random_tree_function(
     return TreeFunction(q, mode, entries)
 
 
+def random_data_pair(
+    q: int, radius: int, rng: random.Random, mode: ScalarMode = ScalarMode.EXACT
+) -> tuple[TreeFunction, TreeFunction]:
+    """Cauchy data (f, g) on Ball(radius), redrawn until both are nonzero so
+    that no check passes on vanishing data."""
+    while True:
+        f = random_tree_function(q, radius, rng, mode=mode)
+        g = random_tree_function(q, radius, rng, mode=mode)
+        if f and g:
+            return f, g
+
+
 def random_radial_profile(
     q: int,
     radius: int,

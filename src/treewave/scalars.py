@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isfinite, isqrt
 from typing import Union
 
 from .errors import ModeError, ParameterError
@@ -323,10 +323,6 @@ def scalar_zero(q: int, mode: ScalarMode) -> Scalar:
     return QSurd.zero(q) if mode is ScalarMode.EXACT else 0.0
 
 
-def scalar_one(q: int, mode: ScalarMode) -> Scalar:
-    return QSurd.one(q) if mode is ScalarMode.EXACT else 1.0
-
-
 def scalar_from_fraction(value: RationalLike, q: int, mode: ScalarMode) -> Scalar:
     if mode is ScalarMode.EXACT:
         return QSurd(value, 0, q)
@@ -355,7 +351,8 @@ def scalar_to_float(value: Scalar) -> float:
 
 
 def ensure_mode(value: Scalar, mode: ScalarMode, q: int) -> Scalar:
-    """Validate that a user-supplied value belongs to the computation mode."""
+    """Validate that a user-supplied value belongs to the computation mode;
+    float64 values must be finite."""
     if mode is ScalarMode.EXACT:
         if isinstance(value, QSurd):
             if value.q != q:
@@ -367,7 +364,10 @@ def ensure_mode(value: Scalar, mode: ScalarMode, q: int) -> Scalar:
         raise ModeError(f"exact computation cannot accept {type(value).__name__}")
     if isinstance(value, QSurd):
         raise ModeError("float64 computation cannot accept exact scalars")
-    return float(value)
+    value = float(value)
+    if not isfinite(value):
+        raise ParameterError(f"float64 values must be finite, got {value!r}")
+    return value
 
 
 def scalar_to_json(value: Scalar):

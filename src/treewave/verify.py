@@ -6,6 +6,13 @@ seeded generator, so the report bytes are reproducible for a fixed seed and
 configuration.  The negative control corrupts the recurrence weight and must
 make the conservation check fail; it guards against the suite going green by
 construction.
+
+Each statement is written once, here.  A check takes the q values and a
+generator, plus keyword parameters for its reach (|n| range, data radius,
+numbers of pairs or frequencies).  ``_SIZES`` holds the values of ``treewave
+verify --size small|standard``; the acceptance tests
+(``tests/test_acceptance.py``) call the same checks with larger pinned values
+and assert that they pass.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from .energy import (
     energies,
     equipartition_gap,
     gap_bound_constant,
+    huygens_report,
     kinetic_energy,
     potential_energy,
     propagation_bounds,
@@ -26,6 +34,7 @@ from .energy import (
     total_energy,
     total_energy_closed_form,
 )
+from .errors import ParameterError
 from .functions import RadialProfile, TreeFunction, radial_profile_of, spherical_mean
 from .laplacians import (
     gamma,
@@ -43,6 +52,7 @@ from .radial import (
     radial_solve,
 )
 from .sampling import (
+    random_data_pair,
     random_even_sequence,
     random_radial_profile,
     random_tree_function,
@@ -58,13 +68,35 @@ from .transforms import (
     fourier_height,
     sine_ratio_q,
 )
-from .wave import _leapfrog, adjacency_sum, asgeirsson_field, asgeirsson_verify, solve
+from .wave import (
+    WaveTrajectory,
+    _leapfrog,
+    adjacency_sum,
+    asgeirsson_field,
+    asgeirsson_verify,
+    solve,
+)
 
 EXACT = ScalarMode.EXACT
 
+# per size: check name -> the keyword arguments that differ between sizes;
+# keyed by name because the benchmark's tracer replaces the check functions
+# with wrappers that keep their names
 _SIZES = {
-    "small": {"oracle_n": 4, "energy_n": 5, "asgeirsson_pairs": 8, "lambda_samples": 40},
-    "standard": {"oracle_n": 6, "energy_n": 8, "asgeirsson_pairs": 20, "lambda_samples": 100},
+    "small": {
+        "check_mean_commutation": {"n_max": 4},
+        "check_oracle_equivalence": {"n_max": 4},
+        "check_energy_conservation": {"n_max": 5},
+        "check_asgeirsson": {"pairs": 8},
+        "check_multipliers": {"samples": 40},
+    },
+    "standard": {
+        "check_mean_commutation": {"n_max": 6},
+        "check_oracle_equivalence": {"n_max": 6},
+        "check_energy_conservation": {"n_max": 8},
+        "check_asgeirsson": {"pairs": 20},
+        "check_multipliers": {"samples": 100},
+    },
 }
 
 
@@ -75,11 +107,11 @@ class CheckResult:
     detail: str
 
 
-def _corrupted_solve(f: TreeFunction, g: TreeFunction, n_max: int) -> "object":
-    """Leapfrog with the recurrence weight 1/sqrt(q) scaled by 11/10: a test
-    fixture that must break conservation."""
-    from .wave import WaveTrajectory
-
+def _solve_recurrence(f: TreeFunction, g: TreeFunction, n_max: int, corrupt: bool = False):
+    """The leapfrog on |n| <= n_max; with ``corrupt`` the recurrence weight
+    1/sqrt(q) is scaled by 11/10, a fixture that must break conservation."""
+    if not corrupt:
+        return solve(f, g, n_max, solver="recurrence")
     q, mode = f.q, f.mode
     bad_weight = sqrt_q_power(q, -1, mode) * scalar_from_fraction(Fraction(11, 10), q, mode)
     half = scalar_from_fraction(Fraction(1, 2), q, mode)
@@ -94,7 +126,13 @@ def _corrupted_solve(f: TreeFunction, g: TreeFunction, n_max: int) -> "object":
     )
 
 
-def check_sphere_volumes(qs, rng, knobs) -> CheckResult:
+def _delta_instance(q: int, n_max: int):
+    """Radial leapfrog of the pinned instance u(., 0) = delta, u_t(., 0) = 0."""
+    delta, zero = RadialProfile.delta(q, EXACT), RadialProfile(q, EXACT)
+    return radial_solve(delta, zero, n_max, solver="recurrence")
+
+
+def check_sphere_volumes(qs, rng) -> CheckResult:
     for q in qs:
         ball = Ball(q, 5)
         for n in range(5):
@@ -111,7 +149,7 @@ def check_sphere_volumes(qs, rng, knobs) -> CheckResult:
     )
 
 
-def check_metric(qs, rng, knobs) -> CheckResult:
+def check_metric(qs, rng) -> CheckResult:
     from collections import deque
 
     for q in qs:
@@ -135,13 +173,15 @@ def check_metric(qs, rng, knobs) -> CheckResult:
     )
 
 
-def check_transform_closed_forms(qs, rng, knobs) -> CheckResult:
+def check_transform_closed_forms(
+    qs, rng, *, profile_radius: int = 5, sequence_radius: int = 4
+) -> CheckResult:
     for q in qs:
-        p = random_radial_profile(q, 5, rng)
+        p = random_radial_profile(q, profile_radius, rng)
         if abel(p, "brute") != abel(p, "closed"):
             return CheckResult("horocycle sums", False, f"forward disagrees at q={q}")
-        s = random_even_sequence(q, 4, rng)
-        for n in range(5):
+        s = random_even_sequence(q, sequence_radius, rng)
+        for n in range(sequence_radius + 1):
             if dual_abel(s, n, "brute") != dual_abel(s, n, "closed"):
                 return CheckResult("horocycle sums", False, f"dual disagrees at q={q} n={n}")
     return CheckResult(
@@ -152,17 +192,15 @@ def check_transform_closed_forms(qs, rng, knobs) -> CheckResult:
     )
 
 
-def check_transform_inversions(qs, rng, knobs) -> CheckResult:
+def check_transform_inversions(qs, rng) -> CheckResult:
     for q in qs:
         p = random_radial_profile(q, 6, rng)
         if abel_inverse(abel(p)) != p:
             return CheckResult("transform inversions", False, f"radial round trip q={q}")
         s = random_even_sequence(q, 6, rng)
-        radius = s.support_radius()
-        means = RadialProfile(
-            q, EXACT, [(n, dual_abel(s, n, "closed")) for n in range(radius + 1)]
-        )
-        if dual_abel_inverse(means) != s:
+        means = RadialProfile(q, EXACT, [(n, dual_abel(s, n, "closed")) for n in range(7)])
+        # up_to: trailing means can vanish while s(6) does not
+        if dual_abel_inverse(means, up_to=6) != s:
             return CheckResult("transform inversions", False, f"dual round trip q={q}")
     return CheckResult(
         "both transform inversions as exact round trips on random data",
@@ -171,7 +209,7 @@ def check_transform_inversions(qs, rng, knobs) -> CheckResult:
     )
 
 
-def check_duality_pairing(qs, rng, knobs) -> CheckResult:
+def check_duality_pairing(qs, rng) -> CheckResult:
     for q in qs:
         f = random_radial_profile(q, 4, rng)
         g = random_even_sequence(q, 5, rng)
@@ -190,7 +228,7 @@ def check_duality_pairing(qs, rng, knobs) -> CheckResult:
     )
 
 
-def check_laplacians(qs, rng, knobs) -> CheckResult:
+def check_laplacians(qs, rng) -> CheckResult:
     for q in qs:
         one = QSurd.one(q)
         for _ in range(5):
@@ -214,13 +252,13 @@ def check_laplacians(qs, rng, knobs) -> CheckResult:
     )
 
 
-def check_mean_commutation(qs, rng, knobs) -> CheckResult:
+def check_mean_commutation(qs, rng, *, n_max: int) -> CheckResult:
     for q in qs:
         f = random_tree_function(q, 2, rng)
         for x in (VertexAddress.origin(q), VertexAddress(q, (1,))):
             image = radial_laplacian(radial_profile_of(f, center=x))
             lf = laplacian_tree(f)
-            for n in range(knobs["oracle_n"]):
+            for n in range(n_max):
                 if spherical_mean(lf, x, n) != image[n]:
                     return CheckResult("spherical-mean commutation", False, f"q={q} n={n}")
     return CheckResult(
@@ -230,17 +268,20 @@ def check_mean_commutation(qs, rng, knobs) -> CheckResult:
     )
 
 
-def check_oracle_equivalence(qs, rng, knobs) -> CheckResult:
-    n_max = knobs["oracle_n"]
+def check_oracle_equivalence(
+    qs, rng, *, n_max: int, data_radius: int = 1, vertex_n: dict | None = None
+) -> CheckResult:
+    """Kernel tables for |n| <= n_max; vertex snapshots of random data on
+    Ball(data_radius) for |n| <= vertex_n[q] (n_max when not given)."""
     for q in qs:
         families = kernel_family_recurrence(q, n_max, EXACT)
         for n in range(-n_max, n_max + 1):
             if families[n] != propagator_kernels(q, n, EXACT):
                 return CheckResult("propagator oracle", False, f"kernel mismatch q={q} n={n}")
-        f = random_tree_function(q, 1, rng)
-        g = random_tree_function(q, 1, rng)
-        closed = solve(f, g, n_max, solver="closed")
-        leapfrog = solve(f, g, n_max, solver="recurrence")
+        f, g = random_data_pair(q, data_radius, rng)
+        reach = n_max if vertex_n is None else vertex_n[q]
+        closed = solve(f, g, reach, solver="closed")
+        leapfrog = solve(f, g, reach, solver="recurrence")
         for n in closed.n_values():
             if closed.snapshot(n) != leapfrog.snapshot(n):
                 return CheckResult("propagator oracle", False, f"vertex mismatch q={q} n={n}")
@@ -252,15 +293,12 @@ def check_oracle_equivalence(qs, rng, knobs) -> CheckResult:
     )
 
 
-def check_energy_conservation(qs, rng, knobs, corrupt=False) -> CheckResult:
-    n_max = knobs["energy_n"]
+def check_energy_conservation(qs, rng, *, n_max: int, corrupt: bool = False) -> CheckResult:
+    """Energies at every interior time of |n| <= n_max, plus the pinned delta
+    instance at q = 2, whose total is 5/16."""
     for q in qs:
-        f = random_tree_function(q, 1, rng)
-        g = random_tree_function(q, 1, rng)
-        if corrupt:
-            trajectory = _corrupted_solve(f, g, n_max)
-        else:
-            trajectory = solve(f, g, n_max, solver="recurrence")
+        f, g = random_data_pair(q, 1, rng)
+        trajectory = _solve_recurrence(f, g, n_max, corrupt)
         reference, reports = total_energy(trajectory)
         for report in reports:
             if report.total != reference:
@@ -273,6 +311,11 @@ def check_energy_conservation(qs, rng, knobs, corrupt=False) -> CheckResult:
             return CheckResult("energy conservation", False, f"closed form q={q}")
         if energies(trajectory, 0).potential.sign() < 0:
             return CheckResult("energy conservation", False, f"negative potential q={q}")
+    delta, zero = TreeFunction.delta(2, EXACT), TreeFunction.zero(2, EXACT)
+    pinned = QSurd(Fraction(5, 16), 0, 2)
+    _, reports = total_energy(_solve_recurrence(delta, zero, 4, corrupt))
+    if total_energy_closed_form(delta, zero) != pinned or any(r.total != pinned for r in reports):
+        return CheckResult("energy conservation", False, "delta instance E != 5/16")
     return CheckResult(
         "energy conservation (exact) and the closed-form total in the data",
         True,
@@ -280,24 +323,24 @@ def check_energy_conservation(qs, rng, knobs, corrupt=False) -> CheckResult:
     )
 
 
-def check_equipartition(qs, rng, knobs) -> CheckResult:
+def check_equipartition(qs, rng, *, decay_n: int = 5) -> CheckResult:
+    """Both gap routes at |n| <= 2 and the decay bound at 1 <= |n| <= decay_n
+    on random data; the pinned delta sequence -2^(-n-5) for 2 <= n <= 10."""
     for q in qs:
-        f = random_tree_function(q, 1, rng)
-        g = random_tree_function(q, 1, rng)
-        trajectory = solve(f, g, 6, solver="recurrence")
+        f, g = random_data_pair(q, 1, rng)
+        trajectory = solve(f, g, decay_n + 1, solver="recurrence")
         bound = gap_bound_constant(f, g)
         for n in (-2, -1, 0, 1, 2):
             direct, operator_route = equipartition_gap(trajectory, n)
             if direct != operator_route:
                 return CheckResult("equipartition", False, f"route mismatch q={q} n={n}")
-        for n in range(-5, 6):
+        for n in range(-decay_n, decay_n + 1):
             if n == 0:
                 continue
             direct = kinetic_energy(trajectory, n) - potential_energy(trajectory, n, "pair")
             if abs(direct) * sqrt_q_power(q, 2 * abs(n), EXACT) > bound:
                 return CheckResult("equipartition", False, f"decay bound q={q} n={n}")
-    # pinned delta-instance sequence at q=2
-    radial = radial_solve(RadialProfile.delta(2, EXACT), RadialProfile(2, EXACT), 11)
+    radial = _delta_instance(2, 11)
     for n in range(2, 11):
         direct, operator_route = radial_equipartition_gap(radial, n)
         if direct != operator_route or direct != QSurd(Fraction(-1, 2 ** (n + 5)), 0, 2):
@@ -310,24 +353,23 @@ def check_equipartition(qs, rng, knobs) -> CheckResult:
     )
 
 
-def check_propagation(qs, rng, knobs) -> CheckResult:
+def check_propagation(
+    qs, rng, *, n_max: int = 4, data_radius: int = 1, delta_n: int = 8
+) -> CheckResult:
+    """The light cone for random data on Ball(data_radius) at |n| <= n_max;
+    for the delta instance at |n| <= delta_n, support radius exactly |n| and
+    the q^(|n|/2)-scaled peak exactly (q-1)/2 once |n| >= 2."""
     for q in qs:
-        f = random_tree_function(q, 1, rng)
-        g = random_tree_function(q, 1, rng)
-        trajectory = solve(f, g, 4, solver="recurrence")
-        report = propagation_bounds(trajectory)
-        if not report.within_cone:
+        f, g = random_data_pair(q, data_radius, rng)
+        if not propagation_bounds(solve(f, g, n_max, solver="recurrence")).within_cone:
             return CheckResult("finite propagation speed", False, f"cone violated q={q}")
-        delta_trajectory = radial_solve(
-            RadialProfile.delta(q, EXACT), RadialProfile(q, EXACT), 8
-        )
+        delta_trajectory = _delta_instance(q, delta_n)
         half_of = scalar_from_fraction(Fraction(q - 1, 2), q, EXACT)
-        for n in range(2, 9):
+        for n in delta_trajectory.n_values():
             state = delta_trajectory.snapshot(n)
-            if state.support_radius() != n:
+            if state.support_radius() != abs(n):
                 return CheckResult("finite propagation speed", False, f"support q={q} n={n}")
-            peak = max(abs(v) for _, v in state.items())
-            if peak * sqrt_q_power(q, n, EXACT) != half_of:
+            if abs(n) >= 2 and state.max_abs() * sqrt_q_power(q, abs(n), EXACT) != half_of:
                 return CheckResult("finite propagation speed", False, f"amplitude q={q} n={n}")
     return CheckResult(
         "finite propagation speed (support in the light cone, exactly) and "
@@ -337,11 +379,11 @@ def check_propagation(qs, rng, knobs) -> CheckResult:
     )
 
 
-def check_asgeirsson(qs, rng, knobs) -> CheckResult:
-    pairs = knobs["asgeirsson_pairs"]
+def check_asgeirsson(qs, rng, *, pairs: int) -> CheckResult:
+    """At the first q only: the hypothesis and the double-sphere sums for
+    radii m, n <= 4 at random base pairs x, y with d(x, y) <= 2."""
     q = qs[0]
-    f = random_tree_function(q, 1, rng)
-    g = random_tree_function(q, 1, rng)
+    f, g = random_data_pair(q, 1, rng)
     trajectory = solve(f, g, 8, solver="recurrence")
     field = asgeirsson_field(trajectory, Ball(q, 8))
     base = list(Ball(q, 2))
@@ -364,8 +406,9 @@ def check_asgeirsson(qs, rng, knobs) -> CheckResult:
     )
 
 
-def check_multipliers(qs, rng, knobs) -> CheckResult:
-    samples = knobs["lambda_samples"]
+def check_multipliers(qs, rng, *, samples: int) -> CheckResult:
+    """At the first q only: C_n and S_n for n <= 6 against cos_q and the sine
+    ratio at ``samples`` frequencies, within 1e-10."""
     q = qs[0]
     p = random_radial_profile(q, 3, rng)
     base = abel(p).as_float64()
@@ -390,18 +433,37 @@ def check_multipliers(qs, rng, knobs) -> CheckResult:
     )
 
 
-def check_huygens(qs, rng, knobs) -> CheckResult:
-    trajectory = radial_solve(RadialProfile.delta(2, EXACT), RadialProfile(2, EXACT), 26)
+def check_huygens(qs, rng) -> CheckResult:
+    """The delta instance at q = 2 (``qs`` is not used).
+
+    The pinned reference interior_mass(6, margin 2) = 7/256 must hold on the
+    radial route and equal the vertex-level sums.  A strict decrease of each
+    interior sum cannot hold for this instance: the gradient sum vanishes
+    identically and the mass alternates with time parity.  So the statement
+    is a strict decrease of the combined interior content along the times
+    4, 9, 16, 25, a zero gradient sum at each, and a per-sum decrease along
+    the same-parity pairs (4, 16) and (9, 25).
+    """
+    trajectory = _delta_instance(2, 26)
     reference = radial_huygens_report(trajectory, 6, 2)
     if reference.interior_mass != QSurd(Fraction(7, 256), 0, 2):
         return CheckResult("huygens concentration", False, "pinned interior mass")
-    totals = []
-    for n in (4, 9, 16, 25):
-        report = radial_huygens_report(trajectory, n)
-        totals.append(report.interior_mass + report.interior_gradient + report.interior_kinetic)
+    vertex = solve(TreeFunction.delta(2, EXACT), TreeFunction.zero(2, EXACT), 7, "recurrence")
+    if huygens_report(vertex, 6, 2) != reference:
+        return CheckResult("huygens concentration", False, "vertex and radial sums differ")
+    reports = {n: radial_huygens_report(trajectory, n) for n in (4, 9, 16, 25)}
+    if not all(r.interior_gradient.is_zero() for r in reports.values()):
+        return CheckResult("huygens concentration", False, "interior gradient sum nonzero")
+    totals = [r.interior_mass + r.interior_gradient + r.interior_kinetic for r in reports.values()]
     for earlier, later in zip(totals, totals[1:]):
         if not later < earlier:
             return CheckResult("huygens concentration", False, "combined content grew")
+    for earlier, later in ((reports[4], reports[16]), (reports[9], reports[25])):
+        if not (
+            later.interior_mass < earlier.interior_mass
+            and later.interior_kinetic < earlier.interior_kinetic
+        ):
+            return CheckResult("huygens concentration", False, "same-parity sums grew")
     return CheckResult(
         "energy concentrates in the light-cone shell: combined interior "
         "content strictly decreasing on the square-root schedule",
@@ -441,8 +503,7 @@ def run_verification(
     deliberately corrupted recurrence weight and must fail.
     """
     if size not in _SIZES:
-        raise ValueError(f"size must be one of {sorted(_SIZES)}, got {size!r}")
-    knobs = _SIZES[size]
+        raise ParameterError(f"field 'size' must be one of {sorted(_SIZES)}, got {size!r}")
     qs = tuple(qs)
     lines = [
         "verification report",
@@ -451,12 +512,13 @@ def run_verification(
     ]
     all_passed = True
     for check in _CHECKS:
+        name = check.__name__
         # string seeding hashes stably across processes (unlike tuple hashing)
-        rng = random.Random(f"{seed}:{check.__name__}")
-        if check is check_energy_conservation:
-            result = check(qs, rng, knobs, corrupt=negative_control)
-        else:
-            result = check(qs, rng, knobs)
+        rng = random.Random(f"{seed}:{name}")
+        params = dict(_SIZES[size].get(name, {}))
+        if name == "check_energy_conservation":
+            params["corrupt"] = negative_control
+        result = check(qs, rng, **params)
         all_passed = all_passed and result.passed
         status = "PASS" if result.passed else "FAIL"
         lines.append(f"{status} {result.name} [{result.detail}]")

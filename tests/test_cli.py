@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from treewave.cli import main
-from treewave.errors import ConfigError, TruncationError
+from treewave.errors import ConfigError, ParameterError, TruncationError
 from treewave.experiment import ExperimentConfig, resolve_initial_data, run_experiment
 from treewave.functions import RadialProfile, TreeFunction
 from treewave.scalars import QSurd, ScalarMode
 from treewave.topology import VertexAddress
+from treewave.verify import run_verification
 
 
 def test_experiment_manifest_counts_and_agreement(tmp_path):
@@ -37,6 +38,8 @@ def test_invalid_config_names_field():
         ExperimentConfig(solver="magic").validated()
     with pytest.raises(ConfigError, match="'schedule'"):
         ExperimentConfig(schedule="linear").validated()
+    with pytest.raises(ConfigError, match="'schedule'"):
+        ExperimentConfig(schedule=-1).validated()
 
 
 def test_energy_column_is_constant_five_sixteenths(tmp_path):
@@ -225,6 +228,35 @@ def test_cli_propagate_initial_rejects_non_integer_q(tmp_path, capsys):
     f = TreeFunction.delta(2, ScalarMode.EXACT).to_json()
     initial = _write_json(tmp_path / "f.json", {"f": {**f, "q": 2.5}})
     _fails_closed(["propagate", "--initial", initial, "--out", str(tmp_path / "run")], "q", capsys)
+
+
+def test_cli_propagate_initial_rejects_non_finite_float64(tmp_path, capsys):
+    f = TreeFunction.delta(2, ScalarMode.FLOAT64).to_json()
+    f["entries"][0]["value"] = float("nan")
+    initial = _write_json(tmp_path / "f.json", {"f": f})
+    out = tmp_path / "run"
+    _fails_closed(
+        ["propagate", "--mode", "float", "--initial", initial, "--out", str(out)], "initial", capsys
+    )
+    assert not out.exists()
+
+
+def test_cli_negative_schedule_fails_before_any_output(tmp_path, capsys):
+    out = tmp_path / "run"
+    _fails_closed(["propagate", "--schedule", "-1", "--out", str(out)], "schedule", capsys)
+    assert not out.exists()
+
+
+def test_verification_rejects_an_unknown_size():
+    with pytest.raises(ParameterError, match="'size'"):
+        run_verification(size="huge")
+
+
+def test_cli_verify_passes_where_trailing_sphere_means_vanish(capsys):
+    # seed 6 draws a height sequence whose sphere mean at radius 6 vanishes
+    # while s(6) does not; the dual inversion must still round-trip
+    assert main(["verify", "--q", "2,3", "--seed", "6", "--size", "small"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_cli_transforms_initial_keeps_the_profile_mode(tmp_path, capsys):

@@ -192,3 +192,17 @@ def test_containers_of_different_types_do_not_mix():
         p + s
     with pytest.raises(TypeError):
         s - p
+
+
+@pytest.mark.parametrize("cls", [RadialProfile, HeightSequence, TreeFunction])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_float64_values_are_rejected(cls, bad):
+    delta = cls.delta(2, ScalarMode.FLOAT64)
+    with pytest.raises(ParameterError, match="finite"):
+        cls(2, ScalarMode.FLOAT64, [(key, bad) for key, _ in delta.items()])
+    blob = delta.to_json()
+    blob["entries"][0]["value"] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        cls.from_json(blob)
+    with pytest.raises(ParameterError, match="finite"):
+        delta.scale(bad)

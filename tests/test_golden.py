@@ -1,5 +1,5 @@
-"""Byte-identical outputs: SHA-256 pins of the command-line report and the
-experiment files.
+"""Byte-identical outputs: SHA-256 pins of the command-line verify reports
+(small and standard size, and the negative control) and the experiment files.
 
 The pins were computed before the vertex, radial and float64 sums moved
 onto the packed level core, so any change in an exact value, in a float64
@@ -17,7 +17,24 @@ import pytest
 from treewave.cli import main
 from treewave.experiment import ExperimentConfig, run_experiment
 
-VERIFY_SMALL_2_3 = "e8a9e9e4a6a40152dde64704903a0714d6739f5ba63aa579f95ad1032110e4e5"
+# (argv, exit code, SHA-256 of stdout) for every verify report that is pinned
+VERIFY_REPORTS = [
+    (
+        ["--q", "2,3", "--seed", "0", "--size", "small"],
+        0,
+        "e8a9e9e4a6a40152dde64704903a0714d6739f5ba63aa579f95ad1032110e4e5",
+    ),
+    (
+        ["--q", "2,3", "--seed", "0"],
+        0,
+        "536f0bc7267f00f9dd857be7e970295b4d8f5d65f74597fa977f4565e5f4ff76",
+    ),
+    (
+        ["--q", "2", "--seed", "0", "--size", "small", "--negative-control"],
+        1,
+        "ce6fcef9dc33915c3561511f84de5d0e5da9471768c9946a916eff13324be246",
+    ),
+]
 
 EXACT_FILES = {
     2: "ad3ee0abc0390fe05606ac75b5fb34f29d1d88e975cf254c37e9a4a18333d13a",
@@ -64,8 +81,9 @@ def _experiment(tmp_path, q, mode, solver):
 
 
 def test_verify_report_bytes(capsys):
-    assert main(["verify", "--q", "2,3", "--seed", "0", "--size", "small"]) == 0
-    assert _sha256(capsys.readouterr().out.encode("utf-8")) == VERIFY_SMALL_2_3
+    for argv, code, digest in VERIFY_REPORTS:
+        assert main(["verify", *argv]) == code
+        assert _sha256(capsys.readouterr().out.encode("utf-8")) == digest, argv
 
 
 @pytest.mark.parametrize("q", (2, 3))
