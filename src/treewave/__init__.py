@@ -28,7 +28,6 @@ from .laplacians import (
     gamma_tilde,
     laplacian_line,
     laplacian_tree,
-    radial_laplacian,
     rayleigh_quotient,
     tau,
     two_step_laplacian,
@@ -45,19 +44,14 @@ from .energy import (
     kinetic_energy,
     potential_energy,
     propagation_bounds,
-    radial_energies,
     radial_equipartition_gap,
-    radial_huygens_report,
-    radial_propagation_bounds,
     radial_total_energy,
     total_energy,
     total_energy_closed_form,
 )
 from .experiment import ExperimentConfig, run_experiment
 from .radial import (
-    RadialTrajectory,
     distance_count,
-    distance_counts,
     evaluate_kernel_solution,
     kernel_family_recurrence,
     m_kernel,
@@ -83,8 +77,10 @@ from .wave import (
     WaveTrajectory,
     asgeirsson_field,
     asgeirsson_verify,
+    c_operator,
     m_operator,
     propagators,
+    s_operator,
     solve,
     step_recurrence,
 )

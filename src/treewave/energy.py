@@ -22,20 +22,19 @@ providing an independent route to the same number.  Every global sum is
 finite because snapshots have finite support; no truncation tolerance is
 ever introduced.
 
-Each quantity is written once.  The sums themselves (kinetic energy, mass,
-the pair sum, inner products and the Huygens interior sums) run in
-``treewave.levels`` on a snapshot's packed form, in either scalar mode.  The
-vertex functions and their ``radial_*`` twins share one private body each
-and differ only in what the layout must supply: the two-step image (Adj^2 -
-(q+1) I on vertex levels, the distance-2 counts on profiles) and, for the
-gap, the operators C_k and S_k (``m_operator`` on vertex data, propagator
-kernels through ``radial_convolve`` on profiles).  Both operator routes run
-packed as well: ``m_operator`` adds each data value to the geodesic index
-ranges of its spheres, ``TreeFunction`` sums and scaling combine packed
-forms, and ``radial_convolve`` accumulates integer pairs; none of them takes
-a neighbour sum, so the operator side of the gap stays independent of the
-leapfrog.  Profiles carry one entry per radius weighted by the sphere
-volume, which keeps large |n| reachable for radial data.
+Each quantity is written once, for a trajectory of vertex functions or of
+radial profiles alike.  The sums themselves (kinetic energy, mass, the pair
+sum, inner products and the Huygens interior sums) run in
+``treewave.levels`` on a snapshot's packed form, in either scalar mode; the
+layout supplies the weights, the distance-2 pairs and the neighbour sum of
+the two-step image Adj^2 - (q+1) I.  The operator side of the gap applies
+C_k and S_k through ``treewave.wave`` (``m_operator`` adds each vertex value
+to the geodesic index ranges of its spheres and convolves a profile with
+the M_n kernel); none of it takes a neighbour sum, so it stays independent
+of the leapfrog.  Profiles carry one entry per radius weighted by the
+sphere volume, which keeps large |n| reachable for radial data.  The
+``radial_*`` functions are the same quantities under the names the
+benchmark traces.
 """
 
 from __future__ import annotations
@@ -45,17 +44,10 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import ConsistencyError, ParameterError
-from .functions import RadialProfile, TreeFunction
+from .functions import TreeFunction
 from .laplacians import gamma_tilde, two_step_laplacian
-from .radial import RadialTrajectory, distance_counts, propagator_kernels, radial_convolve
-from .scalars import (
-    Scalar,
-    ScalarMode,
-    scalar_from_fraction,
-    scalar_zero,
-    sqrt_q_power,
-)
-from .wave import WaveTrajectory, m_operator
+from .scalars import Scalar, ScalarMode, scalar_from_fraction, sqrt_q_power
+from .wave import WaveTrajectory, c_operator, s_operator
 
 
 @dataclass(frozen=True)
@@ -97,23 +89,28 @@ class PropagationReport:
 # supplies the layout's weights and distance-2 pairs.
 
 
-def _kinetic(u, n: int) -> Scalar:
+def kinetic_energy(u: WaveTrajectory, n: int) -> Scalar:
     return u.snapshot(n + 1)._as_levels().kinetic(u.snapshot(n - 1)._as_levels())
 
 
-def _two_step_energy(state, image) -> Scalar:
-    """((q+1)/8) <(Lt - gamma_tilde) u, u> from u and its image Lt u."""
+def _potential_pair(state) -> Scalar:
+    return state._as_levels().potential_pair()
+
+
+def _potential_two_step(state) -> Scalar:
+    """((q+1)/8) <(Lt - gamma_tilde) u, u> with the image Lt u."""
     q, mode = state.q, state.mode
     levels = state._as_levels()
+    image = two_step_laplacian(state)._as_levels()
     weight = scalar_from_fraction(Fraction(q + 1, 8), q, mode)
-    return (image._as_levels().dot(levels) - gamma_tilde(q, mode) * levels.dot(levels)) * weight
+    return (image.dot(levels) - gamma_tilde(q, mode) * levels.dot(levels)) * weight
 
 
-def _potential(u, n: int, route: str, pair, two_step) -> Scalar:
+def potential_energy(u: WaveTrajectory, n: int, route: str = "pair") -> Scalar:
     if route == "pair":
-        return pair(u.snapshot(n), u.q, u.mode)
+        return _potential_pair(u.snapshot(n))
     if route == "two_step":
-        return two_step(u.snapshot(n), u.q, u.mode)
+        return _potential_two_step(u.snapshot(n))
     raise ParameterError(f"route must be 'pair' or 'two_step', got {route!r}")
 
 
@@ -122,11 +119,13 @@ def _report(n: int, kinetic: Scalar, potential: Scalar) -> EnergyReport:
     return EnergyReport(n=n, kinetic=kinetic, potential=potential, total=total, gap=gap)
 
 
-def _energies(u, n: int, kinetic, potential) -> EnergyReport:
-    pair = potential(u, n, "pair")
-    if u.mode is ScalarMode.EXACT and pair != potential(u, n, "two_step"):
+def energies(u: WaveTrajectory, n: int) -> EnergyReport:
+    """Energy report at time n; in exact mode the two potential routes are
+    required to agree identically."""
+    pair = potential_energy(u, n, "pair")
+    if u.mode is ScalarMode.EXACT and pair != potential_energy(u, n, "two_step"):
         raise ConsistencyError(f"pair-sum and 2-step potential energies disagree at n={n}")
-    return _report(n, kinetic(u, n), pair)
+    return _report(n, kinetic_energy(u, n), pair)
 
 
 def _energy_table(u, n_values, kinetic, potential) -> tuple[Scalar, list[EnergyReport]]:
@@ -137,80 +136,6 @@ def _energy_table(u, n_values, kinetic, potential) -> tuple[Scalar, list[EnergyR
     reports = [_report(n, kinetic(u, n), potential(u, n, "pair")) for n in n_values]
     reference = min(reports, key=lambda r: abs(r.n)).total
     return reference, reports
-
-
-def _gap(u, n: int, kinetic, potential, cosine, sine) -> tuple[Scalar, Scalar]:
-    """Direct K(n) - P(n) and the operator pairings in the initial data;
-    ``cosine(k, v)`` and ``sine(k, v)`` apply C_k and S_k in the layout."""
-    direct = kinetic(u, n) - potential(u, n, "pair")
-    q, mode = u.q, u.mode
-    quarter = scalar_from_fraction(Fraction(1, 4), q, mode)
-    half = scalar_from_fraction(Fraction(1, 2), q, mode)
-    f, g = u.f, u.g
-
-    def pairing(x, y) -> Scalar:
-        return x._as_levels().dot(y._as_levels())
-
-    c2n_f = cosine(2 * abs(n), f)
-    term_f = pairing(c2n_f - cosine(2, c2n_f), f) * quarter
-    term_g = pairing(cosine(2 * abs(n), g), g) * half
-    term_cross = pairing(sine(2 * n, f), g - cosine(2, g)) * half
-    return direct, -term_f + term_g - term_cross
-
-
-def _huygens(u, n: int, shell_margin: int | None) -> HuygensReport:
-    margin = default_shell_margin(n) if shell_margin is None else shell_margin
-    if margin < 0:
-        raise ParameterError("shell margin must be >= 0")
-    mass, gradient, kinetic = u.snapshot(n)._as_levels().huygens_sums(
-        u.snapshot(n + 1)._as_levels(), u.snapshot(n - 1)._as_levels(), abs(n) - margin
-    )
-    return HuygensReport(
-        n=n,
-        shell_margin=margin,
-        interior_mass=mass,
-        interior_gradient=gradient,
-        interior_kinetic=kinetic,
-    )
-
-
-def _propagation(u) -> PropagationReport:
-    data_radius = u.data_radius()
-    rows = []
-    within = True
-    for n in u.n_values():
-        state = u.snapshot(n)
-        radius = state.support_radius()
-        scaled = state.max_abs() * sqrt_q_power(u.q, abs(n), u.mode)
-        rows.append(PropagationRow(n=n, support_radius=radius, scaled_amplitude=scaled))
-        if radius > abs(n) + data_radius:
-            within = False
-    return PropagationReport(data_radius=data_radius, rows=rows, within_cone=within)
-
-
-# -- vertex snapshots ------------------------------------------------------------
-
-
-def kinetic_energy(u: WaveTrajectory, n: int) -> Scalar:
-    return _kinetic(u, n)
-
-
-def potential_energy(u: WaveTrajectory, n: int, route: str = "pair") -> Scalar:
-    return _potential(u, n, route, _potential_pair, _potential_two_step)
-
-
-def _potential_pair(state: TreeFunction, q: int, mode: ScalarMode) -> Scalar:
-    return state._as_levels().potential_pair()
-
-
-def _potential_two_step(state: TreeFunction, q: int, mode: ScalarMode) -> Scalar:
-    return _two_step_energy(state, two_step_laplacian(state))
-
-
-def energies(u: WaveTrajectory, n: int) -> EnergyReport:
-    """Energy report at time n; in exact mode the two potential routes are
-    required to agree identically."""
-    return _energies(u, n, kinetic_energy, potential_energy)
 
 
 def total_energy(u: WaveTrajectory, n_values=None) -> tuple[Scalar, list[EnergyReport]]:
@@ -226,31 +151,32 @@ def total_energy_closed_form(f: TreeFunction, g: TreeFunction) -> Scalar:
     q, mode = f.q, f.mode
     half = scalar_from_fraction(Fraction(1, 2), q, mode)
     quarter = scalar_from_fraction(Fraction(1, 4), q, mode)
-    c2f = (m_operator(2, f) - f).scale(half)
-    return (f - c2f).dot(f) * quarter + g.dot(g) * half
+    return (f - c_operator(2, f)).dot(f) * quarter + g.dot(g) * half
 
 
-def _apply_cosine(order: int, f: TreeFunction) -> TreeFunction:
-    # C_k for even k >= 0
-    if order == 0:
-        return f
-    half = scalar_from_fraction(Fraction(1, 2), f.q, f.mode)
-    return (m_operator(order, f) - m_operator(order - 2, f)).scale(half)
+def _gap(u, n: int, kinetic, potential) -> tuple[Scalar, Scalar]:
+    """Direct K(n) - P(n) and the operator pairings in the initial data."""
+    direct = kinetic(u, n) - potential(u, n, "pair")
+    q, mode = u.q, u.mode
+    quarter = scalar_from_fraction(Fraction(1, 4), q, mode)
+    half = scalar_from_fraction(Fraction(1, 2), q, mode)
+    f, g = u.f, u.g
 
+    def pairing(x, y) -> Scalar:
+        return x._as_levels().dot(y._as_levels())
 
-def _apply_sine(order: int, f: TreeFunction) -> TreeFunction:
-    # S_k, sign included
-    if order == 0:
-        return TreeFunction.zero(f.q, f.mode)
-    out = m_operator(abs(order) - 1, f)
-    return -out if order < 0 else out
+    c2n_f = c_operator(2 * abs(n), f)
+    term_f = pairing(c2n_f - c_operator(2, c2n_f), f) * quarter
+    term_g = pairing(c_operator(2 * abs(n), g), g) * half
+    term_cross = pairing(s_operator(2 * n, f), g - c_operator(2, g)) * half
+    return direct, -term_f + term_g - term_cross
 
 
 def equipartition_gap(u: WaveTrajectory, n: int) -> tuple[Scalar, Scalar]:
     """The gap K(n) - P(n) via direct energy sums and via the operator
     pairings in the initial data (through ``m_operator``); exact mode makes
     both identical."""
-    return _gap(u, n, kinetic_energy, potential_energy, _apply_cosine, _apply_sine)
+    return _gap(u, n, kinetic_energy, potential_energy)
 
 
 def gap_bound_constant(f: TreeFunction, g: TreeFunction) -> Scalar:
@@ -278,70 +204,51 @@ def huygens_report(u: WaveTrajectory, n: int, shell_margin: int | None = None) -
     """The three interior sums over {|x| < |n| - margin}: squared amplitude,
     squared distance-2 differences (ordered pairs, both endpoints interior)
     and squared centered time differences."""
-    return _huygens(u, n, shell_margin)
+    margin = default_shell_margin(n) if shell_margin is None else shell_margin
+    if margin < 0:
+        raise ParameterError("shell margin must be >= 0")
+    mass, gradient, kinetic = u.snapshot(n)._as_levels().huygens_sums(
+        u.snapshot(n + 1)._as_levels(), u.snapshot(n - 1)._as_levels(), abs(n) - margin
+    )
+    return HuygensReport(
+        n=n,
+        shell_margin=margin,
+        interior_mass=mass,
+        interior_gradient=gradient,
+        interior_kinetic=kinetic,
+    )
 
 
 def propagation_bounds(u: WaveTrajectory) -> PropagationReport:
     """Measured support radius and q^(|n|/2)-scaled amplitude per time, with
     the exact light-cone check supp u(., n) inside the ball |n| + N."""
-    return _propagation(u)
+    data_radius = u.data_radius()
+    rows = []
+    within = True
+    for n in u.n_values():
+        state = u.snapshot(n)
+        radius = state.support_radius()
+        scaled = state.max_abs() * sqrt_q_power(u.q, abs(n), u.mode)
+        rows.append(PropagationRow(n=n, support_radius=radius, scaled_amplitude=scaled))
+        if radius > abs(n) + data_radius:
+            within = False
+    return PropagationReport(data_radius=data_radius, rows=rows, within_cone=within)
 
 
-# -- radial profiles ---------------------------------------------------------------
+# -- the names the benchmark traces on radial trajectories ------------------------
 
 
-def radial_kinetic_energy(u: RadialTrajectory, n: int) -> Scalar:
-    return _kinetic(u, n)
+def radial_kinetic_energy(u: WaveTrajectory, n: int) -> Scalar:
+    return kinetic_energy(u, n)
 
 
-def _radial_potential_pair(state: RadialProfile, q: int, mode: ScalarMode) -> Scalar:
-    return state._as_levels().potential_pair()
+def radial_potential_energy(u: WaveTrajectory, n: int, route: str = "pair") -> Scalar:
+    return potential_energy(u, n, route)
 
 
-def _radial_potential_two_step(state: RadialProfile, q: int, mode: ScalarMode) -> Scalar:
-    """The two-step route with Lt applied through the distance-2 counts."""
-    zero = scalar_zero(q, mode)
-    weight = scalar_from_fraction(Fraction(1, q * (q + 1)), q, mode)
-    image = {}
-    for m in range(state.support_radius() + 3):
-        neighbour_sum = zero
-        for r, count in distance_counts(q, m, 2).items():
-            neighbour_sum = neighbour_sum + state[r] * scalar_from_fraction(count, q, mode)
-        image[m] = state[m] - neighbour_sum * weight
-    return _two_step_energy(state, RadialProfile(q, mode, image))
-
-
-def radial_potential_energy(u: RadialTrajectory, n: int, route: str = "pair") -> Scalar:
-    return _potential(u, n, route, _radial_potential_pair, _radial_potential_two_step)
-
-
-def radial_energies(u: RadialTrajectory, n: int) -> EnergyReport:
-    return _energies(u, n, radial_kinetic_energy, radial_potential_energy)
-
-
-def radial_total_energy(u: RadialTrajectory, n_values=None) -> tuple[Scalar, list[EnergyReport]]:
+def radial_total_energy(u: WaveTrajectory, n_values=None) -> tuple[Scalar, list[EnergyReport]]:
     return _energy_table(u, n_values, radial_kinetic_energy, radial_potential_energy)
 
 
-def radial_equipartition_gap(u: RadialTrajectory, n: int) -> tuple[Scalar, Scalar]:
-    """Same two routes as the vertex-level gap, with the operators applied
-    as radial convolutions by the propagator kernels."""
-    q, mode = u.q, u.mode
-
-    def cosine(order: int, p: RadialProfile) -> RadialProfile:
-        return radial_convolve(propagator_kernels(q, order, mode)[0], p)
-
-    def sine(order: int, p: RadialProfile) -> RadialProfile:
-        return radial_convolve(propagator_kernels(q, order, mode)[1], p)
-
-    return _gap(u, n, radial_kinetic_energy, radial_potential_energy, cosine, sine)
-
-
-def radial_huygens_report(
-    u: RadialTrajectory, n: int, shell_margin: int | None = None
-) -> HuygensReport:
-    return _huygens(u, n, shell_margin)
-
-
-def radial_propagation_bounds(u: RadialTrajectory) -> PropagationReport:
-    return _propagation(u)
+def radial_equipartition_gap(u: WaveTrajectory, n: int) -> tuple[Scalar, Scalar]:
+    return _gap(u, n, radial_kinetic_energy, radial_potential_energy)

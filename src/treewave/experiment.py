@@ -38,6 +38,11 @@ from .topology import Ball
 from .wave import WaveTrajectory, solve
 
 _SOLVERS = ("closed", "recurrence", "both")
+# the operator route applies M_2 to C_{2|n|} f, which fills the ball of
+# radius 2|n| + 2 + (data radius): its cost grows like q^(2|n|), so it is
+# emitted only for |n| <= _OPERATOR_LIMIT; the direct gap and the decay
+# bound cover the whole range
+_OPERATOR_LIMIT = 3
 
 
 @dataclass
@@ -149,7 +154,7 @@ def _margin_for(config: ExperimentConfig, n: int) -> int:
     return int(config.schedule)
 
 
-def write_energy_table(trajectory: WaveTrajectory, path: Path) -> list[list[str]]:
+def write_energy_table(trajectory: WaveTrajectory, path: Path) -> None:
     _, reports = total_energy(trajectory)
     rows = []
     for report in reports:
@@ -165,7 +170,6 @@ def write_energy_table(trajectory: WaveTrajectory, path: Path) -> list[list[str]
     for name in ("K", "P", "E", "gap"):
         header.append(f"{name}_float")
     _write_csv(path, header, rows)
-    return rows
 
 
 def write_huygens_table(trajectory: WaveTrajectory, config: ExperimentConfig, path: Path) -> None:
@@ -187,19 +191,13 @@ def write_huygens_table(trajectory: WaveTrajectory, config: ExperimentConfig, pa
     _write_csv(path, header, rows)
 
 
-def write_equipartition_table(
-    trajectory: WaveTrajectory, path: Path, operator_limit: int = 3
-) -> None:
-    # the operator route applies M_2 to C_{2|n|} f, which fills the ball of
-    # radius 2|n| + 2 + (data radius): its cost grows like q^(2|n|), so it is
-    # emitted only for |n| <= operator_limit; the direct gap and the decay
-    # bound cover the whole range
+def write_equipartition_table(trajectory: WaveTrajectory, path: Path) -> None:
     bound = gap_bound_constant(trajectory.f, trajectory.g)
     rows = []
     for n in trajectory.n_values():
         if n - 1 not in trajectory.snapshots or n + 1 not in trajectory.snapshots:
             continue
-        if abs(n) <= operator_limit:
+        if abs(n) <= _OPERATOR_LIMIT:
             direct, operator_route = equipartition_gap(trajectory, n)
             operator_columns = _scalar_columns(operator_route)
         else:

@@ -2,9 +2,12 @@
 
 On the integer line:      L f(n) = f(n) - (f(n+1) + f(n-1))/2.
 On the tree:              L f(x) = f(x) - (1/(q+1)) * sum_{y in S(x,1)} f(y).
-Radial part (profiles):   f(0) - f(1) at n = 0,
-                          f(n) - f(n-1)/(q+1) - q f(n+1)/(q+1) at n >= 1.
 Two-step Laplacian:       Lt f(x) = f(x) - (1/(q(q+1))) * sum_{y in S(x,2)} f(y).
+
+The tree and two-step Laplacians take a ``TreeFunction`` or a
+``RadialProfile`` and return the type of their input; on a profile the
+neighbour sum is the radial part (q+1) f(1) at n = 0 and
+f(n-1) + q f(n+1) at n >= 1.
 
 The l2-spectrum of the tree Laplacian is [1-gamma, 1+gamma] with
 gamma = 2/(sqrt(q) + 1/sqrt(q)), and the two-step operator satisfies
@@ -70,31 +73,16 @@ def laplacian_line(f: HeightSequence) -> HeightSequence:
     return HeightSequence(f.q, f.mode, out)
 
 
-def laplacian_tree(f: TreeFunction) -> TreeFunction:
-    """f(x) - (1/(q+1)) * sum over the q+1 neighbours of x, on level arrays
-    (the neighbour sum of ``adjacency_sum``)."""
-    return TreeFunction._from_levels(f._as_levels().laplacian())
+def laplacian_tree(f: TreeFunction | RadialProfile) -> TreeFunction | RadialProfile:
+    """f(x) - (1/(q+1)) * sum over the q+1 neighbours of x, on the packed
+    form (the neighbour sum of ``adjacency_sum``)."""
+    return type(f)._from_levels(f._as_levels().laplacian())
 
 
-def radial_laplacian(p: RadialProfile) -> RadialProfile:
-    """Radial part of the tree Laplacian acting on profiles."""
-    q = p.q
-    low = scalar_from_fraction(Fraction(1, q + 1), q, p.mode)
-    high = scalar_from_fraction(Fraction(q, q + 1), q, p.mode)
-    limit = p.support_radius() + 1
-    out: dict[int, Scalar] = {}
-    for n in range(limit + 1):
-        if n == 0:
-            out[n] = p[0] - p[1]
-        else:
-            out[n] = p[n] - p[n - 1] * low - p[n + 1] * high
-    return RadialProfile(q, p.mode, out)
-
-
-def two_step_laplacian(f: TreeFunction) -> TreeFunction:
+def two_step_laplacian(f: TreeFunction | RadialProfile) -> TreeFunction | RadialProfile:
     """f(x) - (1/(q(q+1))) * sum over the q(q+1) vertices at distance 2,
-    on level arrays, where the distance-2 sum is Adj^2 - (q+1) I."""
-    return TreeFunction._from_levels(f._as_levels().two_step_laplacian())
+    on the packed form, where the distance-2 sum is Adj^2 - (q+1) I."""
+    return type(f)._from_levels(f._as_levels().two_step_laplacian())
 
 
 def rayleigh_quotient(operator, f) -> Scalar:

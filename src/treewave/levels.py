@@ -49,7 +49,7 @@ from math import fsum, gcd, lcm
 from operator import add, mul, neg, sub
 
 from .scalars import QSurd, Scalar, ScalarMode, _square_root_if_perfect, sqrt_q_power
-from .topology import VertexAddress, sphere_volume
+from .topology import VertexAddress, distance_count, sphere_volume
 
 EXACT = ScalarMode.EXACT
 
@@ -273,11 +273,16 @@ class _Packed:
         y slices, multiplicity); y is None where its values are all 0."""
         raise NotImplementedError
 
-    def _neighbour_sums(self) -> list:
-        """The parts of x -> sum of the values at the q+1 neighbours of x."""
+    def _adjacent_part(self, part: list) -> list:
+        """Neighbour sum of one part; the module-level ``_adjacent`` or
+        ``_radial_adjacent`` is looked up at each call."""
         raise NotImplementedError
 
     # -- operators, written once ----------------------------------------------------
+
+    def _neighbour_sums(self) -> list:
+        """The parts of x -> sum of the values at the q+1 neighbours of x."""
+        return [self._adjacent_part(part) for part in self.parts]
 
     def adjacency(self) -> _Packed:
         """x -> sum of the values at the q+1 neighbours of x."""
@@ -296,6 +301,29 @@ class _Packed:
         cx, cy = den // pushed_den, -(den // previous.den)
         parts = [_combine(cx, x, cy, y) for x, y in zip(_times_sqrt(q, pushed), previous.parts)]
         return type(self)(q, mode, den, parts)
+
+    def _minus_over(self, parts: list, weight: int) -> _Packed:
+        """self - parts / weight, for parts over the denominator of self."""
+        q, mode = self.q, self.mode
+        if mode is not EXACT:
+            return type(self)(q, mode, 1, [_combine(1, self.parts[0], -1 / weight, parts[0])])
+        return type(self)(
+            q,
+            mode,
+            weight * self.den,
+            [_combine(weight, p, -1, s) for p, s in zip(self.parts, parts)],
+        )
+
+    def laplacian(self) -> _Packed:
+        """u - Adj u / (q+1)."""
+        return self._minus_over(self._neighbour_sums(), self.q + 1)
+
+    def two_step_laplacian(self) -> _Packed:
+        """u - S2 u / (q(q+1)), with the distance-2 sphere sum taken as
+        S2 = Adj^2 - (q+1) I (paths of length 2 that do not return)."""
+        q, adjacent = self.q, self._adjacent_part
+        spheres = [_combine(1, adjacent(adjacent(p)), -(q + 1), p) for p in self.parts]
+        return self._minus_over(spheres, q * (q + 1))
 
     # -- sums, written once -------------------------------------------------------
 
@@ -401,8 +429,8 @@ class Levels(_Packed):
                 for t in range(stride):
                     yield d + 2, level, cut(d + 2, t, None, stride), 1
 
-    def _neighbour_sums(self) -> list:
-        return [_adjacent(p, self.q) for p in self.parts]
+    def _adjacent_part(self, part: list) -> list:
+        return _adjacent(part, self.q)
 
     def values(self) -> dict:
         """The nonzero values as vertex -> scalar, in canonical order."""
@@ -448,29 +476,6 @@ class Levels(_Packed):
             return Levels(q, mode, self.den * q ** ((n + 1) // 2), _times_sqrt(q, out))
         return Levels(q, mode, self.den * q ** (n // 2), out)
 
-    def _minus_over(self, parts: list, weight: int) -> Levels:
-        """self - parts / weight, for parts over the denominator of self."""
-        q, mode = self.q, self.mode
-        if mode is not EXACT:
-            return Levels(q, mode, 1, [_combine(1, self.parts[0], -1 / weight, parts[0])])
-        return Levels(
-            q,
-            mode,
-            weight * self.den,
-            [_combine(weight, p, -1, s) for p, s in zip(self.parts, parts)],
-        )
-
-    def laplacian(self) -> Levels:
-        """u - Adj u / (q+1)."""
-        return self._minus_over(self._neighbour_sums(), self.q + 1)
-
-    def two_step_laplacian(self) -> Levels:
-        """u - S2 u / (q(q+1)), with the distance-2 sphere sum taken as
-        S2 = Adj^2 - (q+1) I (paths of length 2 that do not return)."""
-        q = self.q
-        spheres = [_combine(1, _adjacent(_adjacent(p, q), q), -(q + 1), p) for p in self.parts]
-        return self._minus_over(spheres, q * (q + 1))
-
 
 class RadialLevels(_Packed):
     """A radial profile p, standing for x -> p(|x|): one entry per depth,
@@ -495,20 +500,33 @@ class RadialLevels(_Packed):
             partner = [part[d + 2] for part in parts] if d + 2 <= radius else None
             yield d + 2, [part[d] for part in parts], partner, sphere_volume(self.q, d + 2)
 
-    def _neighbour_sums(self) -> list:
-        return [_radial_adjacent(p, self.q) for p in self.parts]
+    def _adjacent_part(self, part: list) -> list:
+        return _radial_adjacent(part, self.q)
 
     def values(self) -> dict:
         """The nonzero values as radius -> scalar, in increasing radius."""
         levels = enumerate(zip(*self.parts))
         return {m: value for m, level in levels for _, value in self._unpacked(level)}
 
-    def convolve(self, kernel: RadialLevels, count) -> RadialLevels:
+    @classmethod
+    def ball_kernel(cls, q: int, mode: ScalarMode, n: int) -> RadialLevels:
+        """The distance kernel of M_n for n >= 0: q^(-n/2) at the distances
+        d <= n with n - d even."""
+        weight = sqrt_q_power(q, -n, mode)
+        return cls._pack(q, mode, n, ((d, 0, weight) for d in range(n % 2, n + 1, 2)))
+
+    def ball_mean(self, n: int) -> RadialLevels:
+        """M_n for n >= 1, as the convolution with its distance kernel; no
+        neighbour sum is taken."""
+        return self.convolve(self.ball_kernel(self.q, self.mode, n))
+
+    def convolve(self, kernel: RadialLevels) -> RadialLevels:
         """The radial operator with distance kernel ``kernel`` applied to this
         profile p: out(m) = sum_d kernel(d) sum_r count(m, d, r) p(r), where
-        ``count(m, d, r)`` is the number of vertices at radius r and distance
-        d from a vertex at radius m.  Terms are added in the order of d, then
-        r, then m, each as (kernel(d) p(r)) * count."""
+        ``count(m, d, r)`` = ``distance_count(q, m, d, r)`` is the number of
+        vertices at radius r and distance d from a vertex at radius m.  Terms
+        are added in the order of d, then r, then m, each as
+        (kernel(d) p(r)) * count."""
         q, mode = self.q, self.mode
         ks = [[level[0] for level in part] for part in kernel.parts]
         ps = [[level[0] for level in part] for part in self.parts]
@@ -524,7 +542,7 @@ class RadialLevels(_Packed):
                 if not any(pair):
                     continue
                 for m in range(abs(d - r), d + r + 1, 2):
-                    c = count(m, d, r)
+                    c = distance_count(q, m, d, r)
                     if c:
                         for part, value in zip(out, pair):
                             part[m] += value * c

@@ -11,43 +11,36 @@ action
     (A k)(0) = (q+1) k(1),        (A k)(m) = k(m-1) + q k(m+1)  (m >= 1),
 
 which turns a time step on an exponentially large ball into a step on a
-profile of linear size.  This module provides the closed kernels of the
-propagators, an independent leapfrog route to the same kernels, exact
-distance-count combinatorics for applying radial operators to radial data,
-and a radial trajectory type mirroring the vertex-level solver.  The radial
-route is what makes verification at large |n| possible at all: the support
-ball of a snapshot grows like q^|n|, while its kernel grows linearly.
+profile of linear size.  The radial route is what makes verification at
+large |n| possible at all: the support ball of a snapshot grows like q^|n|,
+while its kernel grows linearly.
+
+The operators themselves (the neighbour sum, the leapfrog step, M_n, C_n,
+S_n and the Laplacians) are written once in ``treewave.wave`` and
+``treewave.laplacians`` for vertex functions and profiles alike, and a radial
+solution is a ``WaveTrajectory`` of profiles.  This module keeps what is
+radial only: the closed kernels of the propagators, an independent leapfrog
+route to the same kernels, the convolution of a profile with a kernel, the
+pointwise evaluation of a kernel solution, and ``radial_solve``, whose closed
+route convolves the data with the propagator kernels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import lcm
 
 from .errors import ParameterError
 from .functions import RadialProfile, TreeFunction
-from .scalars import (
-    QSurd,
-    Scalar,
-    ScalarMode,
-    scalar_from_fraction,
-    scalar_zero,
-    sqrt_q_power,
-)
-from .topology import VertexAddress, distance, sphere_volume
-from .wave import _leapfrog, _normalize_range
+from .levels import RadialLevels
+from .scalars import QSurd, Scalar, ScalarMode, scalar_from_fraction, scalar_zero
+from .topology import VertexAddress, distance, distance_count  # noqa: F401 (re-exported)
+from .wave import WaveTrajectory, _solve, adjacency_sum
 
 
 def radial_adjacency(p: RadialProfile) -> RadialProfile:
     """Neighbour sum of the radial function x -> p(|x|), as a profile."""
-    return RadialProfile._from_levels(p._as_levels().adjacency())
-
-
-def _radial_step(previous: RadialProfile, current: RadialProfile) -> RadialProfile:
-    """The leapfrog (1/sqrt(q)) * radial_adjacency(current) - previous."""
-    return RadialProfile._from_levels(current._as_levels().step(previous._as_levels()))
+    return adjacency_sum(p)
 
 
 def m_kernel(q: int, n: int, mode: ScalarMode) -> RadialProfile:
@@ -56,8 +49,7 @@ def m_kernel(q: int, n: int, mode: ScalarMode) -> RadialProfile:
         raise ParameterError(f"M_n needs n >= -1, got {n}")
     if n == -1:
         return RadialProfile(q, mode)
-    weight = sqrt_q_power(q, -n, mode)
-    return RadialProfile(q, mode, [(d, weight) for d in range(n % 2, n + 1, 2)])
+    return RadialProfile._from_levels(RadialLevels.ball_kernel(q, mode, n))
 
 
 def propagator_kernels(q: int, n: int, mode: ScalarMode) -> tuple[RadialProfile, RadialProfile]:
@@ -84,49 +76,9 @@ def kernel_family_recurrence(
     directions.  No closed-form operator enters this route.
     """
     delta, zero = RadialProfile.delta(q, mode), RadialProfile(q, mode)
-    half_step = sqrt_q_power(q, -1, mode) * scalar_from_fraction(Fraction(1, 2), q, mode)
-    pushed = radial_adjacency(delta).scale(half_step)
-    c_family = _leapfrog(delta, zero, pushed, -n_max, n_max, _radial_step)
-    s_family = _leapfrog(zero, delta, zero, -n_max, n_max, _radial_step)
+    c_family = _solve(delta, zero, n_max, "recurrence", None, radial_adjacency).snapshots
+    s_family = _solve(zero, delta, n_max, "recurrence", None, radial_adjacency).snapshots
     return {n: (c_family[n], s_family[n]) for n in range(-n_max, n_max + 1)}
-
-
-def distance_count(q: int, m: int, d: int, r: int) -> int:
-    """Number of vertices y with |y| = r and d(x, y) = d, for any |x| = m.
-
-    The geodesic from x climbs a = (m + d - r)/2 steps towards the origin
-    and then descends; the count depends on whether it turns below, at, or
-    never reaches the origin.
-    """
-    if min(m, d, r) < 0:
-        return 0
-    if d == 0:
-        return 1 if r == m else 0
-    if m == 0:
-        return sphere_volume(q, d) if r == d else 0
-    two_a = m + d - r
-    if two_a < 0 or two_a % 2:
-        return 0
-    a = two_a // 2
-    if a > min(m, d):
-        return 0
-    if a == d:
-        return 1
-    if a == 0:
-        return q**d
-    if a == m:
-        return q ** (d - a)
-    return (q - 1) * q ** (d - a - 1)
-
-
-def distance_counts(q: int, m: int, d: int) -> dict[int, int]:
-    """Distribution of |y| over the sphere S(x, d) for |x| = m."""
-    counts = {}
-    for r in range(abs(m - d), m + d + 1, 2):
-        c = distance_count(q, m, d, r)
-        if c:
-            counts[r] = c
-    return counts
 
 
 def radial_convolve(kernel: RadialProfile, p: RadialProfile) -> RadialProfile:
@@ -140,8 +92,7 @@ def radial_convolve(kernel: RadialProfile, p: RadialProfile) -> RadialProfile:
     """
     if kernel.q != p.q or kernel.mode != p.mode:
         raise ParameterError("kernel and profile must share q and scalar mode")
-    levels = p._as_levels().convolve(kernel._as_levels(), partial(distance_count, p.q))
-    return RadialProfile._from_levels(levels)
+    return RadialProfile._from_levels(p._as_levels().convolve(kernel._as_levels()))
 
 
 def evaluate_kernel_solution(
@@ -187,54 +138,18 @@ def _distance_sums(data: TreeFunction, x: VertexAddress) -> dict[int, Scalar]:
     return {d: QSurd(Fraction(a, den), Fraction(b, den), data.q) for d, (a, b) in pairs.items()}
 
 
-@dataclass(frozen=True)
-class RadialTrajectory:
-    """Wave trajectory with radial initial data, stored as profiles."""
-
-    q: int
-    mode: ScalarMode
-    f: RadialProfile
-    g: RadialProfile
-    snapshots: dict[int, RadialProfile] = field(repr=False)
-    solver: str = "closed"
-
-    def n_values(self) -> list[int]:
-        return sorted(self.snapshots)
-
-    def snapshot(self, n: int) -> RadialProfile:
-        try:
-            return self.snapshots[n]
-        except KeyError:
-            raise ParameterError(f"time {n} was not solved for") from None
-
-    def data_radius(self) -> int:
-        return max(self.f.support_radius(), self.g.support_radius(), 0)
-
-
 def radial_solve(
     f: RadialProfile,
     g: RadialProfile,
     n_range,
     solver: str = "closed",
-) -> RadialTrajectory:
-    """Solve the Cauchy problem for radial data entirely on profiles.
+) -> WaveTrajectory:
+    """Solve the Cauchy problem for radial data entirely on profiles: the
+    body of ``treewave.wave.solve``, with the closed route convolving the
+    data with the propagator kernels."""
 
-    Exactly mirrors the vertex-level solver (same bootstrap, same leapfrog);
-    agreement of the two representations is covered by tests.
-    """
-    if f.q != g.q or f.mode != g.mode:
-        raise ParameterError("initial data must share q and scalar mode")
-    if solver not in ("closed", "recurrence"):
-        raise ParameterError(f"solver must be 'closed' or 'recurrence', got {solver!r}")
-    lo, hi = _normalize_range(n_range)
-    q, mode = f.q, f.mode
-    if solver == "closed":
-        snapshots = {}
-        for n in range(lo, hi + 1):
-            c_kernel, s_kernel = propagator_kernels(q, n, mode)
-            snapshots[n] = radial_convolve(c_kernel, f) + radial_convolve(s_kernel, g)
-    else:
-        half_step = sqrt_q_power(q, -1, mode) * scalar_from_fraction(Fraction(1, 2), q, mode)
-        pushed = radial_adjacency(f).scale(half_step)
-        snapshots = _leapfrog(f, g, pushed, lo, hi, _radial_step)
-    return RadialTrajectory(q=q, mode=mode, f=f, g=g, snapshots=snapshots, solver=solver)
+    def closed(n: int) -> RadialProfile:
+        c_kernel, s_kernel = propagator_kernels(f.q, n, f.mode)
+        return radial_convolve(c_kernel, f) + radial_convolve(s_kernel, g)
+
+    return _solve(f, g, n_range, solver, closed, radial_adjacency)

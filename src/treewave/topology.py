@@ -132,6 +132,34 @@ def sphere_volume(q: int, n: int) -> int:
     return (q + 1) * q ** (n - 1)
 
 
+def distance_count(q: int, m: int, d: int, r: int) -> int:
+    """Number of vertices y with |y| = r and d(x, y) = d, for any |x| = m.
+
+    The geodesic from x climbs a = (m + d - r)/2 steps towards the origin
+    and then descends; the count depends on whether it turns below, at, or
+    never reaches the origin.
+    """
+    if min(m, d, r) < 0:
+        return 0
+    if d == 0:
+        return 1 if r == m else 0
+    if m == 0:
+        return sphere_volume(q, d) if r == d else 0
+    two_a = m + d - r
+    if two_a < 0 or two_a % 2:
+        return 0
+    a = two_a // 2
+    if a > min(m, d):
+        return 0
+    if a == d:
+        return 1
+    if a == 0:
+        return q**d
+    if a == m:
+        return q ** (d - a)
+    return (q - 1) * q ** (d - a - 1)
+
+
 @dataclass(frozen=True)
 class Ball:
     """Explicit truncation domain: the ball of given radius about the origin.

@@ -30,7 +30,6 @@ from .energy import (
     potential_energy,
     propagation_bounds,
     radial_equipartition_gap,
-    radial_huygens_report,
     total_energy,
     total_energy_closed_form,
 )
@@ -40,7 +39,6 @@ from .laplacians import (
     gamma,
     gamma_tilde,
     laplacian_tree,
-    radial_laplacian,
     rayleigh_quotient,
     tau,
     two_step_laplacian,
@@ -256,7 +254,7 @@ def check_mean_commutation(qs, rng, *, n_max: int) -> CheckResult:
     for q in qs:
         f = random_tree_function(q, 2, rng)
         for x in (VertexAddress.origin(q), VertexAddress(q, (1,))):
-            image = radial_laplacian(radial_profile_of(f, center=x))
+            image = laplacian_tree(radial_profile_of(f, center=x))
             lf = laplacian_tree(f)
             for n in range(n_max):
                 if spherical_mean(lf, x, n) != image[n]:
@@ -445,13 +443,13 @@ def check_huygens(qs, rng) -> CheckResult:
     the same-parity pairs (4, 16) and (9, 25).
     """
     trajectory = _delta_instance(2, 26)
-    reference = radial_huygens_report(trajectory, 6, 2)
+    reference = huygens_report(trajectory, 6, 2)
     if reference.interior_mass != QSurd(Fraction(7, 256), 0, 2):
         return CheckResult("huygens concentration", False, "pinned interior mass")
     vertex = solve(TreeFunction.delta(2, EXACT), TreeFunction.zero(2, EXACT), 7, "recurrence")
     if huygens_report(vertex, 6, 2) != reference:
         return CheckResult("huygens concentration", False, "vertex and radial sums differ")
-    reports = {n: radial_huygens_report(trajectory, n) for n in (4, 9, 16, 25)}
+    reports = {n: huygens_report(trajectory, n) for n in (4, 9, 16, 25)}
     if not all(r.interior_gradient.is_zero() for r in reports.values()):
         return CheckResult("huygens concentration", False, "interior gradient sum nonzero")
     totals = [r.interior_mass + r.interior_gradient + r.interior_kinetic for r in reports.values()]

@@ -18,6 +18,12 @@ and is solved in closed form by u(., n) = C_n f + S_n g, where
 with M_{-1} = 0 and, at n = 0, C_0 = id and S_0 = 0 (forced by the initial
 condition).  Both solution routes are implemented independently so that
 their exact agreement can serve as an oracle.
+
+Every operator here is written once for a ``TreeFunction`` and a
+``RadialProfile`` alike and returns the type of its input: the layout of
+``treewave.levels`` supplies the neighbour sum and M_n (geodesic index ranges
+on vertex data, the convolution with the M_n kernel on profiles).  ``solve``
+and ``treewave.radial.radial_solve`` share one body.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParameterError, TruncationError
-from .functions import TreeFunction
+from .functions import RadialProfile, TreeFunction
 from .scalars import (
     Scalar,
     ScalarMode,
@@ -39,39 +45,54 @@ from .scalars import (
 from .topology import Ball, VertexAddress, sphere
 
 
-def adjacency_sum(f: TreeFunction) -> TreeFunction:
-    """x -> sum_{y in S(x,1)} f(y), as level-array slices."""
-    return TreeFunction._from_levels(f._as_levels().adjacency())
+Function = TreeFunction | RadialProfile
 
 
-def m_operator(n: int, f: TreeFunction) -> TreeFunction:
+def adjacency_sum(f: Function) -> Function:
+    """x -> sum_{y in S(x,1)} f(y), on the packed form of f."""
+    return type(f)._from_levels(f._as_levels().adjacency())
+
+
+def m_operator(n: int, f: Function) -> Function:
     """M_n f(x) = q^(-n/2) * sum over d(y,x) <= n with n - d(y,x) even;
-    M_{-1} = 0 and M_0 is the identity.  Built from the geodesic index ranges
-    of each data vertex's spheres on level arrays, with no neighbour sum."""
+    M_{-1} = 0 and M_0 is the identity.  No neighbour sum is taken: vertex
+    data spread over the geodesic index ranges of their spheres, profiles
+    are convolved with the M_n kernel."""
     if n < -1:
         raise ParameterError(f"M_n is defined for n >= -1, got {n}")
     if n == -1:
-        return TreeFunction.zero(f.q, f.mode)
+        return type(f)(f.q, f.mode)
     if n == 0:
         return f
-    return TreeFunction._from_levels(f._as_levels().ball_mean(n))
+    return type(f)._from_levels(f._as_levels().ball_mean(n))
 
 
-def propagators(n: int, f: TreeFunction, g: TreeFunction) -> TreeFunction:
+def c_operator(n: int, f: Function) -> Function:
+    """C_n f = (M_|n| f - M_{|n|-2} f) / 2, with C_0 the identity."""
+    if n == 0:
+        return f
+    half = scalar_from_fraction(Fraction(1, 2), f.q, f.mode)
+    return (m_operator(abs(n), f) - m_operator(abs(n) - 2, f)).scale(half)
+
+
+def s_operator(n: int, g: Function) -> Function:
+    """S_n g = sign(n) * M_{|n|-1} g, with S_0 = 0."""
+    if n == 0:
+        return type(g)(g.q, g.mode)
+    out = m_operator(abs(n) - 1, g)
+    return -out if n < 0 else out
+
+
+def propagators(n: int, f: Function, g: Function) -> Function:
     """Snapshot C_n f + S_n g of the closed-form solution."""
     if f.q != g.q or f.mode != g.mode:
         raise ParameterError("initial data must share q and scalar mode")
     if n == 0:
         return f
-    half = scalar_from_fraction(Fraction(1, 2), f.q, f.mode)
-    cosine_part = (m_operator(abs(n), f) - m_operator(abs(n) - 2, f)).scale(half)
-    sine_part = m_operator(abs(n) - 1, g)
-    if n < 0:
-        sine_part = -sine_part
-    return cosine_part + sine_part
+    return c_operator(n, f) + s_operator(n, g)
 
 
-def step_recurrence(u_prev: TreeFunction, u_curr: TreeFunction) -> TreeFunction:
+def step_recurrence(u_prev: Function, u_curr: Function) -> Function:
     """u_next = (1/sqrt(q)) * neighbour sum of u_curr - u_prev.
 
     The same map also steps backwards (it is an involution in the pair),
@@ -79,12 +100,13 @@ def step_recurrence(u_prev: TreeFunction, u_curr: TreeFunction) -> TreeFunction:
     """
     if u_prev.q != u_curr.q or u_prev.mode != u_curr.mode:
         raise ParameterError("snapshots must share q and scalar mode")
-    return TreeFunction._from_levels(u_curr._as_levels().step(u_prev._as_levels()))
+    return type(u_curr)._from_levels(u_curr._as_levels().step(u_prev._as_levels()))
 
 
 @dataclass(frozen=True)
 class WaveTrajectory:
-    """Solved snapshots u(., n) together with their defining data.
+    """Solved snapshots u(., n) together with their defining data, vertex
+    functions or radial profiles (whose ``ball`` is None).
 
     Invariants (exact mode): snapshot(0) == f, and when both are present
     (snapshot(1) - snapshot(-1))/2 == g; the support of snapshot(n) stays
@@ -93,9 +115,9 @@ class WaveTrajectory:
 
     q: int
     mode: ScalarMode
-    f: TreeFunction
-    g: TreeFunction
-    snapshots: dict[int, TreeFunction] = field(repr=False)
+    f: Function
+    g: Function
+    snapshots: dict[int, Function] = field(repr=False)
     solver: str = "closed"
     ball: Ball | None = None
 
@@ -114,7 +136,7 @@ class WaveTrajectory:
     def n_values(self) -> list[int]:
         return sorted(self.snapshots)
 
-    def snapshot(self, n: int) -> TreeFunction:
+    def snapshot(self, n: int) -> Function:
         try:
             return self.snapshots[n]
         except KeyError:
@@ -162,6 +184,31 @@ def _leapfrog(f, g, pushed, lo: int, hi: int, step) -> dict:
     return snapshots
 
 
+def _solve(f, g, n_range, solver: str, closed, adjacency, fit=None) -> WaveTrajectory:
+    """The body of the vertex and radial solvers: validation, then the
+    snapshots ``closed(n)`` or the leapfrog from u(+-1) = (1/(2 sqrt q))
+    ``adjacency(f)`` +- g (the n = 0 recurrence combined with the centered
+    velocity).  ``fit(lo, hi)`` gives the truncation ball before any
+    snapshot is computed."""
+    if f.q != g.q or f.mode != g.mode:
+        raise ParameterError("initial data must share q and scalar mode")
+    if solver not in ("closed", "recurrence"):
+        raise ParameterError(f"solver must be 'closed' or 'recurrence', got {solver!r}")
+    lo, hi = _normalize_range(n_range)
+    ball = fit(lo, hi) if fit else None
+    if solver == "closed":
+        snapshots = {n: closed(n) for n in range(lo, hi + 1)}
+    else:
+        half_step = sqrt_q_power(f.q, -1, f.mode) * scalar_from_fraction(
+            Fraction(1, 2), f.q, f.mode
+        )
+        pushed = adjacency(f).scale(half_step)
+        snapshots = _leapfrog(f, g, pushed, lo, hi, step_recurrence)
+    return WaveTrajectory(
+        q=f.q, mode=f.mode, f=f, g=g, snapshots=snapshots, solver=solver, ball=ball
+    )
+
+
 def solve(
     f: TreeFunction,
     g: TreeFunction,
@@ -174,37 +221,24 @@ def solve(
 
     ``solver='closed'`` fills snapshots through the propagators;
     ``solver='recurrence'`` bootstraps u(., +/-1) from the neighbour sum of f
-    (the n = 0 recurrence combined with the centered velocity) and leapfrogs
-    outwards.  In exact mode the two routes agree identically.
+    and leapfrogs outwards.  In exact mode the two routes agree identically.
     """
-    if f.q != g.q or f.mode != g.mode:
-        raise ParameterError("initial data must share q and scalar mode")
-    if solver not in ("closed", "recurrence"):
-        raise ParameterError(f"solver must be 'closed' or 'recurrence', got {solver!r}")
-    lo, hi = _normalize_range(n_range)
-    data_radius = max(f.support_radius(), g.support_radius(), 0)
-    needed = max(abs(lo), abs(hi)) + data_radius + 2
-    if ball is None:
-        ball = Ball(f.q, needed)
-    elif ball.radius < needed:
-        worst = max(abs(lo), abs(hi))
-        offending = min(n for n in range(worst + 1) if n + data_radius + 2 > ball.radius)
-        raise TruncationError(
-            f"truncation ball of radius {ball.radius} cannot hold the snapshot "
-            f"at n={offending} (radius {needed} required for |n| <= {worst})"
-        )
 
-    if solver == "closed":
-        snapshots = {n: propagators(n, f, g) for n in range(lo, hi + 1)}
-    else:
-        half_step = sqrt_q_power(f.q, -1, f.mode) * scalar_from_fraction(
-            Fraction(1, 2), f.q, f.mode
-        )
-        pushed = adjacency_sum(f).scale(half_step)
-        snapshots = _leapfrog(f, g, pushed, lo, hi, step_recurrence)
-    return WaveTrajectory(
-        q=f.q, mode=f.mode, f=f, g=g, snapshots=snapshots, solver=solver, ball=ball
-    )
+    def fit(lo: int, hi: int) -> Ball:
+        data_radius = max(f.support_radius(), g.support_radius(), 0)
+        needed = max(abs(lo), abs(hi)) + data_radius + 2
+        if ball is None:
+            return Ball(f.q, needed)
+        if ball.radius < needed:
+            worst = max(abs(lo), abs(hi))
+            offending = min(n for n in range(worst + 1) if n + data_radius + 2 > ball.radius)
+            raise TruncationError(
+                f"truncation ball of radius {ball.radius} cannot hold the snapshot "
+                f"at n={offending} (radius {needed} required for |n| <= {worst})"
+            )
+        return ball
+
+    return _solve(f, g, n_range, solver, lambda n: propagators(n, f, g), adjacency_sum, fit)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from treewave import energy
 from treewave.energy import (
     default_shell_margin,
     energies,
@@ -12,14 +13,12 @@ from treewave.energy import (
     kinetic_energy,
     potential_energy,
     propagation_bounds,
-    radial_energies,
     radial_equipartition_gap,
-    radial_huygens_report,
-    radial_propagation_bounds,
     radial_total_energy,
     total_energy,
     total_energy_closed_form,
 )
+from treewave.errors import ConsistencyError
 from treewave.functions import RadialProfile, TreeFunction
 from treewave.radial import propagator_kernels, radial_convolve, radial_solve
 from treewave.scalars import QSurd, ScalarMode, scalar_from_fraction, sqrt_q_power
@@ -63,6 +62,21 @@ def test_potential_energy_reference_value():
     report = energies(u, 0)
     assert report.total == exact(Fraction(5, 16))
     assert report.gap == -exact(Fraction(5, 16))
+
+
+@pytest.mark.parametrize("layout", ("vertex", "radial"))
+def test_energies_take_both_potential_routes(monkeypatch, layout):
+    # the pair sum and the two-step sum are equal in exact mode, so only a
+    # corrupted two-step sum shows that energies() really compares two routes
+    if layout == "vertex":
+        u = delta_trajectory(radius=2)
+    else:
+        u = radial_solve(RadialProfile.delta(2, EXACT), RadialProfile(2, EXACT), 2)
+    two_step = energy._potential_two_step
+    monkeypatch.setattr(energy, "_potential_two_step", lambda state: two_step(state) + exact(1))
+    assert potential_energy(u, 0, "two_step") == exact(Fraction(21, 16))
+    with pytest.raises(ConsistencyError, match="n=0"):
+        energies(u, 0)
 
 
 def test_energy_conservation_delta_instance():
@@ -196,7 +210,7 @@ def test_huygens_reference_value():
     report = huygens_report(u, 6, 2)
     assert report.interior_mass == exact(Fraction(7, 256))
     radial = radial_solve(RadialProfile.delta(2, EXACT), RadialProfile(2, EXACT), 7)
-    radial_report = radial_huygens_report(radial, 6, 2)
+    radial_report = huygens_report(radial, 6, 2)
     assert radial_report.interior_mass == report.interior_mass
     assert radial_report.interior_gradient == report.interior_gradient
     assert radial_report.interior_kinetic == report.interior_kinetic
@@ -215,7 +229,7 @@ def test_huygens_interior_decay_on_square_schedule():
         RadialProfile.delta(2, EXACT), RadialProfile(2, EXACT), 18, solver="recurrence"
     )
     reports = {
-        n: radial_huygens_report(trajectory, n, default_shell_margin(n))
+        n: huygens_report(trajectory, n, default_shell_margin(n))
         for n in (4, 9, 16)
     }
     # pinned interior masses: 63/2048 at n=9 exceeds 1/64 at n=4 (time-parity
@@ -291,11 +305,11 @@ def test_radial_energy_matches_vertex_energy():
         solver="recurrence",
     )
     for n in (-3, 0, 2, 4):
-        assert radial_energies(radial, n) == energies(vertex, n)
+        assert energies(radial, n) == energies(vertex, n)
     radial_reference, _ = radial_total_energy(radial)
     vertex_reference, _ = total_energy(vertex)
     assert radial_reference == vertex_reference
-    assert radial_propagation_bounds(radial).within_cone
+    assert propagation_bounds(radial).within_cone
 
 
 def test_float_mode_energy_conservation():
@@ -312,8 +326,8 @@ def test_huygens_symmetric_in_time_for_position_data():
     trajectory = radial_solve(
         RadialProfile.delta(2, EXACT), RadialProfile(2, EXACT), 8, solver="recurrence"
     )
-    forward = radial_huygens_report(trajectory, 6, 2)
-    backward = radial_huygens_report(trajectory, -6, 2)
+    forward = huygens_report(trajectory, 6, 2)
+    backward = huygens_report(trajectory, -6, 2)
     assert forward.interior_mass == backward.interior_mass
     assert forward.interior_gradient == backward.interior_gradient
     assert forward.interior_kinetic == backward.interior_kinetic

@@ -14,7 +14,6 @@ from treewave.laplacians import (
     gamma_tilde,
     laplacian_line,
     laplacian_tree,
-    radial_laplacian,
     rayleigh_quotient,
     tau,
     two_step_laplacian,
@@ -99,21 +98,21 @@ def test_commutation_with_spherical_means():
         f = random_tree_function(q, 3, rng)
         for x in [VertexAddress.origin(q), VertexAddress(q, (1, 0))]:
             means = radial_profile_of(f, center=x)
-            radial_image = radial_laplacian(means)
+            radial_image = laplacian_tree(means)
             lf = laplacian_tree(f)
             for n in range(5):
                 assert spherical_mean(lf, x, n) == radial_image[n]
 
 
 def test_radial_laplacian_of_delta_profile():
-    out = radial_laplacian(RadialProfile.delta(2, EXACT))
+    out = laplacian_tree(RadialProfile.delta(2, EXACT))
     assert out[0] == 1
     assert out[1] == QSurd(Fraction(-1, 3), 0, 2)
 
 
 def test_radial_laplacian_kills_constants_in_the_interior():
     p = RadialProfile(3, EXACT, [(n, QSurd(2, 0, 3)) for n in range(5)])
-    out = radial_laplacian(p)
+    out = laplacian_tree(p)
     for n in range(1, 4):
         assert out[n].is_zero()
     # n = 0 is interior too: f(0) - f(1) = 0
@@ -160,7 +159,7 @@ def test_rayleigh_quotients_inside_spectra():
 def test_operators_preserve_radiality():
     p = RadialProfile(2, EXACT, [(0, QSurd(1, 0, 2)), (2, QSurd(-2, 0, 2))])
     f = TreeFunction.from_radial(p)
-    assert laplacian_tree(f) == TreeFunction.from_radial(radial_laplacian(p))
+    assert laplacian_tree(f) == TreeFunction.from_radial(laplacian_tree(p))
 
 
 def test_self_adjointness():
@@ -204,8 +203,8 @@ def test_radial_laplacian_self_adjoint_for_tree_counting():
             total = total + value * b[n] * QSurd(sphere_volume(q, n), 0, q)
         return total
 
-    assert pair(radial_laplacian(p), r) == pair(p, radial_laplacian(r))
-    assert radial_laplacian(p + r) == radial_laplacian(p) + radial_laplacian(r)
+    assert pair(laplacian_tree(p), r) == pair(p, laplacian_tree(r))
+    assert laplacian_tree(p + r) == laplacian_tree(p) + laplacian_tree(r)
 
 
 def test_linearity():

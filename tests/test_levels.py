@@ -15,6 +15,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treewave.levels
 import treewave.radial
@@ -26,8 +28,6 @@ from treewave.energy import (
     huygens_report,
     kinetic_energy,
     potential_energy,
-    radial_energies,
-    radial_huygens_report,
     radial_kinetic_energy,
     radial_potential_energy,
 )
@@ -35,10 +35,10 @@ from treewave.functions import HeightSequence, RadialProfile, TreeFunction
 from treewave.laplacians import gamma_tilde, laplacian_tree, two_step_laplacian
 from treewave.levels import Levels
 from treewave.radial import (
-    _radial_step,
     distance_count,
-    distance_counts,
+    kernel_family_recurrence,
     m_kernel,
+    propagator_kernels,
     radial_adjacency,
     radial_convolve,
     radial_solve,
@@ -53,6 +53,12 @@ QS = (2, 3, 4, 5, 9)
 
 
 # -- reference routes ---------------------------------------------------------
+
+
+def distance_counts(q, m, d):
+    """Distribution of |y| over the sphere S(x, d) for |x| = m."""
+    counts = {r: distance_count(q, m, d, r) for r in range(abs(m - d), m + d + 1, 2)}
+    return {r: c for r, c in counts.items() if c}
 
 
 def _two_sphere(vertex):
@@ -466,12 +472,12 @@ def test_energy_sums_match_integer_components(q):
         assert kinetic_energy(trajectory, n) == reference_kinetic(
             trajectory.snapshot(n + 1), trajectory.snapshot(n - 1), q
         )
-        assert _potential_pair(state, q, EXACT) == reference_potential_pair(state, q)
-        assert _potential_two_step(state, q, EXACT) == reference_potential_two_step(state, q)
+        assert _potential_pair(state) == reference_potential_pair(state, q)
+        assert _potential_two_step(state) == reference_potential_two_step(state, q)
     # rational data at radius 3 away from any trajectory
     state = surd_data(q, rng)
-    assert _potential_pair(state, q, EXACT) == reference_potential_pair(state, q)
-    assert _potential_two_step(state, q, EXACT) == reference_potential_two_step(state, q)
+    assert _potential_pair(state) == reference_potential_pair(state, q)
+    assert _potential_two_step(state) == reference_potential_two_step(state, q)
 
 
 # -- the packed form -------------------------------------------------------------
@@ -568,8 +574,8 @@ def test_float_energies_and_two_step_match_dict_routes(q):
         state = trajectory.snapshot(n)
         plus, minus = trajectory.snapshot(n + 1), trajectory.snapshot(n - 1)
         assert close(kinetic_energy(trajectory, n), reference_kinetic_float(plus, minus))
-        assert close(_potential_pair(state, q, FLOAT), reference_potential_pair_float(state, q))
-        assert close(_potential_two_step(state, q, FLOAT), reference_potential_two_step(state, q))
+        assert close(_potential_pair(state), reference_potential_pair_float(state, q))
+        assert close(_potential_two_step(state), reference_potential_two_step(state, q))
         image, reference = two_step_laplacian(state), reference_two_step_laplacian(state)
         scale = state.max_abs()
         for vertex in image.support() | reference.support():
@@ -624,12 +630,12 @@ def test_radial_sums_match_qsurd_routes(q, mode):
         found = [radial_kinetic_energy(trajectory, n), radial_potential_energy(trajectory, n)]
         expected = [reference_radial_kinetic(plus, minus), reference_radial_potential_pair(state)]
         for margin in (0, 1, abs(n), abs(n) + 1):
-            report = radial_huygens_report(trajectory, n, margin)
+            report = huygens_report(trajectory, n, margin)
             found += [report.interior_mass, report.interior_gradient, report.interior_kinetic]
             expected += reference_radial_huygens_sums(state, plus - minus, abs(n) - margin)
         if mode is EXACT:
             assert found == expected
-            assert radial_energies(trajectory, n).potential == expected[1]
+            assert energies(trajectory, n).potential == expected[1]
         else:
             assert all(close(x, y) for x, y in zip(found, expected))
     state, plus, minus = f, g, trajectory.snapshot(1)
@@ -650,11 +656,11 @@ def test_vertex_and_radial_layouts_agree_on_radial_data(q):
     vertex = solve(TreeFunction.from_radial(f), TreeFunction.from_radial(g), reach, "recurrence")
     radial = radial_solve(f, g, reach, solver="recurrence")
     for n in range(-reach + 1, reach):
-        assert energies(vertex, n) == radial_energies(radial, n)
+        assert energies(vertex, n) == energies(radial, n)
         two_step = potential_energy(vertex, n, "two_step")
         assert two_step == radial_potential_energy(radial, n, "two_step")
         for margin in range(abs(n) + 2):
-            assert huygens_report(vertex, n, margin) == radial_huygens_report(radial, n, margin)
+            assert huygens_report(vertex, n, margin) == huygens_report(radial, n, margin)
     # interior limits beyond the support radius
     packed = [TreeFunction.from_radial(p)._as_levels() for p in (f, g, radial.snapshot(1))]
     profiles = [p._as_levels() for p in (f, g, radial.snapshot(1))]
@@ -804,7 +810,7 @@ def test_radial_operators_match_qsurd_routes(q, mode):
     for p in profiles:
         assert same(radial_adjacency(p), reference_radial_adjacency(p))
         for previous in profiles:
-            assert same(_radial_step(previous, p), reference_radial_step(previous, p))
+            assert same(step_recurrence(previous, p), reference_radial_step(previous, p))
         for n in range(-1, 7):
             kernel = m_kernel(q, n, mode)
             assert same(radial_convolve(kernel, p), reference_radial_convolve(kernel, p))
@@ -829,8 +835,10 @@ def test_closed_route_takes_no_neighbour_sum(q, monkeypatch):
     f, g = surd_data(q, rng, radius=1), surd_data(q, rng, radius=1)
     reach = 3 if q < 9 else 2
     leapfrog = solve(f, g, reach, solver="recurrence")
-    p = surd_profile(q, rng)
+    p, r = surd_profile(q, rng), surd_profile(q, rng)
     expected_profile = reference_radial_convolve(m_kernel(q, 3, EXACT), p)
+    radial_leapfrog = radial_solve(p, r, reach, solver="recurrence")
+    families = kernel_family_recurrence(q, reach, EXACT)
 
     def refuse(*args):
         raise AssertionError("a neighbour sum was taken")
@@ -838,8 +846,11 @@ def test_closed_route_takes_no_neighbour_sum(q, monkeypatch):
     monkeypatch.setattr(treewave.levels, "_adjacent", refuse)
     monkeypatch.setattr(treewave.levels, "_radial_adjacent", refuse)
     monkeypatch.setattr(treewave.radial, "radial_adjacency", refuse)
+    # the guard does reach both leapfrogs
     with pytest.raises(AssertionError, match="neighbour sum"):
-        step_recurrence(f, g)  # the guard does reach the leapfrog
+        step_recurrence(f, g)
+    with pytest.raises(AssertionError, match="neighbour sum"):
+        radial_solve(p, r, reach, solver="recurrence")
 
     closed = solve(f, g, reach, solver="closed")
     assert closed.snapshots == leapfrog.snapshots
@@ -848,3 +859,38 @@ def test_closed_route_takes_no_neighbour_sum(q, monkeypatch):
         direct, operator_route = equipartition_gap(closed, n)
         assert direct == operator_route
     assert radial_convolve(m_kernel(q, 3, EXACT), p) == expected_profile
+    assert m_operator(3, p) == expected_profile
+    for n in range(-reach, reach + 1):
+        assert propagator_kernels(q, n, EXACT) == families[n]
+    assert radial_solve(p, r, reach, solver="closed").snapshots == radial_leapfrog.snapshots
+
+
+# -- one operator algebra for both layouts ----------------------------------------
+
+# largest data radius + n per q, so that the materialised ball stays small
+CROSS_REACH = {2: 7, 3: 6, 4: 5, 5: 5, 9: 4}
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_operators_commute_with_materialisation(data):
+    q = data.draw(st.sampled_from(QS), label="q")
+    radius = data.draw(st.integers(0, min(3, CROSS_REACH[q] - 1)), label="radius")
+    value = st.builds(
+        lambda a, b, den: QSurd(Fraction(a, den), Fraction(b, den), q),
+        st.integers(-5, 5),
+        st.integers(-3, 3),
+        st.sampled_from((1, 2, 3, 5)),
+    )
+    entries = data.draw(st.lists(value, min_size=radius + 1, max_size=radius + 1), label="p")
+    p = RadialProfile(q, EXACT, list(enumerate(entries)))
+    f = TreeFunction.from_radial(p)
+    operators = [adjacency_sum, laplacian_tree, two_step_laplacian]
+    for n in range(1, min(4, CROSS_REACH[q] - radius) + 1):
+        operators.append(lambda x, n=n: m_operator(n, x))
+    for operator in operators:
+        image = operator(p)
+        assert type(image) is RadialProfile
+        assert TreeFunction.from_radial(image) == operator(f)
+    potential = _potential_pair(p)
+    assert potential == _potential_two_step(p) == _potential_pair(f) == _potential_two_step(f)

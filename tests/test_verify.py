@@ -38,12 +38,15 @@ def test_huygens_pin(monkeypatch):
             return report
         return dataclasses.replace(report, interior_mass=report.interior_mass + TINY)
 
-    _perturb(monkeypatch, "radial_huygens_report", mass_at_6)
+    _perturb(monkeypatch, "huygens_report", mass_at_6)
     _fails_with("check_huygens", "pinned interior mass")
 
 
 def test_huygens_vertex_cross_check(monkeypatch):
-    def kinetic(report, *args):
+    # both layouts share huygens_report: only the vertex trajectory's report changes
+    def kinetic(report, trajectory, *args):
+        if not isinstance(trajectory.f, TreeFunction):
+            return report
         return dataclasses.replace(report, interior_kinetic=report.interior_kinetic + TINY)
 
     _perturb(monkeypatch, "huygens_report", kinetic)

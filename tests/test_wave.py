@@ -6,7 +6,7 @@ import pytest
 from treewave.errors import ParameterError, TruncationError
 from treewave.functions import RadialProfile, TreeFunction, radial_profile_of
 from treewave.radial import (
-    distance_counts,
+    distance_count,
     evaluate_kernel_solution,
     kernel_family_recurrence,
     m_kernel,
@@ -27,6 +27,12 @@ from treewave.wave import (
 )
 
 EXACT = ScalarMode.EXACT
+
+
+def distance_counts(q, m, d):
+    """Distribution of |y| over the sphere S(x, d) for |x| = m."""
+    counts = {r: distance_count(q, m, d, r) for r in range(abs(m - d), m + d + 1, 2)}
+    return {r: c for r, c in counts.items() if c}
 
 
 def exact(value, q):
