@@ -11,8 +11,8 @@ and one for B, over one common denominator D per function; when q is a
 perfect square, sqrt(q) is folded into A and every B is 0, as in ``QSurd``.
 float64 data are one part list of floats with D = 1.
 
-The *layout* decides only the neighbour sum, the distance-2 pair
-enumeration and the weight of an entry:
+The *layout* decides only the neighbour sum of one part, the ball mean M_n,
+the distance-2 pair enumeration and the weight of an entry:
 
 - vertex data (``Levels``): depth d lists the vertices of the sphere S(d) in
   the canonical order of ``Ball.vertices()``: the origin, its q+1 children,
@@ -26,15 +26,17 @@ enumeration and the weight of an entry:
 - radial profiles (``RadialLevels``): one entry per depth, standing for the
   |S(d)| = ``sphere_volume(q, d)`` vertices of that sphere, which is its
   weight.  The neighbour sum is (q+1)*p(1) at the origin and
-  p(m-1) + q*p(m+1) elsewhere.  The distance-2 pairs are the grandparent
-  pairs (d, d+2), |S(d+2)| of them; siblings share a value and add 0.
+  p(m-1) + q*p(m+1) elsewhere, and M_n is the convolution with the M_n
+  kernel.  The distance-2 pairs are the grandparent pairs (d, d+2),
+  |S(d+2)| of them; siblings share a value and add 0.
 - height sequences (``HeightLevels``): depth |h| holds s(h), and at depth
   d >= 1 also s(-d) after s(d).  Only packing and the linear combinations
   apply.
 
 Kinetic energy, mass, the pair-sum potential, the counting inner product,
-the three Huygens interior sums, the linear combinations and the leapfrog
-step are written once over these two choices.  No
+the three Huygens interior sums, the linear combinations, the leapfrog
+step and the tree and two-step Laplacians are written once over these two
+choices, so vertex and radial data share one operator algebra.  No
 ``Fraction`` is built inside a loop; values become ``QSurd`` only when a
 function is materialised or a sum is returned.  The cost of a vertex
 operation grows with the ball of the support radius, not with the support.
@@ -385,8 +387,8 @@ class _Packed:
 
 
 class Levels(_Packed):
-    """A vertex function on the origin ball in canonical order, with the
-    vertex operators of the leapfrog and the tree and two-step Laplacians."""
+    """A vertex function on the origin ball in canonical order, with M_n
+    built from geodesic index ranges."""
 
     __slots__ = ()
 
@@ -508,17 +510,14 @@ class RadialLevels(_Packed):
         levels = enumerate(zip(*self.parts))
         return {m: value for m, level in levels for _, value in self._unpacked(level)}
 
-    @classmethod
-    def ball_kernel(cls, q: int, mode: ScalarMode, n: int) -> RadialLevels:
-        """The distance kernel of M_n for n >= 0: q^(-n/2) at the distances
-        d <= n with n - d even."""
-        weight = sqrt_q_power(q, -n, mode)
-        return cls._pack(q, mode, n, ((d, 0, weight) for d in range(n % 2, n + 1, 2)))
-
     def ball_mean(self, n: int) -> RadialLevels:
-        """M_n for n >= 1, as the convolution with its distance kernel; no
-        neighbour sum is taken."""
-        return self.convolve(self.ball_kernel(self.q, self.mode, n))
+        """M_n for n >= 1, as the convolution with its distance kernel
+        q^(-n/2) at the distances d <= n with n - d even; no neighbour sum
+        is taken."""
+        q, mode = self.q, self.mode
+        weight = sqrt_q_power(q, -n, mode)
+        kernel = self._pack(q, mode, n, ((d, 0, weight) for d in range(n % 2, n + 1, 2)))
+        return self.convolve(kernel)
 
     def convolve(self, kernel: RadialLevels) -> RadialLevels:
         """The radial operator with distance kernel ``kernel`` applied to this

@@ -32,8 +32,7 @@ from math import lcm
 
 from .errors import ParameterError
 from .functions import RadialProfile, TreeFunction
-from .levels import RadialLevels
-from .scalars import QSurd, Scalar, ScalarMode, scalar_from_fraction, scalar_zero
+from .scalars import QSurd, Scalar, ScalarMode, scalar_from_fraction, scalar_zero, sqrt_q_power
 from .topology import VertexAddress, distance, distance_count  # noqa: F401 (re-exported)
 from .wave import WaveTrajectory, _solve, adjacency_sum
 
@@ -49,7 +48,8 @@ def m_kernel(q: int, n: int, mode: ScalarMode) -> RadialProfile:
         raise ParameterError(f"M_n needs n >= -1, got {n}")
     if n == -1:
         return RadialProfile(q, mode)
-    return RadialProfile._from_levels(RadialLevels.ball_kernel(q, mode, n))
+    weight = sqrt_q_power(q, -n, mode)
+    return RadialProfile(q, mode, [(d, weight) for d in range(n % 2, n + 1, 2)])
 
 
 def propagator_kernels(q: int, n: int, mode: ScalarMode) -> tuple[RadialProfile, RadialProfile]:

@@ -167,7 +167,9 @@ def check_metric(qs, rng) -> CheckResult:
             if seen[y] != distance(x, y) or distance(x, y) != distance(y, x):
                 return CheckResult("tree metric", False, f"q={q} {x} {y}")
     return CheckResult(
-        "tree metric against breadth-first search (symmetry included)", True, "30 pairs"
+        "tree metric against breadth-first search (symmetry included)",
+        True,
+        f"{10 * len(qs)} pairs",
     )
 
 
@@ -317,7 +319,7 @@ def check_energy_conservation(qs, rng, *, n_max: int, corrupt: bool = False) -> 
     return CheckResult(
         "energy conservation (exact) and the closed-form total in the data",
         True,
-        f"|n| <= {n_max}",
+        f"|n| <= {n_max - 1}",
     )
 
 

@@ -22,17 +22,17 @@ VERIFY_REPORTS = [
     (
         ["--q", "2,3", "--seed", "0", "--size", "small"],
         0,
-        "e8a9e9e4a6a40152dde64704903a0714d6739f5ba63aa579f95ad1032110e4e5",
+        "6040411e06c2698262ac19dce34a74d278f01e4ccee295223b03228f5c296faf",
     ),
     (
         ["--q", "2,3", "--seed", "0"],
         0,
-        "536f0bc7267f00f9dd857be7e970295b4d8f5d65f74597fa977f4565e5f4ff76",
+        "ea1fe2bf00d286dc84ce858e2f997d2d9f074fba4065f3cfdf293847b402d23b",
     ),
     (
         ["--q", "2", "--seed", "0", "--size", "small", "--negative-control"],
         1,
-        "ce6fcef9dc33915c3561511f84de5d0e5da9471768c9946a916eff13324be246",
+        "52941ed648938982d51b9fcc39db3bcdf1a34443da7a6a652712495b7baa99c9",
     ),
 ]
 
