@@ -19,6 +19,7 @@ import os
 import random
 import time
 from dataclasses import asdict, dataclass
+from math import gcd
 from pathlib import Path
 
 from .energy import (
@@ -33,7 +34,7 @@ from .energy import (
 from .errors import ConfigError
 from .functions import TreeFunction
 from .sampling import random_tree_function
-from .scalars import QSurd, Scalar, ScalarMode, scalar_to_float
+from .scalars import QSurd, Scalar, ScalarMode, scalar_to_float, surd_to_float
 from .topology import Ball
 from .wave import WaveTrajectory, solve
 
@@ -144,8 +145,24 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     path.write_text(buffer.getvalue(), encoding="utf-8")
 
 
+def _fraction_text(x: int, den: int) -> str:
+    """str(Fraction(x, den)) for den > 0, without building the Fraction."""
+    common = gcd(x, den)
+    x, den = x // common, den // common
+    return str(x) if den == 1 else f"{x}/{den}"
+
+
 def _snapshot_rows(state: TreeFunction) -> list[list[str]]:
-    return [[str(vertex)] + _scalar_columns(value) for vertex, value in state.items()]
+    """The rows of ``_scalar_columns`` per stored value in canonical order,
+    formatted from the integers of the packed form."""
+    levels = state._as_levels()
+    if levels.mode is not ScalarMode.EXACT:
+        return [[label, "", "", repr(x)] for label, (x,) in levels.labelled()]
+    q, den = levels.q, levels.den
+    return [
+        [label, _fraction_text(a, den), _fraction_text(b, den), repr(surd_to_float(q, a, b, den))]
+        for label, (a, b) in levels.labelled()
+    ]
 
 
 def _margin_for(config: ExperimentConfig, n: int) -> int:
@@ -249,11 +266,9 @@ def run_experiment(config: ExperimentConfig) -> Path:
             )
             agreement = "exact" if same else "MISMATCH"
         else:
-            worst = 0.0
-            for n in closed.n_values():
-                a, b = closed.snapshot(n), leapfrog.snapshot(n)
-                for vertex in a.support() | b.support():
-                    worst = max(worst, abs(a[vertex] - b[vertex]))
+            worst = max(
+                (closed.snapshot(n) - leapfrog.snapshot(n)).max_abs() for n in closed.n_values()
+            )
             agreement = f"max abs deviation {worst:.3e}"
 
     out_dir = default_output_dir(config.out)

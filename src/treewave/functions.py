@@ -7,8 +7,10 @@ lookup, equality, hashing, JSON and the linear combinations (``+``, ``-``,
 negation, ``scale``) are written once; the linear combinations run on the
 packed form of ``treewave.levels``, in the vertex, radial or height layout.
 A ``TreeFunction`` packs once and keeps its packed form, since the vertex
-kernels reuse it; a ``RadialProfile`` or ``HeightSequence`` holds its value
-map and packs per call.  Values are immutable by convention: operations
+kernels reuse it, and reads equality, truth, support size and radius and
+``from_radial`` from it; its value map is built only when a value is
+looked up or iterated.  A ``RadialProfile`` or ``HeightSequence`` holds its
+value map and packs per call.  Values are immutable by convention: operations
 return new values.  ``TreeFunction`` holds initial data and wave snapshots,
 ``RadialProfile`` (indexed by radius in N) and ``HeightSequence`` (indexed by
 height in Z) are the two ends of the horocycle-summation transform pair.
@@ -16,8 +18,9 @@ height in Z) are the two ends of the horocycle-summation transform pair.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import chain
 
 from .errors import ModeError, ParameterError
 from .levels import HeightLevels, Levels, RadialLevels
@@ -33,7 +36,7 @@ from .scalars import (
     scalar_to_json,
     scalar_zero,
 )
-from .topology import Ball, VertexAddress, distance, sphere_volume
+from .topology import VertexAddress, distance, sphere_volume
 
 
 def _check_q(q) -> None:
@@ -49,8 +52,11 @@ class _Sparse:
     supplies its key type, the JSON field of a key, the sort order of keys,
     the packed layout, ``delta``, ``support_radius`` and its own extras.  A
     ``TreeFunction`` packs once and keeps the packed form; a profile or a
-    height sequence holds its value map and packs per call.  Equality,
-    hashing and serialization read only the value map.
+    height sequence holds its value map and packs per call.  Two values
+    that both hold a packed form compare its canonical (D, parts), which is
+    trimmed and reduced; otherwise equality reads the value maps, so a
+    sparse function is never packed only to be compared.  Hashing and
+    serialization read the value map.
     """
 
     __slots__ = ("q", "mode", "_store", "_levels")
@@ -130,12 +136,17 @@ class _Sparse:
         return set(self._values)
 
     def __bool__(self) -> bool:
-        return bool(self._values)
+        levels = self._levels  # the zero function has no depths
+        return bool(self._store) if levels is None else bool(levels.parts[0])
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self.q == other.q and self.mode == other.mode and self._values == other._values
+        if self.q != other.q or self.mode != other.mode:
+            return False
+        if self._levels is not None and other._levels is not None:
+            return self._levels.same_as(other._levels)
+        return self._values == other._values
 
     def __hash__(self):
         return hash((type(self).__name__, self.q, self.mode, frozenset(self._values.items())))
@@ -164,6 +175,8 @@ class _Sparse:
         return self._from_levels(self._as_levels().scale(factor))
 
     def max_abs(self) -> Scalar:
+        if self._levels is not None and self.mode is ScalarMode.FLOAT64:
+            return max(map(abs, chain.from_iterable(self._levels.parts[0])), default=0.0)
         return max(map(abs, self._values.values()), default=scalar_zero(self.q, self.mode))
 
     def as_float64(self):
@@ -246,26 +259,23 @@ class TreeFunction(_Sparse):
 
     @classmethod
     def from_radial(cls, profile: "RadialProfile") -> TreeFunction:
-        """Materialize x -> profile(|x|) on the ball spanned by the support."""
-        radius = profile.support_radius()
-        entries = []
-        if radius >= 0:
-            for vertex in Ball(profile.q, radius):
-                entries.append((vertex, profile[vertex.depth]))
-        return cls(profile.q, profile.mode, entries)
+        """x -> profile(|x|) on the ball spanned by the support, packed."""
+        return cls._from_levels(Levels.from_radial(profile._as_levels()))
 
     def value_map(self) -> Mapping[VertexAddress, Scalar]:
-        """Unordered read-only view of the nonzero values."""
-        return self._values
+        """Unordered read-only view of the nonzero values (``_ValueView``)."""
+        return _ValueView(self)
 
     def support_size(self) -> int:
-        return len(self._values)
+        if self._store is None:
+            return self._levels.support_size()
+        return len(self._store)
 
     def support_radius(self) -> int:
         """Largest |x| with f(x) != 0, or -1 for the zero function."""
-        if not self._values:
-            return -1
-        return max(v.depth for v in self._values)
+        if self._levels is not None:
+            return len(self._levels.parts[0]) - 1
+        return max((v.depth for v in self._store), default=-1)
 
     def dot(self, other: TreeFunction) -> Scalar:
         """Counting inner product sum_x f(x) g(x) over the joint support."""
@@ -279,6 +289,31 @@ class TreeFunction(_Sparse):
 
     def l1_norm(self) -> Scalar:
         return scalar_sum((abs(v) for v in self._values.values()), self.q, self.mode)
+
+
+class _ValueView(Mapping):
+    """Read-only view of a function's nonzero values: its length is counted
+    on the packed form, and a lookup or an iteration builds the value map."""
+
+    __slots__ = ("_function",)
+
+    def __init__(self, function: TreeFunction):
+        self._function = function
+
+    def __len__(self) -> int:
+        return self._function.support_size()
+
+    def __getitem__(self, vertex: VertexAddress) -> Scalar:
+        return self._function._values[vertex]
+
+    def __iter__(self):
+        return iter(self._function._values)
+
+    def items(self):
+        return self._function._values.items()
+
+    def values(self):
+        return self._function._values.values()
 
 
 class RadialProfile(_Sparse):

@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, islice, repeat
 from math import fsum, gcd, lcm
-from operator import add, mul, neg, sub
+from operator import add, mul, neg, or_, sub
 
 from .scalars import QSurd, Scalar, ScalarMode, _square_root_if_perfect, sqrt_q_power
 from .topology import VertexAddress, distance_count, sphere_volume
@@ -214,16 +214,32 @@ class _Packed:
         q = self.q
         return QSurd(Fraction(total[0] + q * total[1], scale), Fraction(total[2], scale), q)
 
+    @staticmethod
+    def _slots(level: tuple):
+        """(index, parts) of the nonzero entries of one depth (its parts):
+        (A, B) over D for exact data, (x,) for float64."""
+        return ((j, values) for j, values in enumerate(zip(*level)) if any(values))
+
     def _unpacked(self, level: tuple):
         """(index, scalar) of the nonzero entries of one depth (its parts)."""
         if self.mode is not EXACT:
-            return ((j, x) for j, x in enumerate(level[0]) if x)
+            return ((j, x) for j, (x,) in self._slots(level))
         q, den, zero = self.q, self.den, Fraction(0)
         return (
             (j, QSurd(Fraction(x, den) if x else zero, Fraction(y, den) if y else zero, q))
-            for j, (x, y) in enumerate(zip(*level))
-            if x or y
+            for j, (x, y) in self._slots(level)
         )
+
+    def same_as(self, other: _Packed) -> bool:
+        """Equal values, read from the canonical (D, parts) of two packed
+        functions of one layout, q and mode."""
+        return self.den == other.den and self.parts == other.parts
+
+    def support_size(self) -> int:
+        """Number of nonzero stored entries."""
+        if self.mode is not EXACT:
+            return sum(len(level) - level.count(0) for level in self.parts[0])
+        return sum(len(x) - list(map(or_, x, y)).count(0) for x, y in zip(*self.parts))
 
     def _sum_with(self, other: _Packed, sign: int) -> tuple[int, list]:
         """(D, parts) of self + sign * other over their common denominator."""
@@ -434,18 +450,43 @@ class Levels(_Packed):
     def _adjacent_part(self, part: list) -> list:
         return _adjacent(part, self.q)
 
+    @classmethod
+    def from_radial(cls, profile: RadialLevels) -> Levels:
+        """x -> p(|x|) on the ball of the profile's radius: each radius value
+        repeated |S(d)| times."""
+        q = profile.q
+        parts = [
+            [level * sphere_volume(q, d) for d, level in enumerate(part)] for part in profile.parts
+        ]
+        return cls(q, profile.mode, profile.den, parts)
+
+    def _words(self, root, extend):
+        """Per depth, the words of the vertices of S(d) in canonical order,
+        each depth's list built from the last by ``extend(word, label)``."""
+        q, words = self.q, [root]
+        for d in range(len(self.parts[0])):
+            if d:
+                branches = range(q + 1 if d == 1 else q)
+                words = [extend(word, label) for word in words for label in branches]
+            yield words
+
     def values(self) -> dict:
         """The nonzero values as vertex -> scalar, in canonical order."""
         q = self.q
-        out = {}
-        labels = [()]
-        for d, level in enumerate(zip(*self.parts)):
-            if d:
-                branches = range(q + 1 if d == 1 else q)
-                labels = [word + (label,) for word in labels for label in branches]
-            for j, value in self._unpacked(level):
-                out[VertexAddress(q, labels[j])] = value
-        return out
+        depths = zip(self._words((), lambda word, label: word + (label,)), zip(*self.parts))
+        return {
+            VertexAddress(q, words[j]): value
+            for words, level in depths
+            for j, value in self._unpacked(level)
+        }
+
+    def labelled(self):
+        """(label string, parts) of the nonzero stored entries in canonical
+        order, with the parts of ``_slots``; no vertex or scalar is built."""
+        labels = self._words("", lambda word, label: f"{word},{label}" if word else str(label))
+        for words, level in zip(labels, zip(*self.parts)):
+            for j, values in self._slots(level):
+                yield words[j], values
 
     def ball_mean(self, n: int) -> Levels:
         """M_n for n >= 1: q^(-n/2) times the sum of the values at the

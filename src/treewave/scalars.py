@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import isfinite, isqrt
+from math import isfinite, isqrt, lcm
 from typing import Union
 
 from .errors import ModeError, ParameterError
@@ -36,10 +36,29 @@ def _square_root_if_perfect(q: int) -> int | None:
 
 
 @lru_cache(maxsize=None)
-def _sqrt_bracket(q: int, bits: int) -> tuple[Fraction, Fraction]:
-    # lo <= sqrt(q) <= hi with hi - lo = 2^-bits
-    n = isqrt(q << (2 * bits))
-    return Fraction(n, 1 << bits), Fraction(n + 1, 1 << bits)
+def _sqrt_floor(q: int, bits: int) -> int:
+    # n / 2^bits <= sqrt(q) <= (n + 1) / 2^bits
+    return isqrt(q << (2 * bits))
+
+
+def surd_to_float(q: int, a: int, b: int, den: int) -> float:
+    """Correctly rounded nearest double of (a + b*sqrt(q)) / den, for
+    integers a, b and den > 0, with b == 0 when q is a perfect square.
+
+    Brackets sqrt(q) between n / 2^k and (n + 1) / 2^k, k = 64, 128, ...,
+    until both ends of the enclosing interval round to the same double
+    (int / int true division rounds correctly); for b != 0 the value is
+    irrational, so the loop terminates.
+    """
+    if not b:
+        return a / den
+    bits = 64
+    while True:
+        n, scaled, over = _sqrt_floor(q, bits), a << bits, den << bits
+        lo, hi = (scaled + b * n) / over, (scaled + b * (n + 1)) / over
+        if lo == hi:
+            return lo
+        bits *= 2
 
 
 def _coerce_rational(value) -> Fraction | None:
@@ -269,25 +288,12 @@ class QSurd:
     # -- conversions -------------------------------------------------------
 
     def to_float(self) -> float:
-        """Correctly rounded nearest double.
-
-        Brackets sqrt(q) between rationals of increasing precision until both
-        endpoints of the enclosing interval round to the same double; for
-        b != 0 the value is irrational, so the loop terminates.
-        """
-        if self._b == 0:
-            return float(self._a)
-        bits = 64
-        while True:
-            lo, hi = _sqrt_bracket(self._q, bits)
-            if self._b > 0:
-                xlo, xhi = self._a + self._b * lo, self._a + self._b * hi
-            else:
-                xlo, xhi = self._a + self._b * hi, self._a + self._b * lo
-            flo, fhi = float(xlo), float(xhi)
-            if flo == fhi:
-                return flo
-            bits *= 2
+        """Correctly rounded nearest double (``surd_to_float``)."""
+        a, b = self._a, self._b
+        den = lcm(a.denominator, b.denominator)
+        return surd_to_float(
+            self._q, a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
+        )
 
     def __float__(self) -> float:
         return self.to_float()

@@ -11,6 +11,7 @@ float tolerances are stated inline.
 """
 
 import random
+import resource
 import time
 from fractions import Fraction
 
@@ -95,31 +96,40 @@ def test_criterion_4_closed_form_total_energy():
     _accept(4, check_energy_conservation, (2, 3, 4), n_max=2)
 
 
+def _check_vertex_reach(q, reach):
+    delta, zero = TreeFunction.delta(q, EXACT), TreeFunction.zero(q, EXACT)
+    trajectory = solve(delta, zero, (0, reach), solver="recurrence")
+    _, reports = total_energy(trajectory)
+    expected = total_energy_closed_form(delta, zero)
+    if q == 2:
+        assert expected == QSurd(Fraction(5, 16), 0, 2)
+    assert [r.n for r in reports] == list(range(1, reach))
+    for report in reports:
+        assert report.total == expected
+        if q == 2 and report.n >= 2:
+            assert report.gap == QSurd(Fraction(-1, 2 ** (report.n + 5)), 0, 2)
+    # raises unless the pair-sum and 2-step potentials agree
+    energies(trajectory, reach - 1)
+    radial = radial_solve(RadialProfile.delta(q, EXACT), RadialProfile(q, EXACT), reach)
+    assert trajectory.snapshot(reach) == TreeFunction.from_radial(radial.snapshot(reach))
+
+
 def test_vertex_level_reach():
     """Vertex-level delta trajectories at the reach target, exact, < 60 s:
-    q=2 on (0, 16) with E = 5/16 and gap = -1/2^(n+5), q=3 on (0, 10) with
+    q=2 on (0, 20) with E = 5/16 and gap = -1/2^(n+5), q=3 on (0, 12) with
     E equal to the closed form; the last snapshots equal the radial route
-    vertex by vertex."""
+    at every vertex.  The printed peak RSS is that of the whole test
+    process, which holds every snapshot of the larger trajectory."""
     started = time.perf_counter()
-    for q, reach in ((2, 16), (3, 10)):
-        delta, zero = TreeFunction.delta(q, EXACT), TreeFunction.zero(q, EXACT)
-        trajectory = solve(delta, zero, (0, reach), solver="recurrence")
-        _, reports = total_energy(trajectory)
-        expected = total_energy_closed_form(delta, zero)
-        if q == 2:
-            assert expected == QSurd(Fraction(5, 16), 0, 2)
-        assert [r.n for r in reports] == list(range(1, reach))
-        for report in reports:
-            assert report.total == expected
-            if q == 2 and report.n >= 2:
-                assert report.gap == QSurd(Fraction(-1, 2 ** (report.n + 5)), 0, 2)
-        # raises unless the pair-sum and 2-step potentials agree
-        energies(trajectory, reach - 1)
-        radial = radial_solve(RadialProfile.delta(q, EXACT), RadialProfile(q, EXACT), reach)
-        assert trajectory.snapshot(reach) == TreeFunction.from_radial(radial.snapshot(reach))
+    for q, reach in ((2, 20), (3, 12)):
+        _check_vertex_reach(q, reach)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
-    print(f"vertex-level reach: PASS — |n| = 16 (q=2) and 10 (q=3), {elapsed:.1f}s")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(
+        f"vertex-level reach: PASS — |n| = 20 (q=2) and 12 (q=3), {elapsed:.1f}s, "
+        f"peak RSS {peak_mb:.0f} MB"
+    )
 
 
 def test_criterion_5_equipartition():

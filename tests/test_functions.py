@@ -1,4 +1,5 @@
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -206,3 +207,92 @@ def test_non_finite_float64_values_are_rejected(cls, bad):
         cls.from_json(blob)
     with pytest.raises(ParameterError, match="finite"):
         delta.scale(bad)
+
+
+# -- equality and hashing read the packed form when both hold one ----------------
+
+QS = (2, 3, 4, 5, 9)
+FLOAT = ScalarMode.FLOAT64
+
+
+def _scalar(q, mode, a, b, den):
+    if mode is EXACT:
+        return QSurd(Fraction(a, den), Fraction(b, den), q)
+    return (a + 0.5 * b) / den
+
+
+def _same_by_value_map(x, y):
+    return x.q == y.q and x.mode == y.mode and dict(x.value_map()) == dict(y.value_map())
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_equality_and_hash_agree_with_the_value_maps(data):
+    q = data.draw(st.sampled_from(QS), label="q")
+    mode = data.draw(st.sampled_from((EXACT, FLOAT)), label="mode")
+    radius = data.draw(st.integers(0, 2), label="radius")
+    ball = list(Ball(q, radius))
+    value = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.sampled_from((1, 2, 3)))
+    drawn = data.draw(st.lists(value, min_size=len(ball), max_size=len(ball)), label="values")
+    values = [_scalar(q, mode, *parts) for parts in drawn]
+    # built by the constructor: a value map and no packed form
+    f = TreeFunction(q, mode, zip(ball, values))
+    zero = TreeFunction.zero(q, mode)
+    half = QSurd(Fraction(1, 2), 0, q) if mode is EXACT else 0.5
+    one = QSurd.one(q) if mode is EXACT else 1.0
+    minus_one = -one
+    depth = radius + data.draw(st.integers(1, 2), label="deep")
+    deep = VertexAddress(q, (q,) + (q - 1,) * (depth - 1))
+    bump = TreeFunction(q, mode, [(deep, _scalar(q, mode, 1, 0, 3))])
+    # the packed results below hold -0.0 in float64 mode wherever f is zero
+    flipped = TreeFunction(q, mode, zip(ball, (-x for x in values))).scale(minus_one)
+    signed_zeros = TreeFunction(
+        q, mode, [(v, -0.0 if mode is FLOAT and not x else x) for v, x in zip(ball, values)]
+    )
+    candidates = [
+        f,
+        f.scale(one),
+        f + zero,
+        zero + f,
+        flipped,
+        signed_zeros,
+        f.scale(half),  # the same parts over twice the denominator, once reduced
+        f + bump,
+        TreeFunction(q, mode, dict((f + bump).value_map())),
+        zero,
+        zero.scale(one),
+    ]
+    for x in candidates:
+        for y in candidates:
+            assert (x == y) is _same_by_value_map(x, y)
+            if x == y:
+                assert hash(x) == hash(y)
+    assert f == f.scale(one) == f + zero == flipped == signed_zeros
+    assert f.scale(one) != f + bump and f != f + bump
+    assert (f.scale(half) == f) is (not f)
+
+
+def test_a_sparse_function_is_not_packed_to_be_compared():
+    far = VertexAddress(3, (3,) + (2,) * 29)
+    sparse = TreeFunction.delta(3, EXACT, far)
+    packed = TreeFunction.delta(3, EXACT).scale(QSurd.one(3))
+    assert packed._levels is not None
+    assert sparse != packed and packed != sparse
+    assert sparse._levels is None
+
+
+def test_value_map_is_a_read_only_view_counted_on_the_packed_form():
+    f = TreeFunction.from_radial(RadialProfile(3, EXACT, [(0, QSurd(1, 0, 3)), (2, QSurd(0, 1, 3))]))
+    view = f.value_map()
+    assert isinstance(view, Mapping)
+    assert len(view) == f.support_size() == 1 + 4 * 3
+    assert f.support_radius() == 2 and f
+    assert f._store is None  # counted without building a value
+    vertex = VertexAddress(3, (1, 2))
+    assert view[vertex] == QSurd(0, 1, 3) and vertex in view
+    assert VertexAddress(3, (1,)) not in view
+    assert dict(view) == dict(f.items()) and len(list(view)) == len(view)
+    with pytest.raises(TypeError):
+        view[vertex] = QSurd(1, 0, 3)
+    assert not TreeFunction.zero(3, EXACT).scale(QSurd.one(3))
+    assert TreeFunction.zero(3, EXACT).scale(QSurd.one(3)).support_radius() == -1

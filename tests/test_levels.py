@@ -31,6 +31,7 @@ from treewave.energy import (
     radial_kinetic_energy,
     radial_potential_energy,
 )
+from treewave.experiment import _scalar_columns, _snapshot_rows
 from treewave.functions import HeightSequence, RadialProfile, TreeFunction
 from treewave.laplacians import gamma_tilde, laplacian_tree, two_step_laplacian
 from treewave.levels import Levels
@@ -529,6 +530,42 @@ def test_layout_is_the_canonical_ball_order():
     assert flat == list(range(1, len(ball) + 1))
     assert list(levels.values()) == ball
     assert not Levels.pack(q, EXACT, {}).parts[0]
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+@pytest.mark.parametrize("q", QS)
+def test_snapshot_rows_match_the_value_map_route(q, mode):
+    """The CSV rows formatted from the packed integers equal the rows of
+    ``_scalar_columns`` over the materialised values."""
+    rng = random.Random(f"levels:rows:{q}:{mode.value}")
+    if mode is EXACT:
+        f, g = surd_data(q, rng, radius=1), surd_data(q, rng, radius=1)
+    else:
+        f, g = float_data(q, rng), float_data(q, rng)
+    trajectory = solve(f, g, 3, solver="recurrence")
+    states = [f, fresh(g), TreeFunction.zero(q, mode), *trajectory.snapshots.values()]
+    for state in states:
+        expected = [[str(vertex)] + _scalar_columns(value) for vertex, value in state.items()]
+        assert _snapshot_rows(state) == expected
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+@pytest.mark.parametrize("q", QS)
+def test_from_radial_matches_the_ball_walk(q, mode):
+    rng = random.Random(f"levels:from_radial:{q}:{mode.value}")
+    for radius in range(-1, 3 if q == 9 else 4):
+        entries = []
+        for m in range(radius + 1):
+            a, b = rng.randint(-4, 4), Fraction(rng.randint(-3, 3), rng.choice((1, 2, 7)))
+            value = QSurd(Fraction(a, rng.choice((1, 3, 4))), b, q)
+            entries.append((m, value if mode is EXACT else value.to_float()))
+        profile = RadialProfile(q, mode, entries)
+        walked = TreeFunction(q, mode, [(v, profile[v.depth]) for v in Ball(q, max(radius, 0))])
+        packed = TreeFunction.from_radial(profile)
+        assert packed == walked and walked._levels is None  # value maps
+        assert packed._as_levels().same_as(walked._as_levels())
+        assert packed.support_radius() == walked.support_radius() == profile.support_radius()
+        assert packed.support_size() == walked.support_size()
 
 
 # -- routes folded into the packed core -----------------------------------------

@@ -13,6 +13,7 @@ from treewave.scalars import (
     scalar_from_json,
     scalar_to_json,
     sqrt_q_power,
+    surd_to_float,
 )
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=8)
@@ -171,3 +172,39 @@ def test_construction_coerces_plain_integers():
     assert x == 3 and x.q == 5
     assert ensure_mode(2, ScalarMode.EXACT, 3) == QSurd(2, 0, 3)
     assert ensure_mode(Fraction(1, 4), ScalarMode.EXACT, 3) == QSurd(Fraction(1, 4), 0, 3)
+
+
+def fraction_bracket_float(a: Fraction, b: Fraction, q: int) -> float:
+    """Reference: bracket sqrt(q) between Fractions n/2^k and (n+1)/2^k,
+    k = 64, 128, ..., until both ends of a + b*sqrt(q) round alike."""
+    if b == 0:
+        return float(a)
+    bits = 64
+    while True:
+        n = math.isqrt(q << (2 * bits))
+        ends = {float(a + b * Fraction(n + i, 1 << bits)) for i in (0, 1)}
+        if len(ends) == 1:
+            return ends.pop()
+        bits *= 2
+
+
+big = st.integers(-(10**40), 10**40)
+
+
+@given(
+    q=st.sampled_from((2, 3, 5, 7, 4, 9)),
+    a=big,
+    b=big,
+    den=st.integers(1, 10**30),
+    cancel=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_surd_to_float_matches_the_fraction_bracket(q, a, b, den, cancel):
+    if math.isqrt(q) ** 2 == q:
+        b = 0  # folded into a, as in QSurd and the packed form
+    elif cancel:  # a + b*sqrt(q) close to 0: the bracket has to double
+        a = -math.isqrt(q * b * b) * (1 if b > 0 else -1)
+    expected = fraction_bracket_float(Fraction(a, den), Fraction(b, den), q)
+    assert surd_to_float(q, a, b, den) == expected
+    assert QSurd(Fraction(a, den), Fraction(b, den), q).to_float() == expected
+    assert surd_to_float(q, -a, -b, den) == -expected
