@@ -214,20 +214,15 @@ class _Packed:
         q = self.q
         return QSurd(Fraction(total[0] + q * total[1], scale), Fraction(total[2], scale), q)
 
-    @staticmethod
-    def _slots(level: tuple):
-        """(index, parts) of the nonzero entries of one depth (its parts):
-        (A, B) over D for exact data, (x,) for float64."""
-        return ((j, values) for j, values in enumerate(zip(*level)) if any(values))
-
     def _unpacked(self, level: tuple):
         """(index, scalar) of the nonzero entries of one depth (its parts)."""
         if self.mode is not EXACT:
-            return ((j, x) for j, (x,) in self._slots(level))
+            return ((j, x) for j, x in enumerate(level[0]) if x)
         q, den, zero = self.q, self.den, Fraction(0)
         return (
             (j, QSurd(Fraction(x, den) if x else zero, Fraction(y, den) if y else zero, q))
-            for j, (x, y) in self._slots(level)
+            for j, (x, y) in enumerate(zip(*level))
+            if x or y
         )
 
     def same_as(self, other: _Packed) -> bool:
@@ -482,11 +477,13 @@ class Levels(_Packed):
 
     def labelled(self):
         """(label string, parts) of the nonzero stored entries in canonical
-        order, with the parts of ``_slots``; no vertex or scalar is built."""
+        order: the parts are (A, B) over D for exact data, (x,) for float64.
+        No vertex or scalar is built."""
         labels = self._words("", lambda word, label: f"{word},{label}" if word else str(label))
         for words, level in zip(labels, zip(*self.parts)):
-            for j, values in self._slots(level):
-                yield words[j], values
+            for j, values in enumerate(zip(*level)):
+                if any(values):
+                    yield words[j], values
 
     def ball_mean(self, n: int) -> Levels:
         """M_n for n >= 1: q^(-n/2) times the sum of the values at the
