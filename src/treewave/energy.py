@@ -84,9 +84,9 @@ class PropagationReport:
 
 # -- sums over one snapshot ----------------------------------------------------
 #
-# Every sum runs on the packed form (``_as_levels()``) of a snapshot, which a
-# TreeFunction caches and a RadialProfile builds per call; ``treewave.levels``
-# supplies the layout's weights and distance-2 pairs.
+# Every sum runs on the packed form (``_as_levels()``) of a snapshot, which
+# every container keeps once built; ``treewave.levels`` supplies the layout's
+# weights and distance-2 pairs.
 
 
 def kinetic_energy(u: WaveTrajectory, n: int) -> Scalar:

@@ -6,11 +6,10 @@ structural and serialized output is byte-stable.  The key check, cleaning,
 lookup, equality, hashing, JSON and the linear combinations (``+``, ``-``,
 negation, ``scale``) are written once; the linear combinations run on the
 packed form of ``treewave.levels``, in the vertex, radial or height layout.
-A ``TreeFunction`` packs once and keeps its packed form, since the vertex
-kernels reuse it, and reads equality, truth, support size and radius and
-``from_radial`` from it; its value map is built only when a value is
-looked up or iterated.  A ``RadialProfile`` or ``HeightSequence`` holds its
-value map and packs per call.  Values are immutable by convention: operations
+Every container packs once and keeps its packed form, since the next
+operator reuses it, and reads equality, truth, support, support size and
+radius and ``from_radial`` from it; its value map is built only when a value
+is looked up or iterated.  Values are immutable by convention: operations
 return new values.  ``TreeFunction`` holds initial data and wave snapshots,
 ``RadialProfile`` (indexed by radius in N) and ``HeightSequence`` (indexed by
 height in Z) are the two ends of the horocycle-summation transform pair.
@@ -21,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import chain
+from operator import attrgetter
 
 from .errors import ModeError, ParameterError
 from .levels import HeightLevels, Levels, RadialLevels
@@ -49,13 +49,13 @@ class _Sparse:
     form in ``treewave.levels``.
 
     The base holds everything the three containers share; a subclass
-    supplies its key type, the JSON field of a key, the sort order of keys,
-    the packed layout, ``delta``, ``support_radius`` and its own extras.  A
-    ``TreeFunction`` packs once and keeps the packed form; a profile or a
-    height sequence holds its value map and packs per call.  Two values
-    that both hold a packed form compare its canonical (D, parts), which is
-    trimmed and reduced; otherwise equality reads the value maps, so a
-    sparse function is never packed only to be compared.  Hashing and
+    supplies its key type, the JSON field of a key, the sort order and the
+    radius of keys, the packed layout, ``delta`` and its own extras.  A
+    container packs once and keeps the packed form, and an operator result
+    starts from it, with its value map built on first lookup or iteration.
+    Two values that both hold a packed form compare its canonical (D, parts),
+    which is trimmed and reduced; otherwise equality reads the value maps, so
+    a sparse function is never packed only to be compared.  Hashing and
     serialization read the value map.
     """
 
@@ -63,8 +63,8 @@ class _Sparse:
     _key_type: type = int
     _index_name = ""  # the JSON field of a key
     _order = None  # sort key of a key; None sorts keys by value
+    _radius = staticmethod(abs)  # distance of a key's vertices to the origin
     _layout: type
-    _keeps_packed = False
 
     def __init__(self, q: int, mode: ScalarMode, values: Mapping | Iterable[tuple] = ()):
         _check_q(q)
@@ -99,16 +99,13 @@ class _Sparse:
 
     @classmethod
     def _from_levels(cls, levels):
-        """The container of a packed result."""
+        """The container of a packed result; its value map is built on
+        first read."""
         self = object.__new__(cls)
         object.__setattr__(self, "q", levels.q)
         object.__setattr__(self, "mode", levels.mode)
-        if cls._keeps_packed:  # the value map is built on first read
-            object.__setattr__(self, "_store", None)
-            object.__setattr__(self, "_levels", levels)
-        else:
-            object.__setattr__(self, "_store", levels.values())
-            object.__setattr__(self, "_levels", None)
+        object.__setattr__(self, "_store", None)
+        object.__setattr__(self, "_levels", levels)
         return self
 
     @property
@@ -121,8 +118,7 @@ class _Sparse:
         levels = self._levels
         if levels is None:
             levels = self._layout.pack(self.q, self.mode, self._store)
-            if self._keeps_packed:
-                object.__setattr__(self, "_levels", levels)
+            object.__setattr__(self, "_levels", levels)
         return levels
 
     def __getitem__(self, key) -> Scalar:
@@ -133,7 +129,24 @@ class _Sparse:
         return [(key, values[key]) for key in sorted(values, key=self._order)]
 
     def support(self) -> set:
-        return set(self._values)
+        if self._store is None:
+            return set(self._levels.keys())
+        return set(self._store)
+
+    def support_size(self) -> int:
+        if self._store is None:
+            return self._levels.support_size()
+        return len(self._store)
+
+    def support_radius(self) -> int:
+        """Largest radius of a key with a nonzero value, or -1 for zero."""
+        if self._levels is not None:
+            return len(self._levels.parts[0]) - 1
+        return max(map(self._radius, self._store), default=-1)
+
+    def value_map(self) -> Mapping:
+        """Unordered read-only view of the nonzero values (``_ValueView``)."""
+        return _ValueView(self)
 
     def __bool__(self) -> bool:
         levels = self._levels  # the zero function has no depths
@@ -210,7 +223,8 @@ class _Sparse:
         return cls(q, mode, entries)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(q={self.q}, {self.mode.value}, support={len(self._values)})"
+        size = self.support_size()
+        return f"{type(self).__name__}(q={self.q}, {self.mode.value}, support={size})"
 
 
 class TreeFunction(_Sparse):
@@ -225,8 +239,8 @@ class TreeFunction(_Sparse):
     _key_type = VertexAddress
     _index_name = "vertex"
     _order = staticmethod(VertexAddress.sort_key)
+    _radius = staticmethod(attrgetter("depth"))
     _layout = Levels
-    _keeps_packed = True
     _key_to_json = staticmethod(str)
 
     # perfbench traces these by name in TreeFunction.__dict__, so they are
@@ -262,24 +276,13 @@ class TreeFunction(_Sparse):
         """x -> profile(|x|) on the ball spanned by the support, packed."""
         return cls._from_levels(Levels.from_radial(profile._as_levels()))
 
-    def value_map(self) -> Mapping[VertexAddress, Scalar]:
-        """Unordered read-only view of the nonzero values (``_ValueView``)."""
-        return _ValueView(self)
-
-    def support_size(self) -> int:
-        if self._store is None:
-            return self._levels.support_size()
-        return len(self._store)
-
-    def support_radius(self) -> int:
-        """Largest |x| with f(x) != 0, or -1 for the zero function."""
-        if self._levels is not None:
-            return len(self._levels.parts[0]) - 1
-        return max((v.depth for v in self._store), default=-1)
-
     def dot(self, other: TreeFunction) -> Scalar:
-        """Counting inner product sum_x f(x) g(x) over the joint support."""
+        """Counting inner product sum_x f(x) g(x) over the joint support: on
+        the packed forms when both hold one, else on the value maps, so a
+        sparse function is never packed only to be dotted."""
         self._check_compatible(other)
+        if self._levels is not None and other._levels is not None:
+            return self._levels.dot(other._levels)
         small, large = (self, other) if len(self._values) <= len(other._values) else (other, self)
         return scalar_sum(
             (value * large._values[v] for v, value in small._values.items() if v in large._values),
@@ -292,12 +295,12 @@ class TreeFunction(_Sparse):
 
 
 class _ValueView(Mapping):
-    """Read-only view of a function's nonzero values: its length is counted
+    """Read-only view of a container's nonzero values: its length is counted
     on the packed form, and a lookup or an iteration builds the value map."""
 
     __slots__ = ("_function",)
 
-    def __init__(self, function: TreeFunction):
+    def __init__(self, function: _Sparse):
         self._function = function
 
     def __len__(self) -> int:
@@ -332,9 +335,6 @@ class RadialProfile(_Sparse):
     def delta(cls, q: int, mode: ScalarMode, at: int = 0) -> RadialProfile:
         return cls(q, mode, [(at, scalar_from_fraction(1, q, mode))])
 
-    def support_radius(self) -> int:
-        return max(self._values, default=-1)
-
 
 class HeightSequence(_Sparse):
     """Finitely supported map Z -> scalar (function of the horocyclic height).
@@ -350,9 +350,6 @@ class HeightSequence(_Sparse):
     @classmethod
     def delta(cls, q: int, mode: ScalarMode, at: int = 0) -> HeightSequence:
         return cls(q, mode, [(at, scalar_from_fraction(1, q, mode))])
-
-    def support_radius(self) -> int:
-        return max(map(abs, self._values), default=-1)
 
     def is_even(self) -> bool:
         return all(self[h] == self[-h] for h in self._values)

@@ -225,6 +225,22 @@ class _Packed:
             if x or y
         )
 
+    def keys(self) -> list:
+        """The keys of the nonzero stored entries, in storage order."""
+        key = self._key
+        return [
+            key(d, j)
+            for d, level in enumerate(zip(*self.parts))
+            for j, values in enumerate(zip(*level))
+            if any(values)
+        ]
+
+    def values(self) -> dict:
+        """The nonzero values as key -> scalar, in storage order."""
+        key = self._key
+        levels = enumerate(zip(*self.parts))
+        return {key(d, j): value for d, level in levels for j, value in self._unpacked(level)}
+
     def same_as(self, other: _Packed) -> bool:
         """Equal values, read from the canonical (D, parts) of two packed
         functions of one layout, q and mode."""
@@ -274,6 +290,11 @@ class _Packed:
     @staticmethod
     def _size(q: int, d: int) -> int:
         """Number of entries stored at depth d."""
+        raise NotImplementedError
+
+    def _key(self, d: int, j: int):
+        """The key of the entry stored at depth d and index j (the vertex
+        layout walks its label words in ``keys`` and ``values`` instead)."""
         raise NotImplementedError
 
     def _weight(self, d: int) -> int:
@@ -465,6 +486,17 @@ class Levels(_Packed):
                 words = [extend(word, label) for word in words for label in branches]
             yield words
 
+    def keys(self) -> list:
+        """The vertices of the nonzero stored entries, in canonical order."""
+        q = self.q
+        depths = zip(self._words((), lambda word, label: word + (label,)), zip(*self.parts))
+        return [
+            VertexAddress(q, words[j])
+            for words, level in depths
+            for j, values in enumerate(zip(*level))
+            if any(values)
+        ]
+
     def values(self) -> dict:
         """The nonzero values as vertex -> scalar, in canonical order."""
         q = self.q
@@ -519,7 +551,7 @@ class Levels(_Packed):
 
 class RadialLevels(_Packed):
     """A radial profile p, standing for x -> p(|x|): one entry per depth,
-    weighted by the sphere volume.  Packed per call, never cached."""
+    weighted by the sphere volume.  A profile keeps it once built."""
 
     __slots__ = ()
 
@@ -533,6 +565,9 @@ class RadialLevels(_Packed):
     def _size(q: int, d: int) -> int:
         return 1
 
+    def _key(self, d: int, j: int) -> int:
+        return d
+
     def _distance_two_pairs(self):
         parts = self.parts
         radius = len(parts[0]) - 1
@@ -543,19 +578,23 @@ class RadialLevels(_Packed):
     def _adjacent_part(self, part: list) -> list:
         return _radial_adjacent(part, self.q)
 
-    def values(self) -> dict:
-        """The nonzero values as radius -> scalar, in increasing radius."""
-        levels = enumerate(zip(*self.parts))
-        return {m: value for m, level in levels for _, value in self._unpacked(level)}
+    @classmethod
+    def m_kernel(cls, q: int, mode: ScalarMode, n: int) -> RadialLevels:
+        """The distance kernel of M_n for n >= 0: q^(-n/2) at the distances
+        d <= n with n - d even.  Exact kernels are ones over D = q^ceil(n/2),
+        in the B part for odd n (folded into A when q is a square)."""
+        if mode is not EXACT:
+            weight = sqrt_q_power(q, -n, mode)
+            return cls(q, mode, 1, [[[0.0 if (n - d) % 2 else weight] for d in range(n + 1)]])
+        parts = [[[int((n - d) % 2 == 0)] for d in range(n + 1)], [[0] for _ in range(n + 1)]]
+        if n % 2:  # q^(-n/2) = sqrt(q) / q^((n+1)/2)
+            return cls(q, mode, q ** ((n + 1) // 2), _times_sqrt(q, parts))
+        return cls(q, mode, q ** (n // 2), parts)
 
     def ball_mean(self, n: int) -> RadialLevels:
-        """M_n for n >= 1, as the convolution with its distance kernel
-        q^(-n/2) at the distances d <= n with n - d even; no neighbour sum
-        is taken."""
-        q, mode = self.q, self.mode
-        weight = sqrt_q_power(q, -n, mode)
-        kernel = self._pack(q, mode, n, ((d, 0, weight) for d in range(n % 2, n + 1, 2)))
-        return self.convolve(kernel)
+        """M_n for n >= 1, as the convolution with its distance kernel; no
+        neighbour sum is taken."""
+        return self.convolve(self.m_kernel(self.q, self.mode, n))
 
     def convolve(self, kernel: RadialLevels) -> RadialLevels:
         """The radial operator with distance kernel ``kernel`` applied to this
@@ -588,7 +627,7 @@ class RadialLevels(_Packed):
 
 class HeightLevels(_Packed):
     """A function s of the horocyclic height: depth 0 holds s(0), depth
-    d >= 1 holds s(d) and s(-d).  Packed per call, never cached."""
+    d >= 1 holds s(d) and s(-d).  A height sequence keeps it once built."""
 
     __slots__ = ()
 
@@ -603,7 +642,5 @@ class HeightLevels(_Packed):
     def _size(q: int, d: int) -> int:
         return 2 if d else 1
 
-    def values(self) -> dict:
-        """The nonzero values as height -> scalar, by |h|, h >= 0 first."""
-        levels = enumerate(zip(*self.parts))
-        return {-d if j else d: value for d, level in levels for j, value in self._unpacked(level)}
+    def _key(self, d: int, j: int) -> int:
+        return -d if j else d

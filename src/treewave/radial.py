@@ -31,8 +31,9 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ParameterError
-from .functions import RadialProfile, TreeFunction
-from .scalars import QSurd, Scalar, ScalarMode, scalar_from_fraction, scalar_zero, sqrt_q_power
+from .functions import RadialProfile, TreeFunction, _check_q
+from .levels import RadialLevels
+from .scalars import QSurd, Scalar, ScalarMode, scalar_from_fraction, scalar_zero
 from .topology import VertexAddress, distance, distance_count  # noqa: F401 (re-exported)
 from .wave import WaveTrajectory, _solve, adjacency_sum
 
@@ -44,12 +45,12 @@ def radial_adjacency(p: RadialProfile) -> RadialProfile:
 
 def m_kernel(q: int, n: int, mode: ScalarMode) -> RadialProfile:
     """Distance kernel of M_n: q^(-n/2) on distances d <= n with n - d even."""
+    _check_q(q)
     if n < -1:
         raise ParameterError(f"M_n needs n >= -1, got {n}")
     if n == -1:
         return RadialProfile(q, mode)
-    weight = sqrt_q_power(q, -n, mode)
-    return RadialProfile(q, mode, [(d, weight) for d in range(n % 2, n + 1, 2)])
+    return RadialProfile._from_levels(RadialLevels.m_kernel(q, mode, n))
 
 
 def propagator_kernels(q: int, n: int, mode: ScalarMode) -> tuple[RadialProfile, RadialProfile]:

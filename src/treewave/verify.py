@@ -33,7 +33,7 @@ from .energy import (
     total_energy,
     total_energy_closed_form,
 )
-from .errors import ParameterError
+from .errors import ConfigError, ParameterError
 from .functions import RadialProfile, TreeFunction, radial_profile_of, spherical_mean
 from .laplacians import (
     gamma,
@@ -96,6 +96,12 @@ _SIZES = {
         "check_multipliers": {"samples": 100},
     },
 }
+
+# check_asgeirsson solves |n| <= _ASGEIRSSON_TIMES at the first q from data
+# on Ball(1), so its snapshots fill the vertex ball of radius one more; q = 5
+# fills 2.9e6 vertices in about 0.3 GB, q = 6 would fill 1.4e7
+_ASGEIRSSON_TIMES = 8
+_MAX_VERTICES = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -384,8 +390,8 @@ def check_asgeirsson(qs, rng, *, pairs: int) -> CheckResult:
     radii m, n <= 4 at random base pairs x, y with d(x, y) <= 2."""
     q = qs[0]
     f, g = random_data_pair(q, 1, rng)
-    trajectory = solve(f, g, 8, solver="recurrence")
-    field = asgeirsson_field(trajectory, Ball(q, 8))
+    trajectory = solve(f, g, _ASGEIRSSON_TIMES, solver="recurrence")
+    field = asgeirsson_field(trajectory, Ball(q, _ASGEIRSSON_TIMES))
     base = list(Ball(q, 2))
     done = 0
     while done < pairs:
@@ -500,11 +506,19 @@ def run_verification(
 
     The report is byte-stable for fixed arguments.  With
     ``negative_control=True`` the conservation check runs against a
-    deliberately corrupted recurrence weight and must fail.
+    deliberately corrupted recurrence weight and must fail.  A first q
+    whose mean-value check would fill more than ``_MAX_VERTICES`` vertices
+    is refused with a ``ConfigError`` before any check runs.
     """
     if size not in _SIZES:
         raise ParameterError(f"field 'size' must be one of {sorted(_SIZES)}, got {size!r}")
     qs = tuple(qs)
+    vertices = Ball(qs[0], _ASGEIRSSON_TIMES + 1).vertex_count()
+    if vertices > _MAX_VERTICES:
+        raise ConfigError(
+            f"field 'q': the mean-value check at q={qs[0]} solves on {vertices} vertices, "
+            f"above the limit of {_MAX_VERTICES}; put a q <= 5 first"
+        )
     lines = [
         "verification report",
         f"q values: {','.join(map(str, qs))} | seed: {seed} | size: {size}"

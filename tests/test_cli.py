@@ -202,6 +202,14 @@ def test_cli_verify_rejects_non_integer_q_list(capsys):
     _fails_closed(["verify", "--q", "2,x", "--size", "small"], "q", capsys)
 
 
+def test_cli_verify_refuses_a_first_q_too_large_to_solve(capsys):
+    # the mean-value check would fill a ball of about 4.8e8 vertices at q=9;
+    # the refusal comes before any check runs
+    _fails_closed(["verify", "--q", "9", "--size", "small"], "q", capsys)
+    assert main(["verify", "--q", "9,2", "--size", "small"]) == 2
+    assert "484275611 vertices" in capsys.readouterr().err
+
+
 def test_cli_missing_initial_file(tmp_path, capsys):
     missing = tmp_path / "nonexistent.json"
     _fails_closed(

@@ -225,28 +225,40 @@ def _same_by_value_map(x, y):
     return x.q == y.q and x.mode == y.mode and dict(x.value_map()) == dict(y.value_map())
 
 
+# per container: (every key of radius <= r, one key of radius d)
+_KEYS = {
+    TreeFunction: (
+        lambda q, r: list(Ball(q, r)),
+        lambda q, d: VertexAddress(q, (q,) + (q - 1,) * (d - 1)),
+    ),
+    RadialProfile: (lambda q, r: list(range(r + 1)), lambda q, d: d),
+    HeightSequence: (lambda q, r: list(range(-r, r + 1)), lambda q, d: -d),
+}
+
+
 @given(data=st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_equality_and_hash_agree_with_the_value_maps(data):
+    cls = data.draw(st.sampled_from(list(_KEYS)), label="container")
     q = data.draw(st.sampled_from(QS), label="q")
     mode = data.draw(st.sampled_from((EXACT, FLOAT)), label="mode")
     radius = data.draw(st.integers(0, 2), label="radius")
-    ball = list(Ball(q, radius))
+    keys, deep_key = _KEYS[cls]
+    ball = keys(q, radius)
     value = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.sampled_from((1, 2, 3)))
     drawn = data.draw(st.lists(value, min_size=len(ball), max_size=len(ball)), label="values")
     values = [_scalar(q, mode, *parts) for parts in drawn]
     # built by the constructor: a value map and no packed form
-    f = TreeFunction(q, mode, zip(ball, values))
-    zero = TreeFunction.zero(q, mode)
+    f = cls(q, mode, zip(ball, values))
+    zero = cls(q, mode)
     half = QSurd(Fraction(1, 2), 0, q) if mode is EXACT else 0.5
     one = QSurd.one(q) if mode is EXACT else 1.0
     minus_one = -one
-    depth = radius + data.draw(st.integers(1, 2), label="deep")
-    deep = VertexAddress(q, (q,) + (q - 1,) * (depth - 1))
-    bump = TreeFunction(q, mode, [(deep, _scalar(q, mode, 1, 0, 3))])
+    deep = deep_key(q, radius + data.draw(st.integers(1, 2), label="deep"))
+    bump = cls(q, mode, [(deep, _scalar(q, mode, 1, 0, 3))])
     # the packed results below hold -0.0 in float64 mode wherever f is zero
-    flipped = TreeFunction(q, mode, zip(ball, (-x for x in values))).scale(minus_one)
-    signed_zeros = TreeFunction(
+    flipped = cls(q, mode, zip(ball, (-x for x in values))).scale(minus_one)
+    signed_zeros = cls(
         q, mode, [(v, -0.0 if mode is FLOAT and not x else x) for v, x in zip(ball, values)]
     )
     candidates = [
@@ -258,7 +270,7 @@ def test_equality_and_hash_agree_with_the_value_maps(data):
         signed_zeros,
         f.scale(half),  # the same parts over twice the denominator, once reduced
         f + bump,
-        TreeFunction(q, mode, dict((f + bump).value_map())),
+        cls(q, mode, dict((f + bump).value_map())),
         zero,
         zero.scale(one),
     ]
@@ -296,3 +308,47 @@ def test_value_map_is_a_read_only_view_counted_on_the_packed_form():
         view[vertex] = QSurd(1, 0, 3)
     assert not TreeFunction.zero(3, EXACT).scale(QSurd.one(3))
     assert TreeFunction.zero(3, EXACT).scale(QSurd.one(3)).support_radius() == -1
+
+
+def _operator_results():
+    """(result of a packed operator, the same values built by the
+    constructor) for each container, in both modes."""
+    for mode in (EXACT, FLOAT):
+        one = QSurd.one(3) if mode is EXACT else 1.0
+        half = QSurd(Fraction(1, 2), 0, 3) if mode is EXACT else 0.5
+        value = _scalar(3, mode, 1, 1, 3)
+        entries = {
+            TreeFunction: [(VertexAddress(3, ()), value), (VertexAddress(3, (2, 1)), value)],
+            RadialProfile: [(0, value), (3, value)],
+            HeightSequence: [(-2, value), (1, value)],
+        }
+        for cls, items in entries.items():
+            built = cls(3, mode, items)
+            yield (cls(3, mode, items) + cls(3, mode, items)).scale(half), built
+            yield cls(3, mode, items).scale(one) - built.scale(one), cls(3, mode)
+
+
+def test_operator_results_answer_support_reads_from_the_packed_form():
+    for result, built in _operator_results():
+        assert result._store is None and result._levels is not None
+        support, radius = result.support(), result.support_radius()
+        size, truth = len(result.value_map()), bool(result)
+        assert result._store is None  # read without building a value
+        assert support == built.support() == set(dict(built.items()))
+        assert radius == built.support_radius() and size == len(built.items())
+        assert truth is bool(built)
+        assert result == built and dict(result.value_map()) == dict(built.value_map())
+
+
+def test_dot_reads_the_packed_forms_when_both_hold_one():
+    labels = [(), (0,), (2, 1), (1, 0, 1)]
+    values = [(VertexAddress(2, w), QSurd(Fraction(k, 3), 1 - k, 2)) for k, w in enumerate(labels)]
+    f, g = TreeFunction(2, EXACT, values), TreeFunction(2, EXACT, values[1:])
+    expected = f.dot(g)  # both constructor-built: the value maps, never packed
+    assert f._levels is None and g._levels is None
+    one = QSurd.one(2)
+    packed_f, packed_g = f.scale(one), g.scale(one)
+    assert packed_f.dot(packed_g) == expected == packed_g.dot(packed_f)
+    assert packed_f._store is None and packed_g._store is None
+    sparse = TreeFunction(2, EXACT, values[1:])
+    assert packed_f.dot(sparse) == expected and sparse._levels is None

@@ -31,10 +31,11 @@ from treewave.energy import (
     radial_kinetic_energy,
     radial_potential_energy,
 )
+from treewave.errors import ParameterError
 from treewave.experiment import _scalar_columns, _snapshot_rows
 from treewave.functions import HeightSequence, RadialProfile, TreeFunction
 from treewave.laplacians import gamma_tilde, laplacian_tree, two_step_laplacian
-from treewave.levels import Levels
+from treewave.levels import Levels, RadialLevels
 from treewave.radial import (
     distance_count,
     kernel_family_recurrence,
@@ -853,6 +854,30 @@ def test_radial_operators_match_qsurd_routes(q, mode):
             assert same(radial_convolve(kernel, p), reference_radial_convolve(kernel, p))
         for kernel in profiles:
             assert same(radial_convolve(kernel, p), reference_radial_convolve(kernel, p))
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_integer_m_kernel_equals_the_packed_qsurd_kernel(mode):
+    """The kernel built on integers is the canonical packed form of the
+    kernel built from scalars, q^(-n/2) at d <= n with n - d even; float64
+    slots are compared bit by bit."""
+    for q in QS:
+        for n in range(13):
+            if mode is FLOAT:
+                weight = float(q) ** (-n / 2)
+            elif n % 2:
+                weight = QSurd(0, Fraction(1, q ** ((n + 1) // 2)), q)
+            else:
+                weight = QSurd(Fraction(1, q ** (n // 2)), 0, q)
+            values = {d: weight for d in range(n % 2, n + 1, 2)}
+            old = RadialLevels.pack(q, mode, values)
+            new = RadialLevels.m_kernel(q, mode, n)
+            assert new.den == old.den and new.parts == old.parts
+            if mode is FLOAT:
+                assert [x[0].hex() for x in new.parts[0]] == [x[0].hex() for x in old.parts[0]]
+            assert m_kernel(q, n, mode) == RadialProfile(q, mode, values)
+    with pytest.raises(ParameterError, match="'q'"):
+        m_kernel(1, 3, mode)
 
 
 @pytest.mark.parametrize("q", QS)
