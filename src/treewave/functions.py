@@ -228,12 +228,8 @@ class _Sparse:
 
 
 class TreeFunction(_Sparse):
-    """Finitely supported map from vertices of T_q to scalars (absent = 0).
-
-    Its packed form (``levels.Levels``) is built on first use and kept.
-    Kernel outputs, and the results of ``+``, ``-`` and ``scale``, start
-    from their packed form and build their value map on first read.
-    """
+    """Finitely supported map from vertices of T_q to scalars (absent = 0),
+    packed in the vertex layout (``levels.Levels``)."""
 
     __slots__ = ()
     _key_type = VertexAddress

@@ -97,11 +97,9 @@ _SIZES = {
     },
 }
 
-# check_asgeirsson solves |n| <= _ASGEIRSSON_TIMES at the first q from data
-# on Ball(1), so its snapshots fill the vertex ball of radius one more; q = 5
-# fills 2.9e6 vertices in about 0.3 GB, q = 6 would fill 1.4e7
-_ASGEIRSSON_TIMES = 8
-_MAX_VERTICES = 5_000_000
+# check_asgeirsson solves |n| <= 8 at the first q from data on Ball(1), which
+# fills Ball(q, 9): 2.9e6 vertices (about 0.3 GB) at q = 5, 1.4e7 at q = 6
+_ASGEIRSSON_TIMES, _MAX_VERTICES = 8, 5_000_000
 
 
 @dataclass(frozen=True)
