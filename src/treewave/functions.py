@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from itertools import chain
 from operator import attrgetter
 
 from .errors import ModeError, ParameterError
@@ -188,8 +187,8 @@ class _Sparse:
         return self._from_levels(self._as_levels().scale(factor))
 
     def max_abs(self) -> Scalar:
-        if self._levels is not None and self.mode is ScalarMode.FLOAT64:
-            return max(map(abs, chain.from_iterable(self._levels.parts[0])), default=0.0)
+        if self._levels is not None:
+            return self._levels.max_abs()
         return max(map(abs, self._values.values()), default=scalar_zero(self.q, self.mode))
 
     def as_float64(self):

@@ -1,7 +1,7 @@
 """Packed functions: the one place where a function's values are summed.
 
-A packed function keeps one list per depth d = 0..R.  Two choices stay
-separate.
+A packed function keeps its values in parts, one list (a row) per depth
+d = 0..R, or one flat list for radial profiles.  Two choices stay separate.
 
 The *number type* decides only packing, unpacking, linear combinations
 (sums, negation, scaling by a scalar), the scalars of the step, mean and
@@ -11,8 +11,9 @@ and one for B, over one common denominator D per function; when q is a
 perfect square, sqrt(q) is folded into A and every B is 0, as in ``QSurd``.
 float64 data are one part list of floats with D = 1.
 
-The *layout* decides only the neighbour sum of one part, the ball mean M_n,
-the distance-2 pair enumeration and the weight of an entry:
+The *layout* decides only the storage shape of a part, the neighbour sum of
+one part, the ball mean M_n, the distance-2 pair enumeration and the weight
+of an entry:
 
 - vertex data (``Levels``): depth d lists the vertices of the sphere S(d) in
   the canonical order of ``Ball.vertices()``: the origin, its q+1 children,
@@ -23,12 +24,14 @@ the distance-2 pair enumeration and the weight of an entry:
   vertex (siblings, grandparent, grandchildren) are slices too.  The
   descendants at depth d + t of vertex i at depth d >= 1 are the index range
   [i*q^t, (i+1)*q^t), which is how the parity ball mean M_n is built.
-- radial profiles (``RadialLevels``): one entry per depth, standing for the
-  |S(d)| = ``sphere_volume(q, d)`` vertices of that sphere, which is its
-  weight.  The neighbour sum is (q+1)*p(1) at the origin and
-  p(m-1) + q*p(m+1) elsewhere, and M_n is the convolution with the M_n
-  kernel.  The distance-2 pairs are the grandparent pairs (d, d+2),
-  |S(d+2)| of them; siblings share a value and add 0.
+- radial profiles (``RadialLevels``): each part is one flat list indexed by
+  radius, whose entry m stands for the |S(m)| = ``sphere_volume(q, m)``
+  vertices of that sphere, its weight.  A linear combination is one ``map``
+  per part and a weighted sum one term per part.  The neighbour sum is
+  (q+1)*p(1) at the origin and p(m-1) + q*p(m+1) elsewhere, and M_n is the
+  convolution with the M_n kernel, whose distance counts are built once per
+  call from powers of q.  The distance-2 pairs are the grandparent pairs
+  (m, m+2), |S(m+2)| of them; siblings share a value and add 0.
 - height sequences (``HeightLevels``): depth |h| holds s(h), and at depth
   d >= 1 also s(-d) after s(d).  Only packing and the linear combinations
   apply.
@@ -46,12 +49,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from math import fsum, gcd, lcm
-from operator import add, mul, neg, or_, sub
+from operator import add, floordiv, itemgetter, mul, or_, sub
 
-from .scalars import QSurd, Scalar, ScalarMode, _square_root_if_perfect, sqrt_q_power
-from .topology import VertexAddress, distance_count, sphere_volume
+from .scalars import QSurd, Scalar, ScalarMode, _square_root_if_perfect, sqrt_q_power, surd_sign
+from .topology import VertexAddress, sphere_volume
 
 EXACT = ScalarMode.EXACT
 
@@ -63,33 +66,22 @@ def _vertex_index(vertex: VertexAddress, q: int) -> int:
     return index
 
 
-def _scaled(c, level: list) -> list:
-    return level if c == 1 else list(map(mul, level, repeat(c, len(level))))
+def _map_row(op, row: list, c) -> list:
+    return list(map(op, row, repeat(c, len(row))))
 
 
-def _combine(cx, x: list, cy, y: list) -> list:
-    """cx*x + cy*y depth by depth; a missing depth counts as zero."""
-    out = []
-    for d in range(max(len(x), len(y))):
-        if d >= len(y):
-            out.append(_scaled(cx, x[d]))
-        elif d >= len(x):
-            out.append(_scaled(cy, y[d]))
-        elif cy == -1:
-            out.append(list(map(sub, _scaled(cx, x[d]), y[d])))
-        else:
-            out.append(list(map(add, _scaled(cx, x[d]), _scaled(cy, y[d]))))
-    return out
+def _scaled(c, row: list) -> list:
+    return row if c == 1 else _map_row(mul, row, c)
 
 
-def _times_sqrt(q: int, parts: list) -> list:
-    """Exact parts times sqrt(q) over the same denominator:
-    sqrt(q) * (a + b*sqrt(q)) = q*b + a*sqrt(q), or root*a for a square q."""
-    a, b = parts
-    root = _square_root_if_perfect(q)
-    if root is None:
-        return [[[q * v for v in level] for level in b], a]
-    return [[[root * v for v in level] for level in a], b]
+def _combine_row(cx, x: list, cy, y: list) -> list:
+    """cx*x + cy*y entry by entry; a missing entry counts as zero."""
+    if len(x) != len(y):
+        n = min(len(x), len(y))
+        return _combine_row(cx, x[:n], cy, y[:n]) + _scaled(cx, x[n:]) + _scaled(cy, y[n:])
+    if cy == -1:
+        return list(map(sub, _scaled(cx, x), y))
+    return list(map(add, _scaled(cx, x), _scaled(cy, y)))
 
 
 def _descendants(q: int, e: int, i: int, t: int) -> tuple[int, int]:
@@ -142,17 +134,13 @@ def _adjacent(levels: list, q: int) -> list:
     return out
 
 
-def _radial_adjacent(levels: list, q: int) -> list:
+def _radial_adjacent(p: list, q: int) -> list:
     """Neighbour sum of one radial part: (q+1)*p(1) at the origin and
-    p(m-1) + q*p(m+1) at m >= 1."""
-    p = [level[0] for level in levels]
-    radius = len(p) - 1
-    if radius < 0:
+    p(m-1) + q*p(m+1) at m >= 1, with p(m-1) alone at the last two radii."""
+    if not p:
         return []
-    out = [(q + 1) * p[1] if radius >= 1 else 0]
-    for m in range(1, radius + 2):
-        out.append(p[m - 1] + q * p[m + 1] if m < radius else p[m - 1])
-    return [[value] for value in out]
+    head = [(q + 1) * p[1] if len(p) > 1 else 0]
+    return head + list(map(add, p, _scaled(q, p[2:]))) + p[-2:]
 
 
 class _Packed:
@@ -163,28 +151,70 @@ class _Packed:
     __slots__ = ("q", "mode", "den", "parts")
 
     def __init__(self, q: int, mode: ScalarMode, den: int, parts: list):
-        while parts[0] and not any(any(part[-1]) for part in parts):
+        while parts[0] and not any(self._entries([part[-1] for part in parts])):
             parts = [part[:-1] for part in parts]
         if not parts[0]:
             den = 1
         elif den != 1:
-            common = gcd(den, *chain.from_iterable(chain.from_iterable(parts)))
+            common = gcd(den, *chain.from_iterable(map(self._entries, parts)))
             if common != 1:
                 den //= common
-                parts = [[[v // common for v in level] for level in part] for part in parts]
+                parts = [self._map(floordiv, part, common) for part in parts]
         self.q, self.mode, self.den, self.parts = q, mode, den, parts
+
+    # -- storage shape: a part is one row per depth (one flat row when radial) ------
+
+    _entries = staticmethod(chain.from_iterable)  # the stored values of a part
+
+    @staticmethod
+    def _map(op, part: list, c) -> list:
+        """op(v, c) for every stored value v of a part."""
+        return [_map_row(op, row, c) for row in part]
+
+    @staticmethod
+    def _combine(cx, x: list, cy, y: list) -> list:
+        """cx*x + cy*y depth by depth; a missing depth counts as zero."""
+        n = min(len(x), len(y))
+        head = [_combine_row(cx, a, cy, b) for a, b in zip(x, y)]
+        return head + [_scaled(cx, a) for a in x[n:]] + [_scaled(cy, b) for b in y[n:]]
+
+    _part = staticmethod(lambda rows: rows)  # a part from the rows ``_pack`` filled
+
+    def _rows(self):
+        """(label, row) pairs, a row holding the parts' lists of one depth,
+        labelled by the depth (by its label words in the vertex layout)."""
+        return enumerate(zip(*self.parts))
+
+    def _terms(self, xs: list, ys: list):
+        """(weight, x, y) terms whose products add up to sum w * x * y over
+        the stored entries of the parts xs and ys (ys is xs for squares),
+        with w the number of vertices an entry stands for: 1 here."""
+        rows = zip(*xs)
+        if ys is xs:
+            return ((1, x, x) for x in rows)
+        return ((1, x, y) for x, y in zip(rows, zip(*ys)))
+
+    @classmethod
+    def _times_sqrt(cls, q: int, parts: list) -> list:
+        """Exact parts times sqrt(q) over the same denominator:
+        sqrt(q) * (a + b*sqrt(q)) = q*b + a*sqrt(q), or root*a for a square q."""
+        a, b = parts
+        root = _square_root_if_perfect(q)
+        if root is None:
+            return [cls._map(mul, b, q), a]
+        return [cls._map(mul, a, root), b]
 
     # -- number type ----------------------------------------------------------
 
     @classmethod
-    def _pack(cls, q: int, mode: ScalarMode, radius: int, entries) -> _Packed:
-        """Pack (depth, index, scalar) entries of nonzero values."""
-        sizes = [cls._size(q, d) for d in range(radius + 1)]
+    def _pack(cls, q: int, mode: ScalarMode, sizes: list, entries) -> _Packed:
+        """Pack (row, index, scalar) entries of nonzero values into rows of
+        the given sizes."""
         if mode is not EXACT:
             values = [[0.0] * size for size in sizes]
             for d, j, value in entries:
                 values[d][j] = value
-            return cls(q, mode, 1, [values])
+            return cls(q, mode, 1, [cls._part(values)])
         entries = list(entries)
         den = lcm(*(part.denominator for _, _, value in entries for part in (value.a, value.b)))
         a = [[0] * size for size in sizes]
@@ -192,7 +222,7 @@ class _Packed:
         for d, j, value in entries:
             a[d][j] = value.a.numerator * (den // value.a.denominator)
             b[d][j] = value.b.numerator * (den // value.b.denominator)
-        return cls(q, mode, den, [a, b])
+        return cls(q, mode, den, [cls._part(a), cls._part(b)])
 
     def _products(self, xs: list, ys: list) -> list:
         """The parts of sum x*y over aligned slices of x's and y's parts:
@@ -214,14 +244,14 @@ class _Packed:
         q = self.q
         return QSurd(Fraction(total[0] + q * total[1], scale), Fraction(total[2], scale), q)
 
-    def _unpacked(self, level: tuple):
-        """(index, scalar) of the nonzero entries of one depth (its parts)."""
+    def _unpacked(self, row: tuple):
+        """(index, scalar) of the nonzero entries of one row (its parts)."""
         if self.mode is not EXACT:
-            return ((j, x) for j, x in enumerate(level[0]) if x)
+            return ((j, x) for j, x in enumerate(row[0]) if x)
         q, den, zero = self.q, self.den, Fraction(0)
         return (
             (j, QSurd(Fraction(x, den) if x else zero, Fraction(y, den) if y else zero, q))
-            for j, (x, y) in enumerate(zip(*level))
+            for j, (x, y) in enumerate(zip(*row))
             if x or y
         )
 
@@ -230,16 +260,15 @@ class _Packed:
         key = self._key
         return [
             key(d, j)
-            for d, level in enumerate(zip(*self.parts))
-            for j, values in enumerate(zip(*level))
+            for d, row in self._rows()
+            for j, values in enumerate(zip(*row))
             if any(values)
         ]
 
     def values(self) -> dict:
         """The nonzero values as key -> scalar, in storage order."""
         key = self._key
-        levels = enumerate(zip(*self.parts))
-        return {key(d, j): value for d, level in levels for j, value in self._unpacked(level)}
+        return {key(d, j): value for d, row in self._rows() for j, value in self._unpacked(row)}
 
     def same_as(self, other: _Packed) -> bool:
         """Equal values, read from the canonical (D, parts) of two packed
@@ -249,14 +278,30 @@ class _Packed:
     def support_size(self) -> int:
         """Number of nonzero stored entries."""
         if self.mode is not EXACT:
-            return sum(len(level) - level.count(0) for level in self.parts[0])
-        return sum(len(x) - list(map(or_, x, y)).count(0) for x, y in zip(*self.parts))
+            flags = list(self._entries(self.parts[0]))
+        else:
+            flags = list(map(or_, *map(self._entries, self.parts)))
+        return len(flags) - flags.count(0)
+
+    def max_abs(self) -> Scalar:
+        """The largest |value|: one pass over a float64 part; exact entries
+        are compared as integer pairs by the sign test of ``QSurd``, and one
+        scalar is built."""
+        if self.mode is not EXACT:
+            return max(map(abs, self._entries(self.parts[0])), default=0.0)
+        q, top = self.q, (0, 0)
+        for a, b in zip(*map(self._entries, self.parts)):
+            if surd_sign(a, b, q) < 0:
+                a, b = -a, -b
+            if surd_sign(a - top[0], b - top[1], q) > 0:
+                top = (a, b)
+        return QSurd(Fraction(top[0], self.den), Fraction(top[1], self.den), q)
 
     def _sum_with(self, other: _Packed, sign: int) -> tuple[int, list]:
         """(D, parts) of self + sign * other over their common denominator."""
         den = lcm(self.den, other.den)
         cx, cy = den // self.den, sign * (den // other.den)
-        return den, [_combine(cx, x, cy, y) for x, y in zip(self.parts, other.parts)]
+        return den, [self._combine(cx, x, cy, y) for x, y in zip(self.parts, other.parts)]
 
     def __add__(self, other: _Packed) -> _Packed:
         return type(self)(self.q, self.mode, *self._sum_with(other, 1))
@@ -266,7 +311,8 @@ class _Packed:
         return type(self)(self.q, self.mode, *self._sum_with(other, -1))
 
     def __neg__(self) -> _Packed:
-        parts = [[list(map(neg, level)) for level in part] for part in self.parts]
+        # float64: x * -1 is -x, signed zeros included
+        parts = [self._map(mul, part, -1) for part in self.parts]
         return type(self)(self.q, self.mode, self.den, parts)
 
     def scale(self, factor: Scalar) -> _Packed:
@@ -274,37 +320,28 @@ class _Packed:
         one enters as an integer pair over its own denominator."""
         q, mode = self.q, self.mode
         if mode is not EXACT:
-            return type(self)(q, mode, 1, [[_scaled(factor, level) for level in self.parts[0]]])
+            return type(self)(q, mode, 1, [self._map(mul, self.parts[0], factor)])
         a, b = factor.a, factor.b
         den = lcm(a.denominator, b.denominator)
         fa, fb = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
         x, y = self.parts
         if fb:  # (fa + fb*sqrt(q)) (x + y*sqrt(q))
-            parts = [_combine(fa, x, q * fb, y), _combine(fb, x, fa, y)]
+            parts = [self._combine(fa, x, q * fb, y), self._combine(fb, x, fa, y)]
         else:
-            parts = [[_scaled(fa, level) for level in part] for part in self.parts]
+            parts = [part if fa == 1 else self._map(mul, part, fa) for part in self.parts]
         return type(self)(q, mode, self.den * den, parts)
 
     # -- layout -------------------------------------------------------------------
 
-    @staticmethod
-    def _size(q: int, d: int) -> int:
-        """Number of entries stored at depth d."""
+    def _key(self, label, j: int):
+        """The key of entry j of the row that ``_rows`` gives this label."""
         raise NotImplementedError
-
-    def _key(self, d: int, j: int):
-        """The key of the entry stored at depth d and index j (the vertex
-        layout walks its label words in ``keys`` and ``values`` instead)."""
-        raise NotImplementedError
-
-    def _weight(self, d: int) -> int:
-        """Number of vertices of the sphere S(d) one entry stands for."""
-        return sphere_volume(self.q, d) // self._size(self.q, d)
 
     def _distance_two_pairs(self):
         """Every unordered pair of vertices at distance 2 with a stored end
         that can differ in value, as (depth of the deeper end, x slices,
-        y slices, multiplicity); y is None where its values are all 0."""
+        y slices, multiplicity); y is None where its values are all 0.  The
+        radial layout gives its pairs as one term in ``_pair_squares``."""
         raise NotImplementedError
 
     def _adjacent_part(self, part: list) -> list:
@@ -324,29 +361,25 @@ class _Packed:
 
     def step(self, previous: _Packed) -> _Packed:
         """The leapfrog (1/sqrt(q)) * adjacency(self) - previous."""
-        q, mode = self.q, self.mode
+        q, mode, combine = self.q, self.mode, self._combine
         pushed = self._neighbour_sums()
         if mode is not EXACT:
             weight = sqrt_q_power(q, -1, mode)
-            return type(self)(q, mode, 1, [_combine(weight, pushed[0], -1, previous.parts[0])])
+            return type(self)(q, mode, 1, [combine(weight, pushed[0], -1, previous.parts[0])])
         # sqrt(q) * (a + b*sqrt(q)) / (q D)
         pushed_den = q * self.den
         den = lcm(pushed_den, previous.den)
         cx, cy = den // pushed_den, -(den // previous.den)
-        parts = [_combine(cx, x, cy, y) for x, y in zip(_times_sqrt(q, pushed), previous.parts)]
+        parts = [combine(cx, x, cy, y) for x, y in zip(self._times_sqrt(q, pushed), previous.parts)]
         return type(self)(q, mode, den, parts)
 
     def _minus_over(self, parts: list, weight: int) -> _Packed:
         """self - parts / weight, for parts over the denominator of self."""
-        q, mode = self.q, self.mode
+        q, mode, combine = self.q, self.mode, self._combine
         if mode is not EXACT:
-            return type(self)(q, mode, 1, [_combine(1, self.parts[0], -1 / weight, parts[0])])
-        return type(self)(
-            q,
-            mode,
-            weight * self.den,
-            [_combine(weight, p, -1, s) for p, s in zip(self.parts, parts)],
-        )
+            return type(self)(q, mode, 1, [combine(1, self.parts[0], -1 / weight, parts[0])])
+        parts = [combine(weight, p, -1, s) for p, s in zip(self.parts, parts)]
+        return type(self)(q, mode, weight * self.den, parts)
 
     def laplacian(self) -> _Packed:
         """u - Adj u / (q+1)."""
@@ -356,7 +389,7 @@ class _Packed:
         """u - S2 u / (q(q+1)), with the distance-2 sphere sum taken as
         S2 = Adj^2 - (q+1) I (paths of length 2 that do not return)."""
         q, adjacent = self.q, self._adjacent_part
-        spheres = [_combine(1, adjacent(adjacent(p)), -(q + 1), p) for p in self.parts]
+        spheres = [self._combine(1, adjacent(adjacent(p)), -(q + 1), p) for p in self.parts]
         return self._minus_over(spheres, q * (q + 1))
 
     # -- sums, written once -------------------------------------------------------
@@ -371,8 +404,9 @@ class _Packed:
 
     def _squares(self, parts: list, limit: int | None = None):
         """Weighted square terms of the depths d < limit (all if None)."""
-        depths = zip(*parts) if limit is None else islice(zip(*parts), max(limit, 0))
-        return ((self._weight(d), level, level) for d, level in enumerate(depths))
+        if limit is not None:
+            parts = [part[: max(limit, 0)] for part in parts]
+        return self._terms(parts, parts)
 
     def _pair_squares(self, limit: int | None = None):
         """Square terms of the distance-2 differences over unordered pairs
@@ -384,11 +418,7 @@ class _Packed:
 
     def dot(self, other: _Packed) -> Scalar:
         """Counting inner product sum_x u(x) v(x)."""
-        terms = (
-            (self._weight(d), x, y)
-            for d, (x, y) in enumerate(zip(zip(*self.parts), zip(*other.parts)))
-        )
-        return self._scalar(self._sum(terms), self.den * other.den)
+        return self._scalar(self._sum(self._terms(self.parts, other.parts)), self.den * other.den)
 
     def kinetic(self, minus: _Packed) -> Scalar:
         """(1/2) * sum_x ((u(x) - v(x)) / 2)^2 with u = self, v = minus."""
@@ -431,11 +461,7 @@ class Levels(_Packed):
         entries = (
             (vertex.depth, _vertex_index(vertex, q), value) for vertex, value in values.items()
         )
-        return cls._pack(q, mode, radius, entries)
-
-    @staticmethod
-    def _size(q: int, d: int) -> int:
-        return sphere_volume(q, d)
+        return cls._pack(q, mode, [sphere_volume(q, d) for d in range(radius + 1)], entries)
 
     def _distance_two_pairs(self):
         q, parts = self.q, self.parts
@@ -471,9 +497,7 @@ class Levels(_Packed):
         """x -> p(|x|) on the ball of the profile's radius: each radius value
         repeated |S(d)| times."""
         q = profile.q
-        parts = [
-            [level * sphere_volume(q, d) for d, level in enumerate(part)] for part in profile.parts
-        ]
+        parts = [[[v] * sphere_volume(q, d) for d, v in enumerate(part)] for part in profile.parts]
         return cls(q, profile.mode, profile.den, parts)
 
     def _words(self, root, extend):
@@ -486,26 +510,11 @@ class Levels(_Packed):
                 words = [extend(word, label) for word in words for label in branches]
             yield words
 
-    def keys(self) -> list:
-        """The vertices of the nonzero stored entries, in canonical order."""
-        q = self.q
-        depths = zip(self._words((), lambda word, label: word + (label,)), zip(*self.parts))
-        return [
-            VertexAddress(q, words[j])
-            for words, level in depths
-            for j, values in enumerate(zip(*level))
-            if any(values)
-        ]
+    def _rows(self):
+        return zip(self._words((), lambda word, label: word + (label,)), zip(*self.parts))
 
-    def values(self) -> dict:
-        """The nonzero values as vertex -> scalar, in canonical order."""
-        q = self.q
-        depths = zip(self._words((), lambda word, label: word + (label,)), zip(*self.parts))
-        return {
-            VertexAddress(q, words[j]): value
-            for words, level in depths
-            for j, value in self._unpacked(level)
-        }
+    def _key(self, words: list, j: int) -> VertexAddress:
+        return VertexAddress(self.q, words[j])
 
     def labelled(self):
         """(label string, parts) of the nonzero stored entries in canonical
@@ -545,38 +554,50 @@ class Levels(_Packed):
         if not exact:
             return Levels(q, mode, 1, out)
         if n % 2:  # q^(-n/2) = sqrt(q) / q^((n+1)/2)
-            return Levels(q, mode, self.den * q ** ((n + 1) // 2), _times_sqrt(q, out))
+            return Levels(q, mode, self.den * q ** ((n + 1) // 2), self._times_sqrt(q, out))
         return Levels(q, mode, self.den * q ** (n // 2), out)
 
 
 class RadialLevels(_Packed):
-    """A radial profile p, standing for x -> p(|x|): one entry per depth,
-    weighted by the sphere volume.  A profile keeps it once built."""
+    """A radial profile p, standing for x -> p(|x|): each part is one flat
+    list indexed by radius, whose entry m stands for the |S(m)| vertices of
+    that sphere.  A profile keeps it once built."""
 
     __slots__ = ()
+    # storage shape: a part is its one row, so an entry's index is its radius
+    _entries = staticmethod(iter)
+    _map = staticmethod(_map_row)
+    _combine = staticmethod(_combine_row)
+    _part = staticmethod(itemgetter(0))
+
+    def _rows(self):
+        return [(0, self.parts)]
+
+    def _key(self, d: int, j: int) -> int:
+        return j
+
+    def _terms(self, xs: list, ys: list, shift: int = 0):
+        """One term: the parts xs weighted by |S(m + shift)| at radius m."""
+        q = self.q
+        volumes = [sphere_volume(q, m + shift) for m in range(len(xs[0]))]
+        return [(1, [list(map(mul, volumes, x)) for x in xs], ys)]
+
+    def _pair_squares(self, limit: int | None = None):
+        """One term for the grandparent pairs (m, m+2), |S(m+2)| of them,
+        with both ends at depth < limit; siblings share a value and add 0."""
+        size = len(self.parts[0])
+        n = size if limit is None else max(min(limit - 2, size), 0)
+        diffs = [list(map(sub, part[:n], part[2:] + [0, 0])) for part in self.parts]
+        return self._terms(diffs, diffs, 2)
+
+    def _adjacent_part(self, part: list) -> list:
+        return _radial_adjacent(part, self.q)
 
     @classmethod
     def pack(cls, q: int, mode: ScalarMode, values) -> RadialLevels:
         """Pack a mapping radius -> scalar (nonzero values only)."""
         radius = max(values, default=-1)
-        return cls._pack(q, mode, radius, ((m, 0, value) for m, value in values.items()))
-
-    @staticmethod
-    def _size(q: int, d: int) -> int:
-        return 1
-
-    def _key(self, d: int, j: int) -> int:
-        return d
-
-    def _distance_two_pairs(self):
-        parts = self.parts
-        radius = len(parts[0]) - 1
-        for d in range(radius + 1):
-            partner = [part[d + 2] for part in parts] if d + 2 <= radius else None
-            yield d + 2, [part[d] for part in parts], partner, sphere_volume(self.q, d + 2)
-
-    def _adjacent_part(self, part: list) -> list:
-        return _radial_adjacent(part, self.q)
+        return cls._pack(q, mode, [radius + 1], ((0, m, value) for m, value in values.items()))
 
     @classmethod
     def m_kernel(cls, q: int, mode: ScalarMode, n: int) -> RadialLevels:
@@ -585,10 +606,10 @@ class RadialLevels(_Packed):
         in the B part for odd n (folded into A when q is a square)."""
         if mode is not EXACT:
             weight = sqrt_q_power(q, -n, mode)
-            return cls(q, mode, 1, [[[0.0 if (n - d) % 2 else weight] for d in range(n + 1)]])
-        parts = [[[int((n - d) % 2 == 0)] for d in range(n + 1)], [[0] for _ in range(n + 1)]]
+            return cls(q, mode, 1, [[0.0 if (n - d) % 2 else weight for d in range(n + 1)]])
+        parts = [[int((n - d) % 2 == 0) for d in range(n + 1)], [0] * (n + 1)]
         if n % 2:  # q^(-n/2) = sqrt(q) / q^((n+1)/2)
-            return cls(q, mode, q ** ((n + 1) // 2), _times_sqrt(q, parts))
+            return cls(q, mode, q ** ((n + 1) // 2), cls._times_sqrt(q, parts))
         return cls(q, mode, q ** (n // 2), parts)
 
     def ball_mean(self, n: int) -> RadialLevels:
@@ -599,17 +620,25 @@ class RadialLevels(_Packed):
     def convolve(self, kernel: RadialLevels) -> RadialLevels:
         """The radial operator with distance kernel ``kernel`` applied to this
         profile p: out(m) = sum_d kernel(d) sum_r count(m, d, r) p(r), where
-        ``count(m, d, r)`` = ``distance_count(q, m, d, r)`` is the number of
-        vertices at radius r and distance d from a vertex at radius m.  Terms
-        are added in the order of d, then r, then m, each as
-        (kernel(d) p(r)) * count."""
+        count(m, d, r) is the number of vertices at radius r and distance d
+        from a vertex at radius m (``topology.distance_count``).  For one
+        (d, r), the path from radius m climbs a = (m + d - r)/2 steps, and
+        the radii m = |d - r|, ..., d + r (step 2) take the counts, with
+        k = min(d, r): q^k (|S(k)| if d = r, where m = 0), then
+        (q-1) q^(k-2), ..., (q-1) q^0, then 1 at a = d.  These lists are
+        built once per call.  Terms are added in the order of d, then r,
+        each as (kernel(d) p(r)) * count."""
         q, mode = self.q, self.mode
-        ks = [[level[0] for level in part] for part in kernel.parts]
-        ps = [[level[0] for level in part] for part in self.parts]
         exact = mode is EXACT
-        out = [[0 if exact else 0.0] * (len(ks[0]) + len(ps[0]) - 1) for _ in self.parts]
-        for d, kd in enumerate(zip(*ks)):
-            for r, pr in enumerate(zip(*ps)):
+        size = len(kernel.parts[0]) + len(self.parts[0]) - 1
+        out = [[0 if exact else 0.0] * size for _ in self.parts]
+        plain, diagonal = [[1]], [[1]]
+        for k in range(1, min(len(kernel.parts[0]), len(self.parts[0]))):
+            middle = [(q - 1) * q**i for i in range(k - 2, -1, -1)]
+            plain.append([q**k, *middle, 1])
+            diagonal.append([(q + 1) * q ** (k - 1), *middle, 1])
+        for d, kd in enumerate(zip(*kernel.parts)):
+            for r, pr in enumerate(zip(*self.parts)):
                 if exact:
                     (ka, kb), (pa, pb) = kd, pr
                     pair = (ka * pa + q * kb * pb, ka * pb + kb * pa)
@@ -617,12 +646,13 @@ class RadialLevels(_Packed):
                     pair = (kd[0] * pr[0],)
                 if not any(pair):
                     continue
-                for m in range(abs(d - r), d + r + 1, 2):
-                    c = distance_count(q, m, d, r)
-                    if c:
-                        for part, value in zip(out, pair):
+                k, lo = min(d, r), abs(d - r)
+                counts = diagonal[k] if d == r else plain[k]
+                for part, value in zip(out, pair):
+                    if value:
+                        for m, c in zip(range(lo, size, 2), counts):
                             part[m] += value * c
-        return RadialLevels(q, mode, kernel.den * self.den, [[[v] for v in part] for part in out])
+        return RadialLevels(q, mode, kernel.den * self.den, out)
 
 
 class HeightLevels(_Packed):
@@ -636,11 +666,7 @@ class HeightLevels(_Packed):
         """Pack a mapping height -> scalar (nonzero values only)."""
         radius = max(map(abs, values), default=-1)
         entries = ((abs(h), int(h < 0), value) for h, value in values.items())
-        return cls._pack(q, mode, radius, entries)
-
-    @staticmethod
-    def _size(q: int, d: int) -> int:
-        return 2 if d else 1
+        return cls._pack(q, mode, [2 if d else 1 for d in range(radius + 1)], entries)
 
     def _key(self, d: int, j: int) -> int:
         return -d if j else d

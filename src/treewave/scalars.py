@@ -41,6 +41,22 @@ def _sqrt_floor(q: int, bits: int) -> int:
     return isqrt(q << (2 * bits))
 
 
+def surd_sign(a, b, q: int) -> int:
+    """Exact sign of a + b*sqrt(q), for integer or rational a and b."""
+    if b == 0:
+        return -1 if a < 0 else (1 if a > 0 else 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if (a > 0) == (b > 0):
+        return 1 if a > 0 else -1
+    lhs, rhs = a * a, q * b * b
+    if lhs == rhs:
+        return 0
+    if a > 0:  # b < 0
+        return 1 if lhs > rhs else -1
+    return 1 if rhs > lhs else -1
+
+
 def surd_to_float(q: int, a: int, b: int, den: int) -> float:
     """Correctly rounded nearest double of (a + b*sqrt(q)) / den, for
     integers a, b and den > 0, with b == 0 when q is a perfect square.
@@ -246,19 +262,7 @@ class QSurd:
 
     def sign(self) -> int:
         """Exact sign of the real number a + b*sqrt(q)."""
-        a, b = self._a, self._b
-        if b == 0:
-            return -1 if a < 0 else (1 if a > 0 else 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        lhs, rhs = a * a, self._q * b * b
-        if lhs == rhs:
-            return 0
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
+        return surd_sign(self._a, self._b, self._q)
 
     def _compare(self, other) -> int | None:
         o = self._coerce(other)

@@ -839,8 +839,11 @@ def test_radial_operators_match_qsurd_routes(q, mode):
     profiles = [surd_profile(q, rng, radius) for radius in (0, 1, 3)]
     sparse = RadialProfile(q, EXACT, [(4, QSurd(Fraction(1, 3), Fraction(-2, 5), q))])
     profiles.append(sparse)
+    long = surd_profile(q, rng, 8)
     if mode is FLOAT:
         profiles = [p.as_float64() for p in profiles]
+        long = long.as_float64()
+    weight = sqrt_q_power(q, -1, mode)
 
     def same(found, reference):
         return found == reference if mode is EXACT else radial_bits(found) == radial_bits(reference)
@@ -854,6 +857,49 @@ def test_radial_operators_match_qsurd_routes(q, mode):
             assert same(radial_convolve(kernel, p), reference_radial_convolve(kernel, p))
         for kernel in profiles:
             assert same(radial_convolve(kernel, p), reference_radial_convolve(kernel, p))
+        # a kernel longer than the profile, and a profile longer than the kernel
+        assert same(radial_convolve(long, p), reference_radial_convolve(long, p))
+        assert same(radial_convolve(p, long), reference_radial_convolve(p, long))
+        # every radius but 0 cancels, so the flat parts are trimmed
+        previous = radial_adjacency(p).scale(weight) - RadialProfile.delta(q, mode)
+        cancelled = step_recurrence(previous, p)
+        assert same(cancelled, reference_radial_step(previous, p))
+        assert cancelled.support_radius() == 0
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+def test_convolution_counts_equal_distance_count(q):
+    """A delta kernel at d convolved with a delta profile at r holds, at
+    every radius m, the count ``convolve`` builds inline for (m, d, r)."""
+    one = scalar_from_fraction(1, q, EXACT)
+    for d in range(9):
+        kernel = RadialLevels.pack(q, EXACT, {d: one})
+        for r in range(9):
+            image = RadialLevels.pack(q, EXACT, {r: one}).convolve(kernel)
+            assert image.den == 1 and not any(image.parts[1])
+            assert image.parts[0] == [distance_count(q, m, d, r) for m in range(d + r + 1)]
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_max_abs_of_operator_results_matches_the_value_map_route(q, mode):
+    rng = random.Random(f"levels:max-abs:{q}:{mode.value}")
+    f, g = surd_data(q, rng, radius=1), surd_data(q, rng, radius=1)
+    p, r = surd_profile(q, rng, 3), surd_profile(q, rng, 2)
+    s, t = surd_heights(q, rng, 3), surd_heights(q, rng, 2)
+    if mode is FLOAT:
+        f, g, p, r, s, t = (x.as_float64() for x in (f, g, p, r, s, t))
+    half = scalar_from_fraction(Fraction(-1, 2), q, mode)
+    results = [adjacency_sum(f), step_recurrence(g, f), f - g, -f, f.scale(half), f - f]
+    results += [adjacency_sum(p), step_recurrence(r, p), two_step_laplacian(p), p - r, p - p]
+    results += [s + t, s - t, -s, t.scale(half), s - s]
+    for x in results:
+        assert x._levels is not None and x._store is None
+        found = x.max_abs()
+        expected = max(map(abs, x.value_map().values()), default=scalar_zero(q, mode))
+        assert found == expected and type(found) is type(expected)
+        if mode is FLOAT:
+            assert found.hex() == expected.hex()
 
 
 @pytest.mark.parametrize("mode", (EXACT, FLOAT))
@@ -874,7 +920,7 @@ def test_integer_m_kernel_equals_the_packed_qsurd_kernel(mode):
             new = RadialLevels.m_kernel(q, mode, n)
             assert new.den == old.den and new.parts == old.parts
             if mode is FLOAT:
-                assert [x[0].hex() for x in new.parts[0]] == [x[0].hex() for x in old.parts[0]]
+                assert [x.hex() for x in new.parts[0]] == [x.hex() for x in old.parts[0]]
             assert m_kernel(q, n, mode) == RadialProfile(q, mode, values)
     with pytest.raises(ParameterError, match="'q'"):
         m_kernel(1, 3, mode)
