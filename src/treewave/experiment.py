@@ -19,7 +19,6 @@ import os
 import random
 import time
 from dataclasses import asdict, dataclass
-from math import gcd
 from pathlib import Path
 
 from .energy import (
@@ -34,7 +33,7 @@ from .energy import (
 from .errors import ConfigError
 from .functions import TreeFunction
 from .sampling import random_tree_function
-from .scalars import QSurd, Scalar, ScalarMode, scalar_to_float, surd_to_float
+from .scalars import QSurd, Scalar, ScalarMode, ratio_text, scalar_to_float, surd_to_float
 from .topology import Ball
 from .wave import WaveTrajectory, solve
 
@@ -128,7 +127,8 @@ def resolve_initial_data(config: ExperimentConfig) -> tuple[TreeFunction, TreeFu
 
 def _format_exact(value: Scalar) -> tuple[str, str]:
     if isinstance(value, QSurd):
-        return str(value.a), str(value.b)
+        a, b, den = value.slots
+        return ratio_text(a, den), ratio_text(b, den)
     return "", ""
 
 
@@ -145,13 +145,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     path.write_text(buffer.getvalue(), encoding="utf-8")
 
 
-def _fraction_text(x: int, den: int) -> str:
-    """str(Fraction(x, den)) for den > 0, without building the Fraction."""
-    common = gcd(x, den)
-    x, den = x // common, den // common
-    return str(x) if den == 1 else f"{x}/{den}"
-
-
 def _snapshot_rows(state: TreeFunction) -> list[list[str]]:
     """The rows of ``_scalar_columns`` per stored value in canonical order,
     formatted from the integers of the packed form."""
@@ -160,7 +153,7 @@ def _snapshot_rows(state: TreeFunction) -> list[list[str]]:
         return [[label, "", "", repr(x)] for label, (x,) in levels.labelled()]
     q, den = levels.q, levels.den
     return [
-        [label, _fraction_text(a, den), _fraction_text(b, den), repr(surd_to_float(q, a, b, den))]
+        [label, ratio_text(a, den), ratio_text(b, den), repr(surd_to_float(q, a, b, den))]
         for label, (a, b) in levels.labelled()
     ]
 

@@ -8,11 +8,12 @@ negation, ``scale``) are written once; the linear combinations run on the
 packed form of ``treewave.levels``, in the vertex, radial or height layout.
 Every container packs once and keeps its packed form, since the next
 operator reuses it, and reads equality, truth, support, support size and
-radius and ``from_radial`` from it; its value map is built only when a value
-is looked up or iterated.  Values are immutable by convention: operations
-return new values.  ``TreeFunction`` holds initial data and wave snapshots,
-``RadialProfile`` (indexed by radius in N) and ``HeightSequence`` (indexed by
-height in Z) are the two ends of the horocycle-summation transform pair.
+radius, single values and ``from_radial`` from it; its value map is built
+only when the values are iterated.  Values are immutable by convention:
+operations return new values.  ``TreeFunction`` holds initial data and wave
+snapshots, ``RadialProfile`` (indexed by radius in N) and ``HeightSequence``
+(indexed by height in Z) are the two ends of the horocycle-summation
+transform pair.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class _Sparse:
     supplies its key type, the JSON field of a key, the sort order and the
     radius of keys, the packed layout, ``delta`` and its own extras.  A
     container packs once and keeps the packed form, and an operator result
-    starts from it, with its value map built on first lookup or iteration.
+    starts from it: a lookup reads the one slot of its key, and the value
+    map is built on first iteration.
     Two values that both hold a packed form compare its canonical (D, parts),
     which is trimmed and reduced; otherwise equality reads the value maps, so
     a sparse function is never packed only to be compared.  Hashing and
@@ -121,7 +123,13 @@ class _Sparse:
         return levels
 
     def __getitem__(self, key) -> Scalar:
-        return self._values.get(key, scalar_zero(self.q, self.mode))
+        """The value at key: one packed slot, else the value map.  A key of
+        another type (a float radius too) or q reads as zero."""
+        if self._store is None:
+            return self._levels.value_at(key)
+        if not isinstance(key, self._key_type):
+            return scalar_zero(self.q, self.mode)
+        return self._store.get(key, scalar_zero(self.q, self.mode))
 
     def items(self) -> list:
         values = self._values
@@ -347,7 +355,7 @@ class HeightSequence(_Sparse):
         return cls(q, mode, [(at, scalar_from_fraction(1, q, mode))])
 
     def is_even(self) -> bool:
-        return all(self[h] == self[-h] for h in self._values)
+        return self._as_levels().is_even()
 
     def even_value(self, h: int) -> Scalar:
         """Even-part average (value(h) + value(-h)) / 2."""
@@ -359,13 +367,16 @@ def spherical_mean(f: TreeFunction, x: VertexAddress, n: int) -> Scalar:
     """Average of f over the sphere of radius n about x:
     (1/delta(n)) * sum_{d(y,x)=n} f(y).
 
-    Only support vertices can contribute, so the sphere itself is never
-    enumerated and no truncation is involved.
+    A packed f sums the index ranges of the sphere (``Levels.sphere_mean``);
+    otherwise only support vertices can contribute, so the sphere itself is
+    never enumerated.  No truncation is involved.
     """
     if x.q != f.q:
         raise ParameterError(f"vertex q={x.q} does not match function q={f.q}")
     if n < 0:
         raise ParameterError("sphere radius must be >= 0")
+    if f._levels is not None:
+        return f._levels.sphere_mean(x, n)
     total = scalar_sum(
         (value for vertex, value in f._values.items() if distance(x, vertex) == n),
         f.q,

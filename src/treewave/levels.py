@@ -33,27 +33,33 @@ of an entry:
   call from powers of q.  The distance-2 pairs are the grandparent pairs
   (m, m+2), |S(m+2)| of them; siblings share a value and add 0.
 - height sequences (``HeightLevels``): depth |h| holds s(h), and at depth
-  d >= 1 also s(-d) after s(d).  Only packing and the linear combinations
-  apply.
+  d >= 1 also s(-d) after s(d).
+
+The closed transforms are weighted sums along one parity of a radial or
+height part (``RadialLevels.abel``, ``HeightLevels.abel_inverse`` and
+``HeightLevels.dual_abel``): integer weights over one denominator for exact
+data, with the odd powers of sqrt(q) taken by the part swap of the step, and
+for float64 data the weights and order of the scalar formulas.
 
 Kinetic energy, mass, the pair-sum potential, the counting inner product,
 the three Huygens interior sums, the linear combinations, the leapfrog
 step and the tree and two-step Laplacians are written once over these two
 choices, so vertex and radial data share one operator algebra.  No
-``Fraction`` is built inside a loop; values become ``QSurd`` only when a
-function is materialised or a sum is returned.  The cost of a vertex
-operation grows with the ball of the support radius, not with the support.
+``Fraction`` is built; values become ``QSurd`` (the same integer triple)
+only when a slot is read, a function is materialised or a sum is returned.
+The cost of a vertex operation grows with the ball of the support radius,
+not with the support.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from itertools import chain, repeat
 from math import fsum, gcd, lcm
 from operator import add, floordiv, itemgetter, mul, or_, sub
 
-from .scalars import QSurd, Scalar, ScalarMode, _square_root_if_perfect, sqrt_q_power, surd_sign
+from .scalars import QSurd, Scalar, ScalarMode, _square_root_if_perfect, sqrt_q_power
+from .scalars import surd_from_slots, surd_sign
 from .topology import VertexAddress, sphere_volume
 
 EXACT = ScalarMode.EXACT
@@ -91,23 +97,28 @@ def _descendants(q: int, e: int, i: int, t: int) -> tuple[int, int]:
     return i * q**t, (i + 1) * q**t
 
 
-def _sphere_ranges(q: int, k: int, j: int, n: int):
+def _distance_ranges(q: int, k: int, j: int, d: int):
     """(depth, lo, hi) index ranges that together list, once each, the
-    vertices x with d(x, y) <= n and n - d(x, y) even, for the vertex y at
-    depth k and index j.  The geodesic from y climbs a steps to its ancestor
-    z and descends d - a steps without going back through the child of z
-    towards y; both the descendants of z and those of that child are one
-    range, so each (d, a) gives at most two."""
+    vertices x with d(x, y) = d, for the vertex y at depth k and index j.
+    The geodesic from y climbs a steps to its ancestor z and descends d - a
+    steps without going back through the child of z towards y; both the
+    descendants of z and those of that child are one range, so each a gives
+    at most two."""
+    for a in range(min(d, k) + 1):
+        e, t = k - a, d - a
+        lo, hi = _descendants(q, e, j // q**a, t)
+        if a and t:
+            cut_lo, cut_hi = _descendants(q, e + 1, j // q ** (a - 1), t - 1)
+            yield e + t, lo, cut_lo
+            yield e + t, cut_hi, hi
+        else:
+            yield e + t, lo, hi
+
+
+def _sphere_ranges(q: int, k: int, j: int, n: int):
+    """The ``_distance_ranges`` of every d <= n with n - d even."""
     for d in range(n % 2, n + 1, 2):
-        for a in range(min(d, k) + 1):
-            e, t = k - a, d - a
-            lo, hi = _descendants(q, e, j // q**a, t)
-            if a and t:
-                cut_lo, cut_hi = _descendants(q, e + 1, j // q ** (a - 1), t - 1)
-                yield e + t, lo, cut_lo
-                yield e + t, cut_hi, hi
-            else:
-                yield e + t, lo, hi
+        yield from _distance_ranges(q, k, j, d)
 
 
 def _adjacent(levels: list, q: int) -> list:
@@ -215,13 +226,12 @@ class _Packed:
             for d, j, value in entries:
                 values[d][j] = value
             return cls(q, mode, 1, [cls._part(values)])
-        entries = list(entries)
-        den = lcm(*(part.denominator for _, _, value in entries for part in (value.a, value.b)))
+        entries = [(d, j, value.slots) for d, j, value in entries]
+        den = lcm(*(slots[2] for _, _, slots in entries))
         a = [[0] * size for size in sizes]
         b = [[0] * size for size in sizes]
-        for d, j, value in entries:
-            a[d][j] = value.a.numerator * (den // value.a.denominator)
-            b[d][j] = value.b.numerator * (den // value.b.denominator)
+        for d, j, (x, y, e) in entries:
+            a[d][j], b[d][j] = x * (den // e), y * (den // e)
         return cls(q, mode, den, [cls._part(a), cls._part(b)])
 
     def _products(self, xs: list, ys: list) -> list:
@@ -242,18 +252,22 @@ class _Packed:
         if self.mode is not EXACT:
             return total[0] / scale
         q = self.q
-        return QSurd(Fraction(total[0] + q * total[1], scale), Fraction(total[2], scale), q)
+        return surd_from_slots(q, total[0] + q * total[1], total[2], scale)
 
     def _unpacked(self, row: tuple):
         """(index, scalar) of the nonzero entries of one row (its parts)."""
         if self.mode is not EXACT:
             return ((j, x) for j, x in enumerate(row[0]) if x)
-        q, den, zero = self.q, self.den, Fraction(0)
-        return (
-            (j, QSurd(Fraction(x, den) if x else zero, Fraction(y, den) if y else zero, q))
-            for j, (x, y) in enumerate(zip(*row))
-            if x or y
-        )
+        q, den = self.q, self.den
+        return ((j, surd_from_slots(q, x, y, den)) for j, (x, y) in enumerate(zip(*row)) if x or y)
+
+    def value_at(self, key) -> Scalar:
+        """The value at key, read from its one slot (``_slot``); a key of the
+        wrong type or q, or beyond the stored depths, reads as zero."""
+        slot = self._slot(key)
+        if self.mode is not EXACT:
+            return (slot[0] or 0.0) if slot else 0.0
+        return surd_from_slots(self.q, *slot, self.den) if slot else QSurd.zero(self.q)
 
     def keys(self) -> list:
         """The keys of the nonzero stored entries, in storage order."""
@@ -295,7 +309,7 @@ class _Packed:
                 a, b = -a, -b
             if surd_sign(a - top[0], b - top[1], q) > 0:
                 top = (a, b)
-        return QSurd(Fraction(top[0], self.den), Fraction(top[1], self.den), q)
+        return surd_from_slots(q, top[0], top[1], self.den)
 
     def _sum_with(self, other: _Packed, sign: int) -> tuple[int, list]:
         """(D, parts) of self + sign * other over their common denominator."""
@@ -321,9 +335,7 @@ class _Packed:
         q, mode = self.q, self.mode
         if mode is not EXACT:
             return type(self)(q, mode, 1, [self._map(mul, self.parts[0], factor)])
-        a, b = factor.a, factor.b
-        den = lcm(a.denominator, b.denominator)
-        fa, fb = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        fa, fb, den = factor.slots
         x, y = self.parts
         if fb:  # (fa + fb*sqrt(q)) (x + y*sqrt(q))
             parts = [self._combine(fa, x, q * fb, y), self._combine(fb, x, fa, y)]
@@ -331,10 +343,33 @@ class _Packed:
             parts = [part if fa == 1 else self._map(mul, part, fa) for part in self.parts]
         return type(self)(q, mode, self.den * den, parts)
 
+    def _weighted_sums(self, weights: list, columns) -> list:
+        """Per part, the sums of w * x over each row w of weights and the
+        matching list x of ``columns(part)``: integer sums, or float64 sums
+        added left to right from 0.0 (the order of the scalar routes)."""
+        if self.mode is EXACT:
+            return [[sum(map(mul, w, x)) for w, x in zip(weights, columns(p))] for p in self.parts]
+        return [
+            [reduce(add, map(mul, w, x), 0.0) for w, x in zip(weights, columns(p))]
+            for p in self.parts
+        ]
+
+    def _odd_times_sqrt(self, parts: list) -> list:
+        """Flat parts with their exact entries at odd positions times sqrt(q);
+        float64 parts are returned as they are."""
+        if self.mode is EXACT:
+            a, b = parts
+            a[1::2], b[1::2] = RadialLevels._times_sqrt(self.q, [a[1::2], b[1::2]])
+        return parts
+
     # -- layout -------------------------------------------------------------------
 
     def _key(self, label, j: int):
         """The key of entry j of the row that ``_rows`` gives this label."""
+        raise NotImplementedError
+
+    def _slot(self, key) -> list | None:
+        """The parts' stored values at key, or None where nothing is stored."""
         raise NotImplementedError
 
     def _distance_two_pairs(self):
@@ -516,6 +551,32 @@ class Levels(_Packed):
     def _key(self, words: list, j: int) -> VertexAddress:
         return VertexAddress(self.q, words[j])
 
+    def _slot(self, key) -> list | None:
+        if isinstance(key, VertexAddress) and key.q == self.q and key.depth < len(self.parts[0]):
+            j = _vertex_index(key, self.q)
+            return [part[key.depth][j] for part in self.parts]
+        return None
+
+    def sphere_mean(self, vertex: VertexAddress, n: int) -> Scalar:
+        """(1/|S(n)|) times the sum of the values at distance n from vertex,
+        read from the index ranges of that sphere (``_distance_ranges``) in
+        canonical order, so float64 sums run as over the value map."""
+        q, mode, size = self.q, self.mode, len(self.parts[0])
+        ranges = sorted(
+            (depth, lo, hi)
+            for depth, lo, hi in _distance_ranges(q, vertex.depth, _vertex_index(vertex, q), n)
+            if depth < size
+        )
+        zero = 0 if mode is EXACT else 0.0
+        sums = [
+            reduce(add, chain.from_iterable(part[d][lo:hi] for d, lo, hi in ranges), zero)
+            for part in self.parts
+        ]
+        volume = sphere_volume(q, n)
+        if mode is not EXACT:
+            return sums[0] * (1 / volume)
+        return surd_from_slots(q, *sums, self.den * volume)
+
     def labelled(self):
         """(label string, parts) of the nonzero stored entries in canonical
         order: the parts are (A, B) over D for exact data, (x,) for float64.
@@ -576,6 +637,11 @@ class RadialLevels(_Packed):
     def _key(self, d: int, j: int) -> int:
         return j
 
+    def _slot(self, key) -> list | None:
+        if isinstance(key, int) and 0 <= key < len(self.parts[0]):
+            return [part[key] for part in self.parts]
+        return None
+
     def _terms(self, xs: list, ys: list, shift: int = 0):
         """One term: the parts xs weighted by |S(m + shift)| at radius m."""
         q = self.q
@@ -598,6 +664,23 @@ class RadialLevels(_Packed):
         """Pack a mapping radius -> scalar (nonzero values only)."""
         radius = max(values, default=-1)
         return cls._pack(q, mode, [radius + 1], ((0, m, value) for m, value in values.items()))
+
+    def abel(self) -> HeightLevels:
+        """The horocycle sum A f(h) = q^(|h|/2) f(|h|) + ((q-1)/q) sum_{k>=1}
+        q^(|h|/2+k) f(|h|+2k), one weighted sum of f(d), f(d+2), ... per
+        depth d = |h|.  Exact weights are the integers q^(d//2) and
+        (q-1) q^(d//2+k-1), and odd depths take the factor sqrt(q)."""
+        q, mode, size = self.q, self.mode, len(self.parts[0])
+        if mode is EXACT:
+            weights = [
+                [q ** (d // 2)] + [(q - 1) * q ** (d // 2 + k) for k in range((size - d - 1) // 2)]
+                for d in range(size)
+            ]
+        else:
+            ladder, ratio = [sqrt_q_power(q, m, mode) for m in range(size)], (q - 1) / q
+            weights = [[w] + [ratio * v for v in ladder[d + 2 :: 2]] for d, w in enumerate(ladder)]
+        parts = self._weighted_sums(weights, lambda part: [part[d::2] for d in range(size)])
+        return HeightLevels.even(q, mode, self.den, self._odd_times_sqrt(parts))
 
     @classmethod
     def m_kernel(cls, q: int, mode: ScalarMode, n: int) -> RadialLevels:
@@ -670,3 +753,60 @@ class HeightLevels(_Packed):
 
     def _key(self, d: int, j: int) -> int:
         return -d if j else d
+
+    def _slot(self, key) -> list | None:
+        if isinstance(key, int) and abs(key) < len(self.parts[0]):
+            return [part[abs(key)][key < 0] for part in self.parts]
+        return None
+
+    @classmethod
+    def even(cls, q: int, mode: ScalarMode, den: int, parts: list) -> HeightLevels:
+        """The even sequence s(h) = v(|h|) of flat parts v indexed by |h|."""
+        rows = [[[v] if d == 0 else [v, v] for d, v in enumerate(part)] for part in parts]
+        return cls(q, mode, den, rows)
+
+    def is_even(self) -> bool:
+        """s(h) == s(-h) at every stored depth."""
+        return all(row[0] == row[-1] for part in self.parts for row in part)
+
+    def abel_inverse(self) -> RadialLevels:
+        """The telescoping inverse sum_{k>=0} q^(-n/2-k) {s(n+2k) - s(n+2k+2)}
+        of an even sequence, read from the heights h >= 0, one weighted sum
+        per radius n.  Exact weights are the integers q^(T-ceil(n/2)-k) over
+        q^T, T = ceil(R/2), and odd radii take the factor sqrt(q)."""
+        q, mode, size = self.q, self.mode, len(self.parts[0])
+        top, spans = size // 2, [range((size - 1 - n) // 2 + 1) for n in range(size)]
+        if mode is EXACT:
+            weights = [[q ** (top - (n + 1) // 2 - k) for k in spans[n]] for n in range(size)]
+        else:
+            ladder = [sqrt_q_power(q, -n, mode) for n in range(size)]
+            weights = [[w * (1 / q**k) for k in spans[n]] for n, w in enumerate(ladder)]
+
+        def differences(part: list) -> list:
+            s = [row[0] for row in part] + [0, 0]
+            return [list(map(sub, s[n:size:2], s[n + 2 :: 2])) for n in range(size)]
+
+        parts = self._odd_times_sqrt(self._weighted_sums(weights, differences))
+        return RadialLevels(q, mode, self.den * q**top if mode is EXACT else 1, parts)
+
+    def dual_abel(self, n: int) -> Scalar:
+        """The sphere mean A* s(n) for n >= 1:
+        q^(-n/2) [2q e(n) + (q-1) sum_{|k| <= n-2, k = n mod 2} e(k)] / (q+1)
+        with e(k) = (s(k) + s(-k))/2, as one weighted sum of the depth sums
+        s(d) + s(-d) (2 s(0) at d = 0); exact sums are over 2(q+1) q^ceil(n/2)."""
+        q, mode = self.q, self.mode
+        depths = [n] + [abs(k) for k in range(2 - n, n - 1, 2)]
+        if mode is EXACT:
+            weights = [2 * q] + [q - 1] * (n - 1)
+        else:
+            weights = [2 * q / (q + 1)] + [(q - 1) / (q + 1)] * (n - 1)
+
+        def evens(part: list) -> list:
+            sums = [row[0] + row[-1] for row in part] + [0] * n
+            return [[sums[d] if mode is EXACT else sums[d] * 0.5 for d in depths]]
+
+        sums = self._weighted_sums([weights], evens)
+        if mode is not EXACT:
+            return sums[0][0] * sqrt_q_power(q, -n, mode)
+        (a,), (b,) = RadialLevels._times_sqrt(q, sums) if n % 2 else sums
+        return surd_from_slots(q, a, b, self.den * 2 * (q + 1) * q ** ((n + 1) // 2))

@@ -33,7 +33,7 @@ from math import lcm
 from .errors import ParameterError
 from .functions import RadialProfile, TreeFunction, _check_q
 from .levels import RadialLevels
-from .scalars import QSurd, Scalar, ScalarMode, scalar_from_fraction, scalar_zero
+from .scalars import Scalar, ScalarMode, scalar_from_fraction, scalar_zero, surd_from_slots
 from .topology import VertexAddress, distance, distance_count  # noqa: F401 (re-exported)
 from .wave import WaveTrajectory, _solve, adjacency_sum
 
@@ -127,16 +127,14 @@ def _distance_sums(data: TreeFunction, x: VertexAddress) -> dict[int, Scalar]:
             d = distance(x, y)
             sums[d] = sums.get(d, 0.0) + value
         return sums
-    den = lcm(*(part.denominator for value in values.values() for part in (value.a, value.b)))
+    slots = {y: value.slots for y, value in values.items()}
+    den = lcm(*(e for _, _, e in slots.values()))
     pairs: dict[int, tuple[int, int]] = {}
-    for y, value in values.items():
+    for y, (va, vb, e) in slots.items():
         d = distance(x, y)
         a, b = pairs.get(d, (0, 0))
-        pairs[d] = (
-            a + value.a.numerator * (den // value.a.denominator),
-            b + value.b.numerator * (den // value.b.denominator),
-        )
-    return {d: QSurd(Fraction(a, den), Fraction(b, den), data.q) for d, (a, b) in pairs.items()}
+        pairs[d] = (a + va * (den // e), b + vb * (den // e))
+    return {d: surd_from_slots(data.q, a, b, den) for d, (a, b) in pairs.items()}
 
 
 def radial_solve(

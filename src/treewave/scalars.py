@@ -3,8 +3,9 @@
 Every amplitude produced by the wave propagators on a tree with branching
 number q is of the form a + b*sqrt(q) with rational a, b: the time step
 multiplies by 1/sqrt(q), and all remaining coefficients are rational.
-``QSurd`` implements this field exactly (arbitrary-precision rationals via
-``fractions.Fraction``), so conservation laws can be asserted as equalities
+``QSurd`` implements this field exactly as an integer triple (A, B, D)
+standing for (A + B*sqrt(q)) / D, the slot form of the packed functions in
+``treewave.levels``, so conservation laws can be asserted as equalities
 instead of tolerances.  A float64 backend shares the same operation surface
 and is selected through ``ScalarMode``; a whole computation runs in a single
 mode, and mixing modes inside one expression raises.
@@ -14,8 +15,8 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from math import isfinite, isqrt, lcm
+from functools import lru_cache, total_ordering
+from math import gcd, isfinite, isqrt, lcm
 from typing import Union
 
 from .errors import ModeError, ParameterError
@@ -77,57 +78,63 @@ def surd_to_float(q: int, a: int, b: int, den: int) -> float:
         bits *= 2
 
 
-def _coerce_rational(value) -> Fraction | None:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    return None
+def ratio_text(x: int, den: int) -> str:
+    """str(Fraction(x, den)) for den > 0, without building the Fraction."""
+    common = gcd(x, den)
+    x, den = x // common, den // common
+    return str(x) if den == 1 else f"{x}/{den}"
 
 
+@total_ordering
 class QSurd:
-    """Exact element a + b*sqrt(q) of Q(sqrt(q)), q >= 2.
+    """Exact element (A + B*sqrt(q)) / D of Q(sqrt(q)), q >= 2.
 
-    The representation is a normal form: a and b are reduced fractions, and
-    when q is a perfect square the b component is folded into a.  Equality is
-    therefore structural.  Values are immutable and hashable.
+    The integers are a normal form: D > 0, gcd(A, B, D) = 1, and B = 0 when
+    q is a perfect square (sqrt(q) is folded into A).  Equality is therefore
+    structural.  Values are immutable and hashable; ``a`` and ``b`` are the
+    rational parts A/D and B/D.
     """
 
-    __slots__ = ("_a", "_b", "_q")
+    __slots__ = ("_v",)  # (A, B, D, q)
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0, q: int | None = None):
         if q is None:
             raise ParameterError("QSurd requires the branching parameter q")
         if not isinstance(q, int) or q < 2:
             raise ParameterError(f"q must be an integer >= 2, got {q!r}")
-        fa = _coerce_rational(a)
-        fb = _coerce_rational(b)
-        if fa is None or fb is None:
+        if not isinstance(a, (int, Fraction)) or not isinstance(b, (int, Fraction)):
             raise ParameterError("QSurd components must be int or Fraction")
+        den = lcm(a.denominator, b.denominator)
+        x, y = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
         root = _square_root_if_perfect(q)
-        if root is not None and fb:
-            fa += fb * root
-            fb = Fraction(0)
-        object.__setattr__(self, "_a", fa)
-        object.__setattr__(self, "_b", fb)
-        object.__setattr__(self, "_q", q)
+        if root is not None and y:
+            x, y = x + y * root, 0
+            common = gcd(x, den)
+            x, den = x // common, den // common
+        _set(self, (x, y, den, q))
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("QSurd is immutable")
 
     @property
     def a(self) -> Fraction:
-        return self._a
+        return Fraction(self._v[0], self._v[2])
 
     @property
     def b(self) -> Fraction:
-        return self._b
+        return Fraction(self._v[1], self._v[2])
 
     @property
     def q(self) -> int:
-        return self._q
+        return self._v[3]
+
+    @property
+    def slots(self) -> tuple[int, int, int]:
+        """The normal form (A, B, D)."""
+        return self._v[:3]
 
     @classmethod
+    @lru_cache(maxsize=None, typed=True)
     def zero(cls, q: int) -> QSurd:
         return cls(0, 0, q)
 
@@ -139,85 +146,83 @@ class QSurd:
     def sqrt(cls, q: int) -> QSurd:
         return cls(0, 1, q)
 
-    def _check_compatible(self, other: QSurd) -> None:
-        if self._q != other._q:
-            raise ParameterError(
-                f"cannot combine QSurd values over q={self._q} and q={other._q}"
-            )
-
     def _coerce(self, other) -> QSurd | None:
         if isinstance(other, QSurd):
-            self._check_compatible(other)
+            if other._v[3] != self._v[3]:
+                raise ParameterError(
+                    f"cannot combine QSurd values over q={self._v[3]} and q={other._v[3]}"
+                )
             return other
-        r = _coerce_rational(other)
-        if r is None:
-            return None
-        return QSurd(r, 0, self._q)
+        if isinstance(other, (int, Fraction)):
+            return _canonical(other.numerator, 0, other.denominator, self._v[3])
+        return None
 
     # -- ring/field operations -------------------------------------------
 
-    def __add__(self, other) -> QSurd:
+    def _sum(self, other, sign: int) -> QSurd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QSurd(self._a + o._a, self._b + o._b, self._q)
+        (a, b, d, q), (x, y, e, _) = self._v, o._v
+        if d == e:
+            return surd_from_slots(q, a + sign * x, b + sign * y, d)
+        return surd_from_slots(q, a * e + sign * x * d, b * e + sign * y * d, d * e)
+
+    def __add__(self, other) -> QSurd:
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> QSurd:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QSurd(self._a - o._a, self._b - o._b, self._q)
+        return self._sum(other, -1)
 
     def __rsub__(self, other) -> QSurd:
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return NotImplemented if o is None else o._sum(self, -1)
 
     def __neg__(self) -> QSurd:
-        return QSurd(-self._a, -self._b, self._q)
+        a, b, d, q = self._v
+        return _canonical(-a, -b, d, q)
 
     def __pos__(self) -> QSurd:
         return self
 
+    def _times(self, x: int, y: int, e: int) -> QSurd:
+        """self * (x + y*sqrt(q)) / e."""
+        a, b, d, q = self._v
+        return surd_from_slots(q, a * x + q * b * y, a * y + b * x, d * e)
+
     def __mul__(self, other) -> QSurd:
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QSurd(
-            self._a * o._a + self._q * self._b * o._b,
-            self._a * o._b + self._b * o._a,
-            self._q,
-        )
+        return NotImplemented if o is None else self._times(*o._v[:3])
 
     __rmul__ = __mul__
 
-    def inverse(self) -> QSurd:
-        n = self.norm()
-        if n == 0:
+    def _inverted(self) -> tuple[int, int, int]:
+        """(X, Y, E) with (X + Y*sqrt(q)) / E = 1 / self and E > 0."""
+        a, b, d, q = self._v
+        n = a * a - q * b * b
+        if not n:
             raise ZeroDivisionError("QSurd division by zero")
-        return QSurd(self._a / n, -self._b / n, self._q)
+        return (d * a, -d * b, n) if n > 0 else (-d * a, d * b, -n)
+
+    def inverse(self) -> QSurd:
+        return surd_from_slots(self._v[3], *self._inverted())
 
     def __truediv__(self, other) -> QSurd:
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return NotImplemented if o is None else self._times(*o._inverted())
 
     def __rtruediv__(self, other) -> QSurd:
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return NotImplemented if o is None else o._times(*self._inverted())
 
     def __pow__(self, exponent: int) -> QSurd:
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = QSurd.one(self._q)
+        result = QSurd.one(self.q)
         base = self
         n = exponent
         while n:
@@ -229,62 +234,44 @@ class QSurd:
 
     def conjugate(self) -> QSurd:
         """Galois conjugate a - b*sqrt(q)."""
-        return QSurd(self._a, -self._b, self._q)
+        a, b, d, q = self._v
+        return _canonical(a, -b, d, q)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - q*b^2 (zero iff the value is zero)."""
-        return self._a * self._a - self._q * self._b * self._b
+        a, b, d, q = self._v
+        return Fraction(a * a - q * b * b, d * d)
 
     # -- predicates and order --------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._a and not self._b
+        return not self._v[0] and not self._v[1]
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QSurd):
-            return (
-                self._q == other._q
-                and self._a == other._a
-                and self._b == other._b
-            )
-        r = _coerce_rational(other)
-        if r is None:
-            return NotImplemented
-        return self._b == 0 and self._a == r
+            return self._v == other._v
+        if isinstance(other, (int, Fraction)):
+            a, b, d, _ = self._v
+            return not b and a == other.numerator and d == other.denominator
+        return NotImplemented
 
     def __hash__(self):
-        if self._b == 0:
-            return hash(self._a)
-        return hash((self._a, self._b, self._q))
+        a, b, d, _ = self._v
+        if b:
+            return hash(self._v)
+        return hash(a) if d == 1 else hash(Fraction(a, d))
 
     def sign(self) -> int:
-        """Exact sign of the real number a + b*sqrt(q)."""
-        return surd_sign(self._a, self._b, self._q)
+        """Exact sign of the real number (A + B*sqrt(q)) / D."""
+        a, b, _, q = self._v
+        return surd_sign(a, b, q)
 
-    def _compare(self, other) -> int | None:
+    def __lt__(self, other):  # the other orders follow from this and __eq__
         o = self._coerce(other)
-        if o is None:
-            return None
-        return (self - o).sign()
-
-    def __lt__(self, other):
-        c = self._compare(other)
-        return NotImplemented if c is None else c < 0
-
-    def __le__(self, other):
-        c = self._compare(other)
-        return NotImplemented if c is None else c <= 0
-
-    def __gt__(self, other):
-        c = self._compare(other)
-        return NotImplemented if c is None else c > 0
-
-    def __ge__(self, other):
-        c = self._compare(other)
-        return NotImplemented if c is None else c >= 0
+        return NotImplemented if o is None else (self - o).sign() < 0
 
     def __abs__(self) -> QSurd:
         return -self if self.sign() < 0 else self
@@ -293,34 +280,55 @@ class QSurd:
 
     def to_float(self) -> float:
         """Correctly rounded nearest double (``surd_to_float``)."""
-        a, b = self._a, self._b
-        den = lcm(a.denominator, b.denominator)
-        return surd_to_float(
-            self._q, a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
-        )
+        a, b, d, q = self._v
+        return surd_to_float(q, a, b, d)
 
     def __float__(self) -> float:
         return self.to_float()
 
     def __repr__(self) -> str:
-        return f"QSurd({self._a}, {self._b}, q={self._q})"
+        a, b, d, q = self._v
+        return f"QSurd({ratio_text(a, d)}, {ratio_text(b, d)}, q={q})"
 
     def __str__(self) -> str:
-        if self._b == 0:
-            return str(self._a)
-        if self._a == 0:
-            return f"{self._b}*sqrt({self._q})"
-        sign = "+" if self._b > 0 else "-"
-        return f"{self._a}{sign}{abs(self._b)}*sqrt({self._q})"
+        a, b, d, q = self._v
+        if not b:
+            return ratio_text(a, d)
+        if not a:
+            return f"{ratio_text(b, d)}*sqrt({q})"
+        sign = "+" if b > 0 else "-"
+        return f"{ratio_text(a, d)}{sign}{ratio_text(abs(b), d)}*sqrt({q})"
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"a": str(self._a), "b": str(self._b)}
+        a, b, d, _ = self._v
+        return {"a": ratio_text(a, d), "b": ratio_text(b, d)}
 
     @classmethod
     def from_json(cls, obj: dict, q: int) -> QSurd:
         return cls(Fraction(obj["a"]), Fraction(obj["b"]), q)
+
+
+_set = QSurd._v.__set__
+
+
+def _canonical(a: int, b: int, d: int, q: int) -> QSurd:
+    """The QSurd of a triple already in normal form; nothing is checked."""
+    value = object.__new__(QSurd)
+    _set(value, (a, b, d, q))
+    return value
+
+
+def surd_from_slots(q: int, a: int, b: int, d: int) -> QSurd:
+    """The QSurd (a + b*sqrt(q)) / d of integer slots with d > 0 and, as in
+    the packed form, b = 0 when q is a perfect square: only gcd(a, b, d) is
+    divided out."""
+    if d != 1:
+        common = gcd(a, b, d)
+        if common != 1:
+            a, b, d = a // common, b // common, d // common
+    return _canonical(a, b, d, q)
 
 
 # -- mode-generic scalar helpers -------------------------------------------
@@ -335,17 +343,20 @@ def scalar_zero(q: int, mode: ScalarMode) -> Scalar:
 
 def scalar_from_fraction(value: RationalLike, q: int, mode: ScalarMode) -> Scalar:
     if mode is ScalarMode.EXACT:
-        return QSurd(value, 0, q)
-    return float(Fraction(value))
+        return _canonical(value.numerator, 0, value.denominator, q)
+    return float(value)
 
 
 def sqrt_q_power(q: int, k: int, mode: ScalarMode) -> Scalar:
     """q^(k/2) for integer k (the weight ladder of all transforms)."""
     if mode is ScalarMode.FLOAT64:
         return float(q) ** (k / 2)
+    power = q ** (abs(k) // 2)
+    num, den = (power, 1) if k >= 0 else (1, power * q ** (k % 2))
     if k % 2 == 0:
-        return QSurd(Fraction(q) ** (k // 2), 0, q)
-    return QSurd(0, Fraction(q) ** ((k - 1) // 2), q)
+        return _canonical(num, 0, den, q)
+    root = _square_root_if_perfect(q)  # odd k: sqrt(q) * num / den
+    return surd_from_slots(q, num * root, 0, den) if root else _canonical(0, num, den, q)
 
 
 def scalar_is_zero(value: Scalar) -> bool:
@@ -368,9 +379,8 @@ def ensure_mode(value: Scalar, mode: ScalarMode, q: int) -> Scalar:
             if value.q != q:
                 raise ParameterError(f"scalar over q={value.q} used in a q={q} computation")
             return value
-        r = _coerce_rational(value)
-        if r is not None:
-            return QSurd(r, 0, q)
+        if isinstance(value, (int, Fraction)):
+            return _canonical(value.numerator, 0, value.denominator, q)
         raise ModeError(f"exact computation cannot accept {type(value).__name__}")
     if isinstance(value, QSurd):
         raise ModeError("float64 computation cannot accept exact scalars")

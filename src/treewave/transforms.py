@@ -48,16 +48,15 @@ def _check_method(method: str) -> None:
 
 
 def abel(p: RadialProfile, method: str = "closed") -> HeightSequence:
+    """The horocycle sum of p: the closed form on the packed profile
+    (``RadialLevels.abel``), or the brute sum over the vertices of a ball."""
     _check_method(method)
+    if method == "closed":
+        return HeightSequence._from_levels(p._as_levels().abel())
     radius = p.support_radius()
     if radius < 0:
         return HeightSequence(p.q, p.mode)
-    if method == "brute":
-        return _abel_brute(p, radius)
-    entries = {}
-    for h in range(-radius, radius + 1):
-        entries[h] = _abel_closed_at(p, h)
-    return HeightSequence(p.q, p.mode, entries)
+    return _abel_brute(p, radius)
 
 
 def _abel_brute(p: RadialProfile, radius: int) -> HeightSequence:
@@ -78,41 +77,17 @@ def _abel_brute(p: RadialProfile, radius: int) -> HeightSequence:
     )
 
 
-def _abel_closed_at(p: RadialProfile, h: int) -> Scalar:
-    q, mode = p.q, p.mode
-    radius = p.support_radius()
-    total = sqrt_q_power(q, abs(h), mode) * p[abs(h)]
-    ratio = scalar_from_fraction(Fraction(q - 1, q), q, mode)
-    k = 1
-    while abs(h) + 2 * k <= radius:
-        total = total + ratio * sqrt_q_power(q, abs(h) + 2 * k, mode) * p[abs(h) + 2 * k]
-        k += 1
-    return total
-
-
 def abel_inverse(s: HeightSequence) -> RadialProfile:
     """Telescoping inverse sum_{k>=0} q^(-n/2-k) {f(n+2k) - f(n+2k+2)};
-    defined on even sequences only."""
+    defined on even sequences only (``HeightLevels.abel_inverse``)."""
     if not s.is_even():
         raise DomainError("the inverse transform is defined on even sequences only")
-    radius = s.support_radius()
-    if radius < 0:
-        return RadialProfile(s.q, s.mode)
-    q, mode = s.q, s.mode
-    entries = {}
-    for n in range(radius + 1):
-        total = scalar_zero(q, mode)
-        for k in range((radius - n) // 2 + 1):
-            diff = s[n + 2 * k] - s[n + 2 * k + 2]
-            weight = sqrt_q_power(q, -n, mode) * scalar_from_fraction(
-                Fraction(1, q**k), q, mode
-            )
-            total = total + weight * diff
-        entries[n] = total
-    return RadialProfile(q, mode, entries)
+    return RadialProfile._from_levels(s._as_levels().abel_inverse())
 
 
 def dual_abel(s: HeightSequence, n: int, method: str = "closed") -> Scalar:
+    """The sphere mean A* s(n): the closed form on the packed sequence
+    (``HeightLevels.dual_abel``), or the brute sum over the sphere S(n)."""
     _check_method(method)
     if n < 0:
         raise ParameterError("sphere radius must be >= 0")
@@ -129,15 +104,7 @@ def dual_abel(s: HeightSequence, n: int, method: str = "closed") -> Scalar:
             s.mode,
         )
         return total * weight
-    if n == 0:
-        return s[0]
-    q, mode = s.q, s.mode
-    edge = scalar_from_fraction(Fraction(2 * q, q + 1), q, mode)
-    inner = scalar_from_fraction(Fraction(q - 1, q + 1), q, mode)
-    total = edge * s.even_value(n)
-    for k in range(-n + 2, n - 1, 2):
-        total = total + inner * s.even_value(k)
-    return total * sqrt_q_power(q, -n, mode)
+    return s[0] if n == 0 else s._as_levels().dual_abel(n)
 
 
 def dual_abel_inverse(m: RadialProfile, up_to: int | None = None) -> HeightSequence:

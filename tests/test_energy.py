@@ -165,6 +165,21 @@ def test_gap_decay_bound():
             assert scaled <= bound
 
 
+@pytest.mark.parametrize(
+    "q, expected",
+    [
+        (2, [Fraction(11, 32), Fraction(1, 4), QSurd(Fraction(19, 32), Fraction(11, 8), 2)]),
+        (3, [Fraction(5, 6), Fraction(1, 2), QSurd(Fraction(4, 3), Fraction(5, 3), 3)]),
+    ],
+)
+def test_gap_bound_constant_of_delta_data(q, expected):
+    # C(f, g) is only ever used as an upper bound, so its coefficients are
+    # pinned here: (delta, 0), (0, delta) and (delta, delta) at the origin
+    delta, zero = TreeFunction.delta(q, EXACT), TreeFunction.zero(q, EXACT)
+    pairs = [(delta, zero), (zero, delta), (delta, delta)]
+    assert [gap_bound_constant(f, g) for f, g in pairs] == expected
+
+
 def test_plus_operator_identities():
     # (1/8)(C_{n+1}-C_{n-1})^2 + (1/4)(1-C_2)C_n^2 collapses to (1/4)(1-C_2),
     # the velocity analogue to 1/2, and the cross combination to 0

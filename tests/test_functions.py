@@ -340,6 +340,69 @@ def test_operator_results_answer_support_reads_from_the_packed_form():
         assert result == built and dict(result.value_map()) == dict(built.value_map())
 
 
+def _probe_keys(cls, q):
+    """Keys of every depth up to 3 past the support used below, and keys of
+    another type or q, which read as zero."""
+    junk = ["1", None, 1.0, 1.5, Fraction(1)]
+    if cls is TreeFunction:
+        return list(Ball(q, 4)) + [VertexAddress(q + 1, ()), VertexAddress(q + 1, (2, 1)), 0] + junk
+    other = [VertexAddress(q, ())]
+    return list(range(-6, 7)) + other + junk
+
+
+def _signed_zero_results():
+    """float64 results whose slots hold -0.0 between two values, with the
+    same values built by the constructor."""
+    items = {
+        TreeFunction: [(VertexAddress(3, ()), 2.0), (VertexAddress(3, (2, 1)), 1.0)],
+        RadialProfile: [(0, 2.0), (3, 1.0)],
+        HeightSequence: [(-2, 2.0), (1, 1.0)],
+    }
+    for cls, entries in items.items():
+        yield cls(3, FLOAT, entries).scale(-1.0), cls(3, FLOAT, [(k, -v) for k, v in entries])
+
+
+def test_lookups_read_one_slot_of_the_packed_form():
+    for result, built in [*_operator_results(), *_signed_zero_results()]:
+        zero = QSurd.zero(3) if result.mode is EXACT else 0.0
+        for key in _probe_keys(type(result), 3):
+            value = result[key]
+            assert value == built[key] and type(value) is type(zero)
+            assert repr(value) == repr(built[key])  # a -0.0 slot reads as 0.0
+            if not isinstance(key, type(result)._key_type):
+                assert value == zero
+        assert result._store is None  # no value map was built
+        if isinstance(result, HeightSequence):
+            for h in range(-4, 5):
+                assert result.even_value(h) == built.even_value(h)
+            assert result.is_even() is built.is_even() is (not built)
+            assert result._store is None
+        assert result.items() == built.items()
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+@pytest.mark.parametrize("q", (2, 3))
+def test_spherical_mean_reads_the_sphere_ranges_of_the_packed_form(q, mode):
+    rng = random.Random(q)
+    values = [(v, _scalar(q, mode, rng.randint(-3, 3), rng.randint(-2, 2), 3)) for v in Ball(q, 2)]
+    built = TreeFunction(q, mode, values)
+    packed = TreeFunction(q, mode, values).scale(QSurd.one(q) if mode is EXACT else 1.0)
+    for x in Ball(q, 3):
+        for n in range(6):
+            expected = spherical_mean(built, x, n)  # over the value map
+            assert spherical_mean(packed, x, n) == expected
+    assert packed._store is None and built._levels is None
+
+
+def test_even_reads_of_a_packed_sequence():
+    s = HeightSequence(3, EXACT, [(2, QSurd(1, 1, 3)), (-2, QSurd(1, 1, 3)), (0, QSurd(4, 0, 3))])
+    packed = s.scale(QSurd.one(3))
+    assert packed.is_even() and packed._store is None
+    assert not (packed + HeightSequence.delta(3, EXACT, at=-1)).is_even()
+    assert packed.even_value(-2) == QSurd(1, 1, 3) and packed.even_value(0) == 4
+    assert packed.even_value(7) == 0 and packed._store is None
+
+
 def test_dot_reads_the_packed_forms_when_both_hold_one():
     labels = [(), (0,), (2, 1), (1, 0, 1)]
     values = [(VertexAddress(2, w), QSurd(Fraction(k, 3), 1 - k, 2)) for k, w in enumerate(labels)]

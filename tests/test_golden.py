@@ -1,5 +1,6 @@
 """Byte-identical outputs: SHA-256 pins of the command-line verify reports
-(small and standard size, and the negative control) and the experiment files.
+(small and standard size, and the negative control), the experiment files
+and the four ``treewave transforms`` tables.
 
 The pins were computed before the vertex, radial and float64 sums moved
 onto the packed level core, so any change in an exact value, in a float64
@@ -11,11 +12,15 @@ manifest is hashed without ``wall_time_seconds`` (varies per run) and
 
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from treewave.cli import main
 from treewave.experiment import ExperimentConfig, run_experiment
+from treewave.functions import RadialProfile
+from treewave.scalars import QSurd, ScalarMode
 
 # (argv, exit code, SHA-256 of stdout) for every verify report that is pinned
 VERIFY_REPORTS = [
@@ -49,6 +54,27 @@ FLOAT_SNAPSHOTS = {
     (3, "recurrence"): "4dcdf59fec956e42d69c36e2390580dd98813d78d26becb1a39fbe3456d54c36",
 }
 FLOAT_AGREEMENT = {2: "max abs deviation 1.332e-15", 3: "max abs deviation 9.437e-16"}
+
+# listing digests of the four CSVs ``treewave transforms`` writes; the
+# "--initial" cases read a seeded random q=3 profile of radius 5 with
+# irrational values, exact or rounded to float64
+TRANSFORM_TABLES = [
+    (["--q", "2"], "a5dfadf2a21c074e868a220de1e7d3d25bcf788e8949fc6077f9df4e0f03945a"),
+    (["--q", "3"], "a5dfadf2a21c074e868a220de1e7d3d25bcf788e8949fc6077f9df4e0f03945a"),
+    (["--q", "4"], "e4d521c82ea1afa555f75014adaf69ba67b543fe37987b90a18273460390e92d"),
+    (
+        ["--q", "3", "--mode", "float64"],
+        "414915c9b9d5ef0d092da56232b81da5e289305d55d87a19335996fc367c0f83",
+    ),
+    (
+        ["--initial", "exact"],
+        "64460027149aa0ce0ddefe8e9b8f933682d2a712598f3a74ee85209bf69f9940",
+    ),
+    (
+        ["--initial", "float64"],
+        "3199bc210277540b5003e78ea49b0b633c4053356fba58ac1a9ccaa1671e45a4",
+    ),
+]
 
 
 def _sha256(data: bytes) -> str:
@@ -103,3 +129,35 @@ def test_float64_snapshot_files(tmp_path, q, solver):
     assert _listing_digest(snapshots) == FLOAT_SNAPSHOTS[(q, solver)]
     if solver == "both":
         assert manifest["closed_recurrence_agreement"] == FLOAT_AGREEMENT[q]
+
+
+def _random_profile_json(path, mode: str, q=3, radius=5, seed=11):
+    rng = random.Random(seed)
+
+    def draw():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    profile = RadialProfile(
+        q, ScalarMode.EXACT, [(n, QSurd(draw(), draw(), q)) for n in range(radius + 1)]
+    )
+    if mode == "float64":
+        profile = profile.as_float64()
+    path.write_text(json.dumps(profile.to_json()))
+    return path
+
+
+@pytest.mark.parametrize("argv, digest", TRANSFORM_TABLES)
+def test_transform_table_files(tmp_path, capsys, argv, digest):
+    if argv[0] == "--initial":
+        argv = ["--initial", str(_random_profile_json(tmp_path / "profile.json", argv[1]))]
+    out = tmp_path / "tables"
+    assert main(["transforms", *argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert sorted(files) == [
+        "abel.csv",
+        "abel_inverse.csv",
+        "dual_abel.csv",
+        "dual_abel_inverse.csv",
+    ]
+    assert _listing_digest(files) == digest, argv

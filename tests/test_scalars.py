@@ -208,3 +208,119 @@ def test_surd_to_float_matches_the_fraction_bracket(q, a, b, den, cancel):
     assert surd_to_float(q, a, b, den) == expected
     assert QSurd(Fraction(a, den), Fraction(b, den), q).to_float() == expected
     assert surd_to_float(q, -a, -b, den) == -expected
+
+
+# -- the integer triple (A, B, D) -----------------------------------------------
+
+FIELD_QS = (2, 3, 4, 5, 9)
+wide_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=36)
+
+
+def surd_pairs(count):
+    """q from FIELD_QS and ``count`` rational pairs (a, b)."""
+    pair = st.tuples(wide_fractions, wide_fractions)
+    return st.tuples(st.sampled_from(FIELD_QS), st.lists(pair, min_size=count, max_size=count))
+
+
+def folded(a: Fraction, b: Fraction, q: int) -> tuple[Fraction, Fraction]:
+    """The Fraction-pair normal form: sqrt(q) folded into a for a square q."""
+    root = math.isqrt(q)
+    return (a + b * root, Fraction(0)) if root * root == q else (a, b)
+
+
+def assert_canonical(x: QSurd, a: Fraction, b: Fraction) -> None:
+    """x is the normal form of a + b*sqrt(q): D > 0, gcd(A, B, D) = 1, B = 0
+    for a square q, and A/D, B/D are the folded pair."""
+    big_a, big_b, den = x.slots
+    assert den > 0 and math.gcd(big_a, big_b, den) == 1
+    assert (x.a, x.b) == folded(a, b, x.q) == (Fraction(big_a, den), Fraction(big_b, den))
+
+
+def pair_product(x, y, q):
+    (a, b), (c, d) = x, y
+    return a * c + q * b * d, a * d + b * c
+
+
+def pair_inverse(x, q):
+    a, b = x
+    norm = a * a - q * b * b
+    return a / norm, -b / norm
+
+
+@given(data=surd_pairs(2), exponent=st.integers(-3, 4))
+@settings(max_examples=200, deadline=None)
+def test_operations_keep_the_normal_form(data, exponent):
+    # each result against the same operation on folded Fraction pairs
+    q, (x, y) = data
+    x, y = folded(*x, q), folded(*y, q)
+    u, v = QSurd(*x, q), QSurd(*y, q)
+    assert_canonical(u, *x)
+    assert_canonical(u + v, x[0] + y[0], x[1] + y[1])
+    assert_canonical(u - v, x[0] - y[0], x[1] - y[1])
+    assert_canonical(-u, -x[0], -x[1])
+    assert_canonical(u * v, *pair_product(x, y, q))
+    assert_canonical(u * 3 - Fraction(1, 6), 3 * x[0] - Fraction(1, 6), 3 * x[1])
+    if v:
+        assert_canonical(v.inverse(), *pair_inverse(y, q))
+        assert_canonical(u / v, *pair_product(x, pair_inverse(y, q), q))
+        assert_canonical(2 / v, *pair_product((2, 0), pair_inverse(y, q), q))
+    if u or exponent >= 0:
+        power = (Fraction(1), Fraction(0))
+        base = x if exponent >= 0 else pair_inverse(x, q)
+        for _ in range(abs(exponent)):
+            power = pair_product(power, base, q)
+        assert_canonical(u**exponent, *power)
+
+
+@given(
+    q=st.sampled_from(FIELD_QS),
+    r=st.one_of(st.integers(-(10**20), 10**20), wide_fractions),
+)
+@settings(max_examples=200, deadline=None)
+def test_rational_values_equal_and_hash_like_int_and_fraction(q, r):
+    x = QSurd(r, 0, q)
+    assert x == r and r == x
+    assert hash(x) == hash(r) == hash(Fraction(r))
+    assert x != r + 1 and x != QSurd(r, 0, 7)
+    # a value with an irrational part is equal to no rational
+    if math.isqrt(q) ** 2 != q:
+        assert QSurd(r, 1, q) != r
+
+
+@given(data=surd_pairs(1))
+@settings(max_examples=200, deadline=None)
+def test_printing_matches_the_fraction_pair_form(data):
+    # str, repr and to_json as they were printed from the two Fractions
+    q, ((a, b),) = data
+    x = QSurd(a, b, q)
+    a, b = folded(a, b, q)
+    if b == 0:
+        text = str(a)
+    elif a == 0:
+        text = f"{b}*sqrt({q})"
+    else:
+        text = f"{a}{'+' if b > 0 else '-'}{abs(b)}*sqrt({q})"
+    assert str(x) == text
+    assert repr(x) == f"QSurd({a}, {b}, q={q})"
+    assert x.to_json() == {"a": str(a), "b": str(b)}
+    assert QSurd.from_json(x.to_json(), q) == x
+
+
+def test_zero_is_one_value_per_q():
+    assert QSurd.zero(3) is QSurd.zero(3)
+    assert QSurd.zero(3) == 0 and QSurd.zero(3) != QSurd.zero(2)
+    with pytest.raises(ParameterError):
+        QSurd.zero(1)
+    with pytest.raises(ParameterError):
+        QSurd.zero(2.0)
+    with pytest.raises(AttributeError):
+        QSurd.zero(3)._v = (1, 0, 1, 3)
+
+
+@pytest.mark.parametrize("q", FIELD_QS)
+def test_sqrt_q_power_matches_repeated_products(q):
+    root, power = QSurd.sqrt(q), QSurd.one(q)
+    for k in range(9):
+        assert sqrt_q_power(q, k, ScalarMode.EXACT) == power
+        assert sqrt_q_power(q, -k, ScalarMode.EXACT) == power.inverse()
+        power = power * root

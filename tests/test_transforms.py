@@ -306,3 +306,75 @@ def test_abel_inverse_second_form():
             expected = expected - scalar_from_fraction(q - 1, q, EXACT) * weight * s[n + 2 * k]
             k += 1
         assert out[n] == expected
+
+
+# -- the closed routes on the packed form ------------------------------------------
+
+
+def irrational_profile(q, rng, radius):
+    def draw():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+    return RadialProfile(q, EXACT, [(n, QSurd(draw(), draw(), q)) for n in range(radius + 1)])
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
+def test_closed_routes_equal_brute_routes_on_irrational_data(q):
+    rng = random.Random(q)
+    for radius in (0, 1, 2, 3):
+        p = irrational_profile(q, rng, radius)
+        forward = abel(p)
+        assert forward == abel(p, method="brute")
+        assert abel_inverse(forward) == p
+        for n in range(radius + 3):
+            assert dual_abel(forward, n) == dual_abel(forward, n, method="brute")
+        lopsided = forward + HeightSequence(q, EXACT, [(-radius - 1, QSurd(1, 1, q))])
+        for n in range(radius + 3):
+            assert dual_abel(lopsided, n) == dual_abel(lopsided, n, method="brute")
+
+
+def _scalar_abel(p, q):
+    # the float64 scalar loops the packed routes replace, in their order
+    radius, ratio = p.support_radius(), (q - 1) / q
+    out = {}
+    for h in range(-radius, radius + 1):
+        total = float(q) ** (abs(h) / 2) * p[abs(h)]
+        for m in range(abs(h) + 2, radius + 1, 2):
+            total = total + ratio * float(q) ** (m / 2) * p[m]
+        out[h] = total
+    return out
+
+
+def _scalar_abel_inverse(s, q):
+    radius, out = s.support_radius(), {}
+    for n in range(radius + 1):
+        total = 0.0
+        for k in range((radius - n) // 2 + 1):
+            weight = float(q) ** (-n / 2) * (1 / q**k)
+            total = total + weight * (s[n + 2 * k] - s[n + 2 * k + 2])
+        out[n] = total
+    return out
+
+
+def _scalar_dual_abel(s, q, n):
+    total = 2 * q / (q + 1) * s.even_value(n)
+    for k in range(-n + 2, n - 1, 2):
+        total = total + (q - 1) / (q + 1) * s.even_value(k)
+    return total * float(q) ** (-n / 2)
+
+
+@pytest.mark.parametrize("q", (2, 3, 5))
+def test_float64_closed_routes_keep_the_bits_of_the_scalar_loops(q):
+    rng = random.Random(100 + q)
+    for radius in (1, 4, 6):
+        p = irrational_profile(q, rng, radius).as_float64()
+        forward = abel(p)
+        assert {h: v.hex() for h, v in forward.items()} == {
+            h: v.hex() for h, v in _scalar_abel(p, q).items() if v
+        }
+        back = abel_inverse(forward)
+        assert {n: v.hex() for n, v in back.items()} == {
+            n: v.hex() for n, v in _scalar_abel_inverse(forward, q).items() if v
+        }
+        for n in range(1, radius + 3):
+            assert dual_abel(forward, n).hex() == _scalar_dual_abel(forward, q, n).hex()

@@ -204,6 +204,14 @@ def test_time_range_accepts_integer_pairs_and_a_radius():
     assert radial_solve(p, z, 0).n_values() == [0]
 
 
+@pytest.mark.parametrize("solver", ("closed", "recurrence"))
+def test_solve_on_the_single_time_zero_returns_the_data(solver):
+    f, g = random_data(3, 2, random.Random(7))
+    trajectory = solve(f, g, (0, 0), solver=solver)
+    assert trajectory.n_values() == [0]
+    assert trajectory.snapshot(0) == f
+
+
 def test_trajectory_invariants():
     rng = random.Random(13)
     f, g = random_data(2, 1, rng)
@@ -340,6 +348,19 @@ def test_kernel_evaluation_matches_vertex_snapshots():
                 assert snapshot[x] == evaluate_kernel_solution(c_kernel, s_kernel, f, g, x)
 
 
+def test_kernel_evaluation_of_irrational_data_over_mixed_denominators():
+    q = 3
+    f = TreeFunction(q, EXACT, [(v, QSurd(Fraction(k, 4), Fraction(1, k + 2), q))
+                                for k, v in enumerate(Ball(q, 1))])
+    g = TreeFunction(q, EXACT, [(VertexAddress(q, (1,)), QSurd(Fraction(1, 6), -1, q))])
+    trajectory = solve(f, g, 3, solver="recurrence")
+    families = kernel_family_recurrence(q, 3, EXACT)
+    for n in (-3, 1, 2):
+        snapshot = trajectory.snapshot(n)
+        for x in Ball(q, 4):
+            assert snapshot[x] == evaluate_kernel_solution(*families[n], f, g, x)
+
+
 def test_radial_snapshot_values_match_closed_kernel():
     # for delta data the snapshot profile is the position kernel itself
     for q in (2, 3):
@@ -406,6 +427,22 @@ def test_asgeirsson_double_sum_symmetry():
         lhs, rhs = asgeirsson_verify(field, x, y, m, n)
         assert lhs == rhs
         pairs += 1
+
+
+def test_asgeirsson_double_sum_equals_a_brute_double_loop():
+    # the double sum groups the y' spheres by height; a plain loop over both
+    # spheres with the field's own values is its oracle
+    rng = random.Random(47)
+    f, g = random_data(2, 1, rng)
+    field = asgeirsson_field(solve(f, g, 6, solver="recurrence"), Ball(2, 6))
+    x, y = VertexAddress(2, (1,)), VertexAddress(2, (0, 1))
+    lhs, rhs = asgeirsson_verify(field, x, y, 3, 1)
+    brute = QSurd.zero(2)
+    for x_prime in sphere(x, 3, field.ball):
+        for y_prime in sphere(y, 1, field.ball):
+            brute = brute + field.value(x_prime, y_prime)
+    assert not brute.is_zero()
+    assert lhs == brute == rhs
 
 
 def test_asgeirsson_equal_radii_trivial():
