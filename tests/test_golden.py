@@ -4,8 +4,10 @@ and the four ``treewave transforms`` tables.
 
 The pins were computed before the vertex, radial and float64 sums moved
 onto the packed level core, so any change in an exact value, in a float64
-leapfrog bit or in the formatting shows up here.  Each experiment pin is
-the digest of the sorted listing "<file name> <sha256 of its bytes>"; the
+leapfrog bit or in the formatting shows up here.  The transforms pins were
+computed while the closed transforms were still scalar loops over ``QSurd``
+values built on ``Fraction``.  Each experiment and transforms pin is the
+digest of the sorted listing "<file name> <sha256 of its bytes>"; the
 manifest is hashed without ``wall_time_seconds`` (varies per run) and
 ``config.out`` (the temporary directory).
 """
