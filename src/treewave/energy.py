@@ -123,8 +123,13 @@ def energies(u: WaveTrajectory, n: int) -> EnergyReport:
     """Energy report at time n; in exact mode the two potential routes are
     required to agree identically."""
     pair = potential_energy(u, n, "pair")
-    if u.mode is ScalarMode.EXACT and pair != potential_energy(u, n, "two_step"):
-        raise ConsistencyError(f"pair-sum and 2-step potential energies disagree at n={n}")
+    if u.mode is ScalarMode.EXACT:
+        two_step = potential_energy(u, n, "two_step")
+        if pair != two_step:
+            raise ConsistencyError(
+                f"pair-sum and 2-step potential energies disagree at n={n}: "
+                f"pair sum {pair}, two-step {two_step}"
+            )
     return _report(n, kinetic_energy(u, n), pair)
 
 

@@ -84,6 +84,9 @@ class _Sparse:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return type(self), (self.q, self.mode, self.items())
+
     def _check_key(self, key, q: int) -> None:
         if isinstance(key, bool) or not isinstance(key, self._key_type):
             raise ParameterError(
@@ -355,7 +358,8 @@ class HeightSequence(_Sparse):
         return cls(q, mode, [(at, scalar_from_fraction(1, q, mode))])
 
     def is_even(self) -> bool:
-        return self._as_levels().is_even()
+        """value(h) == value(-h) at every support height, read slot by slot."""
+        return all(self[h] == self[-h] for h in self.support())
 
     def even_value(self, h: int) -> Scalar:
         """Even-part average (value(h) + value(-h)) / 2."""

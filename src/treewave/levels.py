@@ -35,12 +35,6 @@ of an entry:
 - height sequences (``HeightLevels``): depth |h| holds s(h), and at depth
   d >= 1 also s(-d) after s(d).
 
-The closed transforms are weighted sums along one parity of a radial or
-height part (``RadialLevels.abel``, ``HeightLevels.abel_inverse`` and
-``HeightLevels.dual_abel``): integer weights over one denominator for exact
-data, with the odd powers of sqrt(q) taken by the part swap of the step, and
-for float64 data the weights and order of the scalar formulas.
-
 Kinetic energy, mass, the pair-sum potential, the counting inner product,
 the three Huygens interior sums, the linear combinations, the leapfrog
 step and the tree and two-step Laplacians are written once over these two
@@ -342,25 +336,6 @@ class _Packed:
         else:
             parts = [part if fa == 1 else self._map(mul, part, fa) for part in self.parts]
         return type(self)(q, mode, self.den * den, parts)
-
-    def _weighted_sums(self, weights: list, columns) -> list:
-        """Per part, the sums of w * x over each row w of weights and the
-        matching list x of ``columns(part)``: integer sums, or float64 sums
-        added left to right from 0.0 (the order of the scalar routes)."""
-        if self.mode is EXACT:
-            return [[sum(map(mul, w, x)) for w, x in zip(weights, columns(p))] for p in self.parts]
-        return [
-            [reduce(add, map(mul, w, x), 0.0) for w, x in zip(weights, columns(p))]
-            for p in self.parts
-        ]
-
-    def _odd_times_sqrt(self, parts: list) -> list:
-        """Flat parts with their exact entries at odd positions times sqrt(q);
-        float64 parts are returned as they are."""
-        if self.mode is EXACT:
-            a, b = parts
-            a[1::2], b[1::2] = RadialLevels._times_sqrt(self.q, [a[1::2], b[1::2]])
-        return parts
 
     # -- layout -------------------------------------------------------------------
 
@@ -665,23 +640,6 @@ class RadialLevels(_Packed):
         radius = max(values, default=-1)
         return cls._pack(q, mode, [radius + 1], ((0, m, value) for m, value in values.items()))
 
-    def abel(self) -> HeightLevels:
-        """The horocycle sum A f(h) = q^(|h|/2) f(|h|) + ((q-1)/q) sum_{k>=1}
-        q^(|h|/2+k) f(|h|+2k), one weighted sum of f(d), f(d+2), ... per
-        depth d = |h|.  Exact weights are the integers q^(d//2) and
-        (q-1) q^(d//2+k-1), and odd depths take the factor sqrt(q)."""
-        q, mode, size = self.q, self.mode, len(self.parts[0])
-        if mode is EXACT:
-            weights = [
-                [q ** (d // 2)] + [(q - 1) * q ** (d // 2 + k) for k in range((size - d - 1) // 2)]
-                for d in range(size)
-            ]
-        else:
-            ladder, ratio = [sqrt_q_power(q, m, mode) for m in range(size)], (q - 1) / q
-            weights = [[w] + [ratio * v for v in ladder[d + 2 :: 2]] for d, w in enumerate(ladder)]
-        parts = self._weighted_sums(weights, lambda part: [part[d::2] for d in range(size)])
-        return HeightLevels.even(q, mode, self.den, self._odd_times_sqrt(parts))
-
     @classmethod
     def m_kernel(cls, q: int, mode: ScalarMode, n: int) -> RadialLevels:
         """The distance kernel of M_n for n >= 0: q^(-n/2) at the distances
@@ -740,7 +698,8 @@ class RadialLevels(_Packed):
 
 class HeightLevels(_Packed):
     """A function s of the horocyclic height: depth 0 holds s(0), depth
-    d >= 1 holds s(d) and s(-d).  A height sequence keeps it once built."""
+    d >= 1 holds s(d) and s(-d).  A height sequence keeps it once built; it
+    is storage only, and the transforms read its slots."""
 
     __slots__ = ()
 
@@ -758,55 +717,3 @@ class HeightLevels(_Packed):
         if isinstance(key, int) and abs(key) < len(self.parts[0]):
             return [part[abs(key)][key < 0] for part in self.parts]
         return None
-
-    @classmethod
-    def even(cls, q: int, mode: ScalarMode, den: int, parts: list) -> HeightLevels:
-        """The even sequence s(h) = v(|h|) of flat parts v indexed by |h|."""
-        rows = [[[v] if d == 0 else [v, v] for d, v in enumerate(part)] for part in parts]
-        return cls(q, mode, den, rows)
-
-    def is_even(self) -> bool:
-        """s(h) == s(-h) at every stored depth."""
-        return all(row[0] == row[-1] for part in self.parts for row in part)
-
-    def abel_inverse(self) -> RadialLevels:
-        """The telescoping inverse sum_{k>=0} q^(-n/2-k) {s(n+2k) - s(n+2k+2)}
-        of an even sequence, read from the heights h >= 0, one weighted sum
-        per radius n.  Exact weights are the integers q^(T-ceil(n/2)-k) over
-        q^T, T = ceil(R/2), and odd radii take the factor sqrt(q)."""
-        q, mode, size = self.q, self.mode, len(self.parts[0])
-        top, spans = size // 2, [range((size - 1 - n) // 2 + 1) for n in range(size)]
-        if mode is EXACT:
-            weights = [[q ** (top - (n + 1) // 2 - k) for k in spans[n]] for n in range(size)]
-        else:
-            ladder = [sqrt_q_power(q, -n, mode) for n in range(size)]
-            weights = [[w * (1 / q**k) for k in spans[n]] for n, w in enumerate(ladder)]
-
-        def differences(part: list) -> list:
-            s = [row[0] for row in part] + [0, 0]
-            return [list(map(sub, s[n:size:2], s[n + 2 :: 2])) for n in range(size)]
-
-        parts = self._odd_times_sqrt(self._weighted_sums(weights, differences))
-        return RadialLevels(q, mode, self.den * q**top if mode is EXACT else 1, parts)
-
-    def dual_abel(self, n: int) -> Scalar:
-        """The sphere mean A* s(n) for n >= 1:
-        q^(-n/2) [2q e(n) + (q-1) sum_{|k| <= n-2, k = n mod 2} e(k)] / (q+1)
-        with e(k) = (s(k) + s(-k))/2, as one weighted sum of the depth sums
-        s(d) + s(-d) (2 s(0) at d = 0); exact sums are over 2(q+1) q^ceil(n/2)."""
-        q, mode = self.q, self.mode
-        depths = [n] + [abs(k) for k in range(2 - n, n - 1, 2)]
-        if mode is EXACT:
-            weights = [2 * q] + [q - 1] * (n - 1)
-        else:
-            weights = [2 * q / (q + 1)] + [(q - 1) / (q + 1)] * (n - 1)
-
-        def evens(part: list) -> list:
-            sums = [row[0] + row[-1] for row in part] + [0] * n
-            return [[sums[d] if mode is EXACT else sums[d] * 0.5 for d in depths]]
-
-        sums = self._weighted_sums([weights], evens)
-        if mode is not EXACT:
-            return sums[0][0] * sqrt_q_power(q, -n, mode)
-        (a,), (b,) = RadialLevels._times_sqrt(q, sums) if n % 2 else sums
-        return surd_from_slots(q, a, b, self.den * 2 * (q + 1) * q ** ((n + 1) // 2))

@@ -28,12 +28,11 @@ route convolves the data with the propagator kernels.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import ParameterError
 from .functions import RadialProfile, TreeFunction, _check_q
 from .levels import RadialLevels
-from .scalars import Scalar, ScalarMode, scalar_from_fraction, scalar_zero, surd_from_slots
+from .scalars import Scalar, ScalarMode, scalar_from_fraction, scalar_zero
 from .topology import VertexAddress, distance, distance_count  # noqa: F401 (re-exported)
 from .wave import WaveTrajectory, _solve, adjacency_sum
 
@@ -118,23 +117,13 @@ def evaluate_kernel_solution(
 
 def _distance_sums(data: TreeFunction, x: VertexAddress) -> dict[int, Scalar]:
     """d -> the sum of data(y) over the data vertices y with d(x, y) = d, in
-    one pass over the data; exact values are summed as integer pairs over
-    one common denominator."""
-    values = data.value_map()
-    if data.mode is not ScalarMode.EXACT:
-        sums: dict[int, Scalar] = {}
-        for y, value in values.items():
-            d = distance(x, y)
-            sums[d] = sums.get(d, 0.0) + value
-        return sums
-    slots = {y: value.slots for y, value in values.items()}
-    den = lcm(*(e for _, _, e in slots.values()))
-    pairs: dict[int, tuple[int, int]] = {}
-    for y, (va, vb, e) in slots.items():
+    one pass over the data."""
+    zero = scalar_zero(data.q, data.mode)
+    sums: dict[int, Scalar] = {}
+    for y, value in data.value_map().items():
         d = distance(x, y)
-        a, b = pairs.get(d, (0, 0))
-        pairs[d] = (a + va * (den // e), b + vb * (den // e))
-    return {d: surd_from_slots(data.q, a, b, den) for d, (a, b) in pairs.items()}
+        sums[d] = sums.get(d, zero) + value
+    return sums
 
 
 def radial_solve(

@@ -116,6 +116,9 @@ class QSurd:
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("QSurd is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild the normal form as it is
+        return _canonical, self._v
+
     @property
     def a(self) -> Fraction:
         return Fraction(self._v[0], self._v[2])

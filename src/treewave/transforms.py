@@ -48,15 +48,24 @@ def _check_method(method: str) -> None:
 
 
 def abel(p: RadialProfile, method: str = "closed") -> HeightSequence:
-    """The horocycle sum of p: the closed form on the packed profile
-    (``RadialLevels.abel``), or the brute sum over the vertices of a ball."""
+    """The horocycle sum of p: the closed form, one sum over f(|h|),
+    f(|h|+2), ... per depth |h|, or the brute sum over the vertices of a
+    ball."""
     _check_method(method)
-    if method == "closed":
-        return HeightSequence._from_levels(p._as_levels().abel())
     radius = p.support_radius()
     if radius < 0:
         return HeightSequence(p.q, p.mode)
-    return _abel_brute(p, radius)
+    if method == "brute":
+        return _abel_brute(p, radius)
+    q, mode = p.q, p.mode
+    ratio = scalar_from_fraction(Fraction(q - 1, q), q, mode)
+    entries = {}
+    for d in range(radius + 1):
+        total = sqrt_q_power(q, d, mode) * p[d]
+        for m in range(d + 2, radius + 1, 2):
+            total = total + ratio * sqrt_q_power(q, m, mode) * p[m]
+        entries[d] = entries[-d] = total
+    return HeightSequence(q, mode, entries)
 
 
 def _abel_brute(p: RadialProfile, radius: int) -> HeightSequence:
@@ -79,15 +88,31 @@ def _abel_brute(p: RadialProfile, radius: int) -> HeightSequence:
 
 def abel_inverse(s: HeightSequence) -> RadialProfile:
     """Telescoping inverse sum_{k>=0} q^(-n/2-k) {f(n+2k) - f(n+2k+2)};
-    defined on even sequences only (``HeightLevels.abel_inverse``)."""
+    defined on even sequences only."""
     if not s.is_even():
         raise DomainError("the inverse transform is defined on even sequences only")
-    return RadialProfile._from_levels(s._as_levels().abel_inverse())
+    radius = s.support_radius()
+    if radius < 0:
+        return RadialProfile(s.q, s.mode)
+    q, mode = s.q, s.mode
+    shrink = [scalar_from_fraction(Fraction(1, q**k), q, mode) for k in range(radius // 2 + 1)]
+    entries = {}
+    for n in range(radius + 1):
+        lead = sqrt_q_power(q, -n, mode)
+        total = scalar_zero(q, mode)
+        for k in range((radius - n) // 2 + 1):
+            total = total + lead * shrink[k] * (s[n + 2 * k] - s[n + 2 * k + 2])
+        entries[n] = total
+    return RadialProfile(q, mode, entries)
 
 
 def dual_abel(s: HeightSequence, n: int, method: str = "closed") -> Scalar:
-    """The sphere mean A* s(n): the closed form on the packed sequence
-    (``HeightLevels.dual_abel``), or the brute sum over the sphere S(n)."""
+    """The sphere mean A* s(n): the closed form
+
+        q^(-n/2) [2q e(n) + (q-1) sum_{|k| <= n-2, k = n mod 2} e(k)] / (q+1)
+
+    on the even part e(k) = (s(k) + s(-k))/2, or the brute sum over the
+    sphere S(n)."""
     _check_method(method)
     if n < 0:
         raise ParameterError("sphere radius must be >= 0")
@@ -104,7 +129,15 @@ def dual_abel(s: HeightSequence, n: int, method: str = "closed") -> Scalar:
             s.mode,
         )
         return total * weight
-    return s[0] if n == 0 else s._as_levels().dual_abel(n)
+    if n == 0:
+        return s[0]
+    q, mode = s.q, s.mode
+    edge = scalar_from_fraction(Fraction(2 * q, q + 1), q, mode)
+    inner = scalar_from_fraction(Fraction(q - 1, q + 1), q, mode)
+    total = edge * s.even_value(n)
+    for k in range(2 - n, n - 1, 2):
+        total = total + inner * s.even_value(k)
+    return total * sqrt_q_power(q, -n, mode)
 
 
 def dual_abel_inverse(m: RadialProfile, up_to: int | None = None) -> HeightSequence:

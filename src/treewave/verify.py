@@ -418,12 +418,12 @@ def check_multipliers(qs, rng, *, samples: int) -> CheckResult:
     base = abel(p).as_float64()
     period = tau(q)
     grid = [i * (period / 2) / (samples - 1) for i in range(samples)]
+    references = [fourier_height(base, lam) for lam in grid]
     for n in range(7):
         c_kernel, s_kernel = propagator_kernels(q, n, EXACT)
         cos_image = abel(radial_convolve(c_kernel, p)).as_float64()
         sin_image = abel(radial_convolve(s_kernel, p)).as_float64()
-        for lam in grid:
-            reference = fourier_height(base, lam)
+        for lam, reference in zip(grid, references):
             if abs(fourier_height(cos_image, lam) - cos_q(n * lam, q) * reference) > 1e-10:
                 return CheckResult("fourier multipliers", False, f"cosine n={n}")
             expected = sine_ratio_q(n, lam, q) * reference

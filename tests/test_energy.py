@@ -79,6 +79,19 @@ def test_energies_take_both_potential_routes(monkeypatch, layout):
         energies(u, 0)
 
 
+def test_potential_mismatch_names_the_time_and_both_values(monkeypatch):
+    u = delta_trajectory(radius=3)
+    two_step = energy._potential_two_step
+    shift = QSurd.sqrt(2)
+    monkeypatch.setattr(energy, "_potential_two_step", lambda state: two_step(state) + shift)
+    with pytest.raises(ConsistencyError) as caught:
+        energies(u, 1)
+    assert str(caught.value) == (
+        "pair-sum and 2-step potential energies disagree at n=1: "
+        "pair sum 9/128, two-step 9/128+1*sqrt(2)"
+    )
+
+
 def test_energy_conservation_delta_instance():
     u = delta_trajectory(radius=9)
     reference, reports = total_energy(u)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections.abc import Mapping
 from fractions import Fraction
@@ -338,6 +340,21 @@ def test_operator_results_answer_support_reads_from_the_packed_form():
         assert radius == built.support_radius() and size == len(built.items())
         assert truth is bool(built)
         assert result == built and dict(result.value_map()) == dict(built.value_map())
+
+
+def test_copies_and_pickles_are_equal_and_hash_alike():
+    surds = [QSurd(1, 2, 3), QSurd(Fraction(-5, 6), 0, 2), QSurd.zero(2)]
+    surds += [QSurd(1, 2, 3) * QSurd(0, Fraction(1, 4), 3) - 1, QSurd(1, 1, 9) / 7]
+    values = [*surds]
+    for result, built in _operator_results():
+        values += [result, built, *(value for _, value in built.items())]
+    for value in values:
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+            if isinstance(value, QSurd):
+                assert twin.slots == value.slots and twin.q == value.q
+            elif not isinstance(value, float):
+                assert (twin.q, twin.mode, twin.items()) == (value.q, value.mode, value.items())
 
 
 def _probe_keys(cls, q):

@@ -9,7 +9,10 @@ computed while the closed transforms were still scalar loops over ``QSurd``
 values built on ``Fraction``.  Each experiment and transforms pin is the
 digest of the sorted listing "<file name> <sha256 of its bytes>"; the
 manifest is hashed without ``wall_time_seconds`` (varies per run) and
-``config.out`` (the temporary directory).
+``config.out`` (the temporary directory).  The q = 9 (sqrt(q) folded into
+A) and float64 q = 5 transforms pins were computed while the closed
+transforms ran on the packed form, before they became scalar loops over
+the integer ``QSurd`` again.
 """
 
 import hashlib
@@ -64,9 +67,14 @@ TRANSFORM_TABLES = [
     (["--q", "2"], "a5dfadf2a21c074e868a220de1e7d3d25bcf788e8949fc6077f9df4e0f03945a"),
     (["--q", "3"], "a5dfadf2a21c074e868a220de1e7d3d25bcf788e8949fc6077f9df4e0f03945a"),
     (["--q", "4"], "e4d521c82ea1afa555f75014adaf69ba67b543fe37987b90a18273460390e92d"),
+    (["--q", "9"], "0b2db70b8b83debe7e7e10a2df440c179da71a7602733f949075e982ad80d168"),
     (
         ["--q", "3", "--mode", "float64"],
         "414915c9b9d5ef0d092da56232b81da5e289305d55d87a19335996fc367c0f83",
+    ),
+    (
+        ["--q", "5", "--mode", "float64"],
+        "2474d94e85182475a44d1c79aebc655b648aef596f492725c4a9a1c7347c1ba2",
     ),
     (
         ["--initial", "exact"],

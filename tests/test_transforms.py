@@ -308,7 +308,7 @@ def test_abel_inverse_second_form():
         assert out[n] == expected
 
 
-# -- the closed routes on the packed form ------------------------------------------
+# -- the closed routes on irrational data, and their float64 order ----------------
 
 
 def irrational_profile(q, rng, radius):
@@ -334,7 +334,8 @@ def test_closed_routes_equal_brute_routes_on_irrational_data(q):
 
 
 def _scalar_abel(p, q):
-    # the float64 scalar loops the packed routes replace, in their order
+    # the float64 closed forms written out here, in the order of the library's
+    # scalar loops, so that a reordered sum shows as a changed bit
     radius, ratio = p.support_radius(), (q - 1) / q
     out = {}
     for h in range(-radius, radius + 1):
