@@ -35,6 +35,10 @@ of the leapfrog.  Profiles carry one entry per radius weighted by the
 sphere volume, which keeps large |n| reachable for radial data.  The
 ``radial_*`` functions are the same quantities under the names the
 benchmark traces.
+
+An energy table has one report, with the direct gap K - P, per interior
+time of the trajectory; checks and tables read these reports and the rows of
+``propagation_bounds`` rather than recompute them.
 """
 
 from __future__ import annotations
@@ -133,9 +137,8 @@ def energies(u: WaveTrajectory, n: int) -> EnergyReport:
     return _report(n, kinetic_energy(u, n), pair)
 
 
-def _energy_table(u, n_values, kinetic, potential) -> tuple[Scalar, list[EnergyReport]]:
-    if n_values is None:
-        n_values = [n for n in u.n_values() if n - 1 in u.snapshots and n + 1 in u.snapshots]
+def _energy_table(u, kinetic, potential) -> tuple[Scalar, list[EnergyReport]]:
+    n_values = u.interior_times()
     if not n_values:
         raise ParameterError("no interior times available for energies")
     reports = [_report(n, kinetic(u, n), potential(u, n, "pair")) for n in n_values]
@@ -143,10 +146,11 @@ def _energy_table(u, n_values, kinetic, potential) -> tuple[Scalar, list[EnergyR
     return reference, reports
 
 
-def total_energy(u: WaveTrajectory, n_values=None) -> tuple[Scalar, list[EnergyReport]]:
-    """Per-time energy table (pair-sum potential) and the reference total at
-    the time closest to 0.  Conservation itself is asserted by callers."""
-    return _energy_table(u, n_values, kinetic_energy, potential_energy)
+def total_energy(u: WaveTrajectory) -> tuple[Scalar, list[EnergyReport]]:
+    """Energy table (pair-sum potential) at every interior time of u, and
+    the reference total at the time closest to 0.  Conservation itself is
+    asserted by callers; the ``gap`` of each report is the direct K - P."""
+    return _energy_table(u, kinetic_energy, potential_energy)
 
 
 def total_energy_closed_form(f: TreeFunction, g: TreeFunction) -> Scalar:
@@ -251,8 +255,8 @@ def radial_potential_energy(u: WaveTrajectory, n: int, route: str = "pair") -> S
     return potential_energy(u, n, route)
 
 
-def radial_total_energy(u: WaveTrajectory, n_values=None) -> tuple[Scalar, list[EnergyReport]]:
-    return _energy_table(u, n_values, radial_kinetic_energy, radial_potential_energy)
+def radial_total_energy(u: WaveTrajectory) -> tuple[Scalar, list[EnergyReport]]:
+    return _energy_table(u, radial_kinetic_energy, radial_potential_energy)
 
 
 def radial_equipartition_gap(u: WaveTrajectory, n: int) -> tuple[Scalar, Scalar]:

@@ -26,14 +26,12 @@ from .energy import (
     equipartition_gap,
     gap_bound_constant,
     huygens_report,
-    kinetic_energy,
-    potential_energy,
     total_energy,
 )
 from .errors import ConfigError
 from .functions import TreeFunction
 from .sampling import random_tree_function
-from .scalars import QSurd, Scalar, ScalarMode, ratio_text, scalar_to_float, surd_to_float
+from .scalars import QSurd, Scalar, ScalarMode, ratio_text, surd_to_float
 from .topology import Ball
 from .wave import WaveTrajectory, solve
 
@@ -43,6 +41,11 @@ _SOLVERS = ("closed", "recurrence", "both")
 # emitted only for |n| <= _OPERATOR_LIMIT; the direct gap and the decay
 # bound cover the whole range
 _OPERATOR_LIMIT = 3
+
+
+def _is_integer(value) -> bool:
+    """An int that is not a bool (True would otherwise count as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -58,21 +61,21 @@ class ExperimentConfig:
     out: str | None = None
 
     def validated(self) -> "ExperimentConfig":
-        if not isinstance(self.q, int) or self.q < 2:
+        if not _is_integer(self.q) or self.q < 2:
             raise ConfigError(f"field 'q' must be an integer >= 2, got {self.q!r}")
-        if not isinstance(self.steps, int) or self.steps < 1:
+        if not _is_integer(self.steps) or self.steps < 1:
             raise ConfigError(f"field 'steps' must be an integer >= 1, got {self.steps!r}")
         if self.mode not in ("exact", "float64"):
             raise ConfigError(f"field 'mode' must be 'exact' or 'float64', got {self.mode!r}")
         if self.solver not in _SOLVERS:
             raise ConfigError(f"field 'solver' must be one of {_SOLVERS}, got {self.solver!r}")
-        if self.radius is not None and (not isinstance(self.radius, int) or self.radius < 0):
+        if self.radius is not None and (not _is_integer(self.radius) or self.radius < 0):
             raise ConfigError(f"field 'radius' must be an integer >= 0, got {self.radius!r}")
         if self.initial is not None and not isinstance(self.initial, dict):
             raise ConfigError(
                 f"field 'initial' must be an object with keys 'f' and 'g', got {self.initial!r}"
             )
-        if self.schedule != "sqrt" and not (isinstance(self.schedule, int) and self.schedule >= 0):
+        if self.schedule != "sqrt" and not (_is_integer(self.schedule) and self.schedule >= 0):
             raise ConfigError(
                 f"field 'schedule' must be 'sqrt' or an integer margin >= 0, got {self.schedule!r}"
             )
@@ -134,7 +137,7 @@ def _format_exact(value: Scalar) -> tuple[str, str]:
 
 def _scalar_columns(value: Scalar) -> list[str]:
     a, b = _format_exact(value)
-    return [a, b, repr(scalar_to_float(value))]
+    return [a, b, repr(float(value))]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -172,7 +175,7 @@ def write_energy_table(trajectory: WaveTrajectory, path: Path) -> None:
         for value in (report.kinetic, report.potential, report.total, report.gap):
             a, b = _format_exact(value)
             exact_cells += [a, b]
-            float_cells.append(repr(scalar_to_float(value)))
+            float_cells.append(repr(float(value)))
         rows.append([str(report.n)] + exact_cells + float_cells)
     header = ["n"]
     for name in ("K", "P", "E", "gap"):
@@ -184,9 +187,7 @@ def write_energy_table(trajectory: WaveTrajectory, path: Path) -> None:
 
 def write_huygens_table(trajectory: WaveTrajectory, config: ExperimentConfig, path: Path) -> None:
     rows = []
-    for n in trajectory.n_values():
-        if n - 1 not in trajectory.snapshots or n + 1 not in trajectory.snapshots:
-            continue
+    for n in trajectory.interior_times():
         margin = _margin_for(config, n)
         report = huygens_report(trajectory, n, margin)
         rows.append(
@@ -202,23 +203,16 @@ def write_huygens_table(trajectory: WaveTrajectory, config: ExperimentConfig, pa
 
 
 def write_equipartition_table(trajectory: WaveTrajectory, path: Path) -> None:
-    bound = gap_bound_constant(trajectory.f, trajectory.g)
+    """The direct gap of each energy report, the operator route at
+    |n| <= ``_OPERATOR_LIMIT`` and the decay bound constant."""
+    bound = _scalar_columns(gap_bound_constant(trajectory.f, trajectory.g))
+    _, reports = total_energy(trajectory)
     rows = []
-    for n in trajectory.n_values():
-        if n - 1 not in trajectory.snapshots or n + 1 not in trajectory.snapshots:
-            continue
-        if abs(n) <= _OPERATOR_LIMIT:
-            direct, operator_route = equipartition_gap(trajectory, n)
-            operator_columns = _scalar_columns(operator_route)
-        else:
-            direct = kinetic_energy(trajectory, n) - potential_energy(trajectory, n, "pair")
-            operator_columns = ["", "", ""]
-        rows.append(
-            [str(n)]
-            + _scalar_columns(direct)
-            + operator_columns
-            + _scalar_columns(bound)
-        )
+    for report in reports:
+        operator_columns = ["", "", ""]
+        if abs(report.n) <= _OPERATOR_LIMIT:
+            operator_columns = _scalar_columns(equipartition_gap(trajectory, report.n)[1])
+        rows.append([str(report.n)] + _scalar_columns(report.gap) + operator_columns + bound)
     header = ["n"]
     for name in ("gap", "gap_operator", "bound"):
         header += [f"{name}_a", f"{name}_b", f"{name}_float"]

@@ -30,9 +30,7 @@ from .scalars import (
     ensure_mode,
     scalar_from_fraction,
     scalar_from_json,
-    scalar_is_zero,
     scalar_sum,
-    scalar_to_float,
     scalar_to_json,
     scalar_zero,
 )
@@ -74,7 +72,7 @@ class _Sparse:
         for key, value in entries:
             self._check_key(key, q)
             value = ensure_mode(value, mode, q)
-            if not scalar_is_zero(value):
+            if value:
                 cleaned[key] = value
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "mode", mode)
@@ -208,7 +206,7 @@ class _Sparse:
         return type(self)(
             self.q,
             ScalarMode.FLOAT64,
-            [(key, scalar_to_float(value)) for key, value in self._values.items()],
+            [(key, float(value)) for key, value in self._values.items()],
         )
 
     def to_json(self) -> dict:
@@ -371,16 +369,15 @@ def spherical_mean(f: TreeFunction, x: VertexAddress, n: int) -> Scalar:
     """Average of f over the sphere of radius n about x:
     (1/delta(n)) * sum_{d(y,x)=n} f(y).
 
-    A packed f sums the index ranges of the sphere (``Levels.sphere_mean``);
-    otherwise only support vertices can contribute, so the sphere itself is
-    never enumerated.  No truncation is involved.
+    Only support vertices can contribute, so the walk reads the value map
+    and the sphere itself is never enumerated.  The value map of a packed f
+    is built in canonical order, so float64 means add in that order.  No
+    truncation is involved.
     """
     if x.q != f.q:
         raise ParameterError(f"vertex q={x.q} does not match function q={f.q}")
     if n < 0:
         raise ParameterError("sphere radius must be >= 0")
-    if f._levels is not None:
-        return f._levels.sphere_mean(x, n)
     total = scalar_sum(
         (value for vertex, value in f._values.items() if distance(x, vertex) == n),
         f.q,

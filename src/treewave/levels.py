@@ -91,28 +91,23 @@ def _descendants(q: int, e: int, i: int, t: int) -> tuple[int, int]:
     return i * q**t, (i + 1) * q**t
 
 
-def _distance_ranges(q: int, k: int, j: int, d: int):
-    """(depth, lo, hi) index ranges that together list, once each, the
-    vertices x with d(x, y) = d, for the vertex y at depth k and index j.
-    The geodesic from y climbs a steps to its ancestor z and descends d - a
-    steps without going back through the child of z towards y; both the
-    descendants of z and those of that child are one range, so each a gives
-    at most two."""
-    for a in range(min(d, k) + 1):
-        e, t = k - a, d - a
-        lo, hi = _descendants(q, e, j // q**a, t)
-        if a and t:
-            cut_lo, cut_hi = _descendants(q, e + 1, j // q ** (a - 1), t - 1)
-            yield e + t, lo, cut_lo
-            yield e + t, cut_hi, hi
-        else:
-            yield e + t, lo, hi
-
-
 def _sphere_ranges(q: int, k: int, j: int, n: int):
-    """The ``_distance_ranges`` of every d <= n with n - d even."""
+    """(depth, lo, hi) index ranges that together list, once each, the
+    vertices x with d(x, y) = d, for the vertex y at depth k and index j and
+    every d <= n with n - d even.  The geodesic from y climbs a steps to its
+    ancestor z and descends d - a steps without going back through the child
+    of z towards y; both the descendants of z and those of that child are
+    one range, so each (d, a) gives at most two."""
     for d in range(n % 2, n + 1, 2):
-        yield from _distance_ranges(q, k, j, d)
+        for a in range(min(d, k) + 1):
+            e, t = k - a, d - a
+            lo, hi = _descendants(q, e, j // q**a, t)
+            if a and t:
+                cut_lo, cut_hi = _descendants(q, e + 1, j // q ** (a - 1), t - 1)
+                yield e + t, lo, cut_lo
+                yield e + t, cut_hi, hi
+            else:
+                yield e + t, lo, hi
 
 
 def _adjacent(levels: list, q: int) -> list:
@@ -531,26 +526,6 @@ class Levels(_Packed):
             j = _vertex_index(key, self.q)
             return [part[key.depth][j] for part in self.parts]
         return None
-
-    def sphere_mean(self, vertex: VertexAddress, n: int) -> Scalar:
-        """(1/|S(n)|) times the sum of the values at distance n from vertex,
-        read from the index ranges of that sphere (``_distance_ranges``) in
-        canonical order, so float64 sums run as over the value map."""
-        q, mode, size = self.q, self.mode, len(self.parts[0])
-        ranges = sorted(
-            (depth, lo, hi)
-            for depth, lo, hi in _distance_ranges(q, vertex.depth, _vertex_index(vertex, q), n)
-            if depth < size
-        )
-        zero = 0 if mode is EXACT else 0.0
-        sums = [
-            reduce(add, chain.from_iterable(part[d][lo:hi] for d, lo, hi in ranges), zero)
-            for part in self.parts
-        ]
-        volume = sphere_volume(q, n)
-        if mode is not EXACT:
-            return sums[0] * (1 / volume)
-        return surd_from_slots(q, *sums, self.den * volume)
 
     def labelled(self):
         """(label string, parts) of the nonzero stored entries in canonical

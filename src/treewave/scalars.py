@@ -362,18 +362,6 @@ def sqrt_q_power(q: int, k: int, mode: ScalarMode) -> Scalar:
     return surd_from_slots(q, num * root, 0, den) if root else _canonical(0, num, den, q)
 
 
-def scalar_is_zero(value: Scalar) -> bool:
-    if isinstance(value, QSurd):
-        return value.is_zero()
-    return value == 0.0
-
-
-def scalar_to_float(value: Scalar) -> float:
-    if isinstance(value, QSurd):
-        return value.to_float()
-    return float(value)
-
-
 def ensure_mode(value: Scalar, mode: ScalarMode, q: int) -> Scalar:
     """Validate that a user-supplied value belongs to the computation mode;
     float64 values must be finite."""

@@ -34,7 +34,6 @@ from .scalars import (
     Scalar,
     ScalarMode,
     scalar_from_fraction,
-    scalar_is_zero,
     scalar_sum,
     scalar_zero,
     sqrt_q_power,
@@ -75,7 +74,7 @@ def _abel_brute(p: RadialProfile, radius: int) -> HeightSequence:
     buckets: dict[int, Scalar] = {}
     for vertex in Ball(p.q, radius):
         value = p[vertex.depth]
-        if scalar_is_zero(value):
+        if not value:
             continue
         h = vertex.height()
         buckets[h] = buckets.get(h, zero) + value
@@ -134,9 +133,12 @@ def dual_abel(s: HeightSequence, n: int, method: str = "closed") -> Scalar:
     q, mode = s.q, s.mode
     edge = scalar_from_fraction(Fraction(2 * q, q + 1), q, mode)
     inner = scalar_from_fraction(Fraction(q - 1, q + 1), q, mode)
-    total = edge * s.even_value(n)
+    half = scalar_from_fraction(Fraction(1, 2), q, mode)
+    # e(k) = e(-k) bit for bit (float addition commutes): one read per depth
+    even = {k: (s[k] + s[-k]) * half for k in range(n % 2, n + 1, 2)}
+    total = edge * even[n]
     for k in range(2 - n, n - 1, 2):
-        total = total + inner * s.even_value(k)
+        total = total + inner * even[abs(k)]
     return total * sqrt_q_power(q, -n, mode)
 
 

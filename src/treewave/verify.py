@@ -26,8 +26,6 @@ from .energy import (
     equipartition_gap,
     gap_bound_constant,
     huygens_report,
-    kinetic_energy,
-    potential_energy,
     propagation_bounds,
     radial_equipartition_gap,
     total_energy,
@@ -123,9 +121,7 @@ def _solve_recurrence(f: TreeFunction, g: TreeFunction, n_max: int, corrupt: boo
 
     pushed = adjacency_sum(f).scale(bad_weight * half)
     snapshots = _leapfrog(f, g, pushed, -n_max, n_max, bad_step)
-    return WaveTrajectory(
-        q=q, mode=mode, f=f, g=g, snapshots=snapshots, solver="recurrence", ball=None
-    )
+    return WaveTrajectory(q=q, mode=mode, f=f, g=g, snapshots=snapshots)
 
 
 def _delta_instance(q: int, n_max: int):
@@ -338,11 +334,9 @@ def check_equipartition(qs, rng, *, decay_n: int = 5) -> CheckResult:
             direct, operator_route = equipartition_gap(trajectory, n)
             if direct != operator_route:
                 return CheckResult("equipartition", False, f"route mismatch q={q} n={n}")
-        for n in range(-decay_n, decay_n + 1):
-            if n == 0:
-                continue
-            direct = kinetic_energy(trajectory, n) - potential_energy(trajectory, n, "pair")
-            if abs(direct) * sqrt_q_power(q, 2 * abs(n), EXACT) > bound:
+        for report in total_energy(trajectory)[1]:
+            n = report.n
+            if n and abs(report.gap) * sqrt_q_power(q, 2 * abs(n), EXACT) > bound:
                 return CheckResult("equipartition", False, f"decay bound q={q} n={n}")
     radial = _delta_instance(2, 11)
     for n in range(2, 11):
@@ -367,13 +361,12 @@ def check_propagation(
         f, g = random_data_pair(q, data_radius, rng)
         if not propagation_bounds(solve(f, g, n_max, solver="recurrence")).within_cone:
             return CheckResult("finite propagation speed", False, f"cone violated q={q}")
-        delta_trajectory = _delta_instance(q, delta_n)
         half_of = scalar_from_fraction(Fraction(q - 1, 2), q, EXACT)
-        for n in delta_trajectory.n_values():
-            state = delta_trajectory.snapshot(n)
-            if state.support_radius() != abs(n):
+        for row in propagation_bounds(_delta_instance(q, delta_n)).rows:
+            n = row.n
+            if row.support_radius != abs(n):
                 return CheckResult("finite propagation speed", False, f"support q={q} n={n}")
-            if abs(n) >= 2 and state.max_abs() * sqrt_q_power(q, abs(n), EXACT) != half_of:
+            if abs(n) >= 2 and row.scaled_amplitude != half_of:
                 return CheckResult("finite propagation speed", False, f"amplitude q={q} n={n}")
     return CheckResult(
         "finite propagation speed (support in the light cone, exactly) and "

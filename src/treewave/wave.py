@@ -23,7 +23,7 @@ Every operator here is written once for a ``TreeFunction`` and a
 ``RadialProfile`` alike and returns the type of its input: the layout of
 ``treewave.levels`` supplies the neighbour sum and M_n (geodesic index ranges
 on vertex data, the convolution with the M_n kernel on profiles).  ``solve``
-and ``treewave.radial.radial_solve`` share one body.
+and ``treewave.radial.radial_solve`` share one body, truncation check included.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def step_recurrence(u_prev: Function, u_curr: Function) -> Function:
 @dataclass(frozen=True)
 class WaveTrajectory:
     """Solved snapshots u(., n) together with their defining data, vertex
-    functions or radial profiles (whose ``ball`` is None).
+    functions or radial profiles.
 
     Invariants (exact mode): snapshot(0) == f, and when both are present
     (snapshot(1) - snapshot(-1))/2 == g; the support of snapshot(n) stays
@@ -118,8 +118,6 @@ class WaveTrajectory:
     f: Function
     g: Function
     snapshots: dict[int, Function] = field(repr=False)
-    solver: str = "closed"
-    ball: Ball | None = None
 
     def __post_init__(self):
         if self.mode is ScalarMode.EXACT:
@@ -136,6 +134,11 @@ class WaveTrajectory:
     def n_values(self) -> list[int]:
         return sorted(self.snapshots)
 
+    def interior_times(self) -> list[int]:
+        """The solved n whose n - 1 and n + 1 are solved too: the times at
+        which energies and interior sums are defined."""
+        return [n for n in self.n_values() if n - 1 in self.snapshots and n + 1 in self.snapshots]
+
     def snapshot(self, n: int) -> Function:
         try:
             return self.snapshots[n]
@@ -148,13 +151,16 @@ class WaveTrajectory:
 
 def _normalize_range(n_range) -> tuple[int, int]:
     """(lo, hi) from a pair of integer times or a bare radius r >= 0 for
-    [-r, r]."""
-    if isinstance(n_range, int):
+    [-r, r]; a bool is not a time."""
+    if isinstance(n_range, int) and not isinstance(n_range, bool):
         if n_range < 0:
             raise ParameterError(f"a bare integer time range must be >= 0, got {n_range}")
         return (-n_range, n_range)
     try:
-        lo, hi = (operator.index(bound) for bound in n_range)
+        bounds = tuple(n_range)
+        if any(isinstance(bound, bool) for bound in bounds):
+            raise TypeError
+        lo, hi = map(operator.index, bounds)
     except (TypeError, ValueError):
         raise ParameterError(
             f"time range must be an integer radius or a pair of integers, got {n_range!r}"
@@ -184,18 +190,26 @@ def _leapfrog(f, g, pushed, lo: int, hi: int, step) -> dict:
     return snapshots
 
 
-def _solve(f, g, n_range, solver: str, closed, adjacency, fit=None) -> WaveTrajectory:
+def _solve(f, g, n_range, solver: str, closed, adjacency, ball=None) -> WaveTrajectory:
     """The body of the vertex and radial solvers: validation, then the
     snapshots ``closed(n)`` or the leapfrog from u(+-1) = (1/(2 sqrt q))
     ``adjacency(f)`` +- g (the n = 0 recurrence combined with the centered
-    velocity).  ``fit(lo, hi)`` gives the truncation ball before any
-    snapshot is computed."""
+    velocity).  A truncation ``ball`` must hold radius |n| + N + 2 (N the data
+    radius) at every solved n, which is checked before any snapshot."""
     if f.q != g.q or f.mode != g.mode:
         raise ParameterError("initial data must share q and scalar mode")
     if solver not in ("closed", "recurrence"):
         raise ParameterError(f"solver must be 'closed' or 'recurrence', got {solver!r}")
     lo, hi = _normalize_range(n_range)
-    ball = fit(lo, hi) if fit else None
+    if ball is not None:
+        data_radius = max(f.support_radius(), g.support_radius(), 0)
+        worst = max(-lo, hi)
+        if worst + data_radius + 2 > ball.radius:
+            raise TruncationError(
+                f"truncation ball of radius {ball.radius} cannot hold the snapshot at "
+                f"n={max(ball.radius - data_radius - 1, 0)} "
+                f"(radius {worst + data_radius + 2} required for |n| <= {worst})"
+            )
     if solver == "closed":
         snapshots = {n: closed(n) for n in range(lo, hi + 1)}
     else:
@@ -204,9 +218,7 @@ def _solve(f, g, n_range, solver: str, closed, adjacency, fit=None) -> WaveTraje
         )
         pushed = adjacency(f).scale(half_step)
         snapshots = _leapfrog(f, g, pushed, lo, hi, step_recurrence)
-    return WaveTrajectory(
-        q=f.q, mode=f.mode, f=f, g=g, snapshots=snapshots, solver=solver, ball=ball
-    )
+    return WaveTrajectory(q=f.q, mode=f.mode, f=f, g=g, snapshots=snapshots)
 
 
 def solve(
@@ -222,23 +234,9 @@ def solve(
     ``solver='closed'`` fills snapshots through the propagators;
     ``solver='recurrence'`` bootstraps u(., +/-1) from the neighbour sum of f
     and leapfrogs outwards.  In exact mode the two routes agree identically.
+    A ``ball`` too small raises ``TruncationError`` naming the first n that does not fit.
     """
-
-    def fit(lo: int, hi: int) -> Ball:
-        data_radius = max(f.support_radius(), g.support_radius(), 0)
-        needed = max(abs(lo), abs(hi)) + data_radius + 2
-        if ball is None:
-            return Ball(f.q, needed)
-        if ball.radius < needed:
-            worst = max(abs(lo), abs(hi))
-            offending = min(n for n in range(worst + 1) if n + data_radius + 2 > ball.radius)
-            raise TruncationError(
-                f"truncation ball of radius {ball.radius} cannot hold the snapshot "
-                f"at n={offending} (radius {needed} required for |n| <= {worst})"
-            )
-        return ball
-
-    return _solve(f, g, n_range, solver, lambda n: propagators(n, f, g), adjacency_sum, fit)
+    return _solve(f, g, n_range, solver, lambda n: propagators(n, f, g), adjacency_sum, ball)
 
 
 @dataclass(frozen=True)
@@ -267,21 +265,16 @@ class AsgeirssonField:
         weight = sqrt_q_power(self.trajectory.q, h, self.trajectory.mode)
         return weight * self.trajectory.snapshot(h)[x]
 
+    def _laplacian(self, x: VertexAddress, y: VertexAddress, neighbour_values) -> Scalar:
+        q, mode = self.trajectory.q, self.trajectory.mode
+        ratio = scalar_from_fraction(Fraction(1, q + 1), q, mode)
+        return self.value(x, y) - ratio * scalar_sum(neighbour_values, q, mode)
+
     def laplacian_in_x(self, x: VertexAddress, y: VertexAddress) -> Scalar:
-        q = self.trajectory.q
-        ratio = scalar_from_fraction(Fraction(1, q + 1), q, self.trajectory.mode)
-        neighbour_total = scalar_sum(
-            (self.value(nb, y) for nb in x.neighbors()), q, self.trajectory.mode
-        )
-        return self.value(x, y) - ratio * neighbour_total
+        return self._laplacian(x, y, (self.value(nb, y) for nb in x.neighbors()))
 
     def laplacian_in_y(self, x: VertexAddress, y: VertexAddress) -> Scalar:
-        q = self.trajectory.q
-        ratio = scalar_from_fraction(Fraction(1, q + 1), q, self.trajectory.mode)
-        neighbour_total = scalar_sum(
-            (self.value(x, nb) for nb in y.neighbors()), q, self.trajectory.mode
-        )
-        return self.value(x, y) - ratio * neighbour_total
+        return self._laplacian(x, y, (self.value(x, nb) for nb in y.neighbors()))
 
 
 def asgeirsson_field(u: WaveTrajectory, ball: Ball) -> AsgeirssonField:

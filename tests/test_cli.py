@@ -42,6 +42,14 @@ def test_invalid_config_names_field():
         ExperimentConfig(schedule=-1).validated()
 
 
+@pytest.mark.parametrize("field", ("steps", "radius", "schedule"))
+@pytest.mark.parametrize("flag", (True, False))
+def test_config_refuses_a_bool_for_an_integer_field(field, flag):
+    # True == 1 and False == 0 as ints; a bool must not pass as either
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        ExperimentConfig(**{field: flag}).validated()
+
+
 def test_energy_column_is_constant_five_sixteenths(tmp_path):
     config = ExperimentConfig(q=2, steps=6, solver="both", out=str(tmp_path / "run"))
     out_dir = run_experiment(config)
@@ -285,3 +293,24 @@ def test_cli_transforms_initial_keeps_the_profile_mode(tmp_path, capsys):
     for name in names:
         rows = tables["float"][name].splitlines()[1:]
         assert rows and all(row.split(",")[1:3] == ["", ""] for row in rows)
+
+
+def test_cli_equipartition_table_values(tmp_path, capsys):
+    out = tmp_path / "gap"
+    assert main(["equipartition", "--q", "2", "--steps", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    header, *rows = (out / "equipartition.csv").read_text().strip().splitlines()
+    columns = header.split(",")
+    cells = [dict(zip(columns, row.split(","))) for row in rows]
+    assert [int(cell["n"]) for cell in cells] == list(range(-4, 5))
+    for cell in cells:
+        n = int(cell["n"])
+        gap, operator_route, bound = (
+            tuple(cell[f"{name}_{part}"] for part in ("a", "b", "float"))
+            for name in ("gap", "gap_operator", "bound")
+        )
+        if abs(n) >= 2:
+            expected = Fraction(-1, 2 ** (abs(n) + 5))
+            assert gap == (str(expected), "0", repr(float(expected)))
+        assert operator_route == (gap if abs(n) <= 3 else ("", "", ""))
+        assert bound == ("11/32", "0", "0.34375")

@@ -22,8 +22,8 @@ from treewave.errors import ConsistencyError
 from treewave.functions import RadialProfile, TreeFunction
 from treewave.radial import propagator_kernels, radial_convolve, radial_solve
 from treewave.scalars import QSurd, ScalarMode, scalar_from_fraction, sqrt_q_power
-from treewave.topology import Ball
-from treewave.wave import solve
+from treewave.topology import Ball, VertexAddress
+from treewave.wave import WaveTrajectory, solve
 
 EXACT = ScalarMode.EXACT
 
@@ -311,6 +311,20 @@ def test_propagation_scaled_amplitude_bounded_for_random_data():
         report = propagation_bounds(u)
         for row in report.rows:
             assert row.scaled_amplitude <= bound
+
+
+def test_propagation_bounds_flag_a_snapshot_outside_the_cone():
+    # delta data (N = 0) and a hand-built u(., 1) reaching depth 2 > |n| + N
+    f, g = TreeFunction.delta(2, EXACT), TreeFunction.zero(2, EXACT)
+    outside = TreeFunction.delta(2, EXACT, at=VertexAddress(2, (0, 1)))
+    u = WaveTrajectory(q=2, mode=EXACT, f=f, g=g, snapshots={0: f, 1: outside})
+    report = propagation_bounds(u)
+    assert not report.within_cone
+    assert [(row.n, row.support_radius) for row in report.rows] == [(0, 0), (1, 2)]
+    inside = TreeFunction.delta(2, EXACT, at=VertexAddress(2, (1,)))
+    assert propagation_bounds(
+        WaveTrajectory(q=2, mode=EXACT, f=f, g=g, snapshots={0: f, 1: inside})
+    ).within_cone
 
 
 def test_propagation_bounds_zero_data():

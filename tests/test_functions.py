@@ -18,7 +18,7 @@ from treewave.functions import (
     spherical_mean,
 )
 from treewave.scalars import QSurd, ScalarMode
-from treewave.topology import Ball, VertexAddress
+from treewave.topology import Ball, VertexAddress, sphere
 
 EXACT = ScalarMode.EXACT
 
@@ -400,15 +400,21 @@ def test_lookups_read_one_slot_of_the_packed_form():
 @pytest.mark.parametrize("mode", (EXACT, FLOAT))
 @pytest.mark.parametrize("q", (2, 3))
 def test_spherical_mean_reads_the_sphere_ranges_of_the_packed_form(q, mode):
+    """Packed and constructor-built means equal the brute sum over the
+    enumerated sphere (canonical order, so float64 bits agree too)."""
     rng = random.Random(q)
     values = [(v, _scalar(q, mode, rng.randint(-3, 3), rng.randint(-2, 2), 3)) for v in Ball(q, 2)]
     built = TreeFunction(q, mode, values)
     packed = TreeFunction(q, mode, values).scale(QSurd.one(q) if mode is EXACT else 1.0)
+    zero, ball = (QSurd.zero(q) if mode is EXACT else 0.0), Ball(q, 8)
     for x in Ball(q, 3):
         for n in range(6):
-            expected = spherical_mean(built, x, n)  # over the value map
+            listed = sphere(x, n, ball)
+            weight = Fraction(1, len(listed)) if mode is EXACT else 1 / len(listed)
+            expected = sum((built[y] for y in listed), zero) * weight
+            assert spherical_mean(built, x, n) == expected
             assert spherical_mean(packed, x, n) == expected
-    assert packed._store is None and built._levels is None
+    assert packed._levels is not None and built._levels is None
 
 
 def test_even_reads_of_a_packed_sequence():

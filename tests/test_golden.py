@@ -172,3 +172,16 @@ def test_transform_table_files(tmp_path, capsys, argv, digest):
         "dual_abel_inverse.csv",
     ]
     assert _listing_digest(files) == digest, argv
+
+
+# ``treewave equipartition --q 2 --steps 5``: the gap table of the delta
+# instance, both gap routes and the decay bound
+EQUIPARTITION_TABLE = "be486164124e51f00270f21416464554686ce11e99608f1a0387df91cae0cda6"
+
+
+def test_equipartition_table_file(tmp_path, capsys):
+    out = tmp_path / "gap"
+    assert main(["equipartition", "--q", "2", "--steps", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(path.name for path in out.iterdir()) == ["equipartition.csv"]
+    assert _sha256((out / "equipartition.csv").read_bytes()) == EQUIPARTITION_TABLE

@@ -177,7 +177,30 @@ def test_solve_rejects_small_ball_naming_the_time():
         solve(f, g, 6, ball=Ball(2, 4))
 
 
+@pytest.mark.parametrize("solver", ("closed", "recurrence"))
+def test_solve_in_a_ball_that_holds_the_trajectory(solver):
+    # data radius 1 and |n| <= 3 need radius 3 + 1 + 2 = 6
+    f, g = random_data(2, 1, random.Random(5))
+    free = solve(f, g, 3, solver=solver)
+    assert solve(f, g, 3, solver=solver, ball=Ball(2, 6)).snapshots == free.snapshots
+    assert solve(f, g, 3, solver=solver, ball=Ball(2, 9)).snapshots == free.snapshots
+    with pytest.raises(TruncationError) as raised:
+        solve(f, g, 3, solver=solver, ball=Ball(2, 5))
+    assert str(raised.value) == (
+        "truncation ball of radius 5 cannot hold the snapshot at n=3 "
+        "(radius 6 required for |n| <= 3)"
+    )
+    with pytest.raises(TruncationError) as raised:
+        solve(f, g, (-1, 3), solver=solver, ball=Ball(2, 1))
+    assert str(raised.value) == (
+        "truncation ball of radius 1 cannot hold the snapshot at n=0 "
+        "(radius 6 required for |n| <= 3)"
+    )
+
+
 _BAD_RANGES = [(-2.7, 3), (0, 2.5), 2.5, (Fraction(1, 2), 3), (0, 1, 2), "ab", -1, (1, 3), (2, 1)]
+# a bool is not a time: True would otherwise solve [-1, 1]
+_BAD_RANGES += [True, False, (False, True), (-1, True), (False, 2)]
 
 
 @pytest.mark.parametrize("n_range", _BAD_RANGES, ids=repr)
