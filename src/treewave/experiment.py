@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .energy import (
+    _operator_gap,
     default_shell_margin,
-    equipartition_gap,
     gap_bound_constant,
     huygens_report,
     total_energy,
@@ -71,6 +71,8 @@ class ExperimentConfig:
             raise ConfigError(f"field 'solver' must be one of {_SOLVERS}, got {self.solver!r}")
         if self.radius is not None and (not _is_integer(self.radius) or self.radius < 0):
             raise ConfigError(f"field 'radius' must be an integer >= 0, got {self.radius!r}")
+        if not _is_integer(self.seed):
+            raise ConfigError(f"field 'seed' must be an integer, got {self.seed!r}")
         if self.initial is not None and not isinstance(self.initial, dict):
             raise ConfigError(
                 f"field 'initial' must be an object with keys 'f' and 'g', got {self.initial!r}"
@@ -211,7 +213,7 @@ def write_equipartition_table(trajectory: WaveTrajectory, path: Path) -> None:
     for report in reports:
         operator_columns = ["", "", ""]
         if abs(report.n) <= _OPERATOR_LIMIT:
-            operator_columns = _scalar_columns(equipartition_gap(trajectory, report.n)[1])
+            operator_columns = _scalar_columns(_operator_gap(trajectory, report.n))
         rows.append([str(report.n)] + _scalar_columns(report.gap) + operator_columns + bound)
     header = ["n"]
     for name in ("gap", "gap_operator", "bound"):

@@ -24,6 +24,23 @@ of an entry:
   vertex (siblings, grandparent, grandchildren) are slices too.  The
   descendants at depth d + t of vertex i at depth d >= 1 are the index range
   [i*q^t, (i+1)*q^t), which is how the parity ball mean M_n is built.
+- orbit data (``OrbitLevels``, one class per radius R from ``orbit_layout``):
+  the vertex layout on depths 0..R, and at each depth d > R one entry per
+  vertex a of S(R), in the index order of depth R, standing for the
+  |S(d)|/|S(R)| descendants of a at depth d, its weight.  The leapfrog of
+  data in Ball(R) keeps this form: the automorphisms that fix Ball(R)
+  permute those descendants.  From depth R on, the neighbour sum of an
+  entry is the entry of the same index one depth up plus q times the entry
+  one depth down (q+1 times at the origin when R = 0); float64 adds that
+  entry q times in sequence, as the vertex layout adds q children.  The
+  distance-2 pairs are those of the vertex layout inside Ball(R), then
+  (parent of a, (a, 1)) with multiplicity q and ((a, k-1), (a, k+1)) with
+  multiplicity q^2 times the weight of (a, k-1) ((q+1)*q at the origin), up
+  to one depth past the last stored one, whose entries are 0; siblings
+  beyond R share a value and add 0.  A read that lists vertices, and any
+  operation that mixes the orbit layout with another layout or radius
+  (``_one_layout``), goes through one expansion to the vertex layout
+  (``_repeat_rows``, which also gives ``Levels.from_radial`` at R = 0).
 - radial profiles (``RadialLevels``): each part is one flat list indexed by
   radius, whose entry m stands for the |S(m)| = ``sphere_volume(q, m)``
   vertices of that sphere, its weight.  A linear combination is one ``map``
@@ -38,16 +55,17 @@ of an entry:
 Kinetic energy, mass, the pair-sum potential, the counting inner product,
 the three Huygens interior sums, the linear combinations, the leapfrog
 step and the tree and two-step Laplacians are written once over these two
-choices, so vertex and radial data share one operator algebra.  No
+choices, so vertex, orbit and radial data share one operator algebra.  No
 ``Fraction`` is built; values become ``QSurd`` (the same integer triple)
 only when a slot is read, a function is materialised or a sum is returned.
 The cost of a vertex operation grows with the ball of the support radius,
-not with the support.
+not with the support; in the orbit layout, with Ball(R) plus one entry per
+vertex of S(R) at each further depth.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce, wraps
 from itertools import chain, repeat
 from math import fsum, gcd, lcm
 from operator import add, floordiv, itemgetter, mul, or_, sub
@@ -59,9 +77,10 @@ from .topology import VertexAddress, sphere_volume
 EXACT = ScalarMode.EXACT
 
 
-def _vertex_index(vertex: VertexAddress, q: int) -> int:
+def _vertex_index(labels: tuple, q: int) -> int:
+    """The canonical index of the vertex with these labels in its sphere."""
     index = 0
-    for label in vertex.labels:
+    for label in labels:
         index = index * q + label
     return index
 
@@ -134,6 +153,49 @@ def _adjacent(levels: list, q: int) -> list:
     return out
 
 
+def _orbit_weight(q: int, orbit: int, d: int) -> int:
+    """The number of descendants at depth d of a vertex of S(orbit): the
+    weight of an entry of depth d in the orbit layout of that radius."""
+    return 1 if d <= orbit else sphere_volume(q, d) // sphere_volume(q, orbit)
+
+
+def _repeat_rows(q: int, orbit: int, part: list) -> list:
+    """The rows of the full layout from the rows of one orbit part: entry a
+    of depth d repeated once per vertex it stands for, which keeps the
+    canonical order (the descendants of a at depth d are one index range)."""
+    return part[: orbit + 1] + [
+        list(chain.from_iterable(map(repeat, row, repeat(_orbit_weight(q, orbit, d), len(row)))))
+        for d, row in enumerate(part[orbit + 1 :], orbit + 1)
+    ]
+
+
+def _orbit_adjacent(levels: list, q: int, orbit: int, exact: bool) -> list:
+    """Neighbour sum of one part in the orbit layout of radius ``orbit``.
+    Depths up to ``orbit`` take their parent values from ``_adjacent``, and
+    the depths below ``orbit`` their children too.  Beyond ``orbit`` the
+    parent of an entry is the entry of the same index one depth up.  From
+    depth ``orbit`` on, the q children of an entry (q+1 at the origin) are
+    the one entry c of the same index one depth down, added as q*c for exact
+    data and q times in sequence for float64, as the full layout adds
+    them."""
+    top = len(levels) - 1
+    if top < orbit:
+        return _adjacent(levels, q)
+    out = _adjacent(levels[: orbit + 1], q)  # depth orbit without its children yet
+    parents = [out[orbit]] + levels[orbit:]
+    del out[orbit:]
+    for d, level in enumerate(parents, orbit):
+        if d < top:
+            children, times = levels[d + 1], q + 1 if d == 0 else q
+            if exact:
+                level = list(map(add, level, _scaled(times, children)))
+            else:
+                for _ in range(times):
+                    level = list(map(add, level, children))
+        out.append(level)
+    return out
+
+
 def _radial_adjacent(p: list, q: int) -> list:
     """Neighbour sum of one radial part: (q+1)*p(1) at the origin and
     p(m-1) + q*p(m+1) at m >= 1, with p(m-1) alone at the last two radii."""
@@ -141,6 +203,21 @@ def _radial_adjacent(p: list, q: int) -> list:
         return []
     head = [(q + 1) * p[1] if len(p) > 1 else 0]
     return head + list(map(add, p, _scaled(q, p[2:]))) + p[-2:]
+
+
+def _one_layout(method):
+    """A method of several packed operands, run in one layout: where their
+    layouts differ (an orbit layout against another one, or against an
+    orbit layout of another radius), every operand is first expanded to its
+    full layout (``_full``).  This is the one place where layouts meet."""
+
+    @wraps(method)
+    def aligned(self, *args):
+        if all(type(x) is type(self) for x in args if isinstance(x, _Packed)):
+            return method(self, *args)
+        return method(self._full(), *(x._full() if isinstance(x, _Packed) else x for x in args))
+
+    return aligned
 
 
 class _Packed:
@@ -185,14 +262,18 @@ class _Packed:
         labelled by the depth (by its label words in the vertex layout)."""
         return enumerate(zip(*self.parts))
 
+    def _weight(self, d: int) -> int:
+        """The number of vertices an entry of depth d stands for: 1 here."""
+        return 1
+
     def _terms(self, xs: list, ys: list):
         """(weight, x, y) terms whose products add up to sum w * x * y over
         the stored entries of the parts xs and ys (ys is xs for squares),
-        with w the number of vertices an entry stands for: 1 here."""
-        rows = zip(*xs)
+        with w the number of vertices an entry stands for (``_weight``)."""
+        weight, rows = self._weight, enumerate(zip(*xs))
         if ys is xs:
-            return ((1, x, x) for x in rows)
-        return ((1, x, y) for x, y in zip(rows, zip(*ys)))
+            return ((weight(d), x, x) for d, x in rows)
+        return ((weight(d), x, y) for (d, x), y in zip(rows, zip(*ys)))
 
     @classmethod
     def _times_sqrt(cls, q: int, parts: list) -> list:
@@ -273,6 +354,7 @@ class _Packed:
         key = self._key
         return {key(d, j): value for d, row in self._rows() for j, value in self._unpacked(row)}
 
+    @_one_layout
     def same_as(self, other: _Packed) -> bool:
         """Equal values, read from the canonical (D, parts) of two packed
         functions of one layout, q and mode."""
@@ -306,9 +388,11 @@ class _Packed:
         cx, cy = den // self.den, sign * (den // other.den)
         return den, [self._combine(cx, x, cy, y) for x, y in zip(self.parts, other.parts)]
 
+    @_one_layout
     def __add__(self, other: _Packed) -> _Packed:
         return type(self)(self.q, self.mode, *self._sum_with(other, 1))
 
+    @_one_layout
     def __sub__(self, other: _Packed) -> _Packed:
         # float64: x - y rounds exactly as x + (-y)
         return type(self)(self.q, self.mode, *self._sum_with(other, -1))
@@ -350,9 +434,15 @@ class _Packed:
         raise NotImplementedError
 
     def _adjacent_part(self, part: list) -> list:
-        """Neighbour sum of one part; the module-level ``_adjacent`` or
-        ``_radial_adjacent`` is looked up at each call."""
+        """Neighbour sum of one part; the module-level ``_adjacent``,
+        ``_orbit_adjacent`` or ``_radial_adjacent`` is looked up at each
+        call."""
         raise NotImplementedError
+
+    def _full(self) -> _Packed:
+        """This function in the full layout of its kind: itself, unless it
+        is in an orbit layout."""
+        return self
 
     # -- operators, written once ----------------------------------------------------
 
@@ -364,6 +454,7 @@ class _Packed:
         """x -> sum of the values at the q+1 neighbours of x."""
         return type(self)(self.q, self.mode, self.den, self._neighbour_sums())
 
+    @_one_layout
     def step(self, previous: _Packed) -> _Packed:
         """The leapfrog (1/sqrt(q)) * adjacency(self) - previous."""
         q, mode, combine = self.q, self.mode, self._combine
@@ -421,10 +512,12 @@ class _Packed:
                 diff = xs if ys is None else [list(map(sub, x, y)) for x, y in zip(xs, ys)]
                 yield count, diff, diff
 
+    @_one_layout
     def dot(self, other: _Packed) -> Scalar:
         """Counting inner product sum_x u(x) v(x)."""
         return self._scalar(self._sum(self._terms(self.parts, other.parts)), self.den * other.den)
 
+    @_one_layout
     def kinetic(self, minus: _Packed) -> Scalar:
         """(1/2) * sum_x ((u(x) - v(x)) / 2)^2 with u = self, v = minus."""
         den, parts = self._sum_with(minus, -1)
@@ -440,6 +533,7 @@ class _Packed:
         mass = self._sum(self._squares(self.parts))
         return self._scalar([p - c * m for p, m in zip(pair, mass)], 8 * q * self.den**2)
 
+    @_one_layout
     def huygens_sums(self, plus: _Packed, minus: _Packed, limit: int) -> tuple:
         """The interior sums over depths < limit: sum u^2, the squared
         distance-2 differences over ordered pairs with both ends interior,
@@ -458,52 +552,62 @@ class Levels(_Packed):
     built from geodesic index ranges."""
 
     __slots__ = ()
+    _orbit_radius = None  # every label of a vertex picks its slot (see OrbitLevels)
 
     @classmethod
     def pack(cls, q: int, mode: ScalarMode, values) -> Levels:
         """Pack a mapping vertex -> scalar (nonzero values only)."""
         radius = max((vertex.depth for vertex in values), default=-1)
         entries = (
-            (vertex.depth, _vertex_index(vertex, q), value) for vertex, value in values.items()
+            (vertex.depth, _vertex_index(vertex.labels, q), value)
+            for vertex, value in values.items()
         )
         return cls._pack(q, mode, [sphere_volume(q, d) for d in range(radius + 1)], entries)
 
     def _distance_two_pairs(self):
+        for d in range(len(self.parts[0])):
+            yield from self._sibling_pairs(d)
+            yield from self._grandchild_pairs(d)
+
+    def _cut(self, d: int, *bounds) -> list:
+        """The slice of depth d of every part."""
+        window = slice(*bounds)
+        return [part[d][window] for part in self.parts]
+
+    def _sibling_pairs(self, d: int):
+        """The pairs of children of one vertex, at depth d."""
+        q = self.q
+        if d == 1:  # the q+1 children of the origin
+            for shift in range(1, q + 1):
+                yield 1, self._cut(1, shift, None), self._cut(1, None, -shift), 1
+        elif d >= 2:  # groups of q consecutive children
+            for r in range(q):
+                for s in range(r + 1, q):
+                    yield d, self._cut(d, r, None, q), self._cut(d, s, None, q), 1
+
+    def _grandchild_pairs(self, d: int):
+        """The pairs of a vertex at depth d and one of its grandchildren."""
         q, parts = self.q, self.parts
-        radius = len(parts[0]) - 1
-
-        def cut(d: int, *bounds) -> list:
-            window = slice(*bounds)
-            return [part[d][window] for part in parts]
-
-        for d in range(radius + 1):
-            level = [part[d] for part in parts]
-            if d == 1:  # the q+1 children of the origin
-                for shift in range(1, q + 1):
-                    yield 1, cut(1, shift, None), cut(1, None, -shift), 1
-            elif d >= 2:  # groups of q consecutive children
-                for r in range(q):
-                    for s in range(r + 1, q):
-                        yield d, cut(d, r, None, q), cut(d, s, None, q), 1
-            if d + 2 > radius:
-                yield d + 2, level, None, (q + 1) * q if d == 0 else q * q
-            elif d == 0:
-                yield 2, [part[0] * len(part[2]) for part in parts], [part[2] for part in parts], 1
-            else:  # the grandchildren of j are j*q^2 .. j*q^2 + q^2 - 1
-                stride = q * q
-                for t in range(stride):
-                    yield d + 2, level, cut(d + 2, t, None, stride), 1
+        level = [part[d] for part in parts]
+        if d + 2 >= len(parts[0]):  # every grandchild is 0
+            yield d + 2, level, None, ((q + 1) * q if d == 0 else q * q) * self._weight(d)
+        elif d == 0:
+            yield 2, [part[0] * len(part[2]) for part in parts], [part[2] for part in parts], 1
+        else:  # the grandchildren of j are j*q^2 .. j*q^2 + q^2 - 1
+            stride = q * q
+            for t in range(stride):
+                yield d + 2, level, self._cut(d + 2, t, None, stride), 1
 
     def _adjacent_part(self, part: list) -> list:
         return _adjacent(part, self.q)
 
     @classmethod
     def from_radial(cls, profile: RadialLevels) -> Levels:
-        """x -> p(|x|) on the ball of the profile's radius: each radius value
-        repeated |S(d)| times."""
-        q = profile.q
-        parts = [[[v] * sphere_volume(q, d) for d, v in enumerate(part)] for part in profile.parts]
-        return cls(q, profile.mode, profile.den, parts)
+        """x -> p(|x|) on the ball of the profile's radius: the expansion of
+        the profile read as orbit rows of radius 0, which repeats each radius
+        value |S(d)| times."""
+        parts = [_repeat_rows(profile.q, 0, [[v] for v in part]) for part in profile.parts]
+        return cls(profile.q, profile.mode, profile.den, parts)
 
     def _words(self, root, extend):
         """Per depth, the words of the vertices of S(d) in canonical order,
@@ -523,7 +627,7 @@ class Levels(_Packed):
 
     def _slot(self, key) -> list | None:
         if isinstance(key, VertexAddress) and key.q == self.q and key.depth < len(self.parts[0]):
-            j = _vertex_index(key, self.q)
+            j = _vertex_index(key.labels[: self._orbit_radius], self.q)
             return [part[key.depth][j] for part in self.parts]
         return None
 
@@ -567,6 +671,76 @@ class Levels(_Packed):
         if n % 2:  # q^(-n/2) = sqrt(q) / q^((n+1)/2)
             return Levels(q, mode, self.den * q ** ((n + 1) // 2), self._times_sqrt(q, out))
         return Levels(q, mode, self.den * q ** (n // 2), out)
+
+
+class OrbitLevels(Levels):
+    """A vertex function whose depths beyond a radius R hold one entry per
+    vertex a of S(R), in the index order of depth R; the entry of a at depth
+    d > R stands for the |S(d)|/|S(R)| descendants of a at that depth.  Data
+    supported in Ball(R) keep this form under the wave step: the
+    automorphisms that fix Ball(R) permute the descendants of a at each
+    depth, so their values agree.  ``orbit_layout(R)`` gives the class of
+    radius R, one per R, so that every result of the algebra keeps R; an
+    operation that mixes it with another layout reads the full expansion
+    (``_one_layout``)."""
+
+    __slots__ = ()
+    _orbit_radius = 0
+
+    def _weight(self, d: int) -> int:
+        return _orbit_weight(self.q, self._orbit_radius, d)
+
+    def _full(self) -> Levels:
+        q, orbit = self.q, self._orbit_radius
+        return Levels(q, self.mode, self.den, [_repeat_rows(q, orbit, part) for part in self.parts])
+
+    def _adjacent_part(self, part: list) -> list:
+        return _orbit_adjacent(part, self.q, self._orbit_radius, self.mode is EXACT)
+
+    def _sibling_pairs(self, d: int):
+        # beyond R the children of a vertex descend from one vertex of S(R)
+        # and share its value, so their differences add 0
+        return super()._sibling_pairs(d) if d <= self._orbit_radius else ()
+
+    def _grandchild_pairs(self, d: int):
+        q, orbit, parts = self.q, self._orbit_radius, self.parts
+        if d + 2 <= orbit or d + 2 >= len(parts[0]):
+            yield from super()._grandchild_pairs(d)
+        elif d < orbit:  # d = R - 1: the q grandchildren through a in S(R) share one entry
+            if d == 0:
+                yield 2, [part[0] * (q + 1) for part in parts], [part[2] for part in parts], q
+            else:
+                level = [part[d] for part in parts]
+                for s in range(q):
+                    yield d + 2, level, self._cut(d + 2, s, None, q), q
+        else:  # the grandchildren of every vertex an entry stands for share one entry
+            count = ((q + 1) * q if d == 0 else q * q) * self._weight(d)
+            yield d + 2, [part[d] for part in parts], [part[d + 2] for part in parts], count
+
+    def support_size(self) -> int:
+        """Number of vertices with a nonzero value: the entries counted with
+        their weights."""
+        total = 0
+        for d, row in enumerate(zip(*self.parts)):
+            flags = row[0] if self.mode is not EXACT else list(map(or_, *row))
+            total += (len(flags) - flags.count(0)) * self._weight(d)
+        return total
+
+    # reads that list every vertex go through the full expansion
+    def _rows(self):
+        return self._full()._rows()
+
+    def labelled(self):
+        return self._full().labelled()
+
+    def ball_mean(self, n: int) -> Levels:
+        return self._full().ball_mean(n)
+
+
+@cache
+def orbit_layout(radius: int) -> type:
+    """The class of the orbit layout of the given radius R >= 0."""
+    return type(f"OrbitLevels{radius}", (OrbitLevels,), {"__slots__": (), "_orbit_radius": radius})
 
 
 class RadialLevels(_Packed):

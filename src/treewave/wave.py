@@ -24,6 +24,9 @@ Every operator here is written once for a ``TreeFunction`` and a
 ``treewave.levels`` supplies the neighbour sum and M_n (geodesic index ranges
 on vertex data, the convolution with the M_n kernel on profiles).  ``solve``
 and ``treewave.radial.radial_solve`` share one body, truncation check included.
+The leapfrog of ``solve`` steps in the orbit layout of the data radius R,
+one entry per vertex of S(R) at each depth beyond R; its closed route stays
+on the full vertex layout, the independent oracle.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from fractions import Fraction
 
 from .errors import ParameterError, TruncationError
 from .functions import RadialProfile, TreeFunction
+from .levels import orbit_layout
 from .scalars import (
     Scalar,
     ScalarMode,
@@ -190,19 +194,23 @@ def _leapfrog(f, g, pushed, lo: int, hi: int, step) -> dict:
     return snapshots
 
 
-def _solve(f, g, n_range, solver: str, closed, adjacency, ball=None) -> WaveTrajectory:
+def _solve(
+    f, g, n_range, solver: str, closed, adjacency, ball=None, pack=None
+) -> WaveTrajectory:
     """The body of the vertex and radial solvers: validation, then the
     snapshots ``closed(n)`` or the leapfrog from u(+-1) = (1/(2 sqrt q))
     ``adjacency(f)`` +- g (the n = 0 recurrence combined with the centered
-    velocity).  A truncation ``ball`` must hold radius |n| + N + 2 (N the data
-    radius) at every solved n, which is checked before any snapshot."""
+    velocity).  The leapfrog starts from ``pack(f, N)`` and ``pack(g, N)``
+    when ``pack`` is given (N the data radius), and so steps in the layout
+    they are packed in.  A truncation ``ball`` must hold radius |n| + N + 2
+    at every solved n, which is checked before any snapshot."""
     if f.q != g.q or f.mode != g.mode:
         raise ParameterError("initial data must share q and scalar mode")
     if solver not in ("closed", "recurrence"):
         raise ParameterError(f"solver must be 'closed' or 'recurrence', got {solver!r}")
     lo, hi = _normalize_range(n_range)
+    data_radius = max(f.support_radius(), g.support_radius(), 0)
     if ball is not None:
-        data_radius = max(f.support_radius(), g.support_radius(), 0)
         worst = max(-lo, hi)
         if worst + data_radius + 2 > ball.radius:
             raise TruncationError(
@@ -216,8 +224,9 @@ def _solve(f, g, n_range, solver: str, closed, adjacency, ball=None) -> WaveTraj
         half_step = sqrt_q_power(f.q, -1, f.mode) * scalar_from_fraction(
             Fraction(1, 2), f.q, f.mode
         )
-        pushed = adjacency(f).scale(half_step)
-        snapshots = _leapfrog(f, g, pushed, lo, hi, step_recurrence)
+        start = (f, g) if pack is None else (pack(f, data_radius), pack(g, data_radius))
+        pushed = adjacency(start[0]).scale(half_step)
+        snapshots = _leapfrog(*start, pushed, lo, hi, step_recurrence)
     return WaveTrajectory(q=f.q, mode=f.mode, f=f, g=g, snapshots=snapshots)
 
 
@@ -231,12 +240,24 @@ def solve(
     """Solve the Cauchy problem on [lo, hi] (``n_range`` may be a pair or a
     bare radius r for [-r, r]).
 
-    ``solver='closed'`` fills snapshots through the propagators;
-    ``solver='recurrence'`` bootstraps u(., +/-1) from the neighbour sum of f
-    and leapfrogs outwards.  In exact mode the two routes agree identically.
-    A ``ball`` too small raises ``TruncationError`` naming the first n that does not fit.
+    ``solver='closed'`` fills snapshots through the propagators, on the full
+    layout of ``treewave.levels``; ``solver='recurrence'`` bootstraps
+    u(., +/-1) from the neighbour sum of f and leapfrogs outwards in the
+    orbit layout of radius R, the data radius: one entry per vertex of S(R)
+    at each depth beyond R, which is all the data in Ball(R) can tell apart
+    there.  Its snapshots read, compare and serialize as full functions.  In
+    exact mode the two routes agree identically.  A ``ball`` too small
+    raises ``TruncationError`` naming the first n that does not fit.
     """
-    return _solve(f, g, n_range, solver, lambda n: propagators(n, f, g), adjacency_sum, ball)
+    return _solve(
+        f, g, n_range, solver, lambda n: propagators(n, f, g), adjacency_sum, ball, _orbit_packed
+    )
+
+
+def _orbit_packed(x: TreeFunction, radius: int) -> TreeFunction:
+    """x, supported in Ball(radius), in the orbit layout of that radius."""
+    levels = x._as_levels()
+    return TreeFunction._from_levels(orbit_layout(radius)(x.q, x.mode, levels.den, levels.parts))
 
 
 @dataclass(frozen=True)

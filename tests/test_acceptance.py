@@ -132,6 +132,45 @@ def test_vertex_level_reach():
     )
 
 
+def _irrational_data(q, radius, rng):
+    """A value (a + b*sqrt(q)) / den, with a, b != 0 and mixed den, at every
+    vertex of Ball(radius)."""
+    values = []
+    for vertex in Ball(q, radius):
+        den = rng.choice((1, 2, 3, 5, 6))
+        a, b = rng.choice((-4, -3, -1, 1, 2, 5)), rng.choice((-2, -1, 1, 3))
+        values.append((vertex, QSurd(Fraction(a, den), Fraction(b, den), q)))
+    return TreeFunction(q, EXACT, values)
+
+
+def test_orbit_layout_reach():
+    """Random irrational data on Ball(3), q=2 and q=3, leapfrog on |n| <= 60
+    (the orbit layout of radius 3), exact, < 10 s: E(n) equals the closed
+    form in the data at every interior n, the pair-sum and 2-step potentials
+    agree at the last one, and the snapshots at the ends and at n = 37 equal
+    the kernel sums at sampled vertices of every radius to 63."""
+    started = time.perf_counter()
+    for q in (2, 3):
+        rng = random.Random(f"orbit-reach:{q}")
+        f, g = _irrational_data(q, 3, rng), _irrational_data(q, 3, rng)
+        trajectory = solve(f, g, 60, solver="recurrence")
+        expected = total_energy_closed_form(f, g)
+        _, reports = total_energy(trajectory)
+        assert [r.n for r in reports] == list(range(-59, 60))
+        assert all(report.total == expected for report in reports)
+        energies(trajectory, 59)  # raises unless the two potentials agree
+        samples = sample_vertices(q, 63, rng, per_radius=2)
+        for n in (-60, 37, 60):
+            c_kernel, s_kernel = propagator_kernels(q, n, EXACT)
+            state = trajectory.snapshot(n)
+            assert state.support_radius() == 3 + abs(n)
+            for x in samples:
+                assert state[x] == evaluate_kernel_solution(c_kernel, s_kernel, f, g, x)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 10.0
+    print(f"orbit-layout reach: PASS — |n| = 60 (q=2, 3, data on Ball(3)), {elapsed:.1f}s")
+
+
 def test_criterion_5_equipartition():
     """Pinned gap sequence -2^(-n-5) for 2 <= n <= 10, and the q^(-|n|)
     decay bound with the l1 constant on random data, 1 <= |n| <= 6."""

@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import treewave.energy
 from treewave.cli import main
 from treewave.errors import ConfigError, ParameterError, TruncationError
 from treewave.experiment import ExperimentConfig, resolve_initial_data, run_experiment
@@ -48,6 +50,13 @@ def test_config_refuses_a_bool_for_an_integer_field(field, flag):
     # True == 1 and False == 0 as ints; a bool must not pass as either
     with pytest.raises(ConfigError, match=f"'{field}'"):
         ExperimentConfig(**{field: flag}).validated()
+
+
+@pytest.mark.parametrize("seed", (True, "abc", 1.5, None))
+def test_config_refuses_a_seed_that_is_not_an_integer(seed):
+    # the seed draws the random initial data and is echoed in the manifest
+    with pytest.raises(ConfigError, match="'seed'"):
+        ExperimentConfig(seed=seed).validated()
 
 
 def test_energy_column_is_constant_five_sixteenths(tmp_path):
@@ -314,3 +323,20 @@ def test_cli_equipartition_table_values(tmp_path, capsys):
             assert gap == (str(expected), "0", repr(float(expected)))
         assert operator_route == (gap if abs(n) <= 3 else ("", "", ""))
         assert bound == ("11/32", "0", "0.34375")
+
+
+def test_cli_equipartition_sums_each_energy_once(tmp_path, capsys, monkeypatch):
+    # the operator column is compared with the gap of the energy reports the
+    # table already holds, so each of the 9 rows sums K and P once
+    calls = Counter()
+    for name in ("kinetic_energy", "_potential_pair"):
+
+        def counted(*args, original=getattr(treewave.energy, name), name=name):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(treewave.energy, name, counted)
+    out = tmp_path / "gap"
+    assert main(["equipartition", "--q", "2", "--steps", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert calls == {"kinetic_energy": 9, "_potential_pair": 9}

@@ -185,3 +185,21 @@ def test_equipartition_table_file(tmp_path, capsys):
     capsys.readouterr()
     assert sorted(path.name for path in out.iterdir()) == ["equipartition.csv"]
     assert _sha256((out / "equipartition.csv").read_bytes()) == EQUIPARTITION_TABLE
+
+
+# listing digests of the exact ``solver="recurrence"`` experiment files
+# (random data, steps=6): the bytes of the exact leapfrog's own snapshots,
+# energy and Huygens tables, which the "both" runs above do not write.
+# Pinned while the leapfrog still stepped every vertex of the ball
+EXACT_RECURRENCE_FILES = {
+    2: "0ca981147b12c9e30e1f8cdb75ae8f8aaa3df5e19962a6a43b462e580bf074b8",
+    3: "b21e0708dbb1ad3186c04565e8731e6e9ec1b5250f7a85bdf1b7fe2b695e1a47",
+}
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_exact_recurrence_experiment_files(tmp_path, q):
+    files, manifest = _experiment(tmp_path, q, "exact", "recurrence")
+    assert manifest["closed_recurrence_agreement"] is None
+    assert len(files) == 16
+    assert _listing_digest(files) == EXACT_RECURRENCE_FILES[q]
