@@ -213,9 +213,12 @@ def _one_layout(method):
 
     @wraps(method)
     def aligned(self, *args):
-        if all(type(x) is type(self) for x in args if isinstance(x, _Packed)):
-            return method(self, *args)
-        return method(self._full(), *(x._full() if isinstance(x, _Packed) else x for x in args))
+        layout = type(self)
+        for x in args:
+            if type(x) is not layout and isinstance(x, _Packed):
+                full = (y._full() if isinstance(y, _Packed) else y for y in args)
+                return method(self._full(), *full)
+        return method(self, *args)
 
     return aligned
 

@@ -23,7 +23,6 @@ from treewave.energy import (
     _potential_two_step,
     energies,
     huygens_report,
-    kinetic_energy,
     total_energy,
 )
 from treewave.functions import TreeFunction
@@ -32,7 +31,14 @@ from treewave.levels import Levels, OrbitLevels, orbit_layout
 from treewave.radial import evaluate_kernel_solution, propagator_kernels
 from treewave.scalars import QSurd, ScalarMode, scalar_from_fraction, sqrt_q_power
 from treewave.topology import Ball, VertexAddress, sphere_volume
-from treewave.wave import WaveTrajectory, _leapfrog, adjacency_sum, m_operator, solve, step_recurrence
+from treewave.wave import (
+    WaveTrajectory,
+    _leapfrog,
+    adjacency_sum,
+    m_operator,
+    solve,
+    step_recurrence,
+)
 
 EXACT = ScalarMode.EXACT
 FLOAT = ScalarMode.FLOAT64
