@@ -38,8 +38,9 @@ benchmark traces.
 
 An energy table has one report, with the direct gap K - P, per interior
 time of the trajectory; checks and tables read these reports and the rows of
-``propagation_bounds`` rather than recompute them, and compare a report's
-gap with the operator route alone (``_operator_gap``).
+``propagation_bounds`` rather than recompute them.  The equipartition
+table compares a report's gap with the operator route alone
+(``_operator_gap``).
 """
 
 from __future__ import annotations

@@ -555,7 +555,6 @@ class Levels(_Packed):
     built from geodesic index ranges."""
 
     __slots__ = ()
-    _orbit_radius = None  # every label of a vertex picks its slot (see OrbitLevels)
 
     @classmethod
     def pack(cls, q: int, mode: ScalarMode, values) -> Levels:
@@ -630,7 +629,7 @@ class Levels(_Packed):
 
     def _slot(self, key) -> list | None:
         if isinstance(key, VertexAddress) and key.q == self.q and key.depth < len(self.parts[0]):
-            j = _vertex_index(key.labels[: self._orbit_radius], self.q)
+            j = _vertex_index(key.labels, self.q)
             return [part[key.depth][j] for part in self.parts]
         return None
 
@@ -719,6 +718,13 @@ class OrbitLevels(Levels):
         else:  # the grandchildren of every vertex an entry stands for share one entry
             count = ((q + 1) * q if d == 0 else q * q) * self._weight(d)
             yield d + 2, [part[d] for part in parts], [part[d + 2] for part in parts], count
+
+    def _slot(self, key) -> list | None:
+        # a vertex beyond R reads the entry of its ancestor in S(R)
+        if isinstance(key, VertexAddress) and key.q == self.q and key.depth < len(self.parts[0]):
+            j = _vertex_index(key.labels[: self._orbit_radius], self.q)
+            return [part[key.depth][j] for part in self.parts]
+        return None
 
     def support_size(self) -> int:
         """Number of vertices with a nonzero value: the entries counted with

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .energy import (
-    _operator_gap,
     energies,
+    equipartition_gap,
     gap_bound_constant,
     huygens_report,
     propagation_bounds,
@@ -330,12 +330,11 @@ def check_equipartition(qs, rng, *, decay_n: int = 5) -> CheckResult:
         f, g = random_data_pair(q, 1, rng)
         trajectory = solve(f, g, decay_n + 1, solver="recurrence")
         bound = gap_bound_constant(f, g)
-        _, reports = total_energy(trajectory)
-        for report in reports:
-            n = report.n
-            if abs(n) <= 2 and report.gap != _operator_gap(trajectory, n):
+        for n in (-2, -1, 0, 1, 2):
+            direct, operator_route = equipartition_gap(trajectory, n)
+            if direct != operator_route:
                 return CheckResult("equipartition", False, f"route mismatch q={q} n={n}")
-        for report in reports:
+        for report in total_energy(trajectory)[1]:
             n = report.n
             if n and abs(report.gap) * sqrt_q_power(q, 2 * abs(n), EXACT) > bound:
                 return CheckResult("equipartition", False, f"decay bound q={q} n={n}")

@@ -203,3 +203,22 @@ def test_exact_recurrence_experiment_files(tmp_path, q):
     assert manifest["closed_recurrence_agreement"] is None
     assert len(files) == 16
     assert _listing_digest(files) == EXACT_RECURRENCE_FILES[q]
+
+
+# listing digests of energy.csv and huygens.csv of the float64
+# ``solver="recurrence"`` experiments (random data, steps=6).  Pinned with
+# the orbit layout, whose weighted sums round once per stored row and then
+# scale by the row weight; the vertex layout rounded each sum over the
+# repeated entries, so a few of these floats differ from its output by some
+# ulps.  A change to how the weight enters the rounding shows up here.
+FLOAT_RECURRENCE_TABLES = {
+    2: "33a5d7185ca01be00edde18a5b9f026836199fc5095afe8c218f52b98ae0c278",
+    3: "6d93c4a85019ba8a475341c178469b28816d1c24589877fe59abf3b9532f37f6",
+}
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_float64_recurrence_energy_tables(tmp_path, q):
+    files, _ = _experiment(tmp_path, q, "float64", "recurrence")
+    tables = {name: files[name] for name in ("energy.csv", "huygens.csv")}
+    assert _listing_digest(tables) == FLOAT_RECURRENCE_TABLES[q]
