@@ -365,37 +365,43 @@ class HeightSequence(_Sparse):
         return (self[h] + self[-h]) * half
 
 
+def _distance_sums(data: TreeFunction, x: VertexAddress) -> dict[int, Scalar]:
+    """d -> the sum of data(y) over the data vertices y with d(x, y) = d, in
+    one pass over the value map (built in canonical order for packed data,
+    so float64 sums add in that order)."""
+    zero = scalar_zero(data.q, data.mode)
+    sums: dict[int, Scalar] = {}
+    for y, value in data.value_map().items():
+        d = distance(x, y)
+        sums[d] = sums.get(d, zero) + value
+    return sums
+
+
+def _sphere_mean(total: Scalar, f: TreeFunction, n: int) -> Scalar:
+    return total * scalar_from_fraction(Fraction(1, sphere_volume(f.q, n)), f.q, f.mode)
+
+
 def spherical_mean(f: TreeFunction, x: VertexAddress, n: int) -> Scalar:
     """Average of f over the sphere of radius n about x:
     (1/delta(n)) * sum_{d(y,x)=n} f(y).
 
-    Only support vertices can contribute, so the walk reads the value map
-    and the sphere itself is never enumerated.  The value map of a packed f
-    is built in canonical order, so float64 means add in that order.  No
-    truncation is involved.
+    Only support vertices can contribute, so the sum is read from the
+    distance sums of the value map (``_distance_sums``) and the sphere itself
+    is never enumerated.  No truncation is involved.
     """
     if x.q != f.q:
         raise ParameterError(f"vertex q={x.q} does not match function q={f.q}")
     if n < 0:
         raise ParameterError("sphere radius must be >= 0")
-    total = scalar_sum(
-        (value for vertex, value in f._values.items() if distance(x, vertex) == n),
-        f.q,
-        f.mode,
-    )
-    weight = scalar_from_fraction(Fraction(1, sphere_volume(f.q, n)), f.q, f.mode)
-    return total * weight
+    return _sphere_mean(_distance_sums(f, x).get(n, scalar_zero(f.q, f.mode)), f, n)
 
 
 def radial_profile_of(f: TreeFunction, center: VertexAddress | None = None) -> RadialProfile:
-    """Spherical means of f about ``center`` (default: origin) as a profile."""
+    """Spherical means of f about ``center`` (default: origin) as a profile,
+    every mean from one pass over the values."""
     x = center if center is not None else VertexAddress.origin(f.q)
-    if not f:
-        return RadialProfile(f.q, f.mode)
-    limit = max(distance(x, vertex) for vertex in f.support())
-    return RadialProfile(
-        f.q, f.mode, [(n, spherical_mean(f, x, n)) for n in range(limit + 1)]
-    )
+    sums = sorted(_distance_sums(f, x).items())
+    return RadialProfile(f.q, f.mode, [(n, _sphere_mean(total, f, n)) for n, total in sums])
 
 
 def is_radial(f: TreeFunction) -> bool:

@@ -27,9 +27,10 @@ of an entry:
 - orbit data (``OrbitLevels``, one class per radius R from ``orbit_layout``):
   the vertex layout on depths 0..R, and at each depth d > R one entry per
   vertex a of S(R), in the index order of depth R, standing for the
-  |S(d)|/|S(R)| descendants of a at depth d, its weight.  The leapfrog of
-  data in Ball(R) keeps this form: the automorphisms that fix Ball(R)
-  permute those descendants.  From depth R on, the neighbour sum of an
+  |S(d)|/|S(R)| descendants of a at depth d, its weight.  Data in Ball(R)
+  enter it through ``Levels.in_orbit(R)``, from their full rows, and the
+  leapfrog keeps this form: the automorphisms that fix Ball(R) permute
+  those descendants.  From depth R on, the neighbour sum of an
   entry is the entry of the same index one depth up plus q times the entry
   one depth down (q+1 times at the origin when R = 0); float64 adds that
   entry q times in sequence, as the vertex layout adds q children.  The
@@ -41,14 +42,17 @@ of an entry:
   operation that mixes the orbit layout with another layout or radius
   (``_one_layout``), goes through one expansion to the vertex layout
   (``_repeat_rows``, which also gives ``Levels.from_radial`` at R = 0).
-- radial profiles (``RadialLevels``): each part is one flat list indexed by
-  radius, whose entry m stands for the |S(m)| = ``sphere_volume(q, m)``
-  vertices of that sphere, its weight.  A linear combination is one ``map``
-  per part and a weighted sum one term per part.  The neighbour sum is
-  (q+1)*p(1) at the origin and p(m-1) + q*p(m+1) elsewhere, and M_n is the
-  convolution with the M_n kernel, whose distance counts are built once per
-  call from powers of q.  The distance-2 pairs are the grandparent pairs
-  (m, m+2), |S(m+2)| of them; siblings share a value and add 0.
+- radial profiles (``RadialLevels``): the orbit layout of radius 0, stored
+  flat: each part is one list indexed by radius, whose entry m stands for
+  the |S(m)| = ``sphere_volume(q, m)`` vertices of that sphere, its weight.
+  One list per part, not one row per depth, keeps a step, a sum or an
+  energy of the long radial runs several times cheaper.  A linear
+  combination is one ``map`` per part and a weighted sum one term per
+  part.  The neighbour sum is (q+1)*p(1) at the origin and p(m-1) +
+  q*p(m+1) elsewhere, and M_n is the convolution with the M_n kernel, whose
+  distance counts are built once per call from powers of q.  The distance-2
+  pairs are the grandparent pairs (m, m+2), |S(m+2)| of them; siblings
+  share a value and add 0.
 - height sequences (``HeightLevels``): depth |h| holds s(h), and at depth
   d >= 1 also s(-d) after s(d).
 
@@ -279,14 +283,17 @@ class _Packed:
         return ((weight(d), x, y) for (d, x), y in zip(rows, zip(*ys)))
 
     @classmethod
-    def _times_sqrt(cls, q: int, parts: list) -> list:
-        """Exact parts times sqrt(q) over the same denominator:
-        sqrt(q) * (a + b*sqrt(q)) = q*b + a*sqrt(q), or root*a for a square q."""
+    def _over_root_power(cls, q: int, n: int, den: int, parts: list) -> tuple[int, list]:
+        """(D, parts) of exact parts over den times q^(-n/2), n >= 0: over
+        den*q^(n/2) for even n; for odd n, q^(-n/2) = sqrt(q) / q^((n+1)/2)
+        and sqrt(q) * (a + b*sqrt(q)) = q*b + a*sqrt(q), or root*a for a
+        square q."""
+        if n % 2 == 0:
+            return den * q ** (n // 2), parts
         a, b = parts
         root = _square_root_if_perfect(q)
-        if root is None:
-            return [cls._map(mul, b, q), a]
-        return [cls._map(mul, a, root), b]
+        swapped = [cls._map(mul, b, q), a] if root is None else [cls._map(mul, a, root), b]
+        return den * q ** ((n + 1) // 2), swapped
 
     # -- number type ----------------------------------------------------------
 
@@ -465,11 +472,10 @@ class _Packed:
         if mode is not EXACT:
             weight = sqrt_q_power(q, -1, mode)
             return type(self)(q, mode, 1, [combine(weight, pushed[0], -1, previous.parts[0])])
-        # sqrt(q) * (a + b*sqrt(q)) / (q D)
-        pushed_den = q * self.den
+        pushed_den, weighted = self._over_root_power(q, 1, self.den, pushed)
         den = lcm(pushed_den, previous.den)
         cx, cy = den // pushed_den, -(den // previous.den)
-        parts = [combine(cx, x, cy, y) for x, y in zip(self._times_sqrt(q, pushed), previous.parts)]
+        parts = [combine(cx, x, cy, y) for x, y in zip(weighted, previous.parts)]
         return type(self)(q, mode, den, parts)
 
     def _minus_over(self, parts: list, weight: int) -> _Packed:
@@ -611,6 +617,13 @@ class Levels(_Packed):
         parts = [_repeat_rows(profile.q, 0, [[v] for v in part]) for part in profile.parts]
         return cls(profile.q, profile.mode, profile.den, parts)
 
+    def in_orbit(self, radius: int) -> OrbitLevels:
+        """This function, supported in Ball(radius), in the orbit layout of
+        that radius.  Its full rows (``_full`` expands an orbit layout of any
+        radius) end at depth R, so they are already rows of that layout."""
+        full = self._full()
+        return orbit_layout(radius)(self.q, self.mode, full.den, full.parts)
+
     def _words(self, root, extend):
         """Per depth, the words of the vertices of S(d) in canonical order,
         each depth's list built from the last by ``extend(word, label)``."""
@@ -650,7 +663,7 @@ class Levels(_Packed):
         of its spheres (``_sphere_ranges``); no neighbour sum is taken, which
         keeps this route independent of the leapfrog.  A float64 value is
         weighted before it is added; exact parts are weighted once at the
-        end, through the denominator and the sqrt(q) swap of ``step``."""
+        end (``_over_root_power``, as in ``step``)."""
         q, mode, exact = self.q, self.mode, self.mode is EXACT
         radius = len(self.parts[0]) - 1
         zero = 0 if exact else 0.0
@@ -670,9 +683,7 @@ class Levels(_Packed):
                             target[lo:hi] = map(add, target[lo:hi], repeat(value, hi - lo))
         if not exact:
             return Levels(q, mode, 1, out)
-        if n % 2:  # q^(-n/2) = sqrt(q) / q^((n+1)/2)
-            return Levels(q, mode, self.den * q ** ((n + 1) // 2), self._times_sqrt(q, out))
-        return Levels(q, mode, self.den * q ** (n // 2), out)
+        return Levels(q, mode, *self._over_root_power(q, n, self.den, out))
 
 
 class OrbitLevels(Levels):
@@ -807,9 +818,7 @@ class RadialLevels(_Packed):
             weight = sqrt_q_power(q, -n, mode)
             return cls(q, mode, 1, [[0.0 if (n - d) % 2 else weight for d in range(n + 1)]])
         parts = [[int((n - d) % 2 == 0) for d in range(n + 1)], [0] * (n + 1)]
-        if n % 2:  # q^(-n/2) = sqrt(q) / q^((n+1)/2)
-            return cls(q, mode, q ** ((n + 1) // 2), cls._times_sqrt(q, parts))
-        return cls(q, mode, q ** (n // 2), parts)
+        return cls(q, mode, *cls._over_root_power(q, n, 1, parts))
 
     def ball_mean(self, n: int) -> RadialLevels:
         """M_n for n >= 1, as the convolution with its distance kernel; no

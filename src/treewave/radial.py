@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParameterError
-from .functions import RadialProfile, TreeFunction, _check_q
+from .functions import RadialProfile, TreeFunction, _check_q, _distance_sums
 from .levels import RadialLevels
 from .scalars import Scalar, ScalarMode, scalar_from_fraction, scalar_zero
 from .topology import VertexAddress, distance, distance_count  # noqa: F401 (re-exported)
@@ -113,17 +113,6 @@ def evaluate_kernel_solution(
             if d in support:
                 total = total + kernel[d] * value
     return total
-
-
-def _distance_sums(data: TreeFunction, x: VertexAddress) -> dict[int, Scalar]:
-    """d -> the sum of data(y) over the data vertices y with d(x, y) = d, in
-    one pass over the data."""
-    zero = scalar_zero(data.q, data.mode)
-    sums: dict[int, Scalar] = {}
-    for y, value in data.value_map().items():
-        d = distance(x, y)
-        sums[d] = sums.get(d, zero) + value
-    return sums
 
 
 def radial_solve(

@@ -2,7 +2,7 @@
 
 Everything here is driven by ``random.Random`` with an explicit seed, so
 reports and experiment outputs are reproducible byte for byte.  Values are
-small integers to keep exact arithmetic cheap.
+integers in -3..3 to keep exact arithmetic cheap.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from .scalars import QSurd, ScalarMode
 from .topology import Ball, VertexAddress
 
 
-def _draw(rng: random.Random, q: int, mode: ScalarMode, magnitude: int):
-    value = rng.randint(-magnitude, magnitude)
+def _draw(rng: random.Random, q: int, mode: ScalarMode):
+    value = rng.randint(-3, 3)
     if mode is ScalarMode.EXACT:
         return QSurd(value, 0, q)
     return float(value)
@@ -26,13 +26,12 @@ def random_tree_function(
     radius: int,
     rng: random.Random,
     mode: ScalarMode = ScalarMode.EXACT,
-    magnitude: int = 3,
     density: float = 0.7,
 ) -> TreeFunction:
     entries = []
     for vertex in Ball(q, radius):
         if rng.random() < density:
-            entries.append((vertex, _draw(rng, q, mode, magnitude)))
+            entries.append((vertex, _draw(rng, q, mode)))
     return TreeFunction(q, mode, entries)
 
 
@@ -49,27 +48,17 @@ def random_data_pair(
 
 
 def random_radial_profile(
-    q: int,
-    radius: int,
-    rng: random.Random,
-    mode: ScalarMode = ScalarMode.EXACT,
-    magnitude: int = 3,
+    q: int, radius: int, rng: random.Random, mode: ScalarMode = ScalarMode.EXACT
 ) -> RadialProfile:
-    return RadialProfile(
-        q, mode, [(n, _draw(rng, q, mode, magnitude)) for n in range(radius + 1)]
-    )
+    return RadialProfile(q, mode, [(n, _draw(rng, q, mode)) for n in range(radius + 1)])
 
 
 def random_even_sequence(
-    q: int,
-    radius: int,
-    rng: random.Random,
-    mode: ScalarMode = ScalarMode.EXACT,
-    magnitude: int = 3,
+    q: int, radius: int, rng: random.Random, mode: ScalarMode = ScalarMode.EXACT
 ) -> HeightSequence:
-    entries = {0: _draw(rng, q, mode, magnitude)}
+    entries = {0: _draw(rng, q, mode)}
     for h in range(1, radius + 1):
-        value = _draw(rng, q, mode, magnitude)
+        value = _draw(rng, q, mode)
         entries[h] = value
         entries[-h] = value
     return HeightSequence(q, mode, entries)

@@ -95,9 +95,11 @@ _SIZES = {
     },
 }
 
-# check_asgeirsson solves |n| <= 8 at the first q from data on Ball(1), which
-# fills Ball(q, 9): 2.9e6 vertices (about 0.3 GB) at q = 5, 1.4e7 at q = 6
-_ASGEIRSSON_TIMES, _MAX_VERTICES = 8, 5_000_000
+# the largest ball any check fills is Ball(q, 7): the operator gap of
+# check_equipartition (C_2 applied to C_4 f on Ball(1)), and
+# check_oracle_equivalence at standard size.  It holds 2.7e6 vertices at
+# q = 8 and 6.0e6 at q = 9.
+_ASGEIRSSON_TIMES, _LARGEST_BALL, _MAX_VERTICES = 8, 7, 5_000_000
 
 
 @dataclass(frozen=True)
@@ -497,19 +499,20 @@ def run_verification(
 
     The report is byte-stable for fixed arguments.  With
     ``negative_control=True`` the conservation check runs against a
-    deliberately corrupted recurrence weight and must fail.  A first q
-    whose mean-value check would fill more than ``_MAX_VERTICES`` vertices
-    is refused with a ``ConfigError`` before any check runs.
+    deliberately corrupted recurrence weight and must fail.  A q whose
+    checks would fill more than ``_MAX_VERTICES`` vertices is refused with a
+    ``ConfigError`` before any check runs.
     """
     if size not in _SIZES:
         raise ParameterError(f"field 'size' must be one of {sorted(_SIZES)}, got {size!r}")
     qs = tuple(qs)
-    vertices = Ball(qs[0], _ASGEIRSSON_TIMES + 1).vertex_count()
-    if vertices > _MAX_VERTICES:
-        raise ConfigError(
-            f"field 'q': the mean-value check at q={qs[0]} solves on {vertices} vertices, "
-            f"above the limit of {_MAX_VERTICES}; put a q <= 5 first"
-        )
+    for q in qs:
+        vertices = Ball(q, _LARGEST_BALL).vertex_count()
+        if vertices > _MAX_VERTICES:
+            raise ConfigError(
+                f"field 'q': the checks at q={q} fill a ball of {vertices} vertices, "
+                f"above the limit of {_MAX_VERTICES}; use q <= 8"
+            )
     lines = [
         "verification report",
         f"q values: {','.join(map(str, qs))} | seed: {seed} | size: {size}"

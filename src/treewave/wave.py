@@ -37,7 +37,6 @@ from fractions import Fraction
 
 from .errors import ParameterError, TruncationError
 from .functions import RadialProfile, TreeFunction
-from .levels import orbit_layout
 from .scalars import (
     Scalar,
     ScalarMode,
@@ -256,8 +255,7 @@ def solve(
 
 def _orbit_packed(x: TreeFunction, radius: int) -> TreeFunction:
     """x, supported in Ball(radius), in the orbit layout of that radius."""
-    levels = x._as_levels()
-    return TreeFunction._from_levels(orbit_layout(radius)(x.q, x.mode, levels.den, levels.parts))
+    return TreeFunction._from_levels(x._as_levels().in_orbit(radius))
 
 
 @dataclass(frozen=True)

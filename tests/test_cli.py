@@ -220,11 +220,18 @@ def test_cli_verify_rejects_non_integer_q_list(capsys):
 
 
 def test_cli_verify_refuses_a_first_q_too_large_to_solve(capsys):
-    # the mean-value check would fill a ball of about 4.8e8 vertices at q=9;
-    # the refusal comes before any check runs
+    # the checks fill Ball(q, 7), about 6.0e6 vertices at q=9; the refusal
+    # comes before any check runs
     _fails_closed(["verify", "--q", "9", "--size", "small"], "q", capsys)
     assert main(["verify", "--q", "9,2", "--size", "small"]) == 2
-    assert "484275611 vertices" in capsys.readouterr().err
+    assert "5978711 vertices" in capsys.readouterr().err
+
+
+def test_cli_verify_bounds_every_q_and_runs_q_six():
+    # a later q is bounded too; q <= 8 fits, and the checks pass at q=6
+    assert main(["verify", "--q", "2,9", "--size", "small"]) == 2
+    report, passed = run_verification((6,), 0, "small")
+    assert passed and report.endswith("result: all checks passed\n")
 
 
 def test_cli_missing_initial_file(tmp_path, capsys):

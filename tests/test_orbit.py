@@ -24,6 +24,7 @@ from treewave.energy import (
     energies,
     huygens_report,
     total_energy,
+    total_energy_closed_form,
 )
 from treewave.functions import TreeFunction
 from treewave.laplacians import two_step_laplacian
@@ -304,3 +305,41 @@ def test_time_parity_and_reversibility_on_both_routes(data):
         for n in range(reach - 2, -reach - 1, -1):
             later, current = current, step_recurrence(later, current)
             assert current == forward.snapshot(n)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_energy_is_conserved_and_a_restart_continues_the_trajectory(data):
+    # E(n) at every |n| <= 6 equals the closed form in the data; for q <= 3,
+    # the Cauchy data (u(k), (u(k+1) - u(k-1))/2) of a later time k, orbit
+    # snapshots of a smaller radius than their support, restart the leapfrog
+    # and continue u from k - 2 to k + 2
+    q = data.draw(st.integers(2, 5), label="q")
+    radius = data.draw(st.integers(0, 2), label="radius")
+    f, g = exact_data(data, q, radius), exact_data(data, q, radius)
+    u = solve(f, g, 7, solver="recurrence")
+    reference, reports = total_energy(u)
+    assert reference == total_energy_closed_form(f, g)
+    assert [report.n for report in reports] == list(range(-6, 7))
+    assert all(report.total == reference for report in reports)
+    if q <= 3:
+        k = data.draw(st.integers(1, 3), label="k")
+        half = scalar_from_fraction(Fraction(1, 2), q, EXACT)
+        velocity = (u.snapshot(k + 1) - u.snapshot(k - 1)).scale(half)
+        restart = solve(u.snapshot(k), velocity, 2, solver="recurrence")
+        for m in range(-2, 3):
+            assert restart.snapshot(m) == u.snapshot(k + m)
+
+
+@pytest.mark.parametrize("q, radius", [(2, 1), (3, 1), (2, 2)])
+def test_float_restart_from_orbit_snapshots_is_the_restart_from_built_copies(q, radius):
+    rng = random.Random(f"orbit:restart:{q}:{radius}")
+    f, g = data_on_ball(q, radius, rng, FLOAT), data_on_ball(q, radius, rng, FLOAT)
+    u = solve(f, g, 5, solver="recurrence")
+    for k in (1, 3):
+        start = [u.snapshot(k), (u.snapshot(k + 1) - u.snapshot(k - 1)).scale(0.5)]
+        built = [TreeFunction(q, FLOAT, dict(x.value_map())) for x in start]
+        assert all(type(x._as_levels()) is Levels for x in built)
+        orbit, full = solve(*start, 2, solver="recurrence"), solve(*built, 2, solver="recurrence")
+        for m in range(-2, 3):
+            assert bits(orbit.snapshot(m)) == bits(full.snapshot(m))
