@@ -28,10 +28,7 @@ def random_tree_function(
     mode: ScalarMode = ScalarMode.EXACT,
     density: float = 0.7,
 ) -> TreeFunction:
-    entries = []
-    for vertex in Ball(q, radius):
-        if rng.random() < density:
-            entries.append((vertex, _draw(rng, q, mode)))
+    entries = [(v, _draw(rng, q, mode)) for v in Ball(q, radius) if rng.random() < density]
     return TreeFunction(q, mode, entries)
 
 
@@ -58,9 +55,7 @@ def random_even_sequence(
 ) -> HeightSequence:
     entries = {0: _draw(rng, q, mode)}
     for h in range(1, radius + 1):
-        value = _draw(rng, q, mode)
-        entries[h] = value
-        entries[-h] = value
+        entries[h] = entries[-h] = _draw(rng, q, mode)
     return HeightSequence(q, mode, entries)
 
 

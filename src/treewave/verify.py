@@ -67,6 +67,7 @@ from .transforms import (
 from .wave import (
     WaveTrajectory,
     _leapfrog,
+    _orbit_packed,
     adjacency_sum,
     asgeirsson_field,
     asgeirsson_verify,
@@ -95,10 +96,9 @@ _SIZES = {
     },
 }
 
-# the largest ball any check fills is Ball(q, 7): the operator gap of
-# check_equipartition (C_2 applied to C_4 f on Ball(1)), and
-# check_oracle_equivalence at standard size.  It holds 2.7e6 vertices at
-# q = 8 and 6.0e6 at q = 9.
+# the largest full-layout ball any check fills is Ball(q, 7): C_2 of C_4 f in
+# check_equipartition, and check_oracle_equivalence at standard size; every
+# leapfrog steps in the orbit layout (tests/test_cli.py traces the bound)
 _ASGEIRSSON_TIMES, _LARGEST_BALL, _MAX_VERTICES = 8, 7, 5_000_000
 
 
@@ -110,8 +110,9 @@ class CheckResult:
 
 
 def _solve_recurrence(f: TreeFunction, g: TreeFunction, n_max: int, corrupt: bool = False):
-    """The leapfrog on |n| <= n_max; with ``corrupt`` the recurrence weight
-    1/sqrt(q) is scaled by 11/10, a fixture that must break conservation."""
+    """The leapfrog on |n| <= n_max, in the orbit layout of the data radius;
+    with ``corrupt`` the recurrence weight 1/sqrt(q) is scaled by 11/10, a
+    fixture that must break conservation."""
     if not corrupt:
         return solve(f, g, n_max, solver="recurrence")
     q, mode = f.q, f.mode
@@ -121,8 +122,10 @@ def _solve_recurrence(f: TreeFunction, g: TreeFunction, n_max: int, corrupt: boo
     def bad_step(previous: TreeFunction, current: TreeFunction) -> TreeFunction:
         return adjacency_sum(current).scale(bad_weight) - previous
 
-    pushed = adjacency_sum(f).scale(bad_weight * half)
-    snapshots = _leapfrog(f, g, pushed, -n_max, n_max, bad_step)
+    radius = max(f.support_radius(), g.support_radius(), 0)
+    start = (_orbit_packed(f, radius), _orbit_packed(g, radius))
+    pushed = adjacency_sum(start[0]).scale(bad_weight * half)
+    snapshots = _leapfrog(*start, pushed, -n_max, n_max, bad_step)
     return WaveTrajectory(q=q, mode=mode, f=f, g=g, snapshots=snapshots)
 
 
@@ -509,9 +512,12 @@ def run_verification(
     for q in qs:
         vertices = Ball(q, _LARGEST_BALL).vertex_count()
         if vertices > _MAX_VERTICES:
+            fits = 2
+            while Ball(fits + 1, _LARGEST_BALL).vertex_count() <= _MAX_VERTICES:
+                fits += 1
             raise ConfigError(
                 f"field 'q': the checks at q={q} fill a ball of {vertices} vertices, "
-                f"above the limit of {_MAX_VERTICES}; use q <= 8"
+                f"above the limit of {_MAX_VERTICES}; use q <= {fits}"
             )
     lines = [
         "verification report",

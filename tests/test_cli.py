@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 import treewave.energy
+from treewave import verify
 from treewave.cli import main
 from treewave.errors import ConfigError, ParameterError, TruncationError
 from treewave.experiment import ExperimentConfig, resolve_initial_data, run_experiment
 from treewave.functions import RadialProfile, TreeFunction
+from treewave.levels import Levels
 from treewave.scalars import QSurd, ScalarMode
-from treewave.topology import VertexAddress
+from treewave.topology import Ball, VertexAddress
 from treewave.verify import run_verification
 
 
@@ -232,6 +234,33 @@ def test_cli_verify_bounds_every_q_and_runs_q_six():
     assert main(["verify", "--q", "2,9", "--size", "small"]) == 2
     report, passed = run_verification((6,), 0, "small")
     assert passed and report.endswith("result: all checks passed\n")
+
+
+@pytest.mark.parametrize("size", ["small", "standard"])
+@pytest.mark.parametrize("negative_control", [False, True])
+def test_verify_fills_no_full_ball_beyond_the_bounded_radius(monkeypatch, size, negative_control):
+    # every full-layout function a check builds, the negative control's
+    # leapfrog included, lies in Ball(q, _LARGEST_BALL), the ball the guard bounds
+    radii = []
+    init = Levels.__init__
+
+    def traced(self, q, mode, den, parts):
+        if type(self) is Levels:
+            radii.append(len(parts[0]) - 1)
+        init(self, q, mode, den, parts)
+
+    monkeypatch.setattr(Levels, "__init__", traced)
+    _, passed = run_verification((2,), 0, size, negative_control)
+    assert passed is not negative_control
+    assert max(radii) <= verify._LARGEST_BALL
+    if size == "standard":
+        assert max(radii) == verify._LARGEST_BALL
+
+
+def test_verify_negative_control_at_q_six_stays_within_the_limit():
+    assert Ball(6, verify._LARGEST_BALL).vertex_count() <= verify._MAX_VERTICES
+    report, passed = run_verification((6,), 0, "standard", negative_control=True)
+    assert not passed and "FAIL energy conservation" in report
 
 
 def test_cli_missing_initial_file(tmp_path, capsys):
