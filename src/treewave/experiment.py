@@ -152,15 +152,23 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 
 def _snapshot_rows(state: TreeFunction) -> list[list[str]]:
     """The rows of ``_scalar_columns`` per stored value in canonical order,
-    formatted from the integers of the packed form."""
+    formatted from the integers of the packed form; an exact (A, B) pair is
+    formatted once, however many vertices hold it."""
     levels = state._as_levels()
     if levels.mode is not ScalarMode.EXACT:
         return [[label, "", "", repr(x)] for label, (x,) in levels.labelled()]
     q, den = levels.q, levels.den
-    return [
-        [label, ratio_text(a, den), ratio_text(b, den), repr(surd_to_float(q, a, b, den))]
-        for label, (a, b) in levels.labelled()
-    ]
+    cells: dict[tuple[int, int], list[str]] = {}
+    rows = []
+    for label, pair in levels.labelled():
+        text = cells.get(pair)
+        if text is None:
+            a, b = pair
+            text = cells[pair] = [
+                ratio_text(a, den), ratio_text(b, den), repr(surd_to_float(q, a, b, den))
+            ]
+        rows.append([label, *text])
+    return rows
 
 
 def _margin_for(config: ExperimentConfig, n: int) -> int:

@@ -38,9 +38,13 @@ of an entry:
   (parent of a, (a, 1)) with multiplicity q and ((a, k-1), (a, k+1)) with
   multiplicity q^2 times the weight of (a, k-1) ((q+1)*q at the origin), up
   to one depth past the last stored one, whose entries are 0; siblings
-  beyond R share a value and add 0.  A read that lists vertices, and any
+  beyond R share a value and add 0.  M_n of exact data stored within R
+  stays in the layout: a vertex at depth d > R below a in S(R) reaches
+  Ball(R) only through a, so over q^(-n/2) its entry is the parity sum
+  P_a(n - d + R) of the distance sums about a over Ball(R).  A read that
+  lists vertices, M_n of float64 data or of data with a tail, and any
   operation that mixes the orbit layout with another layout or radius
-  (``_one_layout``), goes through one expansion to the vertex layout
+  (``_one_layout``), go through one expansion to the vertex layout
   (``_repeat_rows``, which also gives ``Levels.from_radial`` at R = 0).
 - radial profiles (``RadialLevels``): the orbit layout of radius 0, stored
   flat: each part is one list indexed by radius, whose entry m stands for
@@ -115,7 +119,7 @@ def _descendants(q: int, e: int, i: int, t: int) -> tuple[int, int]:
 
 
 def _sphere_ranges(q: int, k: int, j: int, n: int):
-    """(depth, lo, hi) index ranges that together list, once each, the
+    """(d, depth, lo, hi) index ranges that together list, once each, the
     vertices x with d(x, y) = d, for the vertex y at depth k and index j and
     every d <= n with n - d even.  The geodesic from y climbs a steps to its
     ancestor z and descends d - a steps without going back through the child
@@ -127,10 +131,38 @@ def _sphere_ranges(q: int, k: int, j: int, n: int):
             lo, hi = _descendants(q, e, j // q**a, t)
             if a and t:
                 cut_lo, cut_hi = _descendants(q, e + 1, j // q ** (a - 1), t - 1)
-                yield e + t, lo, cut_lo
-                yield e + t, cut_hi, hi
+                yield d, e + t, lo, cut_lo
+                yield d, e + t, cut_hi, hi
             else:
-                yield e + t, lo, hi
+                yield d, e + t, lo, hi
+
+
+def _parity_sums(q: int, parts: list, k: int, j: int) -> list:
+    """Per part of vertex data, the list of P(m) for m = 0 .. k + top + 1,
+    top its last depth: the sum of the part's values over the vertices y
+    with d(x, y) <= m and m - d(x, y) even, for the vertex x at depth k and
+    index j.  The sums at each distance come from the ranges of
+    ``_sphere_ranges`` about x, for both parities; no stored vertex lies
+    further than k + top."""
+    top = len(parts[0]) - 1
+    size = k + top + 2
+    sums = [[0] * size for _ in parts]
+    for n in (size - 1, size - 2):
+        for d, depth, lo, hi in _sphere_ranges(q, k, j, n):
+            if depth <= top:
+                for total, part in zip(sums, parts):
+                    total[d] += sum(part[depth][lo:hi])
+    for total in sums:
+        for m in range(2, size):
+            total[m] += total[m - 2]
+    return sums
+
+
+def _parity_sum(sums: list, m: int):
+    """P(m) from a list of ``_parity_sums``: past its end, P keeps the value
+    at the last m of the same parity."""
+    last = len(sums) - 1
+    return sums[m] if m <= last else sums[last - (m - last) % 2]
 
 
 def _adjacent(levels: list, q: int) -> list:
@@ -676,7 +708,7 @@ class Levels(_Packed):
                 spread = [(part, value * weight) for part, value in zip(out, values) if value]
                 if not spread:
                     continue
-                for depth, lo, hi in _sphere_ranges(q, k, j, n):
+                for _, depth, lo, hi in _sphere_ranges(q, k, j, n):
                     if lo < hi:
                         for part, value in spread:
                             target = part[depth]
@@ -754,7 +786,25 @@ class OrbitLevels(Levels):
         return self._full().labelled()
 
     def ball_mean(self, n: int) -> Levels:
-        return self._full().ball_mean(n)
+        """M_n for n >= 1.  Exact data stored within the radius R (no tail)
+        stay in this layout.  A vertex x at depth d > R below a in S(R)
+        reaches Ball(R) only through a, so M_n f(x) = q^(-(d-R)/2)
+        M_{n-d+R} f(a): over the common factor q^(-n/2), the entry (a, d) is
+        the parity sum P_a(n - d + R), and a vertex x of Ball(R) takes
+        P_x(n) (``_parity_sums``).  The parts are weighted once at the end
+        (``_over_root_power``) and no neighbour sum is taken.  Float64 data,
+        whose full route adds the sources in canonical order, and data with
+        a tail take the full layout's M_n."""
+        q, orbit, parts = self.q, self._orbit_radius, self.parts
+        if self.mode is not EXACT or len(parts[0]) > orbit + 1:
+            return self._full().ball_mean(n)
+        out = [[] for _ in parts]
+        for e in range(orbit + 1):
+            columns = [_parity_sums(q, parts, e, i) for i in range(sphere_volume(q, e))]
+            for t in range(n + 1 if e == orbit else 1):  # depth e + t, parity sum P(n - t)
+                for part, sums in zip(out, zip(*columns)):
+                    part.append([_parity_sum(s, n - t) for s in sums])
+        return type(self)(q, self.mode, *self._over_root_power(q, n, self.den, out))
 
 
 @cache

@@ -123,10 +123,11 @@ def radial_solve(
 ) -> WaveTrajectory:
     """Solve the Cauchy problem for radial data entirely on profiles: the
     body of ``treewave.wave.solve``, with the closed route convolving the
-    data with the propagator kernels."""
+    data with the propagator kernels (``_radial_closed``)."""
+    return _solve(f, g, n_range, solver, _radial_closed, radial_adjacency)
 
-    def closed(n: int) -> RadialProfile:
-        c_kernel, s_kernel = propagator_kernels(f.q, n, f.mode)
-        return radial_convolve(c_kernel, f) + radial_convolve(s_kernel, g)
 
-    return _solve(f, g, n_range, solver, closed, radial_adjacency)
+def _radial_closed(n: int, f: RadialProfile, g: RadialProfile) -> RadialProfile:
+    """The closed-form snapshot at time n of radial data."""
+    c_kernel, s_kernel = propagator_kernels(f.q, n, f.mode)
+    return radial_convolve(c_kernel, f) + radial_convolve(s_kernel, g)

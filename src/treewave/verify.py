@@ -97,8 +97,8 @@ _SIZES = {
 }
 
 # the largest full-layout ball any check fills is Ball(q, 7): C_2 of C_4 f in
-# check_equipartition, and check_oracle_equivalence at standard size; every
-# leapfrog steps in the orbit layout (tests/test_cli.py traces the bound)
+# check_equipartition; every leapfrog and every closed route of solve runs in
+# the orbit layout (tests/test_cli.py traces the bound)
 _ASGEIRSSON_TIMES, _LARGEST_BALL, _MAX_VERTICES = 8, 7, 5_000_000
 
 

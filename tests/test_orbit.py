@@ -1,14 +1,16 @@
 """The orbit layout of ``treewave.levels`` against the full layout.
 
-``solve(..., solver="recurrence")`` steps data supported in Ball(R) in the
-orbit layout of radius R.  Its snapshots are compared here with three routes
-that never use that layout: the leapfrog on the full layout (``_leapfrog``
-on fully packed data, as the negative control of ``treewave verify`` drives
-it), the closed route (M_n index ranges on the full layout) and the kernel
-sums of ``evaluate_kernel_solution`` at single vertices.  Every read of a
-snapshot (slots, support, serialization, hashing, energies) is compared
-with the same read of its full expansion.  Exact data are irrational with
-mixed denominators; float64 snapshots are compared bit for bit.
+Both routes of ``solve`` run data supported in Ball(R) in the orbit layout
+of radius R: the leapfrog steps there, and the closed route takes M_n there
+from parity sums over Ball(R).  Their snapshots are compared here with
+routes that never use that layout: the leapfrog on the full layout
+(``_leapfrog`` on fully packed data), ``propagators`` on fully packed data
+(M_n index ranges on the full layout, whose ``ball_mean`` is also compared
+with the orbit one directly) and the kernel sums of
+``evaluate_kernel_solution`` at single vertices.  Every read of a snapshot
+(slots, support, serialization, hashing, energies) is compared with the
+same read of its full expansion.  Exact data are irrational with mixed
+denominators; float64 snapshots are compared bit for bit.
 """
 
 import random
@@ -30,13 +32,16 @@ from treewave.functions import TreeFunction
 from treewave.laplacians import two_step_laplacian
 from treewave.levels import Levels, OrbitLevels, orbit_layout
 from treewave.radial import evaluate_kernel_solution, propagator_kernels
+from treewave.sampling import random_data_pair
 from treewave.scalars import QSurd, ScalarMode, scalar_from_fraction, sqrt_q_power
 from treewave.topology import Ball, VertexAddress, sphere_volume
 from treewave.wave import (
     WaveTrajectory,
     _leapfrog,
+    _orbit_packed,
     adjacency_sum,
     m_operator,
+    propagators,
     solve,
     step_recurrence,
 )
@@ -140,6 +145,74 @@ def test_orbit_leapfrog_equals_the_full_leapfrog_and_the_closed_route(q, radius)
         assert type(full[n]._as_levels()) is Levels
         assert state == full[n] == closed.snapshot(n)
         assert full[n] == state  # mixed layouts compare from either side
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_closed_route_equals_the_propagators_on_the_full_layout(q):
+    # the closed route runs in the orbit layout; propagators on the data as
+    # built take every M_n on the full layout
+    for radius in (0, 1, 2) if q < 4 else (0, 1):
+        rng = random.Random(f"orbit:closed-full:{q}:{radius}")
+        f, g = data_on_ball(q, radius, rng), data_on_ball(q, radius, rng)
+        closed = solve(f, g, 6, solver="closed")
+        for n in range(-6, 7):
+            state, expected = closed.snapshot(n), propagators(n, f, g)
+            assert isinstance(state._as_levels(), OrbitLevels)
+            assert n == 0 or type(expected._as_levels()) is Levels
+            assert state == expected
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_orbit_ball_mean_equals_the_full_ball_mean(q):
+    # data of radius r <= R, with zero entries, in the orbit layout of R;
+    # 1 <= n <= 8 while the full ball Ball(R + n) holds at most 40000 vertices
+    for radius in (0, 1, 2):
+        n_max = min(8, reach_for(q, radius, 40000))
+        for data_radius in range(radius + 1):
+            rng = random.Random(f"orbit:ball-mean:{q}:{radius}:{data_radius}")
+            for mode in (EXACT, FLOAT):
+                data = data_on_ball(q, data_radius, rng, mode, density=0.6)
+                full = data._as_levels()
+                orbit = full.in_orbit(radius)
+                for n in range(1, n_max + 1):
+                    found, expected = orbit.ball_mean(n), full.ball_mean(n)
+                    if mode is EXACT:
+                        assert type(found) is type(orbit)
+                        assert found._full().same_as(expected)
+                        assert expected.same_as(found)
+                    else:  # float64 takes the full route, in its order
+                        assert type(found) is Levels
+                        assert found.parts == expected.parts
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_orbit_ball_mean_with_a_tail_takes_the_expansion(q):
+    # stored past its radius, an orbit function's M_n is the full M_n of the
+    # same values, packed from its value map
+    rng = random.Random(f"orbit:ball-mean-tail:{q}")
+    for radius in (0, 1, 2):
+        for depth in range(radius + 1, radius + 3):
+            orbit = random_orbit(q, radius, depth, rng)
+            built = TreeFunction(q, EXACT, dict(TreeFunction._from_levels(orbit).value_map()))
+            for n in range(1, 9):
+                if ball_size(q, depth + n) > BALL_LIMIT:
+                    break
+                found = orbit.ball_mean(n)
+                assert type(found) is Levels
+                assert found.same_as(built._as_levels().ball_mean(n))
+
+
+def test_closed_snapshot_at_n_200_equals_the_leapfrog():
+    # one closed snapshot costs O(|S(R)| n) on the orbit layout, where the
+    # full layout would fill Ball(202)
+    f, g = random_data_pair(2, 2, random.Random(5))
+    packed = _orbit_packed(f, 2), _orbit_packed(g, 2)
+    leapfrog = solve(f, g, 200, solver="recurrence")
+    for n in (-200, 200):
+        state = propagators(n, *packed)
+        assert state._as_levels()._orbit_radius == 2
+        assert state == leapfrog.snapshot(n)
+        assert state.support_radius() == 202
 
 
 @pytest.mark.parametrize("q, radius", CASES)
