@@ -237,7 +237,8 @@ class _Sparse:
 
 class TreeFunction(_Sparse):
     """Finitely supported map from vertices of T_q to scalars (absent = 0),
-    packed in the vertex layout (``levels.Levels``)."""
+    packed in the orbit layout of a radius R (``levels.Levels``): the
+    constructor's data radius, which operator results keep."""
 
     __slots__ = ()
     _key_type = VertexAddress

@@ -15,37 +15,37 @@ The *layout* decides only the storage shape of a part, the neighbour sum of
 one part, the ball mean M_n, the distance-2 pair enumeration and the weight
 of an entry:
 
-- vertex data (``Levels``): depth d lists the vertices of the sphere S(d) in
-  the canonical order of ``Ball.vertices()``: the origin, its q+1 children,
-  and then, for every vertex j at depth d >= 1, its children jq .. jq+q-1.
-  Every entry has weight 1.  The parent of the vertices at depth d >= 2 is
-  each entry of depth d-1 repeated q times, the children of depth d >= 1 are
-  the strided slices [r::q] of depth d+1, and the distance-2 partners of a
-  vertex (siblings, grandparent, grandchildren) are slices too.  The
-  descendants at depth d + t of vertex i at depth d >= 1 are the index range
-  [i*q^t, (i+1)*q^t), which is how the parity ball mean M_n is built.
-- orbit data (``OrbitLevels``, one class per radius R from ``orbit_layout``):
-  the vertex layout on depths 0..R, and at each depth d > R one entry per
-  vertex a of S(R), in the index order of depth R, standing for the
-  |S(d)|/|S(R)| descendants of a at depth d, its weight.  Data in Ball(R)
-  enter it through ``Levels.in_orbit(R)``, from their full rows, and the
-  leapfrog keeps this form: the automorphisms that fix Ball(R) permute
-  those descendants.  From depth R on, the neighbour sum of an
-  entry is the entry of the same index one depth up plus q times the entry
-  one depth down (q+1 times at the origin when R = 0); float64 adds that
-  entry q times in sequence, as the vertex layout adds q children.  The
-  distance-2 pairs are those of the vertex layout inside Ball(R), then
-  (parent of a, (a, 1)) with multiplicity q and ((a, k-1), (a, k+1)) with
-  multiplicity q^2 times the weight of (a, k-1) ((q+1)*q at the origin), up
-  to one depth past the last stored one, whose entries are 0; siblings
-  beyond R share a value and add 0.  M_n of exact data stored within R
-  stays in the layout: a vertex at depth d > R below a in S(R) reaches
-  Ball(R) only through a, so over q^(-n/2) its entry is the parity sum
-  P_a(n - d + R) of the distance sums about a over Ball(R).  A read that
-  lists vertices, M_n of float64 data or of data with a tail, and any
-  operation that mixes the orbit layout with another layout or radius
-  (``_one_layout``), go through one expansion to the vertex layout
-  (``_repeat_rows``, which also gives ``Levels.from_radial`` at R = 0).
+- vertex data: the orbit layout of radius R (``Levels``, one class per R
+  from ``orbit_layout``).  Depths d <= R list the vertices of the sphere
+  S(d) in the canonical order of ``Ball.vertices()``: the origin, its q+1
+  children, and then, for every vertex j at depth d >= 1, its children
+  jq .. jq+q-1.  Each depth d > R holds one entry per vertex a of S(R), in
+  the index order of depth R, standing for the |S(d)|/|S(R)| descendants
+  of a at depth d, its weight; an entry of depth d <= R has weight 1.  Data
+  supported in Ball(R) keep this form under the wave step: the
+  automorphisms that fix Ball(R) permute those descendants.  ``pack`` takes
+  R to be the data radius, so data built in Ball(R) are orbit data with no
+  tail, and a layout whose radius no stored depth passes is the plain
+  vertex layout.  Up to depth R the parent of the vertices at depth d >= 2
+  is each entry of depth d-1 repeated q times, the children of depth d >= 1
+  are the strided slices [r::q] of depth d+1, and the descendants at depth
+  d + t of vertex i at depth d >= 1 are the index range [i*q^t, (i+1)*q^t),
+  which is how the scattered ball mean M_n is built.  Beyond R the parent
+  of an entry is the entry of the same index one depth up, and from depth R
+  on the q children of an entry (q+1 at the origin when R = 0) are the one
+  entry of the same index one depth down; float64 adds that entry q times
+  in sequence, as the vertex rows add q children.  The distance-2 partners
+  of a vertex (siblings, grandparent, grandchildren) are slices too, up to
+  one depth past the last stored one, whose entries are 0; siblings beyond
+  R share a value and add 0.  M_n of exact data with no tail stays in the
+  layout: a vertex at depth d > R below a in S(R) reaches Ball(R) only
+  through a, so over q^(-n/2) its entry is the parity sum P_a(n - d + R) of
+  the distance sums about a over Ball(R).  M_n of float64 data or of data
+  with a tail scatters over the vertex rows.  Operands of different radii
+  meet in the layout of the larger radius (``_one_layout``): widening
+  (``_widen``) expands only the rows between the two radii, and widening to
+  the top depth (``_full``) gives the vertex rows that reads listing
+  vertices need, and ``Levels.from_radial`` from a profile read at R = 0.
 - radial profiles (``RadialLevels``): the orbit layout of radius 0, stored
   flat: each part is one list indexed by radius, whose entry m stands for
   the |S(m)| = ``sphere_volume(q, m)`` vertices of that sphere, its weight.
@@ -63,12 +63,11 @@ of an entry:
 Kinetic energy, mass, the pair-sum potential, the counting inner product,
 the three Huygens interior sums, the linear combinations, the leapfrog
 step and the tree and two-step Laplacians are written once over these two
-choices, so vertex, orbit and radial data share one operator algebra.  No
+choices, so vertex and radial data share one operator algebra.  No
 ``Fraction`` is built; values become ``QSurd`` (the same integer triple)
 only when a slot is read, a function is materialised or a sum is returned.
-The cost of a vertex operation grows with the ball of the support radius,
-not with the support; in the orbit layout, with Ball(R) plus one entry per
-vertex of S(R) at each further depth.
+The cost of a vertex operation grows with Ball(R) plus one entry per vertex
+of S(R) at each further depth, not with the support.
 """
 
 from __future__ import annotations
@@ -137,15 +136,15 @@ def _sphere_ranges(q: int, k: int, j: int, n: int):
                 yield d, e + t, lo, hi
 
 
-def _parity_sums(q: int, parts: list, k: int, j: int) -> list:
-    """Per part of vertex data, the list of P(m) for m = 0 .. k + top + 1,
-    top its last depth: the sum of the part's values over the vertices y
-    with d(x, y) <= m and m - d(x, y) even, for the vertex x at depth k and
-    index j.  The sums at each distance come from the ranges of
-    ``_sphere_ranges`` about x, for both parities; no stored vertex lies
-    further than k + top."""
+def _parity_sums(q: int, parts: list, k: int, j: int, n: int) -> list:
+    """Per part of vertex data, the list of P(m) for m = 0 .. min(n, k + top
+    + 1), top its last depth: the sum of the part's values over the vertices
+    y with d(x, y) <= m and m - d(x, y) even, for the vertex x at depth k
+    and index j.  The sums at each distance come from the ranges of
+    ``_sphere_ranges`` about x, for both parities; M_n reads no distance
+    past n, and no stored vertex lies further than k + top."""
     top = len(parts[0]) - 1
-    size = k + top + 2
+    size = min(n, k + top + 1) + 1
     sums = [[0] * size for _ in parts]
     for n in (size - 1, size - 2):
         for d, depth, lo, hi in _sphere_ranges(q, k, j, n):
@@ -165,69 +164,45 @@ def _parity_sum(sums: list, m: int):
     return sums[m] if m <= last else sums[last - (m - last) % 2]
 
 
-def _adjacent(levels: list, q: int) -> list:
-    """Neighbour sum of one part: depth d of the result holds the parent
-    value plus the child sums of every vertex at depth d, added in that
-    order (which keeps float64 sums bit-identical to a neighbour scatter)."""
-    radius = len(levels) - 1
-    if radius < 0:
+def _adjacent(levels: list, q: int, orbit: int, exact: bool) -> list:
+    """Neighbour sum of one part in the orbit layout of radius ``orbit``:
+    depth d of the result holds the parent values plus the child sums of
+    every entry at depth d, added in that order (which keeps float64 sums
+    bit-identical to a neighbour scatter).  Up to depth ``orbit`` a parent
+    is repeated once per child and the children are the strided slices of
+    the next depth; beyond it the parent of an entry is the entry of the
+    same index one depth up.  From depth ``orbit`` on, the q children of an
+    entry (q+1 at the origin) are the one entry c of the same index one
+    depth down, added as q*c for exact data and q times in sequence for
+    float64, as the vertex rows add them."""
+    top = len(levels) - 1
+    if top < 0:
         return []
-    out = [[reduce(add, levels[1]) if radius >= 1 else 0]]
-    for d in range(1, radius + 2):
-        parent = levels[d - 1]
-        if d == 1:
+    out = []
+    for d in range(top + 2):
+        parent = levels[d - 1] if d else [0]
+        if d == 0 or d > orbit:
+            level = parent
+        elif d == 1:
             level = parent * (q + 1)
         else:
             level = [0] * (len(parent) * q)
             for r in range(q):
                 level[r::q] = parent
-        if d < radius:
-            children = levels[d + 1]
-            for r in range(q):
-                level = list(map(add, level, children[r::q]))
-        out.append(level)
-    return out
-
-
-def _orbit_weight(q: int, orbit: int, d: int) -> int:
-    """The number of descendants at depth d of a vertex of S(orbit): the
-    weight of an entry of depth d in the orbit layout of that radius."""
-    return 1 if d <= orbit else sphere_volume(q, d) // sphere_volume(q, orbit)
-
-
-def _repeat_rows(q: int, orbit: int, part: list) -> list:
-    """The rows of the full layout from the rows of one orbit part: entry a
-    of depth d repeated once per vertex it stands for, which keeps the
-    canonical order (the descendants of a at depth d are one index range)."""
-    return part[: orbit + 1] + [
-        list(chain.from_iterable(map(repeat, row, repeat(_orbit_weight(q, orbit, d), len(row)))))
-        for d, row in enumerate(part[orbit + 1 :], orbit + 1)
-    ]
-
-
-def _orbit_adjacent(levels: list, q: int, orbit: int, exact: bool) -> list:
-    """Neighbour sum of one part in the orbit layout of radius ``orbit``.
-    Depths up to ``orbit`` take their parent values from ``_adjacent``, and
-    the depths below ``orbit`` their children too.  Beyond ``orbit`` the
-    parent of an entry is the entry of the same index one depth up.  From
-    depth ``orbit`` on, the q children of an entry (q+1 at the origin) are
-    the one entry c of the same index one depth down, added as q*c for exact
-    data and q times in sequence for float64, as the full layout adds
-    them."""
-    top = len(levels) - 1
-    if top < orbit:
-        return _adjacent(levels, q)
-    out = _adjacent(levels[: orbit + 1], q)  # depth orbit without its children yet
-    parents = [out[orbit]] + levels[orbit:]
-    del out[orbit:]
-    for d, level in enumerate(parents, orbit):
         if d < top:
-            children, times = levels[d + 1], q + 1 if d == 0 else q
-            if exact:
-                level = list(map(add, level, _scaled(times, children)))
+            children = levels[d + 1]
+            if d >= orbit:
+                times = q + 1 if d == 0 else q
+                if exact:
+                    level = list(map(add, level, _scaled(times, children)))
+                else:
+                    for _ in range(times):
+                        level = list(map(add, level, children))
+            elif d == 0:
+                level = [reduce(add, children)]
             else:
-                for _ in range(times):
-                    level = list(map(add, level, children))
+                for r in range(q):
+                    level = list(map(add, level, children[r::q]))
         out.append(level)
     return out
 
@@ -242,18 +217,19 @@ def _radial_adjacent(p: list, q: int) -> list:
 
 
 def _one_layout(method):
-    """A method of several packed operands, run in one layout: where their
-    layouts differ (an orbit layout against another one, or against an
-    orbit layout of another radius), every operand is first expanded to its
-    full layout (``_full``).  This is the one place where layouts meet."""
+    """A method of several packed operands, run in one layout: vertex
+    operands in orbit layouts of different radii are first widened to the
+    largest radius (``Levels._widen``), which expands only the rows between
+    the radii.  This is the one place where layouts meet."""
 
     @wraps(method)
     def aligned(self, *args):
         layout = type(self)
         for x in args:
-            if type(x) is not layout and isinstance(x, _Packed):
-                full = (y._full() if isinstance(y, _Packed) else y for y in args)
-                return method(self._full(), *full)
+            if type(x) is not layout and isinstance(x, Levels):
+                operands = (self, *args)
+                radius = max(y._orbit_radius for y in operands if isinstance(y, Levels))
+                return method(*(y._widen(radius) if isinstance(y, Levels) else y for y in operands))
         return method(self, *args)
 
     return aligned
@@ -300,19 +276,6 @@ class _Packed:
         """(label, row) pairs, a row holding the parts' lists of one depth,
         labelled by the depth (by its label words in the vertex layout)."""
         return enumerate(zip(*self.parts))
-
-    def _weight(self, d: int) -> int:
-        """The number of vertices an entry of depth d stands for: 1 here."""
-        return 1
-
-    def _terms(self, xs: list, ys: list):
-        """(weight, x, y) terms whose products add up to sum w * x * y over
-        the stored entries of the parts xs and ys (ys is xs for squares),
-        with w the number of vertices an entry stands for (``_weight``)."""
-        weight, rows = self._weight, enumerate(zip(*xs))
-        if ys is xs:
-            return ((weight(d), x, x) for d, x in rows)
-        return ((weight(d), x, y) for (d, x), y in zip(rows, zip(*ys)))
 
     @classmethod
     def _over_root_power(cls, q: int, n: int, den: int, parts: list) -> tuple[int, list]:
@@ -476,15 +439,15 @@ class _Packed:
         raise NotImplementedError
 
     def _adjacent_part(self, part: list) -> list:
-        """Neighbour sum of one part; the module-level ``_adjacent``,
-        ``_orbit_adjacent`` or ``_radial_adjacent`` is looked up at each
-        call."""
+        """Neighbour sum of one part; the module-level ``_adjacent`` or
+        ``_radial_adjacent`` is looked up at each call."""
         raise NotImplementedError
 
-    def _full(self) -> _Packed:
-        """This function in the full layout of its kind: itself, unless it
-        is in an orbit layout."""
-        return self
+    def _terms(self, xs: list, ys: list):
+        """(weight, x, y) terms whose products add up to sum w * x * y over
+        the stored entries of the parts xs and ys (ys is xs for squares),
+        with w the number of vertices an entry stands for."""
+        raise NotImplementedError
 
     # -- operators, written once ----------------------------------------------------
 
@@ -589,20 +552,69 @@ class _Packed:
 
 
 class Levels(_Packed):
-    """A vertex function on the origin ball in canonical order, with M_n
-    built from geodesic index ranges."""
+    """A vertex function in the orbit layout of a radius R (see module
+    docstring): depths 0..R hold vertex rows, and each depth beyond R one
+    entry per vertex of S(R).  ``orbit_layout(R)`` gives the class of radius
+    R, one per R, so that every result of the algebra keeps R."""
 
     __slots__ = ()
+    _orbit_radius: int
 
     @classmethod
     def pack(cls, q: int, mode: ScalarMode, values) -> Levels:
-        """Pack a mapping vertex -> scalar (nonzero values only)."""
+        """Pack a mapping vertex -> scalar (nonzero values only) in the
+        orbit layout of the data radius, as orbit data with no tail."""
         radius = max((vertex.depth for vertex in values), default=-1)
         entries = (
             (vertex.depth, _vertex_index(vertex.labels, q), value)
             for vertex, value in values.items()
         )
-        return cls._pack(q, mode, [sphere_volume(q, d) for d in range(radius + 1)], entries)
+        sizes = [sphere_volume(q, d) for d in range(radius + 1)]
+        return orbit_layout(max(radius, 0))._pack(q, mode, sizes, entries)
+
+    @classmethod
+    def from_radial(cls, profile: RadialLevels) -> Levels:
+        """x -> p(|x|) on the ball of the profile's radius: the profile read
+        as rows of the orbit layout of radius 0, widened to its top depth
+        (``_full``), which repeats each radius value |S(d)| times."""
+        rows = [[[value] for value in part] for part in profile.parts]
+        return orbit_layout(0)(profile.q, profile.mode, profile.den, rows)._full()
+
+    def _weight(self, d: int) -> int:
+        """The number of vertices an entry of depth d stands for: 1 up to R,
+        and beyond it |S(d)|/|S(R)|, the descendants of a vertex of S(R)."""
+        q, orbit = self.q, self._orbit_radius
+        return 1 if d <= orbit else sphere_volume(q, d) // sphere_volume(q, orbit)
+
+    def _widen(self, radius: int) -> Levels:
+        """This function in the orbit layout of a radius >= R: an entry of
+        depth d > R is repeated once per vertex of S(min(d, radius)) below
+        it, which keeps the canonical order (those vertices are one index
+        range).  Only the rows beyond R grow, to |S(radius)| entries at
+        most."""
+        q, orbit = self.q, self._orbit_radius
+        if radius == orbit:
+            return self
+
+        def widened(part: list) -> list:
+            rows = part[: orbit + 1]
+            for d, row in enumerate(part[orbit + 1 :], orbit + 1):
+                times = sphere_volume(q, min(d, radius)) // len(row)
+                rows.append(list(chain.from_iterable(map(repeat, row, repeat(times, len(row))))))
+            return rows
+
+        return orbit_layout(radius)(q, self.mode, self.den, list(map(widened, self.parts)))
+
+    def _full(self) -> Levels:
+        """This function widened to its top depth: its vertex rows, every
+        entry of weight 1."""
+        return self._widen(max(len(self.parts[0]) - 1, self._orbit_radius))
+
+    def _terms(self, xs: list, ys: list):
+        weight, rows = self._weight, enumerate(zip(*xs))
+        if ys is xs:
+            return ((weight(d), x, x) for d, x in rows)
+        return ((weight(d), x, y) for (d, x), y in zip(rows, zip(*ys)))
 
     def _distance_two_pairs(self):
         for d in range(len(self.parts[0])):
@@ -615,46 +627,37 @@ class Levels(_Packed):
         return [part[d][window] for part in self.parts]
 
     def _sibling_pairs(self, d: int):
-        """The pairs of children of one vertex, at depth d."""
-        q = self.q
-        if d == 1:  # the q+1 children of the origin
+        """The pairs of children of one vertex, at depth d <= R; beyond R
+        the children of a vertex descend from one vertex of S(R) and share
+        its value, so their differences add 0."""
+        q, orbit = self.q, self._orbit_radius
+        if d == 1 <= orbit:  # the q+1 children of the origin
             for shift in range(1, q + 1):
                 yield 1, self._cut(1, shift, None), self._cut(1, None, -shift), 1
-        elif d >= 2:  # groups of q consecutive children
+        elif 2 <= d <= orbit:  # groups of q consecutive children
             for r in range(q):
                 for s in range(r + 1, q):
                     yield d, self._cut(d, r, None, q), self._cut(d, s, None, q), 1
 
     def _grandchild_pairs(self, d: int):
-        """The pairs of a vertex at depth d and one of its grandchildren."""
+        """The pairs of a vertex at depth d and one of its grandchildren.
+        An entry of depth d is in |S(d+2)| divided by the size of its row
+        such pairs, and a listed pair of entries stands for the weight of
+        depth d+2 of them."""
         q, parts = self.q, self.parts
         level = [part[d] for part in parts]
         if d + 2 >= len(parts[0]):  # every grandchild is 0
-            yield d + 2, level, None, ((q + 1) * q if d == 0 else q * q) * self._weight(d)
+            yield d + 2, level, None, sphere_volume(q, d + 2) // len(level[0])
         elif d == 0:
-            yield 2, [part[0] * len(part[2]) for part in parts], [part[2] for part in parts], 1
-        else:  # the grandchildren of j are j*q^2 .. j*q^2 + q^2 - 1
-            stride = q * q
+            origin = [part[0] * len(part[2]) for part in parts]
+            yield 2, origin, [part[2] for part in parts], self._weight(2)
+        else:  # the grandchildren of entry j are the entries j*s .. j*s + s - 1
+            stride = len(parts[0][d + 2]) // len(level[0])
             for t in range(stride):
-                yield d + 2, level, self._cut(d + 2, t, None, stride), 1
+                yield d + 2, level, self._cut(d + 2, t, None, stride), self._weight(d + 2)
 
     def _adjacent_part(self, part: list) -> list:
-        return _adjacent(part, self.q)
-
-    @classmethod
-    def from_radial(cls, profile: RadialLevels) -> Levels:
-        """x -> p(|x|) on the ball of the profile's radius: the expansion of
-        the profile read as orbit rows of radius 0, which repeats each radius
-        value |S(d)| times."""
-        parts = [_repeat_rows(profile.q, 0, [[v] for v in part]) for part in profile.parts]
-        return cls(profile.q, profile.mode, profile.den, parts)
-
-    def in_orbit(self, radius: int) -> OrbitLevels:
-        """This function, supported in Ball(radius), in the orbit layout of
-        that radius.  Its full rows (``_full`` expands an orbit layout of any
-        radius) end at depth R, so they are already rows of that layout."""
-        full = self._full()
-        return orbit_layout(radius)(self.q, self.mode, full.den, full.parts)
+        return _adjacent(part, self.q, self._orbit_radius, self.mode is EXACT)
 
     def _words(self, root, extend):
         """Per depth, the words of the vertices of S(d) in canonical order,
@@ -666,101 +669,12 @@ class Levels(_Packed):
                 words = [extend(word, label) for word in words for label in branches]
             yield words
 
+    # reads that list every vertex go through the vertex rows (``_full``)
     def _rows(self):
-        return zip(self._words((), lambda word, label: word + (label,)), zip(*self.parts))
+        return zip(self._words((), lambda word, label: word + (label,)), zip(*self._full().parts))
 
     def _key(self, words: list, j: int) -> VertexAddress:
         return VertexAddress(self.q, words[j])
-
-    def _slot(self, key) -> list | None:
-        if isinstance(key, VertexAddress) and key.q == self.q and key.depth < len(self.parts[0]):
-            j = _vertex_index(key.labels, self.q)
-            return [part[key.depth][j] for part in self.parts]
-        return None
-
-    def labelled(self):
-        """(label string, parts) of the nonzero stored entries in canonical
-        order: the parts are (A, B) over D for exact data, (x,) for float64.
-        No vertex or scalar is built."""
-        labels = self._words("", lambda word, label: f"{word},{label}" if word else str(label))
-        for words, level in zip(labels, zip(*self.parts)):
-            for j, values in enumerate(zip(*level)):
-                if any(values):
-                    yield words[j], values
-
-    def ball_mean(self, n: int) -> Levels:
-        """M_n for n >= 1: q^(-n/2) times the sum of the values at the
-        vertices y with d(x, y) <= n and n - d(x, y) even.  Each stored value
-        is added, source by source in canonical order, to the index ranges
-        of its spheres (``_sphere_ranges``); no neighbour sum is taken, which
-        keeps this route independent of the leapfrog.  A float64 value is
-        weighted before it is added; exact parts are weighted once at the
-        end (``_over_root_power``, as in ``step``)."""
-        q, mode, exact = self.q, self.mode, self.mode is EXACT
-        radius = len(self.parts[0]) - 1
-        zero = 0 if exact else 0.0
-        out = [
-            [[zero] * sphere_volume(q, e) for e in range(radius + n + 1)] for _ in self.parts
-        ]
-        weight = 1 if exact else sqrt_q_power(q, -n, mode)
-        for k, level in enumerate(zip(*self.parts)):
-            for j, values in enumerate(zip(*level)):
-                spread = [(part, value * weight) for part, value in zip(out, values) if value]
-                if not spread:
-                    continue
-                for _, depth, lo, hi in _sphere_ranges(q, k, j, n):
-                    if lo < hi:
-                        for part, value in spread:
-                            target = part[depth]
-                            target[lo:hi] = map(add, target[lo:hi], repeat(value, hi - lo))
-        if not exact:
-            return Levels(q, mode, 1, out)
-        return Levels(q, mode, *self._over_root_power(q, n, self.den, out))
-
-
-class OrbitLevels(Levels):
-    """A vertex function whose depths beyond a radius R hold one entry per
-    vertex a of S(R), in the index order of depth R; the entry of a at depth
-    d > R stands for the |S(d)|/|S(R)| descendants of a at that depth.  Data
-    supported in Ball(R) keep this form under the wave step: the
-    automorphisms that fix Ball(R) permute the descendants of a at each
-    depth, so their values agree.  ``orbit_layout(R)`` gives the class of
-    radius R, one per R, so that every result of the algebra keeps R; an
-    operation that mixes it with another layout reads the full expansion
-    (``_one_layout``)."""
-
-    __slots__ = ()
-    _orbit_radius = 0
-
-    def _weight(self, d: int) -> int:
-        return _orbit_weight(self.q, self._orbit_radius, d)
-
-    def _full(self) -> Levels:
-        q, orbit = self.q, self._orbit_radius
-        return Levels(q, self.mode, self.den, [_repeat_rows(q, orbit, part) for part in self.parts])
-
-    def _adjacent_part(self, part: list) -> list:
-        return _orbit_adjacent(part, self.q, self._orbit_radius, self.mode is EXACT)
-
-    def _sibling_pairs(self, d: int):
-        # beyond R the children of a vertex descend from one vertex of S(R)
-        # and share its value, so their differences add 0
-        return super()._sibling_pairs(d) if d <= self._orbit_radius else ()
-
-    def _grandchild_pairs(self, d: int):
-        q, orbit, parts = self.q, self._orbit_radius, self.parts
-        if d + 2 <= orbit or d + 2 >= len(parts[0]):
-            yield from super()._grandchild_pairs(d)
-        elif d < orbit:  # d = R - 1: the q grandchildren through a in S(R) share one entry
-            if d == 0:
-                yield 2, [part[0] * (q + 1) for part in parts], [part[2] for part in parts], q
-            else:
-                level = [part[d] for part in parts]
-                for s in range(q):
-                    yield d + 2, level, self._cut(d + 2, s, None, q), q
-        else:  # the grandchildren of every vertex an entry stands for share one entry
-            count = ((q + 1) * q if d == 0 else q * q) * self._weight(d)
-            yield d + 2, [part[d] for part in parts], [part[d + 2] for part in parts], count
 
     def _slot(self, key) -> list | None:
         # a vertex beyond R reads the entry of its ancestor in S(R)
@@ -778,39 +692,76 @@ class OrbitLevels(Levels):
             total += (len(flags) - flags.count(0)) * self._weight(d)
         return total
 
-    # reads that list every vertex go through the full expansion
-    def _rows(self):
-        return self._full()._rows()
-
     def labelled(self):
-        return self._full().labelled()
+        """(label string, parts) of the nonzero vertex values in canonical
+        order: the parts are (A, B) over D for exact data, (x,) for float64.
+        No vertex or scalar is built."""
+        labels = self._words("", lambda word, label: f"{word},{label}" if word else str(label))
+        for words, level in zip(labels, zip(*self._full().parts)):
+            for j, values in enumerate(zip(*level)):
+                if any(values):
+                    yield words[j], values
 
     def ball_mean(self, n: int) -> Levels:
-        """M_n for n >= 1.  Exact data stored within the radius R (no tail)
-        stay in this layout.  A vertex x at depth d > R below a in S(R)
-        reaches Ball(R) only through a, so M_n f(x) = q^(-(d-R)/2)
-        M_{n-d+R} f(a): over the common factor q^(-n/2), the entry (a, d) is
-        the parity sum P_a(n - d + R), and a vertex x of Ball(R) takes
-        P_x(n) (``_parity_sums``).  The parts are weighted once at the end
-        (``_over_root_power``) and no neighbour sum is taken.  Float64 data,
-        whose full route adds the sources in canonical order, and data with
-        a tail take the full layout's M_n."""
+        """M_n for n >= 1, in this layout.  Exact data with no tail, stored
+        to depth t <= R, take parity sums: a vertex x at depth d > t below
+        a in S(t) reaches Ball(t) only through a, so M_n f(x) = q^(-(d-t)/2)
+        M_{n-d+t} f(a).  Over the common factor q^(-n/2), the entry (a, d)
+        of the orbit layout of radius t is the parity sum P_a(n - d + t),
+        and a vertex x of Ball(t) takes P_x(n) (``_parity_sums``).  The
+        parts are weighted once at the end (``_over_root_power``), widened
+        to R, and no neighbour sum is taken.  Float64 data, whose sources
+        add in canonical order, and data with a tail take the scatter route
+        (``_scatter_mean``)."""
         q, orbit, parts = self.q, self._orbit_radius, self.parts
-        if self.mode is not EXACT or len(parts[0]) > orbit + 1:
-            return self._full().ball_mean(n)
+        top = max(len(parts[0]) - 1, 0)
+        if self.mode is not EXACT or top > orbit:
+            return self._scatter_mean(n)
         out = [[] for _ in parts]
-        for e in range(orbit + 1):
-            columns = [_parity_sums(q, parts, e, i) for i in range(sphere_volume(q, e))]
-            for t in range(n + 1 if e == orbit else 1):  # depth e + t, parity sum P(n - t)
+        for e in range(top + 1):
+            columns = [_parity_sums(q, parts, e, i, n) for i in range(sphere_volume(q, e))]
+            for t in range(n + 1 if e == top else 1):  # depth e + t, parity sum P(n - t)
                 for part, sums in zip(out, zip(*columns)):
                     part.append([_parity_sum(s, n - t) for s in sums])
-        return type(self)(q, self.mode, *self._over_root_power(q, n, self.den, out))
+        mean = orbit_layout(top)(q, self.mode, *self._over_root_power(q, n, self.den, out))
+        return mean._widen(orbit)
+
+    def _scatter_mean(self, n: int) -> Levels:
+        """M_n for n >= 1 on the vertex rows (``_full``), the oracle of the
+        parity sums: q^(-n/2) times the sum of the values at the vertices y
+        with d(x, y) <= n and n - d(x, y) even.  Each stored value is added,
+        source by source in canonical order, to the index ranges of its
+        spheres (``_sphere_ranges``); no neighbour sum is taken, which keeps
+        this route independent of the leapfrog.  A float64 value is weighted
+        before it is added; exact parts are weighted once at the end
+        (``_over_root_power``, as in ``step``).  The result is in the
+        layout of its top depth."""
+        q, mode, exact = self.q, self.mode, self.mode is EXACT
+        full = self._full().parts
+        radius = len(full[0]) - 1
+        zero = 0 if exact else 0.0
+        out = [[[zero] * sphere_volume(q, e) for e in range(radius + n + 1)] for _ in full]
+        weight = 1 if exact else sqrt_q_power(q, -n, mode)
+        for k, level in enumerate(zip(*full)):
+            for j, values in enumerate(zip(*level)):
+                spread = [(part, value * weight) for part, value in zip(out, values) if value]
+                if not spread:
+                    continue
+                for _, depth, lo, hi in _sphere_ranges(q, k, j, n):
+                    if lo < hi:
+                        for part, value in spread:
+                            target = part[depth]
+                            target[lo:hi] = map(add, target[lo:hi], repeat(value, hi - lo))
+        layout = orbit_layout(radius + n)
+        if not exact:
+            return layout(q, mode, 1, out)
+        return layout(q, mode, *self._over_root_power(q, n, self.den, out))
 
 
 @cache
 def orbit_layout(radius: int) -> type:
     """The class of the orbit layout of the given radius R >= 0."""
-    return type(f"OrbitLevels{radius}", (OrbitLevels,), {"__slots__": (), "_orbit_radius": radius})
+    return type(f"Levels{radius}", (Levels,), {"__slots__": (), "_orbit_radius": radius})
 
 
 class RadialLevels(_Packed):

@@ -67,7 +67,6 @@ from .transforms import (
 from .wave import (
     WaveTrajectory,
     _leapfrog,
-    _orbit_packed,
     adjacency_sum,
     asgeirsson_field,
     asgeirsson_verify,
@@ -96,9 +95,11 @@ _SIZES = {
     },
 }
 
-# the largest full-layout ball any check fills is Ball(q, 7): C_2 of C_4 f in
-# check_equipartition; every leapfrog and every closed route of solve runs in
-# the orbit layout (tests/test_cli.py traces the bound)
+# the largest ball any check fills with vertex rows is Ball(q, 7): C_2 of
+# C_4 f in check_equipartition, whose operand has a tail and so takes the
+# scatter route of M_n; every leapfrog and every M_n of data with no tail
+# stays in the orbit layout of the data radius (tests/test_cli.py traces the
+# deepest vertex row of every layout built)
 _ASGEIRSSON_TIMES, _LARGEST_BALL, _MAX_VERTICES = 8, 7, 5_000_000
 
 
@@ -122,10 +123,8 @@ def _solve_recurrence(f: TreeFunction, g: TreeFunction, n_max: int, corrupt: boo
     def bad_step(previous: TreeFunction, current: TreeFunction) -> TreeFunction:
         return adjacency_sum(current).scale(bad_weight) - previous
 
-    radius = max(f.support_radius(), g.support_radius(), 0)
-    start = (_orbit_packed(f, radius), _orbit_packed(g, radius))
-    pushed = adjacency_sum(start[0]).scale(bad_weight * half)
-    snapshots = _leapfrog(*start, pushed, -n_max, n_max, bad_step)
+    pushed = adjacency_sum(f).scale(bad_weight * half)
+    snapshots = _leapfrog(f, g, pushed, -n_max, n_max, bad_step)
     return WaveTrajectory(q=q, mode=mode, f=f, g=g, snapshots=snapshots)
 
 

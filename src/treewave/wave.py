@@ -24,12 +24,13 @@ Every operator here is written once for a ``TreeFunction`` and a
 ``treewave.levels`` supplies the neighbour sum and M_n (geodesic index ranges
 on vertex data, the convolution with the M_n kernel on profiles).  ``solve``
 and ``treewave.radial.radial_solve`` share one body, truncation check included.
-Both routes of ``solve`` run in the orbit layout of the data radius R, one
-entry per vertex of S(R) at each depth beyond R: the leapfrog steps there,
-and the closed route takes each exact M_n there from parity sums over
-Ball(R), with no neighbour sum, so it stays the leapfrog's independent
-oracle.  The full vertex layout keeps its own M_n, which the tests compare
-with the orbit one.
+Vertex data built in Ball(R) are packed in the orbit layout of radius R, one
+entry per vertex of S(R) at each depth beyond R, and both routes of
+``solve`` stay in it: the leapfrog steps there, and the closed route takes
+each exact M_n there from parity sums over Ball(R), with no neighbour sum,
+so it stays the leapfrog's independent oracle.  The scatter route of M_n
+over the vertex rows, which the tests compare with the parity sums, serves
+float64 data and data with a tail.
 """
 
 from __future__ import annotations
@@ -61,10 +62,10 @@ def adjacency_sum(f: Function) -> Function:
 
 def m_operator(n: int, f: Function) -> Function:
     """M_n f(x) = q^(-n/2) * sum over d(y,x) <= n with n - d(y,x) even;
-    M_{-1} = 0 and M_0 is the identity.  No neighbour sum is taken: vertex
-    data spread over the geodesic index ranges of their spheres, exact orbit
-    data read parity sums over Ball(R), profiles are convolved with the M_n
-    kernel."""
+    M_{-1} = 0 and M_0 is the identity.  No neighbour sum is taken: exact
+    vertex data with no tail read parity sums over Ball(R), other vertex
+    data spread over the geodesic index ranges of their spheres, profiles
+    are convolved with the M_n kernel."""
     if n < -1:
         raise ParameterError(f"M_n is defined for n >= -1, got {n}")
     if n == -1:
@@ -200,23 +201,20 @@ def _leapfrog(f, g, pushed, lo: int, hi: int, step) -> dict:
     return snapshots
 
 
-def _solve(
-    f, g, n_range, solver: str, closed, adjacency, ball=None, pack=None
-) -> WaveTrajectory:
+def _solve(f, g, n_range, solver: str, closed, adjacency, ball=None) -> WaveTrajectory:
     """The body of the vertex and radial solvers: validation, then the
     snapshots ``closed(n, f, g)`` or the leapfrog from u(+-1) = (1/(2 sqrt
     q)) ``adjacency(f)`` +- g (the n = 0 recurrence combined with the
-    centered velocity).  Both routes start from ``pack(f, N)`` and
-    ``pack(g, N)`` when ``pack`` is given (N the data radius), and so run in
-    the layout they are packed in.  A truncation ``ball`` must hold radius
-    |n| + N + 2 at every solved n, which is checked before any snapshot."""
+    centered velocity), in the layouts f and g are packed in.  A truncation
+    ``ball`` must hold radius |n| + N + 2 at every solved n (N the data
+    radius), which is checked before any snapshot."""
     if f.q != g.q or f.mode != g.mode:
         raise ParameterError("initial data must share q and scalar mode")
     if solver not in ("closed", "recurrence"):
         raise ParameterError(f"solver must be 'closed' or 'recurrence', got {solver!r}")
     lo, hi = _normalize_range(n_range)
-    data_radius = max(f.support_radius(), g.support_radius(), 0)
     if ball is not None:
+        data_radius = max(f.support_radius(), g.support_radius(), 0)
         worst = max(-lo, hi)
         if worst + data_radius + 2 > ball.radius:
             raise TruncationError(
@@ -224,15 +222,14 @@ def _solve(
                 f"n={max(ball.radius - data_radius - 1, 0)} "
                 f"(radius {worst + data_radius + 2} required for |n| <= {worst})"
             )
-    start = (f, g) if pack is None else (pack(f, data_radius), pack(g, data_radius))
     if solver == "closed":
-        snapshots = {n: closed(n, *start) for n in range(lo, hi + 1)}
+        snapshots = {n: closed(n, f, g) for n in range(lo, hi + 1)}
     else:
         half_step = sqrt_q_power(f.q, -1, f.mode) * scalar_from_fraction(
             Fraction(1, 2), f.q, f.mode
         )
-        pushed = adjacency(start[0]).scale(half_step)
-        snapshots = _leapfrog(*start, pushed, lo, hi, step_recurrence)
+        pushed = adjacency(f).scale(half_step)
+        snapshots = _leapfrog(f, g, pushed, lo, hi, step_recurrence)
     return WaveTrajectory(q=f.q, mode=f.mode, f=f, g=g, snapshots=snapshots)
 
 
@@ -246,23 +243,20 @@ def solve(
     """Solve the Cauchy problem on [lo, hi] (``n_range`` may be a pair or a
     bare radius r for [-r, r]).
 
-    Both routes pack f and g in the orbit layout of radius R, the data
-    radius: one entry per vertex of S(R) at each depth beyond R, which is
-    all the data in Ball(R) can tell apart there.  ``solver='closed'`` fills
-    snapshots through the propagators, whose exact M_n stays in that layout
-    (float64 M_n adds in the order of the full layout, which it expands
-    to); ``solver='recurrence'`` bootstraps u(., +/-1) from the neighbour
-    sum of f and leapfrogs outwards.  Snapshots read, compare and serialize
-    as full functions.  In exact mode the two routes agree identically.  A
+    Both routes run in the orbit layout of each datum's own radius R: one
+    entry per vertex of S(R) at each depth beyond R, which is all data in
+    Ball(R) can tell apart there.  Data built in Ball(R) are packed so, and
+    a snapshot keeps its radius, so a restart from a later snapshot stays
+    in it too.  ``solver='closed'`` fills snapshots through the
+    propagators, whose exact M_n stays in that layout (float64 M_n adds in
+    the order of the vertex rows, which it widens to);
+    ``solver='recurrence'`` bootstraps u(., +/-1) from the neighbour sum of
+    f and leapfrogs outwards.  Snapshots read, compare and serialize as
+    full functions.  In exact mode the two routes agree identically.  A
     ``ball`` too small raises ``TruncationError`` naming the first n that
     does not fit.
     """
-    return _solve(f, g, n_range, solver, propagators, adjacency_sum, ball, _orbit_packed)
-
-
-def _orbit_packed(x: TreeFunction, radius: int) -> TreeFunction:
-    """x, supported in Ball(radius), in the orbit layout of that radius."""
-    return TreeFunction._from_levels(x._as_levels().in_orbit(radius))
+    return _solve(f, g, n_range, solver, propagators, adjacency_sum, ball)
 
 
 @dataclass(frozen=True)

@@ -239,14 +239,15 @@ def test_cli_verify_bounds_every_q_and_runs_q_six():
 @pytest.mark.parametrize("size", ["small", "standard"])
 @pytest.mark.parametrize("negative_control", [False, True])
 def test_verify_fills_no_full_ball_beyond_the_bounded_radius(monkeypatch, size, negative_control):
-    # every full-layout function a check builds, the negative control's
-    # leapfrog included, lies in Ball(q, _LARGEST_BALL), the ball the guard bounds
+    # the vertex rows of every vertex function a check builds (its depths up
+    # to min(top, R) in the orbit layout of radius R), the negative
+    # control's leapfrog included, lie in Ball(q, _LARGEST_BALL), the ball
+    # the guard bounds
     radii = []
     init = Levels.__init__
 
     def traced(self, q, mode, den, parts):
-        if type(self) is Levels:
-            radii.append(len(parts[0]) - 1)
+        radii.append(min(len(parts[0]) - 1, self._orbit_radius))
         init(self, q, mode, den, parts)
 
     monkeypatch.setattr(Levels, "__init__", traced)

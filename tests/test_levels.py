@@ -952,10 +952,9 @@ def test_closed_route_takes_no_neighbour_sum(q, monkeypatch):
         raise AssertionError("a neighbour sum was taken")
 
     monkeypatch.setattr(treewave.levels, "_adjacent", refuse)
-    monkeypatch.setattr(treewave.levels, "_orbit_adjacent", refuse)
     monkeypatch.setattr(treewave.levels, "_radial_adjacent", refuse)
     monkeypatch.setattr(treewave.radial, "radial_adjacency", refuse)
-    # the guard does reach every leapfrog: full, orbit and radial layouts
+    # the guard does reach every leapfrog: vertex and radial layouts
     with pytest.raises(AssertionError, match="neighbour sum"):
         step_recurrence(f, g)
     with pytest.raises(AssertionError, match="neighbour sum"):

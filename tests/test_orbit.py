@@ -1,16 +1,18 @@
-"""The orbit layout of ``treewave.levels`` against the full layout.
+"""The tail of the orbit layout of ``treewave.levels`` against its vertex rows.
 
-Both routes of ``solve`` run data supported in Ball(R) in the orbit layout
-of radius R: the leapfrog steps there, and the closed route takes M_n there
-from parity sums over Ball(R).  Their snapshots are compared here with
-routes that never use that layout: the leapfrog on the full layout
-(``_leapfrog`` on fully packed data), ``propagators`` on fully packed data
-(M_n index ranges on the full layout, whose ``ball_mean`` is also compared
-with the orbit one directly) and the kernel sums of
-``evaluate_kernel_solution`` at single vertices.  Every read of a snapshot
-(slots, support, serialization, hashing, energies) is compared with the
-same read of its full expansion.  Exact data are irrational with mixed
-denominators; float64 snapshots are compared bit for bit.
+Data supported in Ball(R) are packed in the orbit layout of radius R, and
+both routes of ``solve`` stay there: the leapfrog steps in it, and the
+closed route takes M_n in it from parity sums over Ball(R).  Their
+snapshots are compared here with routes that never use a tail: the
+leapfrog on data packed in the orbit layout of a radius past every depth
+the test reaches (``full_leapfrog``), where every operator takes its
+vertex branch, ``propagators`` with every M_n scattered over the vertex
+rows (``_scatter_mean``, which is also compared with the parity sums
+directly) and the kernel sums of ``evaluate_kernel_solution`` at single
+vertices.  Every read of a snapshot (slots, support, serialization,
+hashing, energies) is compared with the same read of its vertex rows.
+Exact data are irrational with mixed denominators; float64 snapshots are
+compared bit for bit.
 """
 
 import random
@@ -30,7 +32,7 @@ from treewave.energy import (
 )
 from treewave.functions import TreeFunction
 from treewave.laplacians import two_step_laplacian
-from treewave.levels import Levels, OrbitLevels, orbit_layout
+from treewave.levels import Levels, orbit_layout
 from treewave.radial import evaluate_kernel_solution, propagator_kernels
 from treewave.sampling import random_data_pair
 from treewave.scalars import QSurd, ScalarMode, scalar_from_fraction, sqrt_q_power
@@ -38,7 +40,6 @@ from treewave.topology import Ball, VertexAddress, sphere_volume
 from treewave.wave import (
     WaveTrajectory,
     _leapfrog,
-    _orbit_packed,
     adjacency_sum,
     m_operator,
     propagators,
@@ -93,12 +94,31 @@ def data_on_ball(q, radius, rng, mode=EXACT, density=0.7):
     return TreeFunction(q, mode, entries)
 
 
+def vertex_rows(x, radius):
+    """x, built in Ball(radius), packed in the orbit layout of that radius:
+    no depth it reaches passes the radius, so it is held in vertex rows."""
+    levels = x._as_levels()
+    return TreeFunction._from_levels(orbit_layout(radius)(x.q, x.mode, levels.den, levels.parts))
+
+
+def full_radius(f, g, reach):
+    """A radius past every depth the leapfrog to |n| = reach reaches."""
+    return max(f.support_radius(), g.support_radius(), 0) + reach + 1
+
+
 def full_leapfrog(f, g, reach):
-    """The leapfrog on the full layout, from fully packed data."""
+    """The leapfrog on vertex rows, from data packed in the orbit layout of
+    ``full_radius``."""
     q, mode = f.q, f.mode
+    f, g = (vertex_rows(x, full_radius(f, g, reach)) for x in (f, g))
     half_step = sqrt_q_power(q, -1, mode) * scalar_from_fraction(Fraction(1, 2), q, mode)
     pushed = adjacency_sum(f).scale(half_step)
     return _leapfrog(f, g, pushed, -reach, reach, step_recurrence)
+
+
+def radius_of(x):
+    """The radius of the orbit layout x is packed in."""
+    return x._as_levels()._orbit_radius
 
 
 def bits(f):
@@ -140,55 +160,58 @@ def test_orbit_leapfrog_equals_the_full_leapfrog_and_the_closed_route(q, radius)
     assert orbit.n_values() == sorted(full) == closed.n_values() == list(range(-reach, reach + 1))
     for n in orbit.n_values():
         state = orbit.snapshot(n)
-        levels = state._as_levels()
-        assert isinstance(levels, OrbitLevels) and levels._orbit_radius == radius
-        assert type(full[n]._as_levels()) is Levels
+        assert radius_of(state) == radius
+        assert radius_of(full[n]) == full_radius(f, g, reach)
         assert state == full[n] == closed.snapshot(n)
         assert full[n] == state  # mixed layouts compare from either side
 
 
 @pytest.mark.parametrize("q", (2, 3, 4))
-def test_closed_route_equals_the_propagators_on_the_full_layout(q):
-    # the closed route runs in the orbit layout; propagators on the data as
-    # built take every M_n on the full layout
+def test_closed_route_equals_the_propagators_on_the_full_layout(q, monkeypatch):
+    # the closed route runs in the orbit layout; propagators with the
+    # scatter route of M_n take every M_n on the vertex rows
+    cases = []
     for radius in (0, 1, 2) if q < 4 else (0, 1):
         rng = random.Random(f"orbit:closed-full:{q}:{radius}")
         f, g = data_on_ball(q, radius, rng), data_on_ball(q, radius, rng)
-        closed = solve(f, g, 6, solver="closed")
+        cases.append((radius, f, g, solve(f, g, 6, solver="closed")))
+    monkeypatch.setattr(Levels, "ball_mean", Levels._scatter_mean)
+    for radius, f, g, closed in cases:
         for n in range(-6, 7):
             state, expected = closed.snapshot(n), propagators(n, f, g)
-            assert isinstance(state._as_levels(), OrbitLevels)
-            assert n == 0 or type(expected._as_levels()) is Levels
+            assert radius_of(state) == radius
+            assert radius_of(expected) == radius + abs(n)
             assert state == expected
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5))
 def test_orbit_ball_mean_equals_the_full_ball_mean(q):
-    # data of radius r <= R, with zero entries, in the orbit layout of R;
-    # 1 <= n <= 8 while the full ball Ball(R + n) holds at most 40000 vertices
+    # data of radius r <= R, with zero entries, in the orbit layout of R,
+    # against the scatter route; 1 <= n <= 8 while the full ball Ball(R + n)
+    # holds at most 40000 vertices
     for radius in (0, 1, 2):
         n_max = min(8, reach_for(q, radius, 40000))
         for data_radius in range(radius + 1):
             rng = random.Random(f"orbit:ball-mean:{q}:{radius}:{data_radius}")
             for mode in (EXACT, FLOAT):
                 data = data_on_ball(q, data_radius, rng, mode, density=0.6)
-                full = data._as_levels()
-                orbit = full.in_orbit(radius)
+                orbit = vertex_rows(data, radius)._as_levels()
                 for n in range(1, n_max + 1):
-                    found, expected = orbit.ball_mean(n), full.ball_mean(n)
+                    found, expected = orbit.ball_mean(n), orbit._scatter_mean(n)
+                    assert expected._orbit_radius == data_radius + n
                     if mode is EXACT:
-                        assert type(found) is type(orbit)
+                        assert found._orbit_radius == radius
                         assert found._full().same_as(expected)
                         assert expected.same_as(found)
-                    else:  # float64 takes the full route, in its order
-                        assert type(found) is Levels
+                    else:  # float64 takes the scatter route, in its order
+                        assert found._orbit_radius == data_radius + n
                         assert found.parts == expected.parts
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5))
 def test_orbit_ball_mean_with_a_tail_takes_the_expansion(q):
-    # stored past its radius, an orbit function's M_n is the full M_n of the
-    # same values, packed from its value map
+    # stored past its radius, an orbit function's M_n is the scatter route's
+    # M_n of the same values, packed from its value map
     rng = random.Random(f"orbit:ball-mean-tail:{q}")
     for radius in (0, 1, 2):
         for depth in range(radius + 1, radius + 3):
@@ -198,21 +221,30 @@ def test_orbit_ball_mean_with_a_tail_takes_the_expansion(q):
                 if ball_size(q, depth + n) > BALL_LIMIT:
                     break
                 found = orbit.ball_mean(n)
-                assert type(found) is Levels
-                assert found.same_as(built._as_levels().ball_mean(n))
+                assert found._orbit_radius == depth + n
+                assert found.same_as(built._as_levels()._scatter_mean(n))
 
 
 def test_closed_snapshot_at_n_200_equals_the_leapfrog():
     # one closed snapshot costs O(|S(R)| n) on the orbit layout, where the
-    # full layout would fill Ball(202)
+    # vertex rows would fill Ball(202)
     f, g = random_data_pair(2, 2, random.Random(5))
-    packed = _orbit_packed(f, 2), _orbit_packed(g, 2)
     leapfrog = solve(f, g, 200, solver="recurrence")
     for n in (-200, 200):
-        state = propagators(n, *packed)
-        assert state._as_levels()._orbit_radius == 2
+        state = propagators(n, f, g)
+        assert radius_of(state) == 2
         assert state == leapfrog.snapshot(n)
         assert state.support_radius() == 202
+
+
+def test_closed_route_on_built_data_reaches_n_1000_without_packing():
+    # f and g as the constructor packs them, in the orbit layout of their
+    # radius 3: three closed snapshots at n = 999..1001 give E(1000)
+    f, g = random_data_pair(2, 3, random.Random(5))
+    snapshots = {n: propagators(n, f, g) for n in (999, 1000, 1001)}
+    assert all(radius_of(state) == 3 for state in snapshots.values())
+    trajectory = WaveTrajectory(q=2, mode=EXACT, f=f, g=g, snapshots=snapshots)
+    assert energies(trajectory, 1000).total == total_energy_closed_form(f, g)
 
 
 @pytest.mark.parametrize("q, radius", CASES)
@@ -223,7 +255,7 @@ def test_float_orbit_leapfrog_is_bitwise_the_full_leapfrog(q, radius):
     orbit = solve(f, g, reach, solver="recurrence")
     full = full_leapfrog(f, g, reach)
     for n in orbit.n_values():
-        assert isinstance(orbit.snapshot(n)._as_levels(), OrbitLevels)
+        assert radius_of(orbit.snapshot(n)) == radius
         assert bits(orbit.snapshot(n)) == bits(full[n])
     # float64 energies are rounded sums in another order: they agree closely
     trajectory = WaveTrajectory(q=q, mode=FLOAT, f=f, g=g, snapshots=full)
@@ -330,14 +362,14 @@ def test_a_tail_whose_last_entry_is_nonzero(q):
 
 
 @pytest.mark.parametrize("q", (2, 3))
-def test_mixed_layouts_and_radii_meet_in_the_full_layout(q):
+def test_mixed_radii_meet_in_the_layout_of_the_larger_radius(q):
     rng = random.Random(f"orbit:mixed:{q}")
     f, g = data_on_ball(q, 1, rng), data_on_ball(q, 2, rng)
     u, v = solve(f, f, 3, solver="recurrence"), solve(g, g, 3, solver="recurrence")
     x, y = u.snapshot(3), v.snapshot(3)
-    assert x._as_levels()._orbit_radius == 1 and y._as_levels()._orbit_radius == 2
+    assert radius_of(x) == 1 and radius_of(y) == 2
     sum_ = x + y
-    assert type(sum_._as_levels()) is Levels
+    assert radius_of(sum_) == 2
     expected = full_leapfrog(f, f, 3)[3] + full_leapfrog(g, g, 3)[3]
     assert sum_ == expected
     assert x.dot(y) == full_leapfrog(f, f, 3)[3].dot(full_leapfrog(g, g, 3)[3])
@@ -412,7 +444,23 @@ def test_float_restart_from_orbit_snapshots_is_the_restart_from_built_copies(q, 
     for k in (1, 3):
         start = [u.snapshot(k), (u.snapshot(k + 1) - u.snapshot(k - 1)).scale(0.5)]
         built = [TreeFunction(q, FLOAT, dict(x.value_map())) for x in start]
-        assert all(type(x._as_levels()) is Levels for x in built)
+        assert all(radius_of(x) == x.support_radius() for x in built)
         orbit, full = solve(*start, 2, solver="recurrence"), solve(*built, 2, solver="recurrence")
         for m in range(-2, 3):
+            assert radius_of(orbit.snapshot(m)) == radius
             assert bits(orbit.snapshot(m)) == bits(full.snapshot(m))
+
+
+@pytest.mark.parametrize("k", (2, 16))
+def test_a_restart_keeps_the_radius_of_its_data(k):
+    # the Cauchy data (u(k), (u(k+1) - u(k-1))/2) of a late time are orbit
+    # data of radius 3 with a tail to depth 3 + k + 1; the restarted leapfrog
+    # stays in that layout instead of filling Ball(3 + k + 1)
+    f, g = random_data_pair(2, 3, random.Random(5))
+    u = solve(f, g, (0, k + 1), solver="recurrence")
+    half = scalar_from_fraction(Fraction(1, 2), 2, EXACT)
+    velocity = (u.snapshot(k + 1) - u.snapshot(k - 1)).scale(half)
+    restart = solve(u.snapshot(k), velocity, 1, solver="recurrence")
+    for m in (-1, 0, 1):
+        assert radius_of(restart.snapshot(m)) == 3
+        assert restart.snapshot(m) == u.snapshot(k + m)
