@@ -1,4 +1,6 @@
-"""Command-line interface.
+"""Command-line interface: it parses arguments, reads the ``--initial``
+file and maps errors to exit codes; ``treewave.experiment`` writes every
+file.
 
 Subcommands: propagate | energy | equipartition | huygens | transforms |
 verify.  The default output directory is taken from --out, then the
@@ -7,7 +9,8 @@ TREEWAVE_OUT environment variable, then ./treewave-out.
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input
 (command line, configuration field, --initial file or its data), 3 the
 truncation ball cannot hold the requested times, 4 two exact routes
-disagreed.  Every error other than 1 is one line on stderr.
+disagreed (``propagate --solver both`` in exact mode, before any file is
+written).  Every error other than 1 is one line on stderr.
 """
 
 from __future__ import annotations
@@ -25,23 +28,8 @@ from .errors import (
     ParameterError,
     TruncationError,
 )
-from .experiment import (
-    ExperimentConfig,
-    default_output_dir,
-    resolve_initial_data,
-    run_experiment,
-    write_energy_table,
-    write_equipartition_table,
-    write_huygens_table,
-    _scalar_columns,
-    _write_csv,
-)
-from .functions import RadialProfile
-from .scalars import ScalarMode
-from .topology import Ball
-from .transforms import abel, abel_inverse, dual_abel, dual_abel_inverse
+from .experiment import ExperimentConfig, run_experiment, write_table, write_transform_tables
 from .verify import run_verification
-from .wave import solve
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -62,7 +50,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _read_initial(path: Path):
+def _read_initial(path: Path | None):
+    if path is None:
+        return None
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -82,9 +72,6 @@ def _q_values(text: str) -> tuple[int, ...]:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    initial = None
-    if args.initial is not None:
-        initial = _read_initial(args.initial)
     schedule = args.schedule
     if isinstance(schedule, str) and schedule != "sqrt":
         try:
@@ -96,22 +83,14 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig(
         q=args.q,
         steps=args.steps,
-        mode="float64" if args.mode == "float" else args.mode,
+        mode=args.mode,
         solver=args.solver,
         radius=args.radius,
         seed=args.seed,
-        initial=initial,
+        initial=_read_initial(args.initial),
         schedule=schedule,
         out=str(args.out) if args.out else None,
     )
-
-
-def _solve_single(config: ExperimentConfig):
-    config = config.validated()
-    f, g = resolve_initial_data(config)
-    ball = Ball(config.q, config.radius) if config.radius is not None else None
-    solver = "recurrence" if config.solver == "both" else config.solver
-    return solve(f, g, config.steps, solver=solver, ball=ball)
 
 
 def _cmd_propagate(args) -> int:
@@ -120,61 +99,19 @@ def _cmd_propagate(args) -> int:
     return 0
 
 
-# subcommand -> (file name, what the table holds, writer(trajectory, config, path))
-_TABLES = {
-    "energy": ("energy.csv", "energy", lambda u, config, path: write_energy_table(u, path)),
-    "equipartition": (
-        "equipartition.csv",
-        "equipartition",
-        lambda u, config, path: write_equipartition_table(u, path),
-    ),
-    "huygens": ("huygens.csv", "shell concentration", write_huygens_table),
-}
+# subcommand -> what its table holds
+_TABLES = {"energy": "energy", "equipartition": "equipartition", "huygens": "shell concentration"}
 
 
 def _cmd_table(args) -> int:
-    file_name, label, write = _TABLES[args.command]
-    config = _config_from_args(args)
-    trajectory = _solve_single(config)
-    out_dir = default_output_dir(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / file_name
-    write(trajectory, config, path)
-    print(f"{label} table written to {path}")
+    path = write_table(args.command, _config_from_args(args))
+    print(f"{_TABLES[args.command]} table written to {path}")
     return 0
 
 
 def _cmd_transforms(args) -> int:
-    if args.initial is not None:
-        blob = _read_initial(args.initial)
-        try:
-            profile = RadialProfile.from_json(blob)
-        except (KeyError, TypeError, ValueError) as error:
-            raise ConfigError(
-                f"field 'initial' is not a serialized radial profile: {error!r}"
-            ) from None
-    else:
-        if args.q < 2:
-            raise ConfigError(f"field 'q' must be an integer >= 2, got {args.q}")
-        mode = ScalarMode("float64" if args.mode == "float" else args.mode)
-        profile = RadialProfile.delta(args.q, mode)
-    forward = abel(profile)
-    limit = max(profile.support_radius(), 0) + 2
-    means = RadialProfile(
-        profile.q, profile.mode, [(n, dual_abel(forward, n)) for n in range(limit + 1)]
-    )
-    tables = [
-        ("abel", "h", forward.items()),
-        ("abel_inverse", "n", abel_inverse(forward).items()),
-        ("dual_abel", "n", [(n, means[n]) for n in range(limit + 1)]),
-        ("dual_abel_inverse", "h", dual_abel_inverse(means).items()),
-    ]
-    out_dir = default_output_dir(str(args.out) if args.out else None)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, index, entries in tables:
-        rows = [[str(key)] + _scalar_columns(value) for key, value in entries]
-        header = [index, "exact_value_a", "exact_value_b", "float_value"]
-        _write_csv(out_dir / f"{name}.csv", header, rows)
+    out = str(args.out) if args.out else None
+    out_dir = write_transform_tables(args.q, args.mode, _read_initial(args.initial), out)
     print(f"transform tables written to {out_dir}")
     return 0
 
@@ -226,8 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if getattr(args, "mode", None) == "float":  # another name of float64
+        args.mode = "float64"
     try:
         return args.handler(args)
     except ConfigError as error:

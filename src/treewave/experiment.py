@@ -1,12 +1,15 @@
-"""Experiment driver: validated configuration, canonical CSV/JSON outputs.
+"""Experiment driver: every output file, from a validated configuration or
+a radial profile (``treewave.cli`` parses arguments, reads the ``--initial``
+file and maps errors to exit codes).
 
 An experiment solves one Cauchy problem and writes per-time snapshot CSVs,
 an energy table, a shell-concentration table and a JSON manifest echoing the
-configuration and recording solver agreement, wall time and file checksums.
-Exact scalars are serialized as fraction strings so downstream tooling never
-sees rounded conservation drift; all orderings are canonical, making outputs
-byte-stable for a fixed configuration and seed (wall time lives only in the
-manifest).
+configuration and recording solver agreement, wall time and the SHA-256 of
+the bytes written to each CSV; exact routes that disagree raise
+``ConsistencyError`` before anything is written.  Exact scalars are
+serialized as fraction strings so downstream tooling never sees rounded
+conservation drift; all orderings are canonical, making outputs byte-stable
+for a fixed configuration and seed (wall time lives only in the manifest).
 """
 
 from __future__ import annotations
@@ -21,18 +24,13 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .energy import (
-    _operator_gap,
-    default_shell_margin,
-    gap_bound_constant,
-    huygens_report,
-    total_energy,
-)
-from .errors import ConfigError
-from .functions import TreeFunction
+from .energy import _operator_gap, gap_bound_constant, huygens_report, total_energy
+from .errors import ConfigError, ConsistencyError
+from .functions import RadialProfile, TreeFunction
 from .sampling import random_tree_function
-from .scalars import QSurd, Scalar, ScalarMode, ratio_text, surd_to_float
+from .scalars import QSurd, Scalar, ScalarMode, ratio_text, surd_from_slots
 from .topology import Ball
+from .transforms import abel, abel_inverse, dual_abel, dual_abel_inverse
 from .wave import WaveTrajectory, solve
 
 _SOLVERS = ("closed", "recurrence", "both")
@@ -87,8 +85,18 @@ class ExperimentConfig:
         return ScalarMode(self.mode)
 
     def to_json(self) -> dict:
-        blob = asdict(self)
-        return blob
+        return asdict(self)
+
+
+def _parsed(kind, blob):
+    """``kind.from_json(blob)`` for serialized ``--initial`` data, a blob it
+    cannot read a ConfigError naming the field."""
+    try:
+        return kind.from_json(blob)
+    except (KeyError, TypeError, ValueError) as error:
+        raise ConfigError(
+            f"field 'initial' is not a serialized {kind.__name__}: {error!r}"
+        ) from None
 
 
 def resolve_initial_data(config: ExperimentConfig) -> tuple[TreeFunction, TreeFunction]:
@@ -107,112 +115,108 @@ def resolve_initial_data(config: ExperimentConfig) -> tuple[TreeFunction, TreeFu
             return TreeFunction.zero(q, mode)
         if entry == "random":
             return random_tree_function(q, 1, rng, mode=mode)
-        if isinstance(entry, dict):
-            try:
-                parsed = TreeFunction.from_json(entry)
-            except (KeyError, TypeError, ValueError) as error:
-                raise ConfigError(
-                    f"field 'initial' entry is not a serialized function: {error!r}"
-                ) from None
-            if parsed.q != q:
-                raise ConfigError(
-                    f"field 'initial' carries data for q={parsed.q}, config says q={q}"
-                )
-            if parsed.mode is not mode:
-                raise ConfigError(
-                    f"field 'initial' carries {parsed.mode.value} data, config says {config.mode}"
-                )
-            return parsed
-        raise ConfigError(f"field 'initial' entry not understood: {entry!r}")
+        if not isinstance(entry, dict):
+            raise ConfigError(f"field 'initial' entry not understood: {entry!r}")
+        parsed = _parsed(TreeFunction, entry)
+        if parsed.q != q:
+            raise ConfigError(f"field 'initial' carries data for q={parsed.q}, config says q={q}")
+        if parsed.mode is not mode:
+            raise ConfigError(
+                f"field 'initial' carries {parsed.mode.value} data, config says {config.mode}"
+            )
+        return parsed
 
     f = build(spec.get("f"), TreeFunction.delta(q, mode))
     g = build(spec.get("g"), TreeFunction.zero(q, mode))
     return f, g
 
 
-def _format_exact(value: Scalar) -> tuple[str, str]:
-    if isinstance(value, QSurd):
-        a, b, den = value.slots
-        return ratio_text(a, den), ratio_text(b, den)
-    return "", ""
+def _trajectories(config: ExperimentConfig, solvers) -> list[WaveTrajectory]:
+    """The configured data solved by each route named in ``solvers``."""
+    f, g = resolve_initial_data(config)
+    ball = Ball(config.q, config.radius) if config.radius is not None else None
+    return [solve(f, g, config.steps, solver=name, ball=ball) for name in solvers]
 
 
-def _scalar_columns(value: Scalar) -> list[str]:
-    a, b = _format_exact(value)
-    return [a, b, repr(float(value))]
+def _scalar_columns(*values: Scalar) -> list[str]:
+    """The cells A/D, B/D and the correctly rounded float of each value;
+    A/D and B/D are empty for a float64 value."""
+    cells = []
+    for value in values:
+        if isinstance(value, QSurd):
+            a, b, den = value.slots
+            cells += [ratio_text(a, den), ratio_text(b, den), repr(float(value))]
+        else:
+            cells += ["", "", repr(float(value))]
+    return cells
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _scalar_header(*names: str) -> list[str]:
+    """The header of ``_scalar_columns`` of one value per name."""
+    return [f"{name}_{part}" for name in names for part in ("a", "b", "float")]
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> str:
+    """Write one table and return the SHA-256 of the bytes written."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    path.write_text(buffer.getvalue(), encoding="utf-8")
+    data = buffer.getvalue().encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def _output_dir(explicit: str | None) -> Path:
+    """--out, then TREEWAVE_OUT, then ./treewave-out; created if missing."""
+    out_dir = Path(explicit or os.environ.get("TREEWAVE_OUT") or "treewave-out")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def _snapshot_rows(state: TreeFunction) -> list[list[str]]:
     """The rows of ``_scalar_columns`` per stored value in canonical order,
-    formatted from the integers of the packed form; an exact (A, B) pair is
-    formatted once, however many vertices hold it."""
+    read from the packed form; an exact (A, B) pair is formatted once,
+    however many vertices hold it."""
     levels = state._as_levels()
     if levels.mode is not ScalarMode.EXACT:
-        return [[label, "", "", repr(x)] for label, (x,) in levels.labelled()]
+        return [[label, *_scalar_columns(x)] for label, (x,) in levels.labelled()]
     q, den = levels.q, levels.den
     cells: dict[tuple[int, int], list[str]] = {}
     rows = []
     for label, pair in levels.labelled():
         text = cells.get(pair)
         if text is None:
-            a, b = pair
-            text = cells[pair] = [
-                ratio_text(a, den), ratio_text(b, den), repr(surd_to_float(q, a, b, den))
-            ]
+            text = cells[pair] = _scalar_columns(surd_from_slots(q, *pair, den))
         rows.append([label, *text])
     return rows
 
 
-def _margin_for(config: ExperimentConfig, n: int) -> int:
-    if config.schedule == "sqrt":
-        return default_shell_margin(n)
-    return int(config.schedule)
+def _exact_first(cells: list[str]) -> list[str]:
+    """Cells in (a, b, float) triples, reordered to every (a, b), then every float."""
+    return [cell for i, cell in enumerate(cells) if i % 3 != 2] + cells[2::3]
 
 
-def write_energy_table(trajectory: WaveTrajectory, path: Path) -> None:
+def write_energy_table(trajectory: WaveTrajectory, path: Path) -> str:
     _, reports = total_energy(trajectory)
-    rows = []
-    for report in reports:
-        exact_cells, float_cells = [], []
-        for value in (report.kinetic, report.potential, report.total, report.gap):
-            a, b = _format_exact(value)
-            exact_cells += [a, b]
-            float_cells.append(repr(float(value)))
-        rows.append([str(report.n)] + exact_cells + float_cells)
-    header = ["n"]
-    for name in ("K", "P", "E", "gap"):
-        header += [f"{name}_a", f"{name}_b"]
-    for name in ("K", "P", "E", "gap"):
-        header.append(f"{name}_float")
-    _write_csv(path, header, rows)
+    rows = [
+        [str(r.n), *_exact_first(_scalar_columns(r.kinetic, r.potential, r.total, r.gap))]
+        for r in reports
+    ]
+    return _write_csv(path, ["n", *_exact_first(_scalar_header("K", "P", "E", "gap"))], rows)
 
 
-def write_huygens_table(trajectory: WaveTrajectory, config: ExperimentConfig, path: Path) -> None:
+def write_huygens_table(trajectory: WaveTrajectory, config: ExperimentConfig, path: Path) -> str:
+    margin = None if config.schedule == "sqrt" else config.schedule  # None: floor(sqrt(|n|))
     rows = []
     for n in trajectory.interior_times():
-        margin = _margin_for(config, n)
         report = huygens_report(trajectory, n, margin)
-        rows.append(
-            [str(n), str(margin)]
-            + _scalar_columns(report.interior_mass)
-            + _scalar_columns(report.interior_gradient)
-            + _scalar_columns(report.interior_kinetic)
-        )
-    header = ["n", "margin"]
-    for name in ("mass", "gradient", "kinetic"):
-        header += [f"{name}_a", f"{name}_b", f"{name}_float"]
-    _write_csv(path, header, rows)
+        sums = (report.interior_mass, report.interior_gradient, report.interior_kinetic)
+        rows.append([str(n), str(report.shell_margin), *_scalar_columns(*sums)])
+    return _write_csv(path, ["n", "margin", *_scalar_header("mass", "gradient", "kinetic")], rows)
 
 
-def write_equipartition_table(trajectory: WaveTrajectory, path: Path) -> None:
+def write_equipartition_table(trajectory: WaveTrajectory, path: Path) -> str:
     """The direct gap of each energy report, the operator route at
     |n| <= ``_OPERATOR_LIMIT`` and the decay bound constant."""
     bound = _scalar_columns(gap_bound_constant(trajectory.f, trajectory.g))
@@ -222,83 +226,100 @@ def write_equipartition_table(trajectory: WaveTrajectory, path: Path) -> None:
         operator_columns = ["", "", ""]
         if abs(report.n) <= _OPERATOR_LIMIT:
             operator_columns = _scalar_columns(_operator_gap(trajectory, report.n))
-        rows.append([str(report.n)] + _scalar_columns(report.gap) + operator_columns + bound)
-    header = ["n"]
-    for name in ("gap", "gap_operator", "bound"):
-        header += [f"{name}_a", f"{name}_b", f"{name}_float"]
-    _write_csv(path, header, rows)
+        rows.append([str(report.n), *_scalar_columns(report.gap), *operator_columns, *bound])
+    return _write_csv(path, ["n", *_scalar_header("gap", "gap_operator", "bound")], rows)
 
 
-def default_output_dir(explicit: str | None) -> Path:
-    if explicit:
-        return Path(explicit)
-    env = os.environ.get("TREEWAVE_OUT")
-    if env:
-        return Path(env)
-    return Path("treewave-out")
+def write_table(name: str, config: ExperimentConfig) -> Path:
+    """Solve by one route (the recurrence for 'both') and write the table
+    ``<name>.csv``, name 'energy', 'equipartition' or 'huygens'; returns
+    its path."""
+    config = config.validated()
+    solver = "recurrence" if config.solver == "both" else config.solver
+    (trajectory,) = _trajectories(config, (solver,))
+    path = _output_dir(config.out) / f"{name}.csv"
+    if name == "huygens":
+        write_huygens_table(trajectory, config, path)
+    elif name == "energy":
+        write_energy_table(trajectory, path)
+    else:
+        write_equipartition_table(trajectory, path)
+    return path
+
+
+def write_transform_tables(q: int, mode: str, initial: dict | None, out: str | None) -> Path:
+    """The Abel transform, the dual transform at radii 0..R+2 (R the
+    support radius) and the inverse of each, of the serialized radial
+    profile ``initial``, else of the delta at q in ``mode``; returns the
+    output directory."""
+    if initial is None:
+        profile = RadialProfile.delta(q, ScalarMode(mode))
+    else:
+        profile = _parsed(RadialProfile, initial)
+    forward = abel(profile)
+    limit = max(profile.support_radius(), 0) + 2
+    means = RadialProfile(
+        profile.q, profile.mode, [(n, dual_abel(forward, n)) for n in range(limit + 1)]
+    )
+    tables = [
+        ("abel", "h", forward.items()),
+        ("abel_inverse", "n", abel_inverse(forward).items()),
+        ("dual_abel", "n", [(n, means[n]) for n in range(limit + 1)]),
+        ("dual_abel_inverse", "h", dual_abel_inverse(means).items()),
+    ]
+    out_dir = _output_dir(out)
+    for name, index, entries in tables:
+        header = [index, "exact_value_a", "exact_value_b", "float_value"]
+        rows = [[str(key), *_scalar_columns(value)] for key, value in entries]
+        _write_csv(out_dir / f"{name}.csv", header, rows)
+    return out_dir
+
+
+def _agreement(closed: WaveTrajectory, leapfrog: WaveTrajectory) -> str:
+    """'exact' when the exact routes give equal snapshots (else a
+    ConsistencyError naming the first time at which they differ), the
+    largest float64 deviation otherwise."""
+    times = closed.n_values()
+    if closed.mode is not ScalarMode.EXACT:
+        worst = max((closed.snapshot(n) - leapfrog.snapshot(n)).max_abs() for n in times)
+        return f"max abs deviation {worst:.3e}"
+    for n in times:
+        if closed.snapshot(n) != leapfrog.snapshot(n):
+            raise ConsistencyError(f"closed and recurrence snapshots differ at n={n}")
+    return "exact"
 
 
 def run_experiment(config: ExperimentConfig) -> Path:
     """Solve, compare solvers when asked, and write all artifacts.
 
-    Returns the output directory.  Raises ConfigError for invalid fields and
+    Returns the output directory.  Raises ConfigError for invalid fields,
     TruncationError (from the solver) when the declared radius cannot hold
-    the requested trajectory.
+    the requested trajectory, and ConsistencyError naming the first time at
+    which the exact closed and recurrence snapshots differ; each before
+    anything is written.
     """
     config = config.validated()
     started = time.perf_counter()
-    f, g = resolve_initial_data(config)
-    ball = Ball(config.q, config.radius) if config.radius is not None else None
-
     solvers = ("closed", "recurrence") if config.solver == "both" else (config.solver,)
-    trajectories = {name: solve(f, g, config.steps, solver=name, ball=ball) for name in solvers}
-    primary = trajectories[solvers[0]]
+    primary, *leapfrog = _trajectories(config, solvers)
 
-    agreement = None
-    if len(trajectories) == 2:
-        closed, leapfrog = trajectories["closed"], trajectories["recurrence"]
-        if config.scalar_mode() is ScalarMode.EXACT:
-            same = all(
-                closed.snapshot(n) == leapfrog.snapshot(n) for n in closed.n_values()
-            )
-            agreement = "exact" if same else "MISMATCH"
-        else:
-            worst = max(
-                (closed.snapshot(n) - leapfrog.snapshot(n)).max_abs() for n in closed.n_values()
-            )
-            agreement = f"max abs deviation {worst:.3e}"
+    agreement = _agreement(primary, *leapfrog) if leapfrog else None
 
-    out_dir = default_output_dir(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    files: dict[str, str] = {}
-
-    def record(path: Path) -> None:
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        files[path.name] = digest
-
-    snapshot_names = []
+    out_dir = _output_dir(config.out)
+    files = {}
+    header = ["vertex", "value_a", "value_b", "float"]
     for n in primary.n_values():
         name = f"snapshot_{n:+03d}.csv"
-        path = out_dir / name
-        _write_csv(path, ["vertex", "value_a", "value_b", "float"], _snapshot_rows(primary.snapshot(n)))
-        record(path)
-        snapshot_names.append(name)
-
-    energy_path = out_dir / "energy.csv"
-    write_energy_table(primary, energy_path)
-    record(energy_path)
-
-    huygens_path = out_dir / "huygens.csv"
-    write_huygens_table(primary, config, huygens_path)
-    record(huygens_path)
+        files[name] = _write_csv(out_dir / name, header, _snapshot_rows(primary.snapshot(n)))
+    files["energy.csv"] = write_energy_table(primary, out_dir / "energy.csv")
+    files["huygens.csv"] = write_huygens_table(primary, config, out_dir / "huygens.csv")
 
     manifest = {
         "config": config.to_json(),
         "mode": config.mode,
         "solver": config.solver,
-        "snapshot_count": len(snapshot_names),
-        "snapshots": [int(n) for n in primary.n_values()],
+        "snapshot_count": len(primary.n_values()),
+        "snapshots": primary.n_values(),
         "closed_recurrence_agreement": agreement,
         "files": files,
         "wall_time_seconds": round(time.perf_counter() - started, 6),

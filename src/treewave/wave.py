@@ -80,10 +80,7 @@ def c_operator(n: int, f: Function) -> Function:
     if n == 0:
         return f
     half = scalar_from_fraction(Fraction(1, 2), f.q, f.mode)
-    mean = m_operator(abs(n), f)
-    if abs(n) >= 2:  # M_{-1} = 0 is not subtracted, so the layout of M_1 f is kept
-        mean = mean - m_operator(abs(n) - 2, f)
-    return mean.scale(half)
+    return (m_operator(abs(n), f) - m_operator(abs(n) - 2, f)).scale(half)
 
 
 def s_operator(n: int, g: Function) -> Function:

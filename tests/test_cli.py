@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import treewave.cli
 import treewave.energy
+import treewave.experiment
 from treewave import verify
 from treewave.cli import main
-from treewave.errors import ConfigError, ParameterError, TruncationError
+from treewave.errors import ConfigError, DomainError, ModeError, ParameterError, TruncationError
 from treewave.experiment import ExperimentConfig, resolve_initial_data, run_experiment
 from treewave.functions import RadialProfile, TreeFunction
 from treewave.levels import Levels
@@ -106,6 +108,21 @@ def test_initial_data_from_serialized_function(tmp_path):
     resolved_f, resolved_g = resolve_initial_data(config)
     assert resolved_f == f
     assert not resolved_g
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"mode": "float"}, "'mode'"),  # the command line's alias of float64 is not a mode
+        ({"initial": ["delta"]}, "'initial' must be an object"),
+        ({"initial": {"f": "spike"}}, "'spike'"),
+        ({"initial": {"f": TreeFunction.delta(2, ScalarMode.FLOAT64).to_json()}}, "float64 data"),
+        ({"initial": {"g": {"q": 2, "entries": [{"value": "1"}]}}}, "not a serialized"),
+    ],
+)
+def test_config_and_initial_data_refusals_name_the_field(fields, named):
+    with pytest.raises(ConfigError, match=named):
+        resolve_initial_data(ExperimentConfig(**fields).validated())
 
 
 def test_initial_data_mismatched_q_rejected():
@@ -214,7 +231,8 @@ def test_cli_verify_rejects_q_below_two(capsys):
 
 
 def test_cli_transforms_rejects_q_below_two(tmp_path, capsys):
-    _fails_closed(["transforms", "--q", "1", "--out", str(tmp_path)], "q", capsys)
+    _fails_closed(["transforms", "--q", "1", "--out", str(tmp_path / "t")], "q", capsys)
+    assert not (tmp_path / "t").exists()
 
 
 def test_cli_verify_rejects_non_integer_q_list(capsys):
@@ -377,3 +395,37 @@ def test_cli_equipartition_sums_each_energy_once(tmp_path, capsys, monkeypatch):
     assert main(["equipartition", "--q", "2", "--steps", "5", "--out", str(out)]) == 0
     capsys.readouterr()
     assert calls == {"kinetic_energy": 9, "_potential_pair": 9}
+
+
+def test_cli_propagate_exits_four_at_the_first_time_the_exact_routes_disagree(
+    tmp_path, capsys, monkeypatch
+):
+    solve = treewave.experiment.solve
+
+    def perturbed(f, g, n_range, solver, ball=None):
+        trajectory = solve(f, g, n_range, solver=solver, ball=ball)
+        if solver == "recurrence":
+            for n in (3, -2):
+                trajectory.snapshots[n] = trajectory.snapshots[n] + f
+        return trajectory
+
+    monkeypatch.setattr(treewave.experiment, "solve", perturbed)
+    out = tmp_path / "run"
+    assert main(["propagate", "--q", "2", "--steps", "3", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == "consistency error: closed and recurrence snapshots differ at n=-2\n"
+    assert not out.exists()
+    # one route alone has nothing to disagree with
+    assert main(["propagate", "--steps", "3", "--solver", "recurrence", "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("error", (ParameterError, DomainError, ModeError))
+def test_cli_maps_input_errors_to_exit_two(tmp_path, capsys, monkeypatch, error):
+    def refuse(*args):
+        raise error("field 'initial' holds no even sequence")
+
+    monkeypatch.setattr(treewave.cli, "write_transform_tables", refuse)
+    assert main(["transforms", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "input error: field 'initial' holds no even sequence\n"
+

@@ -18,7 +18,7 @@ from treewave.energy import (
     total_energy,
     total_energy_closed_form,
 )
-from treewave.errors import ConsistencyError
+from treewave.errors import ConsistencyError, ParameterError
 from treewave.functions import RadialProfile, TreeFunction
 from treewave.radial import propagator_kernels, radial_convolve, radial_solve
 from treewave.scalars import QSurd, ScalarMode, scalar_from_fraction, sqrt_q_power
@@ -414,3 +414,16 @@ def test_minus_operator_identities():
                 radial_convolve(c_n, s_n)
             ).scale(quarter)
             assert w_minus == -one_minus_c2(s_2n).scale(quarter)
+
+
+def test_energy_refusals_name_their_field():
+    trajectory = delta_trajectory(radius=2)
+    with pytest.raises(ParameterError, match="'leapfrog'"):
+        potential_energy(trajectory, 0, route="leapfrog")
+    with pytest.raises(ParameterError, match="shell margin"):
+        huygens_report(trajectory, 1, shell_margin=-1)
+    single = solve(TreeFunction.delta(2, EXACT), TreeFunction.zero(2, EXACT), (0, 1))
+    with pytest.raises(ParameterError, match="no interior times"):
+        total_energy(single)
+    with pytest.raises(ParameterError, match="q and scalar mode"):
+        total_energy_closed_form(TreeFunction.delta(2, EXACT), TreeFunction.zero(3, EXACT))

@@ -18,8 +18,10 @@ from treewave.scalars import QSurd, ScalarMode, sqrt_q_power
 from treewave.topology import Ball, VertexAddress, distance, sphere, sphere_volume
 from treewave.transforms import dual_abel_inverse
 from treewave.wave import (
+    WaveTrajectory,
     asgeirsson_field,
     asgeirsson_verify,
+    c_operator,
     m_operator,
     propagators,
     solve,
@@ -486,3 +488,71 @@ def test_float_mode_solvers_agree_closely():
         a, b = closed.snapshot(n), leapfrog.snapshot(n)
         for vertex in a.support() | b.support():
             assert a[vertex] == pytest.approx(b[vertex], abs=1e-12)
+
+
+# -- refusals ------------------------------------------------------------------
+
+
+# data that differ from the exact delta at q = 2 in q, then in scalar mode
+_OTHER_Q_OR_MODE = pytest.mark.parametrize(
+    "other",
+    (TreeFunction.delta(3, EXACT), TreeFunction.delta(2, ScalarMode.FLOAT64)),
+    ids=("q", "mode"),
+)
+
+
+@_OTHER_Q_OR_MODE
+def test_propagators_and_the_solver_refuse_data_of_another_q_or_mode(other):
+    f = TreeFunction.delta(2, EXACT)
+    with pytest.raises(ParameterError, match="q and scalar mode"):
+        propagators(1, f, other)
+    for solver in ("closed", "recurrence"):
+        with pytest.raises(ParameterError, match="q and scalar mode"):
+            solve(f, other, 2, solver=solver)
+
+
+@_OTHER_Q_OR_MODE
+def test_step_recurrence_refuses_snapshots_of_another_q_or_mode(other):
+    with pytest.raises(ParameterError, match="q and scalar mode"):
+        step_recurrence(TreeFunction.delta(2, EXACT), other)
+
+
+def test_solve_refuses_an_unknown_solver():
+    f = TreeFunction.delta(2, EXACT)
+    with pytest.raises(ParameterError, match="'magic'"):
+        solve(f, TreeFunction.zero(2, EXACT), 2, solver="magic")
+
+
+def test_trajectory_refuses_snapshots_that_break_an_invariant():
+    f, g = TreeFunction.delta(2, EXACT), TreeFunction.zero(2, EXACT)
+    snapshots = dict(solve(f, g, 2, solver="recurrence").snapshots)
+    with pytest.raises(ParameterError, match=r"snapshot\(0\)"):
+        WaveTrajectory(2, EXACT, f + f, g, snapshots)
+    with pytest.raises(ParameterError, match="centered initial velocity"):
+        WaveTrajectory(2, EXACT, f, f, snapshots)
+
+
+def test_snapshot_at_an_unsolved_time_names_it():
+    trajectory = solve(TreeFunction.delta(2, EXACT), TreeFunction.zero(2, EXACT), 2)
+    with pytest.raises(ParameterError, match="time 3 was not solved"):
+        trajectory.snapshot(3)
+
+
+def test_asgeirsson_field_refuses_heights_the_trajectory_does_not_cover():
+    trajectory = solve(TreeFunction.delta(2, EXACT), TreeFunction.zero(2, EXACT), 2)
+    with pytest.raises(TruncationError, match=r"\[-3, 3\].*covers -2\.\.2"):
+        asgeirsson_field(trajectory, Ball(2, 3))
+
+
+@pytest.mark.parametrize("mode", (EXACT, ScalarMode.FLOAT64), ids=("exact", "float64"))
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_c_one_subtracts_the_empty_m_minus_one(q, mode):
+    # C_1 f = (M_1 f - M_{-1} f) / 2 with M_{-1} f = 0: the same packed
+    # layout, denominator and parts as M_1 f / 2, float64 bit for bit
+    f, _ = random_data(q, 2, random.Random(q), mode)
+    half = QSurd(Fraction(1, 2), 0, q) if mode is EXACT else 0.5
+    expected = m_operator(1, f).scale(half)._as_levels()
+    for n in (-1, 1):
+        packed = c_operator(n, f)._as_levels()
+        assert type(packed) is type(expected) and packed.den == expected.den
+        assert repr(packed.parts) == repr(expected.parts)
