@@ -10,6 +10,7 @@ the bytes written to each CSV; exact routes that disagree raise
 serialized as fraction strings so downstream tooling never sees rounded
 conservation drift; all orderings are canonical, making outputs byte-stable
 for a fixed configuration and seed (wall time lives only in the manifest).
+Snapshot rows are read per orbit entry; a run builds each depth's labels once.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ import os
 import random
 import time
 from dataclasses import asdict, dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 from .energy import _operator_gap, gap_bound_constant, huygens_report, total_energy
 from .errors import ConfigError, ConsistencyError
 from .functions import RadialProfile, TreeFunction
 from .sampling import random_tree_function
-from .scalars import QSurd, Scalar, ScalarMode, ratio_text, surd_from_slots
-from .topology import Ball
+from .scalars import QSurd, Scalar, ScalarMode, ratio_text
+from .topology import Ball, VertexAddress
 from .transforms import abel, abel_inverse, dual_abel, dual_abel_inverse
 from .wave import WaveTrajectory, solve
 
@@ -71,9 +73,10 @@ class ExperimentConfig:
             raise ConfigError(f"field 'radius' must be an integer >= 0, got {self.radius!r}")
         if not _is_integer(self.seed):
             raise ConfigError(f"field 'seed' must be an integer, got {self.seed!r}")
-        if self.initial is not None and not isinstance(self.initial, dict):
+        initial = self.initial
+        if initial is not None and (not isinstance(initial, dict) or set(initial) - {"f", "g"}):
             raise ConfigError(
-                f"field 'initial' must be an object with keys 'f' and 'g', got {self.initial!r}"
+                f"field 'initial' must be an object with keys 'f' and 'g' only, got {initial!r}"
             )
         if self.schedule != "sqrt" and not (_is_integer(self.schedule) and self.schedule >= 0):
             raise ConfigError(
@@ -156,7 +159,7 @@ def _scalar_header(*names: str) -> list[str]:
     return [f"{name}_{part}" for name in names for part in ("a", "b", "float")]
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> str:
+def _write_csv(path: Path, header: list[str], rows) -> str:
     """Write one table and return the SHA-256 of the bytes written."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -174,22 +177,22 @@ def _output_dir(explicit: str | None) -> Path:
     return out_dir
 
 
-def _snapshot_rows(state: TreeFunction) -> list[list[str]]:
-    """The rows of ``_scalar_columns`` per stored value in canonical order,
-    read from the packed form; an exact (A, B) pair is formatted once,
-    however many vertices hold it."""
-    levels = state._as_levels()
-    if levels.mode is not ScalarMode.EXACT:
-        return [[label, *_scalar_columns(x)] for label, (x,) in levels.labelled()]
-    q, den = levels.q, levels.den
-    cells: dict[tuple[int, int], list[str]] = {}
-    rows = []
-    for label, pair in levels.labelled():
-        text = cells.get(pair)
-        if text is None:
-            text = cells[pair] = _scalar_columns(surd_from_slots(q, *pair, den))
-        rows.append([label, *text])
-    return rows
+def _snapshot_rows(state: TreeFunction, labels: list[list[str]]):
+    """The rows of the nonzero vertex values in canonical order, an iterator:
+    each stored entry's cells formatted once, paired with the labels of its
+    vertices.  ``labels[d]`` lists those of S(d) ("" at the origin, else the
+    label word joined by ","), shared by one run and built once per depth."""
+    q, runs = state.q, []
+    for d, lo, hi, value in state._as_levels().vertex_ranges():
+        while len(labels) <= d:
+            k = len(labels)
+            branches = [str(label) for label in range(q + 1 if k == 1 else q)]
+            if k > 1:
+                labels.append([f"{word},{label}" for word in labels[-1] for label in branches])
+            else:
+                labels.append(branches if k else [""])
+        runs.append(zip(labels[d][lo:hi], *map(repeat, _scalar_columns(value))))
+    return chain.from_iterable(runs)
 
 
 def _exact_first(cells: list[str]) -> list[str]:
@@ -277,15 +280,21 @@ def write_transform_tables(q: int, mode: str, initial: dict | None, out: str | N
 
 def _agreement(closed: WaveTrajectory, leapfrog: WaveTrajectory) -> str:
     """'exact' when the exact routes give equal snapshots (else a
-    ConsistencyError naming the first time at which they differ), the
-    largest float64 deviation otherwise."""
+    ConsistencyError naming the first time and vertex where they differ and
+    both values), the largest float64 deviation otherwise."""
     times = closed.n_values()
     if closed.mode is not ScalarMode.EXACT:
         worst = max((closed.snapshot(n) - leapfrog.snapshot(n)).max_abs() for n in times)
         return f"max abs deviation {worst:.3e}"
     for n in times:
-        if closed.snapshot(n) != leapfrog.snapshot(n):
-            raise ConsistencyError(f"closed and recurrence snapshots differ at n={n}")
+        u, v = closed.snapshot(n), leapfrog.snapshot(n)
+        if u != v:
+            label = next(_snapshot_rows(u - v, []))[0]
+            x = VertexAddress.parse(label, u.q)
+            raise ConsistencyError(
+                f"closed and recurrence snapshots differ at n={n}, first at vertex "
+                f"'{label}': closed {u[x]}, recurrence {v[x]}"
+            )
     return "exact"
 
 
@@ -308,9 +317,11 @@ def run_experiment(config: ExperimentConfig) -> Path:
     out_dir = _output_dir(config.out)
     files = {}
     header = ["vertex", "value_a", "value_b", "float"]
+    labels: list[list[str]] = []  # per depth, shared by the snapshots of this run
     for n in primary.n_values():
         name = f"snapshot_{n:+03d}.csv"
-        files[name] = _write_csv(out_dir / name, header, _snapshot_rows(primary.snapshot(n)))
+        rows = _snapshot_rows(primary.snapshot(n), labels)
+        files[name] = _write_csv(out_dir / name, header, rows)
     files["energy.csv"] = write_energy_table(primary, out_dir / "energy.csv")
     files["huygens.csv"] = write_huygens_table(primary, config, out_dir / "huygens.csv")
 

@@ -43,9 +43,9 @@ of an entry:
   the distance sums about a over Ball(R).  M_n of float64 data or of data
   with a tail scatters over the vertex rows.  Operands of different radii
   meet in the layout of the larger radius (``_one_layout``): widening
-  (``_widen``) expands only the rows between the two radii, and widening to
-  the top depth (``_full``) gives the vertex rows that reads listing
-  vertices need, and ``Levels.from_radial`` from a profile read at R = 0.
+  (``_widen``) expands only the rows between the two radii.  ``_full``
+  widens to the top depth for the scattered M_n, ``from_radial`` and reads
+  listing ``VertexAddress``es; CSV rows read entries once (``vertex_ranges``).
 - radial profiles (``RadialLevels``): the orbit layout of radius 0, stored
   flat: each part is one list indexed by radius, whose entry m stands for
   the |S(m)| = ``sphere_volume(q, m)`` vertices of that sphere, its weight.
@@ -659,19 +659,19 @@ class Levels(_Packed):
     def _adjacent_part(self, part: list) -> list:
         return _adjacent(part, self.q, self._orbit_radius, self.mode is EXACT)
 
-    def _words(self, root, extend):
-        """Per depth, the words of the vertices of S(d) in canonical order,
-        each depth's list built from the last by ``extend(word, label)``."""
-        q, words = self.q, [root]
+    def _words(self):
+        """Per depth, the label words of the vertices of S(d) in canonical
+        order, each depth's list built from the last."""
+        q, words = self.q, [()]
         for d in range(len(self.parts[0])):
             if d:
                 branches = range(q + 1 if d == 1 else q)
-                words = [extend(word, label) for word in words for label in branches]
+                words = [word + (label,) for word in words for label in branches]
             yield words
 
-    # reads that list every vertex go through the vertex rows (``_full``)
+    # reads that list every VertexAddress go through the vertex rows (``_full``)
     def _rows(self):
-        return zip(self._words((), lambda word, label: word + (label,)), zip(*self._full().parts))
+        return zip(self._words(), zip(*self._full().parts))
 
     def _key(self, words: list, j: int) -> VertexAddress:
         return VertexAddress(self.q, words[j])
@@ -692,15 +692,13 @@ class Levels(_Packed):
             total += (len(flags) - flags.count(0)) * self._weight(d)
         return total
 
-    def labelled(self):
-        """(label string, parts) of the nonzero vertex values in canonical
-        order: the parts are (A, B) over D for exact data, (x,) for float64.
-        No vertex or scalar is built."""
-        labels = self._words("", lambda word, label: f"{word},{label}" if word else str(label))
-        for words, level in zip(labels, zip(*self._full().parts)):
-            for j, values in enumerate(zip(*level)):
-                if any(values):
-                    yield words[j], values
+    def vertex_ranges(self):
+        """(d, lo, hi, value) of each nonzero stored entry in canonical order:
+        it stands for the vertices lo .. hi-1 of S(d).  Nothing is widened."""
+        for d, row in enumerate(zip(*self.parts)):
+            width = self._weight(d)
+            for j, value in self._unpacked(row):
+                yield d, j * width, (j + 1) * width, value
 
     def ball_mean(self, n: int) -> Levels:
         """M_n for n >= 1, in this layout.  Exact data with no tail, stored

@@ -118,6 +118,7 @@ def test_initial_data_from_serialized_function(tmp_path):
         ({"initial": {"f": "spike"}}, "'spike'"),
         ({"initial": {"f": TreeFunction.delta(2, ScalarMode.FLOAT64).to_json()}}, "float64 data"),
         ({"initial": {"g": {"q": 2, "entries": [{"value": "1"}]}}}, "not a serialized"),
+        ({"initial": {"f": "random", "G": "delta"}}, "keys 'f' and 'g' only, got .*'G'"),
     ],
 )
 def test_config_and_initial_data_refusals_name_the_field(fields, named):
@@ -413,11 +414,45 @@ def test_cli_propagate_exits_four_at_the_first_time_the_exact_routes_disagree(
     out = tmp_path / "run"
     assert main(["propagate", "--q", "2", "--steps", "3", "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    assert err == "consistency error: closed and recurrence snapshots differ at n=-2\n"
+    assert err == (
+        "consistency error: closed and recurrence snapshots differ at n=-2, "
+        "first at vertex '': closed -1/4, recurrence 3/4\n"
+    )
     assert not out.exists()
     # one route alone has nothing to disagree with
     assert main(["propagate", "--steps", "3", "--solver", "recurrence", "--out", str(out)]) == 0
     assert (out / "manifest.json").exists()
+
+
+def test_run_experiment_builds_each_depth_of_labels_once(tmp_path, monkeypatch):
+    """One run builds the label list of each depth once: every snapshot gets
+    the same per-depth lists, a list once built is never replaced, and a
+    vertex's label is one string object in all rows; nothing is left at
+    module level when the run returns."""
+    experiment = treewave.experiment
+    snapshot_rows, seen = experiment._snapshot_rows, []
+
+    def recorded(state, labels):
+        rows = list(snapshot_rows(state, labels))
+        seen.append((labels, list(labels), rows))
+        return rows
+
+    monkeypatch.setattr(experiment, "_snapshot_rows", recorded)
+    namespace = dict(vars(experiment))
+    initial = {"f": "random", "g": "random"}  # radius 1: snapshots reach depth 5
+    run_experiment(ExperimentConfig(q=2, steps=4, initial=initial, out=str(tmp_path)))
+    holder, built, _ = seen[-1]
+    assert len(seen) == 9 and len(built) == 6
+    for labels, depths, _ in seen:
+        assert labels is holder
+        assert all(a is b for a, b in zip(depths, built))
+    first = {}
+    for _, _, rows in seen:
+        for label, *_ in rows:
+            assert first.setdefault(label, label) is label
+    assert sum(len(rows) for _, _, rows in seen) > len(first)  # labels recur across snapshots
+    assert vars(experiment).keys() == namespace.keys()
+    assert all(vars(experiment)[name] is value for name, value in namespace.items())
 
 
 @pytest.mark.parametrize("error", (ParameterError, DomainError, ModeError))

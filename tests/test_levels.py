@@ -536,18 +536,36 @@ def test_layout_is_the_canonical_ball_order():
 @pytest.mark.parametrize("mode", (EXACT, FLOAT))
 @pytest.mark.parametrize("q", QS)
 def test_snapshot_rows_match_the_value_map_route(q, mode):
-    """The CSV rows formatted from the packed integers equal the rows of
-    ``_scalar_columns`` over the materialised values."""
+    """The CSV rows read per orbit entry equal the rows built vertex by
+    vertex from ``items()``, the label word joined by "," ("" at the
+    origin): data of radius 0-2 with zeros between nonzero values, their
+    closed and recurrence snapshots (with tails beyond the data radius), a
+    restart from a snapshot (data with a tail) and the zero function.  One
+    label list serves every state, as in one run."""
     rng = random.Random(f"levels:rows:{q}:{mode.value}")
-    if mode is EXACT:
-        f, g = surd_data(q, rng, radius=1), surd_data(q, rng, radius=1)
-    else:
-        f, g = float_data(q, rng), float_data(q, rng)
-    trajectory = solve(f, g, 3, solver="recurrence")
-    states = [f, fresh(g), TreeFunction.zero(q, mode), *trajectory.snapshots.values()]
+    steps = 2 if q == 9 else 3
+    states = [TreeFunction.zero(q, mode)]
+    for radius in range(3):
+        f, g = (surd_data(q, rng, radius, density=0.6) for _ in range(2))
+        if mode is FLOAT:
+            f, g = f.as_float64(), g.as_float64()
+        states += [f, fresh(g)]
+        for solver in ("closed", "recurrence"):
+            states += solve(f, g, steps, solver=solver).snapshots.values()
+    u = solve(f, g, 3, solver="recurrence").snapshots
+    half = scalar_from_fraction(Fraction(1, 2), q, mode)
+    restart = (u[2], (u[3] - u[1]).scale(half))
+    for solver in ("closed", "recurrence"):
+        states += solve(*restart, 1, solver=solver).snapshots.values()
+    levels = [state._as_levels() for state in states]
+    assert any(len(x.parts[0]) > x._orbit_radius + 1 for x in levels)  # entries of a tail
+    labels = []
     for state in states:
-        expected = [[str(vertex)] + _scalar_columns(value) for vertex, value in state.items()]
-        assert _snapshot_rows(state) == expected
+        expected = [
+            [",".join(map(str, vertex.labels)), *_scalar_columns(value)]
+            for vertex, value in state.items()
+        ]
+        assert list(map(list, _snapshot_rows(state, labels))) == expected
 
 
 @pytest.mark.parametrize("mode", (EXACT, FLOAT))
