@@ -7,8 +7,8 @@ verify.  The default output directory is taken from --out, then the
 TREEWAVE_OUT environment variable, then ./treewave-out.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input
-(command line, configuration field, --initial file or its data), 3 the
-truncation ball cannot hold the requested times, 4 two exact routes
+(command line, configuration field, --out path, --initial file or its data),
+3 the truncation ball cannot hold the requested times, 4 two exact routes
 disagreed (``propagate --solver both`` in exact mode, before any file is
 written).  Every error other than 1 is one line on stderr.
 """

@@ -31,7 +31,7 @@ from .errors import ConfigError, ConsistencyError
 from .functions import RadialProfile, TreeFunction
 from .sampling import random_tree_function
 from .scalars import QSurd, Scalar, ScalarMode, ratio_text
-from .topology import Ball, VertexAddress
+from .topology import Ball
 from .transforms import abel, abel_inverse, dual_abel, dual_abel_inverse
 from .wave import WaveTrajectory, solve
 
@@ -93,10 +93,10 @@ class ExperimentConfig:
 
 def _parsed(kind, blob):
     """``kind.from_json(blob)`` for serialized ``--initial`` data, a blob it
-    cannot read a ConfigError naming the field."""
+    cannot read (a zero denominator too) a ConfigError naming the field."""
     try:
         return kind.from_json(blob)
-    except (KeyError, TypeError, ValueError) as error:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as error:
         raise ConfigError(
             f"field 'initial' is not a serialized {kind.__name__}: {error!r}"
         ) from None
@@ -171,9 +171,13 @@ def _write_csv(path: Path, header: list[str], rows) -> str:
 
 
 def _output_dir(explicit: str | None) -> Path:
-    """--out, then TREEWAVE_OUT, then ./treewave-out; created if missing."""
+    """--out, then TREEWAVE_OUT, then ./treewave-out; created if missing.  A
+    file, or a path below one, is a ConfigError naming the field."""
     out_dir = Path(explicit or os.environ.get("TREEWAVE_OUT") or "treewave-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as error:
+        raise ConfigError(f"field 'out': cannot create directory {out_dir}: {error}") from None
     return out_dir
 
 
@@ -182,8 +186,8 @@ def _snapshot_rows(state: TreeFunction, labels: list[list[str]]):
     each stored entry's cells formatted once, paired with the labels of its
     vertices.  ``labels[d]`` lists those of S(d) ("" at the origin, else the
     label word joined by ","), shared by one run and built once per depth."""
-    q, runs = state.q, []
-    for d, lo, hi, value in state._as_levels().vertex_ranges():
+    q, levels, runs = state.q, state._as_levels(), []
+    for d, lo, hi, slots in levels.ranges():
         while len(labels) <= d:
             k = len(labels)
             branches = [str(label) for label in range(q + 1 if k == 1 else q)]
@@ -191,7 +195,7 @@ def _snapshot_rows(state: TreeFunction, labels: list[list[str]]):
                 labels.append([f"{word},{label}" for word in labels[-1] for label in branches])
             else:
                 labels.append(branches if k else [""])
-        runs.append(zip(labels[d][lo:hi], *map(repeat, _scalar_columns(value))))
+        runs.append(zip(labels[d][lo:hi], *map(repeat, _scalar_columns(levels._value(slots)))))
     return chain.from_iterable(runs)
 
 
@@ -289,11 +293,10 @@ def _agreement(closed: WaveTrajectory, leapfrog: WaveTrajectory) -> str:
     for n in times:
         u, v = closed.snapshot(n), leapfrog.snapshot(n)
         if u != v:
-            label = next(_snapshot_rows(u - v, []))[0]
-            x = VertexAddress.parse(label, u.q)
+            x = next(iter((u - v).value_map()))  # in canonical order
             raise ConsistencyError(
                 f"closed and recurrence snapshots differ at n={n}, first at vertex "
-                f"'{label}': closed {u[x]}, recurrence {v[x]}"
+                f"'{x}': closed {u[x]}, recurrence {v[x]}"
             )
     return "exact"
 

@@ -12,8 +12,8 @@ perfect square, sqrt(q) is folded into A and every B is 0, as in ``QSurd``.
 float64 data are one part list of floats with D = 1.
 
 The *layout* decides only the storage shape of a part, the neighbour sum of
-one part, the ball mean M_n, the distance-2 pair enumeration and the weight
-of an entry:
+one part, the ball mean M_n, the distance-2 pair enumeration, the weight of
+an entry and the keys it stands for (``_keys``):
 
 - vertex data: the orbit layout of radius R (``Levels``, one class per R
   from ``orbit_layout``).  Depths d <= R list the vertices of the sphere
@@ -44,11 +44,11 @@ of an entry:
   with a tail scatters over the vertex rows.  Operands of different radii
   meet in the layout of the larger radius (``_one_layout``): widening
   (``_widen``) expands only the rows between the two radii.  ``_full``
-  widens to the top depth for the scattered M_n, ``from_radial`` and reads
-  listing ``VertexAddress``es; CSV rows read entries once (``vertex_ranges``).
+  widens to the top depth only for the scattered M_n and ``from_radial``.
 - radial profiles (``RadialLevels``): the orbit layout of radius 0, stored
   flat: each part is one list indexed by radius, whose entry m stands for
-  the |S(m)| = ``sphere_volume(q, m)`` vertices of that sphere, its weight.
+  the |S(m)| = ``sphere_volume(q, m)`` vertices of that sphere, its weight
+  in the sums (as a key it is the one radius m).
   One list per part, not one row per depth, keeps a step, a sum or an
   energy of the long radial runs several times cheaper.  A linear
   combination is one ``map`` per part and a weighted sum one term per
@@ -60,6 +60,9 @@ of an entry:
 - height sequences (``HeightLevels``): depth |h| holds s(h), and at depth
   d >= 1 also s(-d) after s(d).
 
+Every read that lists a function (keys, values, support size, CSV rows)
+takes each stored nonzero entry once (``ranges``): the entry stands for an
+index range of keys, and they share its one scalar.  Nothing is widened.
 Kinetic energy, mass, the pair-sum potential, the counting inner product,
 the three Huygens interior sums, the linear combinations, the leapfrog
 step and the tree and two-step Laplacians are written once over these two
@@ -73,12 +76,12 @@ of S(R) at each further depth, not with the support.
 from __future__ import annotations
 
 from functools import cache, reduce, wraps
-from itertools import chain, repeat
+from itertools import chain, compress, product, repeat
 from math import fsum, gcd, lcm
 from operator import add, floordiv, itemgetter, mul, or_, sub
 
-from .scalars import QSurd, Scalar, ScalarMode, _square_root_if_perfect, sqrt_q_power
-from .scalars import surd_from_slots, surd_sign
+from .scalars import Scalar, ScalarMode, _square_root_if_perfect, sqrt_q_power
+from .scalars import scalar_zero, surd_from_slots, surd_sign
 from .topology import VertexAddress, sphere_volume
 
 EXACT = ScalarMode.EXACT
@@ -273,8 +276,7 @@ class _Packed:
     _part = staticmethod(lambda rows: rows)  # a part from the rows ``_pack`` filled
 
     def _rows(self):
-        """(label, row) pairs, a row holding the parts' lists of one depth,
-        labelled by the depth (by its label words in the vertex layout)."""
+        """(d, row) pairs, a row holding the parts' lists of one depth d."""
         return enumerate(zip(*self.parts))
 
     @classmethod
@@ -329,49 +331,52 @@ class _Packed:
         q = self.q
         return surd_from_slots(q, total[0] + q * total[1], total[2], scale)
 
-    def _unpacked(self, row: tuple):
-        """(index, scalar) of the nonzero entries of one row (its parts)."""
+    def _value(self, slots) -> Scalar:
+        """The scalar of one entry's stored values, one per part."""
         if self.mode is not EXACT:
-            return ((j, x) for j, x in enumerate(row[0]) if x)
-        q, den = self.q, self.den
-        return ((j, surd_from_slots(q, x, y, den)) for j, (x, y) in enumerate(zip(*row)) if x or y)
+            return slots[0] or 0.0
+        return surd_from_slots(self.q, *slots, self.den)
 
     def value_at(self, key) -> Scalar:
         """The value at key, read from its one slot (``_slot``); a key of the
         wrong type or q, or beyond the stored depths, reads as zero."""
         slot = self._slot(key)
-        if self.mode is not EXACT:
-            return (slot[0] or 0.0) if slot else 0.0
-        return surd_from_slots(self.q, *slot, self.den) if slot else QSurd.zero(self.q)
+        return self._value(slot) if slot else scalar_zero(self.q, self.mode)
+
+    def ranges(self):
+        """(d, lo, hi, slots) of each nonzero stored entry in storage order:
+        it stands for the keys lo .. hi-1 of depth d (``_keys``), its width
+        ``_weight(d)``, and ``slots`` holds its value in each part (a scalar
+        through ``_value``).  This is the one read that lists a function;
+        nothing is widened."""
+        exact = self.mode is EXACT
+        for d, row in self._rows():
+            width = self._weight(d)
+            nonzero = map(or_, *row) if exact else row[0]
+            for j, slots in compress(enumerate(zip(*row)), nonzero):
+                yield d, j * width, (j + 1) * width, slots
 
     def keys(self) -> list:
-        """The keys of the nonzero stored entries, in storage order."""
-        key = self._key
-        return [
-            key(d, j)
-            for d, row in self._rows()
-            for j, values in enumerate(zip(*row))
-            if any(values)
-        ]
+        """The keys of the nonzero values, in storage order."""
+        return [key for d, lo, hi, _ in self.ranges() for key in self._keys(d, lo, hi)]
 
     def values(self) -> dict:
-        """The nonzero values as key -> scalar, in storage order."""
-        key = self._key
-        return {key(d, j): value for d, row in self._rows() for j, value in self._unpacked(row)}
+        """The nonzero values as key -> scalar, in storage order; the keys of
+        one entry share one scalar."""
+        values = {}
+        for d, lo, hi, slots in self.ranges():
+            values.update(zip(self._keys(d, lo, hi), repeat(self._value(slots))))
+        return values
+
+    def support_size(self) -> int:
+        """Number of keys with a nonzero value."""
+        return sum(hi - lo for _, lo, hi, _ in self.ranges())
 
     @_one_layout
     def same_as(self, other: _Packed) -> bool:
         """Equal values, read from the canonical (D, parts) of two packed
         functions of one layout, q and mode."""
         return self.den == other.den and self.parts == other.parts
-
-    def support_size(self) -> int:
-        """Number of nonzero stored entries."""
-        if self.mode is not EXACT:
-            flags = list(self._entries(self.parts[0]))
-        else:
-            flags = list(map(or_, *map(self._entries, self.parts)))
-        return len(flags) - flags.count(0)
 
     def max_abs(self) -> Scalar:
         """The largest |value|: one pass over a float64 part; exact entries
@@ -423,8 +428,12 @@ class _Packed:
 
     # -- layout -------------------------------------------------------------------
 
-    def _key(self, label, j: int):
-        """The key of entry j of the row that ``_rows`` gives this label."""
+    def _weight(self, d: int) -> int:
+        """The number of keys an entry of depth d stands for."""
+        return 1
+
+    def _keys(self, d: int, lo: int, hi: int) -> list:
+        """The keys lo .. hi-1 of depth d, in storage order."""
         raise NotImplementedError
 
     def _slot(self, key) -> list | None:
@@ -581,8 +590,9 @@ class Levels(_Packed):
         return orbit_layout(0)(profile.q, profile.mode, profile.den, rows)._full()
 
     def _weight(self, d: int) -> int:
-        """The number of vertices an entry of depth d stands for: 1 up to R,
-        and beyond it |S(d)|/|S(R)|, the descendants of a vertex of S(R)."""
+        """The number of vertices (keys) an entry of depth d stands for: 1 up
+        to R, and beyond it |S(d)|/|S(R)|, the descendants of a vertex of
+        S(R)."""
         q, orbit = self.q, self._orbit_radius
         return 1 if d <= orbit else sphere_volume(q, d) // sphere_volume(q, orbit)
 
@@ -659,22 +669,24 @@ class Levels(_Packed):
     def _adjacent_part(self, part: list) -> list:
         return _adjacent(part, self.q, self._orbit_radius, self.mode is EXACT)
 
-    def _words(self):
-        """Per depth, the label words of the vertices of S(d) in canonical
-        order, each depth's list built from the last."""
-        q, words = self.q, [()]
-        for d in range(len(self.parts[0])):
-            if d:
-                branches = range(q + 1 if d == 1 else q)
-                words = [word + (label,) for word in words for label in branches]
-            yield words
-
-    # reads that list every VertexAddress go through the vertex rows (``_full``)
-    def _rows(self):
-        return zip(self._words(), zip(*self._full().parts))
-
-    def _key(self, words: list, j: int) -> VertexAddress:
-        return VertexAddress(self.q, words[j])
+    def _keys(self, d: int, lo: int, hi: int) -> list:
+        """The vertices lo .. hi-1 of S(d) in canonical order, for bounds that
+        are multiples of ``_weight(d)``: per vertex a of S(e), e = min(d, R),
+        the label word of a (from its index by ``divmod``) followed by each
+        of the ``_weight(d)`` tails below a, built once per call."""
+        q, e = self.q, min(d, self._orbit_radius)
+        tails = list(product(*[range(q + 1 if k == 1 else q) for k in range(e + 1, d + 1)]))
+        keys = []
+        for a in range(lo // len(tails), hi // len(tails)):
+            word = []
+            for _ in range(e - 1):
+                a, label = divmod(a, q)
+                word.append(label)
+            if e:
+                word.append(a)
+            head = tuple(reversed(word))
+            keys += [VertexAddress(q, head + tail) for tail in tails]
+        return keys
 
     def _slot(self, key) -> list | None:
         # a vertex beyond R reads the entry of its ancestor in S(R)
@@ -682,23 +694,6 @@ class Levels(_Packed):
             j = _vertex_index(key.labels[: self._orbit_radius], self.q)
             return [part[key.depth][j] for part in self.parts]
         return None
-
-    def support_size(self) -> int:
-        """Number of vertices with a nonzero value: the entries counted with
-        their weights."""
-        total = 0
-        for d, row in enumerate(zip(*self.parts)):
-            flags = row[0] if self.mode is not EXACT else list(map(or_, *row))
-            total += (len(flags) - flags.count(0)) * self._weight(d)
-        return total
-
-    def vertex_ranges(self):
-        """(d, lo, hi, value) of each nonzero stored entry in canonical order:
-        it stands for the vertices lo .. hi-1 of S(d).  Nothing is widened."""
-        for d, row in enumerate(zip(*self.parts)):
-            width = self._weight(d)
-            for j, value in self._unpacked(row):
-                yield d, j * width, (j + 1) * width, value
 
     def ball_mean(self, n: int) -> Levels:
         """M_n for n >= 1, in this layout.  Exact data with no tail, stored
@@ -777,8 +772,8 @@ class RadialLevels(_Packed):
     def _rows(self):
         return [(0, self.parts)]
 
-    def _key(self, d: int, j: int) -> int:
-        return j
+    def _keys(self, d: int, lo: int, hi: int) -> range:
+        return range(lo, hi)
 
     def _slot(self, key) -> list | None:
         if isinstance(key, int) and 0 <= key < len(self.parts[0]):
@@ -876,8 +871,8 @@ class HeightLevels(_Packed):
         entries = ((abs(h), int(h < 0), value) for h, value in values.items())
         return cls._pack(q, mode, [2 if d else 1 for d in range(radius + 1)], entries)
 
-    def _key(self, d: int, j: int) -> int:
-        return -d if j else d
+    def _keys(self, d: int, lo: int, hi: int) -> list:
+        return [-d if j else d for j in range(lo, hi)]
 
     def _slot(self, key) -> list | None:
         if isinstance(key, int) and abs(key) < len(self.parts[0]):

@@ -110,6 +110,9 @@ def test_initial_data_from_serialized_function(tmp_path):
     assert not resolved_g
 
 
+ZERO_DENOMINATOR = {"a": "1/0", "b": "0"}
+
+
 @pytest.mark.parametrize(
     "fields, named",
     [
@@ -119,6 +122,10 @@ def test_initial_data_from_serialized_function(tmp_path):
         ({"initial": {"f": TreeFunction.delta(2, ScalarMode.FLOAT64).to_json()}}, "float64 data"),
         ({"initial": {"g": {"q": 2, "entries": [{"value": "1"}]}}}, "not a serialized"),
         ({"initial": {"f": "random", "G": "delta"}}, "keys 'f' and 'g' only, got .*'G'"),
+        (
+            {"initial": {"f": {"q": 2, "entries": [{"vertex": "", "value": ZERO_DENOMINATOR}]}}},
+            "not a serialized TreeFunction: ZeroDivisionError",
+        ),
     ],
 )
 def test_config_and_initial_data_refusals_name_the_field(fields, named):
@@ -281,6 +288,53 @@ def test_verify_negative_control_at_q_six_stays_within_the_limit():
     assert Ball(6, verify._LARGEST_BALL).vertex_count() <= verify._MAX_VERTICES
     report, passed = run_verification((6,), 0, "standard", negative_control=True)
     assert not passed and "FAIL energy conservation" in report
+
+
+def test_cli_transforms_refuses_a_zero_denominator(tmp_path, capsys):
+    profile = {"q": 2, "entries": [{"n": 0, "value": "1/0"}]}
+    initial = _write_json(tmp_path / "profile.json", profile)
+    argv = ["transforms", "--initial", initial, "--out", str(tmp_path / "t")]
+    _fails_closed(argv, "initial", capsys)
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize(
+    "command", ("propagate", "energy", "equipartition", "huygens", "transforms")
+)
+def test_cli_refuses_an_output_directory_that_is_a_file(tmp_path, capsys, monkeypatch, command):
+    # --out naming a file, a path below a file, and TREEWAVE_OUT naming a file
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n", encoding="utf-8")
+    steps = [] if command == "transforms" else ["--steps", "2"]
+    for out in (blocker, blocker / "below"):
+        _fails_closed([command, *steps, "--out", str(out)], "out", capsys)
+    monkeypatch.setenv("TREEWAVE_OUT", str(blocker))
+    _fails_closed([command, *steps], "out", capsys)
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_cli_propagate_names_the_first_differing_vertex_by_its_label(
+    tmp_path, capsys, monkeypatch
+):
+    # the first vertex in canonical order: depth first, so "2,1" before "0,1,1"
+    solve = treewave.experiment.solve
+    bumps = [
+        TreeFunction.delta(2, ScalarMode.EXACT, VertexAddress(2, word))
+        for word in ((0, 1, 1), (2, 1))
+    ]
+
+    def perturbed(f, g, n_range, solver, ball=None):
+        trajectory = solve(f, g, n_range, solver=solver, ball=ball)
+        if solver == "recurrence":
+            trajectory.snapshots[2] = trajectory.snapshots[2] + bumps[0] + bumps[1]
+        return trajectory
+
+    monkeypatch.setattr(treewave.experiment, "solve", perturbed)
+    assert main(["propagate", "--q", "2", "--steps", "3", "--out", str(tmp_path / "run")]) == 4
+    assert capsys.readouterr().err == (
+        "consistency error: closed and recurrence snapshots differ at n=2, "
+        "first at vertex '2,1': closed 1/4, recurrence 5/4\n"
+    )
 
 
 def test_cli_missing_initial_file(tmp_path, capsys):

@@ -10,12 +10,15 @@ vertex branch, ``propagators`` with every M_n scattered over the vertex
 rows (``_scatter_mean``, which is also compared with the parity sums
 directly) and the kernel sums of ``evaluate_kernel_solution`` at single
 vertices.  Every read of a snapshot (slots, support, serialization,
-hashing, energies) is compared with the same read of its vertex rows.
+hashing, energies) is compared with the same read of its vertex rows, and
+the listing reads of all three layouts, which take each stored entry once,
+with a read of every position of the widened rows.
 Exact data are irrational with mixed denominators; float64 snapshots are
 compared bit for bit.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,13 +33,15 @@ from treewave.energy import (
     total_energy,
     total_energy_closed_form,
 )
-from treewave.functions import TreeFunction
+from treewave.experiment import _snapshot_rows
+from treewave.functions import HeightSequence, RadialProfile, TreeFunction
 from treewave.laplacians import two_step_laplacian
-from treewave.levels import Levels, orbit_layout
-from treewave.radial import evaluate_kernel_solution, propagator_kernels
+from treewave.levels import Levels, RadialLevels, _vertex_index, orbit_layout
+from treewave.radial import evaluate_kernel_solution, propagator_kernels, radial_solve
 from treewave.sampling import random_data_pair
 from treewave.scalars import QSurd, ScalarMode, scalar_from_fraction, sqrt_q_power
 from treewave.topology import Ball, VertexAddress, sphere_volume
+from treewave.transforms import abel
 from treewave.wave import (
     WaveTrajectory,
     _leapfrog,
@@ -464,3 +469,138 @@ def test_a_restart_keeps_the_radius_of_its_data(k):
     for m in (-1, 0, 1):
         assert radius_of(restart.snapshot(m)) == 3
         assert restart.snapshot(m) == u.snapshot(k + m)
+
+
+# -- the listing read ----------------------------------------------------------------
+
+
+def widened_read(levels):
+    """key -> scalar of the nonzero values of a packed function, read
+    position by position: from the vertex rows (``_full``) of vertex data,
+    whose positions are those of ``Ball.vertices()``; from the radius of a
+    profile entry; from the height d or -d of a sequence entry.  Exact
+    values are built from ``Fraction``s."""
+    q, den, parts = levels.q, levels.den, levels.parts
+    if isinstance(levels, Levels):
+        rows = levels._full().parts
+        seen = Counter()
+        positions = []
+        for vertex in Ball(q, len(rows[0]) - 1) if rows[0] else ():
+            positions.append((vertex, vertex.depth, seen[vertex.depth]))
+            seen[vertex.depth] += 1
+        slots = [(key, [part[d][j] for part in rows]) for key, d, j in positions]
+    elif isinstance(levels, RadialLevels):
+        slots = [(m, [part[m] for part in parts]) for m in range(len(parts[0]))]
+    else:
+        slots = [
+            (-d if j else d, [part[d][j] for part in parts])
+            for d in range(len(parts[0]))
+            for j in range(len(parts[0][d]))
+        ]
+    if levels.mode is not EXACT:
+        return {key: x for key, (x,) in slots if x}
+    return {
+        key: QSurd(Fraction(a, den), Fraction(b, den), q) for key, (a, b) in slots if a or b
+    }
+
+
+def listed_functions(q, mode):
+    """Packed functions of the three layouts: snapshots of delta data (orbit
+    radius 0) and of data on Ball(1) by both routes, with tails; the
+    snapshots of a restart from u(2); a radial profile with its leapfrog
+    snapshots; a height sequence and the Abel transform of the profile."""
+    rng = random.Random(f"orbit:listing:{q}:{mode.value}")
+    steps = 2 if q == 9 else 3
+    functions = []
+    for f, g in (
+        (TreeFunction.delta(q, mode), TreeFunction.zero(q, mode)),
+        (data_on_ball(q, 1, rng, mode), data_on_ball(q, 1, rng, mode)),
+    ):
+        for solver in ("closed", "recurrence"):
+            functions += solve(f, g, steps, solver=solver).snapshots.values()
+    u = solve(f, g, 3, solver="recurrence").snapshots
+    half = scalar_from_fraction(Fraction(1, 2), q, mode)
+    restart = (u[2], (u[3] - u[1]).scale(half))
+    for solver in ("closed", "recurrence"):
+        functions += solve(*restart, 1, solver=solver).snapshots.values()
+    values = [QSurd(Fraction(rng.randint(-5, 5), 3), rng.choice((0, 1, -2)), q) for _ in range(5)]
+    if mode is not EXACT:
+        values = [value.to_float() for value in values]
+    profile = RadialProfile(q, mode, list(enumerate(values)))
+    functions += [profile, *radial_solve(profile, profile, steps, "recurrence").snapshots.values()]
+    functions += [HeightSequence(q, mode, zip((0, 2, -2, -3, 1), values)), abel(profile)]
+    return functions
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+def test_listing_reads_equal_the_widened_read(q, mode):
+    """keys, values, items and support size read per stored entry equal the
+    read of every position of the widened rows; the keys of one entry share
+    one scalar, and an exact ``values()`` builds one scalar per entry."""
+    functions = listed_functions(q, mode)
+    tails = [x._as_levels() for x in functions if isinstance(x, TreeFunction)]
+    assert any(len(x.parts[0]) > x._orbit_radius + 1 for x in tails)
+    for function in functions:
+        kind, x = type(function), function._as_levels()
+        expected = widened_read(x)
+        values = x.values()
+        assert x.keys() == list(expected)
+        assert list(values.items()) == list(expected.items())
+        assert x.support_size() == len(expected)
+        order = VertexAddress.sort_key if kind is TreeFunction else None
+        items = sorted(expected.items(), key=lambda item: order(item[0]) if order else item[0])
+        assert kind._from_levels(x).items() == items
+        # one scalar per nonzero stored entry, shared by the keys it stands for
+        stored = sum(map(any, zip(*map(x._entries, x.parts))))
+        if isinstance(x, Levels):
+            radius, entries = x._orbit_radius, {}
+            for key, value in values.items():
+                entry = (key.depth, _vertex_index(key.labels[:radius], q))
+                assert entries.setdefault(entry, value) is value
+            assert len(entries) == stored
+        if mode is EXACT:
+            assert len({id(value) for value in values.values()}) == stored
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+def test_keys_of_each_depth_list_the_sphere_in_ball_order(q):
+    top = 2 if q == 9 else 4
+    for radius in (0, 1, 2):
+        layout = orbit_layout(radius)(q, EXACT, 1, [[], []])
+        listed = [layout._keys(d, 0, sphere_volume(q, d)) for d in range(top + 1)]
+        assert [x for keys in listed for x in keys] == list(Ball(q, top))
+        for d, keys in enumerate(listed):
+            assert [_vertex_index(x.labels, q) for x in keys] == list(range(len(keys)))
+            width = layout._weight(d)
+            for j in range(0, len(keys), width):
+                assert layout._keys(d, j, j + width) == keys[j : j + width]
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_listing_reads_never_widen(monkeypatch, mode):
+    """keys, values, support size, items, JSON and CSV rows of orbit
+    snapshots with tails read the stored entries; ``_widen`` is never
+    called."""
+    rng = random.Random(f"orbit:no-widen:{mode.value}")
+    f, g = data_on_ball(3, 1, rng, mode), data_on_ball(3, 1, rng, mode)
+    levels = [
+        state._as_levels()
+        for solver in ("closed", "recurrence")
+        for state in solve(f, g, 4, solver=solver).snapshots.values()
+    ]
+    assert any(len(x.parts[0]) > x._orbit_radius + 1 for x in levels)
+    widened, widen = [], Levels._widen
+
+    def recorded(self, radius):
+        widened.append(radius)
+        return widen(self, radius)
+
+    monkeypatch.setattr(Levels, "_widen", recorded)
+    labels = []
+    for x in levels:
+        x.keys(), x.values(), x.support_size()
+        state = TreeFunction._from_levels(x)
+        state.items(), state.to_json(), len(state.value_map())
+        list(_snapshot_rows(TreeFunction._from_levels(x), labels))
+    assert widened == []
