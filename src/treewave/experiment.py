@@ -10,7 +10,10 @@ the bytes written to each CSV; exact routes that disagree raise
 serialized as fraction strings so downstream tooling never sees rounded
 conservation drift; all orderings are canonical, making outputs byte-stable
 for a fixed configuration and seed (wall time lives only in the manifest).
-Snapshot rows are read per orbit entry; a run builds each depth's labels once.
+A snapshot CSV is joined per orbit entry: the entry's cells are formatted
+once and joined with the labels of its vertices, whose cells a run quotes
+once per depth as ``csv.writer`` would; the other tables go through
+``csv.writer``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import os
 import random
 import time
 from dataclasses import asdict, dataclass
-from itertools import chain, repeat
 from pathlib import Path
 
 from .energy import _operator_gap, gap_bound_constant, huygens_report, total_energy
@@ -159,13 +161,17 @@ def _scalar_header(*names: str) -> list[str]:
     return [f"{name}_{part}" for name in names for part in ("a", "b", "float")]
 
 
-def _write_csv(path: Path, header: list[str], rows) -> str:
-    """Write one table and return the SHA-256 of the bytes written."""
+def _csv_text(rows) -> str:
+    """The CSV text of rows of cells, as ``csv.writer`` quotes them."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    data = buffer.getvalue().encode("utf-8")
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def _write_csv(path: Path, header: list[str], body: str) -> str:
+    """Write one table, its header row and then the CSV text ``body``, and
+    return the SHA-256 of the bytes written."""
+    data = (_csv_text([header]) + body).encode("utf-8")
     path.write_bytes(data)
     return hashlib.sha256(data).hexdigest()
 
@@ -181,22 +187,29 @@ def _output_dir(explicit: str | None) -> Path:
     return out_dir
 
 
-def _snapshot_rows(state: TreeFunction, labels: list[list[str]]):
-    """The rows of the nonzero vertex values in canonical order, an iterator:
-    each stored entry's cells formatted once, paired with the labels of its
-    vertices.  ``labels[d]`` lists those of S(d) ("" at the origin, else the
-    label word joined by ","), shared by one run and built once per depth."""
-    q, levels, runs = state.q, state._as_levels(), []
-    for d, lo, hi, slots in levels.ranges():
+def _snapshot_rows(state: TreeFunction, labels: list[list[str]]) -> str:
+    """The CSV text of the rows of the nonzero vertex values in canonical
+    order.  Each stored entry's cells are formatted once, as the tail
+    ",a,b,float" and line end of its rows, and joined with the labels of its
+    vertices (``Levels._listing``).  ``labels[d]`` lists the label cells of
+    S(d), quoted as ``csv.writer`` quotes them: the origin's "" stays bare,
+    and a word of two or more labels, joined by ",", goes in quotes.  One
+    run shares them and builds each depth once, from the previous depth."""
+    q, levels, text = state.q, state._as_levels(), []
+    for d, js, slots in levels._listing():
         while len(labels) <= d:
             k = len(labels)
             branches = [str(label) for label in range(q + 1 if k == 1 else q)]
             if k > 1:
-                labels.append([f"{word},{label}" for word in labels[-1] for label in branches])
+                words = [word.strip('"') for word in labels[-1]]
+                labels.append([f'"{word},{label}"' for word in words for label in branches])
             else:
                 labels.append(branches if k else [""])
-        runs.append(zip(labels[d][lo:hi], *map(repeat, _scalar_columns(levels._value(slots)))))
-    return chain.from_iterable(runs)
+        cells, width = labels[d], levels._weight(d)
+        for j, entry in zip(js, slots):
+            tail = ",{},{},{}\n".format(*_scalar_columns(levels._value(entry)))
+            text += (tail.join(cells[j * width : (j + 1) * width]), tail)
+    return "".join(text)
 
 
 def _exact_first(cells: list[str]) -> list[str]:
@@ -210,7 +223,8 @@ def write_energy_table(trajectory: WaveTrajectory, path: Path) -> str:
         [str(r.n), *_exact_first(_scalar_columns(r.kinetic, r.potential, r.total, r.gap))]
         for r in reports
     ]
-    return _write_csv(path, ["n", *_exact_first(_scalar_header("K", "P", "E", "gap"))], rows)
+    header = ["n", *_exact_first(_scalar_header("K", "P", "E", "gap"))]
+    return _write_csv(path, header, _csv_text(rows))
 
 
 def write_huygens_table(trajectory: WaveTrajectory, config: ExperimentConfig, path: Path) -> str:
@@ -220,7 +234,8 @@ def write_huygens_table(trajectory: WaveTrajectory, config: ExperimentConfig, pa
         report = huygens_report(trajectory, n, margin)
         sums = (report.interior_mass, report.interior_gradient, report.interior_kinetic)
         rows.append([str(n), str(report.shell_margin), *_scalar_columns(*sums)])
-    return _write_csv(path, ["n", "margin", *_scalar_header("mass", "gradient", "kinetic")], rows)
+    header = ["n", "margin", *_scalar_header("mass", "gradient", "kinetic")]
+    return _write_csv(path, header, _csv_text(rows))
 
 
 def write_equipartition_table(trajectory: WaveTrajectory, path: Path) -> str:
@@ -234,7 +249,8 @@ def write_equipartition_table(trajectory: WaveTrajectory, path: Path) -> str:
         if abs(report.n) <= _OPERATOR_LIMIT:
             operator_columns = _scalar_columns(_operator_gap(trajectory, report.n))
         rows.append([str(report.n), *_scalar_columns(report.gap), *operator_columns, *bound])
-    return _write_csv(path, ["n", *_scalar_header("gap", "gap_operator", "bound")], rows)
+    header = ["n", *_scalar_header("gap", "gap_operator", "bound")]
+    return _write_csv(path, header, _csv_text(rows))
 
 
 def write_table(name: str, config: ExperimentConfig) -> Path:
@@ -278,7 +294,7 @@ def write_transform_tables(q: int, mode: str, initial: dict | None, out: str | N
     for name, index, entries in tables:
         header = [index, "exact_value_a", "exact_value_b", "float_value"]
         rows = [[str(key), *_scalar_columns(value)] for key, value in entries]
-        _write_csv(out_dir / f"{name}.csv", header, rows)
+        _write_csv(out_dir / f"{name}.csv", header, _csv_text(rows))
     return out_dir
 
 
@@ -320,11 +336,11 @@ def run_experiment(config: ExperimentConfig) -> Path:
     out_dir = _output_dir(config.out)
     files = {}
     header = ["vertex", "value_a", "value_b", "float"]
-    labels: list[list[str]] = []  # per depth, shared by the snapshots of this run
+    labels: list[list[str]] = []  # quoted label cells per depth, shared by this run
     for n in primary.n_values():
         name = f"snapshot_{n:+03d}.csv"
-        rows = _snapshot_rows(primary.snapshot(n), labels)
-        files[name] = _write_csv(out_dir / name, header, rows)
+        body = _snapshot_rows(primary.snapshot(n), labels)
+        files[name] = _write_csv(out_dir / name, header, body)
     files["energy.csv"] = write_energy_table(primary, out_dir / "energy.csv")
     files["huygens.csv"] = write_huygens_table(primary, config, out_dir / "huygens.csv")
 

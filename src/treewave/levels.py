@@ -13,7 +13,7 @@ float64 data are one part list of floats with D = 1.
 
 The *layout* decides only the storage shape of a part, the neighbour sum of
 one part, the ball mean M_n, the distance-2 pair enumeration, the weight of
-an entry and the keys it stands for (``_keys``):
+an entry and the keys it stands for (``_key_rows``):
 
 - vertex data: the orbit layout of radius R (``Levels``, one class per R
   from ``orbit_layout``).  Depths d <= R list the vertices of the sphere
@@ -40,11 +40,13 @@ an entry and the keys it stands for (``_keys``):
   R share a value and add 0.  M_n of exact data with no tail stays in the
   layout: a vertex at depth d > R below a in S(R) reaches Ball(R) only
   through a, so over q^(-n/2) its entry is the parity sum P_a(n - d + R) of
-  the distance sums about a over Ball(R).  M_n of float64 data or of data
-  with a tail scatters over the vertex rows.  Operands of different radii
-  meet in the layout of the larger radius (``_one_layout``): widening
-  (``_widen``) expands only the rows between the two radii.  ``_full``
-  widens to the top depth only for the scattered M_n and ``from_radial``.
+  the distance sums about a over Ball(R).  Those sums are kept on the datum
+  (``_parity_columns``), so the M_n of one closed solve sum Ball(R) once,
+  not once per n.  M_n of float64 data or of data with a tail scatters over
+  the vertex rows.  Operands of different radii meet in the layout of the
+  larger radius (``_one_layout``): widening (``_widen``) expands only the
+  rows between the two radii.  ``_full`` widens to the top depth only for
+  the scattered M_n and ``from_radial``.
 - radial profiles (``RadialLevels``): the orbit layout of radius 0, stored
   flat: each part is one list indexed by radius, whose entry m stands for
   the |S(m)| = ``sphere_volume(q, m)`` vertices of that sphere, its weight
@@ -60,9 +62,12 @@ an entry and the keys it stands for (``_keys``):
 - height sequences (``HeightLevels``): depth |h| holds s(h), and at depth
   d >= 1 also s(-d) after s(d).
 
-Every read that lists a function (keys, values, support size, CSV rows)
-takes each stored nonzero entry once (``ranges``): the entry stands for an
-index range of keys, and they share its one scalar.  Nothing is widened.
+Every read that lists a function (keys, values, CSV rows) takes each
+stored nonzero entry once, in one pass per depth (``_listing``): the entry
+stands for an index range of keys, and they share its one scalar.  A layout
+builds the keys of each depth once per read (``_key_rows``), and the
+support size counts each row's nonzero entries times their width.  Nothing
+is widened.
 Kinetic energy, mass, the pair-sum potential, the counting inner product,
 the three Huygens interior sums, the linear combinations, the leapfrog
 step and the tree and two-step Laplacians are written once over these two
@@ -165,6 +170,16 @@ def _parity_sum(sums: list, m: int):
     at the last m of the same parity."""
     last = len(sums) - 1
     return sums[m] if m <= last else sums[last - (m - last) % 2]
+
+
+def _parity_column(sums: list, n: int) -> list:
+    """[P(n), P(n-1), .., P(0)] from a list of ``_parity_sums``: one reversed
+    slice, after the alternating values that P keeps past its end."""
+    last = len(sums) - 1
+    if n <= last:
+        return sums[n::-1]
+    beyond = [_parity_sum(sums, n), _parity_sum(sums, n - 1)] * ((n - last + 1) // 2)
+    return beyond[: n - last] + sums[::-1]
 
 
 def _adjacent(levels: list, q: int, orbit: int, exact: bool) -> list:
@@ -343,34 +358,41 @@ class _Packed:
         slot = self._slot(key)
         return self._value(slot) if slot else scalar_zero(self.q, self.mode)
 
-    def ranges(self):
-        """(d, lo, hi, slots) of each nonzero stored entry in storage order:
-        it stands for the keys lo .. hi-1 of depth d (``_keys``), its width
-        ``_weight(d)``, and ``slots`` holds its value in each part (a scalar
-        through ``_value``).  This is the one read that lists a function;
-        nothing is widened."""
+    def _listing(self):
+        """(d, js, slots) of each stored depth d with a nonzero entry: the
+        indices j of those entries in storage order and their stored values,
+        one per part (a scalar through ``_value``).  Entry j of depth d
+        stands for the keys j*w .. (j+1)*w - 1 of that depth, w =
+        ``_weight(d)``.  This is the one read that lists a function; nothing
+        is widened."""
         exact = self.mode is EXACT
         for d, row in self._rows():
-            width = self._weight(d)
             nonzero = map(or_, *row) if exact else row[0]
-            for j, slots in compress(enumerate(zip(*row)), nonzero):
-                yield d, j * width, (j + 1) * width, slots
+            entries = list(compress(enumerate(zip(*row)), nonzero))
+            if entries:
+                yield d, *zip(*entries)
 
     def keys(self) -> list:
         """The keys of the nonzero values, in storage order."""
-        return [key for d, lo, hi, _ in self.ranges() for key in self._keys(d, lo, hi)]
+        return list(chain.from_iterable(self._key_rows(self._listing())))
 
     def values(self) -> dict:
         """The nonzero values as key -> scalar, in storage order; the keys of
         one entry share one scalar."""
-        values = {}
-        for d, lo, hi, slots in self.ranges():
-            values.update(zip(self._keys(d, lo, hi), repeat(self._value(slots))))
+        values, listing = {}, list(self._listing())
+        for (d, _, slots), keys in zip(listing, self._key_rows(listing)):
+            shared = map(repeat, map(self._value, slots), repeat(self._weight(d)))
+            values.update(zip(keys, chain.from_iterable(shared)))
         return values
 
     def support_size(self) -> int:
-        """Number of keys with a nonzero value."""
-        return sum(hi - lo for _, lo, hi, _ in self.ranges())
+        """Number of keys with a nonzero value: each row's nonzero entries
+        counted times their width."""
+        exact, total = self.mode is EXACT, 0
+        for d, row in self._rows():
+            flags = list(map(or_, *row)) if exact else row[0]
+            total += (len(flags) - flags.count(0)) * self._weight(d)
+        return total
 
     @_one_layout
     def same_as(self, other: _Packed) -> bool:
@@ -432,8 +454,10 @@ class _Packed:
         """The number of keys an entry of depth d stands for."""
         return 1
 
-    def _keys(self, d: int, lo: int, hi: int) -> list:
-        """The keys lo .. hi-1 of depth d, in storage order."""
+    def _key_rows(self, listing):
+        """Per (d, js, ...) of ``listing``, in increasing d, the list of the
+        keys of the entries js of depth d, ``_weight(d)`` per entry, in
+        storage order."""
         raise NotImplementedError
 
     def _slot(self, key) -> list | None:
@@ -566,7 +590,7 @@ class Levels(_Packed):
     entry per vertex of S(R).  ``orbit_layout(R)`` gives the class of radius
     R, one per R, so that every result of the algebra keeps R."""
 
-    __slots__ = ()
+    __slots__ = ("_sums",)  # (reach, columns) of ``_parity_columns``, set by ball_mean
     _orbit_radius: int
 
     @classmethod
@@ -669,24 +693,23 @@ class Levels(_Packed):
     def _adjacent_part(self, part: list) -> list:
         return _adjacent(part, self.q, self._orbit_radius, self.mode is EXACT)
 
-    def _keys(self, d: int, lo: int, hi: int) -> list:
-        """The vertices lo .. hi-1 of S(d) in canonical order, for bounds that
-        are multiples of ``_weight(d)``: per vertex a of S(e), e = min(d, R),
-        the label word of a (from its index by ``divmod``) followed by each
-        of the ``_weight(d)`` tails below a, built once per call."""
-        q, e = self.q, min(d, self._orbit_radius)
-        tails = list(product(*[range(q + 1 if k == 1 else q) for k in range(e + 1, d + 1)]))
-        keys = []
-        for a in range(lo // len(tails), hi // len(tails)):
-            word = []
-            for _ in range(e - 1):
-                a, label = divmod(a, q)
-                word.append(label)
-            if e:
-                word.append(a)
-            head = tuple(reversed(word))
-            keys += [VertexAddress(q, head + tail) for tail in tails]
-        return keys
+    def _key_rows(self, listing):
+        """The vertices of the entries js of each depth d, in canonical order:
+        per entry, the label word of its vertex of S(e), e = min(d, R),
+        followed by each of the ``_weight(d)`` tails below it.  The words of
+        each S(e) are built once per read, from those of S(e-1), and the
+        tails once per depth (``itertools.product``)."""
+        q, orbit, words, e = self.q, self._orbit_radius, [()], 0
+        for d, js, *_ in listing:
+            while e < min(d, orbit):
+                e += 1
+                branches = range(q + 1 if e == 1 else q)
+                words = [word + (label,) for word in words for label in branches]
+            if d <= orbit:
+                yield [VertexAddress(q, words[j]) for j in js]
+                continue
+            tails = list(product(*[range(q + 1 if k == 1 else q) for k in range(orbit + 1, d + 1)]))
+            yield [VertexAddress(q, words[j] + tail) for j in js for tail in tails]
 
     def _slot(self, key) -> list | None:
         # a vertex beyond R reads the entry of its ancestor in S(R)
@@ -701,23 +724,47 @@ class Levels(_Packed):
         a in S(t) reaches Ball(t) only through a, so M_n f(x) = q^(-(d-t)/2)
         M_{n-d+t} f(a).  Over the common factor q^(-n/2), the entry (a, d)
         of the orbit layout of radius t is the parity sum P_a(n - d + t),
-        and a vertex x of Ball(t) takes P_x(n) (``_parity_sums``).  The
-        parts are weighted once at the end (``_over_root_power``), widened
-        to R, and no neighbour sum is taken.  Float64 data, whose sources
-        add in canonical order, and data with a tail take the scatter route
+        read with those of every depth as one column per a
+        (``_parity_column``), and a vertex x of Ball(t) takes P_x(n).  The
+        sums are kept on this datum (``_parity_columns``).  The parts are
+        weighted once at the end (``_over_root_power``), widened to R, and
+        no neighbour sum is taken.  Float64 data, whose sources add in
+        canonical order, and data with a tail take the scatter route
         (``_scatter_mean``)."""
         q, orbit, parts = self.q, self._orbit_radius, self.parts
         top = max(len(parts[0]) - 1, 0)
         if self.mode is not EXACT or top > orbit:
             return self._scatter_mean(n)
         out = [[] for _ in parts]
-        for e in range(top + 1):
-            columns = [_parity_sums(q, parts, e, i, n) for i in range(sphere_volume(q, e))]
-            for t in range(n + 1 if e == top else 1):  # depth e + t, parity sum P(n - t)
-                for part, sums in zip(out, zip(*columns)):
-                    part.append([_parity_sum(s, n - t) for s in sums])
+        for e, columns in enumerate(self._parity_columns(n, top)):
+            for part, sums in zip(out, zip(*columns)):
+                if e < top:
+                    part.append([_parity_sum(s, n) for s in sums])
+                else:  # depth top + t holds P(n - t)
+                    part += map(list, zip(*(_parity_column(s, n) for s in sums)))
         mean = orbit_layout(top)(q, self.mode, *self._over_root_power(q, n, self.den, out))
         return mean._widen(orbit)
+
+    def _parity_columns(self, n: int, top: int) -> list:
+        """Per depth e <= top, the ``_parity_sums`` of every vertex of S(e),
+        kept on this datum: the first M_n builds them to distance n, and a
+        later M_n that reaches past that builds them once more to every
+        distance a stored vertex lies at (2 top + 1), after which they serve
+        every n.  Copies, comparisons and hashes never read them."""
+        q, parts, complete = self.q, self.parts, 2 * top + 1
+        reach, columns = getattr(self, "_sums", (0, None))
+        if min(n, complete) > reach:
+            reach = min(n, complete) if columns is None else complete
+            columns = [
+                [_parity_sums(q, parts, e, i, reach) for i in range(sphere_volume(q, e))]
+                for e in range(top + 1)
+            ]
+            self._sums = reach, columns
+        return columns
+
+    def __getstate__(self):
+        # a copy carries the values, not the parity sums kept on them
+        return None, {name: getattr(self, name) for name in _Packed.__slots__}
 
     def _scatter_mean(self, n: int) -> Levels:
         """M_n for n >= 1 on the vertex rows (``_full``), the oracle of the
@@ -772,8 +819,8 @@ class RadialLevels(_Packed):
     def _rows(self):
         return [(0, self.parts)]
 
-    def _keys(self, d: int, lo: int, hi: int) -> range:
-        return range(lo, hi)
+    def _key_rows(self, listing):
+        return (js for _, js, *_ in listing)  # an entry's key is its radius
 
     def _slot(self, key) -> list | None:
         if isinstance(key, int) and 0 <= key < len(self.parts[0]):
@@ -871,8 +918,8 @@ class HeightLevels(_Packed):
         entries = ((abs(h), int(h < 0), value) for h, value in values.items())
         return cls._pack(q, mode, [2 if d else 1 for d in range(radius + 1)], entries)
 
-    def _keys(self, d: int, lo: int, hi: int) -> list:
-        return [-d if j else d for j in range(lo, hi)]
+    def _key_rows(self, listing):
+        return ([-d if j else d for j in js] for d, js, *_ in listing)
 
     def _slot(self, key) -> list | None:
         if isinstance(key, int) and abs(key) < len(self.parts[0]):

@@ -27,8 +27,9 @@ and ``treewave.radial.radial_solve`` share one body, truncation check included.
 Vertex data built in Ball(R) are packed in the orbit layout of radius R, one
 entry per vertex of S(R) at each depth beyond R, and both routes of
 ``solve`` stay in it: the leapfrog steps there, and the closed route takes
-each exact M_n there from parity sums over Ball(R), with no neighbour sum,
-so it stays the leapfrog's independent oracle.  The scatter route of M_n
+each exact M_n there from parity sums over Ball(R), built once per datum
+and kept on it, with no neighbour sum, so it stays the leapfrog's
+independent oracle.  The scatter route of M_n
 over the vertex rows, which the tests compare with the parity sums, serves
 float64 data and data with a tail.
 """

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from collections import Counter
 from fractions import Fraction
@@ -479,32 +481,34 @@ def test_cli_propagate_exits_four_at_the_first_time_the_exact_routes_disagree(
 
 
 def test_run_experiment_builds_each_depth_of_labels_once(tmp_path, monkeypatch):
-    """One run builds the label list of each depth once: every snapshot gets
-    the same per-depth lists, a list once built is never replaced, and a
-    vertex's label is one string object in all rows; nothing is left at
-    module level when the run returns."""
+    """One run builds the quoted label cells of each depth once: every
+    snapshot gets the same holder, a depth's list once built is never
+    replaced or changed, and the cells are those ``csv.writer`` writes for
+    the label words; nothing is left at module level when the run
+    returns."""
     experiment = treewave.experiment
     snapshot_rows, seen = experiment._snapshot_rows, []
 
     def recorded(state, labels):
-        rows = list(snapshot_rows(state, labels))
-        seen.append((labels, list(labels), rows))
-        return rows
+        body = snapshot_rows(state, labels)
+        seen.append((labels, list(labels), [list(depth) for depth in labels]))
+        return body
 
     monkeypatch.setattr(experiment, "_snapshot_rows", recorded)
     namespace = dict(vars(experiment))
     initial = {"f": "random", "g": "random"}  # radius 1: snapshots reach depth 5
     run_experiment(ExperimentConfig(q=2, steps=4, initial=initial, out=str(tmp_path)))
-    holder, built, _ = seen[-1]
+    holder, built, cells = seen[-1]
     assert len(seen) == 9 and len(built) == 6
-    for labels, depths, _ in seen:
+    for labels, depths, copies in seen:
         assert labels is holder
         assert all(a is b for a, b in zip(depths, built))
-    first = {}
-    for _, _, rows in seen:
-        for label, *_ in rows:
-            assert first.setdefault(label, label) is label
-    assert sum(len(rows) for _, _, rows in seen) > len(first)  # labels recur across snapshots
+        assert copies == cells[: len(copies)]
+    for d, depth in enumerate(cells):
+        words = [",".join(map(str, x.labels)) for x in Ball(2, d) if x.depth == d]
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows([word, ""] for word in words)
+        assert [f"{cell},\n" for cell in depth] == expected.getvalue().splitlines(keepends=True)
     assert vars(experiment).keys() == namespace.keys()
     assert all(vars(experiment)[name] is value for name, value in namespace.items())
 

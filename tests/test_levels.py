@@ -10,6 +10,8 @@ sums, ``radial_convolve``, ``radial_adjacency`` and radial step.  They walk
 code with ``treewave.levels``.
 """
 
+import csv
+import io
 import random
 from fractions import Fraction
 from math import lcm
@@ -536,12 +538,13 @@ def test_layout_is_the_canonical_ball_order():
 @pytest.mark.parametrize("mode", (EXACT, FLOAT))
 @pytest.mark.parametrize("q", QS)
 def test_snapshot_rows_match_the_value_map_route(q, mode):
-    """The CSV rows read per orbit entry equal the rows built vertex by
-    vertex from ``items()``, the label word joined by "," ("" at the
-    origin): data of radius 0-2 with zeros between nonzero values, their
-    closed and recurrence snapshots (with tails beyond the data radius), a
-    restart from a snapshot (data with a tail) and the zero function.  One
-    label list serves every state, as in one run."""
+    """The CSV text joined per orbit entry is, byte for byte, what
+    ``csv.writer`` writes for the rows built vertex by vertex from
+    ``items()``, the label word joined by "," ("" at the origin): data of
+    radius 0-2 with zeros between nonzero values, their closed and
+    recurrence snapshots (with tails beyond the data radius), a restart
+    from a snapshot (data with a tail) and the zero function.  One label
+    holder serves every state, as in one run."""
     rng = random.Random(f"levels:rows:{q}:{mode.value}")
     steps = 2 if q == 9 else 3
     states = [TreeFunction.zero(q, mode)]
@@ -561,11 +564,12 @@ def test_snapshot_rows_match_the_value_map_route(q, mode):
     assert any(len(x.parts[0]) > x._orbit_radius + 1 for x in levels)  # entries of a tail
     labels = []
     for state in states:
-        expected = [
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(
             [",".join(map(str, vertex.labels)), *_scalar_columns(value)]
             for vertex, value in state.items()
-        ]
-        assert list(map(list, _snapshot_rows(state, labels))) == expected
+        )
+        assert _snapshot_rows(state, labels) == expected.getvalue()
 
 
 @pytest.mark.parametrize("mode", (EXACT, FLOAT))

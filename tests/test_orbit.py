@@ -17,6 +17,8 @@ Exact data are irrational with mixed denominators; float64 snapshots are
 compared bit for bit.
 """
 
+import copy
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treewave.levels
 from treewave.energy import (
     _potential_pair,
     _potential_two_step,
@@ -250,6 +253,88 @@ def test_closed_route_on_built_data_reaches_n_1000_without_packing():
     assert all(radius_of(state) == 3 for state in snapshots.values())
     trajectory = WaveTrajectory(q=2, mode=EXACT, f=f, g=g, snapshots=snapshots)
     assert energies(trajectory, 1000).total == total_energy_closed_form(f, g)
+
+
+# -- the parity sums kept per datum ---------------------------------------------------
+
+
+def uncached(levels):
+    """The same values in a new packed function, which keeps no parity sums."""
+    return type(levels)(levels.q, levels.mode, levels.den, levels.parts)
+
+
+@pytest.mark.parametrize("q", (2, 3, 9))
+def test_kept_parity_sums_give_every_ball_mean_in_any_order(q):
+    # M_n of one datum asked in descending, ascending and repeated order,
+    # with the sums built for the first n and extended once, equals M_n of
+    # a datum that keeps nothing and, while Ball(R + n) holds at most 40000
+    # vertices, the scatter route
+    for radius in (0, 1, 2):
+        rng = random.Random(f"orbit:kept-sums:{q}:{radius}")
+        data = data_on_ball(q, radius, rng, density=0.6)._as_levels()
+        scatter_max = min(9, reach_for(q, radius, 40000))
+        orders = (range(9, 0, -1), range(1, 10), [2, 2, 1, 5, 5, 9, 3, 9, 1])
+        for order in orders:
+            datum = uncached(data)
+            for n in order:
+                found = datum.ball_mean(n)
+                assert found.same_as(uncached(data).ball_mean(n))
+                if n <= scatter_max:
+                    assert found._full().same_as(data._scatter_mean(n))
+            assert datum.parts == data.parts
+
+
+def test_kept_parity_sums_enter_no_comparison_copy_or_pickle():
+    q = 3
+    f = data_on_ball(q, 2, random.Random("orbit:kept-sums:hidden"))
+    fresh = TreeFunction(q, EXACT, f.items())
+    before = hash(f)
+    m_operator(4, f)
+    levels = f._as_levels()
+    assert levels._sums is not None
+    assert f == fresh and fresh == f and hash(f) == hash(fresh) == before
+    assert levels.same_as(fresh._as_levels()) and fresh._as_levels().same_as(levels)
+    for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert copied == f
+        assert getattr(copied._as_levels(), "_sums", None) is None
+    for copied in (copy.copy(levels), copy.deepcopy(levels)):
+        assert copied.same_as(levels)
+        assert not hasattr(copied, "_sums")
+
+
+def parity_sum_calls(monkeypatch):
+    """A list that records the (depth, index) of every ``_parity_sums`` call."""
+    calls, parity_sums = [], treewave.levels._parity_sums
+    monkeypatch.setattr(
+        treewave.levels,
+        "_parity_sums",
+        lambda q, parts, k, j, n: calls.append((k, j)) or parity_sums(q, parts, k, j, n),
+    )
+    return calls
+
+
+@pytest.mark.parametrize("n_range", ((-6, 6), (0, 6), (-2, 7)))
+def test_a_closed_solve_builds_the_parity_sums_once_per_datum(n_range, monkeypatch):
+    # each vertex of Ball(R) of each datum is summed once, plus at most one
+    # extension when a later n reaches past the first
+    f, g = random_data_pair(2, 2, random.Random(7))
+    calls = parity_sum_calls(monkeypatch)
+    closed = solve(f, g, n_range, solver="closed")
+    vertices = Counter(calls)
+    assert set(vertices) == {(d, j) for d in range(3) for j in range(sphere_volume(2, d))}
+    assert max(vertices.values()) <= 2 * 2  # f and g, each built and extended at most once
+    assert len(calls) <= 2 * 2 * ball_size(2, 2)
+    leapfrog = solve(f, g, n_range, solver="recurrence")
+    assert all(closed.snapshot(n) == leapfrog.snapshot(n) for n in closed.n_values())
+
+
+def test_a_closed_solve_to_n_200_sums_each_datum_once(monkeypatch):
+    f, g = random_data_pair(2, 3, random.Random(5))
+    calls = parity_sum_calls(monkeypatch)
+    closed = solve(f, g, (-200, 200), "closed")
+    assert len(calls) <= 100
+    leapfrog = solve(f, g, (-200, 200), "recurrence")
+    assert all(closed.snapshot(n) == leapfrog.snapshot(n) for n in range(-200, 201))
 
 
 @pytest.mark.parametrize("q, radius", CASES)
@@ -568,13 +653,16 @@ def test_keys_of_each_depth_list_the_sphere_in_ball_order(q):
     top = 2 if q == 9 else 4
     for radius in (0, 1, 2):
         layout = orbit_layout(radius)(q, EXACT, 1, [[], []])
-        listed = [layout._keys(d, 0, sphere_volume(q, d)) for d in range(top + 1)]
+        every = [(d, range(sphere_volume(q, d) // layout._weight(d))) for d in range(top + 1)]
+        listed = list(layout._key_rows(every))
         assert [x for keys in listed for x in keys] == list(Ball(q, top))
         for d, keys in enumerate(listed):
             assert [_vertex_index(x.labels, q) for x in keys] == list(range(len(keys)))
             width = layout._weight(d)
             for j in range(0, len(keys), width):
-                assert layout._keys(d, j, j + width) == keys[j : j + width]
+                # one entry alone, and past depths that list no entry
+                (alone,) = layout._key_rows([(d, [j // width])])
+                assert alone == keys[j : j + width]
 
 
 @pytest.mark.parametrize("mode", (EXACT, FLOAT))
