@@ -15,10 +15,11 @@ The total energy K + P is conserved exactly, equals
 (1/4) <(1 - C_2) f, f> + (1/2) <g, g> in terms of the initial data, and the
 gap K - P decays like q^(-|n|), with the operator identities
 
-    K(n) - P(n) = -(1/4) <(1-C_2) C_{2n} f, f> + (1/2) <C_{2n} g, g>
+    K(n) - P(n) = -(1/4) <C_{2n} f, (1-C_2) f> + (1/2) <C_{2n} g, g>
                   - (1/2) <S_{2n} f, (1-C_2) g>
 
-providing an independent route to the same number.  Every global sum is
+providing an independent route to the same number (C_2 is self-adjoint, so
+(1 - C_2) acts on the data in every term).  Every global sum is
 finite because snapshots have finite support; no truncation tolerance is
 ever introduced.
 
@@ -28,13 +29,14 @@ sum, inner products and the Huygens interior sums) run in
 ``treewave.levels`` on a snapshot's packed form, in either scalar mode; the
 layout supplies the weights, the distance-2 pairs and the neighbour sum of
 the two-step image Adj^2 - (q+1) I.  The operator side of the gap applies
-C_k and S_k through ``treewave.wave`` (``m_operator`` adds each vertex value
-to the geodesic index ranges of its spheres and convolves a profile with
-the M_n kernel); none of it takes a neighbour sum, so it stays independent
-of the leapfrog.  Profiles carry one entry per radius weighted by the
-sphere volume, which keeps large |n| reachable for radial data.  The
-``radial_*`` functions are the same quantities under the names the
-benchmark traces.
+C_k and S_k to the initial data only, through ``treewave.wave``
+(``m_operator`` reads exact vertex data's parity sums over Ball(R) in the
+orbit layout of R, spreads float64 values over the geodesic index ranges of
+their spheres, and convolves a profile with the M_n kernel); none of it
+takes a neighbour sum, so it stays independent of the leapfrog.  Profiles
+carry one entry per radius weighted by the sphere volume, which keeps large
+|n| reachable for radial data.  The ``radial_*`` functions are the same
+quantities under the names the benchmark traces.
 
 An energy table has one report, with the direct gap K - P, per interior
 time of the trajectory; checks and tables read these reports and the rows of
@@ -172,7 +174,12 @@ def _gap(u, n: int, kinetic, potential) -> tuple[Scalar, Scalar]:
 
 def _operator_gap(u: WaveTrajectory, n: int) -> Scalar:
     """K(n) - P(n) from the operator pairings in the initial data alone,
-    the route that callers holding an energy report compare its gap with."""
+    the route that callers holding an energy report compare its gap with.
+
+    C_2 is self-adjoint for the counting inner product, so the f-term
+    <(1 - C_2) C_{2|n|} f, f> is taken as <C_{2|n|} f, f - C_2 f>: every
+    operator acts on the data itself, whose exact M_n reads parity sums in
+    the data's own layout."""
     q, mode = u.q, u.mode
     quarter = scalar_from_fraction(Fraction(1, 4), q, mode)
     half = scalar_from_fraction(Fraction(1, 2), q, mode)
@@ -181,8 +188,7 @@ def _operator_gap(u: WaveTrajectory, n: int) -> Scalar:
     def pairing(x, y) -> Scalar:
         return x._as_levels().dot(y._as_levels())
 
-    c2n_f = c_operator(2 * abs(n), f)
-    term_f = pairing(c2n_f - c_operator(2, c2n_f), f) * quarter
+    term_f = pairing(c_operator(2 * abs(n), f), f - c_operator(2, f)) * quarter
     term_g = pairing(c_operator(2 * abs(n), g), g) * half
     term_cross = pairing(s_operator(2 * n, f), g - c_operator(2, g)) * half
     return -term_f + term_g - term_cross

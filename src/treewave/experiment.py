@@ -38,8 +38,9 @@ from .transforms import abel, abel_inverse, dual_abel, dual_abel_inverse
 from .wave import WaveTrajectory, solve
 
 _SOLVERS = ("closed", "recurrence", "both")
-# the operator route applies M_2 to C_{2|n|} f, which fills the ball of
-# radius 2|n| + 2 + (data radius): its cost grows like q^(2|n|), so it is
+# the operator route applies every operator to the data, so exact runs take
+# parity sums; float64 M_{2|n|} f scatters over the ball of radius
+# 2|n| + (data radius), whose cost grows like q^(2|n|), so the route is
 # emitted only for |n| <= _OPERATOR_LIMIT; the direct gap and the decay
 # bound cover the whole range
 _OPERATOR_LIMIT = 3

@@ -386,16 +386,16 @@ def spherical_mean(f: TreeFunction, x: VertexAddress, n: int) -> Scalar:
     """Average of f over the sphere of radius n about x:
     (1/delta(n)) * sum_{d(y,x)=n} f(y).
 
-    Only support vertices can contribute, so the walk reads the value map
-    (in canonical order for packed f, the order float64 means add in) and
-    never enumerates the sphere.  No truncation is involved.
+    Only support vertices can contribute, so the one distance walk of the
+    value map (``_distance_sums``, in canonical order for packed f, the
+    order float64 means add in) serves, and the sphere is never enumerated.
+    No truncation is involved.
     """
     if x.q != f.q:
         raise ParameterError(f"vertex q={x.q} does not match function q={f.q}")
     if n < 0:
         raise ParameterError("sphere radius must be >= 0")
-    total = scalar_sum((v for y, v in f._values.items() if distance(x, y) == n), f.q, f.mode)
-    return _sphere_mean(total, f, n)
+    return _sphere_mean(_distance_sums(f, x).get(n, scalar_zero(f.q, f.mode)), f, n)
 
 
 def radial_profile_of(f: TreeFunction, center: VertexAddress | None = None) -> RadialProfile:

@@ -11,7 +11,7 @@ import random
 
 from .functions import HeightSequence, RadialProfile, TreeFunction
 from .scalars import QSurd, ScalarMode
-from .topology import Ball, VertexAddress
+from .topology import Ball
 
 
 def _draw(rng: random.Random, q: int, mode: ScalarMode):
@@ -58,18 +58,3 @@ def random_even_sequence(
         entries[h] = entries[-h] = _draw(rng, q, mode)
     return HeightSequence(q, mode, entries)
 
-
-def sample_vertices(
-    q: int,
-    max_radius: int,
-    rng: random.Random,
-    per_radius: int = 3,
-) -> list[VertexAddress]:
-    """Deterministic vertex sample covering every radius 0..max_radius."""
-    chosen = [VertexAddress.origin(q)]
-    for radius in range(1, max_radius + 1):
-        for _ in range(per_radius):
-            labels = [rng.randint(0, q)]
-            labels.extend(rng.randint(0, q - 1) for _ in range(radius - 1))
-            chosen.append(VertexAddress(q, tuple(labels)))
-    return chosen

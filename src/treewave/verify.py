@@ -95,12 +95,14 @@ _SIZES = {
     },
 }
 
-# the largest ball any check fills with vertex rows is Ball(q, 7): C_2 of
-# C_4 f in check_equipartition, whose operand has a tail and so takes the
-# scatter route of M_n; every leapfrog and every M_n of data with no tail
-# stays in the orbit layout of the data radius (tests/test_cli.py traces the
-# deepest vertex row of every layout built)
-_ASGEIRSSON_TIMES, _LARGEST_BALL, _MAX_VERTICES = 8, 7, 5_000_000
+# the largest ball any check walks is Ball(q, 6): check_metric's
+# breadth-first search is cut at that depth, and the Asgeirsson double sums
+# take spheres of radius <= 4 about centres of depth <= 2; the brute Abel
+# sum enumerates Ball(q, 5), and every vertex function keeps packed rows no
+# deeper than its data radius (<= 2), since solutions and M_n stay in the
+# orbit layout of the data (tests/test_cli.py traces every ball, sphere and
+# packed row a check builds)
+_ASGEIRSSON_TIMES, _LARGEST_BALL, _MAX_VERTICES = 8, 6, 5_000_000
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ def check_metric(qs, rng) -> CheckResult:
                 if v == y:
                     break
                 for nb in v.neighbors():
-                    if nb.depth <= 6 and nb not in seen:
+                    if nb.depth <= _LARGEST_BALL and nb not in seen:
                         seen[nb] = seen[v] + 1
                         queue.append(nb)
             if seen[y] != distance(x, y) or distance(x, y) != distance(y, x):
@@ -502,7 +504,7 @@ def run_verification(
     The report is byte-stable for fixed arguments.  With
     ``negative_control=True`` the conservation check runs against a
     deliberately corrupted recurrence weight and must fail.  A q whose
-    checks would fill more than ``_MAX_VERTICES`` vertices is refused with a
+    checks would walk more than ``_MAX_VERTICES`` vertices is refused with a
     ``ConfigError`` before any check runs.
     """
     if size not in _SIZES:
@@ -515,7 +517,7 @@ def run_verification(
             while Ball(fits + 1, _LARGEST_BALL).vertex_count() <= _MAX_VERTICES:
                 fits += 1
             raise ConfigError(
-                f"field 'q': the checks at q={q} fill a ball of {vertices} vertices, "
+                f"field 'q': the checks at q={q} walk a ball of {vertices} vertices, "
                 f"above the limit of {_MAX_VERTICES}; use q <= {fits}"
             )
     lines = [

@@ -18,9 +18,9 @@ from fractions import Fraction
 from treewave.energy import energies, radial_total_energy, total_energy, total_energy_closed_form
 from treewave.functions import RadialProfile, TreeFunction
 from treewave.radial import evaluate_kernel_solution, propagator_kernels, radial_solve
-from treewave.sampling import random_data_pair, random_radial_profile, sample_vertices
+from treewave.sampling import random_data_pair, random_radial_profile
 from treewave.scalars import QSurd, ScalarMode
-from treewave.topology import Ball
+from treewave.topology import Ball, VertexAddress
 from treewave.verify import (
     check_asgeirsson,
     check_energy_conservation,
@@ -35,6 +35,17 @@ from treewave.verify import (
 from treewave.wave import solve
 
 EXACT = ScalarMode.EXACT
+
+
+def _sample_vertices(q: int, max_radius: int, rng: random.Random) -> list[VertexAddress]:
+    """The origin and two seeded vertices at every radius 1..max_radius."""
+    chosen = [VertexAddress.origin(q)]
+    for radius in range(1, max_radius + 1):
+        for _ in range(2):
+            labels = [rng.randint(0, q)]
+            labels.extend(rng.randint(0, q - 1) for _ in range(radius - 1))
+            chosen.append(VertexAddress(q, tuple(labels)))
+    return chosen
 
 
 def _accept(criterion: int, check, qs, **params) -> None:
@@ -56,7 +67,7 @@ def test_criterion_1_oracle_equivalence():
         rng = random.Random(f"criterion1:sample:{q}")
         f, g = random_data_pair(q, 3, rng)
         leapfrog = solve(f, g, reach, solver="recurrence")
-        samples = list(Ball(q, 2)) + sample_vertices(q, reach + 4, rng, per_radius=2)
+        samples = list(Ball(q, 2)) + _sample_vertices(q, reach + 4, rng)
         for n in leapfrog.n_values():
             c_kernel, s_kernel = propagator_kernels(q, n, EXACT)
             state = leapfrog.snapshot(n)
@@ -159,7 +170,7 @@ def test_orbit_layout_reach():
         assert [r.n for r in reports] == list(range(-59, 60))
         assert all(report.total == expected for report in reports)
         energies(trajectory, 59)  # raises unless the two potentials agree
-        samples = sample_vertices(q, 63, rng, per_radius=2)
+        samples = _sample_vertices(q, 63, rng)
         for n in (-60, 37, 60):
             c_kernel, s_kernel = propagator_kernels(q, n, EXACT)
             state = trajectory.snapshot(n)

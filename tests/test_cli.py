@@ -9,6 +9,8 @@ import pytest
 import treewave.cli
 import treewave.energy
 import treewave.experiment
+import treewave.transforms
+import treewave.wave
 from treewave import verify
 from treewave.cli import main
 from treewave.errors import ConfigError, DomainError, ModeError, ParameterError, TruncationError
@@ -16,7 +18,7 @@ from treewave.experiment import ExperimentConfig, resolve_initial_data, run_expe
 from treewave.functions import RadialProfile, TreeFunction
 from treewave.levels import Levels
 from treewave.scalars import QSurd, ScalarMode
-from treewave.topology import Ball, VertexAddress
+from treewave.topology import Ball, VertexAddress, sphere
 from treewave.verify import run_verification
 
 
@@ -250,16 +252,17 @@ def test_cli_verify_rejects_non_integer_q_list(capsys):
 
 
 def test_cli_verify_refuses_a_first_q_too_large_to_solve(capsys):
-    # the checks fill Ball(q, 7), about 6.0e6 vertices at q=9; the refusal
+    # the checks walk Ball(q, 6), about 5.6e6 vertices at q=13; the refusal
     # comes before any check runs
-    _fails_closed(["verify", "--q", "9", "--size", "small"], "q", capsys)
-    assert main(["verify", "--q", "9,2", "--size", "small"]) == 2
-    assert "5978711 vertices" in capsys.readouterr().err
+    _fails_closed(["verify", "--q", "13", "--size", "small"], "q", capsys)
+    assert main(["verify", "--q", "13,2", "--size", "small"]) == 2
+    err = capsys.readouterr().err
+    assert "5631277 vertices" in err and "use q <= 12" in err
 
 
 def test_cli_verify_bounds_every_q_and_runs_q_six():
-    # a later q is bounded too; q <= 8 fits, and the checks pass at q=6
-    assert main(["verify", "--q", "2,9", "--size", "small"]) == 2
+    # a later q is bounded too; q <= 12 fits, and the checks pass at q=6
+    assert main(["verify", "--q", "2,13", "--size", "small"]) == 2
     report, passed = run_verification((6,), 0, "small")
     assert passed and report.endswith("result: all checks passed\n")
 
@@ -267,18 +270,30 @@ def test_cli_verify_bounds_every_q_and_runs_q_six():
 @pytest.mark.parametrize("size", ["small", "standard"])
 @pytest.mark.parametrize("negative_control", [False, True])
 def test_verify_fills_no_full_ball_beyond_the_bounded_radius(monkeypatch, size, negative_control):
-    # the vertex rows of every vertex function a check builds (its depths up
-    # to min(top, R) in the orbit layout of radius R), the negative
-    # control's leapfrog included, lie in Ball(q, _LARGEST_BALL), the ball
-    # the guard bounds
+    # every ball a check enumerates lies in Ball(q, _LARGEST_BALL), the ball
+    # the guard bounds: the vertex rows of every vertex function (its depths
+    # up to min(top, R) in the orbit layout of radius R), the negative
+    # control's leapfrog included, every iterated Ball, and every sphere
+    # (centre depth plus radius); check_metric's search reads the constant
     radii = []
-    init = Levels.__init__
+    init, vertices = Levels.__init__, Ball.vertices
 
-    def traced(self, q, mode, den, parts):
+    def traced_init(self, q, mode, den, parts):
         radii.append(min(len(parts[0]) - 1, self._orbit_radius))
         init(self, q, mode, den, parts)
 
-    monkeypatch.setattr(Levels, "__init__", traced)
+    def traced_vertices(self):
+        radii.append(self.radius)
+        return vertices(self)
+
+    def traced_sphere(center, n, ball):
+        radii.append(center.depth + n)
+        return sphere(center, n, ball)
+
+    monkeypatch.setattr(Levels, "__init__", traced_init)
+    monkeypatch.setattr(Ball, "vertices", traced_vertices)
+    for module in (verify, treewave.wave, treewave.transforms):
+        monkeypatch.setattr(module, "sphere", traced_sphere)
     _, passed = run_verification((2,), 0, size, negative_control)
     assert passed is not negative_control
     assert max(radii) <= verify._LARGEST_BALL

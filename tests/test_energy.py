@@ -20,10 +20,12 @@ from treewave.energy import (
 )
 from treewave.errors import ConsistencyError, ParameterError
 from treewave.functions import RadialProfile, TreeFunction
+from treewave.levels import Levels
 from treewave.radial import propagator_kernels, radial_convolve, radial_solve
+from treewave.sampling import random_data_pair
 from treewave.scalars import QSurd, ScalarMode, scalar_from_fraction, sqrt_q_power
 from treewave.topology import Ball, VertexAddress
-from treewave.wave import WaveTrajectory, solve
+from treewave.wave import WaveTrajectory, c_operator, propagators, s_operator, solve
 
 EXACT = ScalarMode.EXACT
 
@@ -134,11 +136,11 @@ def test_gap_reference_sequence():
     assert energies(u, 2).gap == exact(Fraction(-1, 128))
 
 
-def test_gap_reference_sequence_radial_to_ten():
+def test_gap_reference_sequence_radial_to_two_hundred():
     trajectory = radial_solve(
-        RadialProfile.delta(2, EXACT), RadialProfile(2, EXACT), 11, solver="recurrence"
+        RadialProfile.delta(2, EXACT), RadialProfile(2, EXACT), 201, solver="recurrence"
     )
-    for n in range(2, 11):
+    for n in range(2, 201):
         direct, operator_route = radial_equipartition_gap(trajectory, n)
         assert direct == operator_route
         assert direct == exact(Fraction(-1, 2 ** (n + 5)))
@@ -164,6 +166,66 @@ def test_gap_routes_agree_for_random_data():
     for n in (-3, -1, 0, 1, 2, 3):
         direct, operator_route = equipartition_gap(u, n)
         assert direct == operator_route
+
+
+def _around(f, g, n):
+    """Closed snapshots at n - 1, n and n + 1 only: what K(n) and P(n) read."""
+    snapshots = {k: propagators(k, f, g) for k in (n - 1, n, n + 1)}
+    return WaveTrajectory(q=f.q, mode=f.mode, f=f, g=g, snapshots=snapshots)
+
+
+def _composed_gap(u, n):
+    """The operator gap with the f-term as <(1 - C_2) C_{2|n|} f, f>: C_2 acts
+    on C_{2|n|} f, whose tail makes M_2 scatter over Ball(R + 2|n| + 2).  A
+    reference for the pairing that commutes C_2 onto the data."""
+    q = u.q
+    quarter = scalar_from_fraction(Fraction(1, 4), q, EXACT)
+    half = scalar_from_fraction(Fraction(1, 2), q, EXACT)
+    f, g = u.f, u.g
+    c2n_f = c_operator(2 * abs(n), f)
+    term_f = (c2n_f - c_operator(2, c2n_f)).dot(f) * quarter
+    term_g = c_operator(2 * abs(n), g).dot(g) * half
+    term_cross = s_operator(2 * n, f).dot(g - c_operator(2, g)) * half
+    return -term_f + term_g - term_cross
+
+
+@pytest.mark.parametrize(
+    "q, radius, times",
+    [(2, 2, (8, 9, 50, 200)), (3, 2, (8, 9, 50, 200)), (9, 1, (8, 9, 50))],
+)
+def test_operator_gap_equals_the_direct_gap_at_long_times(q, radius, times):
+    f, g = random_data_pair(q, radius, random.Random(5))
+    for n in times:
+        for signed in (n, -n):
+            direct, operator_route = equipartition_gap(_around(f, g, signed), signed)
+            assert direct == operator_route
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_operator_gap_builds_no_vertex_row_deeper_than_the_data(monkeypatch, q):
+    # every packed form the operator route builds at |n| = 200 keeps vertex
+    # rows to the data radius only: C_2 never meets C_{2|n|} f's tail
+    f, g = random_data_pair(q, 2, random.Random(5))
+    u = _around(f, g, 200)
+    radii = []
+    init = Levels.__init__
+
+    def traced(self, q, mode, den, parts):
+        radii.append(min(len(parts[0]) - 1, self._orbit_radius))
+        init(self, q, mode, den, parts)
+
+    monkeypatch.setattr(Levels, "__init__", traced)
+    energy._operator_gap(u, 200)
+    energy._operator_gap(u, -200)
+    assert radii and max(radii) <= 2
+
+
+@pytest.mark.parametrize("q, radius, reach", [(2, 2, 6), (3, 2, 3)])
+def test_operator_gap_equals_the_composed_pairing(q, radius, reach):
+    f, g = random_data_pair(q, radius, random.Random(9))
+    u = solve(f, g, reach, solver="closed")
+    for n in range(-reach, reach + 1):
+        assert energy._operator_gap(u, n) == _composed_gap(u, n)
 
 
 def test_gap_decay_bound():
