@@ -143,8 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("transforms", help="emit transform tables for a radial profile")
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--mode", choices=["exact", "float", "float64"], default="exact")
+    p.add_argument("--q", type=int, help="branching parameter (default: the profile's, else 2)")
+    p.add_argument(
+        "--mode",
+        choices=["exact", "float", "float64"],
+        help="number type (default: the profile's, else exact)",
+    )
     p.add_argument("--initial", type=Path, help="JSON file with a radial profile")
     p.add_argument("--out", type=Path)
     p.set_defaults(handler=_cmd_transforms)

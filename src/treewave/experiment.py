@@ -33,7 +33,7 @@ from .errors import ConfigError, ConsistencyError
 from .functions import RadialProfile, TreeFunction
 from .sampling import random_tree_function
 from .scalars import QSurd, Scalar, ScalarMode, ratio_text
-from .topology import Ball
+from .topology import MAX_VERTICES, Ball
 from .transforms import abel, abel_inverse, dual_abel, dual_abel_inverse
 from .wave import WaveTrajectory, solve
 
@@ -137,9 +137,26 @@ def resolve_initial_data(config: ExperimentConfig) -> tuple[TreeFunction, TreeFu
     return f, g
 
 
-def _trajectories(config: ExperimentConfig, solvers) -> list[WaveTrajectory]:
-    """The configured data solved by each route named in ``solvers``."""
-    f, g = resolve_initial_data(config)
+def _check_snapshot_budget(config: ExperimentConfig, f: TreeFunction, g: TreeFunction) -> None:
+    """A ConfigError naming 'steps' and the largest steps that fits when the
+    snapshots to |n| <= steps from data of radius R could hold more than
+    ``MAX_VERTICES`` rows in all, the sum over n of |Ball(q, |n| + R)|."""
+    q, radius = config.q, max(f.support_radius(), g.support_radius(), 0)
+    rows, fits = Ball(q, radius).vertex_count(), 0
+    while rows + 2 * Ball(q, radius + fits + 1).vertex_count() <= MAX_VERTICES:
+        fits += 1
+        rows += 2 * Ball(q, radius + fits).vertex_count()
+    if config.steps > fits:
+        raise ConfigError(
+            f"field 'steps': snapshots to steps={config.steps} from data of radius {radius} "
+            f"at q={q} could hold more than {MAX_VERTICES} vertex rows in all; "
+            f"the largest steps that fits is {fits}"
+        )
+
+
+def _trajectories(config: ExperimentConfig, data, solvers) -> list[WaveTrajectory]:
+    """The data (f, g) solved by each route named in ``solvers``."""
+    f, g = data
     ball = Ball(config.q, config.radius) if config.radius is not None else None
     return [solve(f, g, config.steps, solver=name, ball=ball) for name in solvers]
 
@@ -260,7 +277,7 @@ def write_table(name: str, config: ExperimentConfig) -> Path:
     its path."""
     config = config.validated()
     solver = "recurrence" if config.solver == "both" else config.solver
-    (trajectory,) = _trajectories(config, (solver,))
+    (trajectory,) = _trajectories(config, resolve_initial_data(config), (solver,))
     path = _output_dir(config.out) / f"{name}.csv"
     if name == "huygens":
         write_huygens_table(trajectory, config, path)
@@ -271,15 +288,23 @@ def write_table(name: str, config: ExperimentConfig) -> Path:
     return path
 
 
-def write_transform_tables(q: int, mode: str, initial: dict | None, out: str | None) -> Path:
+def write_transform_tables(
+    q: int | None, mode: str | None, initial: dict | None, out: str | None
+) -> Path:
     """The Abel transform, the dual transform at radii 0..R+2 (R the
     support radius) and the inverse of each, of the serialized radial
-    profile ``initial``, else of the delta at q in ``mode``; returns the
-    output directory."""
+    profile ``initial``, else of the delta at q in ``mode`` (2 and 'exact'
+    when None); returns the output directory.  A q or mode given with
+    ``initial`` that contradicts the profile's is a ConfigError naming
+    'initial'."""
     if initial is None:
-        profile = RadialProfile.delta(q, ScalarMode(mode))
+        profile = RadialProfile.delta(2 if q is None else q, ScalarMode(mode or "exact"))
     else:
         profile = _parsed(RadialProfile, initial)
+        if q is not None and q != profile.q:
+            raise ConfigError(f"field 'initial' carries a profile for q={profile.q}, not q={q}")
+        if mode is not None and ScalarMode(mode) is not profile.mode:
+            raise ConfigError(f"field 'initial' carries {profile.mode.value} data, not {mode}")
     forward = abel(profile)
     limit = max(profile.support_radius(), 0) + 2
     means = RadialProfile(
@@ -321,16 +346,19 @@ def _agreement(closed: WaveTrajectory, leapfrog: WaveTrajectory) -> str:
 def run_experiment(config: ExperimentConfig) -> Path:
     """Solve, compare solvers when asked, and write all artifacts.
 
-    Returns the output directory.  Raises ConfigError for invalid fields,
-    TruncationError (from the solver) when the declared radius cannot hold
-    the requested trajectory, and ConsistencyError naming the first time at
-    which the exact closed and recurrence snapshots differ; each before
-    anything is written.
+    Returns the output directory.  Raises ConfigError for invalid fields
+    and, before solving, for snapshots that could hold more than
+    ``MAX_VERTICES`` rows in all, TruncationError (from the solver) when the
+    declared radius cannot hold the requested trajectory, and
+    ConsistencyError naming the first time at which the exact closed and
+    recurrence snapshots differ; each before anything is written.
     """
     config = config.validated()
     started = time.perf_counter()
     solvers = ("closed", "recurrence") if config.solver == "both" else (config.solver,)
-    primary, *leapfrog = _trajectories(config, solvers)
+    data = resolve_initial_data(config)
+    _check_snapshot_budget(config, *data)
+    primary, *leapfrog = _trajectories(config, data, solvers)
 
     agreement = _agreement(primary, *leapfrog) if leapfrog else None
 

@@ -30,23 +30,23 @@ an entry and the keys it stands for (``_key_rows``):
   is each entry of depth d-1 repeated q times, the children of depth d >= 1
   are the strided slices [r::q] of depth d+1, and the descendants at depth
   d + t of vertex i at depth d >= 1 are the index range [i*q^t, (i+1)*q^t),
-  which is how the scattered ball mean M_n is built.  Beyond R the parent
-  of an entry is the entry of the same index one depth up, and from depth R
-  on the q children of an entry (q+1 at the origin when R = 0) are the one
-  entry of the same index one depth down; float64 adds that entry q times
-  in sequence, as the vertex rows add q children.  The distance-2 partners
-  of a vertex (siblings, grandparent, grandchildren) are slices too, up to
-  one depth past the last stored one, whose entries are 0; siblings beyond
-  R share a value and add 0.  M_n of exact data with no tail stays in the
-  layout: a vertex at depth d > R below a in S(R) reaches Ball(R) only
-  through a, so over q^(-n/2) its entry is the parity sum P_a(n - d + R) of
-  the distance sums about a over Ball(R).  Those sums are kept on the datum
-  (``_parity_columns``), so the M_n of one closed solve sum Ball(R) once,
-  not once per n.  M_n of float64 data or of data with a tail scatters over
-  the vertex rows.  Operands of different radii meet in the layout of the
-  larger radius (``_one_layout``): widening (``_widen``) expands only the
-  rows between the two radii.  ``_full`` widens to the top depth only for
-  the scattered M_n and ``from_radial``.
+  which is how the scattered ball mean M_n of float64 data is built.
+  Beyond R the parent of an entry is the entry of the same index one depth
+  up, and from depth R on the q children of an entry (q+1 at the origin
+  when R = 0) are the one entry of the same index one depth down; float64
+  adds that entry q times in sequence, as the vertex rows add q children.
+  The distance-2 partners of a vertex (siblings, grandparent,
+  grandchildren) are slices too, up to one depth past the last stored one,
+  whose entries are 0; siblings beyond R share a value and add 0.  M_n of
+  exact data, tail or not, stays in the layout: one pass down the stored
+  depths and one pass up give the parity sums P_x(m) of the distance sums
+  about every entry x (``_parity_rows``), and a vertex below the last
+  stored depth t reaches the data only through its ancestor at depth t.
+  Those sums are kept on the datum, so the M_n of one closed solve sum the
+  data once, not once per n.  Operands of different radii meet in the
+  layout of the larger radius (``_one_layout``): widening (``_widen``)
+  expands only the rows between the two radii.  ``_full`` widens to the
+  top depth only for the scattered M_n.
 - radial profiles (``RadialLevels``): the orbit layout of radius 0, stored
   flat: each part is one list indexed by radius, whose entry m stands for
   the |S(m)| = ``sphere_volume(q, m)`` vertices of that sphere, its weight
@@ -108,6 +108,11 @@ def _scaled(c, row: list) -> list:
     return row if c == 1 else _map_row(mul, row, c)
 
 
+def _repeat_each(row: list, times: int) -> list:
+    """Each entry of row repeated ``times`` times, in order."""
+    return list(chain.from_iterable(map(repeat, row, repeat(times, len(row)))))
+
+
 def _combine_row(cx, x: list, cy, y: list) -> list:
     """cx*x + cy*y entry by entry; a missing entry counts as zero."""
     if len(x) != len(y):
@@ -144,42 +149,43 @@ def _sphere_ranges(q: int, k: int, j: int, n: int):
                 yield d, e + t, lo, hi
 
 
-def _parity_sums(q: int, parts: list, k: int, j: int, n: int) -> list:
-    """Per part of vertex data, the list of P(m) for m = 0 .. min(n, k + top
-    + 1), top its last depth: the sum of the part's values over the vertices
-    y with d(x, y) <= m and m - d(x, y) even, for the vertex x at depth k
-    and index j.  The sums at each distance come from the ranges of
-    ``_sphere_ranges`` about x, for both parities; M_n reads no distance
-    past n, and no stored vertex lies further than k + top."""
-    top = len(parts[0]) - 1
-    size = min(n, k + top + 1) + 1
-    sums = [[0] * size for _ in parts]
-    for n in (size - 1, size - 2):
-        for d, depth, lo, hi in _sphere_ranges(q, k, j, n):
-            if depth <= top:
-                for total, part in zip(sums, parts):
-                    total[d] += sum(part[depth][lo:hi])
-    for total in sums:
-        for m in range(2, size):
-            total[m] += total[m - 2]
-    return sums
-
-
-def _parity_sum(sums: list, m: int):
-    """P(m) from a list of ``_parity_sums``: past its end, P keeps the value
-    at the last m of the same parity."""
-    last = len(sums) - 1
-    return sums[m] if m <= last else sums[last - (m - last) % 2]
-
-
-def _parity_column(sums: list, n: int) -> list:
-    """[P(n), P(n-1), .., P(0)] from a list of ``_parity_sums``: one reversed
-    slice, after the alternating values that P keeps past its end."""
-    last = len(sums) - 1
-    if n <= last:
-        return sums[n::-1]
-    beyond = [_parity_sum(sums, n), _parity_sum(sums, n - 1)] * ((n - last + 1) // 2)
-    return beyond[: n - last] + sums[::-1]
+def _parity_rows(q: int, part: list, last: int, orbit: int) -> list:
+    """Per depth e of one exact part in the orbit layout of radius ``orbit``,
+    the rows [P(0), .., P(last)]: entry i of P(m) sums the values at the
+    vertices y with d(x, y) <= m and m - d(x, y) even, x a vertex of entry
+    i.  A pass down gives D_x(k), the sum of the values k depths below x; a
+    pass up gives the sphere sums S_x(d) = D_x(d) + S_p(d-1) - D_x(d-2), p
+    the parent of x.  The children of an entry are the strided slices of
+    the next depth up to ``orbit``, and from there on q times (q+1 at the
+    origin) the entry of the same index; its parent is repeated once per
+    child up to ``orbit`` and is the entry of the same index beyond it."""
+    downs = [[row] for row in part]  # downs[e][k]: D_x(k) per entry x of depth e
+    for e in range(len(part) - 2, -1, -1):
+        width = q + 1 if e == 0 else q
+        for row in downs[e + 1][:last]:
+            if e >= orbit:
+                downs[e].append(_scaled(width, row))
+            else:
+                downs[e].append(list(map(sum, zip(*(row[r::width] for r in range(width))))))
+    rows, above = [], None
+    for e, down in enumerate(downs):
+        spheres = [down[0]]
+        for d in range(1, last + 1):
+            sphere = down[d] if d < len(down) else [0] * len(down[0])
+            if above is not None:
+                parent = above[d - 1]
+                if e <= orbit:
+                    parent = _repeat_each(parent, q + 1 if e == 1 else q)
+                sphere = list(map(add, sphere, parent))
+                if 2 <= d < len(down) + 2:
+                    sphere = list(map(sub, sphere, down[d - 2]))
+            spheres.append(sphere)
+        sums = spheres[:2]
+        for m in range(2, last + 1):
+            sums.append(list(map(add, spheres[m], sums[m - 2])))
+        rows.append(sums)
+        above = spheres
+    return rows
 
 
 def _adjacent(levels: list, q: int, orbit: int, exact: bool) -> list:
@@ -590,7 +596,7 @@ class Levels(_Packed):
     entry per vertex of S(R).  ``orbit_layout(R)`` gives the class of radius
     R, one per R, so that every result of the algebra keeps R."""
 
-    __slots__ = ("_sums",)  # (reach, columns) of ``_parity_columns``, set by ball_mean
+    __slots__ = ("_sums",)  # (last, rows) of ``_parity_rows`` per part, set by ball_mean
     _orbit_radius: int
 
     @classmethod
@@ -608,10 +614,10 @@ class Levels(_Packed):
     @classmethod
     def from_radial(cls, profile: RadialLevels) -> Levels:
         """x -> p(|x|) on the ball of the profile's radius: the profile read
-        as rows of the orbit layout of radius 0, widened to its top depth
-        (``_full``), which repeats each radius value |S(d)| times."""
+        as orbit data of radius 0, one entry per depth, whose tail stands
+        for the |S(d)| vertices of each sphere."""
         rows = [[[value] for value in part] for part in profile.parts]
-        return orbit_layout(0)(profile.q, profile.mode, profile.den, rows)._full()
+        return orbit_layout(0)(profile.q, profile.mode, profile.den, rows)
 
     def _weight(self, d: int) -> int:
         """The number of vertices (keys) an entry of depth d stands for: 1 up
@@ -634,7 +640,7 @@ class Levels(_Packed):
             rows = part[: orbit + 1]
             for d, row in enumerate(part[orbit + 1 :], orbit + 1):
                 times = sphere_volume(q, min(d, radius)) // len(row)
-                rows.append(list(chain.from_iterable(map(repeat, row, repeat(times, len(row))))))
+                rows.append(_repeat_each(row, times))
             return rows
 
         return orbit_layout(radius)(q, self.mode, self.den, list(map(widened, self.parts)))
@@ -719,59 +725,44 @@ class Levels(_Packed):
         return None
 
     def ball_mean(self, n: int) -> Levels:
-        """M_n for n >= 1, in this layout.  Exact data with no tail, stored
-        to depth t <= R, take parity sums: a vertex x at depth d > t below
-        a in S(t) reaches Ball(t) only through a, so M_n f(x) = q^(-(d-t)/2)
-        M_{n-d+t} f(a).  Over the common factor q^(-n/2), the entry (a, d)
-        of the orbit layout of radius t is the parity sum P_a(n - d + t),
-        read with those of every depth as one column per a
-        (``_parity_column``), and a vertex x of Ball(t) takes P_x(n).  The
-        sums are kept on this datum (``_parity_columns``).  The parts are
-        weighted once at the end (``_over_root_power``), widened to R, and
+        """M_n for n >= 1, in this layout.  Exact data stored to depth t take
+        parity sums (``_parity_rows``), tail or not: a vertex at depth t + s
+        reaches the data only through its ancestor a at depth t, so over
+        q^(-n/2) depth e <= t holds P(n) of depth e and depth t + s holds
+        P(n - s) of a; past the last distance built, P repeats its value of
+        the same parity.  The rows are kept on this datum, built to
+        distance n and, when a later n reaches past that, once more to
+        2t + 1; results share them, as ``_widen`` shares rows, and no row is
+        mutated in place.  Parts are weighted once (``_over_root_power``);
         no neighbour sum is taken.  Float64 data, whose sources add in
-        canonical order, and data with a tail take the scatter route
-        (``_scatter_mean``)."""
+        canonical order, take the scatter route (``_scatter_mean``)."""
         q, orbit, parts = self.q, self._orbit_radius, self.parts
-        top = max(len(parts[0]) - 1, 0)
-        if self.mode is not EXACT or top > orbit:
+        if self.mode is not EXACT:
             return self._scatter_mean(n)
-        out = [[] for _ in parts]
-        for e, columns in enumerate(self._parity_columns(n, top)):
-            for part, sums in zip(out, zip(*columns)):
-                if e < top:
-                    part.append([_parity_sum(s, n) for s in sums])
-                else:  # depth top + t holds P(n - t)
-                    part += map(list, zip(*(_parity_column(s, n) for s in sums)))
-        mean = orbit_layout(top)(q, self.mode, *self._over_root_power(q, n, self.den, out))
-        return mean._widen(orbit)
-
-    def _parity_columns(self, n: int, top: int) -> list:
-        """Per depth e <= top, the ``_parity_sums`` of every vertex of S(e),
-        kept on this datum: the first M_n builds them to distance n, and a
-        later M_n that reaches past that builds them once more to every
-        distance a stored vertex lies at (2 top + 1), after which they serve
-        every n.  Copies, comparisons and hashes never read them."""
-        q, parts, complete = self.q, self.parts, 2 * top + 1
-        reach, columns = getattr(self, "_sums", (0, None))
-        if min(n, complete) > reach:
-            reach = min(n, complete) if columns is None else complete
-            columns = [
-                [_parity_sums(q, parts, e, i, reach) for i in range(sphere_volume(q, e))]
-                for e in range(top + 1)
-            ]
-            self._sums = reach, columns
-        return columns
+        if not parts[0]:
+            return self
+        top = len(parts[0]) - 1
+        complete = 2 * top + 1
+        last, kept = getattr(self, "_sums", (0, None))
+        if min(n, complete) > last:
+            last = min(n, complete) if kept is None else complete
+            kept = [_parity_rows(q, part, last, orbit) for part in parts]
+            self._sums = last, kept
+        reads = [m if m <= last else last - (m - last) % 2 for m in range(n, -1, -1)]
+        out = [[sums[reads[0]] for sums in rows] + [rows[-1][m] for m in reads[1:]] for rows in kept]
+        layout = orbit_layout(min(top, orbit))
+        return layout(q, self.mode, *self._over_root_power(q, n, self.den, out))._widen(orbit)
 
     def __getstate__(self):
         # a copy carries the values, not the parity sums kept on them
         return None, {name: getattr(self, name) for name in _Packed.__slots__}
 
     def _scatter_mean(self, n: int) -> Levels:
-        """M_n for n >= 1 on the vertex rows (``_full``), the oracle of the
-        parity sums: q^(-n/2) times the sum of the values at the vertices y
-        with d(x, y) <= n and n - d(x, y) even.  Each stored value is added,
-        source by source in canonical order, to the index ranges of its
-        spheres (``_sphere_ranges``); no neighbour sum is taken, which keeps
+        """M_n for n >= 1 on the vertex rows (``_full``), the route of
+        float64 data and the tests' oracle of the parity sums: q^(-n/2)
+        times the sum of the values at the vertices y with d(x, y) <= n and
+        n - d(x, y) even.  Each stored value is added, source by source in
+        canonical order, to the index ranges of its spheres (``_sphere_ranges``); no neighbour sum is taken, which keeps
         this route independent of the leapfrog.  A float64 value is weighted
         before it is added; exact parts are weighted once at the end
         (``_over_root_power``, as in ``step``).  The result is in the

@@ -122,6 +122,11 @@ def omega(q: int, k: int) -> VertexAddress:
     return VertexAddress(q, (0,) * k)
 
 
+# the most vertices a run may walk or write, checked before it starts: the
+# balls of ``treewave verify`` and the snapshot rows of ``treewave propagate``
+MAX_VERTICES = 5_000_000
+
+
 def sphere_volume(q: int, n: int) -> int:
     """Number of vertices at distance n from any fixed vertex:
     1 for n = 0, (q+1)*q^(n-1) for n >= 1."""

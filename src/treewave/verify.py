@@ -54,7 +54,7 @@ from .sampling import (
     random_tree_function,
 )
 from .scalars import QSurd, ScalarMode, scalar_from_fraction, sqrt_q_power
-from .topology import Ball, VertexAddress, distance, sphere, sphere_volume
+from .topology import MAX_VERTICES, Ball, VertexAddress, distance, sphere, sphere_volume
 from .transforms import (
     abel,
     abel_inverse,
@@ -102,7 +102,7 @@ _SIZES = {
 # deeper than its data radius (<= 2), since solutions and M_n stay in the
 # orbit layout of the data (tests/test_cli.py traces every ball, sphere and
 # packed row a check builds)
-_ASGEIRSSON_TIMES, _LARGEST_BALL, _MAX_VERTICES = 8, 6, 5_000_000
+_ASGEIRSSON_TIMES, _LARGEST_BALL = 8, 6
 
 
 @dataclass(frozen=True)
@@ -504,7 +504,7 @@ def run_verification(
     The report is byte-stable for fixed arguments.  With
     ``negative_control=True`` the conservation check runs against a
     deliberately corrupted recurrence weight and must fail.  A q whose
-    checks would walk more than ``_MAX_VERTICES`` vertices is refused with a
+    checks would walk more than ``MAX_VERTICES`` vertices is refused with a
     ``ConfigError`` before any check runs.
     """
     if size not in _SIZES:
@@ -512,13 +512,13 @@ def run_verification(
     qs = tuple(qs)
     for q in qs:
         vertices = Ball(q, _LARGEST_BALL).vertex_count()
-        if vertices > _MAX_VERTICES:
+        if vertices > MAX_VERTICES:
             fits = 2
-            while Ball(fits + 1, _LARGEST_BALL).vertex_count() <= _MAX_VERTICES:
+            while Ball(fits + 1, _LARGEST_BALL).vertex_count() <= MAX_VERTICES:
                 fits += 1
             raise ConfigError(
                 f"field 'q': the checks at q={q} walk a ball of {vertices} vertices, "
-                f"above the limit of {_MAX_VERTICES}; use q <= {fits}"
+                f"above the limit of {MAX_VERTICES}; use q <= {fits}"
             )
     lines = [
         "verification report",

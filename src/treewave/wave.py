@@ -27,11 +27,12 @@ and ``treewave.radial.radial_solve`` share one body, truncation check included.
 Vertex data built in Ball(R) are packed in the orbit layout of radius R, one
 entry per vertex of S(R) at each depth beyond R, and both routes of
 ``solve`` stay in it: the leapfrog steps there, and the closed route takes
-each exact M_n there from parity sums over Ball(R), built once per datum
-and kept on it, with no neighbour sum, so it stays the leapfrog's
-independent oracle.  The scatter route of M_n
-over the vertex rows, which the tests compare with the parity sums, serves
-float64 data and data with a tail.
+each exact M_n there from parity sums over the stored depths, built once
+per datum and kept on it, with no neighbour sum, so it stays the
+leapfrog's independent oracle.  Data with a tail, such as a snapshot u(k)
+restarted as Cauchy data, take the same route and keep R.  The scatter
+route of M_n over the vertex rows, which the tests compare with the parity
+sums, serves float64 data only.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def adjacency_sum(f: Function) -> Function:
 def m_operator(n: int, f: Function) -> Function:
     """M_n f(x) = q^(-n/2) * sum over d(y,x) <= n with n - d(y,x) even;
     M_{-1} = 0 and M_0 is the identity.  No neighbour sum is taken: exact
-    vertex data with no tail read parity sums over Ball(R), other vertex
+    vertex data read parity sums over their stored depths, float64 vertex
     data spread over the geodesic index ranges of their spheres, profiles
     are convolved with the M_n kernel."""
     if n < -1:

@@ -18,7 +18,7 @@ from treewave.experiment import ExperimentConfig, resolve_initial_data, run_expe
 from treewave.functions import RadialProfile, TreeFunction
 from treewave.levels import Levels
 from treewave.scalars import QSurd, ScalarMode
-from treewave.topology import Ball, VertexAddress, sphere
+from treewave.topology import MAX_VERTICES, Ball, VertexAddress, sphere
 from treewave.verify import run_verification
 
 
@@ -302,7 +302,7 @@ def test_verify_fills_no_full_ball_beyond_the_bounded_radius(monkeypatch, size, 
 
 
 def test_verify_negative_control_at_q_six_stays_within_the_limit():
-    assert Ball(6, verify._LARGEST_BALL).vertex_count() <= verify._MAX_VERTICES
+    assert Ball(6, verify._LARGEST_BALL).vertex_count() <= MAX_VERTICES
     report, passed = run_verification((6,), 0, "standard", negative_control=True)
     assert not passed and "FAIL energy conservation" in report
 
@@ -376,6 +376,40 @@ def test_cli_transforms_initial_rejects_non_integer_radius_and_q(tmp_path, capsy
     _fails_closed(["transforms", "--initial", initial, "--out", str(tmp_path / "b")], "q", capsys)
 
 
+def test_cli_transforms_refuses_a_q_or_mode_that_contradicts_the_profile(tmp_path, capsys):
+    # --q and --mode given with --initial must match the profile; left out,
+    # the profile's own q and mode apply
+    entries = [{"n": 0, "value": "1"}, {"n": 2, "value": "-1/2"}]
+    initial = _write_json(tmp_path / "profile.json", {"q": 3, "mode": "exact", "entries": entries})
+    for flags in (["--q", "5"], ["--mode", "float64"], ["--q", "5", "--mode", "float64"]):
+        out = tmp_path / "_".join(flags)
+        argv = ["transforms", *flags, "--initial", initial, "--out", str(out)]
+        _fails_closed(argv, "initial", capsys)
+        assert not out.exists()
+    for flags in ([], ["--q", "3", "--mode", "exact"]):
+        out = tmp_path / f"agrees{len(flags)}"
+        assert main(["transforms", *flags, "--initial", initial, "--out", str(out)]) == 0
+        rows = list(csv.reader(io.StringIO((out / "abel.csv").read_text(encoding="utf-8"))))
+        assert rows[1][1:3] != ["", ""]  # exact cells, from the profile's own mode
+    assert (tmp_path / "agrees0" / "abel.csv").read_bytes() == (
+        tmp_path / "agrees4" / "abel.csv"
+    ).read_bytes()
+
+
+def test_cli_propagate_refuses_snapshots_beyond_the_vertex_budget(tmp_path, capsys, monkeypatch):
+    # q=2 to steps=40 would write about 2^41 snapshot rows; the run is
+    # refused before it solves, naming the largest steps that fits (18 for
+    # the delta, whose snapshots fill Ball(|n|))
+    monkeypatch.setattr(treewave.experiment, "solve", None)  # never reached
+    out = tmp_path / "run"
+    _fails_closed(["propagate", "--q", "2", "--steps", "40", "--out", str(out)], "steps", capsys)
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="the largest steps that fits is 18$"):
+        run_experiment(ExperimentConfig(q=2, steps=19, out=str(out)))
+    rows = [sum(Ball(2, abs(n)).vertex_count() for n in range(-s, s + 1)) for s in (18, 19)]
+    assert rows[0] <= MAX_VERTICES < rows[1]
+
+
 def test_cli_propagate_initial_rejects_non_integer_q(tmp_path, capsys):
     f = TreeFunction.delta(2, ScalarMode.EXACT).to_json()
     initial = _write_json(tmp_path / "f.json", {"f": {**f, "q": 2.5}})
@@ -415,17 +449,20 @@ def test_cli_transforms_initial_keeps_the_profile_mode(tmp_path, capsys):
     names = ("abel", "abel_inverse", "dual_abel", "dual_abel_inverse")
     exact = RadialProfile(3, ScalarMode.EXACT, [(0, QSurd(1, 0, 3)), (2, QSurd(Fraction(1, 2), 1, 3))])
     tables = {}
-    for label, profile, mode in (
-        ("float", exact.as_float64(), "exact"),  # --mode sets only the default delta
-        ("exact", exact, "float"),
-        ("exact-default", exact, "exact"),
+    for label, profile, flags in (
+        ("float", exact.as_float64(), []),  # without --mode, the profile's mode
+        ("exact", exact, ["--mode", "exact"]),
+        ("exact-default", exact, []),
     ):
         initial = _write_json(tmp_path / f"{label}.json", profile.to_json())
         out = tmp_path / label
-        assert main(["transforms", "--initial", initial, "--mode", mode, "--out", str(out)]) == 0
+        assert main(["transforms", "--initial", initial, *flags, "--out", str(out)]) == 0
         capsys.readouterr()
         tables[label] = {name: (out / f"{name}.csv").read_text() for name in names}
     assert tables["exact"] == tables["exact-default"]
+    # a --mode that contradicts the profile's is refused, not ignored
+    argv = ["transforms", "--initial", initial, "--mode", "float", "--out", str(tmp_path / "x")]
+    _fails_closed(argv, "initial", capsys)
     for name in names:
         rows = tables["float"][name].splitlines()[1:]
         assert rows and all(row.split(",")[1:3] == ["", ""] for row in rows)

@@ -2,7 +2,8 @@
 
 Data supported in Ball(R) are packed in the orbit layout of radius R, and
 both routes of ``solve`` stay there: the leapfrog steps in it, and the
-closed route takes M_n in it from parity sums over Ball(R).  Their
+closed route takes M_n in it from parity sums (``_parity_rows``, which are
+also compared with sums over ``topology.distance``), tail or not.  Their
 snapshots are compared here with routes that never use a tail: the
 leapfrog on data packed in the orbit layout of a radius past every depth
 the test reaches (``full_leapfrog``), where every operator takes its
@@ -43,7 +44,7 @@ from treewave.levels import Levels, RadialLevels, _vertex_index, orbit_layout
 from treewave.radial import evaluate_kernel_solution, propagator_kernels, radial_solve
 from treewave.sampling import random_data_pair
 from treewave.scalars import QSurd, ScalarMode, scalar_from_fraction, sqrt_q_power
-from treewave.topology import Ball, VertexAddress, sphere_volume
+from treewave.topology import Ball, VertexAddress, distance, sphere_volume
 from treewave.transforms import abel
 from treewave.wave import (
     WaveTrajectory,
@@ -219,7 +220,7 @@ def test_orbit_ball_mean_equals_the_full_ball_mean(q):
 @pytest.mark.parametrize("q", (2, 3, 4, 5))
 def test_orbit_ball_mean_with_a_tail_takes_the_expansion(q):
     # stored past its radius, an orbit function's M_n is the scatter route's
-    # M_n of the same values, packed from its value map
+    # M_n of the same values, packed from its value map, and keeps its radius
     rng = random.Random(f"orbit:ball-mean-tail:{q}")
     for radius in (0, 1, 2):
         for depth in range(radius + 1, radius + 3):
@@ -229,8 +230,63 @@ def test_orbit_ball_mean_with_a_tail_takes_the_expansion(q):
                 if ball_size(q, depth + n) > BALL_LIMIT:
                     break
                 found = orbit.ball_mean(n)
-                assert found._orbit_radius == depth + n
+                assert found._orbit_radius == radius
                 assert found.same_as(built._as_levels()._scatter_mean(n))
+
+
+def brute_parity_rows(q, part, last, radius):
+    """The rows of ``_parity_rows`` summed vertex by vertex: per depth e and
+    entry i, P(m) for m <= last about one vertex that the entry stands for,
+    from ``topology.distance`` to every vertex of the ball."""
+    top = len(part) - 1
+    rng = random.Random(f"orbit:brute:{q}:{radius}:{top}")
+    vertices = list(Ball(q, top))
+    value = {y: part[y.depth][_vertex_index(y.labels[:radius], q)] for y in vertices}
+    rows = []
+    for e in range(top + 1):
+        entries = [v for v in vertices if v.depth == min(e, radius)]
+        columns = []
+        for a in entries:
+            x = one_descendant(a, e, rng)
+            spheres = [0] * (2 * top + 1)
+            for y in vertices:
+                spheres[distance(x, y)] += value[y]
+            sums = [sum(spheres[m % 2 : m + 1 : 2]) for m in range(last + 1)]
+            columns.append(sums)
+        rows.append([list(row) for row in zip(*columns)])
+    return rows
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_parity_rows_equal_the_distance_sums(q):
+    # orbit parts with and without a tail, to every distance a stored vertex
+    # lies at and one past it, and cut short at a smaller last distance
+    rng = random.Random(f"orbit:parity-rows:{q}")
+    for radius in (0, 1, 2):
+        for depth in range(radius, radius + 3):
+            if ball_size(q, depth) > 600:
+                break
+            part = random_orbit(q, radius, depth, rng).parts[0]
+            for last in (1, depth + 1, 2 * depth + 2):
+                found = treewave.levels._parity_rows(q, part, last, radius)
+                assert found == brute_parity_rows(q, part, last, radius)
+
+
+@pytest.mark.parametrize("q, radius", [(2, 0), (2, 2), (3, 1), (4, 2), (9, 1)])
+def test_ball_mean_of_a_restart_snapshot_equals_the_scatter_route(q, radius):
+    # u(k) of a leapfrog is orbit data of radius R with a tail to R + k;
+    # its exact M_n keeps R and equals M_n scattered over the vertex rows
+    rng = random.Random(f"orbit:restart-mean:{q}:{radius}")
+    f, g = data_on_ball(q, radius, rng), data_on_ball(q, radius, rng)
+    u = solve(f, g, 4, solver="recurrence")
+    for k in range(1, 5):
+        snapshot = u.snapshot(k)._as_levels()
+        for n in range(1, 6):
+            if ball_size(q, radius + k + n) > BALL_LIMIT:
+                break
+            found = uncached(snapshot).ball_mean(n)
+            assert found._orbit_radius == radius
+            assert found.same_as(snapshot._scatter_mean(n))
 
 
 def test_closed_snapshot_at_n_200_equals_the_leapfrog():
@@ -302,37 +358,37 @@ def test_kept_parity_sums_enter_no_comparison_copy_or_pickle():
         assert not hasattr(copied, "_sums")
 
 
-def parity_sum_calls(monkeypatch):
-    """A list that records the (depth, index) of every ``_parity_sums`` call."""
-    calls, parity_sums = [], treewave.levels._parity_sums
+def parity_row_calls(monkeypatch):
+    """A list that records the part of every ``_parity_rows`` call."""
+    calls, parity_rows = [], treewave.levels._parity_rows
     monkeypatch.setattr(
         treewave.levels,
-        "_parity_sums",
-        lambda q, parts, k, j, n: calls.append((k, j)) or parity_sums(q, parts, k, j, n),
+        "_parity_rows",
+        lambda q, part, last, orbit: calls.append(part) or parity_rows(q, part, last, orbit),
     )
     return calls
 
 
 @pytest.mark.parametrize("n_range", ((-6, 6), (0, 6), (-2, 7)))
 def test_a_closed_solve_builds_the_parity_sums_once_per_datum(n_range, monkeypatch):
-    # each vertex of Ball(R) of each datum is summed once, plus at most one
-    # extension when a later n reaches past the first
+    # each part of each datum is summed once, plus at most one extension
+    # when a later n reaches past the first
     f, g = random_data_pair(2, 2, random.Random(7))
-    calls = parity_sum_calls(monkeypatch)
+    calls = parity_row_calls(monkeypatch)
     closed = solve(f, g, n_range, solver="closed")
-    vertices = Counter(calls)
-    assert set(vertices) == {(d, j) for d in range(3) for j in range(sphere_volume(2, d))}
-    assert max(vertices.values()) <= 2 * 2  # f and g, each built and extended at most once
-    assert len(calls) <= 2 * 2 * ball_size(2, 2)
+    parts = Counter(map(id, calls))
+    assert len(parts) <= 2 * 2  # two parts of f and g
+    assert max(parts.values()) <= 2  # built and extended at most once
     leapfrog = solve(f, g, n_range, solver="recurrence")
     assert all(closed.snapshot(n) == leapfrog.snapshot(n) for n in closed.n_values())
 
 
 def test_a_closed_solve_to_n_200_sums_each_datum_once(monkeypatch):
     f, g = random_data_pair(2, 3, random.Random(5))
-    calls = parity_sum_calls(monkeypatch)
+    calls = parity_row_calls(monkeypatch)
     closed = solve(f, g, (-200, 200), "closed")
-    assert len(calls) <= 100
+    assert len(calls) <= 2 * 2 * 2
+    assert max(Counter(map(id, calls)).values()) <= 2
     leapfrog = solve(f, g, (-200, 200), "recurrence")
     assert all(closed.snapshot(n) == leapfrog.snapshot(n) for n in range(-200, 201))
 
@@ -554,6 +610,25 @@ def test_a_restart_keeps_the_radius_of_its_data(k):
     for m in (-1, 0, 1):
         assert radius_of(restart.snapshot(m)) == 3
         assert restart.snapshot(m) == u.snapshot(k + m)
+
+
+def test_the_closed_restart_never_scatters(monkeypatch):
+    # the closed route of a restart from u(16), orbit data of radius 3 with
+    # a tail to depth 19, takes every M_n from parity rows: it keeps radius 3
+    # and equals the leapfrog, and the scatter route is never called
+    f, g = random_data_pair(2, 3, random.Random(5))
+    u = solve(f, g, (0, 17), solver="recurrence")
+    half = scalar_from_fraction(Fraction(1, 2), 2, EXACT)
+    velocity = (u.snapshot(17) - u.snapshot(15)).scale(half)
+    scattered, scatter_mean = [], Levels._scatter_mean
+    monkeypatch.setattr(
+        Levels, "_scatter_mean", lambda self, n: scattered.append(n) or scatter_mean(self, n)
+    )
+    restart = solve(u.snapshot(16), velocity, 1, solver="closed")
+    assert scattered == []
+    for m in (-1, 0, 1):
+        assert radius_of(restart.snapshot(m)) == 3
+        assert restart.snapshot(m) == u.snapshot(16 + m)
 
 
 # -- the listing read ----------------------------------------------------------------
