@@ -42,10 +42,12 @@ an entry and the keys it stands for (``_key_rows``):
   depths and one pass up give the parity sums P_x(m) of the distance sums
   about every entry x (``_parity_rows``), and a vertex below the last
   stored depth t reaches the data only through its ancestor at depth t.
-  Those sums are kept on the datum, so the M_n of one closed solve sum the
-  data once, not once per n.  Operands of different radii meet in the
-  layout of the larger radius (``_one_layout``): widening (``_widen``)
-  expands only the rows between the two radii.  ``_full`` widens to the
+  Those sums are kept on the datum (``_kept_parity_rows``), so the M_n of
+  one closed solve sum the data once, not once per n, and a datum with a
+  long tail is summed only to about the distances asked.  Operands of
+  different radii meet in the layout of the larger radius
+  (``_one_layout``): widening (``_widen``) expands only the rows between
+  the two radii.  ``_full`` widens to the
   top depth only for the scattered M_n.
 - radial profiles (``RadialLevels``): the orbit layout of radius 0, stored
   flat: each part is one list indexed by radius, whose entry m stands for
@@ -55,10 +57,15 @@ an entry and the keys it stands for (``_key_rows``):
   energy of the long radial runs several times cheaper.  A linear
   combination is one ``map`` per part and a weighted sum one term per
   part.  The neighbour sum is (q+1)*p(1) at the origin and p(m-1) +
-  q*p(m+1) elsewhere, and M_n is the convolution with the M_n kernel, whose
-  distance counts are built once per call from powers of q.  The distance-2
-  pairs are the grandparent pairs (m, m+2), |S(m+2)| of them; siblings
-  share a value and add 0.
+  q*p(m+1) elsewhere.  M_n, C_n and S_n are convolutions with distance
+  kernels.  An exact profile reads a kernel by its parity runs k(j) -
+  k(j+2), one for M_n and S_n, two for C_n, against the parity sums of the
+  profile read as orbit data of radius 0 (``Levels.from_radial``), which
+  the vertex kernel ``_parity_rows`` gives and the profile keeps as vertex
+  data do; an operator then costs O(n + R).  Float64 profiles add the
+  kernel's terms with the distance counts, built once per call from powers
+  of q, in a fixed order.  The distance-2 pairs are the grandparent pairs
+  (m, m+2), |S(m+2)| of them; siblings share a value and add 0.
 - height sequences (``HeightLevels``): depth |h| holds s(h), and at depth
   d >= 1 also s(-d) after s(d).
 
@@ -188,6 +195,21 @@ def _parity_rows(q: int, part: list, last: int, orbit: int) -> list:
     return rows
 
 
+def _parity_read(sums: list, last: int, n: int) -> list:
+    """P(n) of every depth of the result, from the sums [P(0), .., P(last)]
+    of one part per stored depth (``_parity_rows``): depth e <= t, the last
+    stored depth, holds P(n) of depth e, and depth t + s (s = 1..n) holds
+    P(n - s) of depth t, since a vertex there reaches the data only through
+    its ancestor at depth t.  Past ``last``, which is then 2t + 1, P repeats
+    its value of the same parity.  Rows are shared, not copied."""
+    top = sums[-1]
+    if n <= last:
+        return [row[n] for row in sums] + top[:n][::-1]
+    beyond = n - 1 - last  # the distances last + 1 .. n - 1 below depth t
+    repeats = ([top[last - 1], top[last]] * (beyond // 2 + 1))[:beyond]
+    return [row[last - (n - last) % 2] for row in sums] + repeats[::-1] + top[::-1]
+
+
 def _adjacent(levels: list, q: int, orbit: int, exact: bool) -> list:
     """Neighbour sum of one part in the orbit layout of radius ``orbit``:
     depth d of the result holds the parent values plus the child sums of
@@ -264,12 +286,15 @@ class _Packed:
     Immutable by convention; trailing all-zero depths are trimmed and D is
     reduced, so the zero function has no depths at all."""
 
-    __slots__ = ("q", "mode", "den", "parts")
+    __slots__ = ("q", "mode", "den", "parts", "_sums")  # _sums: see ``_kept_parity_rows``
 
     def __init__(self, q: int, mode: ScalarMode, den: int, parts: list):
-        while parts[0] and not any(self._entries([part[-1] for part in parts])):
-            parts = [part[:-1] for part in parts]
-        if not parts[0]:
+        size = len(parts[0])
+        while size and not any(self._entries([part[size - 1] for part in parts])):
+            size -= 1
+        if size < len(parts[0]):
+            parts = [part[:size] for part in parts]
+        if not size:
             den = 1
         elif den != 1:
             common = gcd(den, *chain.from_iterable(map(self._entries, parts)))
@@ -482,6 +507,11 @@ class _Packed:
         ``_radial_adjacent`` is looked up at each call."""
         raise NotImplementedError
 
+    def _parity_rows_of(self, last: int) -> list:
+        """Per part, the sums [P(0), .., P(last)] of every stored depth
+        (``_parity_rows`` in the orbit layout of radius ``_orbit_radius``)."""
+        raise NotImplementedError
+
     def _terms(self, xs: list, ys: list):
         """(weight, x, y) terms whose products add up to sum w * x * y over
         the stored entries of the parts xs and ys (ys is xs for squares),
@@ -519,6 +549,29 @@ class _Packed:
             return type(self)(q, mode, 1, [combine(1, self.parts[0], -1 / weight, parts[0])])
         parts = [combine(weight, p, -1, s) for p, s in zip(self.parts, parts)]
         return type(self)(q, mode, weight * self.den, parts)
+
+    def _kept_parity_rows(self, n: int) -> tuple[int, list]:
+        """(last, sums): the parity sums of every part (``_parity_rows_of``),
+        built to a distance last >= min(n, 2t + 1), t the last stored depth,
+        and kept on this datum, so the M_n of one closed solve sum the data
+        once, not once per n.  Past 2t + 1 no distance adds a vertex.  A
+        build reaches at least min(t, R) + 1 (R the orbit radius), so data
+        with no tail are built once and extended at most once, to 2t + 1; an
+        extension grows to max(n, 2 last), capped at 2t + 1, so a datum with
+        a long tail is summed to about the distances asked, not to 2t + 1.
+        Results share the kept rows, which are never mutated in place."""
+        top = len(self.parts[0]) - 1
+        complete = 2 * top + 1
+        last, kept = getattr(self, "_sums", (-1, None))
+        if min(n, complete) > last:
+            last = min(max(n, 2 * last, min(top, self._orbit_radius) + 1), complete)
+            kept = self._parity_rows_of(last)
+            self._sums = last, kept
+        return last, kept
+
+    def __getstate__(self):
+        # a copy carries the values, not the parity sums kept on them
+        return None, {name: getattr(self, name) for name in ("q", "mode", "den", "parts")}
 
     def laplacian(self) -> _Packed:
         """u - Adj u / (q+1)."""
@@ -596,7 +649,7 @@ class Levels(_Packed):
     entry per vertex of S(R).  ``orbit_layout(R)`` gives the class of radius
     R, one per R, so that every result of the algebra keeps R."""
 
-    __slots__ = ("_sums",)  # (last, rows) of ``_parity_rows`` per part, set by ball_mean
+    __slots__ = ()
     _orbit_radius: int
 
     @classmethod
@@ -699,6 +752,9 @@ class Levels(_Packed):
     def _adjacent_part(self, part: list) -> list:
         return _adjacent(part, self.q, self._orbit_radius, self.mode is EXACT)
 
+    def _parity_rows_of(self, last: int) -> list:
+        return [_parity_rows(self.q, part, last, self._orbit_radius) for part in self.parts]
+
     def _key_rows(self, listing):
         """The vertices of the entries js of each depth d, in canonical order:
         per entry, the label word of its vertex of S(e), e = min(d, R),
@@ -725,37 +781,22 @@ class Levels(_Packed):
         return None
 
     def ball_mean(self, n: int) -> Levels:
-        """M_n for n >= 1, in this layout.  Exact data stored to depth t take
-        parity sums (``_parity_rows``), tail or not: a vertex at depth t + s
-        reaches the data only through its ancestor a at depth t, so over
-        q^(-n/2) depth e <= t holds P(n) of depth e and depth t + s holds
-        P(n - s) of a; past the last distance built, P repeats its value of
-        the same parity.  The rows are kept on this datum, built to
-        distance n and, when a later n reaches past that, once more to
-        2t + 1; results share them, as ``_widen`` shares rows, and no row is
-        mutated in place.  Parts are weighted once (``_over_root_power``);
-        no neighbour sum is taken.  Float64 data, whose sources add in
-        canonical order, take the scatter route (``_scatter_mean``)."""
+        """M_n for n >= 1, in this layout.  Exact data, tail or not, read
+        P(n) of the parity sums kept on them (``_kept_parity_rows``,
+        ``_parity_read``), over q^(-n/2); results share the kept rows, as
+        ``_widen`` shares rows.  Parts are weighted once
+        (``_over_root_power``); no neighbour sum is taken.  Float64 data,
+        whose sources add in canonical order, take the scatter route
+        (``_scatter_mean``)."""
         q, orbit, parts = self.q, self._orbit_radius, self.parts
         if self.mode is not EXACT:
             return self._scatter_mean(n)
         if not parts[0]:
             return self
-        top = len(parts[0]) - 1
-        complete = 2 * top + 1
-        last, kept = getattr(self, "_sums", (0, None))
-        if min(n, complete) > last:
-            last = min(n, complete) if kept is None else complete
-            kept = [_parity_rows(q, part, last, orbit) for part in parts]
-            self._sums = last, kept
-        reads = [m if m <= last else last - (m - last) % 2 for m in range(n, -1, -1)]
-        out = [[sums[reads[0]] for sums in rows] + [rows[-1][m] for m in reads[1:]] for rows in kept]
-        layout = orbit_layout(min(top, orbit))
+        last, kept = self._kept_parity_rows(n)
+        out = [_parity_read(sums, last, n) for sums in kept]
+        layout = orbit_layout(min(len(parts[0]) - 1, orbit))
         return layout(q, self.mode, *self._over_root_power(q, n, self.den, out))._widen(orbit)
-
-    def __getstate__(self):
-        # a copy carries the values, not the parity sums kept on them
-        return None, {name: getattr(self, name) for name in _Packed.__slots__}
 
     def _scatter_mean(self, n: int) -> Levels:
         """M_n for n >= 1 on the vertex rows (``_full``), the route of
@@ -801,6 +842,7 @@ class RadialLevels(_Packed):
     that sphere.  A profile keeps it once built."""
 
     __slots__ = ()
+    _orbit_radius = 0  # its parity sums are those of ``Levels.from_radial``
     # storage shape: a part is its one row, so an entry's index is its radius
     _entries = staticmethod(iter)
     _map = staticmethod(_map_row)
@@ -835,6 +877,14 @@ class RadialLevels(_Packed):
     def _adjacent_part(self, part: list) -> list:
         return _radial_adjacent(part, self.q)
 
+    def _parity_rows_of(self, last: int) -> list:
+        """The sums of the profile read as orbit data of radius 0, one entry
+        per depth (``Levels.from_radial``), each sum unwrapped from its row
+        of width 1."""
+        q, parts = self.q, Levels.from_radial(self).parts
+        rows = (_parity_rows(q, part, last, 0) for part in parts)
+        return [[[row[0] for row in sums] for sums in part_rows] for part_rows in rows]
+
     @classmethod
     def pack(cls, q: int, mode: ScalarMode, values) -> RadialLevels:
         """Pack a mapping radius -> scalar (nonzero values only)."""
@@ -852,47 +902,80 @@ class RadialLevels(_Packed):
         parts = [[int((n - d) % 2 == 0) for d in range(n + 1)], [0] * (n + 1)]
         return cls(q, mode, *cls._over_root_power(q, n, 1, parts))
 
+    @classmethod
+    def c_kernel(cls, q: int, mode: ScalarMode, n: int) -> RadialLevels:
+        """The distance kernel of C_n = (M_n - M_(n-2)) / 2 for n >= 1, built
+        as its two parity runs: q^(-n/2) (1 - q) / 2 at the distances d < n
+        with n - d even, and q^(-n/2) / 2 at d = n.  Exact kernels are
+        integers over 2 q^ceil(n/2); a float64 entry is rounded as the
+        halved difference of the two M kernels' entries."""
+        if mode is not EXACT:
+            weight = sqrt_q_power(q, -n, mode)
+            inner = (weight - sqrt_q_power(q, 2 - n, mode)) * 0.5
+            values = [0.0 if (n - d) % 2 else inner for d in range(n)]
+            return cls(q, mode, 1, [values + [weight * 0.5]])
+        parts = [[0 if (n - d) % 2 else 1 - q for d in range(n)] + [1], [0] * (n + 1)]
+        return cls(q, mode, *cls._over_root_power(q, n, 2, parts))
+
     def ball_mean(self, n: int) -> RadialLevels:
-        """M_n for n >= 1, as the convolution with its distance kernel; no
-        neighbour sum is taken."""
+        """M_n for n >= 1, as the convolution with its distance kernel, one
+        parity run; no neighbour sum is taken."""
         return self.convolve(self.m_kernel(self.q, self.mode, n))
 
     def convolve(self, kernel: RadialLevels) -> RadialLevels:
         """The radial operator with distance kernel ``kernel`` applied to this
         profile p: out(m) = sum_d kernel(d) sum_r count(m, d, r) p(r), where
         count(m, d, r) is the number of vertices at radius r and distance d
-        from a vertex at radius m (``topology.distance_count``).  For one
-        (d, r), the path from radius m climbs a = (m + d - r)/2 steps, and
-        the radii m = |d - r|, ..., d + r (step 2) take the counts, with
-        k = min(d, r): q^k (|S(k)| if d = r, where m = 0), then
-        (q-1) q^(k-2), ..., (q-1) q^0, then 1 at a = d.  These lists are
-        built once per call.  Terms are added in the order of d, then r,
-        each as (kernel(d) p(r)) * count."""
+        from a vertex at radius m (``topology.distance_count``).
+
+        Exact profiles read the kernel by its parity runs w_j = kernel(j) -
+        kernel(j + 2), so that kernel(d) is the sum of the w_j with j >= d
+        and j - d even, and out = sum_j w_j P(j), with P(j) the unweighted
+        parity sums of p read as orbit data of radius 0
+        (``_kept_parity_rows``, ``_parity_read``).  The kernels of M_n and
+        S_n are one run, that of C_n two, so an operator costs O(n + R)
+        once the sums are kept on p.
+
+        Float64 profiles add term by term, in the order of d, then r, each
+        as (kernel(d) p(r)) * count: for one (d, r), the path from radius m
+        climbs a = (m + d - r)/2 steps, and the radii m = |d - r|, ...,
+        d + r (step 2) take the counts, with k = min(d, r): q^k (|S(k)| if
+        d = r, where m = 0), then (q-1) q^(k-2), ..., (q-1) q^0, then 1 at
+        a = d.  These lists are built once per call."""
         q, mode = self.q, self.mode
-        exact = mode is EXACT
-        size = len(kernel.parts[0]) + len(self.parts[0]) - 1
-        out = [[0 if exact else 0.0] * size for _ in self.parts]
+        if mode is EXACT:
+            return self._convolve_runs(kernel)
+        (values,) = self.parts
+        size = len(kernel.parts[0]) + len(values) - 1
+        out = [0.0] * size
         plain, diagonal = [[1]], [[1]]
-        for k in range(1, min(len(kernel.parts[0]), len(self.parts[0]))):
+        for k in range(1, min(len(kernel.parts[0]), len(values))):
             middle = [(q - 1) * q**i for i in range(k - 2, -1, -1)]
             plain.append([q**k, *middle, 1])
             diagonal.append([(q + 1) * q ** (k - 1), *middle, 1])
-        for d, kd in enumerate(zip(*kernel.parts)):
-            for r, pr in enumerate(zip(*self.parts)):
-                if exact:
-                    (ka, kb), (pa, pb) = kd, pr
-                    pair = (ka * pa + q * kb * pb, ka * pb + kb * pa)
-                else:
-                    pair = (kd[0] * pr[0],)
-                if not any(pair):
-                    continue
-                k, lo = min(d, r), abs(d - r)
-                counts = diagonal[k] if d == r else plain[k]
-                for part, value in zip(out, pair):
-                    if value:
-                        for m, c in zip(range(lo, size, 2), counts):
-                            part[m] += value * c
-        return RadialLevels(q, mode, kernel.den * self.den, out)
+        for d, kd in enumerate(kernel.parts[0]):
+            for r, pr in enumerate(values):
+                value = kd * pr
+                if value:
+                    counts = diagonal[d] if d == r else plain[min(d, r)]
+                    for m, c in zip(range(abs(d - r), size, 2), counts):
+                        out[m] += value * c
+        return RadialLevels(q, mode, 1, [out])
+
+    def _convolve_runs(self, kernel: RadialLevels) -> RadialLevels:
+        """``convolve`` of exact parts: sum over the runs (j, wa, wb) of
+        (wa + wb sqrt(q)) (PA(j) + PB(j) sqrt(q)), over the product of the
+        two denominators."""
+        q, (ka, kb), out = self.q, kernel.parts, [[], []]
+        if not ka or not self.parts[0]:
+            return RadialLevels(q, self.mode, 1, out)
+        wa, wb = (list(map(sub, k, k[2:] + [0, 0])) for k in (ka, kb))
+        last, kept = self._kept_parity_rows(len(ka) - 1)
+        for j in compress(range(len(ka)), map(or_, wa, wb)):
+            pa, pb = (_parity_read(sums, last, j) for sums in kept)
+            term = [_combine_row(wa[j], pa, q * wb[j], pb), _combine_row(wb[j], pa, wa[j], pb)]
+            out = [_combine_row(1, x, 1, y) for x, y in zip(out, term)]
+        return RadialLevels(q, self.mode, kernel.den * self.den, out)
 
 
 class HeightLevels(_Packed):

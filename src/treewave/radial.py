@@ -22,17 +22,18 @@ solution is a ``WaveTrajectory`` of profiles.  This module keeps what is
 radial only: the closed kernels of the propagators, an independent leapfrog
 route to the same kernels, the convolution of a profile with a kernel, the
 pointwise evaluation of a kernel solution, and ``radial_solve``, whose closed
-route convolves the data with the propagator kernels.
+route convolves the data with the propagator kernels.  An exact convolution
+reads the kernel by its parity runs k(j) - k(j+2) against parity sums kept
+on the profile (``RadialLevels.convolve``): the kernels of M_n and S_n are
+one run and that of C_n two, so a closed snapshot costs O(|n| + R).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ParameterError
 from .functions import RadialProfile, TreeFunction, _check_q, _distance_sums
 from .levels import RadialLevels
-from .scalars import Scalar, ScalarMode, scalar_from_fraction, scalar_zero
+from .scalars import Scalar, ScalarMode, scalar_zero
 from .topology import VertexAddress, distance, distance_count  # noqa: F401 (re-exported)
 from .wave import WaveTrajectory, _solve, adjacency_sum
 
@@ -54,11 +55,13 @@ def m_kernel(q: int, n: int, mode: ScalarMode) -> RadialProfile:
 
 def propagator_kernels(q: int, n: int, mode: ScalarMode) -> tuple[RadialProfile, RadialProfile]:
     """Closed-form kernels (c_n, s_n) with u(., n) = c_n * f + s_n * g
-    (radial convolutions); c_0 is the identity kernel and s_0 = 0."""
+    (radial convolutions); c_0 is the identity kernel and s_0 = 0.  c_n is
+    built as its two parity runs (``RadialLevels.c_kernel``), s_n is the
+    kernel of +-M_(|n|-1)."""
+    _check_q(q)
     if n == 0:
         return RadialProfile.delta(q, mode), RadialProfile(q, mode)
-    half = scalar_from_fraction(Fraction(1, 2), q, mode)
-    cosine = (m_kernel(q, abs(n), mode) - m_kernel(q, abs(n) - 2, mode)).scale(half)
+    cosine = RadialProfile._from_levels(RadialLevels.c_kernel(q, mode, abs(n)))
     sine = m_kernel(q, abs(n) - 1, mode)
     if n < 0:
         sine = -sine

@@ -21,8 +21,10 @@ their exact agreement can serve as an oracle.
 
 Every operator here is written once for a ``TreeFunction`` and a
 ``RadialProfile`` alike and returns the type of its input: the layout of
-``treewave.levels`` supplies the neighbour sum and M_n (geodesic index ranges
-on vertex data, the convolution with the M_n kernel on profiles).  ``solve``
+``treewave.levels`` supplies the neighbour sum and M_n (parity sums over the
+stored depths of exact data, vertex or radial, geodesic index ranges on
+float64 vertex data, the convolution with the M_n kernel on float64
+profiles).  ``solve``
 and ``treewave.radial.radial_solve`` share one body, truncation check included.
 Vertex data built in Ball(R) are packed in the orbit layout of radius R, one
 entry per vertex of S(R) at each depth beyond R, and both routes of
@@ -65,9 +67,10 @@ def adjacency_sum(f: Function) -> Function:
 def m_operator(n: int, f: Function) -> Function:
     """M_n f(x) = q^(-n/2) * sum over d(y,x) <= n with n - d(y,x) even;
     M_{-1} = 0 and M_0 is the identity.  No neighbour sum is taken: exact
-    vertex data read parity sums over their stored depths, float64 vertex
-    data spread over the geodesic index ranges of their spheres, profiles
-    are convolved with the M_n kernel."""
+    data, vertex or radial, read parity sums over their stored depths,
+    float64 vertex data spread over the geodesic index ranges of their
+    spheres, float64 profiles are convolved with the M_n kernel term by
+    term."""
     if n < -1:
         raise ParameterError(f"M_n is defined for n >= -1, got {n}")
     if n == -1:

@@ -15,6 +15,7 @@ import io
 import random
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -524,6 +525,27 @@ def test_perfect_square_values_fold_and_zeros_are_dropped(q):
     assert not step_recurrence(prev, curr)._as_levels().parts[0]
 
 
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_trailing_zero_depths_are_trimmed_to_the_canonical_form(mode):
+    # thousands of trailing zero depths, in every layout, leave the packed
+    # form of the same values without them
+    q, zero = 3, 0 if mode is EXACT else 0.0
+    rng = random.Random(f"levels:trim:{mode.value}")
+    p, f = surd_profile(q, rng, 3), surd_data(q, rng, radius=2)
+    s = surd_heights(q, rng, 3)
+    if mode is FLOAT:
+        p, f, s = p.as_float64(), f.as_float64(), s.as_float64()
+    scale = 6 if mode is EXACT else 1  # exact parts also get a common factor to reduce
+    for x, pad in ((p, zero), (f, [zero]), (s, [zero, zero])):
+        levels = x._as_levels()
+        for count in (1, 1000, 4000):
+            padded = [levels._map(mul, part, scale) + [pad] * count for part in levels.parts]
+            trimmed = type(levels)(q, mode, levels.den * scale, padded)
+            assert trimmed.den == levels.den and trimmed.parts == levels.parts
+    empty = RadialLevels(q, mode, 5, [[zero] * 4000 for _ in range(2 if mode is EXACT else 1)])
+    assert empty.den == 1 and not empty.parts[0]
+
+
 def test_layout_is_the_canonical_ball_order():
     q = 3
     ball = list(Ball(q, 3))
@@ -889,10 +911,56 @@ def test_radial_operators_match_qsurd_routes(q, mode):
         assert cancelled.support_radius() == 0
 
 
+@pytest.mark.parametrize("q", QS)
+def test_exact_convolution_by_parity_runs_matches_the_distance_counts(q):
+    # exact profiles read a kernel by its parity runs against the parity
+    # sums kept on the profile; the reference adds count by count.  The
+    # propagator kernels have one or two runs, random kernels one at every
+    # distance; kernels past 2t + 1 = 7 read the sums repeated by parity
+    rng = random.Random(f"levels:parity-runs:{q}")
+    p = surd_profile(q, rng, 3)
+    kernels = [kernel for n in range(-12, 13) for kernel in propagator_kernels(q, n, EXACT)]
+    kernels += [surd_profile(q, rng, radius) for radius in (0, 2, 5, 9)]
+    for order in (kernels, kernels[::-1]):
+        profile = RadialProfile(q, EXACT, p.items())  # keeps no sums yet
+        for kernel in order:
+            assert radial_convolve(kernel, profile) == reference_radial_convolve(kernel, profile)
+    long = surd_profile(q, rng, 8)
+    for kernel in kernels[:6] + kernels[-2:]:
+        assert radial_convolve(kernel, long) == reference_radial_convolve(kernel, long)
+    zero = RadialProfile(q, EXACT)
+    assert not radial_convolve(zero, p) and not radial_convolve(kernels[-1], zero)
+    assert not radial_convolve(zero, zero) and not radial_convolve(m_kernel(q, -1, EXACT), p)
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_propagator_kernels_are_the_m_kernel_combinations(mode):
+    """c_n, built as its two parity runs, is the canonical packed form of
+    (m_kernel(|n|) - m_kernel(|n| - 2)) / 2, and s_n that of
+    sign(n) m_kernel(|n| - 1); float64 slots are compared bit by bit."""
+    for q in QS:
+        half = scalar_from_fraction(Fraction(1, 2), q, mode)
+        for n in range(-12, 13):
+            if n == 0:
+                continue
+            cosine = (m_kernel(q, abs(n), mode) - m_kernel(q, abs(n) - 2, mode)).scale(half)
+            sine = m_kernel(q, abs(n) - 1, mode)
+            expected = (cosine, -sine if n < 0 else sine)
+            for found, reference in zip(propagator_kernels(q, n, mode), expected):
+                new, old = found._as_levels(), reference._as_levels()
+                assert new.den == old.den and new.parts == old.parts
+                if mode is FLOAT:
+                    assert [x.hex() for x in new.parts[0]] == [x.hex() for x in old.parts[0]]
+    with pytest.raises(ParameterError, match="'q'"):
+        propagator_kernels(1, 3, mode)
+
+
 @pytest.mark.parametrize("q", (2, 3, 4, 9))
 def test_convolution_counts_equal_distance_count(q):
     """A delta kernel at d convolved with a delta profile at r holds, at
-    every radius m, the count ``convolve`` builds inline for (m, d, r)."""
+    every radius m, the count (m, d, r) of ``topology.distance_count``: the
+    kernel's two parity runs, at d and d - 2, read the sums of the profile
+    read as orbit data."""
     one = scalar_from_fraction(1, q, EXACT)
     for d in range(9):
         kernel = RadialLevels.pack(q, EXACT, {d: one})

@@ -41,8 +41,13 @@ from treewave.experiment import _snapshot_rows
 from treewave.functions import HeightSequence, RadialProfile, TreeFunction
 from treewave.laplacians import two_step_laplacian
 from treewave.levels import Levels, RadialLevels, _vertex_index, orbit_layout
-from treewave.radial import evaluate_kernel_solution, propagator_kernels, radial_solve
-from treewave.sampling import random_data_pair
+from treewave.radial import (
+    evaluate_kernel_solution,
+    propagator_kernels,
+    radial_convolve,
+    radial_solve,
+)
+from treewave.sampling import random_data_pair, random_radial_profile
 from treewave.scalars import QSurd, ScalarMode, scalar_from_fraction, sqrt_q_power
 from treewave.topology import Ball, VertexAddress, distance, sphere_volume
 from treewave.transforms import abel
@@ -358,6 +363,24 @@ def test_kept_parity_sums_enter_no_comparison_copy_or_pickle():
         assert not hasattr(copied, "_sums")
 
 
+def test_kept_parity_sums_of_a_profile_enter_no_comparison_copy_or_pickle():
+    q = 3
+    p = random_radial_profile(q, 4, random.Random("orbit:kept-sums:profile"))
+    fresh = RadialProfile(q, EXACT, p.items())
+    before = hash(p)
+    radial_convolve(propagator_kernels(q, 7, EXACT)[0], p)
+    levels = p._as_levels()
+    assert levels._sums is not None
+    assert p == fresh and fresh == p and hash(p) == hash(fresh) == before
+    assert levels.same_as(fresh._as_levels()) and fresh._as_levels().same_as(levels)
+    for copied in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert copied == p
+        assert getattr(copied._as_levels(), "_sums", None) is None
+    for copied in (copy.copy(levels), copy.deepcopy(levels), pickle.loads(pickle.dumps(levels))):
+        assert copied.same_as(levels)
+        assert not hasattr(copied, "_sums")
+
+
 def parity_row_calls(monkeypatch):
     """A list that records the part of every ``_parity_rows`` call."""
     calls, parity_rows = [], treewave.levels._parity_rows
@@ -391,6 +414,36 @@ def test_a_closed_solve_to_n_200_sums_each_datum_once(monkeypatch):
     assert max(Counter(map(id, calls)).values()) <= 2
     leapfrog = solve(f, g, (-200, 200), "recurrence")
     assert all(closed.snapshot(n) == leapfrog.snapshot(n) for n in range(-200, 201))
+
+
+def test_a_closed_restart_from_a_long_snapshot_sums_only_the_distances_it_asks():
+    # u(100) is orbit data of radius 3 with a tail to depth 103, so summing
+    # it to every distance would reach 207; the restart over (0, 3) asks
+    # M_n for n <= 3, and each datum keeps its sums to distance 4
+    f, g = random_data_pair(2, 3, random.Random(5))
+    k = 100
+    u = solve(f, g, (0, k + 1), solver="recurrence")
+    half = scalar_from_fraction(Fraction(1, 2), 2, EXACT)
+    velocity = (u.snapshot(k + 1) - u.snapshot(k - 1)).scale(half)
+    restart = solve(u.snapshot(k), velocity, (0, 3), solver="closed")
+    for data in (restart.f, restart.g):
+        assert len(data._as_levels().parts[0]) > 100
+        assert data._as_levels()._sums[0] <= 4
+    assert restart.snapshots == solve(u.snapshot(k), velocity, (0, 3), "recurrence").snapshots
+    assert restart.snapshot(1) == u.snapshot(k + 1)
+
+
+def test_a_closed_radial_solve_sums_each_datum_a_bounded_number_of_times(monkeypatch):
+    # the 802 convolutions of a closed solve to n = 400 read the parity sums
+    # kept on f and g; each extension at least doubles the distance built,
+    # up to 2t + 1 = 9 for profiles of radius t = 4
+    rng = random.Random(5)
+    f, g = random_radial_profile(2, 4, rng), random_radial_profile(2, 4, rng)
+    calls = parity_row_calls(monkeypatch)
+    closed = radial_solve(f, g, (0, 400), solver="closed")
+    assert len(calls) <= 2 * 2 * ((2 * 4 + 1).bit_length() + 1)
+    assert f._as_levels()._sums[0] == g._as_levels()._sums[0] == 9
+    assert closed.snapshots == radial_solve(f, g, (0, 400), solver="recurrence").snapshots
 
 
 @pytest.mark.parametrize("q, radius", CASES)
