@@ -37,11 +37,12 @@ an entry and the keys it stands for (``_key_rows``):
   adds that entry q times in sequence, as the vertex rows add q children.
   The distance-2 partners of a vertex (siblings, grandparent,
   grandchildren) are slices too, up to one depth past the last stored one,
-  whose entries are 0; siblings beyond R share a value and add 0.  M_n of
-  exact data, tail or not, stays in the layout: one pass down the stored
-  depths and one pass up give the parity sums P_x(m) of the distance sums
-  about every entry x (``_parity_rows``), and a vertex below the last
-  stored depth t reaches the data only through its ancestor at depth t.
+  whose entries are 0; siblings beyond R share a value and add 0.  M_n
+  and C_n of exact data, tail or not, stay in the layout: one pass down
+  the stored depths and one pass up give the parity sums P_x(m) of the
+  distance sums about every entry x (``_parity_rows``), and a vertex below
+  the last stored depth t reaches the data only through its ancestor at
+  depth t.
   Those sums are kept on the datum (``_kept_parity_rows``), so the M_n of
   one closed solve sum the data once, not once per n, and a datum with a
   long tail is summed only to about the distances asked.  Operands of
@@ -56,16 +57,19 @@ an entry and the keys it stands for (``_key_rows``):
   One list per part, not one row per depth, keeps a step, a sum or an
   energy of the long radial runs several times cheaper.  A linear
   combination is one ``map`` per part and a weighted sum one term per
-  part.  The neighbour sum is (q+1)*p(1) at the origin and p(m-1) +
-  q*p(m+1) elsewhere.  M_n, C_n and S_n are convolutions with distance
-  kernels.  An exact profile reads a kernel by its parity runs k(j) -
-  k(j+2), one for M_n and S_n, two for C_n, against the parity sums of the
-  profile read as orbit data of radius 0 (``Levels.from_radial``), which
-  the vertex kernel ``_parity_rows`` gives and the profile keeps as vertex
-  data do; an operator then costs O(n + R).  Float64 profiles add the
-  kernel's terms with the distance counts, built once per call from powers
-  of q, in a fixed order.  The distance-2 pairs are the grandparent pairs
-  (m, m+2), |S(m+2)| of them; siblings share a value and add 0.
+  part, whose weights |S(m)| are one running product.  The neighbour sum
+  is (q+1)*p(1) at the origin and p(m-1) + q*p(m+1) elsewhere.  Read as
+  orbit data of radius 0 (``Levels.from_radial``), a profile has the
+  parity sums of the vertex kernel ``_parity_rows`` and keeps them as
+  vertex data do, so exact M_n and C_n take the one body vertex data take
+  (``ball_mean``, ``cosine``), with no kernel built, in O(n + R).  A
+  convolution with a distance kernel k, which the closed radial route
+  takes with the propagator kernels, reads k by its parity runs k(j) -
+  k(j+2), one for M_n and S_n, two for C_n, against the same sums.
+  Float64 profiles convolve with the M_n kernel, adding its terms with the
+  distance counts, built once per call from powers of q, in a fixed order.
+  The distance-2 pairs are the grandparent pairs (m, m+2), |S(m+2)| of
+  them; siblings share a value and add 0.
 - height sequences (``HeightLevels``): depth |h| holds s(h), and at depth
   d >= 1 also s(-d) after s(d).
 
@@ -88,7 +92,7 @@ of S(R) at each further depth, not with the support.
 from __future__ import annotations
 
 from functools import cache, reduce, wraps
-from itertools import chain, compress, product, repeat
+from itertools import accumulate, chain, compress, product, repeat
 from math import fsum, gcd, lcm
 from operator import add, floordiv, itemgetter, mul, or_, sub
 
@@ -128,6 +132,14 @@ def _combine_row(cx, x: list, cy, y: list) -> list:
     if cy == -1:
         return list(map(sub, _scaled(cx, x), y))
     return list(map(add, _scaled(cx, x), _scaled(cy, y)))
+
+
+def _sphere_volumes(q: int, start: int, size: int) -> list:
+    """[|S(start)|, .., |S(start + size - 1)|] as one running product of
+    the volumes 1, q + 1, (q + 1) q, ..; ``topology.sphere_volume`` is the
+    closed form."""
+    volumes = [1, *accumulate(repeat(q, start + size - 2), mul, initial=q + 1)]
+    return volumes[start : start + size]
 
 
 def _descendants(q: int, e: int, i: int, t: int) -> tuple[int, int]:
@@ -512,6 +524,15 @@ class _Packed:
         (``_parity_rows`` in the orbit layout of radius ``_orbit_radius``)."""
         raise NotImplementedError
 
+    def _from_parity(self, den: int, parts: list) -> _Packed:
+        """The function, in this datum's layout, of parts read from its
+        parity sums (``_parity_read``) over den."""
+        raise NotImplementedError
+
+    def _float_mean(self, n: int) -> _Packed:
+        """M_n of float64 data, n >= 1, by the layout's own route."""
+        raise NotImplementedError
+
     def _terms(self, xs: list, ys: list):
         """(weight, x, y) terms whose products add up to sum w * x * y over
         the stored entries of the parts xs and ys (ys is xs for squares),
@@ -572,6 +593,38 @@ class _Packed:
     def __getstate__(self):
         # a copy carries the values, not the parity sums kept on them
         return None, {name: getattr(self, name) for name in ("q", "mode", "den", "parts")}
+
+    def ball_mean(self, n: int) -> _Packed:
+        """M_n for n >= 1, in this layout.  Exact data, vertex or radial, tail
+        or not, read P(n) of the parity sums kept on them
+        (``_kept_parity_rows``, ``_parity_read``) over q^(-n/2), weighted
+        once (``_over_root_power``); results share the kept rows.  No kernel
+        is built and no neighbour sum is taken.  Float64 data take their
+        layout's route (``_float_mean``)."""
+        if self.mode is not EXACT:
+            return self._float_mean(n)
+        return self._parity_mean(n, False)
+
+    def cosine(self, n: int) -> _Packed:
+        """C_n = (M_n - M_(n-2)) / 2 of exact data for n >= 1, as one parity
+        combination: q^(-n/2) (P(n) - q P(n-2)) / 2 over 2D, with P(-1) = 0,
+        since M_(n-2) = q^(-n/2) q P(n-2).  One packed result, no M_n."""
+        return self._parity_mean(n, True)
+
+    def _parity_mean(self, n: int, cosine: bool) -> _Packed:
+        """M_n, or C_n if ``cosine``, of exact data (``ball_mean``,
+        ``cosine``)."""
+        if not self.parts[0]:
+            return self
+        q, den = self.q, self.den
+        last, kept = self._kept_parity_rows(n)
+        out = [_parity_read(sums, last, n) for sums in kept]
+        if cosine:
+            den *= 2
+            if n >= 2:
+                back = (_parity_read(sums, last, n - 2) for sums in kept)
+                out = [self._combine(1, x, -q, y) for x, y in zip(out, back)]
+        return self._from_parity(*self._over_root_power(q, n, den, out))
 
     def laplacian(self) -> _Packed:
         """u - Adj u / (q+1)."""
@@ -762,16 +815,17 @@ class Levels(_Packed):
         each S(e) are built once per read, from those of S(e-1), and the
         tails once per depth (``itertools.product``)."""
         q, orbit, words, e = self.q, self._orbit_radius, [()], 0
+        vertex = VertexAddress._built  # every word is built valid
         for d, js, *_ in listing:
             while e < min(d, orbit):
                 e += 1
                 branches = range(q + 1 if e == 1 else q)
                 words = [word + (label,) for word in words for label in branches]
             if d <= orbit:
-                yield [VertexAddress(q, words[j]) for j in js]
+                yield [vertex(q, words[j]) for j in js]
                 continue
             tails = list(product(*[range(q + 1 if k == 1 else q) for k in range(orbit + 1, d + 1)]))
-            yield [VertexAddress(q, words[j] + tail) for j in js for tail in tails]
+            yield [vertex(q, words[j] + tail) for j in js for tail in tails]
 
     def _slot(self, key) -> list | None:
         # a vertex beyond R reads the entry of its ancestor in S(R)
@@ -780,23 +834,17 @@ class Levels(_Packed):
             return [part[key.depth][j] for part in self.parts]
         return None
 
-    def ball_mean(self, n: int) -> Levels:
-        """M_n for n >= 1, in this layout.  Exact data, tail or not, read
-        P(n) of the parity sums kept on them (``_kept_parity_rows``,
-        ``_parity_read``), over q^(-n/2); results share the kept rows, as
-        ``_widen`` shares rows.  Parts are weighted once
-        (``_over_root_power``); no neighbour sum is taken.  Float64 data,
-        whose sources add in canonical order, take the scatter route
-        (``_scatter_mean``)."""
-        q, orbit, parts = self.q, self._orbit_radius, self.parts
-        if self.mode is not EXACT:
-            return self._scatter_mean(n)
-        if not parts[0]:
-            return self
-        last, kept = self._kept_parity_rows(n)
-        out = [_parity_read(sums, last, n) for sums in kept]
-        layout = orbit_layout(min(len(parts[0]) - 1, orbit))
-        return layout(q, self.mode, *self._over_root_power(q, n, self.den, out))._widen(orbit)
+    def _from_parity(self, den: int, parts: list) -> Levels:
+        """A parity read holds rows up to t = min(top, R) and one entry per
+        vertex of S(t) below: it is in the orbit layout of t, widened to R
+        (rows are shared, as ``_widen`` shares them)."""
+        orbit = self._orbit_radius
+        layout = orbit_layout(min(len(self.parts[0]) - 1, orbit))
+        return layout(self.q, self.mode, den, parts)._widen(orbit)
+
+    def _float_mean(self, n: int) -> Levels:
+        # float64 sources add in canonical order on the vertex rows
+        return self._scatter_mean(n)
 
     def _scatter_mean(self, n: int) -> Levels:
         """M_n for n >= 1 on the vertex rows (``_full``), the route of
@@ -862,8 +910,7 @@ class RadialLevels(_Packed):
 
     def _terms(self, xs: list, ys: list, shift: int = 0):
         """One term: the parts xs weighted by |S(m + shift)| at radius m."""
-        q = self.q
-        volumes = [sphere_volume(q, m + shift) for m in range(len(xs[0]))]
+        volumes = _sphere_volumes(self.q, shift, len(xs[0]))
         return [(1, [list(map(mul, volumes, x)) for x in xs], ys)]
 
     def _pair_squares(self, limit: int | None = None):
@@ -917,9 +964,11 @@ class RadialLevels(_Packed):
         parts = [[0 if (n - d) % 2 else 1 - q for d in range(n)] + [1], [0] * (n + 1)]
         return cls(q, mode, *cls._over_root_power(q, n, 2, parts))
 
-    def ball_mean(self, n: int) -> RadialLevels:
-        """M_n for n >= 1, as the convolution with its distance kernel, one
-        parity run; no neighbour sum is taken."""
+    def _from_parity(self, den: int, parts: list) -> RadialLevels:
+        return RadialLevels(self.q, self.mode, den, parts)
+
+    def _float_mean(self, n: int) -> RadialLevels:
+        # float64 profiles add the kernel's terms in the order ``convolve`` pins
         return self.convolve(self.m_kernel(self.q, self.mode, n))
 
     def convolve(self, kernel: RadialLevels) -> RadialLevels:
@@ -933,8 +982,10 @@ class RadialLevels(_Packed):
         and j - d even, and out = sum_j w_j P(j), with P(j) the unweighted
         parity sums of p read as orbit data of radius 0
         (``_kept_parity_rows``, ``_parity_read``).  The kernels of M_n and
-        S_n are one run, that of C_n two, so an operator costs O(n + R)
-        once the sums are kept on p.
+        S_n are one run, that of C_n two, so a propagator kernel costs
+        O(n + R) once the sums are kept on p; M_n and C_n themselves read
+        the sums with no kernel (``ball_mean``, ``cosine``).  This is the
+        route of ``radial.radial_convolve``.
 
         Float64 profiles add term by term, in the order of d, then r, each
         as (kernel(d) p(r)) * count: for one (d, r), the path from radius m
@@ -965,16 +1016,25 @@ class RadialLevels(_Packed):
     def _convolve_runs(self, kernel: RadialLevels) -> RadialLevels:
         """``convolve`` of exact parts: sum over the runs (j, wa, wb) of
         (wa + wb sqrt(q)) (PA(j) + PB(j) sqrt(q)), over the product of the
-        two denominators."""
-        q, (ka, kb), out = self.q, kernel.parts, [[], []]
+        two denominators.  Each part adds its nonzero coefficients' columns
+        into one list, a column of P(j) covering its first R + 1 + j
+        entries."""
+        q, (ka, kb) = self.q, kernel.parts
         if not ka or not self.parts[0]:
-            return RadialLevels(q, self.mode, 1, out)
+            return RadialLevels(q, self.mode, 1, [[], []])
         wa, wb = (list(map(sub, k, k[2:] + [0, 0])) for k in (ka, kb))
         last, kept = self._kept_parity_rows(len(ka) - 1)
+        out = [[0] * (len(self.parts[0]) + len(ka) - 1) for _ in kept]
         for j in compress(range(len(ka)), map(or_, wa, wb)):
             pa, pb = (_parity_read(sums, last, j) for sums in kept)
-            term = [_combine_row(wa[j], pa, q * wb[j], pb), _combine_row(wb[j], pa, wa[j], pb)]
-            out = [_combine_row(1, x, 1, y) for x, y in zip(out, term)]
+            for total, c, column in (
+                (out[0], wa[j], pa),
+                (out[0], q * wb[j], pb),
+                (out[1], wb[j], pa),
+                (out[1], wa[j], pb),
+            ):
+                if c:
+                    total[: len(column)] = map(add, total, _scaled(c, column))
         return RadialLevels(q, self.mode, kernel.den * self.den, out)
 
 

@@ -25,7 +25,9 @@ pointwise evaluation of a kernel solution, and ``radial_solve``, whose closed
 route convolves the data with the propagator kernels.  An exact convolution
 reads the kernel by its parity runs k(j) - k(j+2) against parity sums kept
 on the profile (``RadialLevels.convolve``): the kernels of M_n and S_n are
-one run and that of C_n two, so a closed snapshot costs O(|n| + R).
+one run and that of C_n two, so a closed snapshot costs O(|n| + R).  The
+exact M_n and C_n of ``treewave.wave`` read the same sums with no kernel
+built; the kernels here are the closed route's and the oracles'.
 """
 
 from __future__ import annotations

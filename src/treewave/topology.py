@@ -40,6 +40,14 @@ class VertexAddress:
                     raise ParameterError(f"label {label} outside 0..{self.q - 1}")
 
     @classmethod
+    def _built(cls, q: int, labels: tuple[int, ...]) -> VertexAddress:
+        """The vertex of a word built valid (a prefix of a valid word, or one
+        extended by labels in range), whose labels are not checked again."""
+        self = object.__new__(cls)
+        self.__dict__.update(q=q, labels=labels)
+        return self
+
+    @classmethod
     def origin(cls, q: int) -> VertexAddress:
         return cls(q, ())
 
@@ -73,15 +81,19 @@ class VertexAddress:
     def parent(self) -> VertexAddress:
         if not self.labels:
             raise ParameterError("the origin has no parent")
-        return VertexAddress(self.q, self.labels[:-1])
+        return self._built(self.q, self.labels[:-1])
 
     def child(self, label: int) -> VertexAddress:
-        return VertexAddress(self.q, self.labels + (label,))
+        top = self.q if self.is_origin else self.q - 1
+        if not 0 <= label <= top:
+            which = "first label" if self.is_origin else "label"
+            raise ParameterError(f"{which} {label} outside 0..{top}")
+        return self._built(self.q, self.labels + (label,))
 
     def children(self) -> Iterator[VertexAddress]:
-        top = self.q if self.is_origin else self.q - 1
-        for label in range(top + 1):
-            yield self.child(label)
+        q, labels = self.q, self.labels
+        for label in range(q + 1 if self.is_origin else q):
+            yield self._built(q, labels + (label,))
 
     def neighbors(self) -> Iterator[VertexAddress]:
         """The q+1 adjacent vertices (parent first for non-origin words)."""

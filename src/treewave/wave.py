@@ -21,11 +21,12 @@ their exact agreement can serve as an oracle.
 
 Every operator here is written once for a ``TreeFunction`` and a
 ``RadialProfile`` alike and returns the type of its input: the layout of
-``treewave.levels`` supplies the neighbour sum and M_n (parity sums over the
-stored depths of exact data, vertex or radial, geodesic index ranges on
-float64 vertex data, the convolution with the M_n kernel on float64
-profiles).  ``solve``
-and ``treewave.radial.radial_solve`` share one body, truncation check included.
+``treewave.levels`` supplies the neighbour sum, M_n and the C_n of exact
+data (one read of the parity sums over the stored depths of exact data,
+vertex or radial, with no kernel built; geodesic index ranges on float64
+vertex data, the convolution with the M_n kernel on float64 profiles).
+``solve`` and ``treewave.radial.radial_solve`` share one body, truncation
+check included.
 Vertex data built in Ball(R) are packed in the orbit layout of radius R, one
 entry per vertex of S(R) at each depth beyond R, and both routes of
 ``solve`` stay in it: the leapfrog steps there, and the closed route takes
@@ -67,10 +68,10 @@ def adjacency_sum(f: Function) -> Function:
 def m_operator(n: int, f: Function) -> Function:
     """M_n f(x) = q^(-n/2) * sum over d(y,x) <= n with n - d(y,x) even;
     M_{-1} = 0 and M_0 is the identity.  No neighbour sum is taken: exact
-    data, vertex or radial, read parity sums over their stored depths,
-    float64 vertex data spread over the geodesic index ranges of their
-    spheres, float64 profiles are convolved with the M_n kernel term by
-    term."""
+    data, vertex or radial, read P(n) of the parity sums kept on them, by
+    one body and with no kernel built; float64 vertex data spread over the
+    geodesic index ranges of their spheres, float64 profiles are convolved
+    with the M_n kernel term by term."""
     if n < -1:
         raise ParameterError(f"M_n is defined for n >= -1, got {n}")
     if n == -1:
@@ -81,9 +82,15 @@ def m_operator(n: int, f: Function) -> Function:
 
 
 def c_operator(n: int, f: Function) -> Function:
-    """C_n f = (M_|n| f - M_{|n|-2} f) / 2, with C_0 the identity."""
+    """C_n f = (M_|n| f - M_{|n|-2} f) / 2, with C_0 the identity.  Exact
+    data, vertex or radial, take it as one combination of the parity sums
+    kept on them, q^(-|n|/2) (P(|n|) - q P(|n|-2)) / 2, with no M_n built
+    (``cosine`` of the packed form); float64 data take the two M_n and
+    halve their difference."""
     if n == 0:
         return f
+    if f.mode is ScalarMode.EXACT:
+        return type(f)._from_levels(f._as_levels().cosine(abs(n)))
     half = scalar_from_fraction(Fraction(1, 2), f.q, f.mode)
     return (m_operator(abs(n), f) - m_operator(abs(n) - 2, f)).scale(half)
 

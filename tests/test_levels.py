@@ -50,7 +50,14 @@ from treewave.radial import (
 )
 from treewave.scalars import QSurd, ScalarMode, scalar_from_fraction, scalar_zero, sqrt_q_power
 from treewave.topology import Ball, VertexAddress, sphere_volume
-from treewave.wave import adjacency_sum, m_operator, propagators, solve, step_recurrence
+from treewave.wave import (
+    adjacency_sum,
+    c_operator,
+    m_operator,
+    propagators,
+    solve,
+    step_recurrence,
+)
 
 EXACT = ScalarMode.EXACT
 FLOAT = ScalarMode.FLOAT64
@@ -953,6 +960,55 @@ def test_propagator_kernels_are_the_m_kernel_combinations(mode):
                     assert [x.hex() for x in new.parts[0]] == [x.hex() for x in old.parts[0]]
     with pytest.raises(ParameterError, match="'q'"):
         propagator_kernels(1, 3, mode)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_radial_means_need_no_kernel(q):
+    """Exact radial M_n and C_n, read from the parity sums kept on the
+    profile with no kernel built, are the canonical packed forms of the
+    convolutions with m_kernel(n) and with the cosine kernel of
+    propagator_kernels(q, n), for |n| <= 40, the zero profile included."""
+    rng = random.Random(f"levels:radial-means:{q}")
+    profiles = [surd_profile(q, rng, radius) for radius in (0, 3, 8)]
+    for p in profiles + [RadialProfile(q, EXACT)]:
+        for n in range(-40, 41):
+            pairs = [(c_operator(n, p), propagator_kernels(q, n, EXACT)[0])]
+            if n >= 1:
+                pairs.append((m_operator(n, p), m_kernel(q, n, EXACT)))
+            for found, kernel in pairs:
+                new, old = found._as_levels(), radial_convolve(kernel, p)._as_levels()
+                assert type(new) is type(old) is RadialLevels
+                assert new.den == old.den and new.parts == old.parts
+
+
+@pytest.mark.parametrize("q", QS)
+def test_float_means_keep_their_routes_bit_for_bit(q):
+    """Float64 M_n is the scatter route on vertex data and the convolution
+    with m_kernel(n) on profiles, and C_n halves M_n - M_(n-2) of those, as
+    before the exact means read parity sums: slots compared by hex()."""
+    rng = random.Random(f"levels:float-means:{q}")
+    f = surd_data(q, rng, radius=1).as_float64()
+    p = surd_profile(q, rng, 4).as_float64()
+    half = scalar_from_fraction(Fraction(1, 2), q, FLOAT)
+    routes = (
+        (f, lambda n: TreeFunction._from_levels(f._as_levels()._scatter_mean(n)), bits),
+        (p, lambda n: radial_convolve(m_kernel(q, n, FLOAT), p), radial_bits),
+    )
+    for x, mean, read in routes:
+        composed = {-1: type(x)(q, FLOAT), 0: x}
+        for n in range(1, 6 if q < 9 else 4):
+            composed[n] = mean(n)
+            assert read(m_operator(n, x)) == read(composed[n])
+            cosine = (composed[n] - composed[n - 2]).scale(half)
+            assert read(c_operator(n, x)) == read(cosine) == read(c_operator(-n, x))
+
+
+@pytest.mark.parametrize("q", QS)
+def test_running_sphere_volumes_equal_the_closed_form(q):
+    for start in (0, 1, 2):
+        for size in (0, 1, 50):
+            found = treewave.levels._sphere_volumes(q, start, size)
+            assert found == [sphere_volume(q, m) for m in range(start, start + size)]
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 9))

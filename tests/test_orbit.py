@@ -55,6 +55,7 @@ from treewave.wave import (
     WaveTrajectory,
     _leapfrog,
     adjacency_sum,
+    c_operator,
     m_operator,
     propagators,
     solve,
@@ -180,22 +181,66 @@ def test_orbit_leapfrog_equals_the_full_leapfrog_and_the_closed_route(q, radius)
         assert full[n] == state  # mixed layouts compare from either side
 
 
+def scattered_mean(n, x):
+    """M_n x for n >= -1 with M_n (n >= 1) scattered over the vertex rows
+    (``_scatter_mean``), in the layout of its top depth."""
+    if n < 1:
+        return x if n == 0 else TreeFunction(x.q, x.mode)
+    return TreeFunction._from_levels(x._as_levels()._scatter_mean(n))
+
+
+def scattered_cosine(n, x):
+    """C_n x = (M_|n| x - M_(|n|-2) x) / 2 from ``scattered_mean``."""
+    if n == 0:
+        return x
+    half = scalar_from_fraction(Fraction(1, 2), x.q, x.mode)
+    return (scattered_mean(abs(n), x) - scattered_mean(abs(n) - 2, x)).scale(half)
+
+
+def scattered_propagators(n, f, g):
+    """C_n f + S_n g with every M_n scattered over the vertex rows."""
+    sine = scattered_mean(abs(n) - 1, g) if n else TreeFunction(g.q, g.mode)
+    return scattered_cosine(n, f) + (-sine if n < 0 else sine)
+
+
 @pytest.mark.parametrize("q", (2, 3, 4))
-def test_closed_route_equals_the_propagators_on_the_full_layout(q, monkeypatch):
-    # the closed route runs in the orbit layout; propagators with the
-    # scatter route of M_n take every M_n on the vertex rows
-    cases = []
+def test_closed_route_equals_the_propagators_on_the_full_layout(q):
+    # the closed route runs in the orbit layout; the propagators composed
+    # from the scatter route of M_n take every M_n on the vertex rows
     for radius in (0, 1, 2) if q < 4 else (0, 1):
         rng = random.Random(f"orbit:closed-full:{q}:{radius}")
         f, g = data_on_ball(q, radius, rng), data_on_ball(q, radius, rng)
-        cases.append((radius, f, g, solve(f, g, 6, solver="closed")))
-    monkeypatch.setattr(Levels, "ball_mean", Levels._scatter_mean)
-    for radius, f, g, closed in cases:
+        closed = solve(f, g, 6, solver="closed")
         for n in range(-6, 7):
-            state, expected = closed.snapshot(n), propagators(n, f, g)
+            state, expected = closed.snapshot(n), scattered_propagators(n, f, g)
             assert radius_of(state) == radius
             assert radius_of(expected) == radius + abs(n)
             assert state == expected
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+def test_exact_cosine_equals_the_scattered_mean_difference(q):
+    # the one parity combination of C_n against (M_n - M_(n-2)) / 2 from the
+    # scatter route, for data of radius R <= 2 with and without a tail and
+    # for a restart from u(k), while Ball(R + k + n) fits BALL_LIMIT
+    for radius in (0, 1, 2):
+        rng = random.Random(f"orbit:cosine:{q}:{radius}")
+        f, g = data_on_ball(q, radius, rng), data_on_ball(q, radius, rng)
+        u = solve(f, g, 2, solver="recurrence")
+        tail = random_orbit(q, radius, radius + 2, rng)
+        if q in (4, 9):  # sqrt(q) is folded into A
+            zero = [[0] * len(row) for row in tail.parts[0]]
+            tail = type(tail)(q, EXACT, tail.den, [tail.parts[0], zero])
+        data = [(f, 0), (TreeFunction._from_levels(tail), 2)]
+        data += [(u.snapshot(k), k) for k in (1, 2)]
+        for x, k in data:
+            for n in range(1, 10):
+                if ball_size(q, radius + k + n) > BALL_LIMIT:
+                    break
+                found = c_operator(n, x)
+                assert radius_of(found) == radius
+                assert found == scattered_cosine(n, x)
+                assert c_operator(-n, x) == found
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5))

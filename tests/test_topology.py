@@ -4,6 +4,8 @@ from collections import Counter, deque
 import pytest
 
 from treewave.errors import ParameterError, TruncationError
+from treewave.functions import TreeFunction
+from treewave.scalars import QSurd, ScalarMode
 from treewave.topology import (
     Ball,
     VertexAddress,
@@ -37,6 +39,29 @@ def test_invalid_labels_rejected():
     addr(2, 2)
     with pytest.raises(ParameterError):
         addr(2, 0, 2)  # later labels stop at q-1
+    for text in ("3", "0,2", "-1", "1,0,-1"):
+        with pytest.raises(ParameterError):
+            VertexAddress.parse(text, 2)
+    assert addr(2, 2).child(1) == addr(2, 2, 1)
+    for vertex, label in ((VertexAddress.origin(2), 3), (addr(2, 2), 2), (addr(2, 0), -1)):
+        with pytest.raises(ParameterError, match="outside"):
+            vertex.child(label)
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_words_built_valid_equal_the_checked_words(q):
+    # children, parents, ball vertices and packed keys skip the label check:
+    # each equals, hashes and prints as the word the checking constructor
+    # builds
+    for vertex in Ball(q, 3):
+        checked = VertexAddress(q, vertex.labels)
+        assert vertex == checked and hash(vertex) == hash(checked)
+        assert repr(vertex) == repr(checked)
+        for child in vertex.children():
+            assert child == VertexAddress(q, child.labels)
+            assert child.parent() == checked
+    f = TreeFunction(q, ScalarMode.EXACT, {v: QSurd(1, 0, q) for v in Ball(q, 2)})
+    assert f._as_levels().keys() == list(Ball(q, 2))
 
 
 def test_height_examples():
