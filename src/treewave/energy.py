@@ -30,13 +30,11 @@ sum, inner products and the Huygens interior sums) run in
 layout supplies the weights, the distance-2 pairs and the neighbour sum of
 the two-step image Adj^2 - (q+1) I.  The operator side of the gap applies
 C_k and S_k to the initial data only, through ``treewave.wave``
-(``m_operator`` reads the parity sums of exact data, vertex data in the
-orbit layout of R and profiles as orbit data of radius 0, spreads float64
-vertex values over the geodesic index ranges of their spheres, and
-convolves a float64 profile with the M_n kernel); none of it
-takes a neighbour sum, so it stays independent of the leapfrog.  Profiles
-carry one entry per radius weighted by the sphere volume, which keeps large
-|n| reachable for radial data.  The ``radial_*`` functions are the same
+(``m_operator`` reads the parity sums of the data, vertex data in the
+orbit layout of R and profiles as orbit data of radius 0, in both number
+types); none of it takes a neighbour sum, so it stays independent of the
+leapfrog.  Profiles carry one entry per radius weighted by the sphere
+volume, which keeps large |n| reachable for radial data.  The ``radial_*`` functions are the same
 quantities under the names the benchmark traces.
 
 An energy table has one report, with the direct gap K - P, per interior

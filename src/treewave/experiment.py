@@ -38,11 +38,11 @@ from .transforms import abel, abel_inverse, dual_abel, dual_abel_inverse
 from .wave import WaveTrajectory, solve
 
 _SOLVERS = ("closed", "recurrence", "both")
-# the operator route applies every operator to the data, so exact runs take
-# parity sums; float64 M_{2|n|} f scatters over the ball of radius
-# 2|n| + (data radius), whose cost grows like q^(2|n|), so the route is
-# emitted only for |n| <= _OPERATOR_LIMIT; the direct gap and the decay
-# bound cover the whole range
+# the operator route applies every operator to the data by its parity sums,
+# in O(|n|) per time; it is emitted only for |n| <= _OPERATOR_LIMIT, which
+# once bounded the q^(2|n|) cost of a float64 scatter and stays because the
+# bytes of equipartition.csv are pinned; the direct gap and the decay bound
+# cover the whole range
 _OPERATOR_LIMIT = 3
 
 

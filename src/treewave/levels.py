@@ -29,8 +29,7 @@ an entry and the keys it stands for (``_key_rows``):
   vertex layout.  Up to depth R the parent of the vertices at depth d >= 2
   is each entry of depth d-1 repeated q times, the children of depth d >= 1
   are the strided slices [r::q] of depth d+1, and the descendants at depth
-  d + t of vertex i at depth d >= 1 are the index range [i*q^t, (i+1)*q^t),
-  which is how the scattered ball mean M_n of float64 data is built.
+  d + t of vertex i at depth d >= 1 are the index range [i*q^t, (i+1)*q^t).
   Beyond R the parent of an entry is the entry of the same index one depth
   up, and from depth R on the q children of an entry (q+1 at the origin
   when R = 0) are the one entry of the same index one depth down; float64
@@ -38,18 +37,17 @@ an entry and the keys it stands for (``_key_rows``):
   The distance-2 partners of a vertex (siblings, grandparent,
   grandchildren) are slices too, up to one depth past the last stored one,
   whose entries are 0; siblings beyond R share a value and add 0.  M_n
-  and C_n of exact data, tail or not, stay in the layout: one pass down
-  the stored depths and one pass up give the parity sums P_x(m) of the
-  distance sums about every entry x (``_parity_rows``), and a vertex below
-  the last stored depth t reaches the data only through its ancestor at
-  depth t.
+  and C_n of both number types, tail or not, stay in the layout: one pass
+  down the stored depths and one pass up give the parity sums P_x(m) of
+  the distance sums about every entry x (``_parity_rows``), and a vertex
+  below the last stored depth t reaches the data only through its ancestor
+  at depth t.
   Those sums are kept on the datum (``_kept_parity_rows``), so the M_n of
   one closed solve sum the data once, not once per n, and a datum with a
   long tail is summed only to about the distances asked.  Operands of
   different radii meet in the layout of the larger radius
   (``_one_layout``): widening (``_widen``) expands only the rows between
-  the two radii.  ``_full`` widens to the
-  top depth only for the scattered M_n.
+  the two radii.
 - radial profiles (``RadialLevels``): the orbit layout of radius 0, stored
   flat: each part is one list indexed by radius, whose entry m stands for
   the |S(m)| = ``sphere_volume(q, m)`` vertices of that sphere, its weight
@@ -61,13 +59,11 @@ an entry and the keys it stands for (``_key_rows``):
   is (q+1)*p(1) at the origin and p(m-1) + q*p(m+1) elsewhere.  Read as
   orbit data of radius 0 (``Levels.from_radial``), a profile has the
   parity sums of the vertex kernel ``_parity_rows`` and keeps them as
-  vertex data do, so exact M_n and C_n take the one body vertex data take
+  vertex data do, so M_n and C_n take the one body vertex data take
   (``ball_mean``, ``cosine``), with no kernel built, in O(n + R).  A
   convolution with a distance kernel k, which the closed radial route
   takes with the propagator kernels, reads k by its parity runs k(j) -
   k(j+2), one for M_n and S_n, two for C_n, against the same sums.
-  Float64 profiles convolve with the M_n kernel, adding its terms with the
-  distance counts, built once per call from powers of q, in a fixed order.
   The distance-2 pairs are the grandparent pairs (m, m+2), |S(m+2)| of
   them; siblings share a value and add 0.
 - height sequences (``HeightLevels``): depth |h| holds s(h), and at depth
@@ -142,34 +138,8 @@ def _sphere_volumes(q: int, start: int, size: int) -> list:
     return volumes[start : start + size]
 
 
-def _descendants(q: int, e: int, i: int, t: int) -> tuple[int, int]:
-    """Index range at depth e + t of the descendants of vertex i at depth e."""
-    if e == 0:
-        return (0, 1) if t == 0 else (0, (q + 1) * q ** (t - 1))
-    return i * q**t, (i + 1) * q**t
-
-
-def _sphere_ranges(q: int, k: int, j: int, n: int):
-    """(d, depth, lo, hi) index ranges that together list, once each, the
-    vertices x with d(x, y) = d, for the vertex y at depth k and index j and
-    every d <= n with n - d even.  The geodesic from y climbs a steps to its
-    ancestor z and descends d - a steps without going back through the child
-    of z towards y; both the descendants of z and those of that child are
-    one range, so each (d, a) gives at most two."""
-    for d in range(n % 2, n + 1, 2):
-        for a in range(min(d, k) + 1):
-            e, t = k - a, d - a
-            lo, hi = _descendants(q, e, j // q**a, t)
-            if a and t:
-                cut_lo, cut_hi = _descendants(q, e + 1, j // q ** (a - 1), t - 1)
-                yield d, e + t, lo, cut_lo
-                yield d, e + t, cut_hi, hi
-            else:
-                yield d, e + t, lo, hi
-
-
 def _parity_rows(q: int, part: list, last: int, orbit: int) -> list:
-    """Per depth e of one exact part in the orbit layout of radius ``orbit``,
+    """Per depth e of one part in the orbit layout of radius ``orbit``,
     the rows [P(0), .., P(last)]: entry i of P(m) sums the values at the
     vertices y with d(x, y) <= m and m - d(x, y) even, x a vertex of entry
     i.  A pass down gives D_x(k), the sum of the values k depths below x; a
@@ -529,10 +499,6 @@ class _Packed:
         parity sums (``_parity_read``) over den."""
         raise NotImplementedError
 
-    def _float_mean(self, n: int) -> _Packed:
-        """M_n of float64 data, n >= 1, by the layout's own route."""
-        raise NotImplementedError
-
     def _terms(self, xs: list, ys: list):
         """(weight, x, y) terms whose products add up to sum w * x * y over
         the stored entries of the parts xs and ys (ys is xs for squares),
@@ -595,25 +561,23 @@ class _Packed:
         return None, {name: getattr(self, name) for name in ("q", "mode", "den", "parts")}
 
     def ball_mean(self, n: int) -> _Packed:
-        """M_n for n >= 1, in this layout.  Exact data, vertex or radial, tail
-        or not, read P(n) of the parity sums kept on them
-        (``_kept_parity_rows``, ``_parity_read``) over q^(-n/2), weighted
-        once (``_over_root_power``); results share the kept rows.  No kernel
-        is built and no neighbour sum is taken.  Float64 data take their
-        layout's route (``_float_mean``)."""
-        if self.mode is not EXACT:
-            return self._float_mean(n)
+        """M_n for n >= 1, in this layout, of data of either number type,
+        vertex or radial, tail or not: P(n) of the parity sums kept on them
+        (``_kept_parity_rows``, ``_parity_read``) weighted once by
+        q^(-n/2); results share the kept rows.  No kernel is built and no
+        neighbour sum is taken."""
         return self._parity_mean(n, False)
 
     def cosine(self, n: int) -> _Packed:
-        """C_n = (M_n - M_(n-2)) / 2 of exact data for n >= 1, as one parity
-        combination: q^(-n/2) (P(n) - q P(n-2)) / 2 over 2D, with P(-1) = 0,
-        since M_(n-2) = q^(-n/2) q P(n-2).  One packed result, no M_n."""
+        """C_n = (M_n - M_(n-2)) / 2 for n >= 1, as one parity combination:
+        q^(-n/2) (P(n) - q P(n-2)) / 2, with P(-1) = 0, since M_(n-2) =
+        q^(-n/2) q P(n-2).  One packed result, no M_n."""
         return self._parity_mean(n, True)
 
     def _parity_mean(self, n: int, cosine: bool) -> _Packed:
-        """M_n, or C_n if ``cosine``, of exact data (``ball_mean``,
-        ``cosine``)."""
+        """M_n, or C_n if ``cosine`` (``ball_mean``, ``cosine``): exact
+        parts over 2D for C_n are weighted by ``_over_root_power``, float64
+        parts multiplied by the one float q^(-n/2), halved for C_n."""
         if not self.parts[0]:
             return self
         q, den = self.q, self.den
@@ -624,6 +588,9 @@ class _Packed:
             if n >= 2:
                 back = (_parity_read(sums, last, n - 2) for sums in kept)
                 out = [self._combine(1, x, -q, y) for x, y in zip(out, back)]
+        if self.mode is not EXACT:
+            weight = sqrt_q_power(q, -n, self.mode) / den
+            return self._from_parity(1, [self._map(mul, out[0], weight)])
         return self._from_parity(*self._over_root_power(q, n, den, out))
 
     def laplacian(self) -> _Packed:
@@ -751,11 +718,6 @@ class Levels(_Packed):
 
         return orbit_layout(radius)(q, self.mode, self.den, list(map(widened, self.parts)))
 
-    def _full(self) -> Levels:
-        """This function widened to its top depth: its vertex rows, every
-        entry of weight 1."""
-        return self._widen(max(len(self.parts[0]) - 1, self._orbit_radius))
-
     def _terms(self, xs: list, ys: list):
         weight, rows = self._weight, enumerate(zip(*xs))
         if ys is xs:
@@ -841,41 +803,6 @@ class Levels(_Packed):
         orbit = self._orbit_radius
         layout = orbit_layout(min(len(self.parts[0]) - 1, orbit))
         return layout(self.q, self.mode, den, parts)._widen(orbit)
-
-    def _float_mean(self, n: int) -> Levels:
-        # float64 sources add in canonical order on the vertex rows
-        return self._scatter_mean(n)
-
-    def _scatter_mean(self, n: int) -> Levels:
-        """M_n for n >= 1 on the vertex rows (``_full``), the route of
-        float64 data and the tests' oracle of the parity sums: q^(-n/2)
-        times the sum of the values at the vertices y with d(x, y) <= n and
-        n - d(x, y) even.  Each stored value is added, source by source in
-        canonical order, to the index ranges of its spheres (``_sphere_ranges``); no neighbour sum is taken, which keeps
-        this route independent of the leapfrog.  A float64 value is weighted
-        before it is added; exact parts are weighted once at the end
-        (``_over_root_power``, as in ``step``).  The result is in the
-        layout of its top depth."""
-        q, mode, exact = self.q, self.mode, self.mode is EXACT
-        full = self._full().parts
-        radius = len(full[0]) - 1
-        zero = 0 if exact else 0.0
-        out = [[[zero] * sphere_volume(q, e) for e in range(radius + n + 1)] for _ in full]
-        weight = 1 if exact else sqrt_q_power(q, -n, mode)
-        for k, level in enumerate(zip(*full)):
-            for j, values in enumerate(zip(*level)):
-                spread = [(part, value * weight) for part, value in zip(out, values) if value]
-                if not spread:
-                    continue
-                for _, depth, lo, hi in _sphere_ranges(q, k, j, n):
-                    if lo < hi:
-                        for part, value in spread:
-                            target = part[depth]
-                            target[lo:hi] = map(add, target[lo:hi], repeat(value, hi - lo))
-        layout = orbit_layout(radius + n)
-        if not exact:
-            return layout(q, mode, 1, out)
-        return layout(q, mode, *self._over_root_power(q, n, self.den, out))
 
 
 @cache
@@ -966,10 +893,6 @@ class RadialLevels(_Packed):
 
     def _from_parity(self, den: int, parts: list) -> RadialLevels:
         return RadialLevels(self.q, self.mode, den, parts)
-
-    def _float_mean(self, n: int) -> RadialLevels:
-        # float64 profiles add the kernel's terms in the order ``convolve`` pins
-        return self.convolve(self.m_kernel(self.q, self.mode, n))
 
     def convolve(self, kernel: RadialLevels) -> RadialLevels:
         """The radial operator with distance kernel ``kernel`` applied to this

@@ -21,21 +21,18 @@ their exact agreement can serve as an oracle.
 
 Every operator here is written once for a ``TreeFunction`` and a
 ``RadialProfile`` alike and returns the type of its input: the layout of
-``treewave.levels`` supplies the neighbour sum, M_n and the C_n of exact
-data (one read of the parity sums over the stored depths of exact data,
-vertex or radial, with no kernel built; geodesic index ranges on float64
-vertex data, the convolution with the M_n kernel on float64 profiles).
+``treewave.levels`` supplies the neighbour sum, M_n and C_n (one read of
+the parity sums over the stored depths, vertex or radial, exact or
+float64, with no kernel built).
 ``solve`` and ``treewave.radial.radial_solve`` share one body, truncation
 check included.
 Vertex data built in Ball(R) are packed in the orbit layout of radius R, one
 entry per vertex of S(R) at each depth beyond R, and both routes of
 ``solve`` stay in it: the leapfrog steps there, and the closed route takes
-each exact M_n there from parity sums over the stored depths, built once
+each M_n there from parity sums over the stored depths, built once
 per datum and kept on it, with no neighbour sum, so it stays the
 leapfrog's independent oracle.  Data with a tail, such as a snapshot u(k)
-restarted as Cauchy data, take the same route and keep R.  The scatter
-route of M_n over the vertex rows, which the tests compare with the parity
-sums, serves float64 data only.
+restarted as Cauchy data, take the same route and keep R.
 """
 
 from __future__ import annotations
@@ -67,11 +64,9 @@ def adjacency_sum(f: Function) -> Function:
 
 def m_operator(n: int, f: Function) -> Function:
     """M_n f(x) = q^(-n/2) * sum over d(y,x) <= n with n - d(y,x) even;
-    M_{-1} = 0 and M_0 is the identity.  No neighbour sum is taken: exact
-    data, vertex or radial, read P(n) of the parity sums kept on them, by
-    one body and with no kernel built; float64 vertex data spread over the
-    geodesic index ranges of their spheres, float64 profiles are convolved
-    with the M_n kernel term by term."""
+    M_{-1} = 0 and M_0 is the identity.  No neighbour sum is taken: data of
+    either number type, vertex or radial, read P(n) of the parity sums kept
+    on them, by one body and with no kernel built."""
     if n < -1:
         raise ParameterError(f"M_n is defined for n >= -1, got {n}")
     if n == -1:
@@ -82,17 +77,12 @@ def m_operator(n: int, f: Function) -> Function:
 
 
 def c_operator(n: int, f: Function) -> Function:
-    """C_n f = (M_|n| f - M_{|n|-2} f) / 2, with C_0 the identity.  Exact
-    data, vertex or radial, take it as one combination of the parity sums
-    kept on them, q^(-|n|/2) (P(|n|) - q P(|n|-2)) / 2, with no M_n built
-    (``cosine`` of the packed form); float64 data take the two M_n and
-    halve their difference."""
+    """C_n f = (M_|n| f - M_{|n|-2} f) / 2, with C_0 the identity, as one
+    combination of the parity sums kept on f, q^(-|n|/2) (P(|n|) - q
+    P(|n|-2)) / 2, with no M_n built (``cosine`` of the packed form)."""
     if n == 0:
         return f
-    if f.mode is ScalarMode.EXACT:
-        return type(f)._from_levels(f._as_levels().cosine(abs(n)))
-    half = scalar_from_fraction(Fraction(1, 2), f.q, f.mode)
-    return (m_operator(abs(n), f) - m_operator(abs(n) - 2, f)).scale(half)
+    return type(f)._from_levels(f._as_levels().cosine(abs(n)))
 
 
 def s_operator(n: int, g: Function) -> Function:
@@ -257,8 +247,7 @@ def solve(
     Ball(R) can tell apart there.  Data built in Ball(R) are packed so, and
     a snapshot keeps its radius, so a restart from a later snapshot stays
     in it too.  ``solver='closed'`` fills snapshots through the
-    propagators, whose exact M_n stays in that layout (float64 M_n adds in
-    the order of the vertex rows, which it widens to);
+    propagators, whose M_n stays in that layout;
     ``solver='recurrence'`` bootstraps u(., +/-1) from the neighbour sum of
     f and leapfrogs outwards.  Snapshots read, compare and serialize as
     full functions.  In exact mode the two routes agree identically.  A

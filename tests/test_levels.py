@@ -14,6 +14,7 @@ import csv
 import io
 import random
 from fractions import Fraction
+from itertools import chain, zip_longest
 from math import lcm
 from operator import mul
 
@@ -48,6 +49,7 @@ from treewave.radial import (
     radial_convolve,
     radial_solve,
 )
+from treewave.sampling import random_data_pair, random_radial_profile
 from treewave.scalars import QSurd, ScalarMode, scalar_from_fraction, scalar_zero, sqrt_q_power
 from treewave.topology import Ball, VertexAddress, sphere_volume
 from treewave.wave import (
@@ -58,6 +60,8 @@ from treewave.wave import (
     solve,
     step_recurrence,
 )
+
+from scatter import scatter_mean
 
 EXACT = ScalarMode.EXACT
 FLOAT = ScalarMode.FLOAT64
@@ -781,27 +785,121 @@ def test_m_operator_matches_ball_walk(q):
         assert m_operator(n, single) == reference_m_operator(n, single)
 
 
+# -- float64 accuracy: the parity sums against the routes they replaced ------------
+
+# the cases of the float64 gate: data radii and seeds, and the largest n
+# per q; the scatter runs while Ball(R + n) holds at most SCATTER_LIMIT
+# vertices, which leaves q = 9 n <= 3 at R = 2
+FLOAT_RADII, FLOAT_SEEDS = (1, 2), range(4)
+FLOAT_REACH = {2: 8, 3: 8, 4: 8, 5: 5, 9: 5}
+SCATTER_LIMIT = 40000
+
+
+def rounded(x):
+    """Exact packed data in the same layout, every stored value correctly
+    rounded to float64 (``QSurd.to_float``)."""
+    rows = [[x._value(slots).to_float() for slots in zip(*row)] for _, row in x._rows()]
+    return type(x)(x.q, FLOAT, 1, [x._part(rows)])
+
+
+def float_error(found, exact):
+    """max |found - exact| over every key, over max |exact|: a float64 result
+    against the exact one correctly rounded, vertex data widened to one
+    layout."""
+    found, expected = found._as_levels(), rounded(exact._as_levels())
+    if isinstance(expected, Levels):
+        radius = max(found._orbit_radius, expected._orbit_radius)
+        found, expected = found._widen(radius), expected._widen(radius)
+    values = (chain.from_iterable(row[0] for _, row in x._rows()) for x in (found, expected))
+    worst = max((abs(x - y) for x, y in zip_longest(*values, fillvalue=0.0)), default=0.0)
+    return worst / expected.max_abs() if worst else 0.0
+
+
+def float_gate(pairs, reach, mean, runs):
+    """(largest error of the library, largest error of the other route) of
+    float64 M_n, C_n and the propagators at 2 <= n <= reach, on the float64
+    copies of exact (f, g) pairs.  The other route composes C_n = (M_n -
+    M_(n-2)) / 2 and S_n = M_(n-1) from ``mean(x, n)``, at the n where
+    ``runs(f, n)``.  Every library result keeps the layout of the exact one."""
+    library = other = 0.0
+    for f, g in pairs:
+        x, y = f.as_float64(), g.as_float64()
+        known = {}
+
+        def composed_mean(v, k):  # M_k v, with M_(-1) = 0 and M_0 the identity
+            if k < 1:
+                return v if k == 0 else type(v)(v.q, FLOAT)
+            if (id(v), k) not in known:
+                known[id(v), k] = mean(v, k)
+            return known[id(v), k]
+
+        for n in range(2, reach + 1):
+            exact = (m_operator(n, f), c_operator(n, f), propagators(n, f, g))
+            found = (m_operator(n, x), c_operator(n, x), propagators(n, x, y))
+            for value, reference in zip(found, exact):
+                assert type(value._as_levels()) is type(reference._as_levels())
+            library = max(library, *map(float_error, found, exact))
+            if runs(f, n):
+                cosine = (composed_mean(x, n) - composed_mean(x, n - 2)).scale(0.5)
+                composed = (composed_mean(x, n), cosine, cosine + composed_mean(y, n - 1))
+                other = max(other, *map(float_error, composed, exact))
+    return library, other
+
+
+def scattered(x, n):
+    return TreeFunction._from_levels(scatter_mean(x._as_levels(), n))
+
+
+def scatter_fits(f, n):
+    return sum(sphere_volume(f.q, d) for d in range(f.support_radius() + n + 1)) <= SCATTER_LIMIT
+
+
 @pytest.mark.parametrize("q", QS)
-def test_float_m_operator_and_propagators_are_bitwise_the_ball_walk(q):
-    rng = random.Random(f"levels:float-m-operator:{q}")
-    depth, reach = M_REACH[q]
-    f, g = float_data(q, rng), float_data(q, rng)
-    sparse = sparse_data(q, rng, depth).as_float64()
-    for n in range(1, reach + 1):
-        assert bits(m_operator(n, f)) == bits(reference_m_operator(n, f))
-        assert bits(m_operator(n, sparse)) == bits(reference_m_operator(n, sparse))
+def test_float_means_are_as_accurate_as_the_scatter(q):
+    """Float64 M_n, C_n and propagators of vertex data read the parity sums
+    and are weighted once; against the exact values rounded, their largest
+    error over every case is no larger than that of M_n scattered over the
+    vertex rows (``scatter.scatter_mean``) over the cases it reaches."""
+    pairs = [random_data_pair(q, r, random.Random(s)) for r in FLOAT_RADII for s in FLOAT_SEEDS]
+    library, scatter = float_gate(pairs, FLOAT_REACH[q], scattered, scatter_fits)
+    assert library <= scatter < 1e-15
 
-    def walk(order, v):  # M_order with M_{-1} = 0 and M_0 = id
-        return reference_m_operator(order, v) if order >= 0 else TreeFunction.zero(q, FLOAT)
 
-    for n in range(-reach + 1, reach):
-        if n == 0:
-            continue
-        cosine = reference_scale(reference_sub(walk(abs(n), f), walk(abs(n) - 2, f)), 0.5)
-        sine = walk(abs(n) - 1, g)
-        if n < 0:
-            sine = reference_neg(sine)
-        assert bits(propagators(n, f, g)) == bits(reference_add(cosine, sine))
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_float_means_are_as_accurate_as_the_scatter_on_a_wide_range(q):
+    """Values from 1e-12 to 1e12 of both signs on Ball(2), n <= 6, where the
+    sphere sums S_p(d-1) - D_x(d-2) of ``_parity_rows`` may cancel.  Both
+    routes err by about one rounding of the largest value, each the closer
+    on some cases (at q = 4, exact on the integer cases above, the parity
+    route's largest error is 2.4e-16 against the scatter's 2.1e-16 at
+    n <= 5), so the gate allows the scatter's error plus 2^-53."""
+    rng = random.Random(f"levels:float-wide:{q}")
+
+    def wide():
+        values = [(v, 10 ** rng.uniform(-12, 12) * rng.choice((-1, 1))) for v in Ball(q, 2)]
+        return TreeFunction(q, EXACT, [(v, QSurd(Fraction(x), 0, q)) for v, x in values])
+
+    pairs = [(wide(), wide()) for _ in range(4)]
+    library, scatter = float_gate(pairs, 6, scattered, scatter_fits)
+    assert library <= scatter + 2**-53 and scatter < 1e-15
+
+
+@pytest.mark.parametrize("q", QS)
+def test_float_profile_means_are_as_accurate_as_the_kernel_convolution(q):
+    """Float64 M_n, C_n and propagators of profiles read the parity sums of
+    the profile; their largest error against the exact values rounded is no
+    larger than that of the convolution with m_kernel(n), the route they
+    took before."""
+
+    def pair(radius, rng):
+        return random_radial_profile(q, radius, rng), random_radial_profile(q, radius, rng)
+
+    def convolved(p, n):
+        return radial_convolve(m_kernel(q, n, FLOAT), p)
+
+    pairs = [pair(r, random.Random(s)) for r in FLOAT_RADII for s in FLOAT_SEEDS]
+    library, kernel = float_gate(pairs, FLOAT_REACH[q], convolved, lambda f, n: True)
+    assert library <= kernel < 1e-13
 
 
 @pytest.mark.parametrize("q", QS)
@@ -979,28 +1077,6 @@ def test_radial_means_need_no_kernel(q):
                 new, old = found._as_levels(), radial_convolve(kernel, p)._as_levels()
                 assert type(new) is type(old) is RadialLevels
                 assert new.den == old.den and new.parts == old.parts
-
-
-@pytest.mark.parametrize("q", QS)
-def test_float_means_keep_their_routes_bit_for_bit(q):
-    """Float64 M_n is the scatter route on vertex data and the convolution
-    with m_kernel(n) on profiles, and C_n halves M_n - M_(n-2) of those, as
-    before the exact means read parity sums: slots compared by hex()."""
-    rng = random.Random(f"levels:float-means:{q}")
-    f = surd_data(q, rng, radius=1).as_float64()
-    p = surd_profile(q, rng, 4).as_float64()
-    half = scalar_from_fraction(Fraction(1, 2), q, FLOAT)
-    routes = (
-        (f, lambda n: TreeFunction._from_levels(f._as_levels()._scatter_mean(n)), bits),
-        (p, lambda n: radial_convolve(m_kernel(q, n, FLOAT), p), radial_bits),
-    )
-    for x, mean, read in routes:
-        composed = {-1: type(x)(q, FLOAT), 0: x}
-        for n in range(1, 6 if q < 9 else 4):
-            composed[n] = mean(n)
-            assert read(m_operator(n, x)) == read(composed[n])
-            cosine = (composed[n] - composed[n - 2]).scale(half)
-            assert read(c_operator(n, x)) == read(cosine) == read(c_operator(-n, x))
 
 
 @pytest.mark.parametrize("q", QS)

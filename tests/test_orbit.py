@@ -8,14 +8,17 @@ snapshots are compared here with routes that never use a tail: the
 leapfrog on data packed in the orbit layout of a radius past every depth
 the test reaches (``full_leapfrog``), where every operator takes its
 vertex branch, ``propagators`` with every M_n scattered over the vertex
-rows (``_scatter_mean``, which is also compared with the parity sums
-directly) and the kernel sums of ``evaluate_kernel_solution`` at single
-vertices.  Every read of a snapshot (slots, support, serialization,
-hashing, energies) is compared with the same read of its vertex rows, and
-the listing reads of all three layouts, which take each stored entry once,
-with a read of every position of the widened rows.
-Exact data are irrational with mixed denominators; float64 snapshots are
-compared bit for bit.
+rows (``scatter.scatter_mean``, which is also compared with the parity
+sums directly, exactly and in float64) and the kernel sums of
+``evaluate_kernel_solution`` at single vertices.  Every read of a snapshot
+(slots, support, serialization, hashing, energies) is compared with the
+same read of its vertex rows, and the listing reads of all three layouts,
+which take each stored entry once, with a read of every position of the
+widened rows.
+Exact data are irrational with mixed denominators.  Float64 leapfrog
+snapshots are compared bit for bit; float64 M_n and closed snapshots, whose
+sums run in another order than the scatter's, are compared with a relative
+tolerance and keep the orbit radius of their data.
 """
 
 import copy
@@ -61,6 +64,8 @@ from treewave.wave import (
     solve,
     step_recurrence,
 )
+
+from scatter import full_rows, scatter_mean
 
 EXACT = ScalarMode.EXACT
 FLOAT = ScalarMode.FLOAT64
@@ -183,10 +188,10 @@ def test_orbit_leapfrog_equals_the_full_leapfrog_and_the_closed_route(q, radius)
 
 def scattered_mean(n, x):
     """M_n x for n >= -1 with M_n (n >= 1) scattered over the vertex rows
-    (``_scatter_mean``), in the layout of its top depth."""
+    (``scatter.scatter_mean``), in the layout of its top depth."""
     if n < 1:
         return x if n == 0 else TreeFunction(x.q, x.mode)
-    return TreeFunction._from_levels(x._as_levels()._scatter_mean(n))
+    return TreeFunction._from_levels(scatter_mean(x._as_levels(), n))
 
 
 def scattered_cosine(n, x):
@@ -256,15 +261,18 @@ def test_orbit_ball_mean_equals_the_full_ball_mean(q):
                 data = data_on_ball(q, data_radius, rng, mode, density=0.6)
                 orbit = vertex_rows(data, radius)._as_levels()
                 for n in range(1, n_max + 1):
-                    found, expected = orbit.ball_mean(n), orbit._scatter_mean(n)
+                    found, expected = orbit.ball_mean(n), scatter_mean(orbit, n)
                     assert expected._orbit_radius == data_radius + n
+                    assert found._orbit_radius == radius
                     if mode is EXACT:
-                        assert found._orbit_radius == radius
-                        assert found._full().same_as(expected)
+                        assert full_rows(found).same_as(expected)
                         assert expected.same_as(found)
-                    else:  # float64 takes the scatter route, in its order
-                        assert found._orbit_radius == data_radius + n
-                        assert found.parts == expected.parts
+                    else:  # the same sums, added in another order
+                        rows = full_rows(found).parts[0]
+                        assert len(rows) == len(expected.parts[0])
+                        top = expected.max_abs()
+                        for row, other in zip(rows, expected.parts[0]):
+                            assert all(abs(x - y) <= 1e-14 * top for x, y in zip(row, other))
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5))
@@ -281,7 +289,7 @@ def test_orbit_ball_mean_with_a_tail_takes_the_expansion(q):
                     break
                 found = orbit.ball_mean(n)
                 assert found._orbit_radius == radius
-                assert found.same_as(built._as_levels()._scatter_mean(n))
+                assert found.same_as(scatter_mean(built._as_levels(), n))
 
 
 def brute_parity_rows(q, part, last, radius):
@@ -336,7 +344,7 @@ def test_ball_mean_of_a_restart_snapshot_equals_the_scatter_route(q, radius):
                 break
             found = uncached(snapshot).ball_mean(n)
             assert found._orbit_radius == radius
-            assert found.same_as(snapshot._scatter_mean(n))
+            assert found.same_as(scatter_mean(snapshot, n))
 
 
 def test_closed_snapshot_at_n_200_equals_the_leapfrog():
@@ -349,6 +357,25 @@ def test_closed_snapshot_at_n_200_equals_the_leapfrog():
         assert radius_of(state) == 2
         assert state == leapfrog.snapshot(n)
         assert state.support_radius() == 202
+
+
+@pytest.mark.parametrize("q, radius", [(2, 3), (3, 2)])
+def test_float_closed_snapshot_at_n_200_keeps_the_orbit_radius(q, radius):
+    # float64 M_n and C_n read the parity sums as exact ones do: the snapshot
+    # stays in the orbit layout of R, with the exact snapshot's support, and
+    # every stored entry is the exact one to 1e-14 relative
+    f, g = random_data_pair(q, radius, random.Random(5))
+    exact = propagators(200, f, g)._as_levels()
+    found = propagators(200, f.as_float64(), g.as_float64())._as_levels()
+    assert found._orbit_radius == exact._orbit_radius == radius
+    assert found.support_size() == exact.support_size()
+    listed, expected = list(found._listing()), list(exact._listing())
+    assert len(listed) == len(expected)
+    for (d, js, values), (e, ks, slots) in zip(listed, expected):
+        assert (d, js) == (e, ks)
+        for (value,), slot in zip(values, slots):
+            reference = exact._value(slot).to_float()
+            assert abs(value - reference) <= 1e-14 * abs(reference)
 
 
 def test_closed_route_on_built_data_reaches_n_1000_without_packing():
@@ -386,7 +413,7 @@ def test_kept_parity_sums_give_every_ball_mean_in_any_order(q):
                 found = datum.ball_mean(n)
                 assert found.same_as(uncached(data).ball_mean(n))
                 if n <= scatter_max:
-                    assert found._full().same_as(data._scatter_mean(n))
+                    assert full_rows(found).same_as(scatter_mean(data, n))
             assert datum.parts == data.parts
 
 
@@ -591,7 +618,7 @@ def test_a_tail_whose_last_entry_is_nonzero(q):
             orbit, other = random_orbit(q, radius, depth, rng), random_orbit(q, radius, depth, rng)
             u, v = TreeFunction._from_levels(orbit), TreeFunction._from_levels(other)
             x, y = (TreeFunction(q, EXACT, dict(w.value_map())) for w in (u, v))
-            assert x._as_levels().parts[0][-1] == orbit._full().parts[0][-1]
+            assert x._as_levels().parts[0][-1] == full_rows(orbit).parts[0][-1]
             assert _potential_pair(u) == _potential_pair(x) == _potential_two_step(x)
             assert _potential_two_step(u) == _potential_two_step(x)
             assert two_step_laplacian(u) == two_step_laplacian(x)
@@ -710,20 +737,15 @@ def test_a_restart_keeps_the_radius_of_its_data(k):
         assert restart.snapshot(m) == u.snapshot(k + m)
 
 
-def test_the_closed_restart_never_scatters(monkeypatch):
+def test_the_closed_restart_never_scatters():
     # the closed route of a restart from u(16), orbit data of radius 3 with
     # a tail to depth 19, takes every M_n from parity rows: it keeps radius 3
-    # and equals the leapfrog, and the scatter route is never called
+    # and equals the leapfrog
     f, g = random_data_pair(2, 3, random.Random(5))
     u = solve(f, g, (0, 17), solver="recurrence")
     half = scalar_from_fraction(Fraction(1, 2), 2, EXACT)
     velocity = (u.snapshot(17) - u.snapshot(15)).scale(half)
-    scattered, scatter_mean = [], Levels._scatter_mean
-    monkeypatch.setattr(
-        Levels, "_scatter_mean", lambda self, n: scattered.append(n) or scatter_mean(self, n)
-    )
     restart = solve(u.snapshot(16), velocity, 1, solver="closed")
-    assert scattered == []
     for m in (-1, 0, 1):
         assert radius_of(restart.snapshot(m)) == 3
         assert restart.snapshot(m) == u.snapshot(16 + m)
@@ -734,13 +756,13 @@ def test_the_closed_restart_never_scatters(monkeypatch):
 
 def widened_read(levels):
     """key -> scalar of the nonzero values of a packed function, read
-    position by position: from the vertex rows (``_full``) of vertex data,
+    position by position: from the vertex rows (``full_rows``) of vertex data,
     whose positions are those of ``Ball.vertices()``; from the radius of a
     profile entry; from the height d or -d of a sequence entry.  Exact
     values are built from ``Fraction``s."""
     q, den, parts = levels.q, levels.den, levels.parts
     if isinstance(levels, Levels):
-        rows = levels._full().parts
+        rows = full_rows(levels).parts
         seen = Counter()
         positions = []
         for vertex in Ball(q, len(rows[0]) - 1) if rows[0] else ():
