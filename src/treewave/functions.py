@@ -42,6 +42,12 @@ def _check_q(q) -> None:
         raise ParameterError(f"field 'q' must be an integer >= 2, got {q!r}")
 
 
+def _check_time(n) -> None:
+    """A time argument is an int; a bool, float or str is refused."""
+    if type(n) is not int:
+        raise ParameterError(f"field 'n' must be an integer time, got {n!r}")
+
+
 class _Sparse:
     """A finitely supported map key -> scalar (absent = 0), with its packed
     form in ``treewave.levels``.
@@ -149,7 +155,7 @@ class _Sparse:
     def support_radius(self) -> int:
         """Largest radius of a key with a nonzero value, or -1 for zero."""
         if self._levels is not None:
-            return len(self._levels.parts[0]) - 1
+            return self._levels.size - 1
         return max(map(self._radius, self._store), default=-1)
 
     def value_map(self) -> Mapping:
@@ -158,7 +164,7 @@ class _Sparse:
 
     def __bool__(self) -> bool:
         levels = self._levels  # the zero function has no depths
-        return bool(self._store) if levels is None else bool(levels.parts[0])
+        return bool(self._store) if levels is None else bool(levels.size)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):

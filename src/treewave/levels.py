@@ -51,52 +51,65 @@ an entry and the keys it stands for (``_key_rows``):
 - radial profiles (``RadialLevels``): the orbit layout of radius 0, stored
   flat: each part is one list indexed by radius, whose entry m stands for
   the |S(m)| = ``sphere_volume(q, m)`` vertices of that sphere, its weight
-  in the sums (as a key it is the one radius m).
-  One list per part, not one row per depth, keeps a step, a sum or an
-  energy of the long radial runs several times cheaper.  A linear
-  combination is one ``map`` per part and a weighted sum one term per
-  part, whose weights |S(m)| are one running product.  The neighbour sum
-  is (q+1)*p(1) at the origin and p(m-1) + q*p(m+1) elsewhere.  Read as
-  orbit data of radius 0 (``Levels.from_radial``), a profile has the
-  parity sums of the vertex kernel ``_parity_rows`` and keeps them as
-  vertex data do, so M_n and C_n take the one body vertex data take
-  (``ball_mean``, ``cosine``), with no kernel built, in O(n + R).  A
-  convolution with a distance kernel k, which the closed radial route
-  takes with the propagator kernels, reads k by its parity runs k(j) -
-  k(j+2), one for M_n and S_n, two for C_n, against the same sums.
-  The distance-2 pairs are the grandparent pairs (m, m+2), |S(m+2)| of
-  them; siblings share a value and add 0.
+  in the sums (as a key it is the one radius m).  A linear combination is
+  one ``map`` per part and a weighted sum one term per part, whose weights
+  |S(m)| are one running product.  The neighbour sum is (q+1)*p(1) at the
+  origin and p(m-1) + q*p(m+1) elsewhere.  Read as orbit data of radius 0
+  (``Levels.from_radial``), a profile has the parity sums of the vertex
+  kernel ``_parity_rows`` and keeps them as vertex data do, so M_n and C_n
+  take the one body vertex data take (``ball_mean``, ``cosine``).  A
+  convolution with a distance kernel k reads k by its parity runs k(j) -
+  k(j+2) against the same sums; a float64 difference rounds, so float64
+  reads only the kernel's stored run from them and adds its rows distance
+  by distance.  The distance-2 pairs are the grandparent pairs (m, m+2),
+  |S(m+2)| of them.
 - height sequences (``HeightLevels``): depth |h| holds s(h), and at depth
   d >= 1 also s(-d) after s(d).
 
+A leading parity run: vertex and radial data store depths 0 .. a-1 as two
+values per part, E at every entry of even depth and O at every entry of
+odd depth (``lead`` = a, and per part a *pair*, the values of depths
+a - 2 and a - 1), then the rows from depth a on as above; data with no run
+store their rows alone.  ``__init__`` grows the run as far as exact
+equality allows (a float64 zero repeats only with its sign) and stores a
+run of fewer than ``_SHORTEST_RUN`` depths as rows, so the form is
+canonical.  Inside the light cone a wave snapshot is such a run, so it
+stores O(R) rows at any |n|.  Linear combinations, the neighbour sum and
+step, the parity reads of M_n, C_n and the convolution columns, the
+kernels, the exact sums and the slot, support and max reads work on the
+run; ``parts``, ``_rows`` and ``_listing`` expand it, and so do the parity
+sums of data that carry a run, float64 parity reads and every float64 sum,
+which adds in the order of the expanded rows.  Height sequences keep no
+run.
+
 Every read that lists a function (keys, values, CSV rows) takes each
 stored nonzero entry once, in one pass per depth (``_listing``): the entry
-stands for an index range of keys, and they share its one scalar.  A layout
-builds the keys of each depth once per read (``_key_rows``), and the
-support size counts each row's nonzero entries times their width.  Nothing
-is widened.
+stands for an index range of keys, and they share its one scalar.
 Kinetic energy, mass, the pair-sum potential, the counting inner product,
 the three Huygens interior sums, the linear combinations, the leapfrog
-step and the tree and two-step Laplacians are written once over these two
+step and the tree and two-step Laplacians are written once over these
 choices, so vertex and radial data share one operator algebra.  No
 ``Fraction`` is built; values become ``QSurd`` (the same integer triple)
 only when a slot is read, a function is materialised or a sum is returned.
-The cost of a vertex operation grows with Ball(R) plus one entry per vertex
-of S(R) at each further depth, not with the support.
 """
 
 from __future__ import annotations
 
 from functools import cache, reduce, wraps
-from itertools import accumulate, chain, compress, product, repeat
-from math import fsum, gcd, lcm
-from operator import add, floordiv, itemgetter, mul, or_, sub
+from itertools import accumulate, chain, compress, count, islice, product, repeat
+from math import copysign, fsum, gcd, lcm
+from operator import add, attrgetter, floordiv, itemgetter, mul, ne, or_, sub
 
 from .scalars import Scalar, ScalarMode, _square_root_if_perfect, sqrt_q_power
 from .scalars import scalar_zero, surd_from_slots, surd_sign
 from .topology import VertexAddress, sphere_volume
 
 EXACT = ScalarMode.EXACT
+# A run of fewer depths is stored as rows.  Three is the least with which
+# every wave snapshot at |n| >= 2R + 2 stores at most 2 + (2R + 2)|S(R)|
+# entries (R = 0 at |n| = 4 needs a run of three depths); ``Levels._grow``
+# assumes at least three.
+_SHORTEST_RUN = 3
 
 
 def _vertex_index(labels: tuple, q: int) -> int:
@@ -122,20 +135,53 @@ def _repeat_each(row: list, times: int) -> list:
 
 def _combine_row(cx, x: list, cy, y: list) -> list:
     """cx*x + cy*y entry by entry; a missing entry counts as zero."""
-    if len(x) != len(y):
-        n = min(len(x), len(y))
-        return _combine_row(cx, x[:n], cy, y[:n]) + _scaled(cx, x[n:]) + _scaled(cy, y[n:])
+    sx = _scaled(cx, x)
     if cy == -1:
-        return list(map(sub, _scaled(cx, x), y))
-    return list(map(add, _scaled(cx, x), _scaled(cy, y)))
+        out = list(map(sub, sx, y))
+        return out + sx[len(out) :] if len(x) >= len(y) else out + _scaled(cy, y[len(out) :])
+    sy = _scaled(cy, y)
+    out = list(map(add, sx, sy))
+    return out + (sx if len(x) >= len(y) else sy)[len(out) :]
+
+
+def _period_end(seq: list, i: int, end: int) -> int:
+    """The first index j in [i, end) with seq[j] != seq[j - 2], or end: a
+    few steps in Python, the rest at C speed.  A float zero repeats only
+    with its sign."""
+    start, stop = i, min(end, i + 8)
+    while i < stop and seq[i] == seq[i - 2]:
+        i += 1
+    if i == stop < end:
+        pairs = map(ne, islice(seq, i, end), islice(seq, i - 2, None))
+        i = next(compress(count(i), pairs), end)
+    if i > start and isinstance(seq[start], float) and not all(seq[start - 2 : start]):
+        return _period_end(_signs(seq[:i]), start, i)
+    return i
+
+
+def _signs(values) -> list:
+    """The sign of each float, zeros included: copysign(1.0, v)."""
+    return list(map(copysign, repeat(1.0), values))
 
 
 def _sphere_volumes(q: int, start: int, size: int) -> list:
-    """[|S(start)|, .., |S(start + size - 1)|] as one running product of
-    the volumes 1, q + 1, (q + 1) q, ..; ``topology.sphere_volume`` is the
-    closed form."""
-    volumes = [1, *accumulate(repeat(q, start + size - 2), mul, initial=q + 1)]
-    return volumes[start : start + size]
+    """[|S(start)|, .., |S(start + size - 1)|] as one running product from
+    ``topology.sphere_volume(q, start)``."""
+    if not size:
+        return []
+    if not start:
+        return [1, *_sphere_volumes(q, 1, size - 1)]
+    return list(accumulate(repeat(q, size - 1), mul, initial=sphere_volume(q, start)))
+
+
+def _parity_counts(q: int, a: int) -> tuple[int, int]:
+    """(vertices at even depths, vertices at odd depths) of Ball(a - 1):
+    1 + q (q^2J - 1)/(q - 1) with J = (a - 1) // 2, and (q^2K - 1)/(q - 1)
+    with K = a // 2."""
+    if not a:
+        return 0, 0
+    even = 1 + q * (q ** (2 * ((a - 1) // 2)) - 1) // (q - 1)
+    return even, (q ** (2 * (a // 2)) - 1) // (q - 1)
 
 
 def _parity_rows(q: int, part: list, last: int, orbit: int) -> list:
@@ -177,38 +223,23 @@ def _parity_rows(q: int, part: list, last: int, orbit: int) -> list:
     return rows
 
 
-def _parity_read(sums: list, last: int, n: int) -> list:
-    """P(n) of every depth of the result, from the sums [P(0), .., P(last)]
-    of one part per stored depth (``_parity_rows``): depth e <= t, the last
-    stored depth, holds P(n) of depth e, and depth t + s (s = 1..n) holds
-    P(n - s) of depth t, since a vertex there reaches the data only through
-    its ancestor at depth t.  Past ``last``, which is then 2t + 1, P repeats
-    its value of the same parity.  Rows are shared, not copied."""
-    top = sums[-1]
-    if n <= last:
-        return [row[n] for row in sums] + top[:n][::-1]
-    beyond = n - 1 - last  # the distances last + 1 .. n - 1 below depth t
-    repeats = ([top[last - 1], top[last]] * (beyond // 2 + 1))[:beyond]
-    return [row[last - (n - last) % 2] for row in sums] + repeats[::-1] + top[::-1]
-
-
-def _adjacent(levels: list, q: int, orbit: int, exact: bool) -> list:
-    """Neighbour sum of one part in the orbit layout of radius ``orbit``:
-    depth d of the result holds the parent values plus the child sums of
-    every entry at depth d, added in that order (which keeps float64 sums
-    bit-identical to a neighbour scatter).  Up to depth ``orbit`` a parent
-    is repeated once per child and the children are the strided slices of
-    the next depth; beyond it the parent of an entry is the entry of the
-    same index one depth up.  From depth ``orbit`` on, the q children of an
-    entry (q+1 at the origin) are the one entry c of the same index one
-    depth down, added as q*c for exact data and q times in sequence for
-    float64, as the vertex rows add them."""
-    top = len(levels) - 1
-    if top < 0:
-        return []
-    out = []
-    for d in range(top + 2):
-        parent = levels[d - 1] if d else [0]
+def _adjacent(levels: list, q: int, orbit: int, exact: bool, base: int | None = None) -> list:
+    """Neighbour sum of one part in the orbit layout of radius ``orbit``,
+    from its rows of depths base .. t: depths base + 1 .. t + 1 of the
+    result (0 .. t + 1 when base is None).  Depth d holds the parent values
+    plus the child sums of every entry at depth d, added in that order
+    (which keeps float64 sums bit-identical to a neighbour scatter).  Up to
+    depth ``orbit`` a parent is repeated once per child and the children
+    are the strided slices of the next depth; beyond it the parent of an
+    entry is the entry of the same index one depth up.  From depth
+    ``orbit`` on, the q children of an entry (q+1 at the origin) are the
+    one entry c of the same index one depth down, added as q*c for exact
+    data and q times in sequence for float64, as the vertex rows add
+    them."""
+    start, base = (0, 0) if base is None else (base + 1, base)
+    top, out = base + len(levels) - 1, []
+    for d in range(start, top + 2 if levels else 0):
+        parent = levels[d - 1 - base] if d else [0]
         if d == 0 or d > orbit:
             level = parent
         elif d == 1:
@@ -218,7 +249,7 @@ def _adjacent(levels: list, q: int, orbit: int, exact: bool) -> list:
             for r in range(q):
                 level[r::q] = parent
         if d < top:
-            children = levels[d + 1]
+            children = levels[d + 1 - base]
             if d >= orbit:
                 times = q + 1 if d == 0 else q
                 if exact:
@@ -235,13 +266,15 @@ def _adjacent(levels: list, q: int, orbit: int, exact: bool) -> list:
     return out
 
 
-def _radial_adjacent(p: list, q: int) -> list:
-    """Neighbour sum of one radial part: (q+1)*p(1) at the origin and
-    p(m-1) + q*p(m+1) at m >= 1, with p(m-1) alone at the last two radii."""
+def _radial_adjacent(p: list, q: int, base: int | None = None) -> list:
+    """Neighbour sum of one radial part, from its values at radii base ..
+    t: radii base + 1 .. t + 1 of the result (0 .. t + 1 when base is None),
+    (q+1)*p(1) at the origin and p(m-1) + q*p(m+1) at m >= 1, with p(m-1)
+    alone at the last two radii."""
     if not p:
         return []
-    head = [(q + 1) * p[1] if len(p) > 1 else 0]
-    return head + list(map(add, p, _scaled(q, p[2:]))) + p[-2:]
+    rest = list(map(add, p, _scaled(q, p[2:]))) + p[-2:]
+    return rest if base is not None else [(q + 1) * p[1] if len(p) > 1 else 0] + rest
 
 
 def _one_layout(method):
@@ -265,25 +298,68 @@ def _one_layout(method):
 
 class _Packed:
     """A function packed by number type and layout (see module docstring).
-    Immutable by convention; trailing all-zero depths are trimmed and D is
-    reduced, so the zero function has no depths at all."""
+    Immutable by convention.  A *form* (lead, pairs, parts) is what is
+    stored, or an operator's unreduced result: per part, the *pair* holds
+    the run values at depths lead - 2 and lead - 1 (0 at a depth below 0)
+    and the part its rows from depth ``lead``.  A form with no run has lead
+    0, no pairs (None) and its rows from depth 0.
+    ``__init__`` trims trailing all-zero depths, grows the run (a run of
+    fewer than ``_SHORTEST_RUN`` depths is stored as rows) and reduces D,
+    so the form is canonical and the zero function has no depths."""
 
-    __slots__ = ("q", "mode", "den", "parts", "_sums")  # _sums: see ``_kept_parity_rows``
+    # _sums: see ``_kept_parity_rows``
+    __slots__ = ("q", "mode", "den", "lead", "pairs", "body", "size", "_sums")
+    _keeps_runs = True
+    _first = staticmethod(itemgetter(0))  # the value of a row that holds one value
+    form = property(attrgetter("lead", "pairs", "body"))
 
-    def __init__(self, q: int, mode: ScalarMode, den: int, parts: list):
+    def __init__(self, q: int, mode: ScalarMode, den: int, parts: list, lead=0, pairs=None):
+        entries = self._entries
+        self.q, self.mode = q, mode
         size = len(parts[0])
-        while size and not any(self._entries([part[size - 1] for part in parts])):
+        if size and not any(entries([part[-1] for part in parts])):
             size -= 1
-        if size < len(parts[0]):
+            while size and not any(entries([part[size - 1] for part in parts])):
+                size -= 1
             parts = [part[:size] for part in parts]
-        if not size:
+        if size:
+            if self._keeps_runs and lead + size >= _SHORTEST_RUN:
+                lead, pairs, parts = self._grow(lead, pairs, parts)
+        else:  # no row: the zero depths that end the run are trailing too
+            while lead and not any(pair[1] for pair in pairs):
+                lead, pairs = lead - 1, [pair[::-1] for pair in pairs]
+        if 0 < lead < _SHORTEST_RUN:  # too short to keep: its rows are stored
+            lead, pairs, parts = 0, None, self._from((lead, pairs, parts), 0)
+        if not lead:
+            pairs = None
+        if not (lead or len(parts[0])):
             den = 1
         elif den != 1:
-            common = gcd(den, *chain.from_iterable(map(self._entries, parts)))
+            values = chain.from_iterable(map(entries, parts))
+            common = gcd(den, *(chain(values, *pairs) if pairs else values))
             if common != 1:
                 den //= common
                 parts = [self._map(floordiv, part, common) for part in parts]
-        self.q, self.mode, self.den, self.parts = q, mode, den, parts
+                pairs = pairs and [_map_row(floordiv, pair, common) for pair in pairs]
+        self.den, self.lead, self.pairs, self.body = den, lead, pairs, parts
+        self.size = lead + len(parts[0])  # the stored depths, the run's included
+
+    def _grown(self, a: int, pairs: list, parts: list, k: int) -> tuple:
+        """The form whose run takes in the first k >= 1 rows of parts, which
+        continue the run of a depths."""
+        first = self._first
+        if k >= 2:
+            heads = [[first(part[k - 2]), first(part[k - 1])] for part in parts]
+        else:
+            heads = [[pair[1], first(part[0])] for pair, part in zip(pairs, parts)]
+        return a + k, heads, [part[k:] for part in parts]
+
+    def _grow(self, a: int, pairs: list | None, parts: list) -> tuple:
+        """The form grown over the first rows that hold one value at every
+        entry of every part, the value two depths up (a float zero with its
+        sign); depths 0 and 1 open the run.  Called on forms of at least
+        ``_SHORTEST_RUN`` depths by a layout that keeps runs."""
+        raise NotImplementedError
 
     # -- storage shape: a part is one row per depth (one flat row when radial) ------
 
@@ -297,28 +373,79 @@ class _Packed:
     @staticmethod
     def _combine(cx, x: list, cy, y: list) -> list:
         """cx*x + cy*y depth by depth; a missing depth counts as zero."""
-        n = min(len(x), len(y))
-        head = [_combine_row(cx, a, cy, b) for a, b in zip(x, y)]
-        return head + [_scaled(cx, a) for a in x[n:]] + [_scaled(cy, b) for b in y[n:]]
+        out = [_combine_row(cx, a, cy, b) for a, b in zip(x, y)]
+        n = len(out)
+        if len(x) > n:
+            out += [_scaled(cx, a) for a in x[n:]]
+        elif len(y) > n:
+            out += [_scaled(cy, b) for b in y[n:]]
+        return out
 
     _part = staticmethod(lambda rows: rows)  # a part from the rows ``_pack`` filled
 
-    def _rows(self):
-        """(d, row) pairs, a row holding the parts' lists of one depth d."""
-        return enumerate(zip(*self.parts))
+    @property
+    def parts(self) -> list:
+        """Every part as its rows from depth 0: the run expanded (with no run,
+        the stored parts)."""
+        return self._from(self.form, 0) if self.lead else self.body
 
-    @classmethod
-    def _over_root_power(cls, q: int, n: int, den: int, parts: list) -> tuple[int, list]:
-        """(D, parts) of exact parts over den times q^(-n/2), n >= 0: over
-        den*q^(n/2) for even n; for odd n, q^(-n/2) = sqrt(q) / q^((n+1)/2)
-        and sqrt(q) * (a + b*sqrt(q)) = q*b + a*sqrt(q), or root*a for a
-        square q."""
-        if n % 2 == 0:
-            return den * q ** (n // 2), parts
-        a, b = parts
-        root = _square_root_if_perfect(q)
-        swapped = [cls._map(mul, b, q), a] if root is None else [cls._map(mul, a, root), b]
-        return den * q ** ((n + 1) // 2), swapped
+    @property
+    def runs(self) -> list:
+        """Per part, the run values [E, O] at even and at odd depths."""
+        if not self.lead:
+            zero = 0 if self.mode is EXACT else 0.0
+            return [[zero, zero] for _ in self.body]
+        return [pair[:: 1 - 2 * (self.lead % 2)] for pair in self.pairs]
+
+    def _make(self, den: int, form: tuple) -> _Packed:
+        lead, pairs, parts = form
+        return type(self)(self.q, self.mode, den, parts, lead, pairs)
+
+    def _fill(self, start: int, stop: int, lead: int, pair: list) -> list:
+        """The stored rows of depths start .. stop - 1 >= 0 of the run whose
+        pair is at depths lead - 2 and lead - 1."""
+        raise NotImplementedError
+
+    def _realigned(self, form: tuple, a: int) -> tuple:
+        """A form as the form of a run of a <= lead depths."""
+        lead, pairs, parts = form
+        if a == lead:
+            return form
+        rows = self._from(form, a)
+        if not a:
+            return 0, None, rows
+        zero = 0 if self.mode is EXACT else 0.0
+        heads = [[pair[(d - lead) % 2] if d >= 0 else zero for d in (a - 2, a - 1)] for pair in pairs]
+        return a, heads, rows
+
+    def _from(self, form: tuple, start: int, stop: int | None = None) -> list:
+        """Per part, the rows of depths start .. stop - 1 (to the last if
+        None) of a form whose run has at least ``start`` depths, the run
+        expanded from ``start``; the stored rows themselves when nothing is
+        expanded or cut."""
+        lead, pairs, parts = form
+        end, cut = lead, None
+        if stop is not None:
+            end, cut = (stop, 0) if stop < lead else (lead, stop - lead)
+        if start >= end:
+            return parts if cut is None or cut >= len(parts[0]) else [part[:cut] for part in parts]
+        fill, rows = self._fill, parts if cut is None else [part[:cut] for part in parts]
+        return [fill(start, end, lead, pair) + part for pair, part in zip(pairs, rows)]
+
+    def _rows(self):
+        """(d, row) pairs, a row holding the parts' lists of one depth d, the
+        run expanded."""
+        lead = self.lead
+        runs = zip(*(self._fill(0, lead, lead, pair) for pair in self.pairs)) if lead else ()
+        return enumerate(chain(runs, zip(*self.body)))
+
+    def _body_rows(self):
+        """(d, row) pairs of the rows stored from depth ``lead`` on."""
+        return enumerate(zip(*self.body), self.lead)
+
+    def _run_keys(self) -> tuple[int, int]:
+        """The keys the even and the odd depths of the run stand for."""
+        return _parity_counts(self.q, self.lead)
 
     # -- number type ----------------------------------------------------------
 
@@ -338,6 +465,24 @@ class _Packed:
         for d, j, (x, y, e) in entries:
             a[d][j], b[d][j] = x * (den // e), y * (den // e)
         return cls(q, mode, den, [cls._part(a), cls._part(b)])
+
+    @classmethod
+    def _weighted(cls, q: int, n: int, den: int, form: tuple) -> tuple[int, tuple]:
+        """(D, form) of an exact form over den times q^(-n/2), n >= 0: over
+        den*q^(n/2) for even n; for odd n, q^(-n/2) = sqrt(q) / q^((n+1)/2)
+        and sqrt(q) * (a + b*sqrt(q)) = q*b + a*sqrt(q), or root*a for a
+        square q."""
+        if n % 2 == 0:
+            return den * q ** (n // 2), form
+        lead, pairs, (a, b) = form
+        root = _square_root_if_perfect(q)
+        if root is None:
+            parts = [cls._map(mul, b, q), a]
+            pairs = pairs and [[b * q for b in pairs[1]], pairs[0]]
+        else:
+            parts = [cls._map(mul, a, root), b]
+            pairs = pairs and [[a * root for a in pairs[0]], pairs[1]]
+        return den * q ** ((n + 1) // 2), (lead, pairs, parts)
 
     def _products(self, xs: list, ys: list) -> list:
         """The parts of sum x*y over aligned slices of x's and y's parts:
@@ -399,67 +544,103 @@ class _Packed:
         return values
 
     def support_size(self) -> int:
-        """Number of keys with a nonzero value: each row's nonzero entries
+        """Number of keys with a nonzero value: the keys of each parity of
+        the run whose value is nonzero, and each row's nonzero entries
         counted times their width."""
         exact, total = self.mode is EXACT, 0
-        for d, row in self._rows():
+        if self.lead:
+            for keys, values in zip(self._run_keys(), zip(*self.runs)):
+                total += keys if any(values) else 0
+        for d, row in self._body_rows():
             flags = list(map(or_, *row)) if exact else row[0]
             total += (len(flags) - flags.count(0)) * self._weight(d)
         return total
 
     @_one_layout
     def same_as(self, other: _Packed) -> bool:
-        """Equal values, read from the canonical (D, parts) of two packed
-        functions of one layout, q and mode."""
-        return self.den == other.den and self.parts == other.parts
+        """Equal values, read from the canonical (D, lead, pairs, parts) of
+        two packed functions of one layout, q and mode."""
+        return (self.den, self.form) == (other.den, other.form)
 
     def max_abs(self) -> Scalar:
-        """The largest |value|: one pass over a float64 part; exact entries
-        are compared as integer pairs by the sign test of ``QSurd``, and one
-        scalar is built."""
+        """The largest |value|, over the pair and the rows (a run's values
+        are its pair's, and a depth below 0 holds 0): one pass over a
+        float64 part; exact entries are compared as integer pairs by the
+        sign test of ``QSurd``, and one scalar is built."""
+        values = list(map(self._entries, self.body))
+        if self.lead:
+            values = [chain(pair, part) for pair, part in zip(self.pairs, values)]
         if self.mode is not EXACT:
-            return max(map(abs, self._entries(self.parts[0])), default=0.0)
+            return max(map(abs, values[0]), default=0.0)
         q, top = self.q, (0, 0)
-        for a, b in zip(*map(self._entries, self.parts)):
+        for a, b in zip(*values):
             if surd_sign(a, b, q) < 0:
                 a, b = -a, -b
             if surd_sign(a - top[0], b - top[1], q) > 0:
                 top = (a, b)
         return surd_from_slots(q, top[0], top[1], self.den)
 
-    def _sum_with(self, other: _Packed, sign: int) -> tuple[int, list]:
-        """(D, parts) of self + sign * other over their common denominator."""
+    # -- linear combinations of forms ---------------------------------------------
+
+    def _combined(self, cx, x: tuple, cy, y: tuple) -> tuple:
+        """The form cx*x + cy*y; the longer run is expanded to the shorter,
+        unless the other form is 0.  With no run, the parts combine as
+        they are."""
+        if x[0] or y[0]:
+            if not (y[0] or len(y[2][0])):
+                return x if cx == 1 else self._mapped(mul, x, cx)
+            if not (x[0] or len(x[2][0])):
+                return y if cy == 1 else self._mapped(mul, y, cy)
+            a = min(x[0], y[0])
+            x = x if x[0] == a else self._realigned(x, a)
+            y = y if y[0] == a else self._realigned(y, a)
+        combine, pairs = self._combine, x[1]
+        # as _combine_row adds them: x * cx + y * cy, a sum of two products
+        pairs = pairs and [[a * cx + c * cy, b * cx + d * cy] for (a, b), (c, d) in zip(pairs, y[1])]
+        return x[0], pairs, [combine(cx, px, cy, py) for px, py in zip(x[2], y[2])]
+
+    def _mapped(self, op, form: tuple, c) -> tuple:
+        """The form of op(v, c) for every value v of a form."""
+        lead, pairs, parts = form
+        pairs = pairs and [[op(a, c), op(b, c)] for a, b in pairs]
+        return lead, pairs, [self._map(op, part, c) for part in parts]
+
+    def _sum_with(self, other: _Packed, sign: int) -> tuple[int, tuple]:
+        """(D, form) of self + sign * other over their common denominator."""
         den = lcm(self.den, other.den)
         cx, cy = den // self.den, sign * (den // other.den)
-        return den, [self._combine(cx, x, cy, y) for x, y in zip(self.parts, other.parts)]
+        return den, self._combined(cx, self.form, cy, other.form)
 
     @_one_layout
     def __add__(self, other: _Packed) -> _Packed:
-        return type(self)(self.q, self.mode, *self._sum_with(other, 1))
+        return self._make(*self._sum_with(other, 1))
 
     @_one_layout
     def __sub__(self, other: _Packed) -> _Packed:
         # float64: x - y rounds exactly as x + (-y)
-        return type(self)(self.q, self.mode, *self._sum_with(other, -1))
+        return self._make(*self._sum_with(other, -1))
 
     def __neg__(self) -> _Packed:
         # float64: x * -1 is -x, signed zeros included
-        parts = [self._map(mul, part, -1) for part in self.parts]
-        return type(self)(self.q, self.mode, self.den, parts)
+        return self._make(self.den, self._mapped(mul, self.form, -1))
 
     def scale(self, factor: Scalar) -> _Packed:
         """factor * self: a float64 factor multiplies every entry, an exact
         one enters as an integer pair over its own denominator."""
-        q, mode = self.q, self.mode
-        if mode is not EXACT:
-            return type(self)(q, mode, 1, [self._map(mul, self.parts[0], factor)])
-        fa, fb, den = factor.slots
-        x, y = self.parts
+        if self.mode is not EXACT:
+            return self._make(1, self._mapped(mul, self.form, factor))
+        q, (fa, fb, den) = self.q, factor.slots
+        form = self.form
         if fb:  # (fa + fb*sqrt(q)) (x + y*sqrt(q))
-            parts = [self._combine(fa, x, q * fb, y), self._combine(fb, x, fa, y)]
-        else:
-            parts = [part if fa == 1 else self._map(mul, part, fa) for part in self.parts]
-        return type(self)(q, mode, self.den * den, parts)
+            lead, pairs, (x, y) = form
+            combine = self._combine
+            if pairs:
+                (px, py) = pairs
+                pairs = [_combine_row(fa, px, q * fb, py), _combine_row(fb, px, fa, py)]
+            form = lead, pairs, [combine(fa, x, q * fb, y), combine(fb, x, fa, y)]
+        elif fa != 1:
+            form = self._mapped(mul, form, fa)
+        return self._make(self.den * den, form)
 
     # -- layout -------------------------------------------------------------------
 
@@ -484,81 +665,118 @@ class _Packed:
         radial layout gives its pairs as one term in ``_pair_squares``."""
         raise NotImplementedError
 
-    def _adjacent_part(self, part: list) -> list:
-        """Neighbour sum of one part; the module-level ``_adjacent`` or
-        ``_radial_adjacent`` is looked up at each call."""
+    def _parity_rows_of(self, rows: list, last: int) -> list:
+        """Per part of ``rows`` (the expanded parts of ``_sum_rows``), the
+        sums [P(0), .., P(last)] of every stored depth (``_parity_rows`` in
+        the orbit layout of radius ``_orbit_radius``)."""
         raise NotImplementedError
 
-    def _parity_rows_of(self, last: int) -> list:
-        """Per part, the sums [P(0), .., P(last)] of every stored depth
-        (``_parity_rows`` in the orbit layout of radius ``_orbit_radius``)."""
-        raise NotImplementedError
+    def _from_parity(self, form: tuple) -> tuple:
+        """A form read from the parity sums of this datum (``_parity_read``)
+        in this datum's layout."""
+        return form
 
-    def _from_parity(self, den: int, parts: list) -> _Packed:
-        """The function, in this datum's layout, of parts read from its
-        parity sums (``_parity_read``) over den."""
-        raise NotImplementedError
-
-    def _terms(self, xs: list, ys: list):
-        """(weight, x, y) terms whose products add up to sum w * x * y over
-        the stored entries of the parts xs and ys (ys is xs for squares),
-        with w the number of vertices an entry stands for."""
+    def _terms(self, x: tuple, y: tuple, limit: int | None = None):
+        """(weight, xs, ys) terms whose products add up to sum w * x * y over
+        the depths < limit (all if None) of the forms x and y (y is x for
+        squares), with w the number of vertices an entry stands for."""
         raise NotImplementedError
 
     # -- operators, written once ----------------------------------------------------
 
-    def _neighbour_sums(self) -> list:
-        """The parts of x -> sum of the values at the q+1 neighbours of x."""
-        return [self._adjacent_part(part) for part in self.parts]
+    def _neighbour_sums(self, form: tuple) -> tuple:
+        """The form of x -> sum of the values at the q+1 neighbours of x: on
+        a long run natively, else on the expanded rows."""
+        raise NotImplementedError
 
     def adjacency(self) -> _Packed:
         """x -> sum of the values at the q+1 neighbours of x."""
-        return type(self)(self.q, self.mode, self.den, self._neighbour_sums())
+        return self._make(self.den, self._neighbour_sums(self.form))
 
     @_one_layout
     def step(self, previous: _Packed) -> _Packed:
         """The leapfrog (1/sqrt(q)) * adjacency(self) - previous."""
-        q, mode, combine = self.q, self.mode, self._combine
-        pushed = self._neighbour_sums()
+        q, mode = self.q, self.mode
+        pushed = self._neighbour_sums(self.form)
         if mode is not EXACT:
             weight = sqrt_q_power(q, -1, mode)
-            return type(self)(q, mode, 1, [combine(weight, pushed[0], -1, previous.parts[0])])
-        pushed_den, weighted = self._over_root_power(q, 1, self.den, pushed)
+            return self._make(1, self._combined(weight, pushed, -1, previous.form))
+        pushed_den, weighted = self._weighted(q, 1, self.den, pushed)
         den = lcm(pushed_den, previous.den)
         cx, cy = den // pushed_den, -(den // previous.den)
-        parts = [combine(cx, x, cy, y) for x, y in zip(weighted, previous.parts)]
-        return type(self)(q, mode, den, parts)
+        return self._make(den, self._combined(cx, weighted, cy, previous.form))
 
-    def _minus_over(self, parts: list, weight: int) -> _Packed:
-        """self - parts / weight, for parts over the denominator of self."""
-        q, mode, combine = self.q, self.mode, self._combine
-        if mode is not EXACT:
-            return type(self)(q, mode, 1, [combine(1, self.parts[0], -1 / weight, parts[0])])
-        parts = [combine(weight, p, -1, s) for p, s in zip(self.parts, parts)]
-        return type(self)(q, mode, weight * self.den, parts)
+    def _minus_over(self, form: tuple, weight: int) -> _Packed:
+        """self - form / weight, for a form over the denominator of self."""
+        if self.mode is not EXACT:
+            return self._make(1, self._combined(1, self.form, -1 / weight, form))
+        combined = self._combined(weight, self.form, -1, form)
+        return self._make(weight * self.den, combined)
 
     def _kept_parity_rows(self, n: int) -> tuple[int, list]:
         """(last, sums): the parity sums of every part (``_parity_rows_of``),
         built to a distance last >= min(n, 2t + 1), t the last stored depth,
-        and kept on this datum, so the M_n of one closed solve sum the data
-        once, not once per n.  Past 2t + 1 no distance adds a vertex.  A
-        build reaches at least min(t, R) + 1 (R the orbit radius), so data
-        with no tail are built once and extended at most once, to 2t + 1; an
-        extension grows to max(n, 2 last), capped at 2t + 1, so a datum with
-        a long tail is summed to about the distances asked, not to 2t + 1.
-        Results share the kept rows, which are never mutated in place."""
-        top = len(self.parts[0]) - 1
+        and kept on this datum with the expanded rows they sum and P(last)
+        and P(last - 1) of depth 0 per part, so the M_n
+        of one closed solve sum the data once, not once per n.  Past 2t + 1
+        no distance adds a vertex.  A build reaches at least min(t, R) + 1
+        (R the orbit radius), so data with no tail are built once and
+        extended at most once, to 2t + 1; an extension grows to max(n,
+        2 last), capped at 2t + 1, so a datum with a long tail is summed to
+        about the distances asked, not to 2t + 1.  Results share the kept
+        rows, which are never mutated in place."""
+        top = self.size - 1
         complete = 2 * top + 1
-        last, kept = getattr(self, "_sums", (-1, None))
+        last, kept, rows, _ = getattr(self, "_sums", (-1, None, None, None))
         if min(n, complete) > last:
             last = min(max(n, 2 * last, min(top, self._orbit_radius) + 1), complete)
-            kept = self._parity_rows_of(last)
-            self._sums = last, kept
+            rows = rows or self._sum_rows()
+            kept, first = self._parity_rows_of(rows, last), self._first
+            totals = [[first(sums[0][last]), first(sums[0][last - 1])] for sums in kept]
+            self._sums = last, kept, rows, totals
         return last, kept
+
+    def _sum_rows(self) -> list:
+        return self.parts
 
     def __getstate__(self):
         # a copy carries the values, not the parity sums kept on them
-        return None, {name: getattr(self, name) for name in ("q", "mode", "den", "parts")}
+        names = ("q", "mode", "den", "lead", "pairs", "body", "size")
+        return None, {name: getattr(self, name) for name in names}
+
+    def _parity_read(self, n: int) -> tuple:
+        """The form of P(n) at every depth of the result, from the sums
+        [P(0), .., P(last)] kept per part and stored depth
+        (``_kept_parity_rows``): depth e <= t, the last stored depth, holds
+        P(n) of depth e, and depth t + s (s = 1..n) P(n - s) of depth t,
+        since a vertex there reaches the data only through its ancestor at
+        depth t.  Past ``last``, which is then 2t + 1, P repeats its value of
+        the same parity.  A vertex at depth d <= t is at most d + t <= 2t
+        from the data, so every sum P(m), m >= 2t, at depths <= t sums one
+        whole parity class of the data: for exact data the depths 0 .. n - t,
+        which read only such sums, are a run of the two class totals, kept
+        as P(last) and P(last - 1) of depth 0.  Float64 sums of one class
+        may round apart, so their rows are read in full.  Rows are shared,
+        not copied."""
+        last, kept, _, totals = self._sums
+        t = len(kept[0]) - 1
+        if n > last and self.mode is EXACT:
+            # depth d holds the total of class n - d mod 2: P(last) at
+            # depth lead - 2 = n - t - 1 for even t (last is odd)
+            flip, rows = 1 - 2 * (t % 2), last - 1
+            pairs = [tot[::flip] for tot in totals]
+            return n - t + 1, pairs, [sums[-1][:rows][::-1] for sums in kept]
+        parts = []
+        for sums in kept:
+            top = sums[-1]
+            if n <= last:
+                rows = [row[n] for row in sums] + top[:n][::-1]
+            else:  # depths t + 1 .. t + n - last - 1 alternate between two rows
+                beyond = n - 1 - last
+                repeats = ([top[last - 1], top[last]] * (beyond // 2 + 1))[:beyond]
+                rows = [row[last - (n - last) % 2] for row in sums] + repeats[::-1] + top[::-1]
+            parts.append(rows)
+        return 0, None, parts
 
     def ball_mean(self, n: int) -> _Packed:
         """M_n for n >= 1, in this layout, of data of either number type,
@@ -576,33 +794,33 @@ class _Packed:
 
     def _parity_mean(self, n: int, cosine: bool) -> _Packed:
         """M_n, or C_n if ``cosine`` (``ball_mean``, ``cosine``): exact
-        parts over 2D for C_n are weighted by ``_over_root_power``, float64
-        parts multiplied by the one float q^(-n/2), halved for C_n."""
-        if not self.parts[0]:
+        forms over 2D for C_n are weighted by ``_weighted``, float64 forms
+        multiplied by the one float q^(-n/2), halved for C_n."""
+        if not self.size:
             return self
         q, den = self.q, self.den
-        last, kept = self._kept_parity_rows(n)
-        out = [_parity_read(sums, last, n) for sums in kept]
+        self._kept_parity_rows(n)
+        form = self._from_parity(self._parity_read(n))
         if cosine:
             den *= 2
             if n >= 2:
-                back = (_parity_read(sums, last, n - 2) for sums in kept)
-                out = [self._combine(1, x, -q, y) for x, y in zip(out, back)]
+                back = self._from_parity(self._parity_read(n - 2))
+                form = self._combined(1, form, -q, back)
         if self.mode is not EXACT:
             weight = sqrt_q_power(q, -n, self.mode) / den
-            return self._from_parity(1, [self._map(mul, out[0], weight)])
-        return self._from_parity(*self._over_root_power(q, n, den, out))
+            return self._make(1, self._mapped(mul, form, weight))
+        return self._make(*self._weighted(q, n, den, form))
 
     def laplacian(self) -> _Packed:
         """u - Adj u / (q+1)."""
-        return self._minus_over(self._neighbour_sums(), self.q + 1)
+        return self._minus_over(self._neighbour_sums(self.form), self.q + 1)
 
     def two_step_laplacian(self) -> _Packed:
         """u - S2 u / (q(q+1)), with the distance-2 sphere sum taken as
         S2 = Adj^2 - (q+1) I (paths of length 2 that do not return)."""
-        q, adjacent = self.q, self._adjacent_part
-        spheres = [self._combine(1, adjacent(adjacent(p)), -(q + 1), p) for p in self.parts]
-        return self._minus_over(spheres, q * (q + 1))
+        q, form = self.q, self.form
+        twice = self._neighbour_sums(self._neighbour_sums(form))
+        return self._minus_over(self._combined(1, twice, -(q + 1), form), q * (q + 1))
 
     # -- sums, written once -------------------------------------------------------
 
@@ -614,11 +832,21 @@ class _Packed:
                 total[i] += weight * value
         return total
 
-    def _squares(self, parts: list, limit: int | None = None):
-        """Weighted square terms of the depths d < limit (all if None)."""
-        if limit is not None:
-            parts = [part[: max(limit, 0)] for part in parts]
-        return self._terms(parts, parts)
+    def _run_sums(self, x: tuple, y: tuple, limit: int | None) -> tuple[int, list, list]:
+        """(a, xs, ys): the common run of exact forms x and y, to depth
+        limit, as per part [ce E, co O] and [E', O'], whose products add up
+        to its share of sum w x y, with ce and co the vertices at its even
+        and odd depths (``_parity_counts``).  Float64 runs are expanded
+        (a = 0), so float sums add in the order of the expanded rows."""
+        a = x[0] if x[0] < y[0] else y[0]
+        if limit is not None and limit < a:
+            a = limit if limit > 0 else 0
+        if self.mode is not EXACT or not a:
+            return 0, None, None
+        counts = _parity_counts(self.q, a)
+        xs = [pair[:: 1 - 2 * (x[0] % 2)] for pair in x[1]]
+        ys = xs if y is x else [pair[:: 1 - 2 * (y[0] % 2)] for pair in y[1]]
+        return a, [list(map(mul, counts, values)) for values in xs], ys
 
     def _pair_squares(self, limit: int | None = None):
         """Square terms of the distance-2 differences over unordered pairs
@@ -630,23 +858,26 @@ class _Packed:
 
     @_one_layout
     def dot(self, other: _Packed) -> Scalar:
-        """Counting inner product sum_x u(x) v(x)."""
-        return self._scalar(self._sum(self._terms(self.parts, other.parts)), self.den * other.den)
+        """Counting inner product sum_x u(x) v(x), over the depths both
+        store."""
+        x, y = self.form, other.form
+        total = self._sum(self._terms(x, y, min(self.size, other.size)))
+        return self._scalar(total, self.den * other.den)
 
     @_one_layout
     def kinetic(self, minus: _Packed) -> Scalar:
         """(1/2) * sum_x ((u(x) - v(x)) / 2)^2 with u = self, v = minus."""
-        den, parts = self._sum_with(minus, -1)
-        return self._scalar(self._sum(self._squares(parts)), 8 * den * den)
+        den, diff = self._sum_with(minus, -1)
+        return self._scalar(self._sum(self._terms(diff, diff)), 8 * den * den)
 
     def potential_pair(self) -> Scalar:
         """(1/(4q)) sum over ordered pairs at distance 2 of ((u(x)-u(y))/2)^2
         - ((q-1)^2/(8q)) sum_x u(x)^2, with the pairs enumerated one by one.
         Ordered pairs count every unordered pair twice, so both terms share
         the scale 8q D^2."""
-        q, c = self.q, (self.q - 1) ** 2
+        q, c, form = self.q, (self.q - 1) ** 2, self.form
         pair = self._sum(self._pair_squares())
-        mass = self._sum(self._squares(self.parts))
+        mass = self._sum(self._terms(form, form))
         return self._scalar([p - c * m for p, m in zip(pair, mass)], 8 * q * self.den**2)
 
     @_one_layout
@@ -654,12 +885,12 @@ class _Packed:
         """The interior sums over depths < limit: sum u^2, the squared
         distance-2 differences over ordered pairs with both ends interior,
         and sum (plus - minus)^2."""
-        den2 = self.den**2
-        mass = self._scalar(self._sum(self._squares(self.parts, limit)), den2)
+        den2, form = self.den**2, self.form
+        mass = self._scalar(self._sum(self._terms(form, form, limit)), den2)
         pairs = self._sum(self._pair_squares(limit))
         gradient = self._scalar([2 * value for value in pairs], den2)
-        den, parts = plus._sum_with(minus, -1)
-        kinetic = self._scalar(self._sum(self._squares(parts, limit)), den * den)
+        den, diff = plus._sum_with(minus, -1)
+        kinetic = self._scalar(self._sum(self._terms(diff, diff, limit)), den * den)
         return mass, gradient, kinetic
 
 
@@ -688,9 +919,9 @@ class Levels(_Packed):
     def from_radial(cls, profile: RadialLevels) -> Levels:
         """x -> p(|x|) on the ball of the profile's radius: the profile read
         as orbit data of radius 0, one entry per depth, whose tail stands
-        for the |S(d)| vertices of each sphere."""
-        rows = [[[value] for value in part] for part in profile.parts]
-        return orbit_layout(0)(profile.q, profile.mode, profile.den, rows)
+        for the |S(d)| vertices of each sphere; the run is kept."""
+        body = [[[value] for value in part] for part in profile.body]
+        return orbit_layout(0)(profile.q, profile.mode, profile.den, body, profile.lead, profile.pairs)
 
     def _weight(self, d: int) -> int:
         """The number of vertices (keys) an entry of depth d stands for: 1 up
@@ -699,76 +930,153 @@ class Levels(_Packed):
         q, orbit = self.q, self._orbit_radius
         return 1 if d <= orbit else sphere_volume(q, d) // sphere_volume(q, orbit)
 
+    def _grow(self, a: int, pairs: list | None, parts: list) -> tuple:
+        """First a cheap test skips most data with no run: with a >= 2 the first row must repeat the pair's first
+        value; with a < 2, the value at depth _SHORTEST_RUN - 1 must repeat
+        the value two depths up, and the row of depth 1 must hold one
+        value."""
+        if a >= 2:
+            for pair, part in zip(pairs, parts):
+                if part[0][0] != pair[0]:
+                    return a, pairs, parts
+        else:
+            i = _SHORTEST_RUN - 1 - a
+            for pair, part in zip(pairs or parts, parts):
+                row = part[1 - a]
+                if part[i][0] != (part[i - 2][0] if i >= 2 else pair[i]):
+                    return a, pairs, parts
+                if row.count(row[0]) != len(row):
+                    return a, pairs, parts
+        k, signed = len(parts[0]), self.mode is not EXACT
+        for i, part in enumerate(parts):
+            up, last = pairs[i] if a else (None, None)  # the values two depths up and one
+            j = 0
+            for row in islice(part, k):
+                value = row[0]
+                if row.count(value) != len(row) or a + j >= 2 and value != up:
+                    break
+                if signed and not value:  # a float zero repeats only with its sign
+                    if len(set(_signs([up, *row] if a + j >= 2 else row))) > 1:
+                        break
+                up, last, j = last, value, j + 1
+            k = j
+            if not k:
+                return a, pairs, parts
+        if a + k < _SHORTEST_RUN:
+            return a, pairs, parts
+        return self._grown(a, pairs, parts, k)
+
+    def _fill(self, start: int, stop: int, lead: int, pair: list) -> list:
+        q, orbit, rows = self.q, self._orbit_radius, []
+        wide = sphere_volume(q, orbit)
+        for d in range(start, stop):
+            rows.append([pair[(d - lead) % 2]] * (wide if d >= orbit else sphere_volume(q, d)))
+        return rows
+
     def _widen(self, radius: int) -> Levels:
         """This function in the orbit layout of a radius >= R: an entry of
         depth d > R is repeated once per vertex of S(min(d, radius)) below
         it, which keeps the canonical order (those vertices are one index
         range).  Only the rows beyond R grow, to |S(radius)| entries at
-        most."""
-        q, orbit = self.q, self._orbit_radius
+        most; the run is kept."""
+        q, orbit, lead = self.q, self._orbit_radius, self.lead
         if radius == orbit:
             return self
+        keep = max(orbit + 1 - lead, 0)  # the rows of depths <= R
 
         def widened(part: list) -> list:
-            rows = part[: orbit + 1]
-            for d, row in enumerate(part[orbit + 1 :], orbit + 1):
-                times = sphere_volume(q, min(d, radius)) // len(row)
-                rows.append(_repeat_each(row, times))
+            rows = part[:keep]
+            for d, row in enumerate(part[keep:], lead + keep):
+                rows.append(_repeat_each(row, sphere_volume(q, min(d, radius)) // len(row)))
             return rows
 
-        return orbit_layout(radius)(q, self.mode, self.den, list(map(widened, self.parts)))
+        body = list(map(widened, self.body))
+        return orbit_layout(radius)(q, self.mode, self.den, body, lead, self.pairs)
 
-    def _terms(self, xs: list, ys: list):
-        weight, rows = self._weight, enumerate(zip(*xs))
-        if ys is xs:
-            return ((weight(d), x, x) for d, x in rows)
-        return ((weight(d), x, y) for (d, x), y in zip(rows, zip(*ys)))
+    def _terms(self, x: tuple, y: tuple, limit: int | None = None):
+        a, xs, ys = self._run_sums(x, y, limit) if x[0] and y[0] else (0, None, None)
+        terms = [(1, xs, ys)] if a else []
+        rows, weight = self._from(x, a, limit), self._weight
+        if y is x:
+            return terms + [(weight(d), r, r) for d, r in enumerate(zip(*rows), a)]
+        other = zip(*self._from(y, a, limit))
+        return terms + [(weight(d), r, s) for d, (r, s) in enumerate(zip(zip(*rows), other), a)]
 
     def _distance_two_pairs(self):
-        for d in range(len(self.parts[0])):
-            yield from self._sibling_pairs(d)
-            yield from self._grandchild_pairs(d)
+        # inside the run the ends of a pair share a value: only pairs with
+        # the deeper end at depth >= lead, from the rows of lead - 2 on
+        start = max(self.lead - 2, 0)
+        rows = self._from(self.form, start)
+        for d in range(start, self.size):
+            if d >= self.lead:
+                yield from self._sibling_pairs(rows, d - start, d)
+            yield from self._grandchild_pairs(rows, start, d)
 
-    def _cut(self, d: int, *bounds) -> list:
-        """The slice of depth d of every part."""
+    @staticmethod
+    def _cut(rows: list, i: int, *bounds) -> list:
+        """The slice of stored depth i of every part."""
         window = slice(*bounds)
-        return [part[d][window] for part in self.parts]
+        return [part[i][window] for part in rows]
 
-    def _sibling_pairs(self, d: int):
-        """The pairs of children of one vertex, at depth d <= R; beyond R
-        the children of a vertex descend from one vertex of S(R) and share
-        its value, so their differences add 0."""
-        q, orbit = self.q, self._orbit_radius
+    def _sibling_pairs(self, rows: list, i: int, d: int):
+        """The pairs of children of one vertex, at depth d <= R (row i);
+        beyond R the children of a vertex descend from one vertex of S(R)
+        and share its value, so their differences add 0."""
+        q, orbit, cut = self.q, self._orbit_radius, self._cut
         if d == 1 <= orbit:  # the q+1 children of the origin
             for shift in range(1, q + 1):
-                yield 1, self._cut(1, shift, None), self._cut(1, None, -shift), 1
+                yield 1, cut(rows, i, shift, None), cut(rows, i, None, -shift), 1
         elif 2 <= d <= orbit:  # groups of q consecutive children
             for r in range(q):
                 for s in range(r + 1, q):
-                    yield d, self._cut(d, r, None, q), self._cut(d, s, None, q), 1
+                    yield d, cut(rows, i, r, None, q), cut(rows, i, s, None, q), 1
 
-    def _grandchild_pairs(self, d: int):
-        """The pairs of a vertex at depth d and one of its grandchildren.
-        An entry of depth d is in |S(d+2)| divided by the size of its row
-        such pairs, and a listed pair of entries stands for the weight of
-        depth d+2 of them."""
-        q, parts = self.q, self.parts
-        level = [part[d] for part in parts]
-        if d + 2 >= len(parts[0]):  # every grandchild is 0
+    def _grandchild_pairs(self, rows: list, start: int, d: int):
+        """The pairs of a vertex at depth d and one of its grandchildren,
+        from the rows of depths start on.  An entry of depth d is in
+        |S(d+2)| divided by the size of its row such pairs, and a listed
+        pair of entries stands for the weight of depth d+2 of them."""
+        q, i = self.q, d - start
+        level = [part[i] for part in rows]
+        if d + 2 >= self.size:  # every grandchild is 0
             yield d + 2, level, None, sphere_volume(q, d + 2) // len(level[0])
         elif d == 0:
-            origin = [part[0] * len(part[2]) for part in parts]
-            yield 2, origin, [part[2] for part in parts], self._weight(2)
+            origin = [part[0] * len(part[2]) for part in rows]
+            yield 2, origin, [part[2] for part in rows], self._weight(2)
         else:  # the grandchildren of entry j are the entries j*s .. j*s + s - 1
-            stride = len(parts[0][d + 2]) // len(level[0])
+            stride = len(rows[0][i + 2]) // len(level[0])
             for t in range(stride):
-                yield d + 2, level, self._cut(d + 2, t, None, stride), self._weight(d + 2)
+                yield d + 2, level, self._cut(rows, i + 2, t, None, stride), self._weight(d + 2)
 
-    def _adjacent_part(self, part: list) -> list:
-        return _adjacent(part, self.q, self._orbit_radius, self.mode is EXACT)
+    def _neighbour_sums(self, form: tuple) -> tuple:
+        """In a run of a >= 4 depths, depth d <= a - 2 of the result adds
+        the q + 1 values of depth d + 1's parity: (q+1)*v, and for float64 v
+        added to itself q times, as ``_adjacent`` adds a parent and its q
+        children (q + 1 children at the origin).  When R = 0 the origin adds
+        them to 0, which turns a float zero -0.0 into 0.0: then the rows are
+        expanded.  The rows from depth a - 2 on give the rest."""
+        lead, pairs, _ = form
+        q, exact, orbit = self.q, self.mode is EXACT, self._orbit_radius
+        if lead >= 4:
+            heads, out = [], []
+            for pair, rows in zip(pairs, self._from(form, lead - 2)):
+                sums = []
+                for v in pair:  # the values of depths lead - 2 and lead - 1
+                    total = (q + 1) * v if exact else v
+                    for _ in range(0 if exact else q):
+                        total = total + v
+                    sums.append(total)
+                origin = sums[(lead + 1) % 2]  # the run's value at depth 0
+                if not (exact or orbit or origin or copysign(1.0, origin) > 0):
+                    break
+                heads.append(sums)
+                out.append(_adjacent(rows, q, orbit, exact, lead - 2))
+            else:
+                return lead - 1, heads, out
+        return 0, None, [_adjacent(rows, q, orbit, exact) for rows in self._from(form, 0)]
 
-    def _parity_rows_of(self, last: int) -> list:
-        return [_parity_rows(self.q, part, last, self._orbit_radius) for part in self.parts]
+    def _parity_rows_of(self, rows: list, last: int) -> list:
+        return [_parity_rows(self.q, part, last, self._orbit_radius) for part in rows]
 
     def _key_rows(self, listing):
         """The vertices of the entries js of each depth d, in canonical order:
@@ -791,18 +1099,23 @@ class Levels(_Packed):
 
     def _slot(self, key) -> list | None:
         # a vertex beyond R reads the entry of its ancestor in S(R)
-        if isinstance(key, VertexAddress) and key.q == self.q and key.depth < len(self.parts[0]):
+        if isinstance(key, VertexAddress) and key.q == self.q and key.depth < self.size:
+            d, lead = key.depth, self.lead
+            if d < lead:
+                return [pair[(d - lead) % 2] for pair in self.pairs]
             j = _vertex_index(key.labels[: self._orbit_radius], self.q)
-            return [part[key.depth][j] for part in self.parts]
+            return [part[d - lead][j] for part in self.body]
         return None
 
-    def _from_parity(self, den: int, parts: list) -> Levels:
+    def _from_parity(self, form: tuple) -> tuple:
         """A parity read holds rows up to t = min(top, R) and one entry per
         vertex of S(t) below: it is in the orbit layout of t, widened to R
         (rows are shared, as ``_widen`` shares them)."""
-        orbit = self._orbit_radius
-        layout = orbit_layout(min(len(self.parts[0]) - 1, orbit))
-        return layout(self.q, self.mode, den, parts)._widen(orbit)
+        orbit, top = self._orbit_radius, self.size - 1
+        if top >= orbit:
+            return form
+        lead, pairs, parts = form
+        return orbit_layout(top)(self.q, self.mode, 1, parts, lead, pairs)._widen(orbit).form
 
 
 @cache
@@ -814,50 +1127,111 @@ def orbit_layout(radius: int) -> type:
 class RadialLevels(_Packed):
     """A radial profile p, standing for x -> p(|x|): each part is one flat
     list indexed by radius, whose entry m stands for the |S(m)| vertices of
-    that sphere.  A profile keeps it once built."""
+    that sphere, so a part is p from radius ``lead`` on.  A profile keeps
+    it once built."""
 
     __slots__ = ()
     _orbit_radius = 0  # its parity sums are those of ``Levels.from_radial``
     # storage shape: a part is its one row, so an entry's index is its radius
+    _first = staticmethod(lambda value: value)
     _entries = staticmethod(iter)
     _map = staticmethod(_map_row)
     _combine = staticmethod(_combine_row)
     _part = staticmethod(itemgetter(0))
 
+    def _grow(self, a: int, pairs: list | None, parts: list) -> tuple:
+        if a >= 2:  # the common case: the first radius ends the run
+            for pair, part in zip(pairs, parts):
+                if part[0] != pair[0]:
+                    return a, pairs, parts
+        end, start = len(parts[0]), max(4 - a, 2)  # radius 2 in pair + part
+        for i, part in enumerate(parts):  # a part is the profile from radius a
+            end = _period_end(pairs[i] + part, start, end + 2) - 2 if a else _period_end(part, 2, end)
+            if end <= 0:
+                return a, pairs, parts
+        if a + end < _SHORTEST_RUN:
+            return a, pairs, parts
+        return self._grown(a, pairs, parts, end)
+
     def _rows(self):
         return [(0, self.parts)]
+
+    def _body_rows(self):
+        return [(0, self.body)]
+
+    def _run_keys(self) -> tuple[int, int]:
+        return (self.lead + 1) // 2, self.lead // 2  # the radii of each parity
+
+    def _fill(self, start: int, stop: int, lead: int, pair: list) -> list:
+        size = stop - start
+        return ((pair[::-1] if (start - lead) % 2 else pair) * ((size + 1) // 2))[:size]
 
     def _key_rows(self, listing):
         return (js for _, js, *_ in listing)  # an entry's key is its radius
 
     def _slot(self, key) -> list | None:
-        if isinstance(key, int) and 0 <= key < len(self.parts[0]):
-            return [part[key] for part in self.parts]
+        if isinstance(key, int) and 0 <= key < self.size:
+            lead = self.lead
+            if key < lead:
+                return [pair[(key - lead) % 2] for pair in self.pairs]
+            return [part[key - lead] for part in self.body]
         return None
 
-    def _terms(self, xs: list, ys: list, shift: int = 0):
-        """One term: the parts xs weighted by |S(m + shift)| at radius m."""
-        volumes = _sphere_volumes(self.q, shift, len(xs[0]))
-        return [(1, [list(map(mul, volumes, x)) for x in xs], ys)]
+    def _terms(self, x: tuple, y: tuple, limit: int | None = None):
+        """One term: the run's sums (``_run_sums``), then the rows of x
+        weighted by |S(m)| at radius m."""
+        a, runs, ys = self._run_sums(x, y, limit) if x[0] and y[0] else (0, None, None)
+        rows = self._from(x, a, limit)
+        other = rows if y is x else self._from(y, a, limit)
+        volumes = _sphere_volumes(self.q, a, len(rows[0]))
+        xs = [list(map(mul, volumes, row)) for row in rows]
+        if not a:
+            return [(1, xs, other)]
+        xs = [run + row for run, row in zip(runs, xs)]
+        return [(1, xs, [run + row for run, row in zip(ys, other)])]
 
     def _pair_squares(self, limit: int | None = None):
         """One term for the grandparent pairs (m, m+2), |S(m+2)| of them,
-        with both ends at depth < limit; siblings share a value and add 0."""
-        size = len(self.parts[0])
+        with both ends at depth < limit; siblings share a value and add 0,
+        and so do the pairs inside the run."""
+        size = self.size
         n = size if limit is None else max(min(limit - 2, size), 0)
-        diffs = [list(map(sub, part[:n], part[2:] + [0, 0])) for part in self.parts]
-        return self._terms(diffs, diffs, 2)
+        start = min(max(self.lead - 2, 0), n)
+        rows = self._from(self.form, start)
+        diffs = [list(map(sub, part[: n - start], part[2:] + [0, 0])) for part in rows]
+        volumes = _sphere_volumes(self.q, start + 2, n - start)
+        return [(1, [list(map(mul, volumes, diff)) for diff in diffs], diffs)]
 
-    def _adjacent_part(self, part: list) -> list:
-        return _radial_adjacent(part, self.q)
+    def _neighbour_sums(self, form: tuple) -> tuple:
+        """In a run of a >= 4 radii, the result is a run of a - 1 radii:
+        v + q v at a radius whose neighbours hold v (as ``_radial_adjacent``
+        adds p(m-1) + q p(m+1)), then the neighbour sum of the values from
+        radius a - 2 on.  The origin's (q+1) p(1) can round apart from the
+        even radii's p(1) + q p(3) in float64; then, and for a shorter run,
+        the values are expanded."""
+        lead, pairs, parts = form
+        if lead >= 4:
+            q, heads, out = self.q, [], []
+            for pair, part in zip(pairs, parts):
+                sums = [v + v * q for v in pair]  # at radii lead - 3 and lead - 2
+                if self.mode is not EXACT:
+                    if (q + 1) * pair[(1 - lead) % 2] != sums[(lead - 3) % 2]:
+                        break
+                heads.append(sums)
+                out.append(_radial_adjacent(pair + part, q, lead - 2))
+            else:
+                return lead - 1, heads, out
+        return 0, None, [_radial_adjacent(part, self.q) for part in self._from(form, 0)]
 
-    def _parity_rows_of(self, last: int) -> list:
+    def _sum_rows(self) -> list:
+        return Levels.from_radial(self).parts
+
+    def _parity_rows_of(self, rows: list, last: int) -> list:
         """The sums of the profile read as orbit data of radius 0, one entry
         per depth (``Levels.from_radial``), each sum unwrapped from its row
         of width 1."""
-        q, parts = self.q, Levels.from_radial(self).parts
-        rows = (_parity_rows(q, part, last, 0) for part in parts)
-        return [[[row[0] for row in sums] for sums in part_rows] for part_rows in rows]
+        sums = (_parity_rows(self.q, part, last, 0) for part in rows)
+        return [[[row[0] for row in part_sums] for part_sums in part] for part in sums]
 
     @classmethod
     def pack(cls, q: int, mode: ScalarMode, values) -> RadialLevels:
@@ -866,33 +1240,35 @@ class RadialLevels(_Packed):
         return cls._pack(q, mode, [radius + 1], ((0, m, value) for m, value in values.items()))
 
     @classmethod
+    def _exact_kernel(cls, q: int, n: int, den: int, lead: int, pair: list, rows: list):
+        """An exact kernel of one rational part over den, times q^(-n/2):
+        the run of ``lead`` depths whose pair is ``pair``, then ``rows``."""
+        form = (lead, [pair, [0, 0]], [rows, [0] * len(rows)])
+        den, (lead, pairs, parts) = cls._weighted(q, n, den, form)
+        return cls(q, EXACT, den, parts, lead, pairs)
+
+    @classmethod
     def m_kernel(cls, q: int, mode: ScalarMode, n: int) -> RadialLevels:
-        """The distance kernel of M_n for n >= 0: q^(-n/2) at the distances
-        d <= n with n - d even.  Exact kernels are ones over D = q^ceil(n/2),
-        in the B part for odd n (folded into A when q is a square)."""
+        """The distance kernel of M_n for n >= 0, one run over the distances
+        0 .. n: q^(-n/2) at the d with n - d even.  Exact kernels are ones
+        over D = q^ceil(n/2), in the B part for odd n (folded into A when q
+        is a square)."""
         if mode is not EXACT:
-            weight = sqrt_q_power(q, -n, mode)
-            return cls(q, mode, 1, [[0.0 if (n - d) % 2 else weight for d in range(n + 1)]])
-        parts = [[int((n - d) % 2 == 0) for d in range(n + 1)], [0] * (n + 1)]
-        return cls(q, mode, *cls._over_root_power(q, n, 1, parts))
+            return cls(q, mode, 1, [[]], n + 1, [[0.0, sqrt_q_power(q, -n, mode)]])
+        return cls._exact_kernel(q, n, 1, n + 1, [0, 1], [])
 
     @classmethod
     def c_kernel(cls, q: int, mode: ScalarMode, n: int) -> RadialLevels:
         """The distance kernel of C_n = (M_n - M_(n-2)) / 2 for n >= 1, built
-        as its two parity runs: q^(-n/2) (1 - q) / 2 at the distances d < n
-        with n - d even, and q^(-n/2) / 2 at d = n.  Exact kernels are
-        integers over 2 q^ceil(n/2); a float64 entry is rounded as the
-        halved difference of the two M kernels' entries."""
+        as its two parity runs: a run of q^(-n/2) (1 - q) / 2 at the
+        distances d < n with n - d even, and q^(-n/2) / 2 at d = n.  Exact
+        kernels are integers over 2 q^ceil(n/2); a float64 entry is rounded
+        as the halved difference of the two M kernels' entries."""
         if mode is not EXACT:
             weight = sqrt_q_power(q, -n, mode)
-            inner = (weight - sqrt_q_power(q, 2 - n, mode)) * 0.5
-            values = [0.0 if (n - d) % 2 else inner for d in range(n)]
-            return cls(q, mode, 1, [values + [weight * 0.5]])
-        parts = [[0 if (n - d) % 2 else 1 - q for d in range(n)] + [1], [0] * (n + 1)]
-        return cls(q, mode, *cls._over_root_power(q, n, 2, parts))
-
-    def _from_parity(self, den: int, parts: list) -> RadialLevels:
-        return RadialLevels(self.q, self.mode, den, parts)
+            inner = (weight - sqrt_q_power(q, 2 - n, mode)) * 0.5 if n >= 2 else 0.0
+            return cls(q, mode, 1, [[weight * 0.5]], n, [[inner, 0.0]])
+        return cls._exact_kernel(q, n, 2, n, [1 - q if n >= 2 else 0, 0], [1])
 
     def convolve(self, kernel: RadialLevels) -> RadialLevels:
         """The radial operator with distance kernel ``kernel`` applied to this
@@ -900,73 +1276,91 @@ class RadialLevels(_Packed):
         count(m, d, r) is the number of vertices at radius r and distance d
         from a vertex at radius m (``topology.distance_count``).
 
-        Exact profiles read the kernel by its parity runs w_j = kernel(j) -
-        kernel(j + 2), so that kernel(d) is the sum of the w_j with j >= d
-        and j - d even, and out = sum_j w_j P(j), with P(j) the unweighted
-        parity sums of p read as orbit data of radius 0
-        (``_kept_parity_rows``, ``_parity_read``).  The kernels of M_n and
-        S_n are one run, that of C_n two, so a propagator kernel costs
-        O(n + R) once the sums are kept on p; M_n and C_n themselves read
-        the sums with no kernel (``ball_mean``, ``cosine``).  This is the
-        route of ``radial.radial_convolve``.
-
-        Float64 profiles add term by term, in the order of d, then r, each
-        as (kernel(d) p(r)) * count: for one (d, r), the path from radius m
-        climbs a = (m + d - r)/2 steps, and the radii m = |d - r|, ...,
-        d + r (step 2) take the counts, with k = min(d, r): q^k (|S(k)| if
-        d = r, where m = 0), then (q-1) q^(k-2), ..., (q-1) q^0, then 1 at
-        a = d.  These lists are built once per call."""
+        The kernel is read by its parity runs w_j = kernel(j) - kernel(j +
+        2), so that kernel(d) is the sum of the w_j with j >= d and j - d
+        even, and out = sum_j w_j P(j), with P(j) the unweighted parity
+        sums of p read as orbit data of radius 0 (``_kept_parity_rows``,
+        ``_parity_read``), added in increasing j.  Inside the kernel's run
+        every w_j is 0; the kernels of M_n and S_n have one nonzero w_j,
+        that of C_n two, so a propagator kernel costs O(R) once the sums
+        are kept on p.  An exact w_j = wa + wb sqrt(q) adds wa P(j) and wb
+        sqrt(q) P(j).  A float64 difference w_j rounds, so float64 profiles
+        read only the run this way, E P(a-2) + O P(a-1) over the run's a
+        depths (for m_kernel(n), bitwise M_n), and add the kernel's rows
+        distance by distance (``_add_rows``).  This is the route of
+        ``radial.radial_convolve``."""
         q, mode = self.q, self.mode
-        if mode is EXACT:
-            return self._convolve_runs(kernel)
-        (values,) = self.parts
-        size = len(kernel.parts[0]) + len(values) - 1
-        out = [0.0] * size
-        plain, diagonal = [[1]], [[1]]
-        for k in range(1, min(len(kernel.parts[0]), len(values))):
-            middle = [(q - 1) * q**i for i in range(k - 2, -1, -1)]
-            plain.append([q**k, *middle, 1])
-            diagonal.append([(q + 1) * q ** (k - 1), *middle, 1])
-        for d, kd in enumerate(kernel.parts[0]):
+        if not (kernel.size and self.size):
+            return RadialLevels(q, mode, 1, [[] for _ in self.body])
+        if mode is not EXACT:
+            return self._convolve_float(kernel)
+        start = max(kernel.lead - 2, 0)  # the kernel from its pair on
+        ks = kernel._from(kernel.form, start)
+        weights = [list(map(sub, k, k[2:] + [0, 0])) for k in ks]
+        self._kept_parity_rows(kernel.size - 1)
+        columns = [(w, self._parity_read(j)) for j, w in enumerate(zip(*weights), start) if any(w)]
+        lead, heads, out = min(form[0] for _, form in columns), [[0, 0], [0, 0]], [[], []]
+        pairs = self.pairs or [()] * 2
+        live = [any(pair) or any(part) for pair, part in zip(pairs, self.body)]  # 0 adds nothing
+        for (wa, wb), form in columns:  # (wa + wb sqrt q) (pa + pb sqrt q)
+            _, tops, parts = form if form[0] == lead else self._realigned(form, lead)
+            for i, c, k in ((0, wa, 0), (0, q * wb, 1), (1, wb, 0), (1, wa, 1)):
+                if c and live[k]:
+                    part = parts[k]
+                    out[i] = _combine_row(1, out[i], c, part) if out[i] else _scaled(c, part)
+                    if lead:
+                        (x, y), (u, v) = heads[i], tops[k]
+                        heads[i] = [x + c * u, y + c * v]
+        size = max(map(len, out))
+        out = [part + [0] * (size - len(part)) for part in out]
+        return RadialLevels(q, mode, kernel.den * self.den, out, lead, heads if lead else None)
+
+    def _convolve_float(self, kernel: RadialLevels) -> RadialLevels:
+        """``convolve`` of float64 parts: the run's columns E P(a-2) and
+        O P(a-1) (``_parity_read``), then the kernel's rows (``_add_rows``)."""
+        (ks,), a = kernel.body, kernel.lead
+        out = []
+        if a:
+            self._kept_parity_rows(a - 1)
+            for j, w in zip((a - 2, a - 1), kernel.pairs[0]):
+                if j >= 0 and w:
+                    (column,) = self._parity_read(j)[2]
+                    out = _combine_row(1, out, w, column) if out else _scaled(w, column)
+        size = kernel.size + self.size - 1
+        out += [0.0] * (size - len(out))
+        self._add_rows(out, ks, a)
+        return RadialLevels(self.q, self.mode, 1, [out])
+
+    def _add_rows(self, out: list, ks: list, start: int) -> None:
+        """Add to ``out`` the float64 kernel values ``ks`` at the distances
+        d = start, start + 1, .. against p, term by term in the order of d,
+        then r, each as (kernel(d) p(r)) * count: for one (d, r), the path
+        from radius m climbs a = (m + d - r)/2 steps, and the radii m =
+        |d - r|, ..., d + r (step 2) take the counts, with k = min(d, r):
+        q^k (|S(k)| if d = r, where m = 0), then (q-1) q^(k-2), ...,
+        (q-1) q^0, then 1 at a = d."""
+        q, (values,), size = self.q, self.parts, len(out)
+        counts = {}
+        for d, kd in enumerate(ks, start):
             for r, pr in enumerate(values):
                 value = kd * pr
                 if value:
-                    counts = diagonal[d] if d == r else plain[min(d, r)]
-                    for m, c in zip(range(abs(d - r), size, 2), counts):
+                    k = min(d, r)
+                    if (k, d == r) not in counts:
+                        middle = [(q - 1) * q**i for i in range(k - 2, -1, -1)]
+                        top = (q + 1) * q ** (k - 1) if d == r and k else q**k
+                        counts[k, d == r] = [top, *middle, 1] if k else [1]
+                    for m, c in zip(range(abs(d - r), size, 2), counts[k, d == r]):
                         out[m] += value * c
-        return RadialLevels(q, mode, 1, [out])
-
-    def _convolve_runs(self, kernel: RadialLevels) -> RadialLevels:
-        """``convolve`` of exact parts: sum over the runs (j, wa, wb) of
-        (wa + wb sqrt(q)) (PA(j) + PB(j) sqrt(q)), over the product of the
-        two denominators.  Each part adds its nonzero coefficients' columns
-        into one list, a column of P(j) covering its first R + 1 + j
-        entries."""
-        q, (ka, kb) = self.q, kernel.parts
-        if not ka or not self.parts[0]:
-            return RadialLevels(q, self.mode, 1, [[], []])
-        wa, wb = (list(map(sub, k, k[2:] + [0, 0])) for k in (ka, kb))
-        last, kept = self._kept_parity_rows(len(ka) - 1)
-        out = [[0] * (len(self.parts[0]) + len(ka) - 1) for _ in kept]
-        for j in compress(range(len(ka)), map(or_, wa, wb)):
-            pa, pb = (_parity_read(sums, last, j) for sums in kept)
-            for total, c, column in (
-                (out[0], wa[j], pa),
-                (out[0], q * wb[j], pb),
-                (out[1], wb[j], pa),
-                (out[1], wa[j], pb),
-            ):
-                if c:
-                    total[: len(column)] = map(add, total, _scaled(c, column))
-        return RadialLevels(q, self.mode, kernel.den * self.den, out)
 
 
 class HeightLevels(_Packed):
     """A function s of the horocyclic height: depth 0 holds s(0), depth
     d >= 1 holds s(d) and s(-d).  A height sequence keeps it once built; it
-    is storage only, and the transforms read its slots."""
+    is storage only, keeps no run, and the transforms read its slots."""
 
     __slots__ = ()
+    _keeps_runs = False
 
     @classmethod
     def pack(cls, q: int, mode: ScalarMode, values) -> HeightLevels:
@@ -979,6 +1373,6 @@ class HeightLevels(_Packed):
         return ([-d if j else d for j in js] for d, js, *_ in listing)
 
     def _slot(self, key) -> list | None:
-        if isinstance(key, int) and abs(key) < len(self.parts[0]):
-            return [part[abs(key)][key < 0] for part in self.parts]
+        if isinstance(key, int) and abs(key) < self.size:
+            return [part[abs(key)][key < 0] for part in self.body]
         return None

@@ -22,18 +22,19 @@ solution is a ``WaveTrajectory`` of profiles.  This module keeps what is
 radial only: the closed kernels of the propagators, an independent leapfrog
 route to the same kernels, the convolution of a profile with a kernel, the
 pointwise evaluation of a kernel solution, and ``radial_solve``, whose closed
-route convolves the data with the propagator kernels.  An exact convolution
-reads the kernel by its parity runs k(j) - k(j+2) against parity sums kept
-on the profile (``RadialLevels.convolve``): the kernels of M_n and S_n are
-one run and that of C_n two, so a closed snapshot costs O(|n| + R).  The
-exact M_n and C_n of ``treewave.wave`` read the same sums with no kernel
-built; the kernels here are the closed route's and the oracles'.
+route convolves the data with the propagator kernels.  A convolution reads
+the kernel by its parity runs k(j) - k(j+2) against parity sums kept on the
+profile (``RadialLevels.convolve``): the kernels of M_n and S_n are one run
+and that of C_n two, and the kernels and snapshots are stored as parity
+runs, so an exact closed snapshot costs O(R).  The M_n and C_n of
+``treewave.wave`` read the same sums with no kernel built; the kernels
+here are the closed route's and the oracles'.
 """
 
 from __future__ import annotations
 
 from .errors import ParameterError
-from .functions import RadialProfile, TreeFunction, _check_q, _distance_sums
+from .functions import RadialProfile, TreeFunction, _check_q, _check_time, _distance_sums
 from .levels import RadialLevels
 from .scalars import Scalar, ScalarMode, scalar_zero
 from .topology import VertexAddress, distance, distance_count  # noqa: F401 (re-exported)
@@ -48,6 +49,7 @@ def radial_adjacency(p: RadialProfile) -> RadialProfile:
 def m_kernel(q: int, n: int, mode: ScalarMode) -> RadialProfile:
     """Distance kernel of M_n: q^(-n/2) on distances d <= n with n - d even."""
     _check_q(q)
+    _check_time(n)
     if n < -1:
         raise ParameterError(f"M_n needs n >= -1, got {n}")
     if n == -1:
@@ -61,6 +63,7 @@ def propagator_kernels(q: int, n: int, mode: ScalarMode) -> tuple[RadialProfile,
     built as its two parity runs (``RadialLevels.c_kernel``), s_n is the
     kernel of +-M_(|n|-1)."""
     _check_q(q)
+    _check_time(n)
     if n == 0:
         return RadialProfile.delta(q, mode), RadialProfile(q, mode)
     cosine = RadialProfile._from_levels(RadialLevels.c_kernel(q, mode, abs(n)))
@@ -92,8 +95,9 @@ def radial_convolve(kernel: RadialProfile, p: RadialProfile) -> RadialProfile:
 
         out(m) = sum_d kernel(d) * sum_r #{|y|=r, d(x,y)=d} * p(r),
 
-    on integer pairs over the product of the two denominators, with one
-    scalar built per output entry.
+    read by the kernel's parity runs against the parity sums kept on p
+    (``RadialLevels.convolve``); float64 adds the kernel's rows past its
+    run distance by distance.
     """
     if kernel.q != p.q or kernel.mode != p.mode:
         raise ParameterError("kernel and profile must share q and scalar mode")
@@ -128,11 +132,22 @@ def radial_solve(
 ) -> WaveTrajectory:
     """Solve the Cauchy problem for radial data entirely on profiles: the
     body of ``treewave.wave.solve``, with the closed route convolving the
-    data with the propagator kernels (``_radial_closed``)."""
-    return _solve(f, g, n_range, solver, _radial_closed, radial_adjacency)
+    data with the propagator kernels.  Since c_(-n) = c_n and s_(-n) =
+    -s_n, it convolves once per |n| (``_closed_parts``) and takes
+    u(-n) = C_n f - S_n g."""
+    parts: dict = {}
+
+    def closed(n: int, f: RadialProfile, g: RadialProfile) -> RadialProfile:
+        if abs(n) not in parts:
+            parts[abs(n)] = _closed_parts(abs(n), f, g)
+        cosine, sine = parts[abs(n)]
+        return cosine - sine if n < 0 else cosine + sine
+
+    return _solve(f, g, n_range, solver, closed, radial_adjacency)
 
 
-def _radial_closed(n: int, f: RadialProfile, g: RadialProfile) -> RadialProfile:
-    """The closed-form snapshot at time n of radial data."""
+def _closed_parts(n: int, f: RadialProfile, g: RadialProfile) -> tuple:
+    """(C_n f, S_n g) of radial data for n >= 0, as convolutions with the
+    propagator kernels."""
     c_kernel, s_kernel = propagator_kernels(f.q, n, f.mode)
-    return radial_convolve(c_kernel, f) + radial_convolve(s_kernel, g)
+    return radial_convolve(c_kernel, f), radial_convolve(s_kernel, g)

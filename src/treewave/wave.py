@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParameterError, TruncationError
-from .functions import RadialProfile, TreeFunction
+from .functions import RadialProfile, TreeFunction, _check_time
 from .scalars import (
     Scalar,
     ScalarMode,
@@ -67,6 +67,7 @@ def m_operator(n: int, f: Function) -> Function:
     M_{-1} = 0 and M_0 is the identity.  No neighbour sum is taken: data of
     either number type, vertex or radial, read P(n) of the parity sums kept
     on them, by one body and with no kernel built."""
+    _check_time(n)
     if n < -1:
         raise ParameterError(f"M_n is defined for n >= -1, got {n}")
     if n == -1:
@@ -80,6 +81,7 @@ def c_operator(n: int, f: Function) -> Function:
     """C_n f = (M_|n| f - M_{|n|-2} f) / 2, with C_0 the identity, as one
     combination of the parity sums kept on f, q^(-|n|/2) (P(|n|) - q
     P(|n|-2)) / 2, with no M_n built (``cosine`` of the packed form)."""
+    _check_time(n)
     if n == 0:
         return f
     return type(f)._from_levels(f._as_levels().cosine(abs(n)))
@@ -87,6 +89,7 @@ def c_operator(n: int, f: Function) -> Function:
 
 def s_operator(n: int, g: Function) -> Function:
     """S_n g = sign(n) * M_{|n|-1} g, with S_0 = 0."""
+    _check_time(n)
     if n == 0:
         return type(g)(g.q, g.mode)
     out = m_operator(abs(n) - 1, g)
@@ -95,6 +98,7 @@ def s_operator(n: int, g: Function) -> Function:
 
 def propagators(n: int, f: Function, g: Function) -> Function:
     """Snapshot C_n f + S_n g of the closed-form solution."""
+    _check_time(n)
     if f.q != g.q or f.mode != g.mode:
         raise ParameterError("initial data must share q and scalar mode")
     if n == 0:

@@ -1,5 +1,6 @@
-"""The scattered ball mean M_n over the vertex rows: the tests' oracle of
-the parity sums of ``treewave.levels`` in both number types.
+"""The scattered ball mean M_n over the vertex rows, and the float64 radial
+convolution summed distance by distance: the tests' oracles of the parity
+sums of ``treewave.levels``.
 
 M_n f(x) = q^(-n/2) times the sum of f(y) over the vertices y with
 d(x, y) <= n and n - d(x, y) even.  Here each stored value of f is added,
@@ -12,7 +13,8 @@ sum is taken, so this route shares only the packed storage with
 from itertools import repeat
 from operator import add
 
-from treewave.levels import orbit_layout
+from treewave.functions import RadialProfile
+from treewave.levels import RadialLevels, orbit_layout
 from treewave.scalars import ScalarMode, sqrt_q_power
 from treewave.topology import sphere_volume
 
@@ -52,8 +54,7 @@ def full_rows(levels):
 def scatter_mean(levels, n):
     """M_n for n >= 1 of packed vertex data, on the vertex rows, in the
     orbit layout of its top depth.  A float64 value is weighted before it
-    is added; exact parts are weighted once at the end
-    (``_over_root_power``)."""
+    is added; exact parts are weighted once at the end (``_weighted``)."""
     q, mode, exact = levels.q, levels.mode, levels.mode is ScalarMode.EXACT
     full = full_rows(levels).parts
     radius = len(full[0]) - 1
@@ -73,4 +74,32 @@ def scatter_mean(levels, n):
     layout = orbit_layout(radius + n)
     if not exact:
         return layout(q, mode, 1, out)
-    return layout(q, mode, *levels._over_root_power(q, n, levels.den, out))
+    den, (_, _, rows) = levels._weighted(q, n, levels.den, (0, None, out))
+    return layout(q, mode, den, rows)
+
+
+def loop_convolve(kernel, p):
+    """The float64 radial convolution out(m) = sum_d kernel(d) sum_r
+    count(m, d, r) p(r), added term by term in the order of d, then r, each
+    as (kernel(d) p(r)) * count.  For one (d, r) the path from radius m
+    climbs a = (m + d - r)/2 steps, and the radii m = |d - r|, ..., d + r
+    (step 2) take the counts, with k = min(d, r): q^k (|S(k)| if d = r,
+    where m = 0), then (q-1) q^(k-2), ..., (q-1) q^0, then 1 at a = d.  No
+    parity sum is read."""
+    q = p.q
+    (ks,), (values,) = kernel._as_levels().parts, p._as_levels().parts
+    size = len(ks) + len(values) - 1
+    out = [0.0] * size
+    plain, diagonal = [[1]], [[1]]
+    for k in range(1, min(len(ks), len(values))):
+        middle = [(q - 1) * q**i for i in range(k - 2, -1, -1)]
+        plain.append([q**k, *middle, 1])
+        diagonal.append([(q + 1) * q ** (k - 1), *middle, 1])
+    for d, kd in enumerate(ks):
+        for r, pr in enumerate(values):
+            value = kd * pr
+            if value:
+                counts = diagonal[d] if d == r else plain[min(d, r)]
+                for m, c in zip(range(abs(d - r), size, 2), counts):
+                    out[m] += value * c
+    return RadialProfile._from_levels(RadialLevels(q, p.mode, 1, [out]))

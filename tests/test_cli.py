@@ -278,9 +278,10 @@ def test_verify_fills_no_full_ball_beyond_the_bounded_radius(monkeypatch, size, 
     radii = []
     init, vertices = Levels.__init__, Ball.vertices
 
-    def traced_init(self, q, mode, den, parts):
-        radii.append(min(len(parts[0]) - 1, self._orbit_radius))
-        init(self, q, mode, den, parts)
+    def traced_init(self, q, mode, den, parts, lead=0, pairs=None):
+        # after a leading parity run of ``lead`` depths, the rows start at depth lead
+        radii.append(min(lead + len(parts[0]) - 1, self._orbit_radius))
+        init(self, q, mode, den, parts, lead, pairs)
 
     def traced_vertices(self):
         radii.append(self.radius)

@@ -210,9 +210,10 @@ def test_operator_gap_builds_no_vertex_row_deeper_than_the_data(monkeypatch, q):
     radii = []
     init = Levels.__init__
 
-    def traced(self, q, mode, den, parts):
-        radii.append(min(len(parts[0]) - 1, self._orbit_radius))
-        init(self, q, mode, den, parts)
+    def traced(self, q, mode, den, parts, lead=0, pairs=None):
+        # after a leading parity run of ``lead`` depths, the rows start at depth lead
+        radii.append(min(lead + len(parts[0]) - 1, self._orbit_radius))
+        init(self, q, mode, den, parts, lead, pairs)
 
     monkeypatch.setattr(Levels, "__init__", traced)
     energy._operator_gap(u, 200)

@@ -61,7 +61,7 @@ from treewave.wave import (
     step_recurrence,
 )
 
-from scatter import scatter_mean
+from scatter import loop_convolve, scatter_mean
 
 EXACT = ScalarMode.EXACT
 FLOAT = ScalarMode.FLOAT64
@@ -888,18 +888,40 @@ def test_float_means_are_as_accurate_as_the_scatter_on_a_wide_range(q):
 def test_float_profile_means_are_as_accurate_as_the_kernel_convolution(q):
     """Float64 M_n, C_n and propagators of profiles read the parity sums of
     the profile; their largest error against the exact values rounded is no
-    larger than that of the convolution with m_kernel(n), the route they
-    took before."""
+    larger than that of the convolution with m_kernel(n) summed distance by
+    distance (``scatter.loop_convolve``), the route they took before."""
 
     def pair(radius, rng):
         return random_radial_profile(q, radius, rng), random_radial_profile(q, radius, rng)
 
     def convolved(p, n):
-        return radial_convolve(m_kernel(q, n, FLOAT), p)
+        return loop_convolve(m_kernel(q, n, FLOAT), p)
 
     pairs = [pair(r, random.Random(s)) for r in FLOAT_RADII for s in FLOAT_SEEDS]
     library, kernel = float_gate(pairs, FLOAT_REACH[q], convolved, lambda f, n: True)
     assert library <= kernel < 1e-13
+
+
+@pytest.mark.parametrize("q", QS)
+def test_float_closed_radial_solve_is_as_accurate_as_the_loop_convolution(q):
+    """Float64 closed radial snapshots convolve the data with the propagator
+    kernels by the kernels' parity runs; against the exact snapshots
+    rounded, their largest error is no larger than that of the same
+    convolutions summed distance by distance (``scatter.loop_convolve``)."""
+    library = loop = 0.0
+    for radius in FLOAT_RADII:
+        for seed in FLOAT_SEEDS:
+            rng = random.Random(f"levels:float-closed:{q}:{radius}:{seed}")
+            f, g = random_radial_profile(q, radius, rng), random_radial_profile(q, radius, rng)
+            x, y = f.as_float64(), g.as_float64()
+            exact = radial_solve(f, g, 12, "closed")
+            found = radial_solve(x, y, 12, "closed")
+            for n in exact.n_values():
+                cosine, sine = propagator_kernels(q, n, FLOAT)
+                summed = loop_convolve(cosine, x) + loop_convolve(sine, y)
+                library = max(library, float_error(found.snapshot(n), exact.snapshot(n)))
+                loop = max(loop, float_error(summed, exact.snapshot(n)))
+    assert library <= loop < 1e-13
 
 
 @pytest.mark.parametrize("q", QS)
@@ -984,6 +1006,9 @@ def test_profile_and_height_arithmetic_matches_dictionaries(q, mode):
 @pytest.mark.parametrize("q", QS)
 @pytest.mark.parametrize("mode", (EXACT, FLOAT))
 def test_radial_operators_match_qsurd_routes(q, mode):
+    """Exact results equal the QSurd routes and float64 ones equal them bit
+    for bit.  The kernel of M_n (n >= 2) is stored as one parity run, which
+    a float64 convolution reads from the parity sums: it is bitwise M_n."""
     rng = random.Random(f"levels:radial-operators:{q}:{mode.value}")
     profiles = [surd_profile(q, rng, radius) for radius in (0, 1, 3)]
     sparse = RadialProfile(q, EXACT, [(4, QSurd(Fraction(1, 3), Fraction(-2, 5), q))])
@@ -1003,7 +1028,10 @@ def test_radial_operators_match_qsurd_routes(q, mode):
             assert same(step_recurrence(previous, p), reference_radial_step(previous, p))
         for n in range(-1, 7):
             kernel = m_kernel(q, n, mode)
-            assert same(radial_convolve(kernel, p), reference_radial_convolve(kernel, p))
+            if mode is EXACT or n >= 2:
+                assert same(radial_convolve(kernel, p), m_operator(n, p))
+            if mode is EXACT or n < 2:
+                assert same(radial_convolve(kernel, p), reference_radial_convolve(kernel, p))
         for kernel in profiles:
             assert same(radial_convolve(kernel, p), reference_radial_convolve(kernel, p))
         # a kernel longer than the profile, and a profile longer than the kernel

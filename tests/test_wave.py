@@ -24,6 +24,7 @@ from treewave.wave import (
     c_operator,
     m_operator,
     propagators,
+    s_operator,
     solve,
     step_recurrence,
 )
@@ -556,3 +557,24 @@ def test_c_one_subtracts_the_empty_m_minus_one(q, mode):
         packed = c_operator(n, f)._as_levels()
         assert type(packed) is type(expected) and packed.den == expected.den
         assert repr(packed.parts) == repr(expected.parts)
+
+
+@pytest.mark.parametrize("n", (2.0, 1.5, "2", True, False))
+def test_operator_times_fail_closed(n):
+    """A float, str or bool time is refused, naming 'n', by every operator
+    and kernel that takes one, vertex or radial."""
+    f = TreeFunction(2, EXACT, [(VertexAddress.origin(2), QSurd(1, 0, 2))])
+    p = RadialProfile(2, EXACT, [(1, QSurd(1, 1, 2))])
+    calls = [
+        lambda: m_operator(n, f),
+        lambda: c_operator(n, f),
+        lambda: s_operator(n, f),
+        lambda: propagators(n, f, f),
+        lambda: c_operator(n, p),
+        lambda: s_operator(n, p),
+        lambda: m_kernel(2, n, EXACT),
+        lambda: propagator_kernels(2, n, EXACT),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="'n'"):
+            call()
