@@ -48,6 +48,12 @@ def _check_time(n) -> None:
         raise ParameterError(f"field 'n' must be an integer time, got {n!r}")
 
 
+def _check_mode(mode) -> None:
+    """A scalar mode is a ``ScalarMode``; its name as a str is refused."""
+    if not isinstance(mode, ScalarMode):
+        raise ParameterError(f"field 'mode' must be a ScalarMode, got {mode!r}")
+
+
 class _Sparse:
     """A finitely supported map key -> scalar (absent = 0), with its packed
     form in ``treewave.levels``.
@@ -73,6 +79,7 @@ class _Sparse:
 
     def __init__(self, q: int, mode: ScalarMode, values: Mapping | Iterable[tuple] = ()):
         _check_q(q)
+        _check_mode(mode)
         entries = values.items() if isinstance(values, Mapping) else values
         cleaned = {}
         for key, value in entries:
@@ -131,10 +138,10 @@ class _Sparse:
 
     def __getitem__(self, key) -> Scalar:
         """The value at key: one packed slot, else the value map.  A key of
-        another type (a float radius too) or q reads as zero."""
+        another type (a float radius or a bool too) or q reads as zero."""
         if self._store is None:
             return self._levels.value_at(key)
-        if not isinstance(key, self._key_type):
+        if isinstance(key, bool) or not isinstance(key, self._key_type):
             return scalar_zero(self.q, self.mode)
         return self._store.get(key, scalar_zero(self.q, self.mode))
 

@@ -87,8 +87,14 @@ stored nonzero entry once, in one pass per depth (``_listing``): the entry
 stands for an index range of keys, and they share its one scalar.
 Kinetic energy, mass, the pair-sum potential, the counting inner product,
 the three Huygens interior sums, the linear combinations, the leapfrog
-step and the tree and two-step Laplacians are written once over these
-choices, so vertex and radial data share one operator algebra.  No
+step, M_n, C_n, the convolution and the tree and two-step Laplacians are
+written once over these choices, so vertex and radial data share one
+operator algebra.  They compose a few helpers, each written once for
+both layouts and number types: ``_combined`` (cx x + cy y of two forms),
+``_sum_with`` (over a common denominator), ``_times`` (an exact form times
+fa + fb sqrt(q): ``scale``, the odd-n weighting, the convolution columns),
+``_over_root`` (a form over den q^(n/2): the step, M_n, C_n), ``_grow``
+(the run finder, over ``_row_values``) and ``_slot`` (over ``_address``).  No
 ``Fraction`` is built; values become ``QSurd`` (the same integer triple)
 only when a slot is read, a function is materialised or a sum is returned.
 """
@@ -107,8 +113,7 @@ from .topology import VertexAddress, sphere_volume
 EXACT = ScalarMode.EXACT
 # A run of fewer depths is stored as rows.  Three is the least with which
 # every wave snapshot at |n| >= 2R + 2 stores at most 2 + (2R + 2)|S(R)|
-# entries (R = 0 at |n| = 4 needs a run of three depths); ``Levels._grow``
-# assumes at least three.
+# entries (R = 0 at |n| = 4 needs a run of three depths).
 _SHORTEST_RUN = 3
 
 
@@ -142,21 +147,6 @@ def _combine_row(cx, x: list, cy, y: list) -> list:
     sy = _scaled(cy, y)
     out = list(map(add, sx, sy))
     return out + (sx if len(x) >= len(y) else sy)[len(out) :]
-
-
-def _period_end(seq: list, i: int, end: int) -> int:
-    """The first index j in [i, end) with seq[j] != seq[j - 2], or end: a
-    few steps in Python, the rest at C speed.  A float zero repeats only
-    with its sign."""
-    start, stop = i, min(end, i + 8)
-    while i < stop and seq[i] == seq[i - 2]:
-        i += 1
-    if i == stop < end:
-        pairs = map(ne, islice(seq, i, end), islice(seq, i - 2, None))
-        i = next(compress(count(i), pairs), end)
-    if i > start and isinstance(seq[start], float) and not all(seq[start - 2 : start]):
-        return _period_end(_signs(seq[:i]), start, i)
-    return i
 
 
 def _signs(values) -> list:
@@ -344,21 +334,36 @@ class _Packed:
         self.den, self.lead, self.pairs, self.body = den, lead, pairs, parts
         self.size = lead + len(parts[0])  # the stored depths, the run's included
 
-    def _grown(self, a: int, pairs: list, parts: list, k: int) -> tuple:
-        """The form whose run takes in the first k >= 1 rows of parts, which
-        continue the run of a depths."""
-        first = self._first
-        if k >= 2:
-            heads = [[first(part[k - 2]), first(part[k - 1])] for part in parts]
-        else:
-            heads = [[pair[1], first(part[0])] for pair, part in zip(pairs, parts)]
-        return a + k, heads, [part[k:] for part in parts]
-
     def _grow(self, a: int, pairs: list | None, parts: list) -> tuple:
         """The form grown over the first rows that hold one value at every
-        entry of every part, the value two depths up (a float zero with its
-        sign); depths 0 and 1 open the run.  Called on forms of at least
-        ``_SHORTEST_RUN`` depths by a layout that keeps runs."""
+        entry of every part (``_row_values``), the value two depths up (a
+        float zero with its sign); depths 0 and 1 open the run.  Per part,
+        the pair (zeros when a = 0) and the row values form one sequence,
+        whose index i stands for depth a - 2 + i, compared with itself two
+        places back.  Called by a layout that keeps runs."""
+        first, start = self._first, 2 if a >= 2 else 4 - a
+        for pair, part in zip(pairs or parts, parts):  # most forms fail the first comparison
+            if first(part[start - 2]) != (pair[start - 2] if a else first(part[0])):
+                return a, pairs, parts
+        k, signed, seqs = len(parts[0]), self.mode is not EXACT, []
+        for pair, part in zip(pairs or repeat([0, 0]), parts):
+            seq = scan = pair + self._row_values(part, k)
+            if signed and not all(seq[start - 2 : start]):
+                scan = list(zip(seq, _signs(seq)))  # a float zero repeats only with its sign
+            end, stop = start, min(len(seq), start + 8)  # 8 steps in Python, then C speed
+            while end < stop and scan[end] == scan[end - 2]:
+                end += 1
+            if end == stop < len(seq):
+                unequal = map(ne, islice(scan, end, None), islice(scan, end - 2, None))
+                end = next(compress(count(end), unequal), len(seq))
+            k = end - 2
+            if a + k < _SHORTEST_RUN or not k:
+                return a, pairs, parts
+            seqs.append(seq)
+        return a + k, [seq[k : k + 2] for seq in seqs], [part[k:] for part in parts]
+
+    def _row_values(self, part: list, k: int) -> list:
+        """The value of each of the first k rows of a part, up to one holding two."""
         raise NotImplementedError
 
     # -- storage shape: a part is one row per depth (one flat row when radial) ------
@@ -467,22 +472,43 @@ class _Packed:
         return cls(q, mode, den, [cls._part(a), cls._part(b)])
 
     @classmethod
+    def _times(cls, q: int, form: tuple, fa: int, fb: int) -> tuple:
+        """The exact form (fa + fb sqrt(q)) * form: with x and y its parts,
+        (fa x + q fb y) + (fb x + fa y) sqrt(q); a factor with fb = 0 scales
+        each part once (not at all when fa = 1), one with fa = 0 swaps them,
+        q fb y + fb x sqrt(q)."""
+        lead, pairs, (x, y) = form
+        if not fb:
+            return form if fa == 1 else cls._mapped(mul, form, fa)
+        if not fa:
+            qb = q * fb
+            pairs = pairs and [[qb * v for v in pairs[1]], _scaled(fb, pairs[0])]
+            return lead, pairs, [cls._map(mul, y, qb), x if fb == 1 else cls._map(mul, x, fb)]
+        combine = cls._combine
+        if pairs:
+            (px, py) = pairs
+            pairs = [_combine_row(fa, px, q * fb, py), _combine_row(fb, px, fa, py)]
+        return lead, pairs, [combine(fa, x, q * fb, y), combine(fb, x, fa, y)]
+
+    @classmethod
     def _weighted(cls, q: int, n: int, den: int, form: tuple) -> tuple[int, tuple]:
         """(D, form) of an exact form over den times q^(-n/2), n >= 0: over
-        den*q^(n/2) for even n; for odd n, q^(-n/2) = sqrt(q) / q^((n+1)/2)
-        and sqrt(q) * (a + b*sqrt(q)) = q*b + a*sqrt(q), or root*a for a
-        square q."""
+        den*root^n for a square q = root^2, over den*q^(n/2) for even n, and
+        for odd n, q^(-n/2) = sqrt(q) / q^((n+1)/2) (``_times``)."""
+        root = _square_root_if_perfect(q)
+        if root is not None:
+            return den * root**n, form
         if n % 2 == 0:
             return den * q ** (n // 2), form
-        lead, pairs, (a, b) = form
-        root = _square_root_if_perfect(q)
-        if root is None:
-            parts = [cls._map(mul, b, q), a]
-            pairs = pairs and [[b * q for b in pairs[1]], pairs[0]]
-        else:
-            parts = [cls._map(mul, a, root), b]
-            pairs = pairs and [[a * root for a in pairs[0]], pairs[1]]
-        return den * q ** ((n + 1) // 2), (lead, pairs, parts)
+        return den * q ** ((n + 1) // 2), cls._times(q, form, 0, 1)
+
+    def _over_root(self, n: int, den: int, form: tuple) -> tuple[int, tuple]:
+        """(D, form) of form / (den q^(n/2)) for either number type: exact
+        forms by ``_weighted``, float64 forms times the one float q^(-n/2) /
+        den."""
+        if self.mode is EXACT:
+            return self._weighted(self.q, n, den, form)
+        return 1, self._mapped(mul, form, sqrt_q_power(self.q, -n, self.mode) / den)
 
     def _products(self, xs: list, ys: list) -> list:
         """The parts of sum x*y over aligned slices of x's and y's parts:
@@ -512,7 +538,8 @@ class _Packed:
 
     def value_at(self, key) -> Scalar:
         """The value at key, read from its one slot (``_slot``); a key of the
-        wrong type or q, or beyond the stored depths, reads as zero."""
+        wrong type (a bool too) or q, or beyond the stored depths, reads as
+        zero."""
         slot = self._slot(key)
         return self._value(slot) if slot else scalar_zero(self.q, self.mode)
 
@@ -583,33 +610,34 @@ class _Packed:
     # -- linear combinations of forms ---------------------------------------------
 
     def _combined(self, cx, x: tuple, cy, y: tuple) -> tuple:
-        """The form cx*x + cy*y; the longer run is expanded to the shorter,
-        unless the other form is 0.  With no run, the parts combine as
-        they are."""
-        if x[0] or y[0]:
-            if not (y[0] or len(y[2][0])):
-                return x if cx == 1 else self._mapped(mul, x, cx)
-            if not (x[0] or len(x[2][0])):
-                return y if cy == 1 else self._mapped(mul, y, cy)
-            a = min(x[0], y[0])
-            x = x if x[0] == a else self._realigned(x, a)
-            y = y if y[0] == a else self._realigned(y, a)
+        """The form cx*x + cy*y, one of them scaled where the other is 0;
+        the longer run is expanded to the shorter."""
+        if not (y[0] or len(y[2][0])):
+            return x if cx == 1 else self._mapped(mul, x, cx)
+        if not (x[0] or len(x[2][0])):
+            return y if cy == 1 else self._mapped(mul, y, cy)
+        if x[0] > y[0]:
+            x = self._realigned(x, y[0])
+        elif y[0] > x[0]:
+            y = self._realigned(y, x[0])
         combine, pairs = self._combine, x[1]
         # as _combine_row adds them: x * cx + y * cy, a sum of two products
         pairs = pairs and [[a * cx + c * cy, b * cx + d * cy] for (a, b), (c, d) in zip(pairs, y[1])]
         return x[0], pairs, [combine(cx, px, cy, py) for px, py in zip(x[2], y[2])]
 
-    def _mapped(self, op, form: tuple, c) -> tuple:
+    @classmethod
+    def _mapped(cls, op, form: tuple, c) -> tuple:
         """The form of op(v, c) for every value v of a form."""
         lead, pairs, parts = form
         pairs = pairs and [[op(a, c), op(b, c)] for a, b in pairs]
-        return lead, pairs, [self._map(op, part, c) for part in parts]
+        return lead, pairs, [cls._map(op, part, c) for part in parts]
 
-    def _sum_with(self, other: _Packed, sign: int) -> tuple[int, tuple]:
-        """(D, form) of self + sign * other over their common denominator."""
-        den = lcm(self.den, other.den)
-        cx, cy = den // self.den, sign * (den // other.den)
-        return den, self._combined(cx, self.form, cy, other.form)
+    def _sum_with(self, other: _Packed, sign: int, own: tuple | None = None) -> tuple[int, tuple]:
+        """(D, form) of x + sign * other over their common denominator, x
+        the (D, form) ``own``, or self."""
+        den, form = own or (self.den, self.form)
+        common = lcm(den, other.den)
+        return common, self._combined(common // den, form, sign * (common // other.den), other.form)
 
     @_one_layout
     def __add__(self, other: _Packed) -> _Packed:
@@ -629,18 +657,8 @@ class _Packed:
         one enters as an integer pair over its own denominator."""
         if self.mode is not EXACT:
             return self._make(1, self._mapped(mul, self.form, factor))
-        q, (fa, fb, den) = self.q, factor.slots
-        form = self.form
-        if fb:  # (fa + fb*sqrt(q)) (x + y*sqrt(q))
-            lead, pairs, (x, y) = form
-            combine = self._combine
-            if pairs:
-                (px, py) = pairs
-                pairs = [_combine_row(fa, px, q * fb, py), _combine_row(fb, px, fa, py)]
-            form = lead, pairs, [combine(fa, x, q * fb, y), combine(fb, x, fa, y)]
-        elif fa != 1:
-            form = self._mapped(mul, form, fa)
-        return self._make(self.den * den, form)
+        fa, fb, den = factor.slots
+        return self._make(self.den * den, self._times(self.q, self.form, fa, fb))
 
     # -- layout -------------------------------------------------------------------
 
@@ -654,9 +672,19 @@ class _Packed:
         storage order."""
         raise NotImplementedError
 
-    def _slot(self, key) -> list | None:
-        """The parts' stored values at key, or None where nothing is stored."""
+    def _address(self, key) -> tuple:
+        """(depth, index) of the entry that stands for key, the index None
+        where a row is one value; depth -1 for a key of another type or q."""
         raise NotImplementedError
+
+    def _slot(self, key) -> list | None:
+        """The parts' stored values at key, or None where nothing is stored:
+        a depth of the run reads its parity's value in the pair, a row its
+        entry (``_address``)."""
+        (d, j), lead = self._address(key), self.lead
+        if lead <= d < self.size:
+            return [part[d - lead] if j is None else part[d - lead][j] for part in self.body]
+        return [pair[(d - lead) % 2] for pair in self.pairs] if 0 <= d < lead else None
 
     def _distance_two_pairs(self):
         """Every unordered pair of vertices at distance 2 with a stored end
@@ -695,16 +723,10 @@ class _Packed:
 
     @_one_layout
     def step(self, previous: _Packed) -> _Packed:
-        """The leapfrog (1/sqrt(q)) * adjacency(self) - previous."""
-        q, mode = self.q, self.mode
-        pushed = self._neighbour_sums(self.form)
-        if mode is not EXACT:
-            weight = sqrt_q_power(q, -1, mode)
-            return self._make(1, self._combined(weight, pushed, -1, previous.form))
-        pushed_den, weighted = self._weighted(q, 1, self.den, pushed)
-        den = lcm(pushed_den, previous.den)
-        cx, cy = den // pushed_den, -(den // previous.den)
-        return self._make(den, self._combined(cx, weighted, cy, previous.form))
+        """The leapfrog (1/sqrt(q)) * adjacency(self) - previous (float64:
+        w*x - y, w the float 1/sqrt(q))."""
+        pushed = self._over_root(1, self.den, self._neighbour_sums(self.form))
+        return self._make(*self._sum_with(previous, -1, pushed))
 
     def _minus_over(self, form: tuple, weight: int) -> _Packed:
         """self - form / weight, for a form over the denominator of self."""
@@ -716,8 +738,7 @@ class _Packed:
     def _kept_parity_rows(self, n: int) -> tuple[int, list]:
         """(last, sums): the parity sums of every part (``_parity_rows_of``),
         built to a distance last >= min(n, 2t + 1), t the last stored depth,
-        and kept on this datum with the expanded rows they sum and P(last)
-        and P(last - 1) of depth 0 per part, so the M_n
+        and kept on this datum with the expanded rows they sum, so the M_n
         of one closed solve sum the data once, not once per n.  Past 2t + 1
         no distance adds a vertex.  A build reaches at least min(t, R) + 1
         (R the orbit radius), so data with no tail are built once and
@@ -727,13 +748,12 @@ class _Packed:
         rows, which are never mutated in place."""
         top = self.size - 1
         complete = 2 * top + 1
-        last, kept, rows, _ = getattr(self, "_sums", (-1, None, None, None))
+        last, kept, rows = getattr(self, "_sums", (-1, None, None))
         if min(n, complete) > last:
             last = min(max(n, 2 * last, min(top, self._orbit_radius) + 1), complete)
             rows = rows or self._sum_rows()
-            kept, first = self._parity_rows_of(rows, last), self._first
-            totals = [[first(sums[0][last]), first(sums[0][last - 1])] for sums in kept]
-            self._sums = last, kept, rows, totals
+            kept = self._parity_rows_of(rows, last)
+            self._sums = last, kept, rows
         return last, kept
 
     def _sum_rows(self) -> list:
@@ -754,17 +774,18 @@ class _Packed:
         the same parity.  A vertex at depth d <= t is at most d + t <= 2t
         from the data, so every sum P(m), m >= 2t, at depths <= t sums one
         whole parity class of the data: for exact data the depths 0 .. n - t,
-        which read only such sums, are a run of the two class totals, kept
-        as P(last) and P(last - 1) of depth 0.  Float64 sums of one class
+        which read only such sums, are a run of the two class totals,
+        P(last) and P(last - 1) of depth 0.  Float64 sums of one class
         may round apart, so their rows are read in full.  Rows are shared,
         not copied."""
-        last, kept, _, totals = self._sums
+        last, kept, _ = self._sums
         t = len(kept[0]) - 1
         if n > last and self.mode is EXACT:
             # depth d holds the total of class n - d mod 2: P(last) at
             # depth lead - 2 = n - t - 1 for even t (last is odd)
-            flip, rows = 1 - 2 * (t % 2), last - 1
-            pairs = [tot[::flip] for tot in totals]
+            rows, first = last - 1, self._first
+            i, j = (last, rows) if t % 2 == 0 else (rows, last)
+            pairs = [[first(sums[0][i]), first(sums[0][j])] for sums in kept]
             return n - t + 1, pairs, [sums[-1][:rows][::-1] for sums in kept]
         parts = []
         for sums in kept:
@@ -793,23 +814,16 @@ class _Packed:
         return self._parity_mean(n, True)
 
     def _parity_mean(self, n: int, cosine: bool) -> _Packed:
-        """M_n, or C_n if ``cosine`` (``ball_mean``, ``cosine``): exact
-        forms over 2D for C_n are weighted by ``_weighted``, float64 forms
-        multiplied by the one float q^(-n/2), halved for C_n."""
+        """M_n, or C_n if ``cosine`` (``ball_mean``, ``cosine``): the parity
+        form over D, or 2D for C_n, weighted once (``_over_root``)."""
         if not self.size:
             return self
-        q, den = self.q, self.den
         self._kept_parity_rows(n)
         form = self._from_parity(self._parity_read(n))
-        if cosine:
-            den *= 2
-            if n >= 2:
-                back = self._from_parity(self._parity_read(n - 2))
-                form = self._combined(1, form, -q, back)
-        if self.mode is not EXACT:
-            weight = sqrt_q_power(q, -n, self.mode) / den
-            return self._make(1, self._mapped(mul, form, weight))
-        return self._make(*self._weighted(q, n, den, form))
+        if cosine and n >= 2:
+            back = self._from_parity(self._parity_read(n - 2))
+            form = self._combined(1, form, -self.q, back)
+        return self._make(*self._over_root(n, self.den * (2 if cosine else 1), form))
 
     def laplacian(self) -> _Packed:
         """u - Adj u / (q+1)."""
@@ -930,41 +944,16 @@ class Levels(_Packed):
         q, orbit = self.q, self._orbit_radius
         return 1 if d <= orbit else sphere_volume(q, d) // sphere_volume(q, orbit)
 
-    def _grow(self, a: int, pairs: list | None, parts: list) -> tuple:
-        """First a cheap test skips most data with no run: with a >= 2 the first row must repeat the pair's first
-        value; with a < 2, the value at depth _SHORTEST_RUN - 1 must repeat
-        the value two depths up, and the row of depth 1 must hold one
-        value."""
-        if a >= 2:
-            for pair, part in zip(pairs, parts):
-                if part[0][0] != pair[0]:
-                    return a, pairs, parts
-        else:
-            i = _SHORTEST_RUN - 1 - a
-            for pair, part in zip(pairs or parts, parts):
-                row = part[1 - a]
-                if part[i][0] != (part[i - 2][0] if i >= 2 else pair[i]):
-                    return a, pairs, parts
-                if row.count(row[0]) != len(row):
-                    return a, pairs, parts
-        k, signed = len(parts[0]), self.mode is not EXACT
-        for i, part in enumerate(parts):
-            up, last = pairs[i] if a else (None, None)  # the values two depths up and one
-            j = 0
-            for row in islice(part, k):
-                value = row[0]
-                if row.count(value) != len(row) or a + j >= 2 and value != up:
-                    break
-                if signed and not value:  # a float zero repeats only with its sign
-                    if len(set(_signs([up, *row] if a + j >= 2 else row))) > 1:
-                        break
-                up, last, j = last, value, j + 1
-            k = j
-            if not k:
-                return a, pairs, parts
-        if a + k < _SHORTEST_RUN:
-            return a, pairs, parts
-        return self._grown(a, pairs, parts, k)
+    def _row_values(self, part: list, k: int) -> list:
+        """The first entry of a row holds its value; a row of float zeros
+        also needs one sign."""
+        signed, values = self.mode is not EXACT, []
+        for row in islice(part, k):
+            value = row[0]
+            if row.count(value) != len(row) or signed and not value and len(set(_signs(row))) > 1:
+                break
+            values.append(value)
+        return values
 
     def _fill(self, start: int, stop: int, lead: int, pair: list) -> list:
         q, orbit, rows = self.q, self._orbit_radius, []
@@ -1097,15 +1086,12 @@ class Levels(_Packed):
             tails = list(product(*[range(q + 1 if k == 1 else q) for k in range(orbit + 1, d + 1)]))
             yield [vertex(q, words[j] + tail) for j in js for tail in tails]
 
-    def _slot(self, key) -> list | None:
+    def _address(self, key) -> tuple:
         # a vertex beyond R reads the entry of its ancestor in S(R)
-        if isinstance(key, VertexAddress) and key.q == self.q and key.depth < self.size:
-            d, lead = key.depth, self.lead
-            if d < lead:
-                return [pair[(d - lead) % 2] for pair in self.pairs]
-            j = _vertex_index(key.labels[: self._orbit_radius], self.q)
-            return [part[d - lead][j] for part in self.body]
-        return None
+        if not (isinstance(key, VertexAddress) and key.q == self.q):
+            return -1, None
+        d, stored = key.depth, self.lead <= key.depth < self.size  # only a row needs an index
+        return d, _vertex_index(key.labels[: self._orbit_radius], self.q) if stored else None
 
     def _from_parity(self, form: tuple) -> tuple:
         """A parity read holds rows up to t = min(top, R) and one entry per
@@ -1139,19 +1125,8 @@ class RadialLevels(_Packed):
     _combine = staticmethod(_combine_row)
     _part = staticmethod(itemgetter(0))
 
-    def _grow(self, a: int, pairs: list | None, parts: list) -> tuple:
-        if a >= 2:  # the common case: the first radius ends the run
-            for pair, part in zip(pairs, parts):
-                if part[0] != pair[0]:
-                    return a, pairs, parts
-        end, start = len(parts[0]), max(4 - a, 2)  # radius 2 in pair + part
-        for i, part in enumerate(parts):  # a part is the profile from radius a
-            end = _period_end(pairs[i] + part, start, end + 2) - 2 if a else _period_end(part, 2, end)
-            if end <= 0:
-                return a, pairs, parts
-        if a + end < _SHORTEST_RUN:
-            return a, pairs, parts
-        return self._grown(a, pairs, parts, end)
+    def _row_values(self, part: list, k: int) -> list:
+        return part if k >= len(part) else part[:k]  # a row is one value
 
     def _rows(self):
         return [(0, self.parts)]
@@ -1169,13 +1144,8 @@ class RadialLevels(_Packed):
     def _key_rows(self, listing):
         return (js for _, js, *_ in listing)  # an entry's key is its radius
 
-    def _slot(self, key) -> list | None:
-        if isinstance(key, int) and 0 <= key < self.size:
-            lead = self.lead
-            if key < lead:
-                return [pair[(key - lead) % 2] for pair in self.pairs]
-            return [part[key - lead] for part in self.body]
-        return None
+    def _address(self, key) -> tuple:
+        return (key, None) if type(key) is int else (-1, None)  # a bool is not a key
 
     def _terms(self, x: tuple, y: tuple, limit: int | None = None):
         """One term: the run's sums (``_run_sums``), then the rows of x
@@ -1283,64 +1253,45 @@ class RadialLevels(_Packed):
         ``_parity_read``), added in increasing j.  Inside the kernel's run
         every w_j is 0; the kernels of M_n and S_n have one nonzero w_j,
         that of C_n two, so a propagator kernel costs O(R) once the sums
-        are kept on p.  An exact w_j = wa + wb sqrt(q) adds wa P(j) and wb
-        sqrt(q) P(j).  A float64 difference w_j rounds, so float64 profiles
-        read only the run this way, E P(a-2) + O P(a-1) over the run's a
-        depths (for m_kernel(n), bitwise M_n), and add the kernel's rows
-        distance by distance (``_add_rows``).  This is the route of
-        ``radial.radial_convolve``."""
-        q, mode = self.q, self.mode
+        are kept on p.  One loop adds the columns (``_combined``), an exact
+        one as (wa + wb sqrt(q)) P(j) (``_times``).  A float64 difference w_j
+        rounds, so float64 profiles read only the run this way, out + w P(j)
+        for E P(a-2) and O P(a-1) (for m_kernel(n), bitwise M_n), and add
+        the kernel's rows distance by distance (``_add_rows``).  This is the
+        route of ``radial.radial_convolve``."""
+        q, exact = self.q, self.mode is EXACT
         if not (kernel.size and self.size):
-            return RadialLevels(q, mode, 1, [[] for _ in self.body])
-        if mode is not EXACT:
-            return self._convolve_float(kernel)
-        start = max(kernel.lead - 2, 0)  # the kernel from its pair on
-        ks = kernel._from(kernel.form, start)
-        weights = [list(map(sub, k, k[2:] + [0, 0])) for k in ks]
-        self._kept_parity_rows(kernel.size - 1)
-        columns = [(w, self._parity_read(j)) for j, w in enumerate(zip(*weights), start) if any(w)]
-        lead, heads, out = min(form[0] for _, form in columns), [[0, 0], [0, 0]], [[], []]
-        pairs = self.pairs or [()] * 2
-        live = [any(pair) or any(part) for pair, part in zip(pairs, self.body)]  # 0 adds nothing
-        for (wa, wb), form in columns:  # (wa + wb sqrt q) (pa + pb sqrt q)
-            _, tops, parts = form if form[0] == lead else self._realigned(form, lead)
-            for i, c, k in ((0, wa, 0), (0, q * wb, 1), (1, wb, 0), (1, wa, 1)):
-                if c and live[k]:
-                    part = parts[k]
-                    out[i] = _combine_row(1, out[i], c, part) if out[i] else _scaled(c, part)
-                    if lead:
-                        (x, y), (u, v) = heads[i], tops[k]
-                        heads[i] = [x + c * u, y + c * v]
-        size = max(map(len, out))
-        out = [part + [0] * (size - len(part)) for part in out]
-        return RadialLevels(q, mode, kernel.den * self.den, out, lead, heads if lead else None)
+            return RadialLevels(q, self.mode, 1, [[] for _ in self.body])
+        if exact:  # the kernel from its pair on
+            start = max(kernel.lead - 2, 0)
+            weights = [list(map(sub, k, k[2:] + [0, 0])) for k in kernel._from(kernel.form, start)]
+            columns = [(j, w) for j, w in enumerate(zip(*weights), start) if any(w)]
+        else:  # the run's columns only, E P(a - 2) + O P(a - 1)
+            a, pair = kernel.lead, (kernel.pairs or [[0.0, 0.0]])[0]
+            columns = [(j, w) for j, w in zip((a - 2, a - 1), pair) if j >= 0 and w]
+        out = 0, None, [[] for _ in self.body]
+        if columns:
+            self._kept_parity_rows(columns[-1][0])
+        for j, w in columns:
+            column = self._parity_read(j)
+            if exact:  # (wa + wb sqrt q) P(j)
+                column, w = self._times(q, column, *w), 1
+            out = self._combined(1, out, w, column)
+        if not exact:
+            out = 0, None, [self._add_rows(out[2][0], kernel.body[0], kernel.lead)]
+        return self._make(kernel.den * self.den, out)
 
-    def _convolve_float(self, kernel: RadialLevels) -> RadialLevels:
-        """``convolve`` of float64 parts: the run's columns E P(a-2) and
-        O P(a-1) (``_parity_read``), then the kernel's rows (``_add_rows``)."""
-        (ks,), a = kernel.body, kernel.lead
-        out = []
-        if a:
-            self._kept_parity_rows(a - 1)
-            for j, w in zip((a - 2, a - 1), kernel.pairs[0]):
-                if j >= 0 and w:
-                    (column,) = self._parity_read(j)[2]
-                    out = _combine_row(1, out, w, column) if out else _scaled(w, column)
-        size = kernel.size + self.size - 1
-        out += [0.0] * (size - len(out))
-        self._add_rows(out, ks, a)
-        return RadialLevels(self.q, self.mode, 1, [out])
-
-    def _add_rows(self, out: list, ks: list, start: int) -> None:
-        """Add to ``out`` the float64 kernel values ``ks`` at the distances
-        d = start, start + 1, .. against p, term by term in the order of d,
-        then r, each as (kernel(d) p(r)) * count: for one (d, r), the path
-        from radius m climbs a = (m + d - r)/2 steps, and the radii m =
-        |d - r|, ..., d + r (step 2) take the counts, with k = min(d, r):
-        q^k (|S(k)| if d = r, where m = 0), then (q-1) q^(k-2), ...,
-        (q-1) q^0, then 1 at a = d."""
-        q, (values,), size = self.q, self.parts, len(out)
-        counts = {}
+    def _add_rows(self, out: list, ks: list, start: int) -> list:
+        """A new list: ``out`` padded to the radii of the convolution, plus
+        the float64 kernel values ``ks`` at the distances d = start, start +
+        1, .. against p, term by term in the order of d, then r, each as
+        (kernel(d) p(r)) * count: for one (d, r), the path from radius m
+        climbs a = (m + d - r)/2 steps, and the radii m = |d - r|, ..., d + r
+        (step 2) take the counts, with k = min(d, r): q^k (|S(k)| if d = r,
+        where m = 0), then (q-1) q^(k-2), ..., (q-1) q^0, then 1 at a = d."""
+        q, (values,) = self.q, self.parts
+        size = start + len(ks) + len(values) - 1
+        out, counts = out + [0.0] * (size - len(out)), {}
         for d, kd in enumerate(ks, start):
             for r, pr in enumerate(values):
                 value = kd * pr
@@ -1352,6 +1303,7 @@ class RadialLevels(_Packed):
                         counts[k, d == r] = [top, *middle, 1] if k else [1]
                     for m, c in zip(range(abs(d - r), size, 2), counts[k, d == r]):
                         out[m] += value * c
+        return out
 
 
 class HeightLevels(_Packed):
@@ -1372,7 +1324,5 @@ class HeightLevels(_Packed):
     def _key_rows(self, listing):
         return ([-d if j else d for j in js] for d, js, *_ in listing)
 
-    def _slot(self, key) -> list | None:
-        if isinstance(key, int) and abs(key) < self.size:
-            return [part[abs(key)][key < 0] for part in self.body]
-        return None
+    def _address(self, key) -> tuple:
+        return (abs(key), key < 0) if type(key) is int else (-1, None)  # a bool is not a key

@@ -34,7 +34,8 @@ here are the closed route's and the oracles'.
 from __future__ import annotations
 
 from .errors import ParameterError
-from .functions import RadialProfile, TreeFunction, _check_q, _check_time, _distance_sums
+from .functions import RadialProfile, TreeFunction, _distance_sums
+from .functions import _check_mode, _check_q, _check_time
 from .levels import RadialLevels
 from .scalars import Scalar, ScalarMode, scalar_zero
 from .topology import VertexAddress, distance, distance_count  # noqa: F401 (re-exported)
@@ -50,6 +51,7 @@ def m_kernel(q: int, n: int, mode: ScalarMode) -> RadialProfile:
     """Distance kernel of M_n: q^(-n/2) on distances d <= n with n - d even."""
     _check_q(q)
     _check_time(n)
+    _check_mode(mode)
     if n < -1:
         raise ParameterError(f"M_n needs n >= -1, got {n}")
     if n == -1:
@@ -64,6 +66,7 @@ def propagator_kernels(q: int, n: int, mode: ScalarMode) -> tuple[RadialProfile,
     kernel of +-M_(|n|-1)."""
     _check_q(q)
     _check_time(n)
+    _check_mode(mode)
     if n == 0:
         return RadialProfile.delta(q, mode), RadialProfile(q, mode)
     cosine = RadialProfile._from_levels(RadialLevels.c_kernel(q, mode, abs(n)))

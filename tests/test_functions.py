@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treewave import radial
 from treewave.errors import ModeError, ParameterError
 from treewave.functions import (
     HeightSequence,
@@ -166,6 +167,34 @@ def test_keys_of_the_wrong_type_are_rejected(build, field, key):
 def test_radial_index_must_be_natural():
     with pytest.raises(ParameterError, match="'n'"):
         RadialProfile(2, EXACT, [(-1, QSurd(1, 0, 2))])
+
+
+@pytest.mark.parametrize("cls", [RadialProfile, HeightSequence])
+def test_a_bool_key_reads_as_zero_packed_or_not(cls):
+    """A bool is refused as a key, so True and False read no value, not
+    those at 1 and 0, from the value map and from the packed slot alike."""
+    built = cls(2, EXACT, [(0, QSurd(3, 0, 2)), (1, QSurd(5, 0, 2))])
+    packed = cls._from_levels(built._as_levels())
+    for f in (built, packed):
+        assert f[1] == QSurd(5, 0, 2) and f[0] == QSurd(3, 0, 2)
+        assert f[True] == f[False] == QSurd.zero(2)
+    assert packed._store is None  # read from the slot, no value map built
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: radial.m_kernel(2, 3, "exact"),
+        lambda: radial.propagator_kernels(2, 3, "float64"),
+        lambda: RadialProfile(2, "exact", [(0, 1)]),
+        lambda: HeightSequence(2, "float64"),
+        lambda: TreeFunction(2, "exact", {}),
+    ],
+    ids=["m_kernel", "propagator_kernels", "RadialProfile", "HeightSequence", "TreeFunction"],
+)
+def test_a_str_mode_fails_closed_naming_the_mode(call):
+    with pytest.raises(ParameterError, match="'mode'"):
+        call()
 
 
 @pytest.mark.parametrize(

@@ -99,16 +99,20 @@ def same(found, expected):
     return found.same_as(expected) and bits(found) == bits(expected)
 
 
-def factor(q, mode, rng):
-    if mode is not EXACT:
-        return rng.uniform(-2, 2)
-    return QSurd(Fraction(rng.randint(1, 9), 7), Fraction(rng.choice((-2, 1, 3)), 5), q)
+def factors(q, mode, rng):
+    """a + b sqrt(q) with both parts nonzero, a pure rational (b = 0) and a
+    pure surd (a = 0), one per branch of the exact scaling; a square q folds
+    the surd into the rational part.  float64 takes the same three numbers
+    rounded."""
+    a, b = Fraction(rng.randint(1, 9), 7), Fraction(rng.choice((-2, 1, 3)), 5)
+    exact = [QSurd(a, b, q), QSurd(a, 0, q), QSurd(0, b, q)]
+    return exact if mode is EXACT else [c.to_float() for c in exact]
 
 
 def unary_results(x, q, mode, rng):
     """Every one-operand read and operator of a packed function."""
-    c = factor(q, mode, rng)
-    out = [x.adjacency(), -x, x.scale(c), x.laplacian(), x.two_step_laplacian()]
+    out = [x.adjacency(), -x, x.laplacian(), x.two_step_laplacian()]
+    out += [x.scale(c) for c in factors(q, mode, rng)]
     out += [x.ball_mean(n) for n in range(1, 2 * x.size + 3)]
     out += [x.cosine(n) for n in range(1, 2 * x.size + 3)]
     out += [x.support_size(), x.max_abs(), x.potential_pair(), x.dot(x)]
