@@ -69,6 +69,7 @@ from .transforms import (
     dual_abel,
     dual_abel_inverse,
     fourier_height,
+    fourier_table,
     sin_q,
     sine_ratio_q,
 )

@@ -140,11 +140,20 @@ def energies(u: WaveTrajectory, n: int) -> EnergyReport:
     return _report(n, kinetic_energy(u, n), pair)
 
 
+def _direct_sums(u, n: int, kinetic, potential) -> tuple[Scalar, Scalar]:
+    """(K(n), P(n)) with the pair-sum potential, summed once per trajectory
+    and time (``WaveTrajectory._energy_sums``)."""
+    sums = u._energy_sums
+    if n not in sums:
+        sums[n] = kinetic(u, n), potential(u, n, "pair")
+    return sums[n]
+
+
 def _energy_table(u, kinetic, potential) -> tuple[Scalar, list[EnergyReport]]:
     n_values = u.interior_times()
     if not n_values:
         raise ParameterError("no interior times available for energies")
-    reports = [_report(n, kinetic(u, n), potential(u, n, "pair")) for n in n_values]
+    reports = [_report(n, *_direct_sums(u, n, kinetic, potential)) for n in n_values]
     reference = min(reports, key=lambda r: abs(r.n)).total
     return reference, reports
 
@@ -168,7 +177,8 @@ def total_energy_closed_form(f: TreeFunction, g: TreeFunction) -> Scalar:
 
 def _gap(u, n: int, kinetic, potential) -> tuple[Scalar, Scalar]:
     """Direct K(n) - P(n) and the operator pairings in the initial data."""
-    return kinetic(u, n) - potential(u, n, "pair"), _operator_gap(u, n)
+    kinetic_n, potential_n = _direct_sums(u, n, kinetic, potential)
+    return kinetic_n - potential_n, _operator_gap(u, n)
 
 
 def _operator_gap(u: WaveTrajectory, n: int) -> Scalar:
@@ -178,18 +188,21 @@ def _operator_gap(u: WaveTrajectory, n: int) -> Scalar:
     C_2 is self-adjoint for the counting inner product, so the f-term
     <(1 - C_2) C_{2|n|} f, f> is taken as <C_{2|n|} f, f - C_2 f>: every
     operator acts on the data itself, whose exact M_n reads parity sums in
-    the data's own layout."""
+    the data's own layout.  The images f - C_2 f and g - C_2 g are built
+    once per trajectory (``WaveTrajectory._gap_images``), so each time adds
+    only C_{2|n|} f, C_{2|n|} g, S_{2n} f and three pairings."""
     q, mode = u.q, u.mode
     quarter = scalar_from_fraction(Fraction(1, 4), q, mode)
     half = scalar_from_fraction(Fraction(1, 2), q, mode)
     f, g = u.f, u.g
+    image_f, image_g = u._gap_images
 
     def pairing(x, y) -> Scalar:
         return x._as_levels().dot(y._as_levels())
 
-    term_f = pairing(c_operator(2 * abs(n), f), f - c_operator(2, f)) * quarter
+    term_f = pairing(c_operator(2 * abs(n), f), image_f) * quarter
     term_g = pairing(c_operator(2 * abs(n), g), g) * half
-    term_cross = pairing(s_operator(2 * n, f), g - c_operator(2, g)) * half
+    term_cross = pairing(s_operator(2 * n, f), image_g) * half
     return -term_f + term_g - term_cross
 
 

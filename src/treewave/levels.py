@@ -80,7 +80,11 @@ kernels, the exact sums and the slot, support and max reads work on the
 run; ``parts``, ``_rows`` and ``_listing`` expand it, and so do the parity
 sums of data that carry a run, float64 parity reads and every float64 sum,
 which adds in the order of the expanded rows.  Height sequences keep no
-run.
+run.  Short runs are kept through the operators rather than expanded and
+found again: an exact parity read returns its class-total run
+(``_parity_read``), the neighbour sum takes runs of 3 depths, a
+combination expands the longer run only to the shorter, and ``_grow``
+starts from the form's own run.
 
 Every read that lists a function (keys, values, CSV rows) takes each
 stored nonzero entry once, in one pass per depth (``_listing``): the entry
@@ -94,7 +98,7 @@ both layouts and number types: ``_combined`` (cx x + cy y of two forms),
 ``_sum_with`` (over a common denominator), ``_times`` (an exact form times
 fa + fb sqrt(q): ``scale``, the odd-n weighting, the convolution columns),
 ``_over_root`` (a form over den q^(n/2): the step, M_n, C_n), ``_grow``
-(the run finder, over ``_row_values``) and ``_slot`` (over ``_address``).  No
+(the run finder, over ``_holds``) and ``_slot`` (over ``_address``).  No
 ``Fraction`` is built; values become ``QSurd`` (the same integer triple)
 only when a slot is read, a function is materialised or a sum is returned.
 """
@@ -102,9 +106,9 @@ only when a slot is read, a function is materialised or a sum is returned.
 from __future__ import annotations
 
 from functools import cache, reduce, wraps
-from itertools import accumulate, chain, compress, count, islice, product, repeat
+from itertools import accumulate, chain, compress, product, repeat
 from math import copysign, fsum, gcd, lcm
-from operator import add, attrgetter, floordiv, itemgetter, mul, ne, or_, sub
+from operator import add, attrgetter, floordiv, itemgetter, mul, or_, sub
 
 from .scalars import Scalar, ScalarMode, _square_root_if_perfect, sqrt_q_power
 from .scalars import scalar_zero, surd_from_slots, surd_sign
@@ -126,7 +130,7 @@ def _vertex_index(labels: tuple, q: int) -> int:
 
 
 def _map_row(op, row: list, c) -> list:
-    return list(map(op, row, repeat(c, len(row))))
+    return list(map(op, row, repeat(c)))
 
 
 def _scaled(c, row: list) -> list:
@@ -140,6 +144,11 @@ def _repeat_each(row: list, times: int) -> list:
 
 def _combine_row(cx, x: list, cy, y: list) -> list:
     """cx*x + cy*y entry by entry; a missing entry counts as zero."""
+    if len(x) == len(y):  # one list, no scaled copies
+        sx = x if cx == 1 else map(mul, x, repeat(cx))
+        if cy == -1:
+            return list(map(sub, sx, y))
+        return list(map(add, sx, y if cy == 1 else map(mul, y, repeat(cy))))
     sx = _scaled(cx, x)
     if cy == -1:
         out = list(map(sub, sx, y))
@@ -162,6 +171,13 @@ def _sphere_volumes(q: int, start: int, size: int) -> list:
     if not start:
         return [1, *_sphere_volumes(q, 1, size - 1)]
     return list(accumulate(repeat(q, size - 1), mul, initial=sphere_volume(q, start)))
+
+
+@cache
+def _descendants(q: int, orbit: int, d: int) -> int:
+    """|S(d)| / |S(orbit)|: the vertices of depth d >= orbit below one
+    vertex of S(orbit)."""
+    return sphere_volume(q, d) // sphere_volume(q, orbit)
 
 
 def _parity_counts(q: int, a: int) -> tuple[int, int]:
@@ -243,7 +259,7 @@ def _adjacent(levels: list, q: int, orbit: int, exact: bool, base: int | None = 
             if d >= orbit:
                 times = q + 1 if d == 0 else q
                 if exact:
-                    level = list(map(add, level, _scaled(times, children)))
+                    level = list(map(add, level, map(mul, children, repeat(times))))
                 else:
                     for _ in range(times):
                         level = list(map(add, level, children))
@@ -263,7 +279,7 @@ def _radial_adjacent(p: list, q: int, base: int | None = None) -> list:
     alone at the last two radii."""
     if not p:
         return []
-    rest = list(map(add, p, _scaled(q, p[2:]))) + p[-2:]
+    rest = list(map(add, p, map(mul, p[2:], repeat(q)))) + p[-2:]
     return rest if base is not None else [(q + 1) * p[1] if len(p) > 1 else 0] + rest
 
 
@@ -335,35 +351,36 @@ class _Packed:
         self.size = lead + len(parts[0])  # the stored depths, the run's included
 
     def _grow(self, a: int, pairs: list | None, parts: list) -> tuple:
-        """The form grown over the first rows that hold one value at every
-        entry of every part (``_row_values``), the value two depths up (a
-        float zero with its sign); depths 0 and 1 open the run.  Per part,
-        the pair (zeros when a = 0) and the row values form one sequence,
-        whose index i stands for depth a - 2 + i, compared with itself two
-        places back.  Called by a layout that keeps runs."""
-        first, start = self._first, 2 if a >= 2 else 4 - a
+        """The form grown over the first rows that hold, at every entry of
+        every part, the value two depths up (``_holds``; a float zero with
+        its sign); depths 0 and 1 open the run with one value each.  Per
+        part, ``values[i]`` is the value at depth a - 2 + i, the pair's to
+        start with, and one pass from depth a stops at the first row that
+        fails, or where an earlier part stopped.  Called by a layout that
+        keeps runs."""
+        first, holds, start = self._first, self._holds, 2 if a >= 2 else 4 - a
         for pair, part in zip(pairs or parts, parts):  # most forms fail the first comparison
             if first(part[start - 2]) != (pair[start - 2] if a else first(part[0])):
                 return a, pairs, parts
-        k, signed, seqs = len(parts[0]), self.mode is not EXACT, []
-        for pair, part in zip(pairs or repeat([0, 0]), parts):
-            seq = scan = pair + self._row_values(part, k)
-            if signed and not all(seq[start - 2 : start]):
-                scan = list(zip(seq, _signs(seq)))  # a float zero repeats only with its sign
-            end, stop = start, min(len(seq), start + 8)  # 8 steps in Python, then C speed
-            while end < stop and scan[end] == scan[end - 2]:
-                end += 1
-            if end == stop < len(seq):
-                unequal = map(ne, islice(scan, end, None), islice(scan, end - 2, None))
-                end = next(compress(count(end), unequal), len(seq))
-            k = end - 2
+        k, seqs = len(parts[0]), []
+        for pair, part in zip(pairs or repeat(None), parts):
+            values, i = pair[:] if a else [None, None], 0
+            while i < k:
+                row = part[i]
+                value = first(row) if a + i < 2 else values[i]
+                if not holds(row, value):
+                    k = i
+                    break
+                values.append(value)
+                i += 1
             if a + k < _SHORTEST_RUN or not k:
                 return a, pairs, parts
-            seqs.append(seq)
-        return a + k, [seq[k : k + 2] for seq in seqs], [part[k:] for part in parts]
+            seqs.append(values)
+        return a + k, [values[k : k + 2] for values in seqs], [part[k:] for part in parts]
 
-    def _row_values(self, part: list, k: int) -> list:
-        """The value of each of the first k rows of a part, up to one holding two."""
+    def _holds(self, row, value) -> bool:
+        """Whether every entry of a stored row is ``value`` (a float zero
+        with its sign)."""
         raise NotImplementedError
 
     # -- storage shape: a part is one row per depth (one flat row when radial) ------
@@ -373,12 +390,26 @@ class _Packed:
     @staticmethod
     def _map(op, part: list, c) -> list:
         """op(v, c) for every stored value v of a part."""
-        return [_map_row(op, row, c) for row in part]
+        return [list(map(op, row, repeat(c))) for row in part]
 
     @staticmethod
     def _combine(cx, x: list, cy, y: list) -> list:
-        """cx*x + cy*y depth by depth; a missing depth counts as zero."""
-        out = [_combine_row(cx, a, cy, b) for a, b in zip(x, y)]
+        """cx*x + cy*y depth by depth, as ``_combine_row`` adds two rows of
+        one width (the rows of one depth have one); a missing depth counts
+        as zero."""
+        if cy == -1:
+            out = [list(map(sub, a if cx == 1 else map(mul, a, repeat(cx)), b)) for a, b in zip(x, y)]
+        else:
+            out = [
+                list(
+                    map(
+                        add,
+                        a if cx == 1 else map(mul, a, repeat(cx)),
+                        b if cy == 1 else map(mul, b, repeat(cy)),
+                    )
+                )
+                for a, b in zip(x, y)
+            ]
         n = len(out)
         if len(x) > n:
             out += [_scaled(cx, a) for a in x[n:]]
@@ -510,21 +541,8 @@ class _Packed:
             return self._weighted(self.q, n, den, form)
         return 1, self._mapped(mul, form, sqrt_q_power(self.q, -n, self.mode) / den)
 
-    def _products(self, xs: list, ys: list) -> list:
-        """The parts of sum x*y over aligned slices of x's and y's parts:
-        [sum xa*ya, sum xb*yb, sum xa*yb + xb*ya] for exact data, [sum x*y]
-        for float64 (with ``fsum``, which rounds alike on every Python)."""
-        if self.mode is not EXACT:
-            return [fsum(map(mul, xs[0], ys[0]))]
-        (xa, xb), (ya, yb) = xs, ys
-        if xs is ys:
-            cross = 2 * sum(map(mul, xa, xb))
-        else:
-            cross = sum(map(mul, xa, yb)) + sum(map(mul, xb, ya))
-        return [sum(map(mul, xa, ya)), sum(map(mul, xb, yb)), cross]
-
     def _scalar(self, total: list, scale: int) -> Scalar:
-        """The scalar (sum x*y) / scale from the parts ``_products`` built."""
+        """The scalar (sum x*y) / scale from the parts ``_sum`` built."""
         if self.mode is not EXACT:
             return total[0] / scale
         q = self.q
@@ -771,22 +789,32 @@ class _Packed:
         P(n) of depth e, and depth t + s (s = 1..n) P(n - s) of depth t,
         since a vertex there reaches the data only through its ancestor at
         depth t.  Past ``last``, which is then 2t + 1, P repeats its value of
-        the same parity.  A vertex at depth d <= t is at most d + t <= 2t
-        from the data, so every sum P(m), m >= 2t, at depths <= t sums one
-        whole parity class of the data: for exact data the depths 0 .. n - t,
-        which read only such sums, are a run of the two class totals,
-        P(last) and P(last - 1) of depth 0.  Float64 sums of one class
-        may round apart, so their rows are read in full.  Rows are shared,
-        not copied."""
+        the same parity.  A vertex at depth d is at most d + t from the
+        data, so P(n) sums one whole parity class of the data at every depth
+        d <= n - t (at depth t + s it reads P(n - s) of depth t, with
+        n - s >= 2t): for exact data with n >= t + 1 the depths 0 .. n - t
+        are returned as a run of those n - t + 1 depths holding the two
+        class totals, P(last) and P(last - 1) of depth 0 (last >= t + 1),
+        and only the rows after it; the constructor grows the run further
+        where the rows allow, and stores one of two depths as rows.  Float64
+        sums of one class may round apart, so their rows are read in full.
+        Rows are shared, not copied."""
         last, kept, _ = self._sums
         t = len(kept[0]) - 1
-        if n > last and self.mode is EXACT:
-            # depth d holds the total of class n - d mod 2: P(last) at
-            # depth lead - 2 = n - t - 1 for even t (last is odd)
-            rows, first = last - 1, self._first
-            i, j = (last, rows) if t % 2 == 0 else (rows, last)
-            pairs = [[first(sums[0][i]), first(sums[0][j])] for sums in kept]
-            return n - t + 1, pairs, [sums[-1][:rows][::-1] for sums in kept]
+        a = n - t + 1
+        if a >= 2 and self.mode is EXACT:
+            # depth d holds the total of class n - d mod 2, P(m) of depth 0
+            # for the m in (last, last - 1) of that parity: the pair is
+            # [total of class t + 1, total of class t], then P(n) of the
+            # depths a .. t and P(n - s) of depth t at depth t + s
+            first, pairs, parts = self._first, [], []
+            i, j = (last, last - 1) if (last - t) % 2 else (last - 1, last)
+            tail = slice(min(n, 2 * t) - 1, None, -1) if t else slice(0)
+            for sums in kept:
+                pairs.append([first(sums[0][i]), first(sums[0][j])])
+                rows = sums[-1][tail]
+                parts.append([row[n] for row in sums[a:]] + rows if a <= t else rows)
+            return a, pairs, parts
         parts = []
         for sums in kept:
             top = sums[-1]
@@ -839,12 +867,26 @@ class _Packed:
     # -- sums, written once -------------------------------------------------------
 
     def _sum(self, terms) -> list:
-        """Parts of sum weight * (x*y) over the (weight, xs, ys) terms."""
-        total = [0, 0, 0] if self.mode is EXACT else [0.0]
+        """Parts of sum weight * (x*y) over the (weight, xs, ys) terms, each
+        a pair of aligned slices of x's and y's parts: [sum xa*ya, sum xb*yb,
+        sum xa*yb + xb*ya] for exact data, [sum x*y] for float64 (each term
+        with ``fsum``, which rounds alike on every Python)."""
+        if self.mode is not EXACT:
+            total = 0.0
+            for weight, xs, ys in terms:
+                total += weight * fsum(map(mul, xs[0], ys[0]))
+            return [total]
+        aa = bb = ab = 0
         for weight, xs, ys in terms:
-            for i, value in enumerate(self._products(xs, ys)):
-                total[i] += weight * value
-        return total
+            (xa, xb), (ya, yb) = xs, ys
+            if xs is ys:
+                cross = 2 * sum(map(mul, xa, xb))
+            else:
+                cross = sum(map(mul, xa, yb)) + sum(map(mul, xb, ya))
+            aa += weight * sum(map(mul, xa, ya))
+            bb += weight * sum(map(mul, xb, yb))
+            ab += weight * cross
+        return [aa, bb, ab]
 
     def _run_sums(self, x: tuple, y: tuple, limit: int | None) -> tuple[int, list, list]:
         """(a, xs, ys): the common run of exact forms x and y, to depth
@@ -941,26 +983,21 @@ class Levels(_Packed):
         """The number of vertices (keys) an entry of depth d stands for: 1 up
         to R, and beyond it |S(d)|/|S(R)|, the descendants of a vertex of
         S(R)."""
-        q, orbit = self.q, self._orbit_radius
-        return 1 if d <= orbit else sphere_volume(q, d) // sphere_volume(q, orbit)
+        orbit = self._orbit_radius
+        return 1 if d <= orbit else _descendants(self.q, orbit, d)
 
-    def _row_values(self, part: list, k: int) -> list:
-        """The first entry of a row holds its value; a row of float zeros
-        also needs one sign."""
-        signed, values = self.mode is not EXACT, []
-        for row in islice(part, k):
-            value = row[0]
-            if row.count(value) != len(row) or signed and not value and len(set(_signs(row))) > 1:
-                break
-            values.append(value)
-        return values
+    def _holds(self, row: list, value) -> bool:
+        if row.count(value) != len(row):
+            return False
+        return value != 0 or self.mode is EXACT or _signs(row).count(copysign(1.0, value)) == len(row)
 
     def _fill(self, start: int, stop: int, lead: int, pair: list) -> list:
-        q, orbit, rows = self.q, self._orbit_radius, []
+        q, orbit = self.q, self._orbit_radius
         wide = sphere_volume(q, orbit)
-        for d in range(start, stop):
-            rows.append([pair[(d - lead) % 2]] * (wide if d >= orbit else sphere_volume(q, d)))
-        return rows
+        return [
+            [pair[(d - lead) % 2]] * (wide if d >= orbit else sphere_volume(q, d))
+            for d in range(start, stop)
+        ]
 
     def _widen(self, radius: int) -> Levels:
         """This function in the orbit layout of a radius >= R: an entry of
@@ -1038,23 +1075,24 @@ class Levels(_Packed):
                 yield d + 2, level, self._cut(rows, i + 2, t, None, stride), self._weight(d + 2)
 
     def _neighbour_sums(self, form: tuple) -> tuple:
-        """In a run of a >= 4 depths, depth d <= a - 2 of the result adds
+        """In a run of a >= 3 depths, depth d <= a - 2 of the result adds
         the q + 1 values of depth d + 1's parity: (q+1)*v, and for float64 v
         added to itself q times, as ``_adjacent`` adds a parent and its q
-        children (q + 1 children at the origin).  When R = 0 the origin adds
-        them to 0, which turns a float zero -0.0 into 0.0: then the rows are
-        expanded.  The rows from depth a - 2 on give the rest."""
+        children (q + 1 children at the origin), a run of a - 1 depths (of
+        two when a = 3, which ``__init__`` stores as rows).  When R = 0 the
+        origin adds them to 0, which turns a float zero -0.0 into 0.0: then
+        the rows are expanded.  The rows from depth a - 2 on give the
+        rest."""
         lead, pairs, _ = form
         q, exact, orbit = self.q, self.mode is EXACT, self._orbit_radius
-        if lead >= 4:
+        if lead >= 3:
             heads, out = [], []
             for pair, rows in zip(pairs, self._from(form, lead - 2)):
-                sums = []
-                for v in pair:  # the values of depths lead - 2 and lead - 1
-                    total = (q + 1) * v if exact else v
-                    for _ in range(0 if exact else q):
-                        total = total + v
-                    sums.append(total)
+                # the values of depths lead - 2 and lead - 1, added q + 1 times
+                if exact:
+                    sums = [(q + 1) * v for v in pair]
+                else:
+                    sums = [reduce(add, repeat(v, q + 1)) for v in pair]
                 origin = sums[(lead + 1) % 2]  # the run's value at depth 0
                 if not (exact or orbit or origin or copysign(1.0, origin) > 0):
                     break
@@ -1125,8 +1163,10 @@ class RadialLevels(_Packed):
     _combine = staticmethod(_combine_row)
     _part = staticmethod(itemgetter(0))
 
-    def _row_values(self, part: list, k: int) -> list:
-        return part if k >= len(part) else part[:k]  # a row is one value
+    def _holds(self, row, value) -> bool:  # a row is one value
+        if row != value:
+            return False
+        return value != 0 or self.mode is EXACT or copysign(1.0, row) == copysign(1.0, value)
 
     def _rows(self):
         return [(0, self.parts)]
@@ -1173,14 +1213,14 @@ class RadialLevels(_Packed):
         return [(1, [list(map(mul, volumes, diff)) for diff in diffs], diffs)]
 
     def _neighbour_sums(self, form: tuple) -> tuple:
-        """In a run of a >= 4 radii, the result is a run of a - 1 radii:
+        """In a run of a >= 3 radii, the result is a run of a - 1 radii:
         v + q v at a radius whose neighbours hold v (as ``_radial_adjacent``
         adds p(m-1) + q p(m+1)), then the neighbour sum of the values from
         radius a - 2 on.  The origin's (q+1) p(1) can round apart from the
         even radii's p(1) + q p(3) in float64; then, and for a shorter run,
         the values are expanded."""
         lead, pairs, parts = form
-        if lead >= 4:
+        if lead >= 3:
             q, heads, out = self.q, [], []
             for pair, part in zip(pairs, parts):
                 sums = [v + v * q for v in pair]  # at radii lead - 3 and lead - 2

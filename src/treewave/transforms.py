@@ -19,7 +19,12 @@ two routes is what pins down the height-sign convention.
 
 The Fourier layer F f(lambda) = sum_h q^(i*lambda*h) f(h) completes the
 factorization of the spherical transform as F o A; it is tau-periodic with
-tau = 2*pi/log(q) and exists only in float mode.
+tau = 2*pi/log(q) and exists only in float mode.  ``fourier_table``
+transforms several sequences of one q on one frequency grid, computing each
+phase q^(i*lambda*h) once per (lambda, h); ``fourier_height`` is its one-
+sequence, one-frequency case, so both give the same bits.  Transform radii
+(``n`` of ``dual_abel``, ``up_to`` of ``dual_abel_inverse``) are ints; a
+bool, float or str is refused naming the field.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
+from operator import add, mul
 
 from .errors import DomainError, ModeError, ParameterError
 from .functions import HeightSequence, RadialProfile
@@ -46,6 +54,12 @@ def _check_method(method: str) -> None:
         raise ParameterError(f"method must be 'brute' or 'closed', got {method!r}")
 
 
+def _check_radius(value, field: str) -> None:
+    """A radius is an int; a bool, float or str is refused."""
+    if type(value) is not int:
+        raise ParameterError(f"field {field!r} must be an integer radius, got {value!r}")
+
+
 def abel(p: RadialProfile, method: str = "closed") -> HeightSequence:
     """The horocycle sum of p: the closed form, one sum over f(|h|),
     f(|h|+2), ... per depth |h|, or the brute sum over the vertices of a
@@ -58,11 +72,14 @@ def abel(p: RadialProfile, method: str = "closed") -> HeightSequence:
         return _abel_brute(p, radius)
     q, mode = p.q, p.mode
     ratio = scalar_from_fraction(Fraction(q - 1, q), q, mode)
+    # each product once per radius; the sums add them in the same order
+    weighted = [sqrt_q_power(q, m, mode) * p[m] for m in range(radius + 1)]
+    tail = [ratio * sqrt_q_power(q, m, mode) * p[m] for m in range(radius + 1)]
     entries = {}
     for d in range(radius + 1):
-        total = sqrt_q_power(q, d, mode) * p[d]
+        total = weighted[d]
         for m in range(d + 2, radius + 1, 2):
-            total = total + ratio * sqrt_q_power(q, m, mode) * p[m]
+            total = total + tail[m]
         entries[d] = entries[-d] = total
     return HeightSequence(q, mode, entries)
 
@@ -113,8 +130,9 @@ def dual_abel(s: HeightSequence, n: int, method: str = "closed") -> Scalar:
     on the even part e(k) = (s(k) + s(-k))/2, or the brute sum over the
     sphere S(n)."""
     _check_method(method)
+    _check_radius(n, "n")
     if n < 0:
-        raise ParameterError("sphere radius must be >= 0")
+        raise ParameterError(f"field 'n' must be a sphere radius >= 0, got {n}")
     if method == "brute":
         ball = Ball(s.q, n)
         origin = VertexAddress.origin(s.q)
@@ -156,6 +174,8 @@ def dual_abel_inverse(m: RadialProfile, up_to: int | None = None) -> HeightSeque
     zero, not unknown), so ``up_to`` widens the reconstructed height range;
     it defaults to the support radius.
     """
+    if up_to is not None:
+        _check_radius(up_to, "up_to")
     q, mode = m.q, m.mode
     radius = m.support_radius() if up_to is None else max(up_to, m.support_radius())
     if radius < 0:
@@ -191,12 +211,32 @@ def sine_ratio_q(n: int, lam: float, q: int) -> float:
     return sum(math.cos((n - 1 - 2 * k) * theta) for k in range(n))
 
 
+def fourier_table(sequences, grid) -> list[list[complex]]:
+    """Per sequence, [F f(lambda) for lambda in grid] with F f(lambda) =
+    sum_h q^(i*lambda*h) f(h); float mode only, one q for all.
+
+    Each phase q^(i*lambda*h) is computed once per (lambda, h) over the
+    heights of all sequences, and each transform adds value * phase in
+    increasing h from complex(0.0), so a value is the same float as the
+    sum for that one sequence and frequency."""
+    sequences = list(sequences)
+    if any(s.mode is not ScalarMode.FLOAT64 for s in sequences):
+        raise ModeError("the Fourier layer needs float64 data; convert with as_float64()")
+    if len({s.q for s in sequences}) > 1:
+        raise ParameterError("field 'q': the sequences of one Fourier table must share q")
+    if not sequences:
+        return []
+    log_q = math.log(sequences[0].q)
+    terms = [tuple(zip(*s.items())) or ((), ()) for s in sequences]
+    heights = sorted(set(chain.from_iterable(hs for hs, _ in terms)))
+    rows: list[list[complex]] = [[] for _ in sequences]
+    for lam in grid:
+        phase = {h: cmath.exp(1j * lam * h * log_q) for h in heights}
+        for row, (hs, values) in zip(rows, terms):
+            row.append(reduce(add, map(mul, values, map(phase.__getitem__, hs)), complex(0.0)))
+    return rows
+
+
 def fourier_height(s: HeightSequence, lam: float) -> complex:
     """F f(lambda) = sum_h q^(i*lambda*h) f(h); float mode only."""
-    if s.mode is not ScalarMode.FLOAT64:
-        raise ModeError("the Fourier layer needs float64 data; convert with as_float64()")
-    log_q = math.log(s.q)
-    return sum(
-        (value * cmath.exp(1j * lam * h * log_q) for h, value in s.items()),
-        start=complex(0.0),
-    )
+    return fourier_table([s], [lam])[0][0]

@@ -61,7 +61,7 @@ from .transforms import (
     cos_q,
     dual_abel,
     dual_abel_inverse,
-    fourier_height,
+    fourier_table,
     sine_ratio_q,
 )
 from .wave import (
@@ -411,22 +411,26 @@ def check_asgeirsson(qs, rng, *, pairs: int) -> CheckResult:
 
 def check_multipliers(qs, rng, *, samples: int) -> CheckResult:
     """At the first q only: C_n and S_n for n <= 6 against cos_q and the sine
-    ratio at ``samples`` frequencies, within 1e-10."""
+    ratio at ``samples`` >= 2 frequencies, within 1e-10.  The base and its
+    14 images are transformed in one table (``fourier_table``)."""
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
+        raise ParameterError(f"field 'samples' must be an integer >= 2, got {samples!r}")
     q = qs[0]
     p = random_radial_profile(q, 3, rng)
-    base = abel(p).as_float64()
+    images = [abel(p).as_float64()]
+    for n in range(7):
+        for kernel in propagator_kernels(q, n, EXACT):  # (C_n, S_n)
+            images.append(abel(radial_convolve(kernel, p)).as_float64())
     period = tau(q)
     grid = [i * (period / 2) / (samples - 1) for i in range(samples)]
-    references = [fourier_height(base, lam) for lam in grid]
+    references, *table = fourier_table(images, grid)
     for n in range(7):
-        c_kernel, s_kernel = propagator_kernels(q, n, EXACT)
-        cos_image = abel(radial_convolve(c_kernel, p)).as_float64()
-        sin_image = abel(radial_convolve(s_kernel, p)).as_float64()
-        for lam, reference in zip(grid, references):
-            if abs(fourier_height(cos_image, lam) - cos_q(n * lam, q) * reference) > 1e-10:
+        cosines, sines = table[2 * n], table[2 * n + 1]
+        for lam, reference, cosine, sine in zip(grid, references, cosines, sines):
+            if abs(cosine - cos_q(n * lam, q) * reference) > 1e-10:
                 return CheckResult("fourier multipliers", False, f"cosine n={n}")
             expected = sine_ratio_q(n, lam, q) * reference
-            if abs(fourier_height(sin_image, lam) - expected) > 1e-10:
+            if abs(sine - expected) > 1e-10:
                 return CheckResult("fourier multipliers", False, f"sine n={n}")
     return CheckResult(
         "propagators act as the trigonometric multipliers under the height "
@@ -510,6 +514,8 @@ def run_verification(
     if size not in _SIZES:
         raise ParameterError(f"field 'size' must be one of {sorted(_SIZES)}, got {size!r}")
     qs = tuple(qs)
+    if not qs:
+        raise ParameterError("field 'q' must name at least one q")
     for q in qs:
         vertices = Ball(q, _LARGEST_BALL).vertex_count()
         if vertices > MAX_VERTICES:

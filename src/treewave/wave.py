@@ -40,6 +40,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ParameterError, TruncationError
 from .functions import RadialProfile, TreeFunction, _check_time
@@ -161,6 +162,22 @@ class WaveTrajectory:
 
     def data_radius(self) -> int:
         return max(self.f.support_radius(), self.g.support_radius(), 0)
+
+    # Kept once per trajectory for ``treewave.energy``: the data images of
+    # the operator gap, and the direct sums (K(n), P(n)) per time n as the
+    # energy table and the gap first sum them.  Neither is a field, so
+    # neither enters equality.
+
+    @cached_property
+    def _gap_images(self) -> tuple[Function, Function]:
+        """(f - C_2 f, g - C_2 g), the data as every operator-gap pairing
+        reads them (``energy._operator_gap``)."""
+        return self.f - c_operator(2, self.f), self.g - c_operator(2, self.g)
+
+    @cached_property
+    def _energy_sums(self) -> dict[int, tuple[Scalar, Scalar]]:
+        """n -> (K(n), P(n)) of the times summed so far."""
+        return {}
 
 
 def _normalize_range(n_range) -> tuple[int, int]:

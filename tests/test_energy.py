@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from treewave import energy
+from treewave import energy, wave
 from treewave.energy import (
     default_shell_margin,
     energies,
@@ -166,6 +166,40 @@ def test_gap_routes_agree_for_random_data():
     for n in (-3, -1, 0, 1, 2, 3):
         direct, operator_route = equipartition_gap(u, n)
         assert direct == operator_route
+
+
+def test_gap_images_are_built_once_per_trajectory(monkeypatch):
+    # C_2 f and C_2 g enter every time's operator gap through f - C_2 f and
+    # g - C_2 g: two C_2 for the trajectory, plus the C_{2|n|} of n = +-1
+    f, g = random_data_pair(3, 1, random.Random(13))
+    u = solve(f, g, 4, solver="recurrence")
+    calls = []
+    original = energy.c_operator
+
+    def counted(n, x):
+        calls.append((abs(n), x is f, x is g))
+        return original(n, x)
+
+    monkeypatch.setattr(energy, "c_operator", counted)
+    monkeypatch.setattr(wave, "c_operator", counted)
+    for n in range(-3, 4):
+        direct, operator_route = equipartition_gap(u, n)
+        assert direct == operator_route
+    assert calls.count((2, True, False)) == 1 + 2  # the image, C_2 f at n = +-1
+    assert calls.count((2, False, True)) == 1 + 2
+    assert u._gap_images == (f - original(2, f), g - original(2, g))
+
+
+def test_direct_energy_sums_are_summed_once_per_time(monkeypatch):
+    f, g = random_data_pair(2, 1, random.Random(17))
+    u = solve(f, g, 5, solver="recurrence")
+    times = []
+    kinetic = energy.kinetic_energy
+    monkeypatch.setattr(energy, "kinetic_energy", lambda u, n: times.append(n) or kinetic(u, n))
+    gaps = {n: equipartition_gap(u, n)[0] for n in (-2, -1, 0, 1, 2)}
+    _, reports = total_energy(u)
+    assert sorted(times) == u.interior_times()
+    assert all(report.gap == gaps[report.n] for report in reports if report.n in gaps)
 
 
 def _around(f, g, n):

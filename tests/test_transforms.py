@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treewave.errors import DomainError, ModeError
+from treewave.errors import DomainError, ModeError, ParameterError
 from treewave.functions import HeightSequence, RadialProfile
 from treewave.laplacians import tau
 from treewave.scalars import QSurd, ScalarMode, scalar_from_fraction, sqrt_q_power
@@ -16,6 +18,7 @@ from treewave.transforms import (
     dual_abel,
     dual_abel_inverse,
     fourier_height,
+    fourier_table,
     sin_q,
     sine_ratio_q,
 )
@@ -242,6 +245,62 @@ def test_fourier_periodicity():
         assert fourier_height(s, lam + period) == pytest.approx(
             fourier_height(s, lam), abs=1e-10
         )
+
+
+def _fourier_by_points(s, lam):
+    """The transform at one frequency, one exponential per term, added in
+    increasing h from complex(0.0)."""
+    total, log_q = complex(0.0), math.log(s.q)
+    for h, value in s.items():
+        total = total + value * cmath.exp(1j * lam * h * log_q)
+    return total
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_fourier_table_equals_the_per_point_sum_bit_for_bit(q):
+    rng = random.Random(f"fourier table {q}")
+    base = abel(random_profile(q, rng, radius=4)).as_float64()
+    odd = HeightSequence(q, ScalarMode.FLOAT64, [(h, rng.uniform(-2, 2)) for h in range(-3, 6)])
+    zero = HeightSequence(q, ScalarMode.FLOAT64)
+    sequences = [base, odd, zero, HeightSequence.delta(q, ScalarMode.FLOAT64, 7)]
+    period = tau(q)
+    grid = [0.0, period / 2, -0.3, 1.7 * period] + [i * (period / 2) / 12 for i in range(13)]
+    table = fourier_table(sequences, grid)
+    assert len(table) == len(sequences) and all(len(row) == len(grid) for row in table)
+    for s, row in zip(sequences, table):
+        for lam, value in zip(grid, row):
+            expected = _fourier_by_points(s, lam)
+            assert _bits(value) == _bits(expected) == _bits(fourier_height(s, lam))
+
+
+def test_fourier_table_refuses_mixed_q_and_exact_data():
+    two, three = (HeightSequence.delta(q, ScalarMode.FLOAT64) for q in (2, 3))
+    with pytest.raises(ParameterError, match="'q'"):
+        fourier_table([two, three], [0.5])
+    with pytest.raises(ModeError):
+        fourier_table([two, HeightSequence.delta(2, EXACT)], [0.5])
+    assert fourier_table([], [0.5]) == [] and fourier_table([two], []) == [[]]
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        pytest.param(lambda s, m: dual_abel(s, 2.0), "'n'", id="dual_abel-float"),
+        pytest.param(lambda s, m: dual_abel(s, True), "'n'", id="dual_abel-bool"),
+        pytest.param(lambda s, m: dual_abel(s, "2", "brute"), "'n'", id="dual_abel-str"),
+        pytest.param(lambda s, m: dual_abel_inverse(m, up_to=2.5), "'up_to'", id="inverse-float"),
+        pytest.param(lambda s, m: dual_abel_inverse(m, up_to=True), "'up_to'", id="inverse-bool"),
+    ],
+)
+def test_transform_radii_fail_closed(call, field):
+    s = random_even_sequence(2, random.Random(3), radius=3)
+    m = RadialProfile(2, EXACT, [(0, QSurd(1, 0, 2)), (1, QSurd(2, 0, 2))])
+    with pytest.raises(ParameterError, match=field):
+        call(s, m)
 
 
 def test_fourier_of_abel_of_radius_one_kernel():

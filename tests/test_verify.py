@@ -7,11 +7,15 @@ edge of what the check covers, and requires the check to fail with the
 matching detail.
 """
 
+import cmath
 import dataclasses
 import random
 from fractions import Fraction
 
+import pytest
+
 from treewave import verify
+from treewave.errors import ParameterError
 from treewave.functions import RadialProfile, TreeFunction
 from treewave.scalars import QSurd, ScalarMode
 
@@ -103,3 +107,26 @@ def test_multiplier_tolerance(monkeypatch):
     )
     _perturb(monkeypatch, "cos_q", lambda value, *args: value + 5e-10)
     _fails_with("check_multipliers", "cosine n=0", samples=40)
+
+
+def test_multipliers_compute_each_phase_once(monkeypatch):
+    # the profile has radius 3 and C_6, S_6 widen it by 6: heights -9 .. 9,
+    # 19 of them; one exponential per (height, frequency), not per term
+    calls = []
+    exp = cmath.exp
+    monkeypatch.setattr(cmath, "exp", lambda z: calls.append(z) or exp(z))
+    samples = verify._SIZES["standard"]["check_multipliers"]["samples"]
+    result = verify.check_multipliers((2, 3), random.Random("0:check_multipliers"), samples=samples)
+    assert result.passed
+    assert 0 < len(calls) <= 19 * samples
+
+
+@pytest.mark.parametrize("samples", [0, 1, True, 2.0])
+def test_multipliers_refuse_fewer_than_two_samples(samples):
+    with pytest.raises(ParameterError, match="'samples'"):
+        verify.check_multipliers((2,), random.Random(0), samples=samples)
+
+
+def test_verification_refuses_an_empty_q_list():
+    with pytest.raises(ParameterError, match="'q'"):
+        verify.run_verification(())
