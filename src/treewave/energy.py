@@ -54,6 +54,7 @@ from .errors import ConsistencyError, ParameterError
 from .functions import TreeFunction
 from .laplacians import gamma_tilde, two_step_laplacian
 from .scalars import Scalar, ScalarMode, scalar_from_fraction, sqrt_q_power
+from .topology import _check_radius
 from .wave import WaveTrajectory, c_operator, s_operator
 
 
@@ -189,21 +190,20 @@ def _operator_gap(u: WaveTrajectory, n: int) -> Scalar:
     <(1 - C_2) C_{2|n|} f, f> is taken as <C_{2|n|} f, f - C_2 f>: every
     operator acts on the data itself, whose exact M_n reads parity sums in
     the data's own layout.  The images f - C_2 f and g - C_2 g are built
-    once per trajectory (``WaveTrajectory._gap_images``), so each time adds
-    only C_{2|n|} f, C_{2|n|} g, S_{2n} f and three pairings."""
+    once per trajectory (``WaveTrajectory._gap_images``), and the three
+    pairings of C_{2|n|} f, C_{2|n|} g and S_{2|n|} f once per |n|
+    (``WaveTrajectory._gap_pairings``): S_{-2|n|} f = -S_{2|n|} f, so the
+    cross pairing at -n is the negation of the one at |n|."""
     q, mode = u.q, u.mode
     quarter = scalar_from_fraction(Fraction(1, 4), q, mode)
     half = scalar_from_fraction(Fraction(1, 2), q, mode)
-    f, g = u.f, u.g
-    image_f, image_g = u._gap_images
-
-    def pairing(x, y) -> Scalar:
-        return x._as_levels().dot(y._as_levels())
-
-    term_f = pairing(c_operator(2 * abs(n), f), image_f) * quarter
-    term_g = pairing(c_operator(2 * abs(n), g), g) * half
-    term_cross = pairing(s_operator(2 * n, f), image_g) * half
-    return -term_f + term_g - term_cross
+    m, f, g, pairings = abs(n), u.f, u.g, u._gap_pairings
+    if m not in pairings:
+        image_f, image_g = u._gap_images
+        operands = ((c_operator, f, image_f), (c_operator, g, g), (s_operator, f, image_g))
+        pairings[m] = [op(2 * m, x)._as_levels().dot(y._as_levels()) for op, x, y in operands]
+    term_f, term_g, cross = pairings[m]
+    return -(term_f * quarter) + term_g * half - (cross if n >= 0 else -cross) * half
 
 
 def equipartition_gap(u: WaveTrajectory, n: int) -> tuple[Scalar, Scalar]:
@@ -239,6 +239,7 @@ def huygens_report(u: WaveTrajectory, n: int, shell_margin: int | None = None) -
     squared distance-2 differences (ordered pairs, both endpoints interior)
     and squared centered time differences."""
     margin = default_shell_margin(n) if shell_margin is None else shell_margin
+    _check_radius(margin, "shell_margin")
     if margin < 0:
         raise ParameterError("shell margin must be >= 0")
     mass, gradient, kinetic = u.snapshot(n)._as_levels().huygens_sums(

@@ -34,12 +34,7 @@ from .scalars import (
     scalar_to_json,
     scalar_zero,
 )
-from .topology import VertexAddress, distance, sphere_volume
-
-
-def _check_q(q) -> None:
-    if isinstance(q, bool) or not isinstance(q, int) or q < 2:
-        raise ParameterError(f"field 'q' must be an integer >= 2, got {q!r}")
+from .topology import VertexAddress, _check_q, _check_radius, distance, sphere_volume
 
 
 def _check_time(n) -> None:
@@ -296,17 +291,16 @@ class TreeFunction(_Sparse):
 
     def dot(self, other: TreeFunction) -> Scalar:
         """Counting inner product sum_x f(x) g(x) over the joint support: on
-        the packed forms when both hold one, else on the value maps, so a
-        sparse function is never packed only to be dotted."""
+        the packed forms when both hold one, else over the values of the
+        smaller support, each read from the other side by its key (one
+        packed slot when that side is packed), so a sparse function is never
+        packed only to be dotted and a packed one is never listed for it."""
         self._check_compatible(other)
         if self._levels is not None and other._levels is not None:
             return self._levels.dot(other._levels)
-        small, large = (self, other) if len(self._values) <= len(other._values) else (other, self)
-        return scalar_sum(
-            (value * large._values[v] for v, value in small._values.items() if v in large._values),
-            self.q,
-            self.mode,
-        )
+        small, large = sorted((self, other), key=_Sparse.support_size)
+        pairs = ((value, large[v]) for v, value in small._values.items())
+        return scalar_sum((value * w for value, w in pairs if w), self.q, self.mode)
 
     def l1_norm(self) -> Scalar:
         return scalar_sum((abs(v) for v in self._values.values()), self.q, self.mode)
@@ -406,6 +400,7 @@ def spherical_mean(f: TreeFunction, x: VertexAddress, n: int) -> Scalar:
     """
     if x.q != f.q:
         raise ParameterError(f"vertex q={x.q} does not match function q={f.q}")
+    _check_radius(n, "n")
     if n < 0:
         raise ParameterError("sphere radius must be >= 0")
     return _sphere_mean(_distance_sums(f, x).get(n, scalar_zero(f.q, f.mode)), f, n)

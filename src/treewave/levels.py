@@ -66,25 +66,27 @@ an entry and the keys it stands for (``_key_rows``):
 - height sequences (``HeightLevels``): depth |h| holds s(h), and at depth
   d >= 1 also s(-d) after s(d).
 
-A leading parity run: vertex and radial data store depths 0 .. a-1 as two
-values per part, E at every entry of even depth and O at every entry of
-odd depth (``lead`` = a, and per part a *pair*, the values of depths
-a - 2 and a - 1), then the rows from depth a on as above; data with no run
-store their rows alone.  ``__init__`` grows the run as far as exact
-equality allows (a float64 zero repeats only with its sign) and stores a
-run of fewer than ``_SHORTEST_RUN`` depths as rows, so the form is
-canonical.  Inside the light cone a wave snapshot is such a run, so it
-stores O(R) rows at any |n|.  Linear combinations, the neighbour sum and
-step, the parity reads of M_n, C_n and the convolution columns, the
-kernels, the exact sums and the slot, support and max reads work on the
-run; ``parts``, ``_rows`` and ``_listing`` expand it, and so do the parity
-sums of data that carry a run, float64 parity reads and every float64 sum,
-which adds in the order of the expanded rows.  Height sequences keep no
-run.  Short runs are kept through the operators rather than expanded and
-found again: an exact parity read returns its class-total run
-(``_parity_read``), the neighbour sum takes runs of 3 depths, a
-combination expands the longer run only to the shorter, and ``_grow``
-starts from the form's own run.
+A leading parity run: vertex and radial data store depths 0 .. a-1 as their
+two class values per part, E at every entry of even depth and O at every
+entry of odd depth (``lead`` = a, and per part the *pair* [E, O], so depth
+d < a reads ``pair[d % 2]`` whatever a is), then the rows from depth a on
+as above; data with no run store their rows alone.  ``__init__`` grows the
+run as far as exact equality allows (a float64 zero repeats only with its
+sign) and stores a run of fewer than ``_SHORTEST_RUN`` depths as rows, so
+the form is canonical.  Inside the light cone a wave snapshot is such a
+run (the interior lemma: there u is a function of the parity-class sums of
+the data alone), so it stores O(R) rows at any |n|.  Linear combinations,
+the neighbour sum and step, the parity reads of M_n, C_n and the
+convolution columns, the kernels, the exact sums and the slot, support and
+max reads work on the run; ``parts``, ``_rows`` and ``_listing`` expand
+it, and so do the parity sums of data that carry a run, float64 parity
+reads and every float64 sum, which adds in the order of the expanded rows.
+Height sequences keep no run.  Short runs are kept through the operators
+rather than expanded and found again: an exact parity read returns its
+class-total run (``_parity_read``), the neighbour sum takes runs of 3
+depths, a combination cuts the longer run to the shorter (its pair
+unchanged, only rows expanded), and ``_grow`` starts from the form's own
+run.
 
 Every read that lists a function (keys, values, CSV rows) takes each
 stored nonzero entry once, in one pass per depth (``_listing``): the entry
@@ -98,7 +100,11 @@ both layouts and number types: ``_combined`` (cx x + cy y of two forms),
 ``_sum_with`` (over a common denominator), ``_times`` (an exact form times
 fa + fb sqrt(q): ``scale``, the odd-n weighting, the convolution columns),
 ``_over_root`` (a form over den q^(n/2): the step, M_n, C_n), ``_grow``
-(the run finder, over ``_holds``) and ``_slot`` (over ``_address``).  No
+(the run finder, over ``_holds``), ``_slot`` (over ``_address``),
+``_neighbour_sums`` (the run's neighbour sums, over ``_around``, then the
+layout's row kernel ``_adjacent_rows``), ``_terms`` (the common run's
+term, then the layout's ``_row_terms``) and ``_column_sum`` (sum_j w_j
+P(j) over the kept parity sums: M_n, C_n and the convolution).  No
 ``Fraction`` is built; values become ``QSurd`` (the same integer triple)
 only when a slot is read, a function is materialised or a sum is returned.
 """
@@ -178,6 +184,12 @@ def _descendants(q: int, orbit: int, d: int) -> int:
     """|S(d)| / |S(orbit)|: the vertices of depth d >= orbit below one
     vertex of S(orbit)."""
     return sphere_volume(q, d) // sphere_volume(q, orbit)
+
+
+def _class_pair(n: int, value, zero=0) -> list:
+    """The class values [E, O] of a run: ``value`` in the class of depth n,
+    ``zero`` in the other."""
+    return [value, zero] if n % 2 == 0 else [zero, value]
 
 
 def _parity_counts(q: int, a: int) -> tuple[int, int]:
@@ -306,7 +318,7 @@ class _Packed:
     """A function packed by number type and layout (see module docstring).
     Immutable by convention.  A *form* (lead, pairs, parts) is what is
     stored, or an operator's unreduced result: per part, the *pair* holds
-    the run values at depths lead - 2 and lead - 1 (0 at a depth below 0)
+    the run's class values [E, O] (depth d < lead holds ``pair[d % 2]``)
     and the part its rows from depth ``lead``.  A form with no run has lead
     0, no pairs (None) and its rows from depth 0.
     ``__init__`` trims trailing all-zero depths, grows the run (a run of
@@ -332,8 +344,8 @@ class _Packed:
             if self._keeps_runs and lead + size >= _SHORTEST_RUN:
                 lead, pairs, parts = self._grow(lead, pairs, parts)
         else:  # no row: the zero depths that end the run are trailing too
-            while lead and not any(pair[1] for pair in pairs):
-                lead, pairs = lead - 1, [pair[::-1] for pair in pairs]
+            while lead and not any(pair[(lead - 1) % 2] for pair in pairs):
+                lead -= 1
         if 0 < lead < _SHORTEST_RUN:  # too short to keep: its rows are stored
             lead, pairs, parts = 0, None, self._from((lead, pairs, parts), 0)
         if not lead:
@@ -352,31 +364,30 @@ class _Packed:
 
     def _grow(self, a: int, pairs: list | None, parts: list) -> tuple:
         """The form grown over the first rows that hold, at every entry of
-        every part, the value two depths up (``_holds``; a float zero with
-        its sign); depths 0 and 1 open the run with one value each.  Per
-        part, ``values[i]`` is the value at depth a - 2 + i, the pair's to
-        start with, and one pass from depth a stops at the first row that
-        fails, or where an earlier part stopped.  Called by a layout that
-        keeps runs."""
-        first, holds, start = self._first, self._holds, 2 if a >= 2 else 4 - a
+        every part, the class value of their depth (``_holds``; a float zero
+        with its sign); depths 0 and 1 open the run with one value each.
+        Per part, one pass from depth a stops at the first row that fails,
+        or where an earlier part stopped.  Called by a layout that keeps
+        runs."""
+        first, holds, d = self._first, self._holds, max(a, 2)
         for pair, part in zip(pairs or parts, parts):  # most forms fail the first comparison
-            if first(part[start - 2]) != (pair[start - 2] if a else first(part[0])):
+            if first(part[d - a]) != (pair[d % 2] if a > d - 2 else first(part[d - 2 - a])):
                 return a, pairs, parts
-        k, seqs = len(parts[0]), []
-        for pair, part in zip(pairs or repeat(None), parts):
-            values, i = pair[:] if a else [None, None], 0
+        k, grown = len(parts[0]), []
+        for pair, part in zip(pairs or repeat([None, None]), parts):
+            values, i = pair[:], 0
             while i < k:
-                row = part[i]
-                value = first(row) if a + i < 2 else values[i]
-                if not holds(row, value):
+                row, d = part[i], a + i
+                if d < 2:
+                    values[d] = first(row)
+                if not holds(row, values[d % 2]):
                     k = i
                     break
-                values.append(value)
                 i += 1
             if a + k < _SHORTEST_RUN or not k:
                 return a, pairs, parts
-            seqs.append(values)
-        return a + k, [values[k : k + 2] for values in seqs], [part[k:] for part in parts]
+            grown.append(values)
+        return a + k, grown, [part[k:] for part in parts]
 
     def _holds(self, row, value) -> bool:
         """Whether every entry of a stored row is ``value`` (a float zero
@@ -395,8 +406,9 @@ class _Packed:
     @staticmethod
     def _combine(cx, x: list, cy, y: list) -> list:
         """cx*x + cy*y depth by depth, as ``_combine_row`` adds two rows of
-        one width (the rows of one depth have one); a missing depth counts
-        as zero."""
+        one width (the rows of one depth have one), inline: a call of
+        ``_combine_row`` per depth cost vertex leapfrogs about 10%; a
+        missing depth counts as zero."""
         if cy == -1:
             out = [list(map(sub, a if cx == 1 else map(mul, a, repeat(cx)), b)) for a, b in zip(x, y)]
         else:
@@ -431,28 +443,23 @@ class _Packed:
         if not self.lead:
             zero = 0 if self.mode is EXACT else 0.0
             return [[zero, zero] for _ in self.body]
-        return [pair[:: 1 - 2 * (self.lead % 2)] for pair in self.pairs]
+        return self.pairs
 
     def _make(self, den: int, form: tuple) -> _Packed:
         lead, pairs, parts = form
         return type(self)(self.q, self.mode, den, parts, lead, pairs)
 
-    def _fill(self, start: int, stop: int, lead: int, pair: list) -> list:
+    def _fill(self, start: int, stop: int, pair: list) -> list:
         """The stored rows of depths start .. stop - 1 >= 0 of the run whose
-        pair is at depths lead - 2 and lead - 1."""
+        class values are ``pair``."""
         raise NotImplementedError
 
     def _realigned(self, form: tuple, a: int) -> tuple:
-        """A form as the form of a run of a <= lead depths."""
-        lead, pairs, parts = form
-        if a == lead:
+        """A form as the form of a run of a <= lead depths: the same pair,
+        the rows of depths a .. lead - 1 expanded."""
+        if a == form[0]:
             return form
-        rows = self._from(form, a)
-        if not a:
-            return 0, None, rows
-        zero = 0 if self.mode is EXACT else 0.0
-        heads = [[pair[(d - lead) % 2] if d >= 0 else zero for d in (a - 2, a - 1)] for pair in pairs]
-        return a, heads, rows
+        return (a, form[1], self._from(form, a)) if a else (0, None, self._from(form, 0))
 
     def _from(self, form: tuple, start: int, stop: int | None = None) -> list:
         """Per part, the rows of depths start .. stop - 1 (to the last if
@@ -466,14 +473,12 @@ class _Packed:
         if start >= end:
             return parts if cut is None or cut >= len(parts[0]) else [part[:cut] for part in parts]
         fill, rows = self._fill, parts if cut is None else [part[:cut] for part in parts]
-        return [fill(start, end, lead, pair) + part for pair, part in zip(pairs, rows)]
+        return [fill(start, end, pair) + part for pair, part in zip(pairs, rows)]
 
     def _rows(self):
         """(d, row) pairs, a row holding the parts' lists of one depth d, the
         run expanded."""
-        lead = self.lead
-        runs = zip(*(self._fill(0, lead, lead, pair) for pair in self.pairs)) if lead else ()
-        return enumerate(chain(runs, zip(*self.body)))
+        return enumerate(zip(*self.parts))
 
     def _body_rows(self):
         """(d, row) pairs of the rows stored from depth ``lead`` on."""
@@ -609,9 +614,9 @@ class _Packed:
 
     def max_abs(self) -> Scalar:
         """The largest |value|, over the pair and the rows (a run's values
-        are its pair's, and a depth below 0 holds 0): one pass over a
-        float64 part; exact entries are compared as integer pairs by the
-        sign test of ``QSurd``, and one scalar is built."""
+        are its class values): one pass over a float64 part; exact entries
+        are compared as integer pairs by the sign test of ``QSurd``, and one
+        scalar is built."""
         values = list(map(self._entries, self.body))
         if self.lead:
             values = [chain(pair, part) for pair, part in zip(self.pairs, values)]
@@ -702,7 +707,7 @@ class _Packed:
         (d, j), lead = self._address(key), self.lead
         if lead <= d < self.size:
             return [part[d - lead] if j is None else part[d - lead][j] for part in self.body]
-        return [pair[(d - lead) % 2] for pair in self.pairs] if 0 <= d < lead else None
+        return [pair[d % 2] for pair in self.pairs] if 0 <= d < lead else None
 
     def _distance_two_pairs(self):
         """Every unordered pair of vertices at distance 2 with a stored end
@@ -722,18 +727,40 @@ class _Packed:
         in this datum's layout."""
         return form
 
-    def _terms(self, x: tuple, y: tuple, limit: int | None = None):
+    def _row_terms(self, rows: list, other: list, a: int) -> list:
         """(weight, xs, ys) terms whose products add up to sum w * x * y over
-        the depths < limit (all if None) of the forms x and y (y is x for
+        the rows of two forms from depth a (``other`` is ``rows`` for
         squares), with w the number of vertices an entry stands for."""
+        raise NotImplementedError
+
+    def _around(self, odd, even) -> list | None:
+        """[E, O] of the neighbour sums of a run whose odd depths hold
+        ``odd`` and even depths ``even``: the q+1 neighbours of an even
+        depth hold the odd value, and those of an odd depth the even one.
+        None where a float64 origin would round apart from the run."""
+        raise NotImplementedError
+
+    def _adjacent_rows(self, part: list, base: int | None = None) -> list:
+        """The layout's row kernel of the neighbour sum of one part, from its
+        rows of depths base .. t (``_adjacent``, ``_radial_adjacent``)."""
         raise NotImplementedError
 
     # -- operators, written once ----------------------------------------------------
 
     def _neighbour_sums(self, form: tuple) -> tuple:
-        """The form of x -> sum of the values at the q+1 neighbours of x: on
-        a long run natively, else on the expanded rows."""
-        raise NotImplementedError
+        """The form of x -> sum of the values at the q+1 neighbours of x.  In
+        a run of a >= 3 depths, depth d <= a - 2 of the result adds the q+1
+        values of the other class (``_around``), a run of a - 1 depths (of
+        two when a = 3, which ``__init__`` stores as rows), and the rows from
+        depth a - 2 on give the rest; a shorter run, or one whose float64
+        origin rounds apart, is expanded."""
+        lead, pairs, _ = form
+        if lead >= 3:
+            classes = [self._around(odd, even) for even, odd in pairs]
+            if None not in classes:
+                rows = self._from(form, lead - 2)
+                return lead - 1, classes, [self._adjacent_rows(part, lead - 2) for part in rows]
+        return 0, None, [self._adjacent_rows(part) for part in self._from(form, 0)]
 
     def adjacency(self) -> _Packed:
         """x -> sum of the values at the q+1 neighbours of x."""
@@ -793,22 +820,22 @@ class _Packed:
         data, so P(n) sums one whole parity class of the data at every depth
         d <= n - t (at depth t + s it reads P(n - s) of depth t, with
         n - s >= 2t): for exact data with n >= t + 1 the depths 0 .. n - t
-        are returned as a run of those n - t + 1 depths holding the two
-        class totals, P(last) and P(last - 1) of depth 0 (last >= t + 1),
-        and only the rows after it; the constructor grows the run further
-        where the rows allow, and stores one of two depths as rows.  Float64
-        sums of one class may round apart, so their rows are read in full.
-        Rows are shared, not copied."""
+        are returned as a run of those n - t + 1 depths whose class values
+        are the two class totals, P(last) and P(last - 1) of depth 0 (last
+        >= t + 1), and only the rows after it; the constructor grows the run
+        further where the rows allow, and stores one of two depths as rows.
+        Float64 sums of one class may round apart, so their rows are read in
+        full.  Rows are shared, not copied."""
         last, kept, _ = self._sums
         t = len(kept[0]) - 1
         a = n - t + 1
         if a >= 2 and self.mode is EXACT:
             # depth d holds the total of class n - d mod 2, P(m) of depth 0
-            # for the m in (last, last - 1) of that parity: the pair is
-            # [total of class t + 1, total of class t], then P(n) of the
-            # depths a .. t and P(n - s) of depth t at depth t + s
+            # for the m in (last, last - 1) of that parity: E the total of
+            # class n and O that of class n - 1, then P(n) of the depths
+            # a .. t and P(n - s) of depth t at depth t + s
             first, pairs, parts = self._first, [], []
-            i, j = (last, last - 1) if (last - t) % 2 else (last - 1, last)
+            i, j = (last, last - 1) if (last - n) % 2 == 0 else (last - 1, last)
             tail = slice(min(n, 2 * t) - 1, None, -1) if t else slice(0)
             for sums in kept:
                 pairs.append([first(sums[0][i]), first(sums[0][j])])
@@ -827,31 +854,41 @@ class _Packed:
             parts.append(rows)
         return 0, None, parts
 
+    def _column_sum(self, columns: list) -> tuple:
+        """The form sum_j w_j P(j) over the (j, w_j) columns, read from the
+        parity sums kept on this datum (``_kept_parity_rows``,
+        ``_parity_read``, ``_from_parity``) and added in the order given
+        (``_combined``): an exact (wa, wb) weight enters as (wa + wb sqrt(q))
+        P(j) (``_times``), a number as w P(j)."""
+        out = 0, None, [[] for _ in self.body]
+        if columns:
+            self._kept_parity_rows(max(columns)[0])  # the largest j
+        for j, w in columns:
+            column = self._from_parity(self._parity_read(j))
+            if type(w) is tuple:
+                column, w = self._times(self.q, column, *w), 1
+            out = self._combined(1, out, w, column)
+        return out
+
     def ball_mean(self, n: int) -> _Packed:
         """M_n for n >= 1, in this layout, of data of either number type,
-        vertex or radial, tail or not: P(n) of the parity sums kept on them
-        (``_kept_parity_rows``, ``_parity_read``) weighted once by
-        q^(-n/2); results share the kept rows.  No kernel is built and no
-        neighbour sum is taken."""
-        return self._parity_mean(n, False)
+        vertex or radial, tail or not: the column P(n) of the parity sums
+        kept on them (``_column_sum``) weighted once by q^(-n/2); results
+        share the kept rows.  No kernel is built and no neighbour sum is
+        taken."""
+        if not self.size:
+            return self
+        return self._make(*self._over_root(n, self.den, self._column_sum([(n, 1)])))
 
     def cosine(self, n: int) -> _Packed:
         """C_n = (M_n - M_(n-2)) / 2 for n >= 1, as one parity combination:
         q^(-n/2) (P(n) - q P(n-2)) / 2, with P(-1) = 0, since M_(n-2) =
-        q^(-n/2) q P(n-2).  One packed result, no M_n."""
-        return self._parity_mean(n, True)
-
-    def _parity_mean(self, n: int, cosine: bool) -> _Packed:
-        """M_n, or C_n if ``cosine`` (``ball_mean``, ``cosine``): the parity
-        form over D, or 2D for C_n, weighted once (``_over_root``)."""
+        q^(-n/2) q P(n-2): the columns (n, 1) and (n - 2, -q), over 2D.  One
+        packed result, no M_n."""
         if not self.size:
             return self
-        self._kept_parity_rows(n)
-        form = self._from_parity(self._parity_read(n))
-        if cosine and n >= 2:
-            back = self._from_parity(self._parity_read(n - 2))
-            form = self._combined(1, form, -self.q, back)
-        return self._make(*self._over_root(n, self.den * (2 if cosine else 1), form))
+        columns = [(n, 1), (n - 2, -self.q)] if n >= 2 else [(n, 1)]
+        return self._make(*self._over_root(n, 2 * self.den, self._column_sum(columns)))
 
     def laplacian(self) -> _Packed:
         """u - Adj u / (q+1)."""
@@ -888,21 +925,25 @@ class _Packed:
             ab += weight * cross
         return [aa, bb, ab]
 
-    def _run_sums(self, x: tuple, y: tuple, limit: int | None) -> tuple[int, list, list]:
-        """(a, xs, ys): the common run of exact forms x and y, to depth
-        limit, as per part [ce E, co O] and [E', O'], whose products add up
-        to its share of sum w x y, with ce and co the vertices at its even
-        and odd depths (``_parity_counts``).  Float64 runs are expanded
-        (a = 0), so float sums add in the order of the expanded rows."""
+    def _terms(self, x: tuple, y: tuple, limit: int | None = None) -> list:
+        """(weight, xs, ys) terms whose products add up to sum w * x * y over
+        the depths < limit (all if None) of the forms x and y (y is x for
+        squares): the common run's term of exact forms, whose products are
+        [ce E, co O] times [E', O'] per part, with ce and co the vertices at
+        its even and odd depths (``_parity_counts``), then the layout's
+        rows from the run's end (``_row_terms``).  Float64 runs are
+        expanded, so float sums add in the order of the expanded rows."""
         a = x[0] if x[0] < y[0] else y[0]
         if limit is not None and limit < a:
             a = limit if limit > 0 else 0
-        if self.mode is not EXACT or not a:
-            return 0, None, None
+        if self.mode is not EXACT:
+            a = 0
+        rows = self._from(x, a, limit)
+        terms = self._row_terms(rows, rows if y is x else self._from(y, a, limit), a)
+        if not a:
+            return terms
         counts = _parity_counts(self.q, a)
-        xs = [pair[:: 1 - 2 * (x[0] % 2)] for pair in x[1]]
-        ys = xs if y is x else [pair[:: 1 - 2 * (y[0] % 2)] for pair in y[1]]
-        return a, [list(map(mul, counts, values)) for values in xs], ys
+        return [(1, [list(map(mul, counts, pair)) for pair in x[1]], y[1]), *terms]
 
     def _pair_squares(self, limit: int | None = None):
         """Square terms of the distance-2 differences over unordered pairs
@@ -991,13 +1032,10 @@ class Levels(_Packed):
             return False
         return value != 0 or self.mode is EXACT or _signs(row).count(copysign(1.0, value)) == len(row)
 
-    def _fill(self, start: int, stop: int, lead: int, pair: list) -> list:
+    def _fill(self, start: int, stop: int, pair: list) -> list:
         q, orbit = self.q, self._orbit_radius
         wide = sphere_volume(q, orbit)
-        return [
-            [pair[(d - lead) % 2]] * (wide if d >= orbit else sphere_volume(q, d))
-            for d in range(start, stop)
-        ]
+        return [[pair[d % 2]] * (wide if d > orbit else sphere_volume(q, d)) for d in range(start, stop)]
 
     def _widen(self, radius: int) -> Levels:
         """This function in the orbit layout of a radius >= R: an entry of
@@ -1019,14 +1057,12 @@ class Levels(_Packed):
         body = list(map(widened, self.body))
         return orbit_layout(radius)(q, self.mode, self.den, body, lead, self.pairs)
 
-    def _terms(self, x: tuple, y: tuple, limit: int | None = None):
-        a, xs, ys = self._run_sums(x, y, limit) if x[0] and y[0] else (0, None, None)
-        terms = [(1, xs, ys)] if a else []
-        rows, weight = self._from(x, a, limit), self._weight
-        if y is x:
-            return terms + [(weight(d), r, r) for d, r in enumerate(zip(*rows), a)]
-        other = zip(*self._from(y, a, limit))
-        return terms + [(weight(d), r, s) for d, (r, s) in enumerate(zip(zip(*rows), other), a)]
+    def _row_terms(self, rows: list, other: list, a: int) -> list:
+        """One term per depth, weighted by ``_weight``."""
+        weight = self._weight
+        if other is rows:
+            return [(weight(d), r, r) for d, r in enumerate(zip(*rows), a)]
+        return [(weight(d), r, s) for d, (r, s) in enumerate(zip(zip(*rows), zip(*other)), a)]
 
     def _distance_two_pairs(self):
         # inside the run the ends of a pair share a value: only pairs with
@@ -1074,33 +1110,19 @@ class Levels(_Packed):
             for t in range(stride):
                 yield d + 2, level, self._cut(rows, i + 2, t, None, stride), self._weight(d + 2)
 
-    def _neighbour_sums(self, form: tuple) -> tuple:
-        """In a run of a >= 3 depths, depth d <= a - 2 of the result adds
-        the q + 1 values of depth d + 1's parity: (q+1)*v, and for float64 v
-        added to itself q times, as ``_adjacent`` adds a parent and its q
-        children (q + 1 children at the origin), a run of a - 1 depths (of
-        two when a = 3, which ``__init__`` stores as rows).  When R = 0 the
-        origin adds them to 0, which turns a float zero -0.0 into 0.0: then
-        the rows are expanded.  The rows from depth a - 2 on give the
-        rest."""
-        lead, pairs, _ = form
-        q, exact, orbit = self.q, self.mode is EXACT, self._orbit_radius
-        if lead >= 3:
-            heads, out = [], []
-            for pair, rows in zip(pairs, self._from(form, lead - 2)):
-                # the values of depths lead - 2 and lead - 1, added q + 1 times
-                if exact:
-                    sums = [(q + 1) * v for v in pair]
-                else:
-                    sums = [reduce(add, repeat(v, q + 1)) for v in pair]
-                origin = sums[(lead + 1) % 2]  # the run's value at depth 0
-                if not (exact or orbit or origin or copysign(1.0, origin) > 0):
-                    break
-                heads.append(sums)
-                out.append(_adjacent(rows, q, orbit, exact, lead - 2))
-            else:
-                return lead - 1, heads, out
-        return 0, None, [_adjacent(rows, q, orbit, exact) for rows in self._from(form, 0)]
+    def _around(self, odd, even) -> list | None:
+        """(q+1)*v, and for float64 v added to itself q times, as
+        ``_adjacent`` adds a parent and its q children (q + 1 children at the
+        origin).  When R = 0 the origin adds them to 0, which turns a float
+        zero -0.0 into 0.0: then None."""
+        q = self.q
+        if self.mode is EXACT:
+            return [(q + 1) * odd, (q + 1) * even]
+        sums = [reduce(add, repeat(v, q + 1)) for v in (odd, even)]
+        return sums if self._orbit_radius or sums[0] or copysign(1.0, sums[0]) > 0 else None
+
+    def _adjacent_rows(self, part: list, base: int | None = None) -> list:
+        return _adjacent(part, self.q, self._orbit_radius, self.mode is EXACT, base)
 
     def _parity_rows_of(self, rows: list, last: int) -> list:
         return [_parity_rows(self.q, part, last, self._orbit_radius) for part in rows]
@@ -1177,9 +1199,9 @@ class RadialLevels(_Packed):
     def _run_keys(self) -> tuple[int, int]:
         return (self.lead + 1) // 2, self.lead // 2  # the radii of each parity
 
-    def _fill(self, start: int, stop: int, lead: int, pair: list) -> list:
+    def _fill(self, start: int, stop: int, pair: list) -> list:
         size = stop - start
-        return ((pair[::-1] if (start - lead) % 2 else pair) * ((size + 1) // 2))[:size]
+        return ((pair[::-1] if start % 2 else pair) * ((size + 1) // 2))[:size]
 
     def _key_rows(self, listing):
         return (js for _, js, *_ in listing)  # an entry's key is its radius
@@ -1187,18 +1209,10 @@ class RadialLevels(_Packed):
     def _address(self, key) -> tuple:
         return (key, None) if type(key) is int else (-1, None)  # a bool is not a key
 
-    def _terms(self, x: tuple, y: tuple, limit: int | None = None):
-        """One term: the run's sums (``_run_sums``), then the rows of x
-        weighted by |S(m)| at radius m."""
-        a, runs, ys = self._run_sums(x, y, limit) if x[0] and y[0] else (0, None, None)
-        rows = self._from(x, a, limit)
-        other = rows if y is x else self._from(y, a, limit)
+    def _row_terms(self, rows: list, other: list, a: int) -> list:
+        """One term: the rows of x weighted by |S(m)| at radius m."""
         volumes = _sphere_volumes(self.q, a, len(rows[0]))
-        xs = [list(map(mul, volumes, row)) for row in rows]
-        if not a:
-            return [(1, xs, other)]
-        xs = [run + row for run, row in zip(runs, xs)]
-        return [(1, xs, [run + row for run, row in zip(ys, other)])]
+        return [(1, [list(map(mul, volumes, row)) for row in rows], other)]
 
     def _pair_squares(self, limit: int | None = None):
         """One term for the grandparent pairs (m, m+2), |S(m+2)| of them,
@@ -1212,26 +1226,16 @@ class RadialLevels(_Packed):
         volumes = _sphere_volumes(self.q, start + 2, n - start)
         return [(1, [list(map(mul, volumes, diff)) for diff in diffs], diffs)]
 
-    def _neighbour_sums(self, form: tuple) -> tuple:
-        """In a run of a >= 3 radii, the result is a run of a - 1 radii:
-        v + q v at a radius whose neighbours hold v (as ``_radial_adjacent``
-        adds p(m-1) + q p(m+1)), then the neighbour sum of the values from
-        radius a - 2 on.  The origin's (q+1) p(1) can round apart from the
-        even radii's p(1) + q p(3) in float64; then, and for a shorter run,
-        the values are expanded."""
-        lead, pairs, parts = form
-        if lead >= 3:
-            q, heads, out = self.q, [], []
-            for pair, part in zip(pairs, parts):
-                sums = [v + v * q for v in pair]  # at radii lead - 3 and lead - 2
-                if self.mode is not EXACT:
-                    if (q + 1) * pair[(1 - lead) % 2] != sums[(lead - 3) % 2]:
-                        break
-                heads.append(sums)
-                out.append(_radial_adjacent(pair + part, q, lead - 2))
-            else:
-                return lead - 1, heads, out
-        return 0, None, [_radial_adjacent(part, self.q) for part in self._from(form, 0)]
+    def _around(self, odd, even) -> list | None:
+        """v + q v at a radius whose neighbours hold v (as
+        ``_radial_adjacent`` adds p(m-1) + q p(m+1)).  The origin's (q+1)
+        p(1) can round apart from the even radii's p(1) + q p(3) in
+        float64: then None."""
+        sums = [v + v * self.q for v in (odd, even)]
+        return None if self.mode is not EXACT and (self.q + 1) * odd != sums[0] else sums
+
+    def _adjacent_rows(self, part: list, base: int | None = None) -> list:
+        return _radial_adjacent(part, self.q, base)
 
     def _sum_rows(self) -> list:
         return Levels.from_radial(self).parts
@@ -1252,7 +1256,8 @@ class RadialLevels(_Packed):
     @classmethod
     def _exact_kernel(cls, q: int, n: int, den: int, lead: int, pair: list, rows: list):
         """An exact kernel of one rational part over den, times q^(-n/2):
-        the run of ``lead`` depths whose pair is ``pair``, then ``rows``."""
+        the run of ``lead`` depths whose class values are ``pair``, then
+        ``rows``."""
         form = (lead, [pair, [0, 0]], [rows, [0] * len(rows)])
         den, (lead, pairs, parts) = cls._weighted(q, n, den, form)
         return cls(q, EXACT, den, parts, lead, pairs)
@@ -1264,8 +1269,8 @@ class RadialLevels(_Packed):
         over D = q^ceil(n/2), in the B part for odd n (folded into A when q
         is a square)."""
         if mode is not EXACT:
-            return cls(q, mode, 1, [[]], n + 1, [[0.0, sqrt_q_power(q, -n, mode)]])
-        return cls._exact_kernel(q, n, 1, n + 1, [0, 1], [])
+            return cls(q, mode, 1, [[]], n + 1, [_class_pair(n, sqrt_q_power(q, -n, mode), 0.0)])
+        return cls._exact_kernel(q, n, 1, n + 1, _class_pair(n, 1), [])
 
     @classmethod
     def c_kernel(cls, q: int, mode: ScalarMode, n: int) -> RadialLevels:
@@ -1277,8 +1282,8 @@ class RadialLevels(_Packed):
         if mode is not EXACT:
             weight = sqrt_q_power(q, -n, mode)
             inner = (weight - sqrt_q_power(q, 2 - n, mode)) * 0.5 if n >= 2 else 0.0
-            return cls(q, mode, 1, [[weight * 0.5]], n, [[inner, 0.0]])
-        return cls._exact_kernel(q, n, 2, n, [1 - q if n >= 2 else 0, 0], [1])
+            return cls(q, mode, 1, [[weight * 0.5]], n, [_class_pair(n, inner, 0.0)])
+        return cls._exact_kernel(q, n, 2, n, _class_pair(n, 1 - q if n >= 2 else 0), [1])
 
     def convolve(self, kernel: RadialLevels) -> RadialLevels:
         """The radial operator with distance kernel ``kernel`` applied to this
@@ -1293,30 +1298,24 @@ class RadialLevels(_Packed):
         ``_parity_read``), added in increasing j.  Inside the kernel's run
         every w_j is 0; the kernels of M_n and S_n have one nonzero w_j,
         that of C_n two, so a propagator kernel costs O(R) once the sums
-        are kept on p.  One loop adds the columns (``_combined``), an exact
-        one as (wa + wb sqrt(q)) P(j) (``_times``).  A float64 difference w_j
-        rounds, so float64 profiles read only the run this way, out + w P(j)
-        for E P(a-2) and O P(a-1) (for m_kernel(n), bitwise M_n), and add
-        the kernel's rows distance by distance (``_add_rows``).  This is the
-        route of ``radial.radial_convolve``."""
+        are kept on p.  The column sum of M_n and C_n adds the columns
+        (``_column_sum``), an exact one as (wa + wb sqrt(q)) P(j).  A float64
+        difference w_j rounds, so float64 profiles read only the run this
+        way, the class value of depth j times P(j) for j = a - 2 and a - 1
+        (for m_kernel(n), bitwise M_n), and add the kernel's rows distance
+        by distance (``_add_rows``).  This is the route of
+        ``radial.radial_convolve``."""
         q, exact = self.q, self.mode is EXACT
         if not (kernel.size and self.size):
             return RadialLevels(q, self.mode, 1, [[] for _ in self.body])
-        if exact:  # the kernel from its pair on
+        if exact:  # the kernel from depth lead - 2 on
             start = max(kernel.lead - 2, 0)
             weights = [list(map(sub, k, k[2:] + [0, 0])) for k in kernel._from(kernel.form, start)]
             columns = [(j, w) for j, w in enumerate(zip(*weights), start) if any(w)]
-        else:  # the run's columns only, E P(a - 2) + O P(a - 1)
+        else:  # the run's columns only, its class values at P(a - 2), P(a - 1)
             a, pair = kernel.lead, (kernel.pairs or [[0.0, 0.0]])[0]
-            columns = [(j, w) for j, w in zip((a - 2, a - 1), pair) if j >= 0 and w]
-        out = 0, None, [[] for _ in self.body]
-        if columns:
-            self._kept_parity_rows(columns[-1][0])
-        for j, w in columns:
-            column = self._parity_read(j)
-            if exact:  # (wa + wb sqrt q) P(j)
-                column, w = self._times(q, column, *w), 1
-            out = self._combined(1, out, w, column)
+            columns = [(j, pair[j % 2]) for j in (a - 2, a - 1) if j >= 0 and pair[j % 2]]
+        out = self._column_sum(columns)
         if not exact:
             out = 0, None, [self._add_rows(out[2][0], kernel.body[0], kernel.lead)]
         return self._make(kernel.den * self.den, out)

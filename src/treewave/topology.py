@@ -21,6 +21,18 @@ from typing import Iterator
 from .errors import ParameterError, TruncationError
 
 
+def _check_radius(value, field: str) -> None:
+    """A radius, a margin or a label is an int; a bool, float or str is
+    refused naming the field."""
+    if type(value) is not int:
+        raise ParameterError(f"field {field!r} must be an integer, got {value!r}")
+
+
+def _check_q(q) -> None:
+    if type(q) is not int or q < 2:
+        raise ParameterError(f"field 'q' must be an integer >= 2, got {q!r}")
+
+
 @dataclass(frozen=True)
 class VertexAddress:
     """A vertex of T_q as a geodesic label word; the empty word is the origin."""
@@ -29,13 +41,14 @@ class VertexAddress:
     labels: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ParameterError(f"q must be >= 2, got {self.q}")
+        _check_q(self.q)
         if self.labels:
             first, rest = self.labels[0], self.labels[1:]
+            _check_radius(first, "labels")
             if not 0 <= first <= self.q:
                 raise ParameterError(f"first label {first} outside 0..{self.q}")
             for label in rest:
+                _check_radius(label, "labels")
                 if not 0 <= label <= self.q - 1:
                     raise ParameterError(f"label {label} outside 0..{self.q - 1}")
 
@@ -189,8 +202,8 @@ class Ball:
     radius: int
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ParameterError(f"q must be >= 2, got {self.q}")
+        _check_q(self.q)
+        _check_radius(self.radius, "radius")
         if self.radius < 0:
             raise ParameterError(f"ball radius must be >= 0, got {self.radius}")
 
@@ -224,6 +237,7 @@ def sphere(center: VertexAddress, n: int, ball: Ball) -> list[VertexAddress]:
     """
     if center.q != ball.q:
         raise ParameterError(f"center q={center.q} does not match ball q={ball.q}")
+    _check_radius(n, "n")
     if n < 0:
         raise ParameterError("sphere radius must be >= 0")
     if center.depth + n > ball.radius:

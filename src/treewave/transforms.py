@@ -46,18 +46,12 @@ from .scalars import (
     scalar_zero,
     sqrt_q_power,
 )
-from .topology import Ball, VertexAddress, sphere, sphere_volume
+from .topology import Ball, VertexAddress, _check_radius, sphere, sphere_volume
 
 
 def _check_method(method: str) -> None:
     if method not in ("brute", "closed"):
         raise ParameterError(f"method must be 'brute' or 'closed', got {method!r}")
-
-
-def _check_radius(value, field: str) -> None:
-    """A radius is an int; a bool, float or str is refused."""
-    if type(value) is not int:
-        raise ParameterError(f"field {field!r} must be an integer radius, got {value!r}")
 
 
 def abel(p: RadialProfile, method: str = "closed") -> HeightSequence:

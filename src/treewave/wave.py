@@ -52,7 +52,7 @@ from .scalars import (
     scalar_zero,
     sqrt_q_power,
 )
-from .topology import Ball, VertexAddress, sphere
+from .topology import Ball, VertexAddress, _check_radius, sphere
 
 
 Function = TreeFunction | RadialProfile
@@ -164,15 +164,21 @@ class WaveTrajectory:
         return max(self.f.support_radius(), self.g.support_radius(), 0)
 
     # Kept once per trajectory for ``treewave.energy``: the data images of
-    # the operator gap, and the direct sums (K(n), P(n)) per time n as the
-    # energy table and the gap first sum them.  Neither is a field, so
-    # neither enters equality.
+    # the operator gap and its pairings per |n|, and the direct sums (K(n),
+    # P(n)) per time n as the energy table and the gap first sum them.
+    # None is a field, so none enters equality.
 
     @cached_property
     def _gap_images(self) -> tuple[Function, Function]:
         """(f - C_2 f, g - C_2 g), the data as every operator-gap pairing
         reads them (``energy._operator_gap``)."""
         return self.f - c_operator(2, self.f), self.g - c_operator(2, self.g)
+
+    @cached_property
+    def _gap_pairings(self) -> dict[int, list[Scalar]]:
+        """|n| -> (<C_{2|n|} f, f - C_2 f>, <C_{2|n|} g, g>, <S_{2|n|} f,
+        g - C_2 g>) of the times paired so far."""
+        return {}
 
     @cached_property
     def _energy_sums(self) -> dict[int, tuple[Scalar, Scalar]]:
@@ -334,6 +340,8 @@ def asgeirsson_verify(
 
     The identity asserts lhs == rhs for every m, n.
     """
+    _check_radius(m, "m")
+    _check_radius(n, "n")
 
     def double_sum(radius_x: int, radius_y: int) -> Scalar:
         traj = field.trajectory

@@ -170,7 +170,8 @@ def test_gap_routes_agree_for_random_data():
 
 def test_gap_images_are_built_once_per_trajectory(monkeypatch):
     # C_2 f and C_2 g enter every time's operator gap through f - C_2 f and
-    # g - C_2 g: two C_2 for the trajectory, plus the C_{2|n|} of n = +-1
+    # g - C_2 g: two C_2 for the trajectory, plus the C_{2|n|} of |n| = 1,
+    # whose pairings n = 1 and n = -1 share
     f, g = random_data_pair(3, 1, random.Random(13))
     u = solve(f, g, 4, solver="recurrence")
     calls = []
@@ -185,8 +186,8 @@ def test_gap_images_are_built_once_per_trajectory(monkeypatch):
     for n in range(-3, 4):
         direct, operator_route = equipartition_gap(u, n)
         assert direct == operator_route
-    assert calls.count((2, True, False)) == 1 + 2  # the image, C_2 f at n = +-1
-    assert calls.count((2, False, True)) == 1 + 2
+    assert calls.count((2, True, False)) == 1 + 1  # the image, C_2 f at |n| = 1
+    assert calls.count((2, False, True)) == 1 + 1
     assert u._gap_images == (f - original(2, f), g - original(2, g))
 
 

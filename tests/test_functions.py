@@ -18,6 +18,7 @@ from treewave.functions import (
     radial_profile_of,
     spherical_mean,
 )
+from treewave.sampling import random_tree_function
 from treewave.scalars import QSurd, ScalarMode
 from treewave.topology import Ball, VertexAddress, sphere
 
@@ -467,3 +468,21 @@ def test_dot_reads_the_packed_forms_when_both_hold_one():
     assert packed_f._store is None and packed_g._store is None
     sparse = TreeFunction(2, EXACT, values[1:])
     assert packed_f.dot(sparse) == expected and sparse._levels is None
+
+
+@pytest.mark.parametrize("mode", (EXACT, ScalarMode.FLOAT64))
+def test_dot_of_a_packed_and_an_unpacked_function_reads_slots(mode):
+    """The smaller support is iterated in its order and the other side read
+    by key, a packed slot: a larger packed side builds no value map, and the
+    sum is the value-map sum of two unpacked functions, bit for bit."""
+    rng = random.Random(f"dot:{mode.value}")
+    for q, wide, narrow in ((2, 3, 2), (3, 2, 1)):
+        f, g = random_tree_function(q, wide, rng, mode), random_tree_function(q, narrow, rng, mode)
+        expected = f.dot(g)  # both built from values: the value-map sum
+        for first, second in ((f, g), (g, f)):
+            packed = TreeFunction(q, mode, first.items()).scale(QSurd.one(q) if mode is EXACT else 1.0)
+            sparse = TreeFunction(q, mode, second.items())
+            for found in (packed.dot(sparse), sparse.dot(packed)):
+                assert repr(found) == repr(expected)
+            assert sparse._levels is None
+            assert (packed._store is None) == (packed.support_size() > sparse.support_size())

@@ -43,7 +43,7 @@ def with_run(layout, q, mode, lead, depth, rng):
     """A function in ``layout`` whose depths 0 .. lead-1 hold one value per
     parity and part, then random rows to ``depth``: the row at depth lead
     ends the run, and the last row is nonzero."""
-    sizes = [len(row) for row in layout._fill(0, depth + 1, 0, [0, 0])] if layout else None
+    sizes = [len(row) for row in layout._fill(0, depth + 1, [0, 0])] if layout else None
     sizes = sizes or [1] * (depth + 1)
 
     def draw():
@@ -191,7 +191,7 @@ def zero_run(layout, q, lead, depth, zero, rng):
     ``zero`` at the depths of one parity and a random value at the other,
     and whose depth lead holds that zero with the other sign in its first
     entry (equal in value, so only a sign ends the run), then random rows."""
-    sizes = [len(row) for row in layout._fill(0, depth + 1, 0, [0, 0])] if layout else None
+    sizes = [len(row) for row in layout._fill(0, depth + 1, [0, 0])] if layout else None
     sizes = sizes or [1] * (depth + 1)
     pair = [zero, rng.uniform(-2, 2)] if lead % 2 == 0 else [rng.uniform(-2, 2), zero]
     rows = [[pair[d % 2]] * size for d, size in enumerate(sizes[:lead])]

@@ -3,8 +3,10 @@ from collections import Counter, deque
 
 import pytest
 
+from treewave.energy import huygens_report
 from treewave.errors import ParameterError, TruncationError
-from treewave.functions import TreeFunction
+from treewave.functions import TreeFunction, spherical_mean
+from treewave.sampling import random_data_pair
 from treewave.scalars import QSurd, ScalarMode
 from treewave.topology import (
     Ball,
@@ -14,6 +16,7 @@ from treewave.topology import (
     sphere,
     sphere_volume,
 )
+from treewave.wave import asgeirsson_field, asgeirsson_verify, solve
 
 
 def addr(q, *labels):
@@ -166,3 +169,43 @@ def test_serialization_round_trip():
 def test_canonical_enumeration_is_sorted():
     listed = list(Ball(2, 3))
     assert listed == sorted(listed, key=VertexAddress.sort_key)
+
+
+def _trajectory():
+    return solve(*random_data_pair(2, 1, random.Random(3)), 5)
+
+
+def _asgeirsson(m, n):
+    origin = VertexAddress.origin(2)
+    return asgeirsson_verify(asgeirsson_field(_trajectory(), Ball(2, 5)), origin, origin, m, n)
+
+
+def _huygens(margin):
+    return huygens_report(_trajectory(), 4, margin)
+
+
+def _spherical_mean(n):
+    f = TreeFunction.delta(2, ScalarMode.EXACT)
+    return spherical_mean(f, VertexAddress.origin(2), n)
+
+
+REFUSED = {
+    "sphere-float-radius": (lambda: sphere(VertexAddress.origin(2), 1.5, Ball(2, 5)), "n"),
+    "asgeirsson-float-m": (lambda: _asgeirsson(1.5, 1), "m"),
+    "asgeirsson-float-n": (lambda: _asgeirsson(1, 2.0), "n"),
+    "vertex-float-label": (lambda: VertexAddress(2, (0.5,)), "labels"),
+    "vertex-float-later-label": (lambda: VertexAddress(2, (1, 1.0)), "labels"),
+    "vertex-float-q": (lambda: VertexAddress(2.5, ()), "q"),
+    "ball-float-radius": (lambda: Ball(2, 2.5), "radius"),
+    "ball-bool-radius": (lambda: Ball(2, True), "radius"),
+    "spherical-mean-float-radius": (lambda: _spherical_mean(1.5), "n"),
+    "huygens-float-margin": (lambda: _huygens(1.5), "shell_margin"),
+    "huygens-bool-margin": (lambda: _huygens(True), "shell_margin"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_non_integer_radii_labels_and_margins_are_refused_naming_the_field(case):
+    call, field = REFUSED[case]
+    with pytest.raises(ParameterError, match=f"field '{field}'"):
+        call()

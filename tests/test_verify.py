@@ -17,6 +17,7 @@ import pytest
 from treewave import verify
 from treewave.errors import ParameterError
 from treewave.functions import RadialProfile, TreeFunction
+from treewave.levels import Levels
 from treewave.scalars import QSurd, ScalarMode
 
 EXACT = ScalarMode.EXACT
@@ -130,3 +131,13 @@ def test_multipliers_refuse_fewer_than_two_samples(samples):
 def test_verification_refuses_an_empty_q_list():
     with pytest.raises(ParameterError, match="'q'"):
         verify.run_verification(())
+
+
+def test_laplacian_check_lists_no_packed_function(monkeypatch):
+    """``dot`` of a packed and an unpacked function reads the packed one by
+    slots, so the self-adjointness check builds no value map of a packed
+    function."""
+    calls, values = [], Levels.values
+    monkeypatch.setattr(Levels, "values", lambda self: calls.append(self) or values(self))
+    assert verify.check_laplacians((2, 3), random.Random(0)).passed
+    assert calls == []
