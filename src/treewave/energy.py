@@ -239,9 +239,7 @@ def huygens_report(u: WaveTrajectory, n: int, shell_margin: int | None = None) -
     squared distance-2 differences (ordered pairs, both endpoints interior)
     and squared centered time differences."""
     margin = default_shell_margin(n) if shell_margin is None else shell_margin
-    _check_radius(margin, "shell_margin")
-    if margin < 0:
-        raise ParameterError("shell margin must be >= 0")
+    _check_radius(margin, "shell_margin", "shell margin")
     mass, gradient, kinetic = u.snapshot(n)._as_levels().huygens_sums(
         u.snapshot(n + 1)._as_levels(), u.snapshot(n - 1)._as_levels(), abs(n) - margin
     )

@@ -140,6 +140,13 @@ class _Sparse:
             return scalar_zero(self.q, self.mode)
         return self._store.get(key, scalar_zero(self.q, self.mode))
 
+    def sum_at(self, keys) -> Scalar:
+        """``scalar_sum`` of the values at ``keys``: one packed read
+        (``levels._Packed.sum_at``), else the value map."""
+        if self._store is None:
+            return self._levels.sum_at(keys)
+        return scalar_sum(map(self.__getitem__, keys), self.q, self.mode)
+
     def items(self) -> list:
         values = self._values
         return [(key, values[key]) for key in sorted(values, key=self._order)]
@@ -401,8 +408,6 @@ def spherical_mean(f: TreeFunction, x: VertexAddress, n: int) -> Scalar:
     if x.q != f.q:
         raise ParameterError(f"vertex q={x.q} does not match function q={f.q}")
     _check_radius(n, "n")
-    if n < 0:
-        raise ParameterError("sphere radius must be >= 0")
     return _sphere_mean(_distance_sums(f, x).get(n, scalar_zero(f.q, f.mode)), f, n)
 
 

@@ -90,7 +90,9 @@ run.
 
 Every read that lists a function (keys, values, CSV rows) takes each
 stored nonzero entry once, in one pass per depth (``_listing``): the entry
-stands for an index range of keys, and they share its one scalar.
+stands for an index range of keys, and they share its one scalar.  The
+sum at a list of keys (``sum_at``: the mean-value check's sphere sums)
+reads each key's slot and builds one scalar of the integers added over D.
 Kinetic energy, mass, the pair-sum potential, the counting inner product,
 the three Huygens interior sums, the linear combinations, the leapfrog
 step, M_n, C_n, the convolution and the tree and two-step Laplacians are
@@ -565,6 +567,16 @@ class _Packed:
         zero."""
         slot = self._slot(key)
         return self._value(slot) if slot else scalar_zero(self.q, self.mode)
+
+    def sum_at(self, keys) -> Scalar:
+        """The sum of the values at ``keys`` from their slots (``_slot``):
+        exact slots add as integers over D into one scalar; float64 adds in
+        key order from 0.0, bit for bit as ``scalar_sum`` of ``value_at``."""
+        slots = [slot for slot in map(self._slot, keys) if slot]
+        if self.mode is not EXACT:
+            return reduce(add, map(self._first, slots), 0.0)
+        a, b = map(sum, zip(*slots)) if slots else (0, 0)
+        return surd_from_slots(self.q, a, b, self.den)
 
     def _listing(self):
         """(d, js, slots) of each stored depth d with a nonzero entry: the

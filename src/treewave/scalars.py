@@ -398,7 +398,20 @@ def scalar_from_json(obj, q: int, mode: ScalarMode) -> Scalar:
 
 
 def scalar_sum(values, q: int, mode: ScalarMode) -> Scalar:
-    total = scalar_zero(q, mode)
+    """The sum of ``values``: float64 adds them in order from 0.0, exact
+    values add their integer slots over a common denominator, and one
+    ``QSurd`` is built at the end."""
+    if mode is not ScalarMode.EXACT:
+        total = 0.0
+        for v in values:
+            total = total + v
+        return total
+    a, b, d = 0, 0, 1
     for v in values:
-        total = total + v
-    return total
+        x, y, e, _ = v._v
+        if e != d:
+            common = lcm(d, e)
+            a, b = a * (common // d), b * (common // d)
+            x, y, d = x * (common // e), y * (common // e), common
+        a, b = a + x, b + y
+    return surd_from_slots(q, a, b, d)

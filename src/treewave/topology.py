@@ -5,7 +5,11 @@ vertex is a backtrack-free label word read from the origin: the first label
 is one of {0..q} (the origin has q+1 neighbours), every later label one of
 {0..q-1} (non-backtracking continuations).  Distance and height are O(word
 length); spheres and balls are generated on demand, never materialized as
-adjacency structures.
+adjacency structures.  A sphere S(x, n) is built, not searched: y is
+reached by climbing a <= min(n, |x|) steps to an ancestor z of x, then
+descending n - a steps into any branch of z but the one climbed from.  The
+words for one a have depth |x| + n - 2a and come in lexicographic order, so
+a from the largest down lists S(x, n) in canonical order with no sort.
 
 The distinguished geodesic ray consists of the all-zero words, so heights
 increase along it: h(x) = 2*(leading zeros of x) - |x|, which is the
@@ -16,16 +20,17 @@ every vertex has exactly one neighbour at height h+1 and q at height h-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product, repeat
 from typing import Iterator
 
 from .errors import ParameterError, TruncationError
 
 
-def _check_radius(value, field: str) -> None:
-    """A radius, a margin or a label is an int; a bool, float or str is
-    refused naming the field."""
-    if type(value) is not int:
-        raise ParameterError(f"field {field!r} must be an integer, got {value!r}")
+def _check_radius(value, field: str, what: str = "radius") -> None:
+    """A radius, a margin or a label is an int >= 0; a bool, float or str,
+    or a negative int, is refused naming the field."""
+    if type(value) is not int or value < 0:
+        raise ParameterError(f"field {field!r} must be an integer {what} >= 0, got {value!r}")
 
 
 def _check_q(q) -> None:
@@ -42,22 +47,29 @@ class VertexAddress:
 
     def __post_init__(self):
         _check_q(self.q)
-        if self.labels:
-            first, rest = self.labels[0], self.labels[1:]
-            _check_radius(first, "labels")
-            if not 0 <= first <= self.q:
-                raise ParameterError(f"first label {first} outside 0..{self.q}")
-            for label in rest:
-                _check_radius(label, "labels")
-                if not 0 <= label <= self.q - 1:
-                    raise ParameterError(f"label {label} outside 0..{self.q - 1}")
+        for i, label in enumerate(self.labels):
+            _check_radius(label, "labels", "label")
+            top = self.q - 1 if i else self.q
+            if label > top:
+                which = "label" if i else "first label"
+                raise ParameterError(f"field 'labels': {which} {label} outside 0..{top}")
+
+    # equality and hashing read the two fields, with no tuple of them built
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not VertexAddress:
+            return NotImplemented
+        return self.labels == other.labels and self.q == other.q
+
+    def __hash__(self) -> int:
+        return hash(self.labels)
 
     @classmethod
     def _built(cls, q: int, labels: tuple[int, ...]) -> VertexAddress:
         """The vertex of a word built valid (a prefix of a valid word, or one
         extended by labels in range), whose labels are not checked again."""
         self = object.__new__(cls)
-        self.__dict__.update(q=q, labels=labels)
+        fields = self.__dict__
+        fields["q"], fields["labels"] = q, labels
         return self
 
     @classmethod
@@ -98,21 +110,20 @@ class VertexAddress:
 
     def child(self, label: int) -> VertexAddress:
         top = self.q if self.is_origin else self.q - 1
-        if not 0 <= label <= top:
+        if type(label) is not int or not 0 <= label <= top:
             which = "first label" if self.is_origin else "label"
-            raise ParameterError(f"{which} {label} outside 0..{top}")
+            raise ParameterError(f"field 'label': {which} {label!r} outside 0..{top}")
         return self._built(self.q, self.labels + (label,))
 
-    def children(self) -> Iterator[VertexAddress]:
-        q, labels = self.q, self.labels
-        for label in range(q + 1 if self.is_origin else q):
-            yield self._built(q, labels + (label,))
+    def children(self) -> list[VertexAddress]:
+        q, labels, built = self.q, self.labels, self._built
+        return [built(q, labels + (label,)) for label in range(q if labels else q + 1)]
 
-    def neighbors(self) -> Iterator[VertexAddress]:
+    def neighbors(self) -> list[VertexAddress]:
         """The q+1 adjacent vertices (parent first for non-origin words)."""
         if self.labels:
-            yield self.parent()
-        yield from self.children()
+            return [self.parent(), *self.children()]
+        return self.children()
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (len(self.labels), self.labels)
@@ -156,7 +167,7 @@ def sphere_volume(q: int, n: int) -> int:
     """Number of vertices at distance n from any fixed vertex:
     1 for n = 0, (q+1)*q^(n-1) for n >= 1."""
     if n < 0:
-        raise ParameterError("sphere radius must be >= 0")
+        raise ParameterError(f"field 'n' must be an integer radius >= 0, got {n!r}")
     if n == 0:
         return 1
     return (q + 1) * q ** (n - 1)
@@ -204,8 +215,6 @@ class Ball:
     def __post_init__(self):
         _check_q(self.q)
         _check_radius(self.radius, "radius")
-        if self.radius < 0:
-            raise ParameterError(f"ball radius must be >= 0, got {self.radius}")
 
     def vertex_count(self) -> int:
         return 1 + sum(sphere_volume(self.q, n) for n in range(1, self.radius + 1))
@@ -229,7 +238,8 @@ class Ball:
 
 
 def sphere(center: VertexAddress, n: int, ball: Ball) -> list[VertexAddress]:
-    """All vertices at distance exactly n from ``center``, in canonical order.
+    """All vertices at distance exactly n from ``center``, in canonical order,
+    built by climbing and descending (see the module docstring).
 
     Requires |center| + n <= ball.radius so the whole sphere lies inside the
     truncation ball; violations raise ``TruncationError`` rather than
@@ -238,23 +248,18 @@ def sphere(center: VertexAddress, n: int, ball: Ball) -> list[VertexAddress]:
     if center.q != ball.q:
         raise ParameterError(f"center q={center.q} does not match ball q={ball.q}")
     _check_radius(n, "n")
-    if n < 0:
-        raise ParameterError("sphere radius must be >= 0")
     if center.depth + n > ball.radius:
         raise TruncationError(
             f"sphere of radius {n} about a vertex at depth {center.depth} "
             f"escapes the ball of radius {ball.radius}"
         )
+    q, labels, built = center.q, center.labels, VertexAddress._built
     result: list[VertexAddress] = []
-
-    def walk(vertex: VertexAddress, previous: VertexAddress | None, remaining: int):
-        if remaining == 0:
-            result.append(vertex)
-            return
-        for nb in vertex.neighbors():
-            if previous is None or nb != previous:
-                walk(nb, vertex, remaining - 1)
-
-    walk(center, None, n)
-    result.sort(key=VertexAddress.sort_key)
+    for a in range(min(n, len(labels)), -1, -1):
+        stem = labels[: len(labels) - a]
+        first = range(q if stem else q + 1)
+        if a:  # not back down the branch the climb came from
+            first = [label for label in first if label != labels[len(stem)]]
+        tails = product(first, *repeat(range(q), n - a - 1)) if n > a else [()]
+        result += [built(q, stem + tail) for tail in tails]
     return result

@@ -125,8 +125,6 @@ def dual_abel(s: HeightSequence, n: int, method: str = "closed") -> Scalar:
     sphere S(n)."""
     _check_method(method)
     _check_radius(n, "n")
-    if n < 0:
-        raise ParameterError(f"field 'n' must be a sphere radius >= 0, got {n}")
     if method == "brute":
         ball = Ball(s.q, n)
         origin = VertexAddress.origin(s.q)

@@ -153,24 +153,31 @@ def check_sphere_volumes(qs, rng) -> CheckResult:
     )
 
 
-def check_metric(qs, rng) -> CheckResult:
-    from collections import deque
+def _searched_distance(x: VertexAddress, y: VertexAddress) -> int:
+    """d(x, y) by breadth-first search over ``neighbors()``, cut at depth
+    ``_LARGEST_BALL``, from both ends in turn, one whole layer at a time:
+    the first layer to reach a vertex the other end has seen gives the
+    distance, its radius plus the least radius of the other end there."""
+    if x == y:
+        return 0
+    seen, other, layer, other_layer = {x: 0}, {y: 0}, [x], [y]
+    while True:
+        radius = seen[layer[0]] + 1
+        near = (nb for v in layer for nb in v.neighbors())
+        layer = [nb for nb in near if nb.depth <= _LARGEST_BALL and nb not in seen]
+        seen.update(dict.fromkeys(layer, radius))
+        met = [other[v] for v in layer if v in other]
+        if met:
+            return radius + min(met)
+        seen, other, layer, other_layer = other, seen, other_layer, layer
 
+
+def check_metric(qs, rng) -> CheckResult:
     for q in qs:
         ball = list(Ball(q, 3))
         for _ in range(10):
             x, y = rng.choice(ball), rng.choice(ball)
-            seen = {x: 0}
-            queue = deque([x])
-            while queue:
-                v = queue.popleft()
-                if v == y:
-                    break
-                for nb in v.neighbors():
-                    if nb.depth <= _LARGEST_BALL and nb not in seen:
-                        seen[nb] = seen[v] + 1
-                        queue.append(nb)
-            if seen[y] != distance(x, y) or distance(x, y) != distance(y, x):
+            if _searched_distance(x, y) != distance(x, y) or distance(x, y) != distance(y, x):
                 return CheckResult("tree metric", False, f"q={q} {x} {y}")
     return CheckResult(
         "tree metric against breadth-first search (symmetry included)",

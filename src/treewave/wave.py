@@ -316,7 +316,14 @@ class AsgeirssonField:
         return self.value(x, y) - ratio * scalar_sum(neighbour_values, q, mode)
 
     def laplacian_in_x(self, x: VertexAddress, y: VertexAddress) -> Scalar:
-        return self._laplacian(x, y, (self.value(nb, y) for nb in x.neighbors()))
+        """U(., y) is u(., h(y)) times one weight: exact values are summed in
+        one read of the snapshot at the neighbours, then weighted; float64
+        weights each value first, as ``value`` rounds it."""
+        traj, h = self.trajectory, y.height()
+        if traj.mode is not ScalarMode.EXACT:
+            return self._laplacian(x, y, (self.value(nb, y) for nb in x.neighbors()))
+        total = sqrt_q_power(traj.q, h, traj.mode) * traj.snapshot(h).sum_at(x.neighbors())
+        return self._laplacian(x, y, (total,))
 
     def laplacian_in_y(self, x: VertexAddress, y: VertexAddress) -> Scalar:
         return self._laplacian(x, y, (self.value(x, nb) for nb in y.neighbors()))
@@ -354,7 +361,7 @@ def asgeirsson_verify(
         total = scalar_zero(traj.q, traj.mode)
         for h, count in sorted(height_counts.items()):
             snapshot = traj.snapshot(h)
-            inner = scalar_sum((snapshot[x_prime] for x_prime in xs), traj.q, traj.mode)
+            inner = snapshot.sum_at(xs)
             total = total + sqrt_q_power(traj.q, h, traj.mode) * inner * count
         return total
 

@@ -29,7 +29,7 @@ from treewave import radial
 from treewave.functions import RadialProfile, TreeFunction
 from treewave.levels import RadialLevels, orbit_layout
 from treewave.sampling import random_data_pair
-from treewave.scalars import QSurd, ScalarMode, scalar_from_fraction, sqrt_q_power
+from treewave.scalars import QSurd, ScalarMode, scalar_from_fraction, scalar_sum, sqrt_q_power
 from treewave.topology import Ball, VertexAddress, sphere_volume
 from treewave.wave import propagators, solve
 
@@ -314,3 +314,50 @@ def test_a_radial_closed_solve_convolves_once_per_time(monkeypatch):
     closed = radial.radial_solve(f, g, 12, solver="closed")
     assert len(calls) == 2 * 13
     assert closed.snapshots == radial.radial_solve(f, g, 12, solver="recurrence").snapshots
+
+
+def _sequential(values, zero):
+    total = zero
+    for value in values:
+        total = total + value
+    return total
+
+
+def _keys(u, rng, depths):
+    """Random vertices at the given depths, and each depth's first vertex."""
+    q, keys = u.q, []
+    for depth in depths:
+        for pick in (lambda k: 0, lambda k: rng.randrange(k)):
+            labels = [pick(q + 1)] + [pick(q) for _ in range(depth - 1)]
+            keys.append(VertexAddress(q, tuple(labels[:depth])))
+    return keys
+
+
+@pytest.mark.parametrize("q", (2, 4))
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_a_summed_read_equals_the_sum_of_single_reads(q, mode):
+    # keys in the run, in the rows (all beyond R: the tail) and past the
+    # last stored depth of a snapshot at |n| = 200, and keys of other types;
+    # keys up to and beyond R of data from the constructor, which is not
+    # packed; float64 bit for bit
+    rng = random.Random(f"sum_at:{q}")
+    f, g = random_data_pair(q, 2, random.Random(5))
+    if mode is FLOAT:
+        f, g = f.as_float64(), g.as_float64()
+    u = propagators(200, f, g)
+    levels, zero = u._as_levels(), QSurd.zero(q) if mode is EXACT else 0.0
+    assert levels.lead > 3 and levels.size > levels.lead + 3
+    depths = [0, 1, 2, 3, levels.lead - 1, levels.lead, levels.size - 1, levels.size + 2]
+    keys = _keys(u, rng, depths) + [VertexAddress(3, ()), 1.5]
+    built = TreeFunction(q, mode, f.items())
+    for function, keys in ((u, keys), (built, _keys(f, rng, range(4)))):
+        single = [function[key] for key in keys]
+        found = function.sum_at(keys)
+        assert found == _sequential(single, zero) == scalar_sum(single, q, mode)
+        assert found == scalar_sum(map(function.__getitem__, keys), q, mode)
+        if mode is FLOAT:
+            assert found.hex() == _sequential(single, zero).hex()
+        else:
+            assert isinstance(found, QSurd) and found.q == q
+        assert function.sum_at([]) == zero and type(function.sum_at([])) is type(zero)
+    assert built._levels is None  # the constructor's data were read unpacked

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter, deque
 
@@ -65,6 +67,36 @@ def test_words_built_valid_equal_the_checked_words(q):
             assert child.parent() == checked
     f = TreeFunction(q, ScalarMode.EXACT, {v: QSurd(1, 0, q) for v in Ball(q, 2)})
     assert f._as_levels().keys() == list(Ball(q, 2))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_built_spheres_equal_the_filtered_ball(q):
+    # the sphere is built by climbing and descending; the oracle filters a
+    # ball by distance, in the ball's canonical order
+    listed = list(Ball(q, 6))
+    for x in Ball(q, 2):
+        for n in range(5):
+            ball = Ball(q, x.depth + n)
+            expected = [v for v in listed if v.depth <= ball.radius and distance(x, v) == n]
+            found = sphere(x, n, ball)
+            assert found == expected and len(found) == sphere_volume(q, n)
+
+
+def test_vertex_equality_hashing_copy_and_pickle():
+    for q in (2, 3):
+        for vertex in Ball(q, 2):
+            built = VertexAddress._built(q, vertex.labels)
+            checked = VertexAddress(q, vertex.labels)
+            assert built == checked and not built != checked and hash(built) == hash(checked)
+            assert len({built, checked}) == 1
+            for again in (copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+                assert again == checked and hash(again) == hash(checked)
+                assert (again.q, again.labels) == (q, vertex.labels)
+    # equal words over different trees are different vertices
+    assert VertexAddress(2, (0, 1)) != VertexAddress(3, (0, 1))
+    assert VertexAddress.origin(2) != VertexAddress.origin(3)
+    assert len({VertexAddress.origin(2), VertexAddress.origin(3)}) == 2
+    assert VertexAddress.origin(2) != () and VertexAddress.origin(2) != "origin"
 
 
 def test_height_examples():
@@ -201,6 +233,14 @@ REFUSED = {
     "spherical-mean-float-radius": (lambda: _spherical_mean(1.5), "n"),
     "huygens-float-margin": (lambda: _huygens(1.5), "shell_margin"),
     "huygens-bool-margin": (lambda: _huygens(True), "shell_margin"),
+    "ball-negative-radius": (lambda: Ball(2, -1), "radius"),
+    "sphere-negative-radius": (lambda: sphere(VertexAddress.origin(2), -1, Ball(2, 3)), "n"),
+    "sphere-volume-negative-radius": (lambda: sphere_volume(2, -1), "n"),
+    "spherical-mean-negative-radius": (lambda: _spherical_mean(-1), "n"),
+    "huygens-negative-margin": (lambda: _huygens(-1), "shell_margin"),
+    "vertex-first-label-out-of-range": (lambda: VertexAddress(2, (5,)), "labels"),
+    "vertex-later-label-out-of-range": (lambda: VertexAddress(2, (0, 2)), "labels"),
+    "child-label-out-of-range": (lambda: VertexAddress.origin(2).child(7), "label"),
 }
 
 

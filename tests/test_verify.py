@@ -37,6 +37,23 @@ def _fails_with(check, detail, **params):
     assert (result.passed, result.detail) == (False, detail)
 
 
+def test_metric_search_catches_a_distance_off_by_one(monkeypatch):
+    # symmetric, so only the breadth-first search can catch it: pairs in
+    # different branches of the origin read one too far
+    distance = verify.distance
+
+    def off(x, y):
+        apart = x.labels and y.labels and x.labels[0] != y.labels[0]
+        return distance(x, y) + bool(apart)
+
+    rng = random.Random("0:check_metric")
+    assert verify.check_metric((2, 3), rng).passed
+    monkeypatch.setattr(verify, "distance", off)
+    rng = random.Random("0:check_metric")
+    result = verify.check_metric((2, 3), rng)
+    assert not result.passed and result.name == "tree metric"
+
+
 def test_huygens_pin(monkeypatch):
     def mass_at_6(report, *args):
         if report.n != 6:
