@@ -400,15 +400,18 @@ def scalar_from_json(obj, q: int, mode: ScalarMode) -> Scalar:
 def scalar_sum(values, q: int, mode: ScalarMode) -> Scalar:
     """The sum of ``values``: float64 adds them in order from 0.0, exact
     values add their integer slots over a common denominator, and one
-    ``QSurd`` is built at the end."""
+    ``QSurd`` is built at the end.  An int or Fraction is coerced as by
+    ``+``; a value over another q is refused."""
     if mode is not ScalarMode.EXACT:
         total = 0.0
         for v in values:
             total = total + v
         return total
-    a, b, d = 0, 0, 1
+    a, b, d, zero = 0, 0, 1, QSurd.zero(q)
     for v in values:
-        x, y, e, _ = v._v
+        x, y, e, r = v._v if v.__class__ is QSurd else (zero + v)._v
+        if r != q:
+            raise ParameterError(f"cannot combine QSurd values over q={q} and q={r}")
         if e != d:
             common = lcm(d, e)
             a, b = a * (common // d), b * (common // d)

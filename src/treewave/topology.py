@@ -166,8 +166,7 @@ MAX_VERTICES = 5_000_000
 def sphere_volume(q: int, n: int) -> int:
     """Number of vertices at distance n from any fixed vertex:
     1 for n = 0, (q+1)*q^(n-1) for n >= 1."""
-    if n < 0:
-        raise ParameterError(f"field 'n' must be an integer radius >= 0, got {n!r}")
+    _check_radius(n, "n")
     if n == 0:
         return 1
     return (q + 1) * q ** (n - 1)

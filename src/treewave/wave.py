@@ -316,14 +316,7 @@ class AsgeirssonField:
         return self.value(x, y) - ratio * scalar_sum(neighbour_values, q, mode)
 
     def laplacian_in_x(self, x: VertexAddress, y: VertexAddress) -> Scalar:
-        """U(., y) is u(., h(y)) times one weight: exact values are summed in
-        one read of the snapshot at the neighbours, then weighted; float64
-        weights each value first, as ``value`` rounds it."""
-        traj, h = self.trajectory, y.height()
-        if traj.mode is not ScalarMode.EXACT:
-            return self._laplacian(x, y, (self.value(nb, y) for nb in x.neighbors()))
-        total = sqrt_q_power(traj.q, h, traj.mode) * traj.snapshot(h).sum_at(x.neighbors())
-        return self._laplacian(x, y, (total,))
+        return self._laplacian(x, y, (self.value(nb, y) for nb in x.neighbors()))
 
     def laplacian_in_y(self, x: VertexAddress, y: VertexAddress) -> Scalar:
         return self._laplacian(x, y, (self.value(x, nb) for nb in y.neighbors()))

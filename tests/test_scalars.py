@@ -11,6 +11,7 @@ from treewave.scalars import (
     ScalarMode,
     ensure_mode,
     scalar_from_json,
+    scalar_sum,
     scalar_to_json,
     sqrt_q_power,
     surd_to_float,
@@ -52,6 +53,18 @@ def test_perfect_square_q_folds_b_component():
 def test_mismatched_q_raises():
     with pytest.raises(ParameterError):
         QSurd(1, 0, 2) + QSurd(1, 0, 3)
+
+
+def test_exact_sum_coerces_like_plus_and_refuses_another_q():
+    exact = ScalarMode.EXACT
+    values = [QSurd(Fraction(1, 3), Fraction(1, 2), 2), 2, Fraction(-5, 6), QSurd(0, 1, 2)]
+    assert scalar_sum(values, 2, exact) == QSurd(Fraction(3, 2), Fraction(3, 2), 2)
+    with pytest.raises(ParameterError, match="q=2 and q=3"):
+        scalar_sum([QSurd(1, 0, 2), QSurd(1, 0, 3)], 2, exact)
+    with pytest.raises(ParameterError, match="q=2 and q=3"):
+        scalar_sum([QSurd(1, 0, 3)], 2, exact)
+    with pytest.raises(TypeError):
+        scalar_sum([QSurd(1, 0, 2), 0.5], 2, exact)
 
 
 def test_division_by_zero_raises():

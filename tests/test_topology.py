@@ -236,6 +236,7 @@ REFUSED = {
     "ball-negative-radius": (lambda: Ball(2, -1), "radius"),
     "sphere-negative-radius": (lambda: sphere(VertexAddress.origin(2), -1, Ball(2, 3)), "n"),
     "sphere-volume-negative-radius": (lambda: sphere_volume(2, -1), "n"),
+    "sphere-volume-float-radius": (lambda: sphere_volume(2, 1.5), "n"),
     "spherical-mean-negative-radius": (lambda: _spherical_mean(-1), "n"),
     "huygens-negative-margin": (lambda: _huygens(-1), "shell_margin"),
     "vertex-first-label-out-of-range": (lambda: VertexAddress(2, (5,)), "labels"),
