@@ -41,14 +41,15 @@ An energy table has one report, with the direct gap K - P, per interior
 time of the trajectory; checks and tables read these reports and the rows of
 ``propagation_bounds`` rather than recompute them.  The equipartition
 table compares a report's gap with the operator route alone
-(``_operator_gap``).
+(``_operator_gap``).  Reports and rows are named tuples: immutable, read by
+field name, and copied with one field changed by ``_replace``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import ConsistencyError, ParameterError
 from .functions import TreeFunction
@@ -58,8 +59,7 @@ from .topology import _check_radius
 from .wave import WaveTrajectory, c_operator, s_operator
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     n: int
     kinetic: Scalar
     potential: Scalar
@@ -67,8 +67,7 @@ class EnergyReport:
     gap: Scalar
 
 
-@dataclass(frozen=True)
-class HuygensReport:
+class HuygensReport(NamedTuple):
     n: int
     shell_margin: int
     interior_mass: Scalar
@@ -76,15 +75,13 @@ class HuygensReport:
     interior_kinetic: Scalar
 
 
-@dataclass(frozen=True)
-class PropagationRow:
+class PropagationRow(NamedTuple):
     n: int
     support_radius: int
     scaled_amplitude: Scalar
 
 
-@dataclass(frozen=True)
-class PropagationReport:
+class PropagationReport(NamedTuple):
     data_radius: int
     rows: list[PropagationRow]
     within_cone: bool

@@ -25,8 +25,8 @@ import json
 import os
 import random
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .energy import _operator_gap, gap_bound_constant, huygens_report, total_energy
 from .errors import ConfigError, ConsistencyError
@@ -51,8 +51,7 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     q: int = 2
     steps: int = 8
     mode: str = "exact"
@@ -91,7 +90,7 @@ class ExperimentConfig:
         return ScalarMode(self.mode)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _parsed(kind, blob):

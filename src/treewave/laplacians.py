@@ -19,8 +19,8 @@ inequalities on finitely supported data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .functions import HeightSequence, RadialProfile, TreeFunction
 from .scalars import QSurd, Scalar, ScalarMode, scalar_from_fraction, scalar_zero
@@ -43,8 +43,7 @@ def tau(q: int) -> float:
     return 2.0 * math.pi / math.log(q)
 
 
-@dataclass(frozen=True)
-class SpectralConstants:
+class SpectralConstants(NamedTuple):
     q: int
     mode: ScalarMode = ScalarMode.EXACT
 

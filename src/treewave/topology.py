@@ -5,11 +5,13 @@ vertex is a backtrack-free label word read from the origin: the first label
 is one of {0..q} (the origin has q+1 neighbours), every later label one of
 {0..q-1} (non-backtracking continuations).  Distance and height are O(word
 length); spheres and balls are generated on demand, never materialized as
-adjacency structures.  A sphere S(x, n) is built, not searched: y is
-reached by climbing a <= min(n, |x|) steps to an ancestor z of x, then
-descending n - a steps into any branch of z but the one climbed from.  The
-words for one a have depth |x| + n - 2a and come in lexicographic order, so
-a from the largest down lists S(x, n) in canonical order with no sort.
+adjacency structures.  Vertices and balls are immutable: assigning a field
+raises ``AttributeError``, and a vertex's labels must be a tuple.  A sphere
+S(x, n) is built, not searched: y is reached by climbing a <= min(n, |x|)
+steps to an ancestor z of x, then descending n - a steps into any branch of
+z but the one climbed from.  The words for one a have depth |x| + n - 2a and
+come in lexicographic order, so a from the largest down lists S(x, n) in
+canonical order with no sort.
 
 The distinguished geodesic ray consists of the all-zero words, so heights
 increase along it: h(x) = 2*(leading zeros of x) - |x|, which is the
@@ -19,9 +21,8 @@ every vertex has exactly one neighbour at height h+1 and q at height h-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import product, repeat
-from typing import Iterator
 
 from .errors import ParameterError, TruncationError
 
@@ -38,21 +39,48 @@ def _check_q(q) -> None:
         raise ParameterError(f"field 'q' must be an integer >= 2, got {q!r}")
 
 
-@dataclass(frozen=True)
-class VertexAddress:
+class _Frozen:
+    """Fields set once by ``__init__``: assigning or deleting one raises
+    ``AttributeError`` (copy and pickle restore ``__dict__`` directly).  A
+    record equals one of its own class with equal ``_fields``, hashes them,
+    and its repr shows the ``_shown`` fields."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__name__}({shown})"
+
+
+class VertexAddress(_Frozen):
     """A vertex of T_q as a geodesic label word; the empty word is the origin."""
 
-    q: int
-    labels: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        _check_q(self.q)
-        for i, label in enumerate(self.labels):
+    def __init__(self, q: int, labels: tuple[int, ...] = ()):
+        _check_q(q)
+        if type(labels) is not tuple:
+            raise ParameterError(f"field 'labels' must be a tuple of labels, got {labels!r}")
+        for i, label in enumerate(labels):
             _check_radius(label, "labels", "label")
-            top = self.q - 1 if i else self.q
+            top = q - 1 if i else q
             if label > top:
                 which = "label" if i else "first label"
                 raise ParameterError(f"field 'labels': {which} {label} outside 0..{top}")
+        self.__dict__.update(q=q, labels=labels)
 
     # equality and hashing read the two fields, with no tuple of them built
     def __eq__(self, other) -> bool:
@@ -200,20 +228,19 @@ def distance_count(q: int, m: int, d: int, r: int) -> int:
     return (q - 1) * q ** (d - a - 1)
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(_Frozen):
     """Explicit truncation domain: the ball of given radius about the origin.
 
     Enumeration order is canonical (by depth, then lexicographic labels), so
     serialized outputs are byte-stable.
     """
 
-    q: int
-    radius: int
+    _fields = _shown = ("q", "radius")
 
-    def __post_init__(self):
-        _check_q(self.q)
-        _check_radius(self.radius, "radius")
+    def __init__(self, q: int, radius: int):
+        _check_q(q)
+        _check_radius(radius, "radius")
+        self.__dict__.update(q=q, radius=radius)
 
     def vertex_count(self) -> int:
         return 1 + sum(sphere_volume(self.q, n) for n in range(1, self.radius + 1))

@@ -79,21 +79,19 @@ def abel(p: RadialProfile, method: str = "closed") -> HeightSequence:
 
 
 def _abel_brute(p: RadialProfile, radius: int) -> HeightSequence:
-    # Enumerates the ball spanned by supp p; every vertex with f(|x|) != 0
-    # contributes to the bucket of its height.
-    zero = scalar_zero(p.q, p.mode)
-    buckets: dict[int, Scalar] = {}
-    for vertex in Ball(p.q, radius):
-        value = p[vertex.depth]
-        if not value:
-            continue
-        h = vertex.height()
-        buckets[h] = buckets.get(h, zero) + value
-    return HeightSequence(
-        p.q,
-        p.mode,
-        [(h, total * sqrt_q_power(p.q, h, p.mode)) for h, total in buckets.items()],
-    )
+    # Enumerates the ball spanned by supp p, f(|x|) read once per depth;
+    # every vertex with f(|x|) != 0 puts it in the bucket of its height,
+    # and each bucket is added by ``scalar_sum`` in ball order.
+    q, mode = p.q, p.mode
+    values = [p[depth] for depth in range(radius + 1)]
+    buckets: dict[int, list[Scalar]] = {}
+    for vertex in Ball(q, radius):
+        value = values[vertex.depth]
+        if value:
+            buckets.setdefault(vertex.height(), []).append(value)
+    return HeightSequence(q, mode, [
+        (h, scalar_sum(terms, q, mode) * sqrt_q_power(q, h, mode)) for h, terms in buckets.items()
+    ])
 
 
 def abel_inverse(s: HeightSequence) -> RadialProfile:

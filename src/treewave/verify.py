@@ -18,8 +18,8 @@ and assert that they pass.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .energy import (
     energies,
@@ -105,8 +105,7 @@ _SIZES = {
 _ASGEIRSSON_TIMES, _LARGEST_BALL = 8, 6
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

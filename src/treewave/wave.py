@@ -33,12 +33,13 @@ each M_n there from parity sums over the stored depths, built once
 per datum and kept on it, with no neighbour sum, so it stays the
 leapfrog's independent oracle.  Data with a tail, such as a snapshot u(k)
 restarted as Cauchy data, take the same route and keep R.
+A ``WaveTrajectory`` and an ``AsgeirssonField`` are immutable and compare
+by their fields; neither is hashable, since the snapshots are a dict.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -52,7 +53,7 @@ from .scalars import (
     scalar_zero,
     sqrt_q_power,
 )
-from .topology import Ball, VertexAddress, _check_radius, sphere
+from .topology import Ball, VertexAddress, _check_radius, _Frozen, sphere
 
 
 Function = TreeFunction | RadialProfile
@@ -118,8 +119,7 @@ def step_recurrence(u_prev: Function, u_curr: Function) -> Function:
     return type(u_curr)._from_levels(u_curr._as_levels().step(u_prev._as_levels()))
 
 
-@dataclass(frozen=True)
-class WaveTrajectory:
+class WaveTrajectory(_Frozen):
     """Solved snapshots u(., n) together with their defining data, vertex
     functions or radial profiles.
 
@@ -128,23 +128,24 @@ class WaveTrajectory:
     inside the ball of radius |n| + N around the data (N = data radius).
     """
 
-    q: int
-    mode: ScalarMode
-    f: Function
-    g: Function
-    snapshots: dict[int, Function] = field(repr=False)
+    # the snapshots are compared but not shown
+    _fields = ("q", "mode", "f", "g", "snapshots")
+    _shown = _fields[:4]
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.mode is ScalarMode.EXACT:
-            if 0 in self.snapshots and self.snapshots[0] != self.f:
+    def __init__(
+        self, q: int, mode: ScalarMode, f: Function, g: Function, snapshots: dict[int, Function]
+    ):
+        if mode is ScalarMode.EXACT:
+            if 0 in snapshots and snapshots[0] != f:
                 raise ParameterError("snapshot(0) must equal the initial position")
-            if 1 in self.snapshots and -1 in self.snapshots:
-                half = scalar_from_fraction(Fraction(1, 2), self.q, self.mode)
-                centered = (self.snapshots[1] - self.snapshots[-1]).scale(half)
-                if centered != self.g:
+            if 1 in snapshots and -1 in snapshots:
+                half = scalar_from_fraction(Fraction(1, 2), q, mode)
+                if (snapshots[1] - snapshots[-1]).scale(half) != g:
                     raise ParameterError(
                         "snapshots violate the centered initial velocity condition"
                     )
+        self.__dict__.update(q=q, mode=mode, f=f, g=g, snapshots=snapshots)
 
     def n_values(self) -> list[int]:
         return sorted(self.snapshots)
@@ -284,8 +285,7 @@ def solve(
     return _solve(f, g, n_range, solver, propagators, adjacency_sum, ball)
 
 
-@dataclass(frozen=True)
-class AsgeirssonField:
+class AsgeirssonField(_Frozen):
     """U(x, y) = q^(h(y)/2) * u(x, h(y)) built from a solved trajectory.
 
     The second argument enters only through its height, so U satisfies the
@@ -293,17 +293,17 @@ class AsgeirssonField:
     solves the wave equation.
     """
 
-    trajectory: WaveTrajectory
-    ball: Ball
+    _fields = _shown = ("trajectory", "ball")
 
-    def __post_init__(self):
-        solved = self.trajectory.n_values()
-        if not solved or min(solved) > -self.ball.radius or max(solved) < self.ball.radius:
+    def __init__(self, trajectory: WaveTrajectory, ball: Ball):
+        solved = trajectory.n_values()
+        if not solved or min(solved) > -ball.radius or max(solved) < ball.radius:
             span = f"{min(solved)}..{max(solved)}" if solved else "nothing"
             raise TruncationError(
-                f"ball heights span [-{self.ball.radius}, {self.ball.radius}] but the "
+                f"ball heights span [-{ball.radius}, {ball.radius}] but the "
                 f"trajectory covers {span}"
             )
+        self.__dict__.update(trajectory=trajectory, ball=ball)
 
     def value(self, x: VertexAddress, y: VertexAddress) -> Scalar:
         h = y.height()

@@ -242,6 +242,8 @@ REFUSED = {
     "vertex-first-label-out-of-range": (lambda: VertexAddress(2, (5,)), "labels"),
     "vertex-later-label-out-of-range": (lambda: VertexAddress(2, (0, 2)), "labels"),
     "child-label-out-of-range": (lambda: VertexAddress.origin(2).child(7), "label"),
+    "vertex-list-labels": (lambda: VertexAddress(2, [0, 1]), "labels"),
+    "vertex-none-labels": (lambda: VertexAddress(2, None), "labels"),
 }
 
 

@@ -11,6 +11,7 @@ from treewave.errors import DomainError, ModeError, ParameterError
 from treewave.functions import HeightSequence, RadialProfile
 from treewave.laplacians import tau
 from treewave.scalars import QSurd, ScalarMode, scalar_from_fraction, sqrt_q_power
+from treewave.topology import Ball
 from treewave.transforms import (
     abel,
     abel_inverse,
@@ -71,6 +72,36 @@ def test_abel_brute_equals_closed():
     for q in (2, 3, 4):
         p = random_profile(q, rng)
         assert abel(p, method="brute") == abel(p, method="closed")
+
+
+def _abel_by_vertices(p, radius):
+    """The horocycle sum as one addition per vertex of the ball: p read at
+    every vertex, each bucket added in ball order from its first value."""
+    buckets = {}
+    for vertex in Ball(p.q, radius):
+        value = p[vertex.depth]
+        if value:
+            h = vertex.height()
+            buckets[h] = buckets[h] + value if h in buckets else value
+    return HeightSequence(
+        p.q, p.mode, [(h, total * sqrt_q_power(p.q, h, p.mode)) for h, total in buckets.items()]
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_brute_abel_equals_closed_and_the_per_vertex_float64_bits(q):
+    rng = random.Random(f"abel brute {q}")
+    for radius in range(6):
+        p = RadialProfile(q, EXACT, [
+            (n, QSurd(Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-2, 2), q))
+            for n in range(radius + 1)
+        ])
+        assert abel(p, method="brute") == abel(p, method="closed") == _abel_by_vertices(p, radius)
+        floats = p.as_float64()
+        found, expected = abel(floats, method="brute"), _abel_by_vertices(floats, radius)
+        assert [(h, v.hex()) for h, v in found.items()] == [
+            (h, v.hex()) for h, v in expected.items()
+        ]
 
 
 def test_abel_second_form():

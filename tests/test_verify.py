@@ -8,7 +8,6 @@ matching detail.
 """
 
 import cmath
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -58,7 +57,7 @@ def test_huygens_pin(monkeypatch):
     def mass_at_6(report, *args):
         if report.n != 6:
             return report
-        return dataclasses.replace(report, interior_mass=report.interior_mass + TINY)
+        return report._replace(interior_mass=report.interior_mass + TINY)
 
     _perturb(monkeypatch, "huygens_report", mass_at_6)
     _fails_with("check_huygens", "pinned interior mass")
@@ -69,7 +68,7 @@ def test_huygens_vertex_cross_check(monkeypatch):
     def kinetic(report, trajectory, *args):
         if not isinstance(trajectory.f, TreeFunction):
             return report
-        return dataclasses.replace(report, interior_kinetic=report.interior_kinetic + TINY)
+        return report._replace(interior_kinetic=report.interior_kinetic + TINY)
 
     _perturb(monkeypatch, "huygens_report", kinetic)
     _fails_with("check_huygens", "vertex and radial sums differ")
