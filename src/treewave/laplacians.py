@@ -22,8 +22,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from .errors import ParameterError
 from .functions import HeightSequence, RadialProfile, TreeFunction
 from .scalars import QSurd, Scalar, ScalarMode, scalar_from_fraction, scalar_zero
+from .topology import _check_q
 
 
 def gamma(q: int, mode: ScalarMode = ScalarMode.EXACT) -> Scalar:
@@ -40,6 +42,7 @@ def gamma_tilde(q: int, mode: ScalarMode = ScalarMode.EXACT) -> Scalar:
 
 def tau(q: int) -> float:
     """Period 2*pi/log(q) of the q-exponential Fourier transform."""
+    _check_q(q)
     return 2.0 * math.pi / math.log(q)
 
 
@@ -85,7 +88,10 @@ def two_step_laplacian(f: TreeFunction | RadialProfile) -> TreeFunction | Radial
 
 
 def rayleigh_quotient(operator, f) -> Scalar:
-    """<Af, f> / <f, f> for the counting inner product; exact in exact mode."""
+    """<Af, f> / <f, f> for the counting inner product; exact in exact mode.
+    The zero function has no quotient and is refused."""
+    if not f:
+        raise ParameterError("field 'f' must be a nonzero function")
     image = operator(f)
     numerator = image.dot(f)
     denominator = f.dot(f)

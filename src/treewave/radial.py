@@ -137,7 +137,11 @@ def radial_solve(
     body of ``treewave.wave.solve``, with the closed route convolving the
     data with the propagator kernels.  Since c_(-n) = c_n and s_(-n) =
     -s_n, it convolves once per |n| (``_closed_parts``) and takes
-    u(-n) = C_n f - S_n g."""
+    u(-n) = C_n f - S_n g.  Data other than profiles are refused."""
+    for field, data in (("f", f), ("g", g)):
+        if type(data) is not RadialProfile:
+            kind = type(data).__name__
+            raise ParameterError(f"field {field!r} must be a RadialProfile, got {kind}")
     parts: dict = {}
 
     def closed(n: int, f: RadialProfile, g: RadialProfile) -> RadialProfile:

@@ -181,8 +181,8 @@ def distance(x: VertexAddress, y: VertexAddress) -> int:
 
 def omega(q: int, k: int) -> VertexAddress:
     """Point k >= 0 on the distinguished geodesic ray (all-zero words)."""
-    if k < 0:
-        raise ParameterError("only the nonnegative ray of the geodesic is used")
+    _check_q(q)
+    _check_radius(k, "k")
     return VertexAddress(q, (0,) * k)
 
 
@@ -194,6 +194,7 @@ MAX_VERTICES = 5_000_000
 def sphere_volume(q: int, n: int) -> int:
     """Number of vertices at distance n from any fixed vertex:
     1 for n = 0, (q+1)*q^(n-1) for n >= 1."""
+    _check_q(q)
     _check_radius(n, "n")
     if n == 0:
         return 1
@@ -205,8 +206,12 @@ def distance_count(q: int, m: int, d: int, r: int) -> int:
 
     The geodesic from x climbs a = (m + d - r)/2 steps towards the origin
     and then descends; the count depends on whether it turns below, at, or
-    never reaches the origin.
+    never reaches the origin.  A negative radius counts no vertex.
     """
+    _check_q(q)
+    for field, value in (("m", m), ("d", d), ("r", r)):
+        if type(value) is not int:
+            _check_radius(value, field)
     if min(m, d, r) < 0:
         return 0
     if d == 0:

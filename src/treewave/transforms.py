@@ -12,10 +12,16 @@ Its dual averages a height function over spheres,
 
     A* f(n) = (1/delta(n)) * sum_{|x| = n} q^(h(x)/2) f(h(x)),
 
-and both inverses are the finite telescoping sums implemented below.  Every
-transform is offered with an independent brute-force route (explicit vertex
-enumeration inside a ball) next to the closed form; exact agreement of the
-two routes is what pins down the height-sign convention.
+and both inverses are the finite telescoping sums implemented below.  Each
+inner sum of a closed form runs over one parity class of the index, so the
+closed routes read running sums over the classes, R(i) = x(i) + R(i +- 2)
+(``_class_sums``), in O(radius) additions.  They compute in Q(sqrt q) only:
+a float64 input is taken exactly (each float is a rational), transformed,
+and each output rounded once (``surd_to_float``), so a float64 value is the
+correctly rounded exact one and no float summation order is involved.
+Every transform is offered with an independent brute-force route (explicit
+vertex enumeration inside a ball) next to the closed form; exact agreement
+of the two routes is what pins down the height-sign convention.
 
 The Fourier layer F f(lambda) = sum_h q^(i*lambda*h) f(h) completes the
 factorization of the spherical transform as F o A; it is tau-periodic with
@@ -37,16 +43,18 @@ from itertools import chain
 from operator import add, mul
 
 from .errors import DomainError, ModeError, ParameterError
-from .functions import HeightSequence, RadialProfile
+from .functions import HeightSequence, RadialProfile, _check_time
 from .scalars import (
+    QSurd,
     Scalar,
     ScalarMode,
     scalar_from_fraction,
     scalar_sum,
-    scalar_zero,
     sqrt_q_power,
 )
-from .topology import Ball, VertexAddress, _check_radius, sphere, sphere_volume
+from .topology import Ball, VertexAddress, _check_q, _check_radius, sphere, sphere_volume
+
+EXACT = ScalarMode.EXACT
 
 
 def _check_method(method: str) -> None:
@@ -54,28 +62,53 @@ def _check_method(method: str) -> None:
         raise ParameterError(f"method must be 'brute' or 'closed', got {method!r}")
 
 
+def _exact(c, keys) -> list[QSurd]:
+    """The values of c at keys in Q(sqrt q); a float64 value is taken as
+    the rational it is."""
+    if c.mode is EXACT:
+        return [c[key] for key in keys]
+    return [scalar_from_fraction(Fraction(c[key]), c.q, EXACT) for key in keys]
+
+
+def _rounded(value: QSurd, mode: ScalarMode, field: str) -> Scalar:
+    """An exact transform value in the mode of its input: float64 rounds it
+    once (``surd_to_float``), and refuses a value beyond the double range."""
+    if mode is EXACT:
+        return value
+    try:
+        return value.to_float()
+    except OverflowError:
+        raise ParameterError(
+            f"field {field!r}: a float64 transform value lies beyond the double range"
+        ) from None
+
+
+def _class_sums(terms: list, step: int) -> list:
+    """The running sums of ``terms`` over each parity class of the index,
+    R(i) = x(i) + R(i + step): suffix sums for step 2, prefix sums for -2."""
+    sums = list(terms)
+    for i in range(len(sums) - 3, -1, -1) if step > 0 else range(2, len(sums)):
+        sums[i] = sums[i] + sums[i + step]
+    return sums
+
+
 def abel(p: RadialProfile, method: str = "closed") -> HeightSequence:
-    """The horocycle sum of p: the closed form, one sum over f(|h|),
-    f(|h|+2), ... per depth |h|, or the brute sum over the vertices of a
-    ball."""
+    """The horocycle sum of p: the closed form q^(d/2) p(d) + T(d+2) at
+    depth d = |h|, with T the suffix class sum of ((q-1)/q) q^(m/2) p(m),
+    or the brute sum over the vertices of a ball."""
     _check_method(method)
     radius = p.support_radius()
     if radius < 0:
         return HeightSequence(p.q, p.mode)
     if method == "brute":
         return _abel_brute(p, radius)
-    q, mode = p.q, p.mode
-    ratio = scalar_from_fraction(Fraction(q - 1, q), q, mode)
-    # each product once per radius; the sums add them in the same order
-    weighted = [sqrt_q_power(q, m, mode) * p[m] for m in range(radius + 1)]
-    tail = [ratio * sqrt_q_power(q, m, mode) * p[m] for m in range(radius + 1)]
+    q, zero = p.q, QSurd.zero(p.q)
+    weighted = [sqrt_q_power(q, m, EXACT) * v for m, v in enumerate(_exact(p, range(radius + 1)))]
+    tail = _class_sums([w * Fraction(q - 1, q) for w in weighted] + [zero, zero], 2)
     entries = {}
     for d in range(radius + 1):
-        total = weighted[d]
-        for m in range(d + 2, radius + 1, 2):
-            total = total + tail[m]
-        entries[d] = entries[-d] = total
-    return HeightSequence(q, mode, entries)
+        entries[d] = entries[-d] = _rounded(weighted[d] + tail[d + 2], p.mode, "p")
+    return HeightSequence(q, p.mode, entries)
 
 
 def _abel_brute(p: RadialProfile, radius: int) -> HeightSequence:
@@ -95,31 +128,26 @@ def _abel_brute(p: RadialProfile, radius: int) -> HeightSequence:
 
 
 def abel_inverse(s: HeightSequence) -> RadialProfile:
-    """Telescoping inverse sum_{k>=0} q^(-n/2-k) {f(n+2k) - f(n+2k+2)};
-    defined on even sequences only."""
+    """The telescoping inverse, at n the suffix class sum of
+    q^(-j/2) {s(j) - s(j+2)} over j = n, n+2, ...; defined on even
+    sequences only."""
     if not s.is_even():
         raise DomainError("the inverse transform is defined on even sequences only")
     radius = s.support_radius()
     if radius < 0:
         return RadialProfile(s.q, s.mode)
-    q, mode = s.q, s.mode
-    shrink = [scalar_from_fraction(Fraction(1, q**k), q, mode) for k in range(radius // 2 + 1)]
-    entries = {}
-    for n in range(radius + 1):
-        lead = sqrt_q_power(q, -n, mode)
-        total = scalar_zero(q, mode)
-        for k in range((radius - n) // 2 + 1):
-            total = total + lead * shrink[k] * (s[n + 2 * k] - s[n + 2 * k + 2])
-        entries[n] = total
-    return RadialProfile(q, mode, entries)
+    q, values = s.q, _exact(s, range(radius + 3))
+    terms = [sqrt_q_power(q, -j, EXACT) * (values[j] - values[j + 2]) for j in range(radius + 1)]
+    sums = _class_sums(terms, 2)
+    return RadialProfile(q, s.mode, [(n, _rounded(v, s.mode, "s")) for n, v in enumerate(sums)])
 
 
 def dual_abel(s: HeightSequence, n: int, method: str = "closed") -> Scalar:
     """The sphere mean A* s(n): the closed form
 
-        q^(-n/2) [2q e(n) + (q-1) sum_{|k| <= n-2, k = n mod 2} e(k)] / (q+1)
+        q^(-n/2) [q (s(n) + s(-n)) + (q-1) sum_{|k| <= n-2, k = n mod 2} s(k)] / (q+1),
 
-    on the even part e(k) = (s(k) + s(-k))/2, or the brute sum over the
+    one class sum over the heights of S(n), or the brute sum over the
     sphere S(n)."""
     _check_method(method)
     _check_radius(n, "n")
@@ -138,16 +166,9 @@ def dual_abel(s: HeightSequence, n: int, method: str = "closed") -> Scalar:
         return total * weight
     if n == 0:
         return s[0]
-    q, mode = s.q, s.mode
-    edge = scalar_from_fraction(Fraction(2 * q, q + 1), q, mode)
-    inner = scalar_from_fraction(Fraction(q - 1, q + 1), q, mode)
-    half = scalar_from_fraction(Fraction(1, 2), q, mode)
-    # e(k) = e(-k) bit for bit (float addition commutes): one read per depth
-    even = {k: (s[k] + s[-k]) * half for k in range(n % 2, n + 1, 2)}
-    total = edge * even[n]
-    for k in range(2 - n, n - 1, 2):
-        total = total + inner * even[abs(k)]
-    return total * sqrt_q_power(q, -n, mode)
+    q, values = s.q, _exact(s, range(-n, n + 1, 2))
+    total = (values[0] + values[-1]) * q + scalar_sum(values[1:-1], q, EXACT) * (q - 1)
+    return _rounded(total * Fraction(1, q + 1) * sqrt_q_power(q, -n, EXACT), s.mode, "s")
 
 
 def dual_abel_inverse(m: RadialProfile, up_to: int | None = None) -> HeightSequence:
@@ -156,10 +177,10 @@ def dual_abel_inverse(m: RadialProfile, up_to: int | None = None) -> HeightSeque
 
     For h = 0 the value is m(0); for h >= 1 it is
 
-        (1/2) q^(h/2) m(h) + (1/2) q^(-h/2) m(h mod 2)
-        + (1/2) sum_k q^(h/2-2k+1) {m(h-2k+2) - m(h-2k)}
+        (1/2) [q^(h/2) m(h) + q^(-h/2) m(h mod 2) + q^(1-h/2) P(h-2)],
 
-    with k running to (h-1)/2 for odd h and to h/2 for even h.  The
+    with P the prefix class sum of q^j {m(j+2) - m(j)}; the class sum that
+    starts from m(0)/q and m(1)/q gives the last two terms in one.  The
     reconstruction can be nonzero beyond the support of m (absent means are
     zero, not unknown), so ``up_to`` widens the reconstructed height range;
     it defaults to the support radius.
@@ -170,33 +191,36 @@ def dual_abel_inverse(m: RadialProfile, up_to: int | None = None) -> HeightSeque
     radius = m.support_radius() if up_to is None else max(up_to, m.support_radius())
     if radius < 0:
         return HeightSequence(q, mode)
-    half = scalar_from_fraction(Fraction(1, 2), q, mode)
+    values = _exact(m, range(radius + 1))
+    steps = [(values[j] - values[j - 2]) * q ** (j - 2) for j in range(2, radius + 1)]
+    prefix = _class_sums([v * Fraction(1, q) for v in values[:2]] + steps, -2)
     entries: dict[int, Scalar] = {0: m[0]}
     for h in range(1, radius + 1):
-        total = half * sqrt_q_power(q, h, mode) * m[h]
-        total = total + half * sqrt_q_power(q, -h, mode) * m[h % 2]
-        top = (h - 1) // 2 if h % 2 else h // 2
-        for k in range(1, top + 1):
-            diff = m[h - 2 * k + 2] - m[h - 2 * k]
-            total = total + half * sqrt_q_power(q, h - 4 * k + 2, mode) * diff
-        entries[h] = total
-        entries[-h] = total
+        total = sqrt_q_power(q, h, EXACT) * values[h] + sqrt_q_power(q, 2 - h, EXACT) * prefix[h]
+        entries[h] = entries[-h] = _rounded(total * Fraction(1, 2), mode, "m")
     return HeightSequence(q, mode, entries)
 
 
 def cos_q(lam: float, q: int) -> float:
     """(q^(i*lam) + q^(-i*lam))/2 = cos(lam * log q)."""
+    _check_q(q)
     return math.cos(lam * math.log(q))
 
 
 def sin_q(lam: float, q: int) -> float:
+    _check_q(q)
     return math.sin(lam * math.log(q))
 
 
 def sine_ratio_q(n: int, lam: float, q: int) -> float:
     """sin_q(n*lam)/sin_q(lam) evaluated without division:
     sum_{k=0}^{n-1} cos((n-1-2k) * lam * log q), which extends continuously
-    through the zeros of the denominator (value n at lam = 0)."""
+    through the zeros of the denominator (value n at lam = 0); odd in n,
+    as S_(-n) = -S_n."""
+    _check_time(n)
+    _check_q(q)
+    if n < 0:
+        return -sine_ratio_q(-n, lam, q)
     theta = lam * math.log(q)
     return sum(math.cos((n - 1 - 2 * k) * theta) for k in range(n))
 

@@ -101,8 +101,8 @@ def s_operator(n: int, g: Function) -> Function:
 def propagators(n: int, f: Function, g: Function) -> Function:
     """Snapshot C_n f + S_n g of the closed-form solution."""
     _check_time(n)
-    if f.q != g.q or f.mode != g.mode:
-        raise ParameterError("initial data must share q and scalar mode")
+    if type(f) is not type(g) or f.q != g.q or f.mode != g.mode:
+        raise ParameterError("initial data must share container type, q and scalar mode")
     if n == 0:
         return f
     return c_operator(n, f) + s_operator(n, g)
@@ -114,8 +114,8 @@ def step_recurrence(u_prev: Function, u_curr: Function) -> Function:
     The same map also steps backwards (it is an involution in the pair),
     which is what makes the trajectory reversible.
     """
-    if u_prev.q != u_curr.q or u_prev.mode != u_curr.mode:
-        raise ParameterError("snapshots must share q and scalar mode")
+    if type(u_prev) is not type(u_curr) or u_prev.q != u_curr.q or u_prev.mode != u_curr.mode:
+        raise ParameterError("snapshots must share container type, q and scalar mode")
     return type(u_curr)._from_levels(u_curr._as_levels().step(u_prev._as_levels()))
 
 
@@ -235,8 +235,8 @@ def _solve(f, g, n_range, solver: str, closed, adjacency, ball=None) -> WaveTraj
     centered velocity), in the layouts f and g are packed in.  A truncation
     ``ball`` must hold radius |n| + N + 2 at every solved n (N the data
     radius), which is checked before any snapshot."""
-    if f.q != g.q or f.mode != g.mode:
-        raise ParameterError("initial data must share q and scalar mode")
+    if type(f) is not type(g) or f.q != g.q or f.mode != g.mode:
+        raise ParameterError("initial data must share container type, q and scalar mode")
     if solver not in ("closed", "recurrence"):
         raise ParameterError(f"solver must be 'closed' or 'recurrence', got {solver!r}")
     lo, hi = _normalize_range(n_range)

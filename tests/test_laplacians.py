@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from treewave.errors import ParameterError
 from treewave.functions import (
     HeightSequence,
     RadialProfile,
@@ -137,6 +140,13 @@ def test_two_step_factorization():
             QSurd(Fraction(q + 1, q), 0, q)
         )
         assert composite == two_step_laplacian(f)
+
+
+def test_rayleigh_quotient_refuses_the_zero_function():
+    for mode in (EXACT, ScalarMode.FLOAT64):
+        for zero in (TreeFunction.zero(2, mode), RadialProfile(2, mode)):
+            with pytest.raises(ParameterError, match="field 'f'"):
+                rayleigh_quotient(laplacian_tree, zero)
 
 
 def test_rayleigh_quotients_inside_spectra():

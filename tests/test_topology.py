@@ -14,6 +14,7 @@ from treewave.topology import (
     Ball,
     VertexAddress,
     distance,
+    distance_count,
     omega,
     sphere,
     sphere_volume,
@@ -244,7 +245,22 @@ REFUSED = {
     "child-label-out-of-range": (lambda: VertexAddress.origin(2).child(7), "label"),
     "vertex-list-labels": (lambda: VertexAddress(2, [0, 1]), "labels"),
     "vertex-none-labels": (lambda: VertexAddress(2, None), "labels"),
+    "sphere-volume-q-one": (lambda: sphere_volume(1, 3), "q"),
+    "sphere-volume-bool-q": (lambda: sphere_volume(True, 3), "q"),
+    "sphere-volume-float-q": (lambda: sphere_volume(2.5, 3), "q"),
+    "distance-count-q-one": (lambda: distance_count(1, 2, 1, 1), "q"),
+    "distance-count-float-m": (lambda: distance_count(2, 1.5, 0.5, 1), "m"),
+    "distance-count-float-d": (lambda: distance_count(2, 1, 0.5, 1), "d"),
+    "distance-count-bool-r": (lambda: distance_count(2, 1, 1, True), "r"),
+    "omega-bool-k": (lambda: omega(2, True), "k"),
+    "omega-float-k": (lambda: omega(2, 1.5), "k"),
+    "omega-negative-k": (lambda: omega(2, -1), "k"),
 }
+
+
+def test_distance_count_of_a_negative_radius_is_zero():
+    assert distance_count(2, -1, 1, 0) == distance_count(2, 1, -1, 0) == 0
+    assert distance_count(2, 1, 1, -2) == 0 and distance_count(2, 1, 1, 0) == 1
 
 
 @pytest.mark.parametrize("case", REFUSED)

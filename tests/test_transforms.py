@@ -12,6 +12,7 @@ from treewave.functions import HeightSequence, RadialProfile
 from treewave.laplacians import tau
 from treewave.scalars import QSurd, ScalarMode, scalar_from_fraction, sqrt_q_power
 from treewave.topology import Ball
+from treewave.wave import c_operator, s_operator
 from treewave.transforms import (
     abel,
     abel_inverse,
@@ -359,6 +360,36 @@ def test_sine_ratio_limit_values():
         assert sine_ratio_q(n, lam, q) == pytest.approx(expected, abs=1e-10)
 
 
+def test_sine_ratio_is_odd_in_n():
+    # S_(-n) = -S_n: sin_q(-n lam) / sin_q(lam) = -sin_q(n lam) / sin_q(lam)
+    for q in (2, 3, 5):
+        for lam in (0.0, 0.7, 1.3):
+            for n in range(1, 6):
+                assert sine_ratio_q(-n, lam, q) == -sine_ratio_q(n, lam, q)
+    expected = sin_q(-2 * 0.7, 3) / sin_q(0.7, 3)
+    assert sine_ratio_q(-2, 0.7, 3) == pytest.approx(expected, abs=1e-12)
+    assert expected == pytest.approx(-1.437, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        pytest.param(lambda: sine_ratio_q(True, 0.7, 3), "'n'", id="sine-ratio-bool-n"),
+        pytest.param(lambda: sine_ratio_q(1.5, 0.7, 3), "'n'", id="sine-ratio-float-n"),
+        pytest.param(lambda: sine_ratio_q(2, 0.7, 1), "'q'", id="sine-ratio-q-one"),
+        pytest.param(lambda: tau(1), "'q'", id="tau-q-one"),
+        pytest.param(lambda: tau(0), "'q'", id="tau-q-zero"),
+        pytest.param(lambda: tau(2.5), "'q'", id="tau-float-q"),
+        pytest.param(lambda: cos_q(0.3, 0), "'q'", id="cos-q-zero"),
+        pytest.param(lambda: sin_q(0.3, -2), "'q'", id="sin-q-negative"),
+        pytest.param(lambda: cos_q(0.3, True), "'q'", id="cos-bool-q"),
+    ],
+)
+def test_fourier_helpers_fail_closed(call, field):
+    with pytest.raises(ParameterError, match=field):
+        call()
+
+
 def test_float_mode_transforms_agree_with_exact():
     rng = random.Random(29)
     q = 2
@@ -398,7 +429,7 @@ def test_abel_inverse_second_form():
         assert out[n] == expected
 
 
-# -- the closed routes on irrational data, and their float64 order ----------------
+# -- the closed routes on irrational data, and their float64 rounding -------------
 
 
 def irrational_profile(q, rng, radius):
@@ -423,49 +454,81 @@ def test_closed_routes_equal_brute_routes_on_irrational_data(q):
             assert dual_abel(lopsided, n) == dual_abel(lopsided, n, method="brute")
 
 
-def _scalar_abel(p, q):
-    # the float64 closed forms written out here, in the order of the library's
-    # scalar loops, so that a reordered sum shows as a changed bit
-    radius, ratio = p.support_radius(), (q - 1) / q
-    out = {}
-    for h in range(-radius, radius + 1):
-        total = float(q) ** (abs(h) / 2) * p[abs(h)]
-        for m in range(abs(h) + 2, radius + 1, 2):
-            total = total + ratio * float(q) ** (m / 2) * p[m]
-        out[h] = total
-    return out
+def _rational(c):
+    """The exact container of a float64 one's values, each the rational it is."""
+    return type(c)(c.q, EXACT, [(k, QSurd(Fraction(v), 0, c.q)) for k, v in c.items()])
 
 
-def _scalar_abel_inverse(s, q):
-    radius, out = s.support_radius(), {}
-    for n in range(radius + 1):
-        total = 0.0
-        for k in range((radius - n) // 2 + 1):
-            weight = float(q) ** (-n / 2) * (1 / q**k)
-            total = total + weight * (s[n + 2 * k] - s[n + 2 * k + 2])
-        out[n] = total
-    return out
+def _rounded_bits(c):
+    return {k: (v.to_float() if isinstance(v, QSurd) else v).hex() for k, v in c.items()}
 
 
-def _scalar_dual_abel(s, q, n):
-    total = 2 * q / (q + 1) * s.even_value(n)
-    for k in range(-n + 2, n - 1, 2):
-        total = total + (q - 1) / (q + 1) * s.even_value(k)
-    return total * float(q) ** (-n / 2)
-
-
-@pytest.mark.parametrize("q", (2, 3, 5))
-def test_float64_closed_routes_keep_the_bits_of_the_scalar_loops(q):
-    rng = random.Random(100 + q)
-    for radius in (1, 4, 6):
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
+def test_float64_closed_routes_are_the_exact_values_rounded_once(q):
+    # each float64 output of a closed route is the exact transform of the
+    # input's rational values, correctly rounded (exact closed == brute is
+    # asserted above), so no float summation order is assumed
+    rng = random.Random(200 + q)
+    for radius in (1, 4, 6, 11, 40):
         p = irrational_profile(q, rng, radius).as_float64()
         forward = abel(p)
-        assert {h: v.hex() for h, v in forward.items()} == {
-            h: v.hex() for h, v in _scalar_abel(p, q).items() if v
-        }
-        back = abel_inverse(forward)
-        assert {n: v.hex() for n, v in back.items()} == {
-            n: v.hex() for n, v in _scalar_abel_inverse(forward, q).items() if v
-        }
-        for n in range(1, radius + 3):
-            assert dual_abel(forward, n).hex() == _scalar_dual_abel(forward, q, n).hex()
+        assert _rounded_bits(forward) == _rounded_bits(abel(_rational(p)))
+        exact_forward = _rational(forward)
+        for n in range(radius + 3):
+            assert dual_abel(forward, n).hex() == dual_abel(exact_forward, n).to_float().hex()
+        assert _rounded_bits(abel_inverse(forward)) == _rounded_bits(abel_inverse(exact_forward))
+        means = dual_abel_inverse(p, up_to=radius + 2)
+        expected = dual_abel_inverse(_rational(p), up_to=radius + 2)
+        assert _rounded_bits(means) == _rounded_bits(expected)
+
+
+def test_float64_values_beyond_the_double_range_are_refused_naming_the_field():
+    big = RadialProfile(9, ScalarMode.FLOAT64, [(700, 1.0)])
+    with pytest.raises(ParameterError, match="field 'p'"):
+        abel(big)
+    with pytest.raises(ParameterError, match="field 'm'"):
+        dual_abel_inverse(big)
+    tiny = HeightSequence(9, ScalarMode.FLOAT64, [(700, 1.0), (-700, 1.0)])
+    assert abel_inverse(tiny)[700] == 3.0**-700
+    top = HeightSequence(2, ScalarMode.FLOAT64, [(0, 1.5e308), (2, -1.5e308), (-2, -1.5e308)])
+    with pytest.raises(ParameterError, match="field 's'"):
+        abel_inverse(top)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
+def test_abel_shift_identities(q):
+    # A(C_n p)(h) = (A p(h+n) + A p(h-n))/2 and A(S_n p)(h) = sum_{k<n} A p(h-n+1+2k):
+    # the closed transforms at radii to 16, where the brute ball walk cannot go
+    rng = random.Random(f"shift {q}")
+    half = Fraction(1, 2)
+    for radius in range(5):
+        p = irrational_profile(q, rng, radius)
+        image = abel(p)
+        for n in range(13):
+            heights = range(-radius - n, radius + n + 1)
+            cosine = [(h, (image[h + n] + image[h - n]) * half) for h in heights]
+            assert abel(c_operator(n, p)) == HeightSequence(q, EXACT, cosine), (radius, n)
+            sine = [(h, sum((image[h - n + 1 + 2 * k] for k in range(n)), QSurd.zero(q)))
+                    for h in heights]
+            assert abel(s_operator(n, p)) == HeightSequence(q, EXACT, sine), (radius, n)
+
+
+def test_closed_transforms_add_a_linear_number_of_times(monkeypatch):
+    # each closed transform makes at most four QSurd additions or
+    # subtractions per radius, at radius 100 and 200; one addition per tail
+    # term would make about r^2/4 to r^2/2 of them
+    calls = [0]
+    original = QSurd._sum
+
+    def counted(self, other, sign):
+        calls[0] += 1
+        return original(self, other, sign)
+
+    monkeypatch.setattr(QSurd, "_sum", counted)
+    for radius in (100, 200):
+        p = irrational_profile(2, random.Random(radius), radius)
+        image = abel(p)
+        for transform, data in ((abel, p), (abel_inverse, image), (dual_abel_inverse, p)):
+            calls[0] = 0
+            transform(data)
+            assert radius < calls[0] <= 4 * radius, (transform.__name__, radius, calls[0])

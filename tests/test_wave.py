@@ -14,6 +14,7 @@ from treewave.radial import (
     radial_convolve,
     radial_solve,
 )
+from treewave.sampling import random_data_pair
 from treewave.scalars import QSurd, ScalarMode, sqrt_q_power
 from treewave.topology import Ball, VertexAddress, distance, sphere, sphere_volume
 from treewave.transforms import dual_abel_inverse
@@ -491,6 +492,21 @@ def test_float_mode_solvers_agree_closely():
             assert a[vertex] == pytest.approx(b[vertex], abs=1e-12)
 
 
+@pytest.mark.parametrize("q, radius", ((2, 2), (3, 1), (4, 1), (5, 1), (9, 1)))
+def test_product_formula(q, radius):
+    # C_m u(n) = (u(n+m) + u(n-m))/2, the cosine addition law on snapshots
+    f, g = random_data_pair(q, radius, random.Random(4))
+    half = QSurd(Fraction(1, 2), 0, q)
+    for n in range(-6, 7):
+        for m in range(7):
+            expected = (propagators(n + m, f, g) + propagators(n - m, f, g)).scale(half)
+            assert c_operator(m, propagators(n, f, g)) == expected, (n, m)
+    if q == 2:
+        for n in (-200, 200):
+            expected = (propagators(n + 5, f, g) + propagators(n - 5, f, g)).scale(half)
+            assert c_operator(5, propagators(n, f, g)) == expected, n
+
+
 # -- refusals ------------------------------------------------------------------
 
 
@@ -516,6 +532,26 @@ def test_propagators_and_the_solver_refuse_data_of_another_q_or_mode(other):
 def test_step_recurrence_refuses_snapshots_of_another_q_or_mode(other):
     with pytest.raises(ParameterError, match="q and scalar mode"):
         step_recurrence(TreeFunction.delta(2, EXACT), other)
+
+
+def test_solver_entries_refuse_a_tree_function_with_a_profile():
+    f, p = TreeFunction.delta(2, EXACT), RadialProfile.delta(2, EXACT)
+    for a, b in ((f, p), (p, f)):
+        for n in (0, 1):
+            with pytest.raises(ParameterError, match="container type"):
+                propagators(n, a, b)
+        with pytest.raises(ParameterError, match="container type"):
+            step_recurrence(a, b)
+        for solver in ("closed", "recurrence"):
+            with pytest.raises(ParameterError, match="container type"):
+                solve(a, b, 2, solver=solver)
+
+
+def test_radial_solve_refuses_data_that_are_not_profiles():
+    f, p = TreeFunction.delta(2, EXACT), RadialProfile.delta(2, EXACT)
+    for a, b, field in ((f, f, "f"), (p, f, "g"), (f, p, "f")):
+        with pytest.raises(ParameterError, match=f"field '{field}'"):
+            radial_solve(a, b, 2)
 
 
 def test_solve_refuses_an_unknown_solver():
